@@ -29,6 +29,7 @@ import time
 import answers
 import checkout
 import spans
+import speed
 
 #: End-to-end metrics: name → unit.  Every workload reports all of them.
 END_TO_END = {
@@ -139,13 +140,35 @@ def fingerprint() -> dict:
     }
 
 
+def mix_latencies(phase) -> list:
+    """One pass over the phase's mix, each operation at the median scaled
+    latency of its class in the run (see ``speed.py``)."""
+    repeats: dict = {}
+    for key, latency, scale in zip(phase.keys, phase.latencies, phase.scales):
+        repeats.setdefault(key, []).append(latency * scale)
+    return [statistics.median(repeats[key]) for key in phase.mix]
+
+
 def end_to_end_metrics(phase, setup_times: list, rss_mb: float) -> dict:
+    """Latency and throughput of the timed phase.
+
+    A closed loop over a fixed mix takes its percentiles over one pass of
+    the mix (:func:`mix_latencies`), so a quantile falls at the same place
+    in the mix in every run, and its throughput is the pass's operations
+    over the pass's time.  The open loop takes its percentiles over every
+    request, and its throughput is what it completed per second.
+    """
     lat = phase.latencies
+    if phase.mix:
+        cycle = mix_latencies(phase)
+        p50, p90, rate = statistics.median(cycle), quantile(cycle, 0.9), len(cycle) / sum(cycle)
+    else:
+        p50, p90, rate = statistics.median(lat), quantile(lat, 0.9), len(lat) / phase.wall
     return {
         "setup_s": statistics.median(setup_times),
-        "latency_p50_s": statistics.median(lat),
-        "latency_p90_s": quantile(lat, 0.9),
-        "throughput_per_s": len(lat) / phase.wall,
+        "latency_p50_s": p50,
+        "latency_p90_s": p90,
+        "throughput_per_s": rate,
         "peak_rss_mb": rss_mb,
     }
 
@@ -170,13 +193,18 @@ def per_layer_metrics(tracer, traced, untraced, out) -> dict:
         traced.window, ops, traced.span_wall, out,
     )
     covered = sum(self_time.values())
-    overhead = statistics.median(traced.latencies) / statistics.median(
-        untraced.latencies
-    ) - 1.0
+    if untraced.mix:
+        overhead = statistics.median(mix_latencies(traced)) / statistics.median(
+            mix_latencies(untraced)
+        ) - 1.0
+    else:
+        overhead = statistics.median(traced.latencies) / statistics.median(
+            untraced.latencies
+        ) - 1.0
     out(
         f"spans cover {covered / traced.span_wall:.1%} of {traced.span_wall:.3f} s; "
         f"unattributed {max(0.0, traced.span_wall - covered):.4f} s; "
-        f"tracing overhead {overhead:+.1%} (traced vs untraced median latency)"
+        f"tracing overhead {overhead:+.1%} (traced vs untraced latency_p50_s)"
     )
     metrics = {m: self_time.get(s, 0.0) / ops for m, s in LAYER_TIMES.items()}
     metrics.update({m: totals.get(c, 0) / ops for m, (c, _) in LAYER_COUNTS.items()})
@@ -208,13 +236,14 @@ def run_benchmark(name: str, seed: int, seconds: float, trace: bool,
     tempfile.tempdir = str(work)
     workload = workloads.WORKLOADS[name](seed, book, work)
     tracer = spans.Tracer() if trace else None
-    setup_times, setup_windows = [], []
+    clocks, setup_windows = [], []
     try:
         for _ in range(workload.setup_repeats):
             start = time.perf_counter()
-            workload.setup(tracer)
-            setup_times.append(time.perf_counter() - start)
-            setup_windows.append((start, start + setup_times[-1]))
+            clocks.append(speed.Clock())
+            workload.setup(tracer, clocks[-1].lap)
+            clocks[-1].lap()
+            setup_windows.append((start, time.perf_counter()))
         phases = [workload.run(seconds, None)]
         if trace:
             phases.append(workload.run(seconds, tracer))
@@ -239,19 +268,29 @@ def run_benchmark(name: str, seed: int, seconds: float, trace: bool,
     timed = phases[-1]
     lat = sorted(timed.latencies)
     p90 = quantile(lat, 0.9)
+    setup_times = [clock.scaled for clock in clocks]
     out(
         f"setup: median {statistics.median(setup_times):.4f} s of "
         f"{len(setup_times)}: " + ", ".join(f"{t:.4f}" for t in setup_times)
+        + "; measured " + ", ".join(f"{clock.measured:.4f}" for clock in clocks)
     )
     out(
         f"operations: {attempted} attempted, {failed} failed, "
         f"error_frac {failed / attempted:.4f}"
     )
     out(
-        f"latency: {len(lat)} samples, p50 {statistics.median(lat):.5f} s, "
+        f"latency, every operation: {len(lat)} samples, p50 {statistics.median(lat):.5f} s, "
         f"p90 {p90:.5f} s ({sum(x > p90 for x in lat)} beyond), "
         f"max {lat[-1]:.5f} s; peak RSS {rss_mb:.1f} MB"
     )
+    if timed.mix:
+        mix = mix_latencies(timed)
+        out(
+            f"latency, one pass over the mix of {len(mix)}, each class at its median: "
+            f"p50 {statistics.median(mix):.5f} s, p90 {quantile(mix, 0.9):.5f} s, "
+            f"pass {sum(mix):.4f} s against {sum(lat) * len(mix) / len(lat):.4f} s "
+            f"measured; host speed factor {min(timed.scales):.3f}-{max(timed.scales):.3f}"
+        )
     for phase in phases:
         for note in phase.notes:
             out(note)

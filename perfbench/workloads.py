@@ -29,6 +29,7 @@ from pathlib import Path
 import answers
 import checkout
 import spans
+import speed
 from repro.analysis import runner as runner_mod
 from repro.analysis.store import ResultStore, calibration_store
 from repro.core.pipeline import measure, predict
@@ -69,6 +70,14 @@ class Phase:
     #: Spans and counts recorded in child processes.
     spans: list = field(default_factory=list)
     counts: list = field(default_factory=list)
+    #: For a closed loop over a fixed mix of operations: the class of each
+    #: operation (operations of one class repeat the same work) and its
+    #: host speed factor (:func:`speed.scale`), both parallel to
+    #: ``latencies``, and the classes of one pass over the mix.  Empty for
+    #: the open loop.
+    keys: list = field(default_factory=list)
+    scales: list = field(default_factory=list)
+    mix: list = field(default_factory=list)
     #: Per-layer values the workload measures itself.
     extra: dict = field(default_factory=dict)
     #: Report lines.
@@ -123,7 +132,9 @@ class Workload:
         self.work = work
         self.rng = random.Random(seed)
 
-    def setup(self, tracer) -> None:
+    def setup(self, tracer, lap) -> None:
+        """Build what the timed phase needs; call ``lap()`` between steps
+        (the runner scales each step for host speed, see ``speed.Clock``)."""
         raise NotImplementedError
 
     def run(self, seconds: float, tracer) -> Phase:
@@ -161,37 +172,46 @@ class WarmMeasure(Workload):
     RANKS = (16, 64, 256)
     SMP_RANKS = (16, 64)
 
+    #: Partition and placement seed of every request.  It is fixed because
+    #: it changes the work: one seed makes the SMP 64-rank request a third
+    #: slower than another.  The run's seed orders the requests.
+    REQUEST_SEED = answers.DEFAULT_SEED
+
     def requests(self) -> list:
         """One cycle: eight requests, two of them (one in four) on the SMP
         box.  Half are the 64-rank request, so the median stays inside one
         request class however the seed orders the cycle."""
         def flat(ranks):
             return PredictionRequest(
-                deck="medium", ranks=ranks, seed=self.seed, models=MODELS
+                deck="medium", ranks=ranks, seed=self.REQUEST_SEED, models=MODELS
             )
 
         smp = [
             PredictionRequest(
-                deck="medium", ranks=p, seed=self.seed, models=MODELS,
+                deck="medium", ranks=p, seed=self.REQUEST_SEED, models=MODELS,
                 cluster=ClusterSpec(smp=True), placement="comm-aware",
             )
             for p in self.SMP_RANKS
         ]
         return [flat(64)] * 4 + [flat(16), flat(256)] + smp
 
-    def setup(self, tracer) -> None:
+    def setup(self, tracer, lap) -> None:
         use_cache(checkout.fresh_dir(self.work, "warm-"))
         forget_memos()
         with traced(tracer):
             sides = default_sample_sides(256)
             for spec in (ClusterSpec(), ClusterSpec(smp=True)):
                 assemble_mod.calibration_table(spec.build(), sides)
+                lap()
             deck = assemble_mod.build_deck("medium")
             faces = assemble_mod.faces_for(deck)
+            lap()
             for ranks in self.RANKS:
                 assemble_mod.cached_partition(
-                    deck, ranks, method="multilevel", seed=self.seed, faces=faces
+                    deck, ranks, method="multilevel", seed=self.REQUEST_SEED,
+                    faces=faces,
                 )
+                lap()
 
     def run(self, seconds: float, tracer) -> Phase:
         phase = Phase()
@@ -199,19 +219,22 @@ class WarmMeasure(Workload):
         done = []
         with traced(tracer):
             t0 = now()
+            clock = speed.Clock()
             # Whole cycles only, so every run times the same request mix.
             while now() - t0 < seconds or not done:
                 self.rng.shuffle(cycle)
                 for request in cycle:
-                    start = now()
                     try:
                         result = measure(request)
                     except Exception as exc:  # counted, reported, run continues
                         result = exc
-                    done.append((request, result, now() - start))
+                    done.append((request, result, *clock.lap()))
             t1 = now()
-        for request, result, latency in done:
+        phase.mix = [answers.request_id("measure", r) for r in cycle]
+        for request, result, latency, scale in done:
             phase.latencies.append(latency)
+            phase.scales.append(scale)
+            phase.keys.append(answers.request_id("measure", request))
             phase.attempted += 1
             if isinstance(result, Exception):
                 self.book.fail(request.label(), repr(result))
@@ -240,12 +263,16 @@ class ColdMeasure(Workload):
     """Each request runs in a fresh interpreter against an empty cache."""
 
     name = "cold_measure"
+    #: Fixed for the reason :attr:`WarmMeasure.REQUEST_SEED` is: the
+    #: partition seed changes how long the cold partition takes.
+    REQUEST_SEED = answers.DEFAULT_SEED
 
-    def request(self) -> PredictionRequest:
-        return PredictionRequest(deck="medium", ranks=64, seed=self.seed, models=MODELS)
-
-    def small_request(self) -> PredictionRequest:
-        return PredictionRequest(deck="small", ranks=16, seed=self.seed, models=MODELS)
+    def requests(self) -> list:
+        """One cycle: ``measure(medium, 64)`` and one small request."""
+        return [
+            PredictionRequest(deck=deck, ranks=ranks, seed=self.REQUEST_SEED, models=MODELS)
+            for deck, ranks in (("medium", 64), ("small", 16))
+        ]
 
     def _child(self, extra_args: list, trace: bool) -> ColdAnswer:
         cache = checkout.fresh_dir(self.work, "cold-")
@@ -272,7 +299,7 @@ class ColdMeasure(Workload):
         counts = [tuple(c) for c in out.get("counts", ())]
         return ColdAnswer(latency, out.get("payload"), recorded, counts, None, cache)
 
-    def setup(self, tracer) -> None:
+    def setup(self, tracer, lap) -> None:
         # Interpreter start plus imports: what every cold request pays first.
         answer = self._child(["--imports-only"], trace=False)
         shutil.rmtree(answer.cache, ignore_errors=True)
@@ -291,18 +318,37 @@ class ColdMeasure(Workload):
 
     def run(self, seconds: float, tracer) -> Phase:
         phase = Phase()
-        request = self.request()
-        kept = None
+        cycle = self.requests()
+        phase.mix = [answers.request_id("measure", r) for r in cycle]
+        # The cache dir of the latest cold answer to each request.
+        kept: dict = {}
+        # The host speed is probed between children only: next to a child,
+        # a probe reads the child's own load on the host.  A child runs for
+        # seconds, longer than the host keeps one speed, so every request is
+        # scaled by the mean speed over the phase.  Each reading is the
+        # fastest of a few probes: the host is still busy for a moment with
+        # the child that just ended (its exit, its files).
+        def gap_probe() -> float:
+            return min(speed.probe() for _ in range(5))
+
+        probes = [gap_probe()]
         t0 = now()
+        # Whole cycles only, so every run times the same request mix.
         while now() - t0 < seconds or not phase.latencies:
-            answer = self._ask(request, tracer is not None, phase)
-            phase.latencies.append(answer.latency)
-            phase.spans.extend(answer.spans)
-            phase.counts.extend(answer.counts)
-            if kept is not None:
-                shutil.rmtree(kept.cache, ignore_errors=True)
-            kept = answer
+            self.rng.shuffle(cycle)
+            for request in cycle:
+                key = answers.request_id("measure", request)
+                answer = self._ask(request, tracer is not None, phase)
+                probes.append(gap_probe())
+                phase.latencies.append(answer.latency)
+                phase.keys.append(key)
+                phase.spans.extend(answer.spans)
+                phase.counts.extend(answer.counts)
+                if key in kept:
+                    shutil.rmtree(kept[key][1], ignore_errors=True)
+                kept[key] = (request, answer.cache)
         t1 = now()
+        phase.scales = [speed.scale(probes)] * len(phase.latencies)
         phase.window = (t0, t1)
         phase.wall = phase.span_wall = t1 - t0
         self._kept = kept
@@ -310,12 +356,9 @@ class ColdMeasure(Workload):
 
     def finish(self, phases: list) -> None:
         phase = phases[-1]
-        small = self.small_request()
-        answer = self._ask(small, False, phase)
-        phase.notes.append(f"small cold request: {answer.latency:.3f} s")
         # A warm, in-process answer to the same requests must be identical:
         # the caches the cold children filled must not change any result.
-        for request, cache in ((self.request(), self._kept.cache), (small, answer.cache)):
+        for request, cache in self._kept.values():
             use_cache(cache)
             forget_memos()
             phase.attempted += 1
@@ -385,7 +428,7 @@ class DynamicSweep(Workload):
             max_side=256,
         )
 
-    def setup(self, tracer) -> None:
+    def setup(self, tracer, lap) -> None:
         previous = getattr(self, "cache", None)
         if previous is not None:
             shutil.rmtree(previous, ignore_errors=True)
@@ -396,10 +439,12 @@ class DynamicSweep(Workload):
             tasks = self.spec().tasks()
             deck = tasks[0].deck
             faces = assemble_mod.faces_for(deck)
+            lap()
             for ranks in self.RANKS:
                 assemble_mod.cached_partition(
                     deck, ranks, method="multilevel", seed=1, faces=faces
                 )
+                lap()
 
     def run(self, seconds: float, tracer) -> Phase:
         phase = Phase()
@@ -412,26 +457,30 @@ class DynamicSweep(Workload):
                 clear_repartition_memo()
                 stores.append(checkout.fresh_dir(self.cache, "store-"))
                 store = ResultStore(namespace="sweeps", root=stores[-1])
-                marks = [now()]
-                start = marks[0]
+                # One lap per point: the progress callback ends each one.
+                clock = speed.Clock()
+                laps = []
+                start = now()
                 first = runner_mod.run_sweep(
-                    spec, jobs=1, store=store,
-                    progress=lambda *_: marks.append(now()),
+                    spec, jobs=1, store=store, progress=lambda *_: laps.append(clock.lap())
                 )
                 middle = now()
                 second = runner_mod.run_sweep(spec, jobs=1, store=store)
                 end = now()
-                cycles.append((first, second, marks, middle - start, end - middle))
+                cycles.append((first, second, laps, middle - start, end - middle))
             t1 = now()
         for directory in stores:
             shutil.rmtree(directory, ignore_errors=True)
         resumes = []
-        for first, second, marks, first_wall, resume in cycles:
-            phase.latencies.extend(b - a for a, b in zip(marks, marks[1:]))
+        for first, second, laps, first_wall, resume in cycles:
+            for latency, scale in laps:
+                phase.latencies.append(latency)
+                phase.scales.append(scale)
             phase.wall += first_wall
             resumes.append(resume)
             for one, two in zip(first, second):
                 key, label = _task_id(one.task)
+                phase.keys.append(key)
                 for outcome, cached in ((one, False), (two, True)):
                     phase.attempted += 1
                     if outcome.cached != cached:
@@ -439,6 +488,7 @@ class DynamicSweep(Workload):
                         self.book.fail(label, f"expected cached={cached}")
                     elif not self.book.check(key, label, outcome.point.to_payload()):
                         phase.failed += 1
+        phase.mix = phase.keys[: spec.num_points]
         phase.window = (t0, t1)
         phase.span_wall = t1 - t0
         phase.extra["analysis.resume_s"] = sorted(resumes)[len(resumes) // 2]
@@ -510,9 +560,11 @@ class ServiceMix(Workload):
                 fresh += 1
                 measured = slot in self.NEW_MEASURE_SLOTS
                 ranks = (4, 8)[fresh % 2] if measured else (4, 8, 16)[fresh % 3]
+                # The partition seed sets the miss path's work, so it is the
+                # same at every run seed; each server starts with an empty
+                # cache, so these requests are still first-time requests.
                 request = PredictionRequest(
-                    deck="small", ranks=ranks, seed=self.seed * 100_000 + fresh + 1,
-                    models=MODELS,
+                    deck="small", ranks=ranks, seed=100_000 + fresh + 1, models=MODELS,
                 )
                 out.append(Sent(i / self.RATE, "measure" if measured else "predict", request))
             else:
@@ -580,7 +632,7 @@ class ServiceMix(Workload):
 
     # Workload -----------------------------------------------------------
 
-    def setup(self, tracer) -> None:
+    def setup(self, tracer, lap) -> None:
         # Set-up is start to listening: the first request can be sent then.
         self._start_server(trace=False)
         self.traced_server = False
