@@ -23,7 +23,7 @@ from repro.mesh.connectivity import FaceTable, build_face_table
 from repro.mesh.deck import InputDeck
 from repro.partition.base import Partition
 from repro.perturb import FAILURE_PHASE, Perturbation, PerturbSpec, degrade_cluster
-from repro.simmpi.compile import ProgramWriter, lower_programs
+from repro.simmpi.compile import ProgramWriter
 from repro.simmpi.engine import Engine, SimResult
 
 
@@ -98,12 +98,13 @@ def run_krak(
         modelled allgather + cell-migration cost.  ``dynamic=None`` is the
         static path, bit-for-bit identical to previous behaviour.
     engine:
-        ``"auto"`` (default) lowers census-mode programs to the batch
-        engine and falls back to the scalar event loop otherwise;
-        ``"scalar"`` forces the event loop; ``"batch"`` forces the compiled
-        path and raises if the program cannot be lowered (functional mode).
-        All three produce bitwise-identical clocks and traces (see
-        ``docs/engine.md``).
+        ``"auto"`` (default) lowers census-mode programs straight to the
+        batch engine (:meth:`KrakProgram.lower_into`) and runs functional
+        programs on the scalar event loop; ``"scalar"`` forces the event
+        loop; ``"batch"`` forces the batch engine and raises
+        ``ValueError`` for functional runs, whose array payloads cannot be
+        lowered.  All choices produce bitwise-identical clocks and traces
+        (see ``docs/engine.md``).
     perturb:
         Optional :class:`~repro.perturb.PerturbSpec` injecting seeded noise
         (OS jitter/stragglers on compute, link degradation on messaging, a
@@ -162,15 +163,14 @@ def run_krak(
         raise ValueError(
             f"unknown engine {engine!r}; expected 'auto', 'scalar', or 'batch'"
         )
+    if engine == "batch" and functional:
+        raise ValueError(
+            "functional programs carry array payloads and cannot be lowered "
+            "to the batch engine; use engine='auto' or 'scalar'"
+        )
 
-    # Program construction must be repeatable: batch lowering consumes one
-    # set of generators, and a scalar (fallback or forced) run consumes a
-    # fresh one.  ``made`` keeps the instances that actually executed so
-    # their diagnostics can be reported.
-    made: dict[int, KrakProgram] = {}
-
-    def make_program(r: int):
-        program = KrakProgram(
+    programs = [
+        KrakProgram(
             rank=r,
             census=census,
             node_model=cluster.node,
@@ -180,53 +180,18 @@ def run_krak(
             perturb=perturbation,
             **fixed_dt,
         )
-        made[r] = program
-        return program()
-
-    def compile_direct():
-        # Census-mode fast path: KrakProgram knows its own op stream is
-        # deterministic and emits it column-wise without allocating request
-        # objects or running the generator (op-for-op identical to the
-        # generator stream — see tests/test_batch_engine.py).
-        compiled = []
-        for r in range(partition.num_ranks):
-            program = KrakProgram(
-                rank=r,
-                census=census,
-                node_model=cluster.node,
-                state=None,
-                iterations=iterations,
-                dynamic=controller,
-                perturb=perturbation,
-                **fixed_dt,
-            )
-            writer = ProgramWriter()
-            if not program.lower_into(writer):
-                return None
-            made[r] = program
-            compiled.append(writer.finish())
-        return compiled
-
+        for r in range(partition.num_ranks)
+    ]
     sim = Engine(cluster, partition.num_ranks, num_phases)
-    if engine == "scalar" or (engine == "auto" and functional):
-        # Functional payloads never lower; skip the doomed compile attempt.
-        result = sim.run(make_program)
-    elif engine == "batch":
-        compiled = compile_direct() if not functional else None
-        if compiled is None:
-            compiled = lower_programs(make_program, partition.num_ranks)
-        if compiled is None:
-            raise ValueError(
-                "program cannot be lowered to the batch engine "
-                "(functional payloads?); use engine='auto' or 'scalar'"
-            )
-        result = sim.run_compiled(compiled)
+    if engine == "scalar" or functional:
+        result = sim.run(lambda r: programs[r]())
     else:
-        compiled = compile_direct()
-        if compiled is not None:
-            result = sim.run_compiled(compiled)
-        else:
-            result = sim.run_auto(make_program)
+        compiled = []
+        for program in programs:
+            writer = ProgramWriter()
+            program.lower_into(writer)
+            compiled.append(writer.finish())
+        result = sim.run_compiled(compiled)
 
     return KrakRun(
         deck=deck,
@@ -235,7 +200,7 @@ def run_krak(
         cluster=cluster,
         result=result,
         iterations=iterations,
-        diagnostics=dict(made[0].diagnostics),
+        diagnostics=dict(programs[0].diagnostics),
         states=states,
         dynamic=controller.run_info() if controller is not None else None,
     )

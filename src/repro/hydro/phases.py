@@ -1,22 +1,26 @@
 """The 15-phase Krak iteration as a simulated-MPI rank program.
 
-This module encodes Table 1 of the paper exactly: which phases broadcast,
-which do the boundary exchange and the gather, which update ghost nodes at
-8 or 16 bytes per node, and how many global reductions separate the phases
-(22 allreduces, 6 broadcasts, 1 gather per iteration — Table 4).
+The iteration itself — which phases broadcast, which do the boundary
+exchange and the gather, which update ghost nodes at 8 or 16 bytes per
+node, and the 22 allreduces, 6 broadcasts and 1 gather per iteration of
+Tables 1 and 4 — is :data:`~repro.machine.costdb.KRAK_SCHEDULE`.
+:class:`KrakProgram` interprets that schedule two ways:
 
-The same program runs in two modes:
-
-* **functional** (``state`` given): every phase executes its real numerics
-  and the ghost exchanges carry real array payloads;
-* **census** (``state=None``): phases only charge their modelled compute
-  time and messages carry sizes alone.
+* :meth:`KrakProgram.__call__` is the generator the scalar engine runs.  In
+  **functional** mode (``state`` given) every phase executes its real
+  numerics and the ghost exchanges carry real array payloads; in
+  **census** mode (``state=None``) phases only charge their modelled
+  compute time and messages carry sizes alone.
+* :meth:`KrakProgram.lower_into` writes the census-mode op stream straight
+  into a :class:`~repro.simmpi.compile.ProgramWriter` for the batch engine.
 
 Either way the *communication structure and message sizes* are identical,
 driven by the :class:`~repro.hydro.workload.WorkloadCensus`.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -29,8 +33,12 @@ from repro.machine.costdb import (
     BOUNDARY_BYTES_PER_FACE,
     BOUNDARY_BYTES_PER_MULTI_NODE,
     BOUNDARY_MSGS_PER_STEP,
-    NUM_PHASES,
-    PHASE_ALLREDUCE_SIZES,
+    KRAK_SCHEDULE,
+    STEP_ALLREDUCE,
+    STEP_BCAST,
+    STEP_BOUNDARY,
+    STEP_GATHER,
+    STEP_GHOST,
 )
 from repro.machine.node import NodeModel
 from repro.perturb.model import FAILURE_PHASE
@@ -50,6 +58,11 @@ from repro.simmpi.api import (
 #: Tag arithmetic: tags are unique per (phase, message slot).
 _TAG_STRIDE = 1000
 _FINAL_GROUP_SLOT = 9
+
+#: Reduced quantities reported as the run's global diagnostics.
+_DIAGNOSTICS = (
+    "total_mass", "total_ke", "total_ie", "total_momentum_x", "total_energy"
+)
 
 
 def _tag(phase: int, slot: int) -> int:
@@ -104,7 +117,6 @@ class KrakProgram:
         if perturb is not None and state is not None:
             raise ValueError("perturbed runs execute in census (timing) mode only")
         self.rank = rank
-        self.census = census
         self.node_model = node_model
         self.state = state
         self.iterations = iterations
@@ -112,19 +124,44 @@ class KrakProgram:
         self.models = models
         self.dynamic = dynamic
         self.perturb = perturb
-        self.boundary_links = census.boundary_links[rank]
-        self.ghost_links = census.ghost_links[rank]
-        self.work = census.work_vector(rank)
         #: Map neighbour rank → functional exchange link.
         self.state_links = (
             {lk.nbr_rank: lk for lk in state.links} if state is not None else {}
         )
+        self.census = None
+        self._bind(census)
         self.time = 0.0
         self.dt = fixed_dt
         #: Filled at the end of the run (same values on every rank).
         self.diagnostics: dict[str, float] = {}
 
     # ------------------------------------------------------------- helpers
+
+    def _bind(self, census: WorkloadCensus) -> None:
+        """Charge against ``census`` from now on.
+
+        The point-to-point message lists repeat every iteration, so they
+        are built once per link structure: a dynamic census that only
+        re-weights the material counts keeps the previous lists.
+        """
+        previous, self.census = self.census, census
+        self.work = census.work_vector(self.rank)
+        if (
+            previous is not None
+            and census.boundary_links is previous.boundary_links
+            and census.ghost_links is previous.ghost_links
+        ):
+            return
+        self.boundary_links = census.boundary_links[self.rank]
+        self.ghost_links = census.ghost_links[self.rank]
+        #: Phase → (sends, recvs) of its boundary exchange or ghost update.
+        self.messages = {}
+        for phase, steps in enumerate(KRAK_SCHEDULE):
+            for step in steps:
+                if step.kind == STEP_BOUNDARY:
+                    self.messages[phase] = self._boundary_messages(phase)
+                elif step.kind == STEP_GHOST:
+                    self.messages[phase] = self._ghost_messages(phase, step.nbytes)
 
     def _phase_seconds(self, phase: int, iteration: int) -> float:
         """Modelled compute seconds for ``phase``, noise-scaled if perturbed.
@@ -143,136 +180,213 @@ class KrakProgram:
                 seconds = seconds * factors[phase]
         return seconds
 
-    def _charge(self, phase: int, iteration: int):
-        """Compute charge for ``phase`` from the material census."""
-        return Compute(self._phase_seconds(phase, iteration))
+    def _boundary_messages(self, phase: int):
+        """Per-material sextets plus the final all-materials step (§4.1).
 
-    def _failure_event(self, iteration: int):
-        """The perturbation's failure event for this iteration, if any."""
-        if self.perturb is None:
-            return None
-        return self.perturb.failure_event(iteration)
-
-    def _failure_update(self, iteration: int):
-        """Charge a rank failure: global stall around the restart cost.
-
-        All ranks rendezvous (failure detection), the failed rank pays its
-        checkpoint/restart compute, and all ranks rendezvous again (no one
-        proceeds until the rank is back) — everything attributed to
-        :data:`~repro.perturb.FAILURE_PHASE`.
+        Returns ``(sends, recvs)``: ``(dst, tag, nbytes)`` and ``(src, tag)``
+        in program order.
         """
-        event = self._failure_event(iteration)
-        if event is None:
-            return
-        fail_rank, restart_seconds = event
-        yield SetPhase(FAILURE_PHASE)
-        yield Barrier()
-        if self.rank == fail_rank:
-            yield Compute(restart_seconds)
-        yield Barrier()
+        fb = BOUNDARY_BYTES_PER_FACE
+        mb = BOUNDARY_BYTES_PER_MULTI_NODE
+        final = _FINAL_GROUP_SLOT * 16
+        sends, recvs = [], []
+        for bl in self.boundary_links:
+            nbr = bl.nbr_rank
+            for (group, faces, multi) in bl.mine.groups:
+                big = fb * faces + mb * multi
+                small = fb * faces
+                for i in range(BOUNDARY_MSGS_PER_STEP):
+                    sends.append(
+                        (nbr, _tag(phase, group * 16 + i), big if i < 2 else small)
+                    )
+            total = fb * bl.mine.total_faces
+            for i in range(BOUNDARY_MSGS_PER_STEP):
+                sends.append((nbr, _tag(phase, final + i), total))
+        for bl in self.boundary_links:
+            for group, _, _ in bl.theirs.groups:
+                for i in range(BOUNDARY_MSGS_PER_STEP):
+                    recvs.append((bl.nbr_rank, _tag(phase, group * 16 + i)))
+            for i in range(BOUNDARY_MSGS_PER_STEP):
+                recvs.append((bl.nbr_rank, _tag(phase, final + i)))
+        return sends, recvs
 
-    def _ghost_exchange(self, phase: int, bytes_per_node: int, arrays, additive: bool):
-        """Two-message-per-neighbour ghost-node exchange (Section 4.2).
+    def _ghost_messages(self, phase: int, bytes_per_node: int):
+        """Two messages per ghost neighbour (Section 4.2), as ``(sends, recvs)``.
 
-        ``arrays`` is a list of node-field arrays (modified in place in
-        functional mode); ``additive`` selects sum-combine (phases 4/5) vs
-        owner-authoritative overwrite (phase 7).
+        Slot 0 carries the shared nodes the sender owns, slot 1 the rest.
+        """
+        sends, recvs = [], []
+        for gl in self.ghost_links:
+            for slot, nodes in ((0, gl.owned_by_me), (1, gl.not_owned_by_me)):
+                sends.append((gl.nbr_rank, _tag(phase, slot), bytes_per_node * nodes))
+                recvs.append((gl.nbr_rank, _tag(phase, slot)))
+        return sends, recvs
+
+    def _event_ops(self, it: int) -> list:
+        """Ops charged before iteration ``it``'s phases, rebinding the census.
+
+        A rank failure is a global stall around the restart cost: all
+        ranks rendezvous (failure detection), the failed rank pays its
+        checkpoint/restart compute, and all ranks rendezvous again, all
+        attributed to :data:`~repro.perturb.FAILURE_PHASE`.  A dynamic
+        step then rebinds this rank to ``census_at(t_it)``; when its policy
+        fired, the repartition's census allgather (gather + broadcast) and
+        cell-migration messages are charged to :data:`REPARTITION_PHASE`.
+        Both loops execute these rare blocks as plain op objects.
+        """
+        ops = []
+        event = self.perturb.failure_event(it) if self.perturb is not None else None
+        if event is not None:
+            fail_rank, restart_seconds = event
+            ops += [SetPhase(FAILURE_PHASE), Barrier()]
+            if self.rank == fail_rank:
+                ops.append(Compute(restart_seconds))
+            ops.append(Barrier())
+        if self.dynamic is None:
+            return ops
+        step = self.dynamic.step(it)
+        plan = step.migration
+        if plan is not None:
+            tag = _tag(REPARTITION_PHASE, 0)
+            ops += [
+                SetPhase(REPARTITION_PHASE),
+                Gather(float(self.work.sum()), 0, plan.gather_bytes),
+                Bcast(0.0 if self.rank == 0 else None, 0, plan.bcast_bytes),
+            ]
+            for dst, cells in enumerate(plan.matrix[self.rank]):
+                if cells:
+                    ops.append(Isend(dst, tag, int(cells) * plan.bytes_per_cell))
+            ops.append(WaitSends())
+            for src, cells in enumerate(plan.matrix[:, self.rank]):
+                if cells:
+                    ops.append(Recv(src, tag))
+        self._bind(step.census)
+        return ops
+
+    def _census_inputs(self, it: int) -> dict:
+        """This rank's census-mode inputs to iteration ``it``'s collectives.
+
+        Functional numerics add to and overwrite these.  Every quantity the
+        schedule names and this leaves out contributes ``0.0``, so census
+        collective results are analytic: the ``min`` of identical fixed
+        timesteps is the fixed timestep, sums of zeros stay ``0.0``, and
+        the broadcast time is rank 0's.
+        """
+        return {
+            "dt": self.fixed_dt,
+            "time": self.time,
+            "iteration": it,
+            "boundary_links": float(len(self.boundary_links)),
+        }
+
+    def _end_iteration(self, reduced: dict) -> None:
+        """Advance the clock and record the diagnostics from ``reduced``."""
+        self.dt = reduced["dt"]
+        self.time = reduced["time"] + self.dt
+        self.diagnostics = {name: reduced.get(name, 0.0) for name in _DIAGNOSTICS}
+        self.diagnostics.update(dt=self.dt, time=self.time)
+
+    def _numerics(self, phase: int, local: dict, reduced: dict) -> None:
+        """Run ``phase``'s real numerics on this rank (functional mode).
+
+        Fills ``local`` with this rank's inputs to the phase's collectives
+        (and the volumes later phases need); ``reduced`` holds the global
+        results of the iteration's collectives so far.
         """
         st = self.state
-        for gl in self.ghost_links:
-            payload_local = payload_remote = None
-            if st is not None:
-                link = self.state_links[gl.nbr_rank]
-                idx = link.shared_local_idx
-                mine = link.owner_of_shared == self.rank
-                payload_local = [a[idx[mine]].copy() for a in arrays]
-                payload_remote = [a[idx[~mine]].copy() for a in arrays]
-            yield Isend(
-                gl.nbr_rank,
-                _tag(phase, 0),
-                bytes_per_node * gl.owned_by_me,
-                payload_local,
+        if phase == 0:  # timestep control
+            local["active_cells"] = float(st.num_cells)
+            local["dt"] = kernels.stable_dt(st)
+        elif phase == 2:  # EOS evaluation
+            st.pressure, st.sound_speed = pressure_and_sound_speed(
+                st.material, st.rho, st.energy, st.burn_frac, self.models
             )
-            yield Isend(
-                gl.nbr_rank,
-                _tag(phase, 1),
-                bytes_per_node * gl.not_owned_by_me,
-                payload_remote,
+            local["max_sound_speed"] = float(st.sound_speed.max())
+        elif phase == 3:  # nodal mass
+            st.node_mass[:] = kernels.scatter_corner_masses(st)
+            local["total_mass"] = kernels.total_mass(st)
+        elif phase == 4:  # corner forces
+            st.viscosity = kernels.artificial_viscosity(st)
+            st.fx[:], st.fy[:] = kernels.corner_forces(st)
+        elif phase == 5:  # velocity / position update
+            local["old_volume"] = st.volume.copy()
+            kernels.advance_nodes(st, reduced["dt"])
+            owned = st.node_owner == st.rank
+            mom_x = st.node_mass[owned] * st.vx[owned]
+            local["total_momentum_x"] = float(mom_x.sum())
+            local["total_ke"] = kernels.kinetic_energy(st)
+        elif phase == 7:  # volume / strain rate
+            local["new_volume"] = kernels.compute_volumes(st)
+            local["min_volume"] = float(local["new_volume"].min())
+        elif phase == 8:  # density update
+            if reduced["min_volume"] <= 0.0:
+                raise FloatingPointError(
+                    "mesh tangled: non-positive cell volume encountered"
+                )
+            st.rho = st.cell_mass / np.maximum(local["new_volume"], 1e-300)
+        elif phase == 10:  # energy update
+            kernels.update_energy(st, local["old_volume"], local["new_volume"])
+            st.volume = np.abs(local["new_volume"])
+            local["total_ie"] = kernels.internal_energy(st)
+        elif phase == 11:  # burn-fraction update
+            frac = (reduced["time"] + reduced["dt"] - st.burn_arrival) / 2.0e-6
+            st.burn_frac = np.clip(
+                np.nan_to_num(frac, nan=0.0, neginf=0.0, posinf=1.0), 0.0, 1.0
             )
+        elif phase == 14:  # diagnostics
+            local["total_energy"] = local["total_ke"] + local["total_ie"]
+
+    def _exchange(self, phase: int, step):
+        """Post the phase's sends, drain the NIC, then receive (generator).
+
+        A functional ghost update sends its node fields as payloads and
+        combines what it receives.
+        """
+        sends, recvs = self.messages[phase]
+        ghost = self.state is not None and step.kind == STEP_GHOST
+        payloads = self._ghost_payloads(step) if ghost else repeat(None)
+        for (dst, tag, nbytes), payload in zip(sends, payloads):
+            yield Isend(dst, tag, nbytes, payload)
         yield WaitSends()
+        received = []
+        for src, tag in recvs:
+            received.append((yield Recv(src, tag)))
+        if ghost:
+            self._combine_ghosts(step, [payload for _, payload in received])
+
+    def _ghost_payloads(self, step) -> list:
+        """Per ghost message, copies of ``step.fields`` on the nodes it covers."""
+        arrays = [getattr(self.state, name) for name in step.fields]
+        payloads = []
         for gl in self.ghost_links:
-            _, p_local = yield Recv(gl.nbr_rank, _tag(phase, 0))
-            _, p_remote = yield Recv(gl.nbr_rank, _tag(phase, 1))
-            if st is None:
-                continue
+            link = self.state_links[gl.nbr_rank]
+            idx = link.shared_local_idx
+            mine = link.owner_of_shared == self.rank
+            payloads.append([a[idx[mine]].copy() for a in arrays])
+            payloads.append([a[idx[~mine]].copy() for a in arrays])
+        return payloads
+
+    def _combine_ghosts(self, step, received: list) -> None:
+        """Fold the received ghost payloads into ``step.fields`` in place.
+
+        ``"sum"`` adds both messages of each neighbour (phases 4/5);
+        owner-wins adopts the sender's values for the nodes the sender owns
+        and ignores the second message (phase 7).
+        """
+        arrays = [getattr(self.state, name) for name in step.fields]
+        pairs = zip(self.ghost_links, received[::2], received[1::2])
+        for gl, p_local, p_remote in pairs:
             link = self.state_links[gl.nbr_rank]
             idx = link.shared_local_idx
             from_nbr = link.owner_of_shared == gl.nbr_rank
-            if additive:
+            if step.op == "sum":
                 for a, chunk in zip(arrays, p_local):
                     a[idx[from_nbr]] += chunk
                 for a, chunk in zip(arrays, p_remote):
                     a[idx[~from_nbr]] += chunk
             else:
-                # Owner-authoritative: adopt the sender's values for the
-                # nodes the sender owns; the remote message is ignored.
                 for a, chunk in zip(arrays, p_local):
                     a[idx[from_nbr]] = chunk
-
-    def _dynamic_update(self, it: int):
-        """Apply the controller's step for iteration ``it`` (census mode).
-
-        Executes the repartition event when the policy fired — the census
-        allgather (gather + broadcast) and the cell-migration point-to-point
-        messages, all charged to :data:`REPARTITION_PHASE` — then rebinds
-        this rank's links and work vector to the step's census, so the
-        iteration is charged against ``census_at(t_it)``.
-        """
-        step = self.dynamic.step(it)
-        plan = step.migration
-        if plan is not None:
-            yield SetPhase(REPARTITION_PHASE)
-            yield Gather(float(self.work.sum()), 0, plan.gather_bytes)
-            yield Bcast(0.0 if self.rank == 0 else None, 0, plan.bcast_bytes)
-            sends = plan.matrix[self.rank]
-            for dst in range(self.census.num_ranks):
-                if sends[dst]:
-                    yield Isend(
-                        dst,
-                        _tag(REPARTITION_PHASE, 0),
-                        int(sends[dst]) * plan.bytes_per_cell,
-                    )
-            yield WaitSends()
-            recvs = plan.matrix[:, self.rank]
-            for src in range(self.census.num_ranks):
-                if recvs[src]:
-                    yield Recv(src, _tag(REPARTITION_PHASE, 0))
-        self.census = step.census
-        self.boundary_links = step.census.boundary_links[self.rank]
-        self.ghost_links = step.census.ghost_links[self.rank]
-        self.work = step.census.work_vector(self.rank)
-
-    def _boundary_exchange(self, phase: int):
-        """Per-material sextets plus the final all-materials step (§4.1)."""
-        fb = BOUNDARY_BYTES_PER_FACE
-        mb = BOUNDARY_BYTES_PER_MULTI_NODE
-        for bl in self.boundary_links:
-            for (group, faces, multi) in bl.mine.groups:
-                big = fb * faces + mb * multi
-                small = fb * faces
-                for i in range(BOUNDARY_MSGS_PER_STEP):
-                    size = big if i < 2 else small
-                    yield Isend(bl.nbr_rank, _tag(phase, group * 16 + i), size)
-            total = fb * bl.mine.total_faces
-            for i in range(BOUNDARY_MSGS_PER_STEP):
-                yield Isend(bl.nbr_rank, _tag(phase, _FINAL_GROUP_SLOT * 16 + i), total)
-        yield WaitSends()
-        for bl in self.boundary_links:
-            for (group, faces, multi) in bl.theirs.groups:
-                for i in range(BOUNDARY_MSGS_PER_STEP):
-                    yield Recv(bl.nbr_rank, _tag(phase, group * 16 + i))
-            for i in range(BOUNDARY_MSGS_PER_STEP):
-                yield Recv(bl.nbr_rank, _tag(phase, _FINAL_GROUP_SLOT * 16 + i))
 
     # ------------------------------------------------- batch compilation
 
@@ -280,387 +394,67 @@ class KrakProgram:
         """Emit this rank's census-mode op stream straight into ``writer``.
 
         The census op stream is fully deterministic — every receive carries
-        no payload and every collective result is analytic (zero totals,
-        ``min`` of identical timesteps) — so it can be written column-wise
-        without allocating a single request object or running the
-        generator.  The emitted stream is **op-for-op identical** to what
-        :meth:`__call__` yields (guarded by an equivalence test), and
-        ``time``/``dt``/``diagnostics`` are updated to the exact values the
-        generator would compute.  Returns ``False`` in functional mode,
-        which must run on the scalar engine.
+        no payload and every collective result is analytic (see
+        :meth:`_census_inputs`) — so it is written column-wise without
+        allocating a request object per op or running the generator.  It
+        walks the same schedule, message lists and event ops as
+        :meth:`__call__`, so the stream is op-for-op what the generator
+        yields, and ``time``/``dt``/``diagnostics`` end at the generator's
+        values.  Returns ``False`` in functional mode, which must run on
+        the scalar engine.
         """
         if self.state is not None:
             return False
         seconds = self._phase_seconds
         for it in range(self.iterations):
             writer.mark(it)
-            self._lower_failure_update(it, writer)
-            if self.dynamic is not None:
-                self._lower_dynamic_update(it, writer)
-
-            # Phase charge + collective schedule, phase by phase, mirroring
-            # __call__ (Table 1 / Table 4).  Census-mode collective values
-            # are analytic: sums of zeros stay 0.0 and the dt "min" over
-            # identical fixed timesteps is the fixed timestep.
-            writer.set_phase(0)
-            writer.compute(seconds(0, it))
-            writer.allreduce(4)
-            writer.allreduce(8)
-            self.dt = self.fixed_dt
-            writer.bcast(0, 4)
-            writer.bcast(0, 8)
-
-            writer.set_phase(1)
-            writer.compute(seconds(1, it))
-            writer.bcast(0, 4)
-            writer.bcast(0, 8)
-            self._lower_boundary_exchange(1, writer)
-            writer.gather(0, 32)
-            writer.allreduce(8)
-
-            writer.set_phase(2)
-            writer.compute(seconds(2, it))
-            writer.allreduce(4)
-            writer.allreduce(4)
-            writer.allreduce(8)
-
-            writer.set_phase(3)
-            writer.compute(seconds(3, it))
-            self._lower_ghost_exchange(3, 8, writer)
-            writer.allreduce(8)
-
-            writer.set_phase(4)
-            writer.compute(seconds(4, it))
-            self._lower_ghost_exchange(4, 16, writer)
-            writer.allreduce(4)
-
-            writer.set_phase(5)
-            writer.compute(seconds(5, it))
-            writer.allreduce(4)
-            writer.allreduce(8)
-            writer.allreduce(8)
-
-            writer.set_phase(6)
-            writer.compute(seconds(6, it))
-            self._lower_ghost_exchange(6, 16, writer)
-            writer.allreduce(8)
-
-            writer.set_phase(7)
-            writer.compute(seconds(7, it))
-            writer.allreduce(4)
-
-            writer.set_phase(8)
-            writer.compute(seconds(8, it))
-            writer.allreduce(8)
-
-            writer.set_phase(9)
-            writer.compute(seconds(9, it))
-            writer.allreduce(8)
-
-            writer.set_phase(10)
-            writer.compute(seconds(10, it))
-            writer.allreduce(4)
-            writer.allreduce(8)
-
-            writer.set_phase(11)
-            writer.compute(seconds(11, it))
-            writer.allreduce(8)
-
-            writer.set_phase(12)
-            writer.compute(seconds(12, it))
-            writer.allreduce(4)
-
-            writer.set_phase(13)
-            writer.compute(seconds(13, it))
-            writer.allreduce(8)
-
-            writer.set_phase(14)
-            writer.compute(seconds(14, it))
-            writer.allreduce(4)
-            writer.allreduce(8)
-            writer.bcast(0, 4)
-            writer.bcast(0, 8)
-
-            self.time += self.dt
-            self.diagnostics = {
-                "total_mass": 0.0,
-                "total_ke": 0.0,
-                "total_ie": 0.0,
-                "total_momentum_x": 0.0,
-                "total_energy": 0.0,
-                "dt": self.dt,
-                "time": self.time,
-            }
-
+            for op in self._event_ops(it):
+                op.lower(writer)
+            for phase, steps in enumerate(KRAK_SCHEDULE):
+                writer.set_phase(phase)
+                writer.compute(seconds(phase, it))
+                for step in steps:
+                    kind = step.kind
+                    if kind == STEP_ALLREDUCE:
+                        writer.allreduce(step.nbytes)
+                    elif kind == STEP_BCAST:
+                        writer.bcast(0, step.nbytes)
+                    elif kind == STEP_GATHER:
+                        writer.gather(0, step.nbytes)
+                    else:
+                        writer.exchange(*self.messages[phase])
+            self._end_iteration(self._census_inputs(it))
         writer.mark(self.iterations)
         return True
-
-    def _lower_ghost_exchange(self, phase: int, bytes_per_node: int, writer) -> None:
-        """Column form of :meth:`_ghost_exchange` (census mode)."""
-        for gl in self.ghost_links:
-            writer.isend(gl.nbr_rank, _tag(phase, 0), bytes_per_node * gl.owned_by_me)
-            writer.isend(
-                gl.nbr_rank, _tag(phase, 1), bytes_per_node * gl.not_owned_by_me
-            )
-        writer.wait_sends()
-        for gl in self.ghost_links:
-            writer.recv(gl.nbr_rank, _tag(phase, 0))
-            writer.recv(gl.nbr_rank, _tag(phase, 1))
-
-    def _lower_boundary_exchange(self, phase: int, writer) -> None:
-        """Column form of :meth:`_boundary_exchange`."""
-        fb = BOUNDARY_BYTES_PER_FACE
-        mb = BOUNDARY_BYTES_PER_MULTI_NODE
-        for bl in self.boundary_links:
-            for (group, faces, multi) in bl.mine.groups:
-                big = fb * faces + mb * multi
-                small = fb * faces
-                for i in range(BOUNDARY_MSGS_PER_STEP):
-                    writer.isend(
-                        bl.nbr_rank, _tag(phase, group * 16 + i),
-                        big if i < 2 else small,
-                    )
-            total = fb * bl.mine.total_faces
-            for i in range(BOUNDARY_MSGS_PER_STEP):
-                writer.isend(
-                    bl.nbr_rank, _tag(phase, _FINAL_GROUP_SLOT * 16 + i), total
-                )
-        writer.wait_sends()
-        for bl in self.boundary_links:
-            for (group, faces, multi) in bl.theirs.groups:
-                for i in range(BOUNDARY_MSGS_PER_STEP):
-                    writer.recv(bl.nbr_rank, _tag(phase, group * 16 + i))
-            for i in range(BOUNDARY_MSGS_PER_STEP):
-                writer.recv(bl.nbr_rank, _tag(phase, _FINAL_GROUP_SLOT * 16 + i))
-
-    def _lower_failure_update(self, it: int, writer) -> None:
-        """Column form of :meth:`_failure_update`."""
-        event = self._failure_event(it)
-        if event is None:
-            return
-        fail_rank, restart_seconds = event
-        writer.set_phase(FAILURE_PHASE)
-        writer.barrier()
-        if self.rank == fail_rank:
-            writer.compute(restart_seconds)
-        writer.barrier()
-
-    def _lower_dynamic_update(self, it: int, writer) -> None:
-        """Column form of :meth:`_dynamic_update` (census mode)."""
-        step = self.dynamic.step(it)
-        plan = step.migration
-        if plan is not None:
-            writer.set_phase(REPARTITION_PHASE)
-            writer.gather(0, plan.gather_bytes)
-            writer.bcast(0, plan.bcast_bytes)
-            sends = plan.matrix[self.rank]
-            for dst in range(self.census.num_ranks):
-                if sends[dst]:
-                    writer.isend(
-                        dst,
-                        _tag(REPARTITION_PHASE, 0),
-                        int(sends[dst]) * plan.bytes_per_cell,
-                    )
-            writer.wait_sends()
-            recvs = plan.matrix[:, self.rank]
-            for src in range(self.census.num_ranks):
-                if recvs[src]:
-                    writer.recv(src, _tag(REPARTITION_PHASE, 0))
-        self.census = step.census
-        self.boundary_links = step.census.boundary_links[self.rank]
-        self.ghost_links = step.census.ghost_links[self.rank]
-        self.work = step.census.work_vector(self.rank)
 
     # ------------------------------------------------------------- program
 
     def __call__(self):
         """The generator the engine runs."""
-        sizes = PHASE_ALLREDUCE_SIZES
-        st = self.state
+        functional = self.state is not None
         for it in range(self.iterations):
             yield MarkIteration(it)
-            yield from self._failure_update(it)
-            if self.dynamic is not None:
-                yield from self._dynamic_update(it)
-
-            # ---- Phase 1: timestep control (2 bcasts, 2 allreduces) -------
-            yield SetPhase(0)
-            yield self._charge(0, it)
-            if st is not None:
-                dt_local = kernels.stable_dt(st)
-                active = float(st.num_cells)
-            else:
-                dt_local, active = self.fixed_dt, 0.0
-            assert sizes[0] == (4, 8)
-            yield Allreduce(active, "sum", 4)
-            self.dt = yield Allreduce(dt_local, "min", 8)
-            yield Bcast(it if self.rank == 0 else None, 0, 4)
-            self.time = yield Bcast(self.time if self.rank == 0 else None, 0, 8)
-
-            # ---- Phase 2: bcasts + boundary exchange + gather (1 allreduce)
-            yield SetPhase(1)
-            yield self._charge(1, it)
-            yield Bcast(0 if self.rank == 0 else None, 0, 4)
-            yield Bcast(0.0 if self.rank == 0 else None, 0, 8)
-            yield from self._boundary_exchange(1)
-            yield Gather(float(len(self.boundary_links)), 0, 32)
-            assert sizes[1] == (8,)
-            yield Allreduce(0.0, "sum", 8)
-
-            # ---- Phase 3: EOS evaluation (computation only, 3 syncs) ------
-            yield SetPhase(2)
-            yield self._charge(2, it)
-            if st is not None:
-                st.pressure, st.sound_speed = pressure_and_sound_speed(
-                    st.material, st.rho, st.energy, st.burn_frac, self.models
-                )
-                max_cs = float(st.sound_speed.max())
-            else:
-                max_cs = 0.0
-            assert sizes[2] == (4, 4, 8)
-            yield Allreduce(0.0, "max", 4)
-            yield Allreduce(0.0, "sum", 4)
-            yield Allreduce(max_cs, "max", 8)
-
-            # ---- Phase 4: nodal mass + ghost update (8 B/node) ------------
-            yield SetPhase(3)
-            yield self._charge(3, it)
-            if st is not None:
-                st.node_mass[:] = kernels.scatter_corner_masses(st)
-                mass_arrays = [st.node_mass]
-            else:
-                mass_arrays = []
-            yield from self._ghost_exchange(3, 8, mass_arrays, additive=True)
-            assert sizes[3] == (8,)
-            local_mass = kernels.total_mass(st) if st is not None else 0.0
-            total_mass = yield Allreduce(local_mass, "sum", 8)
-
-            # ---- Phase 5: corner forces + ghost update (16 B/node) --------
-            yield SetPhase(4)
-            yield self._charge(4, it)
-            if st is not None:
-                st.viscosity = kernels.artificial_viscosity(st)
-                fx, fy = kernels.corner_forces(st)
-                st.fx[:] = fx
-                st.fy[:] = fy
-                force_arrays = [st.fx, st.fy]
-            else:
-                force_arrays = []
-            yield from self._ghost_exchange(4, 16, force_arrays, additive=True)
-            assert sizes[4] == (4,)
-            yield Allreduce(0.0, "max", 4)
-
-            # ---- Phase 6: velocity / position update (3 syncs) ------------
-            yield SetPhase(5)
-            yield self._charge(5, it)
-            if st is not None:
-                old_volume = st.volume.copy()
-                kernels.advance_nodes(st, self.dt)
-                owned = st.node_owner == st.rank
-                mom_x = float((st.node_mass[owned] * st.vx[owned]).sum())
-                local_ke = kernels.kinetic_energy(st)
-            else:
-                old_volume = None
-                mom_x, local_ke = 0.0, 0.0
-            assert sizes[5] == (4, 8, 8)
-            yield Allreduce(0.0, "sum", 4)
-            total_mom_x = yield Allreduce(mom_x, "sum", 8)
-            total_ke = yield Allreduce(local_ke, "sum", 8)
-
-            # ---- Phase 7: velocity ghost sync (16 B/node) ------------------
-            yield SetPhase(6)
-            yield self._charge(6, it)
-            vel_arrays = [st.vx, st.vy] if st is not None else []
-            yield from self._ghost_exchange(6, 16, vel_arrays, additive=False)
-            assert sizes[6] == (8,)
-            yield Allreduce(0.0, "max", 8)
-
-            # ---- Phase 8: volume / strain rate -----------------------------
-            yield SetPhase(7)
-            yield self._charge(7, it)
-            if st is not None:
-                new_volume = kernels.compute_volumes(st)
-                min_vol = float(new_volume.min())
-            else:
-                new_volume, min_vol = None, 0.0
-            assert sizes[7] == (4,)
-            global_min_vol = yield Allreduce(min_vol, "min", 4)
-            if st is not None and global_min_vol <= 0.0:
-                raise FloatingPointError(
-                    "mesh tangled: non-positive cell volume encountered"
-                )
-
-            # ---- Phase 9: density update -----------------------------------
-            yield SetPhase(8)
-            yield self._charge(8, it)
-            if st is not None:
-                st.rho = st.cell_mass / np.maximum(new_volume, 1e-300)
-            assert sizes[8] == (8,)
-            yield Allreduce(0.0, "max", 8)
-
-            # ---- Phase 10: artificial-viscosity coefficients ---------------
-            yield SetPhase(9)
-            yield self._charge(9, it)
-            assert sizes[9] == (8,)
-            yield Allreduce(0.0, "max", 8)
-
-            # ---- Phase 11: energy update (2 syncs) --------------------------
-            yield SetPhase(10)
-            yield self._charge(10, it)
-            if st is not None:
-                kernels.update_energy(st, old_volume, new_volume)
-                st.volume = np.abs(new_volume)
-                local_ie = kernels.internal_energy(st)
-            else:
-                local_ie = 0.0
-            assert sizes[10] == (4, 8)
-            yield Allreduce(0.0, "sum", 4)
-            total_ie = yield Allreduce(local_ie, "sum", 8)
-
-            # ---- Phase 12: burn-fraction update -----------------------------
-            yield SetPhase(11)
-            yield self._charge(11, it)
-            if st is not None:
-                frac = (self.time + self.dt - st.burn_arrival) / 2.0e-6
-                st.burn_frac = np.clip(
-                    np.nan_to_num(frac, nan=0.0, neginf=0.0, posinf=1.0), 0.0, 1.0
-                )
-            assert sizes[11] == (8,)
-            yield Allreduce(0.0, "sum", 8)
-
-            # ---- Phase 13: hourglass filtering -------------------------------
-            yield SetPhase(12)
-            yield self._charge(12, it)
-            assert sizes[12] == (4,)
-            yield Allreduce(0.0, "max", 4)
-
-            # ---- Phase 14: material strength models --------------------------
-            yield SetPhase(13)
-            yield self._charge(13, it)
-            assert sizes[13] == (8,)
-            yield Allreduce(0.0, "max", 8)
-
-            # ---- Phase 15: diagnostics + broadcasts ---------------------------
-            yield SetPhase(14)
-            yield self._charge(14, it)
-            assert sizes[14] == (4, 8)
-            yield Allreduce(0.0, "sum", 4)
-            total_energy = yield Allreduce(local_ke + local_ie, "sum", 8)
-            yield Bcast(0 if self.rank == 0 else None, 0, 4)
-            yield Bcast(0.0 if self.rank == 0 else None, 0, 8)
-
-            self.time += self.dt
-            self.diagnostics = {
-                "total_mass": total_mass,
-                "total_ke": total_ke,
-                "total_ie": total_ie,
-                "total_momentum_x": total_mom_x,
-                "total_energy": total_energy,
-                "dt": self.dt,
-                "time": self.time,
-            }
-
+            for op in self._event_ops(it):
+                yield op
+            local = self._census_inputs(it)
+            reduced: dict = {}
+            for phase, steps in enumerate(KRAK_SCHEDULE):
+                yield SetPhase(phase)
+                yield Compute(self._phase_seconds(phase, it))
+                if functional:
+                    self._numerics(phase, local, reduced)
+                for step in steps:
+                    kind = step.kind
+                    value = local.get(step.name, 0.0)
+                    if kind == STEP_ALLREDUCE:
+                        op = Allreduce(value, step.op, step.nbytes)
+                        reduced[step.name] = yield op
+                    elif kind == STEP_BCAST:
+                        root_value = value if self.rank == 0 else None
+                        reduced[step.name] = yield Bcast(root_value, 0, step.nbytes)
+                    elif kind == STEP_GATHER:
+                        yield Gather(value, 0, step.nbytes)
+                    else:
+                        yield from self._exchange(phase, step)
+            self._end_iteration(reduced)
         yield MarkIteration(self.iterations)
-
-
-assert len(PHASE_ALLREDUCE_SIZES) == NUM_PHASES

@@ -1,8 +1,11 @@
 """Krak iteration structure and default cost constants.
 
-This module is the single source of truth for the paper's Table 1 (phase
-actions and synchronisation points), Table 4 (collective sizes/counts), and
-the default per-phase/per-material compute costs of the simulated machine.
+:data:`KRAK_SCHEDULE` is the single source of truth for one Krak iteration:
+the paper's Table 1 (phase actions and synchronisation points) and Table 4
+(collective sizes/counts).  The census lowering and the functional
+generator in :mod:`repro.hydro.phases` both interpret it, and every
+``PHASE_*`` table below is computed from it.  The module also holds the
+default per-phase/per-material compute costs of the simulated machine.
 
 Phase numbering is 0-based internally (phase index 0 = the paper's
 "Phase 1").  The per-cell costs are chosen so that iteration times land in
@@ -12,6 +15,8 @@ regime where the paper's small-deck validation breaks down.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,59 +32,131 @@ COMM_BOUNDARY_EXCHANGE = "boundary_exchange"
 COMM_GHOST_8 = "ghost_update_8"
 COMM_GHOST_16 = "ghost_update_16"
 
+# --- Step kinds of the iteration schedule -----------------------------------
+STEP_ALLREDUCE = "allreduce"
+STEP_BCAST = "bcast"
+STEP_GATHER = "gather"
+STEP_BOUNDARY = "boundary_exchange"
+STEP_GHOST = "ghost_update"
+
+
+class Step(NamedTuple):
+    """One communication step of a Krak phase.
+
+    Collectives (``kind`` an allreduce, bcast or gather, all rooted at rank
+    0) carry their payload ``nbytes``, an allreduce also its reduction
+    ``op``, and ``name`` is the quantity reduced, broadcast or gathered —
+    empty for the placeholder synchronisations whose values nothing reads.
+    A ghost update carries ``nbytes`` per ghost node, its combine ``op``
+    (``"sum"`` or owner-wins ``"owner"``) and the node ``fields`` it moves.
+    """
+
+    kind: str
+    nbytes: int = 0
+    op: str = ""
+    name: str = ""
+    fields: tuple = ()
+
+
+def _allreduce(nbytes: int, op: str, name: str = "") -> Step:
+    return Step(STEP_ALLREDUCE, nbytes, op, name)
+
+
+def _bcast(nbytes: int, name: str = "") -> Step:
+    return Step(STEP_BCAST, nbytes, name=name)
+
+
+def _ghost(bytes_per_node: int, combine: str, *fields: str) -> Step:
+    return Step(STEP_GHOST, bytes_per_node, combine, fields=fields)
+
+
+#: One Krak iteration: per phase, in program order, the communication steps
+#: that follow the phase's compute charge.  Nine 4-byte and thirteen 8-byte
+#: allreduces, three 4-byte and three 8-byte broadcasts and one 32-byte
+#: gather per iteration (Table 4); the boundary exchange in phase 2 and
+#: ghost-node updates of 8/16/16 bytes per node in phases 4, 5 and 7
+#: (Table 1).
+KRAK_SCHEDULE = (
+    # 1: timestep control
+    (_allreduce(4, "sum", "active_cells"), _allreduce(8, "min", "dt"),
+     _bcast(4, "iteration"), _bcast(8, "time")),
+    # 2: slip-line / contact search: broadcasts, boundary exchange, gather
+    (_bcast(4), _bcast(8), Step(STEP_BOUNDARY),
+     Step(STEP_GATHER, 32, name="boundary_links"), _allreduce(8, "sum")),
+    # 3: EOS evaluation (computation only)
+    (_allreduce(4, "max"), _allreduce(4, "sum"),
+     _allreduce(8, "max", "max_sound_speed")),
+    # 4: nodal mass accumulation
+    (_ghost(8, "sum", "node_mass"), _allreduce(8, "sum", "total_mass")),
+    # 5: corner forces + viscosity scatter
+    (_ghost(16, "sum", "fx", "fy"), _allreduce(4, "max")),
+    # 6: velocity / position update
+    (_allreduce(4, "sum"), _allreduce(8, "sum", "total_momentum_x"),
+     _allreduce(8, "sum", "total_ke")),
+    # 7: velocity ghost sync
+    (_ghost(16, "owner", "vx", "vy"), _allreduce(8, "max")),
+    # 8: volume / strain rate
+    (_allreduce(4, "min", "min_volume"),),
+    # 9: density update
+    (_allreduce(8, "max"),),
+    # 10: artificial-viscosity coefficients
+    (_allreduce(8, "max"),),
+    # 11: energy update
+    (_allreduce(4, "sum"), _allreduce(8, "sum", "total_ie")),
+    # 12: burn-fraction update
+    (_allreduce(8, "sum"),),
+    # 13: hourglass filtering
+    (_allreduce(4, "max"),),
+    # 14: material strength models
+    (_allreduce(8, "max"),),
+    # 15: diagnostics + broadcasts
+    (_allreduce(4, "sum"), _allreduce(8, "sum", "total_energy"),
+     _bcast(4), _bcast(8)),
+)
+
+
+def _sizes(kind: str) -> tuple:
+    """Per phase, the payload sizes of its ``kind`` steps in program order."""
+    return tuple(
+        tuple(s.nbytes for s in steps if s.kind == kind) for steps in KRAK_SCHEDULE
+    )
+
+
+def _comm_kind(steps) -> str:
+    for s in steps:
+        if s.kind == STEP_BOUNDARY:
+            return COMM_BOUNDARY_EXCHANGE
+        if s.kind == STEP_GHOST:
+            return {8: COMM_GHOST_8, 16: COMM_GHOST_16}[s.nbytes]
+    return COMM_NONE
+
+
 #: Point-to-point activity per phase: phase 2 does the per-material boundary
 #: exchange; phases 4, 5, 7 do ghost-node updates of 8/16/16 bytes per node.
-PHASE_COMM_KIND = (
-    COMM_NONE,  # 1: broadcast only
-    COMM_BOUNDARY_EXCHANGE,  # 2: boundary exchange + gather
-    COMM_NONE,  # 3: computation only
-    COMM_GHOST_8,  # 4: ghost node updates (8 bytes)
-    COMM_GHOST_16,  # 5: ghost node updates (16 bytes)
-    COMM_NONE,  # 6
-    COMM_GHOST_16,  # 7: ghost node updates (16 bytes)
-    COMM_NONE,  # 8
-    COMM_NONE,  # 9
-    COMM_NONE,  # 10
-    COMM_NONE,  # 11
-    COMM_NONE,  # 12
-    COMM_NONE,  # 13
-    COMM_NONE,  # 14
-    COMM_NONE,  # 15: broadcast only
-)
+PHASE_COMM_KIND = tuple(_comm_kind(steps) for steps in KRAK_SCHEDULE)
 
 #: Bytes per ghost node moved by each ghost-update phase.
-GHOST_BYTES_PER_NODE = {3: 8, 4: 16, 6: 16}
+GHOST_BYTES_PER_NODE = {
+    p: s.nbytes
+    for p, steps in enumerate(KRAK_SCHEDULE)
+    for s in steps
+    if s.kind == STEP_GHOST
+}
 
-#: Global synchronisation points (allreduces) per phase; sums to 22,
-#: matching Table 4's 9 four-byte + 13 eight-byte MPI_Allreduce calls.
-PHASE_SYNC_POINTS = (2, 1, 3, 1, 1, 3, 1, 1, 1, 1, 2, 1, 1, 1, 2)
-
-#: Allreduce payload sizes (bytes) per phase; flattening must yield the
+#: Allreduce payload sizes (bytes) per phase; flattening yields the
 #: Table 4 census: nine 4-byte and thirteen 8-byte operations.
-PHASE_ALLREDUCE_SIZES = (
-    (4, 8),
-    (8,),
-    (4, 4, 8),
-    (8,),
-    (4,),
-    (4, 8, 8),
-    (8,),
-    (4,),
-    (8,),
-    (8,),
-    (4, 8),
-    (8,),
-    (4,),
-    (8,),
-    (4, 8),
-)
+PHASE_ALLREDUCE_SIZES = _sizes(STEP_ALLREDUCE)
+
+#: Global synchronisation points (allreduces) per phase; sums to 22
+#: (Table 1's "Sync Points" column).
+PHASE_SYNC_POINTS = tuple(len(sizes) for sizes in PHASE_ALLREDUCE_SIZES)
 
 #: Broadcast payload sizes per phase (Table 1: phases 1, 2, 15 each
 #: broadcast a 4-byte and an 8-byte value; Table 4 totals 3 + 3).
-PHASE_BCASTS = {0: (4, 8), 1: (4, 8), 14: (4, 8)}
+PHASE_BCASTS = {p: sizes for p, sizes in enumerate(_sizes(STEP_BCAST)) if sizes}
 
 #: Gather payloads per phase (Table 1/4: one 32-byte gather in phase 2).
-PHASE_GATHERS = {1: (32,)}
+PHASE_GATHERS = {p: sizes for p, sizes in enumerate(_sizes(STEP_GATHER)) if sizes}
 
 #: Bytes transferred per boundary face in a boundary-exchange message
 #: (Section 4.1: "12 bytes times the number of faces").

@@ -31,7 +31,6 @@ from repro.simmpi.api import (
     Recv,
     SetPhase,
     WaitSends,
-    as_message_key,
 )
 from repro.simmpi.engine import DeadlockError, Engine, SimResult
 from repro.simmpi.collectives import (
@@ -57,7 +56,6 @@ __all__ = [
     "Recv",
     "SetPhase",
     "WaitSends",
-    "as_message_key",
     "DeadlockError",
     "Engine",
     "SimResult",

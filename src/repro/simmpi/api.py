@@ -7,23 +7,20 @@ waits on outstanding sends, and the three collective types of Table 4.
 
 Every request type derives from :class:`Op` and registers itself in the
 frozen :data:`OP_REGISTRY`, which is how the engine dispatches (no
-``isinstance`` ladders) and how the batch compiler decides whether a
-program can be lowered to columnar event tables: each op implements
-:meth:`Op.lower`, appending itself to a
-:class:`~repro.simmpi.compile.ProgramWriter`, or raising
+``isinstance`` ladders).  Each op also implements :meth:`Op.lower`,
+appending itself to a :class:`~repro.simmpi.compile.ProgramWriter` — the
+hook :func:`~repro.simmpi.compile.lower_ops` and Krak's rare event blocks
+use to write ops into columnar event tables — or raising
 :class:`NotLowerable` when it cannot be priced array-at-a-time (payload
 data, unknown extensions).
 
 Message identity is a named :class:`MessageKey` ``(src, dst, tag)``.  It
-subclasses ``tuple``, so code holding the historical positional
-``(src, dst, tag)`` triples keeps working; building keys positionally is
-deprecated — convert through :func:`as_message_key`, which warns on bare
-tuples.
+subclasses ``tuple``, so it compares and hashes equal to the positional
+``(src, dst, tag)`` triple.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, ClassVar, NamedTuple
@@ -32,34 +29,13 @@ from typing import Any, ClassVar, NamedTuple
 class MessageKey(NamedTuple):
     """Named identity of one point-to-point message stream.
 
-    Replaces the positional ``(src, dst, tag)`` triples used as mailbox
-    keys; being a ``NamedTuple`` it compares and hashes equal to them, so
-    the migration is source-compatible (see ``docs/engine.md``).
+    The mailbox key of both engines; being a ``NamedTuple`` it compares
+    and hashes equal to the positional ``(src, dst, tag)`` triple.
     """
 
     src: int
     dst: int
     tag: int
-
-
-def as_message_key(key) -> MessageKey:
-    """Coerce ``key`` to a :class:`MessageKey`.
-
-    Accepts a :class:`MessageKey` unchanged; a bare positional
-    ``(src, dst, tag)`` tuple is converted with a :class:`DeprecationWarning`
-    — the shim that keeps pre-MessageKey programs running.
-    """
-    if isinstance(key, MessageKey):
-        return key
-    if isinstance(key, tuple) and len(key) == 3:
-        warnings.warn(
-            "positional (src, dst, tag) message keys are deprecated; "
-            "use repro.simmpi.api.MessageKey",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return MessageKey(*key)
-    raise TypeError(f"cannot interpret {key!r} as a MessageKey")
 
 
 class NotLowerable(Exception):
@@ -269,7 +245,6 @@ __all__ = [
     "Op",
     "NotLowerable",
     "MessageKey",
-    "as_message_key",
     "OP_REGISTRY",
     "COLLECTIVE_OPS",
     "Compute",

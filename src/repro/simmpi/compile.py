@@ -1,33 +1,28 @@
-"""Lowering simmpi programs to columnar event tables (batch compilation).
+"""Columnar event tables: what the batch engine executes.
 
 The batch engine prices a whole run array-at-a-time instead of one request
 object per Python-level event.  The bridge is this module: a
 :class:`ProgramWriter` accumulates one rank's op stream into flat columns
-(opcode, float argument, two integer arguments), a :class:`CompiledProgram`
-freezes them as NumPy arrays, and :func:`lower_programs` turns generator
-programs into compiled ones by *structural pre-execution* — running the
-generators cooperatively with exact value semantics (message payload
-delivery, collective combines) but no clocks, recording each op through its
-:meth:`~repro.simmpi.api.Op.lower` hook.
+(opcode, float argument, two integer arguments) and a
+:class:`CompiledProgram` freezes them as NumPy arrays.
 
-Programs whose ops cannot be lowered (payload-carrying sends, unknown op
-types) make :func:`lower_programs` return ``None``, and the engine falls
-back to the scalar event loop — the fallback contract documented in
-``docs/engine.md``.  Value semantics never depend on simulated time, so a
-program that lowers at all lowers *exactly*: the compiled stream is the
-same op sequence the scalar engine would consume.
+There are two producers.  Krak census runs emit their columns directly
+(:meth:`repro.hydro.phases.KrakProgram.lower_into`), and
+:func:`lower_ops` compiles a static op sequence through each op's
+:meth:`~repro.simmpi.api.Op.lower` hook, for tests and tools that
+hand-compile programs.  Programs whose values flow between ranks
+(payload-carrying sends) cannot be lowered and run on the scalar event
+loop — see ``docs/engine.md``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.simmpi import api
-from repro.simmpi.collectives import combine
 
 # Opcodes of the columnar event table (column ``opcode``).
 OP_COMPUTE = 0
@@ -96,6 +91,19 @@ class ProgramWriter:
         """Drain this rank's NIC."""
         self._row(OP_WAITSENDS, 0.0, 0, 0)
 
+    def exchange(self, sends, recvs) -> None:
+        """Post ``sends``, drain the NIC, then block on ``recvs``.
+
+        ``sends`` holds ``(dst, tag, nbytes)`` and ``recvs`` ``(src, tag)``;
+        the rows are those of the matching :meth:`isend`,
+        :meth:`wait_sends` and :meth:`recv` calls, appended in one go.
+        """
+        n, m = len(sends), len(recvs)
+        self.opcode += [OP_ISEND] * n + [OP_WAITSENDS] + [OP_RECV] * m
+        self.farg += [nbytes for _, _, nbytes in sends] + [0.0] * (m + 1)
+        self.a += [dst for dst, _, _ in sends] + [0] + [src for src, _ in recvs]
+        self.b += [tag for _, tag, _ in sends] + [0] + [tag for _, tag in recvs]
+
     def allreduce(self, nbytes: float) -> None:
         """Enter an allreduce of ``nbytes`` per tree message."""
         self._row(OP_COLL, nbytes, 0, COLL_ALLREDUCE)
@@ -148,116 +156,6 @@ def lower_ops(ops: Sequence[api.Op]) -> CompiledProgram:
     return writer.finish()
 
 
-def lower_programs(
-    make_program: Callable[[int], Iterator], num_ranks: int
-) -> list[CompiledProgram] | None:
-    """Lower generator programs by structural pre-execution.
-
-    Runs ``make_program(rank)`` for every rank cooperatively — delivering
-    ``(nbytes, payload)`` receive results and combining collectives exactly
-    as the engine would — while recording every yielded op through its
-    ``lower()`` hook.  Returns ``None`` when any op refuses to lower
-    (payload-carrying sends, unknown requests) or when the programs cannot
-    make progress without timing (a deadlock is left to the scalar engine
-    to diagnose).
-    """
-    programs = [make_program(r) for r in range(num_ranks)]
-    writers = [ProgramWriter() for _ in range(num_ranks)]
-    pending_value: list = [None] * num_ranks
-    finished = [False] * num_ranks
-    waiting_recv: list = [None] * num_ranks
-    mailboxes: dict[api.MessageKey, deque] = {}
-    recv_waiters: dict[api.MessageKey, int] = {}
-    coll_entered = [0] * num_ranks
-    coll_pending: dict[int, dict[int, api.Op]] = {}
-    runnable = deque(range(num_ranks))
-
-    def deliver(rank: int, key: api.MessageKey) -> bool:
-        box = mailboxes.get(key)
-        if not box:
-            return False
-        pending_value[rank] = box.popleft()
-        return True
-
-    try:
-        while runnable:
-            rank = runnable.popleft()
-            if finished[rank]:
-                continue
-            if waiting_recv[rank] is not None:
-                if not deliver(rank, waiting_recv[rank]):
-                    continue  # spurious wake-up: stay parked
-                waiting_recv[rank] = None
-            program = programs[rank]
-            writer = writers[rank]
-            while True:
-                try:
-                    op = program.send(pending_value[rank])
-                except StopIteration:
-                    finished[rank] = True
-                    break
-                pending_value[rank] = None
-                lower = getattr(op, "lower", None)
-                if lower is None:
-                    # Foreign request object: not lowerable — the scalar
-                    # fallback will produce the canonical TypeError.
-                    raise api.NotLowerable(f"unknown request {op!r}")
-                lower(writer)  # may raise NotLowerable
-                if op.collective:
-                    seq = coll_entered[rank]
-                    coll_entered[rank] += 1
-                    pend = coll_pending.setdefault(seq, {})
-                    pend[rank] = op
-                    if len(pend) == num_ranks:
-                        _resolve_collective(
-                            coll_pending.pop(seq), num_ranks, pending_value, runnable
-                        )
-                    break
-                if type(op) is api.Isend:
-                    key = op.message_key(rank)
-                    mailboxes.setdefault(key, deque()).append(
-                        (op.nbytes, op.payload)
-                    )
-                    waiter = recv_waiters.pop(key, None)
-                    if waiter is not None:
-                        runnable.append(waiter)
-                elif type(op) is api.Recv:
-                    key = op.message_key(rank)
-                    if not deliver(rank, key):
-                        waiting_recv[rank] = key
-                        recv_waiters[key] = rank
-                        break
-    except api.NotLowerable:
-        return None
-
-    if not all(finished):
-        return None  # structural deadlock: let the scalar engine report it
-    return [writer.finish() for writer in writers]
-
-
-def _resolve_collective(
-    pend: dict[int, api.Op], num_ranks: int, pending_value: list, runnable: deque
-) -> None:
-    """Compute collective results (value semantics only, no timing)."""
-    ops = [pend[r] for r in range(num_ranks)]
-    kind = type(ops[0])
-    if any(type(q) is not kind for q in ops):
-        raise api.NotLowerable("collective mismatch during lowering")
-    if kind is api.Allreduce:
-        result = combine(ops[0].op, [q.value for q in ops])
-        results: list = [result] * num_ranks
-    elif kind is api.Bcast:
-        results = [ops[ops[0].root].value] * num_ranks
-    elif kind is api.Gather:
-        gathered = [q.value for q in ops]
-        results = [gathered if r == ops[0].root else None for r in range(num_ranks)]
-    else:  # Barrier
-        results = [None] * num_ranks
-    for r in range(num_ranks):
-        pending_value[r] = results[r]
-        runnable.append(r)
-
-
 __all__ = [
     "OP_COMPUTE",
     "OP_SETPHASE",
@@ -274,5 +172,4 @@ __all__ = [
     "ProgramWriter",
     "CompiledProgram",
     "lower_ops",
-    "lower_programs",
 ]

@@ -23,8 +23,8 @@ Two execution paths share those rules:
   request through a table built from :data:`repro.simmpi.api.OP_REGISTRY`.
   It handles any program, including functional mode (payload-carrying
   sends).
-* :meth:`Engine.run_compiled` — the batch core.  Programs pre-lowered to
-  columnar event tables (:mod:`repro.simmpi.compile`) are priced
+* :meth:`Engine.run_compiled` — the batch core.  Programs already lowered
+  to columnar event tables (:mod:`repro.simmpi.compile`) are priced
   array-at-a-time: one vectorized ``send_times_many`` sweep for every
   message, static FIFO send/recv matching via one sort, and a tight
   per-rank advance kernel (:mod:`repro.simmpi._kernels`, optionally
@@ -32,8 +32,9 @@ Two execution paths share those rules:
   the scalar engine's float operations in the exact same order, so clocks
   and traces are **bitwise identical** between the two paths.
 
-:meth:`Engine.run_auto` lowers when possible and falls back to the scalar
-loop otherwise — the fallback contract is documented in ``docs/engine.md``.
+The engine never lowers a program itself: callers hand it either
+generators or compiled columns.  ``docs/engine.md`` describes the two
+lowering producers and how :func:`repro.hydro.run_krak` picks a path.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ class Engine:
 
         ``make_program`` must return a generator yielding request objects
         from :mod:`repro.simmpi.api`.  This is the scalar event loop; see
-        :meth:`run_auto` for the batch-compiled path.
+        :meth:`run_compiled` for the batch-compiled path.
         """
         states = [_RankState(program=make_program(r)) for r in range(self.num_ranks)]
         self._states = states
@@ -255,20 +256,6 @@ class Engine:
             raise DeadlockError(self._deadlock_report_scalar(states))
         clocks = np.array([st.clock for st in states])
         return SimResult(trace=self.trace, final_clocks=clocks)
-
-    def run_auto(self, make_program: Callable[[int], Iterator]) -> SimResult:
-        """Batch-execute if the programs lower; scalar fallback otherwise.
-
-        ``make_program`` must return a *fresh, unstarted* generator on every
-        call: lowering consumes one set of generators, and a fallback run
-        consumes another.  Programs whose construction or execution mutates
-        shared state must tolerate being built twice (the scenario programs
-        and census-mode Krak programs all do).
-        """
-        compiled = simc.lower_programs(make_program, self.num_ranks)
-        if compiled is None:
-            return self.run(make_program)
-        return self.run_compiled(compiled)
 
     def _deadlock_report_scalar(self, states: list[_RankState]) -> str:
         """Enriched deadlock message from the scalar engine's live state."""

@@ -1,25 +1,26 @@
-"""The batch-compiled engine core: lowering, bitwise agreement, fallback.
+"""The batch-compiled engine core: lowering, bitwise agreement, engine choice.
 
 The contract under test (docs/engine.md): every program that lowers prices
 bitwise identically on the batch path and the scalar event loop — clocks,
-traces, marks, and error messages — and every program that does not lower
-falls back to the event loop with no observable difference.
+traces, marks, and error messages — and Krak's direct emission writes
+exactly the op stream its generator yields.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.hydro import DynamicConfig, run_krak
+from repro.hydro import DynamicConfig, build_workload_census, run_krak
+from repro.hydro.dynamic import DynamicController
 from repro.hydro.phases import KrakProgram
 from repro.machine.cluster import es45_like_cluster
 from repro.mesh.deck import build_deck
 from repro.mesh.connectivity import build_face_table
-from repro.partition import make_partition
+from repro.partition import ImbalanceThresholdPolicy, make_partition
+from repro.perturb import FAILURE_PHASE, Perturbation, PerturbSpec
 from repro.simmpi import (
     OP_REGISTRY,
     Allreduce,
@@ -32,14 +33,14 @@ from repro.simmpi import (
     Isend,
     MarkIteration,
     MessageKey,
+    NotLowerable,
     Recv,
     SetPhase,
     WaitSends,
-    as_message_key,
 )
 from repro.simmpi import _kernels
 from repro.simmpi import compile as simc
-from repro.simmpi.compile import ProgramWriter, lower_ops, lower_programs
+from repro.simmpi.compile import ProgramWriter, lower_ops
 
 
 def flat_cluster():
@@ -81,10 +82,14 @@ def mixed_program(ranks, iters=3):
     return make
 
 
+def hand_compile(make, ranks):
+    """Lower programs that ignore the values sent back to them."""
+    return [lower_ops(list(make(r))) for r in range(ranks)]
+
+
 def run_both(cluster, ranks, make, num_phases=2):
     scalar = Engine(cluster, ranks, num_phases).run(make)
-    batch_engine = Engine(cluster, ranks, num_phases)
-    batch = batch_engine.run_auto(make)
+    batch = Engine(cluster, ranks, num_phases).run_compiled(hand_compile(make, ranks))
     return scalar, batch
 
 
@@ -126,8 +131,7 @@ class TestBitwiseAgreement:
 
     def test_forced_batch_engine_on_compiled_program(self):
         make = mixed_program(4)
-        compiled = lower_programs(make, 4)
-        assert compiled is not None
+        compiled = hand_compile(make, 4)
         batch = Engine(flat_cluster(), 4, 2).run_compiled(compiled)
         scalar = Engine(flat_cluster(), 4, 2).run(make)
         assert_bitwise_equal(scalar, batch)
@@ -142,25 +146,12 @@ class TestScalarFallback:
             else:
                 yield Recv(0, tag=0)
 
-        assert lower_programs(make, 2) is None
-
-    def test_run_auto_falls_back_and_matches_scalar(self):
-        def make(rank):
-            yield SetPhase(0)
-            if rank == 0:
-                yield Isend(1, tag=0, nbytes=8.0, payload=np.arange(3.0))
-                yield WaitSends()
-            else:
-                yield Recv(0, tag=0)
-            yield Allreduce(1.0, "sum", 8)
-
-        scalar = Engine(flat_cluster(), 2, 1).run(make)
-        auto = Engine(flat_cluster(), 2, 1).run_auto(make)
-        assert_bitwise_equal(scalar, auto)
+        with pytest.raises(NotLowerable, match="payload"):
+            lower_ops(list(make(0)))
+        assert lower_ops(list(make(1))).num_ops == 1
 
     def test_mixed_lowerable_then_not(self):
-        # The non-lowerable op appears mid-stream: everything recorded up
-        # to it must be discarded and the whole run re-executed scalar.
+        # The non-lowerable op appears mid-stream: the whole stream refuses.
         def make(rank):
             yield SetPhase(0)
             yield Compute(1e-6)
@@ -171,10 +162,22 @@ class TestScalarFallback:
             else:
                 yield Recv(1, tag=7)
 
-        assert lower_programs(make, 2) is None
-        scalar = Engine(flat_cluster(), 2, 1).run(make)
-        auto = Engine(flat_cluster(), 2, 1).run_auto(make)
-        assert_bitwise_equal(scalar, auto)
+        with pytest.raises(NotLowerable):
+            hand_compile(make, 2)
+
+    def test_run_krak_auto_runs_functional_on_scalar_loop(self):
+        deck = build_deck((8, 4))
+        faces = build_face_table(deck.mesh)
+        partition = make_partition(deck.mesh, 2, method="block", faces=faces)
+        runs = {
+            eng: run_krak(
+                deck, partition, iterations=1, faces=faces, functional=True,
+                engine=eng,
+            )
+            for eng in ("auto", "scalar")
+        }
+        assert_bitwise_equal(runs["auto"].result, runs["scalar"].result)
+        assert runs["auto"].diagnostics == runs["scalar"].diagnostics
 
 
 class TestCompile:
@@ -216,22 +219,6 @@ class TestCompile:
         assert compiled.a[2] == 3 and compiled.b[2] == 9
         assert compiled.a[3] == 2 and compiled.b[3] == 4
 
-    def test_structural_deadlock_returns_none(self):
-        def make(rank):
-            # Both ranks park on a recv nobody sends.
-            yield Recv(1 - rank, tag=0)
-
-        assert lower_programs(make, 2) is None
-
-    def test_collective_mismatch_during_lowering_returns_none(self):
-        def make(rank):
-            if rank == 0:
-                yield Allreduce(1.0, "sum", 8)
-            else:
-                yield Barrier()
-
-        assert lower_programs(make, 2) is None
-
     def test_kernel_opcodes_match_compile_constants(self):
         # _kernels duplicates the opcode table as plain literals so numba
         # sees compile-time constants; this is the guard the duplication
@@ -269,14 +256,6 @@ class TestOpProtocol:
         assert Isend(1, tag=7, nbytes=8.0).message_key(0) == key
         assert Recv(0, tag=7).message_key(1) == key
 
-    def test_as_message_key_warns_on_positional_tuple(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            key = as_message_key((0, 1, 7))
-        assert key == MessageKey(0, 1, 7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert as_message_key(MessageKey(2, 3, 4)) == MessageKey(2, 3, 4)
-
     def test_unknown_request_rejected_by_both_paths(self):
         class Bogus:
             collective = False
@@ -286,10 +265,9 @@ class TestOpProtocol:
 
         with pytest.raises(TypeError, match="unknown request"):
             Engine(flat_cluster(), 1, 1).run(make)
-        # Lowering refuses it too (no lower() hook) → scalar fallback →
-        # the same TypeError.
-        with pytest.raises(TypeError, match="unknown request"):
-            Engine(flat_cluster(), 1, 1).run_auto(make)
+        # Lowering refuses it too: it has no lower() hook.
+        with pytest.raises(NotLowerable, match="unknown request"):
+            hand_compile(make, 1)
 
 
 class TestValidationParity:
@@ -310,7 +288,7 @@ class TestValidationParity:
         with pytest.raises(ValueError) as scalar_err:
             Engine(flat_cluster(), 2, 2).run(make)
         with pytest.raises(ValueError) as batch_err:
-            Engine(flat_cluster(), 2, 2).run_compiled(lower_programs(make, 2))
+            Engine(flat_cluster(), 2, 2).run_compiled(hand_compile(make, 2))
         assert str(scalar_err.value) == message
         assert str(batch_err.value) == message
 
@@ -345,14 +323,9 @@ class TestDeadlockReport:
         assert "rank 0 pending sends: MessageKey(src=0, dst=1, tag=5) (64 B)" in text
         assert "rank 1 has no pending sends" in text
 
-    def test_structurally_deadlocked_programs_refuse_to_lower(self):
-        # run_auto leaves deadlock diagnosis to the scalar engine.
-        assert lower_programs(self.make_deadlocked(), 2) is None
-
     def test_batch_report_identical_to_scalar(self):
-        # Hand-compile the same op streams (lower_programs would refuse)
-        # so the batch deadlock reporter runs; its text must match the
-        # scalar engine's exactly.
+        # Hand-compile the same op streams so the batch deadlock reporter
+        # runs; its text must match the scalar engine's exactly.
         compiled = [
             lower_ops([Isend(1, tag=5, nbytes=64.0), Recv(1, tag=0)]),
             lower_ops([Recv(0, tag=6)]),
@@ -372,45 +345,106 @@ class TestKrakLowering:
         partition = make_partition(deck.mesh, 4, method="block", faces=faces)
         return deck, faces, partition
 
-    def test_direct_emission_matches_generator_lowering(self, problem):
+    def krak_programs(self, problem, iterations, dynamic=None, perturb=None):
+        """Census-mode programs wired as ``run_krak`` wires them."""
         deck, faces, partition = problem
-        from repro.hydro.workload import build_workload_census
-        from repro.machine.costdb import NUM_PHASES
-
         census = build_workload_census(deck, partition, faces)
-        cluster = es45_like_cluster()
-
-        def make(r):
-            return KrakProgram(
-                rank=r,
-                census=census,
-                node_model=cluster.node,
-                state=None,
-                iterations=2,
-            )()
-
-        via_generator = lower_programs(make, partition.num_ranks)
-        assert via_generator is not None
-        for r in range(partition.num_ranks):
-            program = KrakProgram(
-                rank=r,
-                census=census,
-                node_model=cluster.node,
-                state=None,
-                iterations=2,
+        perturbation = (
+            None if perturb is None else Perturbation(perturb, partition.num_ranks)
+        )
+        controller, fixed_dt = None, {}
+        if dynamic is not None:
+            churn = perturbation.churn_at if perturb is not None else None
+            controller = DynamicController(
+                deck, partition, dynamic, faces=faces, base_census=census,
+                force_repartition=churn,
             )
+            fixed_dt = {"fixed_dt": dynamic.dt}
+        return [
+            KrakProgram(
+                rank=r,
+                census=census,
+                node_model=es45_like_cluster().node,
+                iterations=iterations,
+                dynamic=controller,
+                perturb=perturbation,
+                **fixed_dt,
+            )
+            for r in range(partition.num_ranks)
+        ], controller
+
+    def assert_emission_matches_executed_generator(self, make_programs):
+        """``lower_into`` writes exactly what the scalar engine executes.
+
+        The generator runs on the scalar engine under a wrapper that lowers
+        each yielded op into a writer and forwards the values sent back, so
+        the recorded stream is the one real collective results and message
+        deliveries drove.
+        """
+
+        def recording(program, writer):
+            gen = program()
+            value = None
+            while True:
+                try:
+                    op = gen.send(value)
+                except StopIteration:
+                    return
+                op.lower(writer)
+                value = yield op
+
+        executed, _ = make_programs()
+        writers = [ProgramWriter() for _ in executed]
+        Engine(es45_like_cluster(), len(executed), FAILURE_PHASE + 1).run(
+            lambda r: recording(executed[r], writers[r])
+        )
+        lowered, controller = make_programs()
+        for r, program in enumerate(lowered):
             writer = ProgramWriter()
             assert program.lower_into(writer)
-            direct = writer.finish()
+            direct, via_generator = writer.finish(), writers[r].finish()
             for col in ("opcode", "farg", "a", "b"):
                 assert np.array_equal(
-                    getattr(direct, col), getattr(via_generator[r], col)
+                    getattr(direct, col), getattr(via_generator, col)
                 ), (r, col)
+            assert program.diagnostics == executed[r].diagnostics
+            assert (program.time, program.dt) == (executed[r].time, executed[r].dt)
+        return controller, direct
+
+    def test_direct_emission_matches_generator_lowering(self, problem):
+        self.assert_emission_matches_executed_generator(
+            lambda: self.krak_programs(problem, iterations=2)
+        )
+
+    def test_direct_emission_matches_generator_dynamic(self, problem):
+        config = DynamicConfig(
+            policy=ImbalanceThresholdPolicy(threshold=1.1), burn_multiplier=8.0
+        )
+        controller, _ = self.assert_emission_matches_executed_generator(
+            lambda: self.krak_programs(problem, iterations=4, dynamic=config)
+        )
+        assert controller.run_info().num_repartitions >= 1
+
+    def test_direct_emission_matches_generator_perturbed(self, problem):
+        config = DynamicConfig(
+            policy=ImbalanceThresholdPolicy(threshold=1.5), burn_multiplier=8.0
+        )
+        spec = PerturbSpec(
+            seed=3, compute_noise=0.05, straggler_prob=0.2,
+            fail_rank=1, fail_iteration=1, churn_prob=0.5,
+        )
+        controller, last = self.assert_emission_matches_executed_generator(
+            lambda: self.krak_programs(
+                problem, iterations=4, dynamic=config, perturb=spec
+            )
+        )
+        failure_rows = (last.opcode == simc.OP_SETPHASE) & (last.a == FAILURE_PHASE)
+        assert failure_rows.sum() == 1
+        assert controller.run_info().num_repartitions >= 1
 
     def test_functional_mode_refuses_direct_emission(self, problem):
         deck, faces, partition = problem
         from repro.hydro.state import build_rank_states
-        from repro.hydro.workload import build_workload_census
 
         census = build_workload_census(deck, partition, faces)
         states = build_rank_states(deck, partition)
@@ -438,8 +472,6 @@ class TestKrakLowering:
 
     def test_run_krak_dynamic_engines_agree(self, problem):
         deck, faces, partition = problem
-        from repro.partition import ImbalanceThresholdPolicy
-
         config = DynamicConfig(
             policy=ImbalanceThresholdPolicy(threshold=1.1), burn_multiplier=8.0
         )
