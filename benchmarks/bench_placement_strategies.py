@@ -45,7 +45,7 @@ def placement_rows(small_deck):
     )
     graph = rank_comm_bytes(census)
     total = total_pair_bytes(graph)
-    t_intra, t_inter = rank_pair_times(census, cluster)
+    costs = rank_pair_times(census, cluster)
 
     rows = []
     for strategy in ("block", "round-robin", "random:1", "comm-aware"):
@@ -61,7 +61,7 @@ def placement_rows(small_deck):
             faces=faces, census=census,
         ).seconds
         share = inter_node_bytes(placement, graph) / total
-        max_cost, _ = placement_comm_cost(placement.node_of_rank, t_intra, t_inter)
+        max_cost, _ = placement_comm_cost(placement.node_of_rank, costs)
         rows.append((placement.name, share, max_cost, seconds))
     return rows
 

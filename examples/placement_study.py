@@ -74,7 +74,7 @@ def main() -> None:
         census = build_workload_census(deck, partition, faces)
         graph = rank_comm_bytes(census)
         total = total_pair_bytes(graph)
-        t_intra, t_inter = rank_pair_times(census, cluster)
+        costs = rank_pair_times(census, cluster)
 
         table = TextTable(
             f"{deck.name} deck, {num_ranks} ranks on {cluster.name} "
@@ -107,9 +107,7 @@ def main() -> None:
                 ).seconds
             )
             share = inter_node_bytes(placement, graph) / total if total else 0.0
-            max_cost, _ = placement_comm_cost(
-                placement.node_of_rank, t_intra, t_inter
-            )
+            max_cost, _ = placement_comm_cost(placement.node_of_rank, costs)
             table.add_row(
                 placement.name,
                 f"{share * 100:.0f}%",

@@ -29,6 +29,9 @@ __all__ = [
     "stable_hash",
 ]
 
+#: Default that tells a miss apart from any stored JSON value.
+_MISSING = object()
+
 
 class ResultStore:
     """A directory of ``<key>.json`` files keyed by content hash.
@@ -60,7 +63,7 @@ class ResultStore:
         return self.directory / f"{key}.json"
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        return self.get(key, _MISSING) is not _MISSING
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -72,12 +75,16 @@ class ResultStore:
         return sorted(p.stem for p in self.directory.glob("*.json"))
 
     def get(self, key: str, default=None):
-        """The stored value for ``key``, or ``default`` on a miss."""
+        """The stored value for ``key``, or ``default`` on a miss.
+
+        An artifact that cannot be read back (truncated, not UTF-8, not
+        JSON) is a miss too; the next :meth:`put` of the key replaces it.
+        """
         path = self.path_for(key)
         try:
             with open(path, encoding="utf-8") as handle:
                 return json.load(handle)
-        except FileNotFoundError:
+        except (OSError, ValueError):
             return default
 
     def put(self, key: str, value) -> Path:

@@ -788,16 +788,14 @@ def _place_optimize_invariants(ctx, placement):
     )
 
     graph = rank_comm_bytes(ctx["census"])
-    t_intra, t_inter = rank_pair_times(ctx["census"], ctx["cluster"])
+    costs = rank_pair_times(ctx["census"], ctx["cluster"])
     block = block_placement(ctx["ranks"], placement.ranks_per_node)
     return {
         "block_inter_bytes": inter_node_bytes(block, graph),
         "optimized_inter_bytes": inter_node_bytes(placement, graph),
-        "block_max_rank_cost_s": placement_comm_cost(
-            block.node_of_rank, t_intra, t_inter
-        )[0],
+        "block_max_rank_cost_s": placement_comm_cost(block.node_of_rank, costs)[0],
         "optimized_max_rank_cost_s": placement_comm_cost(
-            placement.node_of_rank, t_intra, t_inter
+            placement.node_of_rank, costs
         )[0],
     }
 

@@ -2,7 +2,8 @@
 
 ``compare`` and ``optimize`` build their configuration (deck, partition,
 census, SMP cluster) through the core constructors; ``scale`` costs
-placements on synthetic weak-scaled meshes through the CSR sparse path.
+placements on synthetic weak-scaled meshes.  All three cost placements
+with the same CSR graph and objectives.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def cmd_place_optimize(args) -> int:
     graph = rank_comm_bytes(census)
     block = block_placement(args.ranks, args.ranks_per_node)
     optimized = optimize_placement(census, cluster)
-    t_intra, t_inter = rank_pair_times(census, cluster)
+    costs = rank_pair_times(census, cluster)
 
     t_block = measure_iteration_time(
         deck, part, cluster=cluster.with_placement(block), faces=faces,
@@ -123,8 +124,8 @@ def cmd_place_optimize(args) -> int:
         ("inter-node KB", inter_node_bytes(block, graph) / 1e3,
          inter_node_bytes(optimized, graph) / 1e3),
         ("max per-rank p2p (ms)",
-         placement_comm_cost(block.node_of_rank, t_intra, t_inter)[0] * 1e3,
-         placement_comm_cost(optimized.node_of_rank, t_intra, t_inter)[0] * 1e3),
+         placement_comm_cost(block.node_of_rank, costs)[0] * 1e3,
+         placement_comm_cost(optimized.node_of_rank, costs)[0] * 1e3),
         ("measured iteration (ms)", t_block * 1e3, t_opt * 1e3),
     ]
     for label, before, after in rows:
@@ -146,18 +147,18 @@ def cmd_place_scale(args) -> int:
     from repro.perfmodel import weak_scaled_census
     from repro.placement import (
         block_placement,
-        comm_aware_placement_sparse,
-        inter_node_bytes_sparse,
+        comm_aware_placement,
+        inter_node_bytes,
+        rank_comm_bytes,
         round_robin_placement,
-        sparse_comm_bytes,
-        total_pair_bytes_sparse,
+        total_pair_bytes,
     )
 
     begin = time.perf_counter()
     census = weak_scaled_census(args.ranks, cells_per_rank=args.cells_per_rank)
-    graph = sparse_comm_bytes(census)
+    graph = rank_comm_bytes(census)
     build = time.perf_counter() - begin
-    total = total_pair_bytes_sparse(graph)
+    total = total_pair_bytes(graph)
 
     strategies = ["block", "round-robin"]
     if args.optimize:
@@ -174,8 +175,8 @@ def cmd_place_scale(args) -> int:
         elif strategy == "round-robin":
             placement = round_robin_placement(args.ranks, args.ranks_per_node)
         else:
-            placement = comm_aware_placement_sparse(graph, args.ranks_per_node)
-        inter = inter_node_bytes_sparse(placement, graph)
+            placement = comm_aware_placement(graph, args.ranks_per_node)
+        inter = inter_node_bytes(placement, graph)
         wall = time.perf_counter() - begin
         out.add_row(
             placement.name,
@@ -225,7 +226,7 @@ def register(sub, place_common=add_place_arguments) -> None:
 
     p_ps = place_sub.add_parser(
         "scale",
-        help="cost placements on a weak-scaled mesh via the sparse path",
+        help="cost placements on a weak-scaled mesh",
         description=(
             "Build a synthetic weak-scaled mesh census, extract its CSR "
             "communication graph, and cost block / round-robin (and, with "
@@ -245,6 +246,6 @@ def register(sub, place_common=add_place_arguments) -> None:
     )
     p_ps.add_argument(
         "--optimize", action="store_true",
-        help="also run the sparse comm-aware optimizer (moderate ranks)",
+        help="also run the comm-aware optimizer (moderate ranks)",
     )
     p_ps.set_defaults(func=cmd_place_scale)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,25 @@ def make_partition(
     raise ValueError(f"unknown partition method {method!r}")
 
 
+def _load_cached(path: Path, deck: InputDeck, num_ranks: int) -> Partition | None:
+    """The partition stored at ``path``, or ``None`` when the file is
+    unreadable (truncated, not an ``.npz``, missing arrays) or its
+    ``cell_rank`` does not fit ``deck`` and ``num_ranks``.  The caller then
+    recomputes and replaces the file."""
+    try:
+        with np.load(path) as data:
+            cell_rank = data["cell_rank"]
+            method = str(data["method"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
+        return None
+    if cell_rank.shape != (deck.mesh.num_cells,):
+        return None
+    try:
+        return Partition(num_ranks=num_ranks, cell_rank=cell_rank, method=method)
+    except ValueError:  # non-integral or out-of-range rank ids
+        return None
+
+
 def cached_partition(
     deck: InputDeck,
     num_ranks: int,
@@ -89,13 +110,14 @@ def cached_partition(
         ``"block"``, or ``"structured-block"``.
     use_cache:
         Disable to force recomputation (the cache file is then refreshed).
+        An unreadable or mismatched cache file is a miss, and is refreshed
+        the same way.
     """
     path = cache_dir() / f"{_cache_key(deck, num_ranks, method, seed)}.npz"
     if use_cache and path.exists():
-        data = np.load(path)
-        return Partition(
-            num_ranks=num_ranks, cell_rank=data["cell_rank"], method=str(data["method"])
-        )
+        cached = _load_cached(path, deck, num_ranks)
+        if cached is not None:
+            return cached
 
     part = make_partition(deck.mesh, num_ranks, method=method, seed=seed, faces=faces)
 

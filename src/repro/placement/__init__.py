@@ -6,7 +6,8 @@ performance knob in its own right.  This package provides the
 :class:`~repro.placement.base.Placement` abstraction (a validated
 rank→node map), the standard construction strategies (block, round-robin,
 random, communication-aware), and the optimizer that minimises inter-node
-traffic over a partition's communication graph.
+traffic over a partition's communication graph (held in CSR form by
+:mod:`repro.placement.sparse`).
 
 A placement plugs into the machine model via
 :meth:`repro.machine.cluster.ClusterConfig.with_placement`; the simulator
@@ -18,27 +19,17 @@ from repro.placement.base import Placement, compact_labels
 from repro.placement.optimize import (
     comm_aware_placement,
     greedy_refine,
-    inter_node_bytes,
     minimax_refine,
     optimize_placement,
+)
+from repro.placement.sparse import (
+    SparseCommGraph,
+    SparsePairCosts,
+    inter_node_bytes,
     placement_comm_cost,
     rank_comm_bytes,
     rank_pair_times,
     total_pair_bytes,
-)
-from repro.placement.sparse import (
-    SPARSE_DISPATCH_MIN_RANKS,
-    SparseCommGraph,
-    SparsePairCosts,
-    comm_aware_placement_sparse,
-    greedy_refine_sparse,
-    inter_node_bytes_sparse,
-    minimax_refine_sparse,
-    optimize_placement_sparse,
-    placement_comm_cost_sparse,
-    sparse_comm_bytes,
-    sparse_rank_pair_times,
-    total_pair_bytes_sparse,
 )
 from repro.placement.strategies import (
     STRATEGIES,
@@ -53,25 +44,15 @@ __all__ = [
     "compact_labels",
     "comm_aware_placement",
     "greedy_refine",
-    "inter_node_bytes",
     "minimax_refine",
     "optimize_placement",
+    "SparseCommGraph",
+    "SparsePairCosts",
+    "inter_node_bytes",
     "placement_comm_cost",
     "rank_comm_bytes",
     "rank_pair_times",
     "total_pair_bytes",
-    "SPARSE_DISPATCH_MIN_RANKS",
-    "SparseCommGraph",
-    "SparsePairCosts",
-    "comm_aware_placement_sparse",
-    "greedy_refine_sparse",
-    "inter_node_bytes_sparse",
-    "minimax_refine_sparse",
-    "optimize_placement_sparse",
-    "placement_comm_cost_sparse",
-    "sparse_comm_bytes",
-    "sparse_rank_pair_times",
-    "total_pair_bytes_sparse",
     "STRATEGIES",
     "block_placement",
     "make_placement",

@@ -1,40 +1,26 @@
-"""Sparse (CSR) communication graphs and the O(P log P) placement path.
+"""CSR communication graphs, priced pair costs and the placement objectives.
 
-The dense structures in :mod:`repro.placement.optimize` materialise
-``(P, P)`` matrices, which caps honest scaling studies at a few thousand
-ranks.  Krak-style meshes have *bounded-degree* communication graphs — a
-rank talks to its handful of boundary/ghost neighbours — so the graph has
-O(P) edges and everything the optimizers need can be computed from an
-edge list.
+Krak-style meshes have *bounded-degree* communication graphs — a rank
+talks to its handful of boundary/ghost neighbours — so the graph has O(P)
+edges and everything the placement optimizers need can be computed from
+an edge list.  The placement API therefore works on two CSR structures:
 
-This module is the sparse twin of the dense code, with an explicit
-equivalence contract (see ``docs/placement.md`` and
-``tests/test_sparse_dense_equivalence.py``):
+* :class:`SparseCommGraph` (built by :func:`rank_comm_bytes`) — symmetric
+  per-iteration bytes between rank pairs, the inter-node-bytes objective's
+  input (:func:`inter_node_bytes`, :func:`total_pair_bytes`);
+* :class:`SparsePairCosts` (built by :func:`rank_pair_times`) — each
+  link's priced cost as if its endpoints shared a node or not, the
+  makespan-aligned objective's input (:func:`placement_comm_cost`).
 
-* :func:`sparse_comm_bytes` / :func:`sparse_rank_pair_times` produce CSR
-  forms whose materialised entries are **bitwise identical** to
-  :func:`~repro.placement.optimize.rank_comm_bytes` /
-  :func:`~repro.placement.optimize.rank_pair_times` — coalescing sums the
-  per-link contributions in the same order the dense ``+=`` loop does.
-* Byte weights are integer-valued floats far below 2**53, so every sum
-  over them is *exact* regardless of association; the bytes-objective
-  functions and optimizers therefore agree with the dense path exactly,
-  not just to a tolerance.
-* :func:`greedy_refine_sparse` restricts the dense move/swap scan to a
-  provably complete candidate set (a positive move gain requires the
-  target node to host a neighbour; a positive swap gain requires
-  ``conn[a, nb] > 0`` or ``conn[b, na] > 0``), scanned in the same
-  ascending order — so it returns the **same node map** as
-  :func:`~repro.placement.optimize.greedy_refine` while doing
-  O(degree²) work per rank instead of O(P).
-* The priced minimax objective is float-valued, so its sparse refinement
-  only promises the differential tolerance (1e-12 relative on the
-  achieved objective); below :data:`MINIMAX_EXHAUSTIVE_MAX_RANKS` it
-  densifies and runs the dense reference verbatim.
+Byte weights are integer-valued floats far below 2**53, so every sum over
+them is *exact* regardless of association.  Priced costs are not, so
+:func:`placement_comm_cost` keeps one size-based choice: at or below
+:data:`MINIMAX_EXHAUSTIVE_MAX_RANKS` ranks it row-sums the densified
+matrices, above it it scatter-sums the stored entries.  The two sums
+differ in the last bits, and the optimizers compare costs with a strict
+``<``, so the bound fixes which association every small-P result uses.
 
-The dense implementations stay authoritative at small P; the production
-entry points in :mod:`repro.placement.optimize` auto-dispatch here above
-:data:`SPARSE_DISPATCH_MIN_RANKS`.
+The optimizers themselves live in :mod:`repro.placement.optimize`.
 """
 
 from __future__ import annotations
@@ -43,16 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.placement.base import Placement, compact_labels
-
-#: Production optimizers switch from the dense reference to the sparse
-#: path at this rank count (the dense path would build (P, P) float64
-#: matrices — ~2 MB at 512 ranks, and quadratically worse beyond).
-SPARSE_DISPATCH_MIN_RANKS = 512
-
-#: Below this rank count :func:`minimax_refine_sparse` densifies and runs
-#: the dense reference implementation, keeping small-P results bitwise
-#: identical; above it a candidate-restricted heuristic applies.
+#: At or below this rank count the priced objective row-sums the densified
+#: cost matrices and :func:`~repro.placement.optimize.minimax_refine` scans
+#: every move and swap exhaustively; above it both work on stored entries
+#: only (scatter sums, candidate-restricted search).
 MINIMAX_EXHAUSTIVE_MAX_RANKS = 512
 
 
@@ -62,8 +42,8 @@ def _coalesce(num_ranks, src, dst, values):
     The stable lexsort preserves each duplicate group's order of
     appearance, and the unbuffered ``np.add.at`` scatter accumulates
     strictly sequentially in array order — so the coalesced value equals
-    the dense ``graph[src, dst] += value`` loop bitwise (``reduceat``
-    would not: it associates pairwise even on tiny groups).
+    a ``graph[src, dst] += value`` loop bitwise (``reduceat`` would not:
+    it associates pairwise even on tiny groups).
 
     Returns ``(indptr, indices, *summed value columns)``.
     """
@@ -157,39 +137,17 @@ class SparseCommGraph:
         )
 
     def to_dense(self) -> np.ndarray:
-        """Materialise the ``(P, P)`` matrix (small-P reference/testing)."""
+        """Materialise the ``(P, P)`` matrix (small-P inspection/testing)."""
         dense = np.zeros((self.num_ranks, self.num_ranks), dtype=np.float64)
         dense[self.row_of_entry(), self.indices] = self.weights
         return dense
-
-    @classmethod
-    def from_dense(cls, graph: np.ndarray) -> "SparseCommGraph":
-        """CSR form of a dense symmetric graph (zero diagonal enforced)."""
-        graph = np.asarray(graph, dtype=np.float64)
-        if graph.ndim != 2 or graph.shape[0] != graph.shape[1]:
-            raise ValueError("graph must be a square matrix")
-        if not np.array_equal(graph, graph.T):
-            raise ValueError("graph must be symmetric")
-        if np.any(np.diagonal(graph) != 0.0):
-            raise ValueError("graph must have a zero diagonal")
-        rows, cols = np.nonzero(graph)
-        indptr = np.zeros(graph.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(
-            num_ranks=graph.shape[0],
-            indptr=indptr,
-            indices=cols.astype(np.int64),
-            weights=graph[rows, cols],
-        )
 
     @classmethod
     def from_edges(cls, num_ranks, src, dst, weights) -> "SparseCommGraph":
         """Coalesce directed ``(src, dst, weight)`` entries into CSR.
 
         Entries must already include both directions of every undirected
-        edge; duplicates are summed in order of appearance (the dense
-        ``+=`` contract).
+        edge; duplicates are summed in order of appearance.
         """
         indptr, indices, summed = _coalesce(num_ranks, src, dst, [weights])
         return cls(
@@ -216,7 +174,7 @@ def _census_byte_edges(census):
     )
 
 
-def _sparse_census_byte_edges(census):
+def _columnar_census_byte_edges(census):
     """Vectorized byte edges for a columnar SparseLinkCensus."""
     from repro.perfmodel.sparse_mesh import link_bytes
 
@@ -229,29 +187,36 @@ def _sparse_census_byte_edges(census):
     return src, dst, vals
 
 
-def sparse_comm_bytes(census) -> SparseCommGraph:
-    """CSR twin of :func:`~repro.placement.optimize.rank_comm_bytes`.
+def rank_comm_bytes(census) -> SparseCommGraph:
+    """Per-iteration bytes between rank pairs, as a CSR graph.
+
+    Sums every boundary-exchange message (count × size, including the
+    multi-material surcharge) and every ghost-update message a rank sends
+    its neighbour in one iteration.  Both directions of a link contribute,
+    so the weight of ``(a, b)`` is the total traffic the pair would
+    exchange — exactly what crossing a node boundary costs under pairwise
+    pricing.
 
     Accepts either an object-based
-    :class:`~repro.hydro.workload.WorkloadCensus` (walked link by link,
-    like the dense builder — entries are bitwise identical to the dense
-    matrix) or a columnar
-    :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus` (fully
-    vectorized, no Python per-link loop — the million-rank path).
+    :class:`~repro.hydro.workload.WorkloadCensus` (walked link by link) or
+    a columnar :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`
+    (fully vectorized, no Python per-link loop — the million-rank path).
     """
     if hasattr(census, "boundary_links"):
         src, dst, vals = _census_byte_edges(census)
     else:
-        src, dst, vals = _sparse_census_byte_edges(census)
+        src, dst, vals = _columnar_census_byte_edges(census)
     return SparseCommGraph.from_edges(census.num_ranks, src, dst, vals)
 
 
-def inter_node_bytes_sparse(placement, graph: SparseCommGraph) -> float:
-    """Bytes crossing node boundaries — O(edges) time, O(edges) memory.
+def inter_node_bytes(placement, graph: SparseCommGraph) -> float:
+    """Bytes crossing node boundaries under ``placement`` (the objective).
 
-    ``placement`` may be a :class:`~repro.placement.base.Placement` or a
-    bare ``node_of_rank`` array.  Weights are integer-valued, so the edge
-    sum equals the dense masked sum exactly.
+    Each unordered rank pair on different nodes contributes its symmetric
+    weight once.  ``placement`` may be a
+    :class:`~repro.placement.base.Placement` or a bare ``node_of_rank``
+    array.  O(edges) time and memory; weights are integer-valued, so the
+    edge sum is exact.
     """
     nodes = getattr(placement, "node_of_rank", placement)
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -261,8 +226,8 @@ def inter_node_bytes_sparse(placement, graph: SparseCommGraph) -> float:
     return float(graph.weights[cross].sum()) / 2.0
 
 
-def total_pair_bytes_sparse(graph: SparseCommGraph) -> float:
-    """All pairwise bytes (each undirected edge stored twice)."""
+def total_pair_bytes(graph: SparseCommGraph) -> float:
+    """All pairwise bytes in the graph (the inter-node objective's ceiling)."""
     return float(graph.weights.sum()) / 2.0
 
 
@@ -271,13 +236,12 @@ def total_pair_bytes_sparse(graph: SparseCommGraph) -> float:
 
 @dataclass(frozen=True)
 class SparsePairCosts:
-    """CSR twin of the dense ``(T_intra, T_inter)`` matrix pair.
+    """Per-link priced comm costs at each network level, in CSR form.
 
     Topology arrays are shared between the two cost columns; entry ``k``
-    prices the directed pair ``(row_of_entry[k], indices[k])`` as if on
-    the same node (``t_intra``) or different nodes (``t_inter``) — the
-    same per-entry semantics as
-    :func:`~repro.placement.optimize.rank_pair_times`.
+    is rank ``row_of_entry()[k]``'s per-iteration cost on its link to
+    ``indices[k]``, priced as if the pair were on the same node
+    (``t_intra``) or on different nodes (``t_inter``).
     """
 
     num_ranks: int
@@ -299,7 +263,7 @@ class SparsePairCosts:
         return self._rows[0]
 
     def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise the dense matrix pair (small-P reference/testing)."""
+        """Materialise the ``(T_intra, T_inter)`` matrix pair (small P)."""
         rows = self.row_of_entry()
         intra = np.zeros((self.num_ranks, self.num_ranks), dtype=np.float64)
         inter = np.zeros_like(intra)
@@ -307,17 +271,23 @@ class SparsePairCosts:
         inter[rows, self.indices] = self.t_inter
         return intra, inter
 
-    def delta(self) -> np.ndarray:
-        """Per-entry ``t_inter - t_intra`` (what sharing a node saves)."""
-        return self.t_inter - self.t_intra
 
+def rank_pair_times(census, cluster) -> SparsePairCosts:
+    """Per-link priced comm cost at each network level.
 
-def sparse_rank_pair_times(census, cluster) -> SparsePairCosts:
-    """CSR twin of :func:`~repro.placement.optimize.rank_pair_times`.
+    Rank ``a``'s cost on its link to ``b`` is the wire time of every
+    message it sends (Equations (5)–(7) tallies through the level's
+    ``Tmsg``) plus the host overheads both endpoints pay (``a``'s sends,
+    and the receives of ``b``'s mirrored messages charged to ``b``'s row)
+    — priced as if the pair were on the same node (``t_intra``) or on
+    different nodes (``t_inter``).  The placement then just selects, per
+    pair, which price applies; each rank's sum is its p2p cost, whose max
+    is the makespan-aligned objective.  Contributions to one pair are
+    summed in link-walk order.
 
-    Walks the same link tallies and coalesces the same contributions in
-    the same order, so every stored entry is bitwise identical to the
-    dense matrix element of the same pair.
+    Requires ``cluster.hierarchy``; intra host overheads default to the
+    flat cluster overheads when the hierarchy does not declare cheaper
+    shared-memory values.
     """
     from repro.perfmodel.boundary import priced_tally_time
     from repro.perfmodel.ghostmodel import priced_ghost_time
@@ -325,9 +295,7 @@ def sparse_rank_pair_times(census, cluster) -> SparsePairCosts:
 
     hierarchy = cluster.hierarchy
     if hierarchy is None:
-        raise ValueError(
-            "sparse_rank_pair_times needs an SMP hierarchy on the cluster"
-        )
+        raise ValueError("rank_pair_times needs an SMP hierarchy on the cluster")
     send_inter, recv_inter = cluster.send_overhead, cluster.recv_overhead
     send_intra = (
         send_inter
@@ -372,427 +340,43 @@ def sparse_rank_pair_times(census, cluster) -> SparsePairCosts:
     )
 
 
-def placement_comm_cost_sparse(
-    node_of_rank: np.ndarray, costs: SparsePairCosts
-) -> tuple[float, float]:
-    """``(max per-rank cost, total cost)`` from CSR pair costs.
+def dense_rank_costs(
+    nodes: np.ndarray, t_intra: np.ndarray, t_inter: np.ndarray
+) -> np.ndarray:
+    """Row sums of the densified costs priced under ``nodes``."""
+    return np.where(nodes[:, None] == nodes[None, :], t_intra, t_inter).sum(axis=1)
 
-    Same objective as
-    :func:`~repro.placement.optimize.placement_comm_cost`; per-rank sums
-    run over the stored entries only, so the result matches the dense
-    row sums to the differential tolerance (summation association
-    differs, values do not).
+
+def rank_costs(node_of_rank: np.ndarray, costs: SparsePairCosts) -> np.ndarray:
+    """Each rank's priced p2p cost under a rank→node map.
+
+    At or below :data:`MINIMAX_EXHAUSTIVE_MAX_RANKS` ranks the densified
+    rows are summed (:func:`dense_rank_costs`); above it the stored
+    entries are scatter-summed per row.  The values agree to the last few
+    bits; only the summation association differs.
     """
     nodes = np.asarray(node_of_rank, dtype=np.int64)
     if nodes.shape != (costs.num_ranks,):
         raise ValueError("node_of_rank size does not match the cost graph")
+    if costs.num_ranks <= MINIMAX_EXHAUSTIVE_MAX_RANKS:
+        return dense_rank_costs(nodes, *costs.to_dense())
     rows = costs.row_of_entry()
     same = nodes[rows] == nodes[costs.indices]
-    priced = np.where(same, costs.t_intra, costs.t_inter)
     per_rank = np.zeros(costs.num_ranks, dtype=np.float64)
-    np.add.at(per_rank, rows, priced)
-    return float(per_rank.max()), float(per_rank.sum())
-
-
-def _per_rank_costs(nodes: np.ndarray, costs: SparsePairCosts) -> np.ndarray:
-    """Per-rank priced cost vector under ``nodes`` (vectorized)."""
-    rows = costs.row_of_entry()
-    same = nodes[rows] == nodes[costs.indices]
-    priced = np.where(same, costs.t_intra, costs.t_inter)
-    per_rank = np.zeros(costs.num_ranks, dtype=np.float64)
-    np.add.at(per_rank, rows, priced)
+    np.add.at(per_rank, rows, np.where(same, costs.t_intra, costs.t_inter))
     return per_rank
 
 
-# -------------------------------------------------------- bytes optimizer
+def placement_comm_cost(
+    node_of_rank: np.ndarray, costs: SparsePairCosts
+) -> tuple[float, float]:
+    """``(max per-rank cost, total cost)`` of a rank→node map.
 
-
-def _node_members(nodes: np.ndarray, num_nodes: int) -> list:
-    members: list = [set() for _ in range(num_nodes)]
-    for rank, node in enumerate(nodes.tolist()):
-        members[node].add(rank)
-    return members
-
-
-def greedy_refine_sparse(
-    node_of_rank: np.ndarray,
-    graph: SparseCommGraph,
-    ranks_per_node: int,
-    num_nodes: int,
-    max_passes: int = 8,
-) -> np.ndarray:
-    """Sparse :func:`~repro.placement.optimize.greedy_refine` — same result.
-
-    The dense scan tries every node and every higher-numbered rank; here
-    each rank only scans a provably complete candidate set:
-
-    * **moves** — ``gain = conn[a, m] - conn[a, na]`` is positive only if
-      ``conn[a, m] > 0``, i.e. node ``m`` hosts a neighbour of ``a``;
-    * **swaps** — ``gain > 0`` requires ``conn[a, nb] > 0`` (``b`` sits on
-      a node hosting a neighbour of ``a``) or ``conn[b, na] > 0`` (``b``
-      neighbours a rank on ``a``'s node).
-
-    Candidates are scanned in the dense code's ascending order and gains
-    use the same float expressions over exactly-summed integer byte
-    weights, so every accepted operation — and hence the final node map —
-    is identical to the dense reference.
+    Each rank's cost sums its links' intra prices where the pair shares a
+    node and inter prices elsewhere (:func:`rank_costs`).  The
+    lexicographic pair orders placements the way a synchronising
+    iteration experiences them: the slowest rank first, aggregate traffic
+    as tiebreak.
     """
-    nodes = np.asarray(node_of_rank, dtype=np.int64).copy()
-    num_ranks = graph.num_ranks
-    counts = np.bincount(nodes, minlength=num_nodes)
-    members = _node_members(nodes, num_nodes)
-
-    def conn_of(rank: int) -> dict:
-        """Bytes ``rank`` exchanges with each node (exact, on the fly)."""
-        nbrs, weights = graph.row(rank)
-        conn: dict = {}
-        for nbr, w in zip(nbrs.tolist(), weights.tolist()):
-            node = int(nodes[nbr])
-            conn[node] = conn.get(node, 0.0) + w
-        return conn
-
-    def apply_move(rank: int, dst: int) -> None:
-        src = int(nodes[rank])
-        nodes[rank] = dst
-        counts[src] -= 1
-        counts[dst] += 1
-        members[src].discard(rank)
-        members[dst].add(rank)
-
-    for _ in range(max_passes):
-        improved = False
-        for a in range(num_ranks):
-            na = int(nodes[a])
-            nbrs_a, weights_a = graph.row(a)
-            conn_a = conn_of(a)
-            w_ab = dict(zip(nbrs_a.tolist(), weights_a.tolist()))
-            best_gain = 0.0
-            best_op = None
-            for m in sorted(conn_a):
-                if m == na or counts[m] >= ranks_per_node:
-                    continue
-                gain = conn_a[m] - conn_a.get(na, 0.0)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_op = ("move", m)
-            candidates: set = set()
-            for node in conn_a:
-                if node != na:
-                    candidates.update(members[node])
-            for mate in members[na]:
-                candidates.update(graph.row(mate)[0].tolist())
-            for b in sorted(candidates):
-                if b <= a:
-                    continue
-                nb = int(nodes[b])
-                if nb == na:
-                    continue
-                conn_b = conn_of(b)
-                w = w_ab.get(b, 0.0)
-                gain = (
-                    (conn_a.get(nb, 0.0) - conn_a.get(na, 0.0))
-                    + (conn_b.get(na, 0.0) - conn_b.get(nb, 0.0))
-                    - 2.0 * w
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    best_op = ("swap", b)
-            if best_op is None:
-                continue
-            improved = True
-            if best_op[0] == "move":
-                apply_move(a, best_op[1])
-            else:
-                b = best_op[1]
-                nb = int(nodes[b])
-                apply_move(a, nb)
-                apply_move(b, na)
-        if not improved:
-            break
-    return nodes
-
-
-def _subset_entries(graph: SparseCommGraph, ranks: np.ndarray):
-    """All CSR entries whose row is in ``ranks``: (local row, col, weight)."""
-    starts = graph.indptr[ranks]
-    lengths = (graph.indptr[ranks + 1] - starts).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i, np.empty(0, dtype=np.float64)
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    flat = np.repeat(starts - offsets, lengths) + np.arange(total)
-    local_rows = np.repeat(np.arange(ranks.size, dtype=np.int64), lengths)
-    return local_rows, graph.indices[flat], graph.weights[flat]
-
-
-def _bisect_sparse(
-    ranks: np.ndarray,
-    graph: SparseCommGraph,
-    num_nodes: int,
-    ranks_per_node: int,
-    next_node: int,
-    out: np.ndarray,
-) -> int:
-    """Sparse twin of the dense ``_bisect`` recursion — same splits.
-
-    Greedy growth over a *vector* of subset-restricted connectivities:
-    integer byte weights make every accumulated value exact, so each
-    ``argmax`` (ties → lowest id, as ``np.argmax``) picks the same rank
-    the dense sub-matrix walk does.
-    """
-    if num_nodes == 1 or ranks.size == 0:
-        out[ranks] = next_node
-        return next_node + 1
-    n_left = (num_nodes + 1) // 2
-    n_right = num_nodes - n_left
-    size = ranks.size
-    lower = max(0, size - n_right * ranks_per_node)
-    upper = min(size, n_left * ranks_per_node)
-    ideal = int(round(size * n_left / num_nodes))
-    target = min(max(ideal, lower), upper)
-
-    pos = np.full(graph.num_ranks, -1, dtype=np.int64)
-    pos[ranks] = np.arange(size)
-    local_rows, cols, weights = _subset_entries(graph, ranks)
-    inside = pos[cols] >= 0
-    local_rows = local_rows[inside]
-    local_cols = pos[cols[inside]]
-    weights = weights[inside]
-
-    in_left = np.zeros(size, dtype=bool)
-    if target > 0:
-        degree = np.zeros(size, dtype=np.float64)
-        np.add.at(degree, local_rows, weights)
-        seed = int(np.argmax(degree))
-        in_left[seed] = True
-        conn = np.zeros(size, dtype=np.float64)
-        row_sel = local_rows == seed
-        np.add.at(conn, local_cols[row_sel], weights[row_sel])
-        for _ in range(target - 1):
-            conn_masked = np.where(in_left, -np.inf, conn)
-            pick = int(np.argmax(conn_masked))
-            in_left[pick] = True
-            row_sel = local_rows == pick
-            np.add.at(conn, local_cols[row_sel], weights[row_sel])
-    left = ranks[in_left]
-    right = ranks[~in_left]
-    next_node = _bisect_sparse(
-        left, graph, n_left, ranks_per_node, next_node, out
-    )
-    return _bisect_sparse(
-        right, graph, n_right, ranks_per_node, next_node, out
-    )
-
-
-def comm_aware_placement_sparse(
-    graph: SparseCommGraph,
-    ranks_per_node: int,
-    max_passes: int = 8,
-    name: str = "comm-aware",
-) -> Placement:
-    """Sparse :func:`~repro.placement.optimize.comm_aware_placement`.
-
-    Same three starts, same refinement, same strict cost comparison —
-    and, because every intermediate quantity is an exactly-summed integer
-    byte count, the same node map as the dense reference.  Work and
-    memory are O(P · degree²) per refinement pass instead of O(P²).
-    """
-    if ranks_per_node < 1:
-        raise ValueError("ranks_per_node must be >= 1")
-    num_ranks = graph.num_ranks
-    num_nodes = (num_ranks + ranks_per_node - 1) // ranks_per_node
-    bisected = np.empty(num_ranks, dtype=np.int64)
-    _bisect_sparse(
-        np.arange(num_ranks), graph, num_nodes, ranks_per_node, 0, bisected
-    )
-    ranks = np.arange(num_ranks, dtype=np.int64)
-    starts = (bisected, ranks // ranks_per_node, ranks % num_nodes)
-    best = None
-    best_cost = np.inf
-    for start in starts:
-        refined = greedy_refine_sparse(
-            start, graph, ranks_per_node, num_nodes, max_passes
-        )
-        cost = inter_node_bytes_sparse(refined, graph)
-        if cost < best_cost:  # strict: ties keep the earlier start
-            best, best_cost = refined, cost
-    return Placement(
-        node_of_rank=compact_labels(best), ranks_per_node=ranks_per_node,
-        name=name,
-    )
-
-
-# ------------------------------------------------------- priced optimizer
-
-
-def minimax_refine_sparse(
-    node_of_rank: np.ndarray,
-    costs: SparsePairCosts,
-    ranks_per_node: int,
-    num_nodes: int,
-    max_passes: int = 8,
-) -> np.ndarray:
-    """Sparse local search on the priced ``(max, total)`` objective.
-
-    Below :data:`MINIMAX_EXHAUSTIVE_MAX_RANKS` the dense reference runs
-    verbatim on densified matrices (bitwise-identical decisions).  Above
-    it, a candidate-restricted heuristic applies: each rank considers
-    moves to nodes hosting its graph neighbours (plus the first node with
-    a free slot — the escape hatch for adversarial networks where
-    spreading out wins) and swaps against the ranks on those nodes.  The
-    acceptance rule is the dense one — strict improvement on
-    ``(max, total)`` — and every trial is scored by exact O(degree)
-    re-costing of the touched rows, so the heuristic never accepts an op
-    the dense objective would reject.
-    """
-    nodes = np.asarray(node_of_rank, dtype=np.int64).copy()
-    num_ranks = costs.num_ranks
-    if num_ranks <= MINIMAX_EXHAUSTIVE_MAX_RANKS:
-        from repro.placement.optimize import minimax_refine
-
-        t_intra, t_inter = costs.to_dense()
-        return minimax_refine(
-            nodes, t_intra, t_inter, ranks_per_node, num_nodes, max_passes
-        )
-
-    indptr, indices = costs.indptr, costs.indices
-    t_intra, t_inter = costs.t_intra, costs.t_inter
-
-    def row_cost(tmp_nodes: np.ndarray, rank: int) -> float:
-        """Rank's full priced row cost under a candidate node map."""
-        lo, hi = int(indptr[rank]), int(indptr[rank + 1])
-        same = tmp_nodes[indices[lo:hi]] == tmp_nodes[rank]
-        return float(np.where(same, t_intra[lo:hi], t_inter[lo:hi]).sum())
-
-    def neighbours(rank: int) -> np.ndarray:
-        return indices[int(indptr[rank]) : int(indptr[rank + 1])]
-
-    per_rank = _per_rank_costs(nodes, costs)
-    current = (float(per_rank.max()), float(per_rank.sum()))
-    counts = np.bincount(nodes, minlength=num_nodes)
-
-    def trial_cost(changes: dict) -> tuple[float, float]:
-        """``(max, total)`` after replacing a few per-rank row costs."""
-        new_total = current[1]
-        local_max = -np.inf
-        displaced_max = False
-        for rank, value in changes.items():
-            new_total += value - per_rank[rank]
-            if value > local_max:
-                local_max = value
-            if per_rank[rank] == current[0]:
-                displaced_max = True
-        if displaced_max:
-            # A rank at the current max changed: rescan the untouched rest.
-            mask = np.ones(num_ranks, dtype=bool)
-            mask[np.fromiter(changes, dtype=np.int64, count=len(changes))] = False
-            if mask.any():
-                local_max = max(local_max, float(per_rank[mask].max()))
-        else:
-            local_max = max(local_max, current[0])
-        return local_max, new_total
-
-    def score_map(scratch: np.ndarray, touched) -> tuple[float, float]:
-        return trial_cost({r: row_cost(scratch, r) for r in touched})
-
-    for _ in range(max_passes):
-        improved = False
-        for a in range(num_ranks):
-            na = int(nodes[a])
-            nbrs_a = neighbours(a)
-            nbr_nodes = sorted(set(nodes[nbrs_a].tolist()) - {na})
-            free = np.flatnonzero(counts < ranks_per_node)
-            move_targets = set(nbr_nodes)
-            if free.size:
-                move_targets.add(int(free[0]))
-            best = current
-            best_op = None
-            scratch = nodes.copy()
-            for m in sorted(move_targets):
-                if m == na or counts[m] >= ranks_per_node:
-                    continue
-                scratch[a] = m
-                cost = score_map(scratch, {a, *nbrs_a.tolist()})
-                scratch[a] = na
-                if cost < best:
-                    best = cost
-                    best_op = ("move", m)
-            swap_candidates: set = set()
-            for m in nbr_nodes:
-                swap_candidates.update(np.flatnonzero(nodes == m).tolist())
-            for b in sorted(swap_candidates):
-                nb = int(nodes[b])
-                if b <= a or nb == na:
-                    continue
-                scratch[a], scratch[b] = nb, na
-                touched = {a, b, *nbrs_a.tolist(), *neighbours(b).tolist()}
-                cost = score_map(scratch, touched)
-                scratch[a], scratch[b] = na, nb
-                if cost < best:
-                    best = cost
-                    best_op = ("swap", b)
-            if best_op is None:
-                continue
-            improved = True
-            if best_op[0] == "move":
-                counts[na] -= 1
-                counts[best_op[1]] += 1
-                nodes[a] = best_op[1]
-            else:
-                b = best_op[1]
-                nodes[a], nodes[b] = nodes[b], nodes[a]
-            per_rank = _per_rank_costs(nodes, costs)
-            current = (float(per_rank.max()), float(per_rank.sum()))
-        if not improved:
-            break
-    return nodes
-
-
-def optimize_placement_sparse(
-    census,
-    cluster,
-    max_passes: int = 8,
-    name: str = "comm-aware",
-) -> Placement:
-    """Sparse :func:`~repro.placement.optimize.optimize_placement`.
-
-    Same three starts (block, round-robin, bytes-objective) refined under
-    the priced ``(max, total)`` objective.  Below
-    :data:`MINIMAX_EXHAUSTIVE_MAX_RANKS` the refinement and final costing
-    replicate the dense reference exactly.
-    """
-    costs = sparse_rank_pair_times(census, cluster)
-    ranks_per_node = cluster.hierarchy.ranks_per_node
-    num_ranks = census.num_ranks
-    num_nodes = (num_ranks + ranks_per_node - 1) // ranks_per_node
-    ranks = np.arange(num_ranks, dtype=np.int64)
-    bytes_start = comm_aware_placement_sparse(
-        sparse_comm_bytes(census), ranks_per_node
-    ).node_of_rank
-    starts = (ranks // ranks_per_node, ranks % num_nodes, bytes_start)
-    # Below the exhaustive threshold, score candidates with the *dense*
-    # coster: near-tied starts differ by association-order ULPs between
-    # the two costers, and a strict `<` would then pick different winners.
-    # Densifying keeps the whole small-P pipeline bitwise identical to
-    # the dense reference, not merely 1e-12-close.
-    if num_ranks <= MINIMAX_EXHAUSTIVE_MAX_RANKS:
-        from repro.placement.optimize import placement_comm_cost
-
-        t_intra, t_inter = costs.to_dense()
-        cost_of = lambda nodes: placement_comm_cost(nodes, t_intra, t_inter)
-    else:
-        cost_of = lambda nodes: placement_comm_cost_sparse(nodes, costs)
-    best = None
-    best_cost = (np.inf, np.inf)
-    for start in starts:
-        refined = minimax_refine_sparse(
-            start, costs, ranks_per_node, num_nodes, max_passes
-        )
-        cost = cost_of(refined)
-        if cost < best_cost:  # strict: ties keep the earlier start
-            best, best_cost = refined, cost
-    return Placement(
-        node_of_rank=compact_labels(best), ranks_per_node=ranks_per_node,
-        name=name,
-    )
+    per_rank = rank_costs(node_of_rank, costs)
+    return float(per_rank.max()), float(per_rank.sum())

@@ -23,11 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.placement.base import Placement
-from repro.placement.optimize import (
-    comm_aware_placement,
-    optimize_placement,
-    rank_comm_bytes,
-)
+from repro.placement.optimize import comm_aware_placement, optimize_placement
+from repro.placement.sparse import SparseCommGraph, rank_comm_bytes
 
 #: Strategy names understood by :func:`make_placement` (``random`` accepts
 #: an optional ``random:<seed>`` suffix).
@@ -99,7 +96,7 @@ def make_placement(
     num_ranks: int,
     ranks_per_node: int,
     census=None,
-    graph: np.ndarray | None = None,
+    graph: SparseCommGraph | None = None,
     cluster=None,
     seed: int = 0,
 ) -> Placement:
@@ -109,9 +106,9 @@ def make_placement(
     ``random:<seed>`` suffix overriding ``seed``.  ``comm-aware`` needs the
     communication structure: a ``census``
     (:class:`~repro.hydro.workload.WorkloadCensus`) or a precomputed
-    ``graph``.  With both a census and an SMP ``cluster``, the optimizer
-    runs against the priced machine
-    (:func:`~repro.placement.optimize.optimize_placement`, the
+    :class:`~repro.placement.sparse.SparseCommGraph` ``graph``.  With both
+    a census and an SMP ``cluster``, the optimizer runs against the priced
+    machine (:func:`~repro.placement.optimize.optimize_placement`, the
     makespan-aligned objective); otherwise it falls back to unpriced
     inter-node bytes.
     """
@@ -135,7 +132,7 @@ def make_placement(
                     "comm-aware placement needs a census or communication graph"
                 )
             graph = rank_comm_bytes(census)
-        if graph.shape[0] != num_ranks:
+        if graph.num_ranks != num_ranks:
             raise ValueError("communication graph does not match num_ranks")
         return comm_aware_placement(graph, ranks_per_node)
     raise ValueError(

@@ -240,10 +240,19 @@ class PredictionServer:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                text = value.strip()
+                if not (text.isascii() and text.isdigit()):
+                    return 400, {"error": f"invalid Content-Length {text!r}"}
+                content_length = int(text)
         if content_length > _MAX_BODY_BYTES:
             return 400, {"error": "request body too large"}
-        body = await reader.readexactly(content_length) if content_length else b""
+        try:
+            body = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError as exc:
+            return 400, {
+                "error": f"request body ended after {len(exc.partial)} of "
+                f"{content_length} bytes"
+            }
 
         self.counters["requests"] += 1
         if method == "GET" and path == "/healthz":

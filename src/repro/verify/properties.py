@@ -17,11 +17,6 @@ that hold for every valid scenario regardless of implementation:
   the inter-node network (and no on-node overhead discounts apply), any
   placement with the same node-occupancy multiset is cost-identical, so
   shuffling ranks across nodes must not move a single charged nanosecond;
-* **sparse ≡ dense placement costing** — the CSR communication graph,
-  pairwise priced costs, placement objectives, and the bytes-objective
-  optimizer's node map must match their dense (P, P) reference forms, so
-  a sparse-path edit is caught by the same fuzz lane that guards engine
-  edits;
 * **null-perturbation identity** — a perturbation spec with every knob at
   zero is bitwise free: traces and clocks match the unperturbed run
   exactly (checked at rtol 0, not the differential tolerance).
@@ -249,90 +244,6 @@ def _check_flat_invariance(built, rtol: float, violations: list) -> None:
         )
 
 
-def _check_sparse_equivalence(built, rtol: float, violations: list) -> None:
-    """CSR placement costing must reproduce the dense reference."""
-    from repro.placement import (
-        block_placement,
-        comm_aware_placement,
-        comm_aware_placement_sparse,
-        inter_node_bytes,
-        inter_node_bytes_sparse,
-        placement_comm_cost,
-        placement_comm_cost_sparse,
-        rank_comm_bytes,
-        rank_pair_times,
-        round_robin_placement,
-        sparse_comm_bytes,
-        sparse_rank_pair_times,
-    )
-
-    census = built.census
-    scenario = built.scenario
-    dense = rank_comm_bytes(census)
-    sparse = sparse_comm_bytes(census)
-    if not np.array_equal(sparse.to_dense(), dense):
-        violations.append(
-            PropertyViolation(
-                "sparse_graph_equivalence",
-                "CSR comm graph diverged from the dense rank_comm_bytes matrix",
-            )
-        )
-        return
-    rpn = scenario.ranks_per_node
-    placements = (
-        block_placement(scenario.num_ranks, rpn),
-        round_robin_placement(scenario.num_ranks, rpn),
-    )
-    for placement in placements:
-        errs = relative_errors(
-            inter_node_bytes(placement, dense),
-            inter_node_bytes_sparse(placement, sparse),
-        )
-        if not (errs <= rtol).all():
-            violations.append(
-                PropertyViolation(
-                    "sparse_inter_node_bytes",
-                    f"{placement.name}: rel err {float(errs.max()):.3e}",
-                )
-            )
-    dense_map = comm_aware_placement(dense, rpn).node_of_rank
-    sparse_map = comm_aware_placement_sparse(sparse, rpn).node_of_rank
-    if not np.array_equal(dense_map, sparse_map):
-        violations.append(
-            PropertyViolation(
-                "sparse_comm_aware_map",
-                "sparse bytes-objective optimizer chose a different node map",
-            )
-        )
-    if built.smp_base is None:
-        return
-    t_intra, t_inter = rank_pair_times(census, built.smp_base)
-    costs = sparse_rank_pair_times(census, built.smp_base)
-    sparse_intra, sparse_inter = costs.to_dense()
-    if not (
-        np.array_equal(sparse_intra, t_intra)
-        and np.array_equal(sparse_inter, t_inter)
-    ):
-        violations.append(
-            PropertyViolation(
-                "sparse_pair_times",
-                "CSR pair costs diverged from the dense rank_pair_times matrices",
-            )
-        )
-        return
-    for placement in placements:
-        dense_cost = placement_comm_cost(placement.node_of_rank, t_intra, t_inter)
-        sparse_cost = placement_comm_cost_sparse(placement.node_of_rank, costs)
-        errs = relative_errors(np.array(dense_cost), np.array(sparse_cost))
-        if not (errs <= rtol).all():
-            violations.append(
-                PropertyViolation(
-                    "sparse_placement_cost",
-                    f"{placement.name}: rel err {float(errs.max()):.3e}",
-                )
-            )
-
-
 def _check_null_perturb_identity(built, violations: list, base_run) -> None:
     """A perturbation spec with every knob at zero must be bitwise free."""
     from repro.perturb import PerturbSpec
@@ -359,7 +270,6 @@ def check_properties(built, rtol: float = DEFAULT_RTOL, production_run=None) -> 
     violations: list = []
     run = production_run if production_run is not None else _run(built)
     _check_sanity(run, violations)
-    _check_sparse_equivalence(built, rtol, violations)
     if built.perturb is None:
         # The production run above is the unperturbed baseline, so the
         # null-spec run must reproduce it bit for bit.

@@ -402,9 +402,8 @@ def random_scenario(seed: int) -> Scenario:
     elif archetype == "large_sparse_mesh":
         # High rank count, low degree: the structured-block partition of a
         # large mesh gives every rank a handful of neighbours — the regime
-        # the sparse O(P log P) path is built for, exercised here so the
-        # fuzz lane checks sparse == dense placement costing on graphs
-        # whose sparsity actually matters.
+        # the CSR placement structures are built for, so the fuzz lane
+        # and the placement golden cover graphs whose sparsity matters.
         fields["nx"] = rng.randrange(10, 14)
         fields["ny"] = rng.randrange(6, 10)
         fields["num_ranks"] = min(

@@ -73,6 +73,25 @@ class TestResultStore:
         assert len(sweeps) == 0
         assert other.get("c") == 3
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], id="truncated-json"),
+            pytest.param(lambda text: "\udcff\x00garbage", id="garbage-bytes"),
+        ],
+    )
+    def test_unreadable_artifact_is_a_miss_then_replaced(self, tmp_cache, damage):
+        store = sweep_store()
+        value = {"measured": 0.125, "predicted": {"homogeneous": 0.1}}
+        path = store.put("k", value)
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(damage(text).encode("utf-8", "surrogateescape"))
+        assert store.get("k") is None
+        assert store.get("k", "miss") == "miss"
+        assert "k" not in store
+        store.put("k", value)
+        assert store.get("k") == value
+
     def test_invalid_namespace_rejected(self):
         with pytest.raises(ValueError, match="namespace"):
             ResultStore(namespace="../escape")

@@ -25,9 +25,9 @@ from repro.perfmodel import (
 )
 from repro.placement import (
     block_placement,
-    inter_node_bytes_sparse,
+    inter_node_bytes,
+    rank_comm_bytes,
     round_robin_placement,
-    sparse_comm_bytes,
 )
 
 #: Peak traced bytes allowed per rank.  A dense path would need 8 bytes
@@ -93,11 +93,11 @@ class TestMillionRanks:
         ranks = 100_000
         tracemalloc.start()
         census = weak_scaled_census(ranks)
-        graph = sparse_comm_bytes(census)
+        graph = rank_comm_bytes(census)
         block = block_placement(ranks, 4)
         spread = round_robin_placement(ranks, 4)
-        inter_block = inter_node_bytes_sparse(block, graph)
-        inter_spread = inter_node_bytes_sparse(spread, graph)
+        inter_block = inter_node_bytes(block, graph)
+        inter_spread = inter_node_bytes(spread, graph)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < PEAK_BYTES_PER_RANK * ranks

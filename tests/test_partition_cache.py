@@ -38,6 +38,27 @@ class TestCachedPartition:
         p2 = cached_partition(deck, 4, method="multilevel", seed=3, use_cache=False)
         assert np.array_equal(p1.cell_rank, p2.cell_rank)
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "short", "range"])
+    def test_unreadable_or_mismatched_file_is_a_miss(self, tmp_cache, damage):
+        deck = build_deck((16, 8))
+        expected = cached_partition(deck, 4, method="rcb")
+        (path,) = (tmp_cache / "partitions").glob("*.npz")
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:40])
+        elif damage == "garbage":
+            path.write_bytes(b"\x00not a zip archive\xff" * 8)
+        elif damage == "short":
+            np.savez_compressed(path, cell_rank=np.zeros(5, np.int64), method="rcb")
+        else:
+            cell_rank = expected.cell_rank + 4  # every rank id out of range
+            np.savez_compressed(path, cell_rank=cell_rank, method="rcb")
+        again = cached_partition(deck, 4, method="rcb")
+        assert np.array_equal(again.cell_rank, expected.cell_rank)
+        assert again.method == "rcb"
+        # The miss rewrote the file: it loads cleanly now.
+        with np.load(path) as data:
+            assert np.array_equal(data["cell_rank"], expected.cell_rank)
+
     def test_unknown_method(self, tmp_cache):
         deck = build_deck((16, 8))
         with pytest.raises(ValueError, match="unknown partition method"):

@@ -19,6 +19,8 @@ from repro.machine.hierarchy import es45_hierarchical_network, hier_bcast_time
 from repro.partition import cached_partition
 from repro.placement import (
     Placement,
+    SparseCommGraph,
+    SparsePairCosts,
     block_placement,
     comm_aware_placement,
     compact_labels,
@@ -35,6 +37,21 @@ from repro.placement import (
 )
 
 STRATEGY_TOKENS = ("block", "round-robin", "random:3", "comm-aware")
+
+
+def csr(dense: np.ndarray) -> SparseCommGraph:
+    """The CSR graph of a dense symmetric byte matrix."""
+    rows, cols = np.nonzero(dense)
+    return SparseCommGraph.from_edges(dense.shape[0], rows, cols, dense[rows, cols])
+
+
+def leading_ranks(graph: SparseCommGraph, num_ranks: int) -> SparseCommGraph:
+    """The subgraph among ranks ``0 .. num_ranks - 1``."""
+    rows = graph.row_of_entry()
+    keep = (rows < num_ranks) & (graph.indices < num_ranks)
+    return SparseCommGraph.from_edges(
+        num_ranks, rows[keep], graph.indices[keep], graph.weights[keep]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +77,7 @@ class TestPlacementInvariants:
         np.fill_diagonal(graph, 0.0)
         placement = make_placement(
             token, num_ranks=num_ranks, ranks_per_node=ranks_per_node,
-            graph=graph,
+            graph=csr(graph),
         )
         assert placement.num_ranks == num_ranks
         counts = np.bincount(placement.node_of_rank)
@@ -74,7 +91,7 @@ class TestPlacementInvariants:
         """No strategy wastes nodes: occupancy needs exactly ceil(P/c)."""
         for token in STRATEGY_TOKENS:
             placement = make_placement(
-                token, num_ranks=10, ranks_per_node=4, graph=small_graph[:10, :10]
+                token, num_ranks=10, ranks_per_node=4, graph=leading_ranks(small_graph, 10)
             )
             assert placement.num_nodes == 3, token
 
@@ -299,7 +316,7 @@ class TestPairwisePricing:
 class TestOptimizer:
     def test_comm_aware_never_worse_than_block_bytes(self, small_graph):
         for num_ranks in (8, 12, 16):
-            graph = small_graph[:num_ranks, :num_ranks]
+            graph = leading_ranks(small_graph, num_ranks)
             optimized = comm_aware_placement(graph, 4)
             block = block_placement(num_ranks, 4)
             assert inter_node_bytes(optimized, graph) <= inter_node_bytes(
@@ -316,9 +333,10 @@ class TestOptimizer:
         )
 
     def test_graph_is_symmetric_nonnegative(self, small_graph):
-        assert np.array_equal(small_graph, small_graph.T)
-        assert np.all(small_graph >= 0)
-        assert np.all(np.diag(small_graph) == 0)
+        dense = small_graph.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert np.all(dense >= 0)
+        assert np.all(np.diag(dense) == 0)
         assert total_pair_bytes(small_graph) > 0
 
     def test_optimize_placement_never_worse_on_objective(self, small_census):
@@ -326,17 +344,17 @@ class TestOptimizer:
             intra_send_overhead=0.5e-6, intra_recv_overhead=0.7e-6
         )
         optimized = optimize_placement(small_census, cluster)
-        t_intra, t_inter = rank_pair_times(small_census, cluster)
+        costs = rank_pair_times(small_census, cluster)
         block = block_placement(16, 4)
         assert placement_comm_cost(
-            optimized.node_of_rank, t_intra, t_inter
-        ) <= placement_comm_cost(block.node_of_rank, t_intra, t_inter)
+            optimized.node_of_rank, costs
+        ) <= placement_comm_cost(block.node_of_rank, costs)
 
     def test_minimax_refine_respects_capacity(self, small_census):
         cluster = es45_like_cluster().with_smp()
-        t_intra, t_inter = rank_pair_times(small_census, cluster)
+        costs = rank_pair_times(small_census, cluster)
         start = np.arange(16, dtype=np.int64) % 4
-        refined = minimax_refine(start, t_intra, t_inter, 4, 4)
+        refined = minimax_refine(start, costs, 4, 4)
         assert np.bincount(refined, minlength=4).max() <= 4
 
     @pytest.mark.parametrize("num_ranks,rpn", [(12, 4), (17, 3), (32, 8)])
@@ -347,12 +365,20 @@ class TestOptimizer:
         t_inter = rng.random((num_ranks, num_ranks))
         t_inter = t_inter + t_inter.T
         np.fill_diagonal(t_inter, 0.0)
-        t_intra = t_inter * 0.2
+        # Every rank pair is a link: a complete CSR topology.
+        rows, cols = np.nonzero(~np.eye(num_ranks, dtype=bool))
+        costs = SparsePairCosts(
+            num_ranks=num_ranks,
+            indptr=np.arange(num_ranks + 1) * (num_ranks - 1),
+            indices=cols,
+            t_intra=t_inter[rows, cols] * 0.2,
+            t_inter=t_inter[rows, cols],
+        )
         num_nodes = (num_ranks + rpn - 1) // rpn
         start = np.arange(num_ranks, dtype=np.int64) % num_nodes
-        refined = minimax_refine(start, t_intra, t_inter, rpn, num_nodes)
-        assert placement_comm_cost(refined, t_intra, t_inter) <= (
-            placement_comm_cost(start, t_intra, t_inter)
+        refined = minimax_refine(start, costs, rpn, num_nodes)
+        assert placement_comm_cost(refined, costs) <= (
+            placement_comm_cost(start, costs)
         )
         assert np.bincount(refined, minlength=num_nodes).max() <= rpn
 

@@ -1,113 +1,84 @@
-"""Unit tests for the sparse placement path and its dense twins.
+"""Unit tests for the CSR placement structures and optimizers.
 
 Complements ``tests/test_sparse_dense_equivalence.py`` (fuzz-scenario
-sweeps) with targeted checks on synthetic graphs: refiner-level
-equivalence of the CSR optimizers, the large-P auto-dispatch seams, and
-the reworked dense ``inter_node_bytes`` — which must reproduce the
-historical masked sum exactly *without* the (P, P) boolean mask it used
-to allocate (the satellite bugfix this PR ships).
+sweeps) with targeted checks on synthetic graphs: the refiners reproduce
+the node maps the dense ``(P, P)`` reference produced on seeded random
+graphs (pinned in ``tests/goldens/placement_maps.json``), the heuristic
+refinement above the exhaustive bound never worsens its start, and
+``inter_node_bytes`` equals the masked sum over the densified graph
+without allocating anything quadratic.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.placement import (
-    SPARSE_DISPATCH_MIN_RANKS,
-    Placement,
     SparseCommGraph,
     block_placement,
     comm_aware_placement,
-    comm_aware_placement_sparse,
-    greedy_refine,
-    greedy_refine_sparse,
     inter_node_bytes,
-    inter_node_bytes_sparse,
     minimax_refine,
-    minimax_refine_sparse,
     placement_comm_cost,
-    placement_comm_cost_sparse,
 )
 from repro.placement.sparse import MINIMAX_EXHAUSTIVE_MAX_RANKS, SparsePairCosts
 
+GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"
+GOLDEN = json.loads((GOLDENS_DIR / "placement_maps.json").read_text())
 
-def random_graph(num_ranks: int, seed: int, density: float = 0.2) -> np.ndarray:
-    """Random symmetric zero-diagonal integer byte graph."""
-    rng = np.random.default_rng(seed)
-    upper = np.triu(
-        rng.integers(1, 10_000, size=(num_ranks, num_ranks)).astype(np.float64)
-        * (rng.random((num_ranks, num_ranks)) < density),
-        k=1,
+
+def _load_capture_module():
+    """Import the capture script from its file path (not a package module)."""
+    spec = importlib.util.spec_from_file_location(
+        "capture_placement_golden", GOLDENS_DIR / "capture_placement_golden.py"
     )
-    return upper + upper.T
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("capture_placement_golden", module)
+    spec.loader.exec_module(module)
+    return module
 
 
-def random_costs(num_ranks: int, seed: int) -> tuple:
-    """A (dense pair, sparse pair) of priced cost structures on one
-    random topology, with ``t_inter`` strictly dearer than ``t_intra``."""
-    rng = np.random.default_rng(seed)
-    graph = SparseCommGraph.from_dense(random_graph(num_ranks, seed))
-    t_intra = rng.random(graph.num_entries) * 1e-5
-    t_inter = t_intra + rng.random(graph.num_entries) * 1e-4
-    costs = SparsePairCosts(
-        num_ranks=num_ranks,
-        indptr=graph.indptr,
-        indices=graph.indices,
-        t_intra=t_intra,
-        t_inter=t_inter,
-    )
-    return costs.to_dense(), costs
+capture = _load_capture_module()
 
 
 class TestGreedyRefine:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", capture.RANDOM_SEEDS)
     def test_matches_dense_refiner(self, seed):
-        num_ranks, rpn = 24, 4
-        num_nodes = num_ranks // rpn
-        dense = random_graph(num_ranks, seed)
-        sparse = SparseCommGraph.from_dense(dense)
-        start = np.arange(num_ranks, dtype=np.int64) % num_nodes
-        expected = greedy_refine(start, dense, rpn, num_nodes)
-        got = greedy_refine_sparse(start, sparse, rpn, num_nodes)
-        assert np.array_equal(got, expected)
+        assert capture.random_greedy(seed) == GOLDEN["random_greedy"][str(seed)]
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", capture.RANDOM_SEEDS)
     def test_comm_aware_same_map(self, seed):
-        dense = random_graph(20, seed)
-        sparse = SparseCommGraph.from_dense(dense)
-        assert np.array_equal(
-            comm_aware_placement_sparse(sparse, 4).node_of_rank,
-            comm_aware_placement(dense, 4).node_of_rank,
-        )
+        expected = GOLDEN["random_comm_aware"][str(seed)]
+        assert capture.random_comm_aware(seed) == expected
 
     def test_empty_graph_is_block(self):
-        sparse = SparseCommGraph.from_dense(np.zeros((8, 8)))
-        placed = comm_aware_placement_sparse(sparse, 4)
+        empty = np.empty(0, dtype=np.int64)
+        graph = SparseCommGraph.from_edges(8, empty, empty, empty)
+        placed = comm_aware_placement(graph, 4)
         assert np.array_equal(
             placed.node_of_rank, block_placement(8, 4).node_of_rank
         )
 
 
 class TestMinimaxRefine:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", capture.RANDOM_SEEDS)
     def test_exhaustive_mode_matches_dense(self, seed):
-        num_ranks, rpn = 24, 4
-        assert num_ranks <= MINIMAX_EXHAUSTIVE_MAX_RANKS
-        num_nodes = num_ranks // rpn
-        (t_intra, t_inter), costs = random_costs(num_ranks, seed)
-        start = np.arange(num_ranks, dtype=np.int64) // rpn
-        expected = minimax_refine(start, t_intra, t_inter, rpn, num_nodes)
-        got = minimax_refine_sparse(start, costs, rpn, num_nodes)
-        assert np.array_equal(got, expected)
+        assert capture.MINIMAX_SHAPE[0] <= MINIMAX_EXHAUSTIVE_MAX_RANKS
+        expected = GOLDEN["random_minimax"][str(seed)]
+        assert capture.random_minimax(seed) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_heuristic_mode_never_worsens(self, seed):
         # Above the exhaustive threshold the candidate-restricted search
-        # need not match dense picks, but it must never accept a worse
-        # (max, total) objective than its start.
+        # need not match the exhaustive picks, but it must never accept a
+        # worse (max, total) objective than its start.
         num_ranks, rpn = 600, 4
         assert num_ranks > MINIMAX_EXHAUSTIVE_MAX_RANKS
         num_nodes = num_ranks // rpn
@@ -132,81 +103,67 @@ class TestMinimaxRefine:
             t_inter=t_intra * 20.0,
         )
         start = np.arange(num_ranks, dtype=np.int64) % num_nodes
-        refined = minimax_refine_sparse(start, costs, rpn, num_nodes)
-        assert placement_comm_cost_sparse(refined, costs) <= (
-            placement_comm_cost_sparse(start, costs)
+        refined = minimax_refine(start, costs, rpn, num_nodes)
+        assert placement_comm_cost(refined, costs) <= (
+            placement_comm_cost(start, costs)
         )
         # Still a valid assignment: capacities respected.
         assert np.bincount(refined, minlength=num_nodes).max() <= rpn
 
 
-class TestDispatch:
-    def test_large_dense_matrix_routes_through_sparse(self):
-        num_ranks = SPARSE_DISPATCH_MIN_RANKS + 8
-        dense = random_graph(num_ranks, seed=3, density=0.01)
-        placed = comm_aware_placement(dense, 4)
-        direct = comm_aware_placement_sparse(
-            SparseCommGraph.from_dense(dense), 4
-        )
-        assert np.array_equal(placed.node_of_rank, direct.node_of_rank)
-
-    def test_small_dense_matrix_stays_dense_equivalent(self):
-        dense = random_graph(16, seed=5)
-        placed = comm_aware_placement(dense, 4)
-        assert placed.num_ranks == 16
-        assert np.bincount(placed.node_of_rank).max() <= 4
+def _masked_sum(dense: np.ndarray, nodes: np.ndarray) -> float:
+    """Bytes between rank pairs on different nodes, from the dense matrix."""
+    return float(dense[nodes[:, None] != nodes[None, :]].sum()) / 2.0
 
 
 class TestInterNodeBytesRework:
-    """The satellite bugfix: dense inter_node_bytes without a (P, P) mask."""
+    """inter_node_bytes sums crossing edges; no (P, P) mask is built."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_vs_historical_masked_sum(self, seed):
         num_ranks, rpn = 30, 4
-        graph = random_graph(num_ranks, seed)
+        dense = capture.random_graph(num_ranks, seed)
         placement = block_placement(num_ranks, rpn)
-        nodes = placement.node_of_rank
-        masked = float(graph[nodes[:, None] != nodes[None, :]].sum()) / 2.0
-        assert inter_node_bytes(placement, graph) == masked
-        assert inter_node_bytes_sparse(
-            placement, SparseCommGraph.from_dense(graph)
-        ) == masked
+        assert inter_node_bytes(
+            placement, capture.csr_graph(dense)
+        ) == _masked_sum(dense, placement.node_of_rank)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            inter_node_bytes(block_placement(8, 4), np.zeros((6, 6)))
+        graph = capture.csr_graph(capture.random_graph(6, 0))
+        with pytest.raises(ValueError, match="does not match"):
+            inter_node_bytes(block_placement(8, 4), graph)
 
     def test_no_quadratic_mask_allocation(self):
-        # Regression: the old implementation built a (P, P) bool mask —
-        # 4 MB at P = 2000 — on every call.  The reworked form subtracts
-        # per-node intra blocks, so with 4-rank nodes its working set is
-        # O(P) small arrays.  The graph itself is allocated before
+        # A (P, P) bool mask would be 4 MB at P = 2000; the crossing-edge
+        # sum's working set is O(edges).  The graph itself is built before
         # tracing starts; only the call's own allocations are measured.
         num_ranks, rpn = 2000, 4
         rng = np.random.default_rng(0)
-        dense = np.zeros((num_ranks, num_ranks))
         ring = np.arange(num_ranks)
-        dense[ring, (ring + 1) % num_ranks] = rng.integers(1, 100, num_ranks)
-        dense = dense + dense.T
-        np.fill_diagonal(dense, 0.0)
+        nxt = (ring + 1) % num_ranks
+        w = rng.integers(1, 100, num_ranks).astype(np.float64)
+        graph = SparseCommGraph.from_edges(
+            num_ranks,
+            np.concatenate([ring, nxt]),
+            np.concatenate([nxt, ring]),
+            np.concatenate([w, w]),
+        )
         placement = block_placement(num_ranks, rpn)
-        inter_node_bytes(placement, dense)  # warm any lazy imports
+        inter_node_bytes(placement, graph)  # warm any lazy imports
         tracemalloc.start()
-        result = inter_node_bytes(placement, dense)
+        result = inter_node_bytes(placement, graph)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < num_ranks * num_ranks // 4, (
             f"peak {peak} bytes suggests a quadratic mask was allocated"
         )
-        nodes = placement.node_of_rank
-        assert result == float(
-            dense[nodes[:, None] != nodes[None, :]].sum()
-        ) / 2.0
+        assert result == _masked_sum(graph.to_dense(), placement.node_of_rank)
 
 
 class TestSparsePairCosts:
     def test_round_trip_and_delta(self):
-        (t_intra, t_inter), costs = random_costs(12, seed=1)
+        costs = capture.random_costs(12, seed=1)
+        t_intra, t_inter = costs.to_dense()
         rows = costs.row_of_entry()
         assert np.array_equal(
             t_intra[rows, costs.indices], np.asarray(costs.t_intra)
@@ -216,8 +173,19 @@ class TestSparsePairCosts:
         )
 
     def test_placement_cost_matches_dense(self):
-        (t_intra, t_inter), costs = random_costs(12, seed=2)
+        # Each rank's cost is its row of intra (same node) or inter prices.
+        costs = capture.random_costs(12, seed=2)
+        t_intra, t_inter = costs.to_dense()
         nodes = block_placement(12, 4).node_of_rank
-        dense_cost = placement_comm_cost(nodes, t_intra, t_inter)
-        sparse_cost = placement_comm_cost_sparse(nodes, costs)
-        assert sparse_cost == pytest.approx(dense_cost, rel=1e-12)
+        per_rank = [
+            sum(
+                (t_intra if nodes[r] == nodes[c] else t_inter)[r, c]
+                for c in range(12)
+                if c != r
+            )
+            for r in range(12)
+        ]
+        expected = (max(per_rank), sum(per_rank))
+        assert placement_comm_cost(nodes, costs) == pytest.approx(
+            expected, rel=1e-12
+        )

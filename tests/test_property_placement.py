@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.placement import (
+    SparseCommGraph,
     block_placement,
     comm_aware_placement,
     make_placement,
@@ -81,7 +82,11 @@ class TestStrategyInvariants:
         graph = rng.random((num_ranks, num_ranks)) * 1e4
         graph = graph + graph.T
         np.fill_diagonal(graph, 0.0)
-        placement = comm_aware_placement(graph, capacity)
+        rows, cols = np.nonzero(graph)
+        placement = comm_aware_placement(
+            SparseCommGraph.from_edges(num_ranks, rows, cols, graph[rows, cols]),
+            capacity,
+        )
         assert_valid_placement(placement, num_ranks, capacity)
 
     @given(

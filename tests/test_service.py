@@ -12,6 +12,7 @@ the payload round-trips IEEE doubles through ``repr``).
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -124,6 +125,31 @@ def test_invalid_request_is_a_400(client):
     with pytest.raises(ServiceError) as err:
         client._call("POST", "/predict", {"deck": "small", "typo": 1})
     assert err.value.status == 400
+
+
+def _raw_status(server, message: bytes) -> int:
+    """Send raw request bytes, close the write side, return the status."""
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(message)
+        sock.shutdown(socket.SHUT_WR)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+def test_non_numeric_content_length_is_a_400(server):
+    message = b"POST /predict HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}"
+    assert _raw_status(server, message) == 400
+
+
+def test_negative_content_length_is_a_400(server):
+    message = b"POST /predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}"
+    assert _raw_status(server, message) == 400
+
+
+def test_body_shorter_than_content_length_is_a_400(server):
+    message = b"POST /predict HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+    assert _raw_status(server, message) == 400
+    assert server.counters["errors"] == 0
 
 
 def test_unknown_route_is_a_404(client):
