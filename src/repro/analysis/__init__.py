@@ -14,7 +14,6 @@ from repro.analysis.errors import signed_relative_error, mean_absolute_percentag
 from repro.analysis.report import TextTable, format_series
 from repro.analysis.runner import (
     ClusterSpec,
-    calibrated_table,
     SweepOutcome,
     SweepSpec,
     SweepStatus,
@@ -40,7 +39,6 @@ __all__ = [
     "TextTable",
     "format_series",
     "ClusterSpec",
-    "calibrated_table",
     "SweepOutcome",
     "SweepSpec",
     "SweepStatus",

@@ -29,8 +29,7 @@ import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from repro.core.assemble import calibration_table as _core_calibration_table
-from repro.core.assemble import faces_for as _core_faces_for
+from repro.core.assemble import calibration_table, faces_for
 from repro.core.parsing import as_deck_size
 from repro.core.pipeline import run_point
 from repro.core.request import ClusterSpec
@@ -39,7 +38,7 @@ from repro.mesh.connectivity import FaceTable
 from repro.mesh.deck import InputDeck, build_deck
 from repro.perfmodel.calibrate import default_sample_sides
 from repro.perfmodel.costcurves import CostTable
-from repro.analysis.store import ResultStore
+from repro.analysis.store import ResultStore, calibration_store
 
 #: Model labels understood by :func:`evaluate_point`.
 KNOWN_MODELS = ("mesh-specific", "homogeneous", "heterogeneous")
@@ -192,11 +191,6 @@ def evaluate_point(
     )
 
 
-def _faces_for(deck: InputDeck) -> FaceTable:
-    """Per-process face-table memo (see :func:`repro.core.assemble.faces_for`)."""
-    return _core_faces_for(deck)
-
-
 def _run_task(task: SweepTask) -> ValidationPoint:
     """Worker entry point: evaluate one task (module-level for pickling)."""
     return evaluate_point(
@@ -207,7 +201,7 @@ def _run_task(task: SweepTask) -> ValidationPoint:
         models=task.models,
         seed=task.seed,
         partition_method=task.partition_method,
-        faces=_faces_for(task.deck),
+        faces=faces_for(task.deck),
         dynamic=task.dynamic,
         placement=task.placement,
         perturb=task.perturb,
@@ -293,25 +287,6 @@ def run_points(
             if first_error is not None:
                 raise first_error
     return results
-
-
-def calibrated_table(cluster: ClusterConfig, sides, store: ResultStore | None = None) -> CostTable:
-    """Contrived-grid calibration, memoised to disk like partitions are.
-
-    Calibration is a deterministic function of (cluster, sides) and is the
-    dominant setup cost of a declarative sweep, so it is content-addressed
-    in its own ``calibrations`` store namespace.  This is what lets
-    ``repro sweep status`` compute exact point keys (which hash the table's
-    content) without re-running the calibration every time.
-    """
-    if store is None:
-        store = ResultStore(namespace="calibrations")
-    return _core_calibration_table(cluster, sides, store=store)
-
-
-def _as_deck_size(deck) -> str | tuple:
-    """Normalise a deck axis entry to ``build_deck``'s size argument."""
-    return as_deck_size(deck)
 
 
 def powers_of_two(max_ranks: int) -> tuple:
@@ -409,12 +384,16 @@ class SweepSpec:
         built once per distinct axis value, in the parent process, so every
         task of a group shares identical objects.
         """
-        decks = [build_deck(_as_deck_size(d)) for d in self.decks]
+        decks = [build_deck(as_deck_size(d)) for d in self.decks]
         built = []
         for cluster_spec in self.clusters:
             cluster = cluster_spec.build()
             table = (
-                calibrated_table(cluster, default_sample_sides(self.max_side))
+                calibration_table(
+                    cluster,
+                    default_sample_sides(self.max_side),
+                    store=calibration_store(),
+                )
                 if self.models
                 else None
             )

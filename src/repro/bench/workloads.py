@@ -547,13 +547,13 @@ register(Benchmark(
 
 
 def _setup_extreme(size):
-    from repro.perfmodel import SparseMeshModel, weak_scaled_census
+    from repro.perfmodel import MeshSpecificModel, weak_scaled_census
 
     ranks = 100_000 if size == "smoke" else 1_000_000
     return {
         "ranks": ranks,
         "census": weak_scaled_census(ranks),
-        "model": SparseMeshModel(
+        "model": MeshSpecificModel(
             table=_cost_table("coarse"), network=_cluster().network
         ),
     }

@@ -36,6 +36,7 @@ from repro.perfmodel.calibrate import (
 )
 from repro.perfmodel.costcurves import CostTable
 from repro.util.artifacts import stable_hash
+from repro.util.lru import LRUMemo
 
 __all__ = [
     "Assembled",
@@ -48,9 +49,13 @@ __all__ = [
 ]
 
 
+#: Entries each per-process memo keeps before evicting the least recently
+#: used: far above the handful of decks and machines one process serves.
+_MEMO_MAX = 16
+
 #: Per-process face-table memo: face tables depend only on the mesh
 #: topology, and one process typically evaluates many points of one deck.
-_FACES_MEMO: dict = {}
+_FACES_MEMO = LRUMemo(_MEMO_MAX)
 
 
 def faces_for(deck: InputDeck) -> FaceTable:
@@ -65,7 +70,8 @@ def faces_for(deck: InputDeck) -> FaceTable:
         key = ("unstructured", stable_hash(mesh.cell_nodes))
     faces = _FACES_MEMO.get(key)
     if faces is None:
-        faces = _FACES_MEMO[key] = build_face_table(mesh)
+        faces = build_face_table(mesh)
+        _FACES_MEMO.put(key, faces)
     return faces
 
 
@@ -114,7 +120,7 @@ def calibration_key(cluster: ClusterConfig, sides) -> str:
 #: Per-process calibration memo (key → CostTable).  Calibration is the
 #: dominant setup cost of any request, and one process (a sweep parent, the
 #: prediction service) prices many requests against few machines.
-_TABLE_MEMO: dict = {}
+_TABLE_MEMO = LRUMemo(_MEMO_MAX)
 
 
 def calibration_table(cluster: ClusterConfig, sides, store=None) -> CostTable:
@@ -133,17 +139,18 @@ def calibration_table(cluster: ClusterConfig, sides, store=None) -> CostTable:
     if store is not None:
         payload = store.get(key)
         if payload is not None:
-            table = _TABLE_MEMO[key] = CostTable.from_payload(payload)
+            table = CostTable.from_payload(payload)
+            _TABLE_MEMO.put(key, table)
             return table
     table = calibrate_contrived_grid(cluster, sides=tuple(sides))
     if store is not None:
         store.put(key, table.to_payload())
-    _TABLE_MEMO[key] = table
+    _TABLE_MEMO.put(key, table)
     return table
 
 
 #: Per-process fitted-calibration memo (store key → FittedCalibration).
-_FITTED_MEMO: dict = {}
+_FITTED_MEMO = LRUMemo(_MEMO_MAX)
 
 
 def fitted_calibration(key: str, store) -> FittedCalibration:
@@ -166,7 +173,8 @@ def fitted_calibration(key: str, store) -> FittedCalibration:
             f"no fitted calibration stored under {key!r}; run "
             "'repro calibrate fit <trace>' first"
         )
-    fitted = _FITTED_MEMO[key] = FittedCalibration.from_payload(payload)
+    fitted = FittedCalibration.from_payload(payload)
+    _FITTED_MEMO.put(key, fitted)
     return fitted
 
 

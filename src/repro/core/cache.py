@@ -15,7 +15,7 @@ treated as immutable JSON values.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from repro.util.lru import LRUMemo
 
 __all__ = ["LRUResultCache"]
 
@@ -36,62 +36,58 @@ class LRUResultCache:
     """
 
     def __init__(self, store=None, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
         self.store = store
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
+        self._memory = LRUMemo(max_entries)
         self.hits_memory = 0
         self.hits_store = 0
         self.misses = 0
-        self.evictions = 0
+
+    @property
+    def max_entries(self) -> int:
+        return self._memory.max_entries
+
+    @property
+    def evictions(self) -> int:
+        return self._memory.evictions
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._memory)
 
     def __contains__(self, key: str) -> bool:
-        if key in self._entries:
+        if key in self._memory:
             return True
         return self.store is not None and self.store.get(key) is not None
-
-    def _remember(self, key: str, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
 
     def get(self, key: str, default=None):
         """The cached value for ``key`` or ``default``, counting the tier
         that answered (memory hit, store hit, or miss)."""
-        if key in self._entries:
+        if key in self._memory:
             self.hits_memory += 1
-            self._entries.move_to_end(key)
-            return self._entries[key]
+            return self._memory.get(key)
         if self.store is not None:
             value = self.store.get(key)
             if value is not None:
                 self.hits_store += 1
-                self._remember(key, value)
+                self._memory.put(key, value)
                 return value
         self.misses += 1
         return default
 
     def put(self, key: str, value) -> None:
         """Cache ``value`` under ``key`` (write-through when backed)."""
-        self._remember(key, value)
+        self._memory.put(key, value)
         if self.store is not None:
             self.store.put(key, value)
 
     def clear(self) -> None:
         """Drop the in-memory tier (counters and backing store are kept)."""
-        self._entries.clear()
+        self._memory.clear()
 
     def stats(self) -> dict:
         """Counter snapshot for ``--stats`` output and bench invariants."""
         lookups = self.hits_memory + self.hits_store + self.misses
         return {
-            "entries": len(self._entries),
+            "entries": len(self._memory),
             "max_entries": self.max_entries,
             "hits_memory": self.hits_memory,
             "hits_store": self.hits_store,

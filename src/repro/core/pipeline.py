@@ -26,7 +26,7 @@ from repro.partition.cache import cached_partition
 from repro.perfmodel.general import GeneralModel
 from repro.perfmodel.mesh_specific import MeshSpecificModel
 from repro.perfmodel.runtime import PredictedTime
-from repro.perfmodel.sparse_mesh import SparseMeshModel, weak_scaled_census
+from repro.perfmodel.sparse_mesh import weak_scaled_census
 from repro.perfmodel.transition import TransitionModel
 from repro.util.artifacts import stable_hash
 
@@ -170,7 +170,7 @@ def _sparse_result(asm: Assembled, request: PredictionRequest) -> PredictionResu
     census = weak_scaled_census(
         request.ranks, cells_per_rank=asm.weak_cells_per_rank
     )
-    model = SparseMeshModel(
+    model = MeshSpecificModel(
         table=asm.table, network=asm.cluster.network, hierarchy=asm.cluster.hierarchy
     )
     predicted = model.predict(census)

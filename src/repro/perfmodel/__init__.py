@@ -32,13 +32,11 @@ from repro.perfmodel.computation import (
 )
 from repro.perfmodel.boundary import (
     boundary_exchange_time,
-    boundary_exchange_time_pair,
     boundary_message_sizes,
 )
 from repro.perfmodel.ghostmodel import (
     ghost_update_time,
     ghost_phase_total,
-    ghost_phase_total_pair,
 )
 from repro.perfmodel.collectives import (
     broadcast_time,
@@ -51,8 +49,8 @@ from repro.perfmodel.runtime import PredictedTime
 from repro.perfmodel.mesh_specific import MeshSpecificModel
 from repro.perfmodel.sparse_mesh import (
     SparseLinkCensus,
-    SparseMeshModel,
-    point_to_point_sparse,
+    as_link_census,
+    link_wire_times,
     weak_scaled_census,
 )
 from repro.perfmodel.general import GeneralModel, TABLE2_RATIOS
@@ -73,11 +71,9 @@ __all__ = [
     "computation_time",
     "computation_time_by_phase",
     "boundary_exchange_time",
-    "boundary_exchange_time_pair",
     "boundary_message_sizes",
     "ghost_update_time",
     "ghost_phase_total",
-    "ghost_phase_total_pair",
     "broadcast_time",
     "allreduce_total_time",
     "gather_total_time",
@@ -86,8 +82,8 @@ __all__ = [
     "PredictedTime",
     "MeshSpecificModel",
     "SparseLinkCensus",
-    "SparseMeshModel",
-    "point_to_point_sparse",
+    "as_link_census",
+    "link_wire_times",
     "weak_scaled_census",
     "GeneralModel",
     "TABLE2_RATIOS",

@@ -12,9 +12,10 @@ switchable here so the ablation benchmarks can quantify each approximation.
 
 The tally is built and priced with batched numpy operations (one
 piecewise-linear ``Tmsg`` evaluation for all messages of a boundary);
-results are bitwise identical to pricing each message individually, and
-:func:`boundary_tally` exposes the raw ``(counts, sizes)`` arrays so
-census-wide callers can batch across *many* boundaries in one evaluation.
+results are bitwise identical to pricing each message individually.
+Census-wide pricing (:func:`~repro.perfmodel.sparse_mesh.link_wire_times`)
+prices every link of a columnar census with the same tally and the same
+summation order as :func:`priced_tally_time`.
 """
 
 from __future__ import annotations
@@ -100,26 +101,6 @@ def priced_tally_time(counts: np.ndarray, times: np.ndarray) -> float:
     for count, t in zip(counts.tolist(), times.tolist()):
         total += count * t
     return total
-
-
-def boundary_exchange_time_pair(
-    hierarchy,
-    rank_a: int,
-    rank_b: int,
-    faces_by_material: np.ndarray,
-    multi_nodes_by_material: np.ndarray | None = None,
-) -> float:
-    """Equation (5) priced by the endpoints' actual nodes.
-
-    The placement-aware form of :func:`boundary_exchange_time`: the whole
-    exchange between ``rank_a`` and ``rank_b`` travels one network level —
-    shared memory when the hierarchy places both ranks on one node, the
-    inter-node fabric otherwise.
-    """
-    network = hierarchy.network_for(rank_a, rank_b)
-    return boundary_exchange_time(
-        network, faces_by_material, multi_nodes_by_material
-    )
 
 
 def boundary_exchange_time(

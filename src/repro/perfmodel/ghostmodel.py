@@ -23,8 +23,7 @@ def ghost_sizes(n_local, n_remote) -> np.ndarray:
     """Message sizes of all three ghost-update phases for one neighbour.
 
     Order: (local, remote) per phase — the pattern :func:`ghost_phase_total`
-    prices, exposed so census-wide callers can batch many neighbours into
-    one ``Tmsg`` evaluation.
+    prices.
     """
     if n_local < 0 or n_remote < 0:
         raise ValueError("ghost-node counts must be non-negative")
@@ -39,8 +38,9 @@ def priced_ghost_time(times: np.ndarray) -> float:
     """Sum a neighbour's priced ghost messages in the historical order.
 
     Each phase's (local + remote) pair is added first, then phases are
-    accumulated left to right — the grouping the scalar implementation
-    used, preserved so batching stays bitwise identical.
+    accumulated left to right — the grouping
+    :func:`~repro.perfmodel.sparse_mesh.link_wire_times` also uses, so
+    census-wide pricing stays bitwise identical.
     """
     flat = times.tolist()
     total = 0.0
@@ -66,17 +66,3 @@ def ghost_phase_total(network: NetworkModel, n_local: int, n_remote: int) -> flo
     """All three ghost-update phases for one neighbour (8 + 16 + 16 bytes)."""
     return priced_ghost_time(network.tmsg_many(ghost_sizes(n_local, n_remote)))
 
-
-def ghost_phase_total_pair(
-    hierarchy, rank_a: int, rank_b: int, n_local: int, n_remote: int
-) -> float:
-    """Equations (6)/(7) priced by the endpoints' actual nodes.
-
-    The placement-aware form of :func:`ghost_phase_total`: all three
-    ghost-update phases of the ``(rank_a, rank_b)`` link travel shared
-    memory when the hierarchy places both ranks on one node, the
-    inter-node fabric otherwise.
-    """
-    return ghost_phase_total(
-        hierarchy.network_for(rank_a, rank_b), n_local, n_remote
-    )

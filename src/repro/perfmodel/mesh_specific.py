@@ -11,8 +11,15 @@ With a :class:`~repro.machine.hierarchy.HierarchicalNetwork` (optionally
 carrying an explicit rank→node placement), every link is priced by its
 actual endpoint nodes — shared memory on-node, the fabric across nodes —
 instead of one flat network, and collectives use the SMP two-level trees.
-The batching stays: one ``tmsg_many`` evaluation per network level for the
-whole census.
+
+One body prices every census: a
+:class:`~repro.hydro.workload.WorkloadCensus` is converted once to the
+columnar :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`, whose
+links :func:`~repro.perfmodel.sparse_mesh.link_wire_times` prices in the
+serial per-neighbour order, and per-rank sums accumulate in link order.
+The result is bitwise identical to pricing each link on its own
+(``tests/goldens/mesh_model.json`` pins it), and the same body serves the
+weak-scaled censuses at 10^6 ranks in O(edges + log P).
 """
 
 from __future__ import annotations
@@ -21,14 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hydro.workload import WorkloadCensus
-from repro.perfmodel.boundary import priced_tally_time
 from repro.perfmodel.collectives import collectives_time, hier_collectives_time
 from repro.perfmodel.computation import computation_time
 from repro.perfmodel.costcurves import CostTable
-from repro.perfmodel.ghostmodel import priced_ghost_time
-from repro.perfmodel.linktally import iter_link_tallies
 from repro.perfmodel.runtime import PredictedTime
+from repro.perfmodel.sparse_mesh import (
+    SparseLinkCensus,
+    as_link_census,
+    link_wire_times,
+)
 from repro.machine.network import NetworkModel
 
 
@@ -61,87 +69,56 @@ class MeshSpecificModel:
     include_multi_surcharge: bool = True
     hierarchy: object | None = None
 
-    def computation(self, cells_matrix: np.ndarray) -> float:
-        """Equation (3) on the exact per-processor material census."""
-        return computation_time(self.table, cells_matrix)
+    def computation(self, census) -> float:
+        """Equation (3) over the distinct per-rank material profiles.
 
-    def point_to_point(self, census: WorkloadCensus) -> tuple[float, float]:
+        The per-phase max over ranks equals the max over distinct rows.
+        """
+        return computation_time(self.table, as_link_census(census).cell_profiles)
+
+    def _link_times(self, census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
+        """Per-link ``(boundary, ghost)`` times, each link priced by the
+        network level its endpoints use."""
+        if self.hierarchy is None:
+            return link_wire_times(census, self.network, self.include_multi_surcharge)
+        intra = link_wire_times(
+            census, self.hierarchy.intra, self.include_multi_surcharge
+        )
+        inter = link_wire_times(
+            census, self.hierarchy.inter, self.include_multi_surcharge
+        )
+        same_be = self.hierarchy.same_node_mask(census.be_src, census.be_dst)
+        same_gn = self.hierarchy.same_node_mask(census.gn_src, census.gn_dst)
+        return (
+            np.where(same_be, intra[0], inter[0]),
+            np.where(same_gn, intra[1], inter[1]),
+        )
+
+    def point_to_point(self, census) -> tuple[float, float]:
         """Max-over-ranks boundary-exchange and ghost-update times.
 
-        All links' message tallies are priced in *one* batched ``Tmsg``
-        evaluation (one per network level when a hierarchy is set — the
-        same-node mask over the concatenated endpoint arrays splits the
-        batch), then re-aggregated per link in the historical order —
-        bitwise identical to pricing each link on its own.
+        Each rank's time is the serial sum of its links' times in link
+        order (``np.add.at`` accumulates sequentially).
         """
-        # Pass 1: tally every link's message sizes (no Tmsg yet).
-        entries = []  # (kind, rank, counts-or-None, num_sizes)
-        chunks = []
-        endpoints = []  # (rank, nbr) per chunk, aligned with `chunks`
-        for kind, rank, nbr, counts, sizes in iter_link_tallies(
-            census, self.include_multi_surcharge
-        ):
-            entries.append((kind, rank, counts, sizes.size))
-            chunks.append(sizes)
-            endpoints.append((rank, nbr))
+        census = as_link_census(census)
+        be_link, gn_link = self._link_times(census)
+        be_by_rank = np.zeros(census.num_ranks, dtype=np.float64)
+        gn_by_rank = np.zeros(census.num_ranks, dtype=np.float64)
+        np.add.at(be_by_rank, census.be_src, be_link)
+        np.add.at(gn_by_rank, census.gn_src, gn_link)
+        return float(be_by_rank.max()), float(gn_by_rank.max())
 
-        # Pass 2: one piecewise-linear evaluation for the whole census
-        # (flat), or one per network level (pairwise-aware hierarchy).
-        if not chunks:
-            times = np.empty(0)
-        elif self.hierarchy is None:
-            times = self.network.tmsg_many(np.concatenate(chunks))
-        else:
-            lengths = np.array([c.size for c in chunks], dtype=np.int64)
-            pair_arr = np.array(endpoints, dtype=np.int64)
-            a_ranks = np.repeat(pair_arr[:, 0], lengths)
-            b_ranks = np.repeat(pair_arr[:, 1], lengths)
-            times = self.hierarchy.tmsg_pairs(
-                a_ranks, b_ranks, np.concatenate(chunks)
-            )
-
-        # Pass 3: per-link aggregation in the original serial-sum order.
-        be_by_rank = [0.0] * census.num_ranks
-        gn_by_rank = [0.0] * census.num_ranks
-        offset = 0
-        for kind, rank, counts, length in entries:
-            link_times = times[offset : offset + length]
-            offset += length
-            if kind == "be":
-                be_by_rank[rank] += priced_tally_time(counts, link_times)
-            else:
-                gn_by_rank[rank] += priced_ghost_time(link_times)
-        return max(be_by_rank, default=0.0), max(gn_by_rank, default=0.0)
-
-    def predict(self, census: WorkloadCensus) -> PredictedTime:
-        """Full per-iteration prediction from a workload census."""
-        comp = self.computation(census.material_counts.astype(np.float64))
+    def predict(self, census) -> PredictedTime:
+        """Full per-iteration prediction from a workload or link census."""
+        census = as_link_census(census)
         be, gn = self.point_to_point(census)
         if self.hierarchy is None:
             coll = collectives_time(self.network, census.num_ranks)
         else:
             coll = hier_collectives_time(self.hierarchy, census.num_ranks)
         return PredictedTime(
-            computation=comp,
+            computation=self.computation(census),
             boundary_exchange=be,
             ghost_updates=gn,
             collectives=coll,
         )
-
-    def predict_sparse(self, census) -> PredictedTime:
-        """The same prediction from a columnar
-        :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`.
-
-        Delegates to :class:`~repro.perfmodel.sparse_mesh.SparseMeshModel`
-        with this model's table, network, and hierarchy — O(edges + log P)
-        work and memory, agreeing with :meth:`predict` on a converted
-        census to the differential tolerance (1e-12 relative).
-        """
-        from repro.perfmodel.sparse_mesh import SparseMeshModel
-
-        return SparseMeshModel(
-            table=self.table,
-            network=self.network,
-            include_multi_surcharge=self.include_multi_surcharge,
-            hierarchy=self.hierarchy,
-        ).predict(census)

@@ -1,21 +1,25 @@
-"""Columnar link census and the O(P log P) extreme-scale prediction path.
+"""Columnar link census: the one form every census-wide pricing reads.
 
 The object-based :class:`~repro.hydro.workload.WorkloadCensus` carries one
 Python object per link — perfect for the validation-scale meshes, hopeless
-at 10^5–10^6 ranks.  This module stores the same information *columnar*
-(one numpy array per field, O(edges) memory), prices it with fully
-vectorized chunked evaluations, and computes collectives analytically, so
-a full mesh-specific prediction at a million ranks completes in seconds
-without ever materialising a ``(P, P)`` array.
+at 10^5–10^6 ranks.  :class:`SparseLinkCensus` stores the same information
+*columnar* (one numpy array per field, O(edges) memory).  The
+mesh-specific model
+(:meth:`~repro.perfmodel.mesh_specific.MeshSpecificModel.predict`) and the
+placement graphs (:func:`~repro.placement.sparse.rank_comm_bytes`,
+:func:`~repro.placement.sparse.rank_pair_times`) price only this form; a
+workload census is converted once, at entry, by
+:func:`as_link_census`.  At a million ranks a full prediction completes in
+seconds without ever materialising a ``(P, P)`` array.
 
-Equivalence contract: for a census converted with
-:meth:`SparseLinkCensus.from_workload_census`,
-:meth:`SparseMeshModel.predict` agrees with
-:meth:`~repro.perfmodel.mesh_specific.MeshSpecificModel.predict` to the
-differential tolerance (1e-12 relative) — computation and collectives are
-bitwise identical (same code paths), point-to-point differs only in float
-summation association.  ``tests/test_sparse_dense_equivalence.py`` holds
-the line across the fuzz corpus.
+Equivalence contract: :func:`link_wire_times` sums each link's priced
+messages in the serial order of the scalar per-neighbour helpers
+(:func:`~repro.perfmodel.boundary.priced_tally_time`,
+:func:`~repro.perfmodel.ghostmodel.priced_ghost_time`), so pricing a
+converted census is bitwise identical to pricing its links one by one.
+``tests/goldens/mesh_model.json`` pins the predictions of the object-walk
+implementation this replaced; ``tests/test_model_golden.py`` and
+``tests/test_sparse_dense_equivalence.py`` check them bitwise.
 """
 
 from __future__ import annotations
@@ -31,12 +35,8 @@ from repro.machine.costdb import (
     BOUNDARY_MSGS_PER_STEP,
     NUM_MATERIALS,
 )
-from repro.perfmodel.collectives import collectives_time, hier_collectives_time
-from repro.perfmodel.computation import computation_time
-from repro.perfmodel.costcurves import CostTable
-from repro.perfmodel.ghostmodel import GHOST_PHASE_BYTES
-from repro.perfmodel.runtime import PredictedTime
 from repro.machine.network import NetworkModel
+from repro.perfmodel.ghostmodel import GHOST_PHASE_BYTES
 
 #: Edges priced per vectorized chunk — bounds peak memory at large P
 #: (a chunk touches ~10 temporaries of `chunk × groups` float64).
@@ -47,8 +47,8 @@ DEFAULT_CHUNK_EDGES = 1 << 19
 class SparseLinkCensus:
     """Columnar per-link workload census (O(edges) memory).
 
-    Directed boundary/ghost link arrays mirror the
-    :func:`~repro.perfmodel.linktally.iter_link_tallies` walk: entry ``k``
+    Directed boundary/ghost link arrays are rank-major and
+    neighbour-sorted, like the workload census's link lists: entry ``k``
     of the boundary arrays is the link *owned* by ``be_src[k]`` toward
     ``be_dst[k]``, with its per-exchange-group face and multi-material
     ghost-node counts; ghost entries carry the locally-owned/remote node
@@ -132,43 +132,53 @@ class SparseLinkCensus:
     def from_workload_census(cls, census) -> "SparseLinkCensus":
         """Exact columnar form of an object-based workload census.
 
-        Per-group face/multi counts accumulate exactly as the link-tally
-        walk does, so pricing the result reproduces the dense model's
-        tallies value for value.
+        Links keep the census order — rank-major, each rank's boundary
+        links then its ghost links, each sorted by neighbour — and
+        per-group face/multi counts accumulate in the census's group
+        order, so pricing the result reproduces the per-link tallies
+        value for value.
         """
         be_src: list = []
         be_dst: list = []
-        be_faces: list = []
-        be_multi: list = []
+        group_link: list = []
+        group_id: list = []
+        group_faces: list = []
+        group_multi: list = []
         gn_src: list = []
         gn_dst: list = []
         gn_local: list = []
         gn_remote: list = []
         for rank in range(census.num_ranks):
             for bl in census.boundary_links[rank]:
-                faces = np.zeros(NUM_EXCHANGE_GROUPS, dtype=np.float64)
-                multi = np.zeros(NUM_EXCHANGE_GROUPS, dtype=np.float64)
-                for (group, f, g) in bl.mine.groups:
-                    faces[group] += f
-                    multi[group] += g
+                link = len(be_src)
                 be_src.append(rank)
                 be_dst.append(bl.nbr_rank)
-                be_faces.append(faces)
-                be_multi.append(multi)
+                for (group, f, g) in bl.mine.groups:
+                    group_link.append(link)
+                    group_id.append(group)
+                    group_faces.append(f)
+                    group_multi.append(g)
             for gl in census.ghost_links[rank]:
                 gn_src.append(rank)
                 gn_dst.append(gl.nbr_rank)
                 gn_local.append(gl.owned_by_me)
                 gn_remote.append(gl.not_owned_by_me)
+        be_faces = np.zeros((len(be_src), NUM_EXCHANGE_GROUPS))
+        be_multi = np.zeros_like(be_faces)
+        cell = (
+            np.array(group_link, dtype=np.int64),
+            np.array(group_id, dtype=np.int64),
+        )
+        np.add.at(be_faces, cell, np.array(group_faces, dtype=np.float64))
+        np.add.at(be_multi, cell, np.array(group_multi, dtype=np.float64))
         cells = np.asarray(census.material_counts, dtype=np.float64)
         profiles, inverse = np.unique(cells, axis=0, return_inverse=True)
-        empty_group = np.empty((0, NUM_EXCHANGE_GROUPS))
         return cls(
             num_ranks=census.num_ranks,
             be_src=np.array(be_src, dtype=np.int64),
             be_dst=np.array(be_dst, dtype=np.int64),
-            be_faces=np.array(be_faces) if be_faces else empty_group,
-            be_multi=np.array(be_multi) if be_multi else empty_group,
+            be_faces=be_faces,
+            be_multi=be_multi,
             gn_src=np.array(gn_src, dtype=np.int64),
             gn_dst=np.array(gn_dst, dtype=np.int64),
             gn_local=np.array(gn_local, dtype=np.float64),
@@ -176,6 +186,13 @@ class SparseLinkCensus:
             cell_profiles=profiles,
             profile_of_rank=inverse.astype(np.int64).reshape(-1),
         )
+
+
+def as_link_census(census) -> SparseLinkCensus:
+    """``census`` in columnar form, converting a workload census once."""
+    if isinstance(census, SparseLinkCensus):
+        return census
+    return SparseLinkCensus.from_workload_census(census)
 
 
 def _near_square_grid(num_ranks: int) -> tuple[int, int]:
@@ -222,7 +239,7 @@ def weak_scaled_census(
     has_down = y < height - 1
     right = ranks[has_right]
     down = ranks[has_down]
-    # Directed links, rank-major and neighbour-sorted like the link walk.
+    # Directed links, rank-major and neighbour-sorted like a workload census.
     src = np.concatenate([right, right + 1, down, down + width])
     dst = np.concatenate([right + 1, right, down + width, down])
     order = np.lexsort((dst, src))
@@ -275,138 +292,59 @@ def link_bytes(census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
     return be_bytes, gn_bytes
 
 
-def _price_sizes(sizes, a_ranks, b_ranks, network, hierarchy):
-    """Tmsg for aligned message arrays — flat or endpoint-aware."""
-    if hierarchy is None:
-        return network.tmsg_many(sizes)
-    return hierarchy.tmsg_pairs(a_ranks, b_ranks, sizes)
-
-
-def point_to_point_sparse(
+def link_wire_times(
     census: SparseLinkCensus,
-    network: NetworkModel | None = None,
-    hierarchy=None,
+    network: NetworkModel,
     include_multi_surcharge: bool = True,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
-) -> tuple[float, float]:
-    """Max-over-ranks boundary-exchange and ghost-update times.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-link wire time ``(boundary, ghost)`` on one network level.
 
-    The vectorized twin of
-    :meth:`~repro.perfmodel.mesh_specific.MeshSpecificModel.point_to_point`:
-    every boundary link is priced from its Table-3 tally (two enlarged +
-    four plain messages per active exchange group, then the all-faces
-    sextet) and every ghost link from its six per-phase messages, with
-    one batched ``Tmsg`` evaluation per chunk (per network level when a
-    hierarchy is given).  Work and memory are O(edges); chunking bounds
-    the temporaries.
+    Each boundary link is its Table-3 tally priced through ``Tmsg`` and
+    summed serially in tally order — per active exchange group ``+ 2·T(big)``
+    then ``+ 4·T(small)``, then ``+ 6·T(final)`` — and each ghost link
+    ``+ (T(local) + T(remote))`` per phase in phase order: Equations
+    (5)–(7) with exactly the association of the scalar helpers
+    :func:`~repro.perfmodel.boundary.priced_tally_time` and
+    :func:`~repro.perfmodel.ghostmodel.priced_ghost_time`.  Links are
+    priced :data:`DEFAULT_CHUNK_EDGES` at a time to bound the
+    temporaries.
     """
-    if (network is None) == (hierarchy is None):
-        raise ValueError("exactly one of network/hierarchy must be given")
-    if chunk_edges < 1:
-        raise ValueError("chunk_edges must be >= 1")
-
-    be_time = np.zeros(census.num_ranks, dtype=np.float64)
-    for lo in range(0, census.num_boundary_links, chunk_edges):
-        hi = min(lo + chunk_edges, census.num_boundary_links)
+    be_time = np.empty(census.num_boundary_links, dtype=np.float64)
+    for lo in range(0, census.num_boundary_links, DEFAULT_CHUNK_EDGES):
+        hi = min(lo + DEFAULT_CHUNK_EDGES, census.num_boundary_links)
         faces = census.be_faces[lo:hi]
-        multi = (
-            census.be_multi[lo:hi]
-            if include_multi_surcharge
-            else np.zeros_like(faces)
-        )
-        src, dst = census.be_src[lo:hi], census.be_dst[lo:hi]
-        positive = faces > 0
-        big = (
-            BOUNDARY_BYTES_PER_FACE * faces
-            + BOUNDARY_BYTES_PER_MULTI_NODE * multi
-        )
         small = BOUNDARY_BYTES_PER_FACE * faces
-        final = BOUNDARY_BYTES_PER_FACE * faces.sum(axis=1)
-        groups = faces.shape[1]
-        src_rep = np.repeat(src, groups)
-        dst_rep = np.repeat(dst, groups)
-        t_big = _price_sizes(
-            big.ravel(), src_rep, dst_rep, network, hierarchy
-        ).reshape(faces.shape)
-        t_small = _price_sizes(
-            small.ravel(), src_rep, dst_rep, network, hierarchy
-        ).reshape(faces.shape)
-        t_final = _price_sizes(final, src, dst, network, hierarchy)
-        per_edge = (
-            np.where(positive, 2.0 * t_big + 4.0 * t_small, 0.0).sum(axis=1)
-            + float(BOUNDARY_MSGS_PER_STEP) * t_final
-        )
-        np.add.at(be_time, src, per_edge)
+        big = small
+        if include_multi_surcharge:
+            big = small + BOUNDARY_BYTES_PER_MULTI_NODE * census.be_multi[lo:hi]
+        t_big = network.tmsg_many(big)
+        t_small = network.tmsg_many(small)
+        t_final = network.tmsg_many(BOUNDARY_BYTES_PER_FACE * faces.sum(axis=1))
+        acc = np.zeros(hi - lo, dtype=np.float64)
+        for group in range(faces.shape[1]):
+            step = (acc + 2.0 * t_big[:, group]) + 4.0 * t_small[:, group]
+            acc = np.where(faces[:, group] > 0, step, acc)
+        be_time[lo:hi] = acc + float(BOUNDARY_MSGS_PER_STEP) * t_final
 
-    gn_time = np.zeros(census.num_ranks, dtype=np.float64)
-    phase_bytes = np.array(GHOST_PHASE_BYTES, dtype=np.float64)
-    for lo in range(0, census.num_ghost_links, chunk_edges):
-        hi = min(lo + chunk_edges, census.num_ghost_links)
-        src, dst = census.gn_src[lo:hi], census.gn_dst[lo:hi]
+    gn_time = np.empty(census.num_ghost_links, dtype=np.float64)
+    for lo in range(0, census.num_ghost_links, DEFAULT_CHUNK_EDGES):
+        hi = min(lo + DEFAULT_CHUNK_EDGES, census.num_ghost_links)
         local = census.gn_local[lo:hi]
         remote = census.gn_remote[lo:hi]
-        # (edges, phases, local/remote) — the ghost_sizes layout, batched.
-        sizes = np.empty((src.size, phase_bytes.size, 2), dtype=np.float64)
-        sizes[:, :, 0] = local[:, None] * phase_bytes[None, :]
-        sizes[:, :, 1] = remote[:, None] * phase_bytes[None, :]
-        reps = 2 * phase_bytes.size
-        t = _price_sizes(
-            sizes.reshape(src.size, -1).ravel(),
-            np.repeat(src, reps),
-            np.repeat(dst, reps),
-            network,
-            hierarchy,
-        ).reshape(src.size, -1)
-        np.add.at(gn_time, src, t.sum(axis=1))
-
-    be_max = float(be_time.max()) if be_time.size else 0.0
-    gn_max = float(gn_time.max()) if gn_time.size else 0.0
-    return be_max, gn_max
+        acc = np.zeros(hi - lo, dtype=np.float64)
+        for nbytes in GHOST_PHASE_BYTES:
+            acc = acc + (
+                network.tmsg_many(nbytes * local)
+                + network.tmsg_many(nbytes * remote)
+            )
+        gn_time[lo:hi] = acc
+    return be_time, gn_time
 
 
-@dataclass(frozen=True)
-class SparseMeshModel:
-    """Mesh-specific model over a columnar census — the extreme-scale path.
-
-    Mirrors :class:`~repro.perfmodel.mesh_specific.MeshSpecificModel`
-    (same attributes, same composition of Equations (1)–(10)) but every
-    term is O(edges + log P): computation evaluates the deduplicated
-    profile rows (the per-phase max over ranks equals the max over
-    distinct profiles), point-to-point is the chunked vectorized pricing
-    above, and collectives are the analytic ``tree_depth``-based
-    formulas.
-    """
-
-    table: CostTable
-    network: NetworkModel
-    include_multi_surcharge: bool = True
-    hierarchy: object | None = None
-    chunk_edges: int = DEFAULT_CHUNK_EDGES
-
-    def computation(self, census: SparseLinkCensus) -> float:
-        """Equation (3) over the distinct per-rank material profiles."""
-        return computation_time(self.table, census.cell_profiles)
-
-    def point_to_point(self, census: SparseLinkCensus) -> tuple[float, float]:
-        return point_to_point_sparse(
-            census,
-            network=None if self.hierarchy is not None else self.network,
-            hierarchy=self.hierarchy,
-            include_multi_surcharge=self.include_multi_surcharge,
-            chunk_edges=self.chunk_edges,
-        )
-
-    def predict(self, census: SparseLinkCensus) -> PredictedTime:
-        """Full per-iteration prediction — seconds even at 10^6 ranks."""
-        comp = self.computation(census)
-        be, gn = self.point_to_point(census)
-        if self.hierarchy is None:
-            coll = collectives_time(self.network, census.num_ranks)
-        else:
-            coll = hier_collectives_time(self.hierarchy, census.num_ranks)
-        return PredictedTime(
-            computation=comp,
-            boundary_exchange=be,
-            ghost_updates=gn,
-            collectives=coll,
-        )
+def link_message_counts(census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
+    """Messages per link ``(boundary, ghost)``: one sextet per active
+    exchange group plus the all-faces sextet; two per ghost phase."""
+    active = np.count_nonzero(census.be_faces > 0, axis=1)
+    be_msgs = float(BOUNDARY_MSGS_PER_STEP) * (active + 1).astype(np.float64)
+    gn_msgs = np.full(census.num_ghost_links, 2.0 * len(GHOST_PHASE_BYTES))
+    return be_msgs, gn_msgs

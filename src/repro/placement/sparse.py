@@ -29,6 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.perfmodel.sparse_mesh import (
+    as_link_census,
+    link_bytes,
+    link_message_counts,
+    link_wire_times,
+)
+
 #: At or below this rank count the priced objective row-sums the densified
 #: cost matrices and :func:`~repro.placement.optimize.minimax_refine` scans
 #: every move and swap exhaustively; above it both work on stored entries
@@ -155,38 +162,6 @@ class SparseCommGraph:
         )
 
 
-def _census_byte_edges(census):
-    """Directed ``(src, dst, bytes)`` arrays for a census, in walk order."""
-    from repro.perfmodel.linktally import iter_link_tallies
-
-    src: list = []
-    dst: list = []
-    vals: list = []
-    for kind, rank, nbr, counts, sizes in iter_link_tallies(census):
-        nbytes = float(sizes.sum() if counts is None else (counts * sizes).sum())
-        src += [rank, nbr]
-        dst += [nbr, rank]
-        vals += [nbytes, nbytes]
-    return (
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(vals, dtype=np.float64),
-    )
-
-
-def _columnar_census_byte_edges(census):
-    """Vectorized byte edges for a columnar SparseLinkCensus."""
-    from repro.perfmodel.sparse_mesh import link_bytes
-
-    be_bytes, gn_bytes = link_bytes(census)
-    src = np.concatenate([census.be_src, census.be_dst,
-                          census.gn_src, census.gn_dst])
-    dst = np.concatenate([census.be_dst, census.be_src,
-                          census.gn_dst, census.gn_src])
-    vals = np.concatenate([be_bytes, be_bytes, gn_bytes, gn_bytes])
-    return src, dst, vals
-
-
 def rank_comm_bytes(census) -> SparseCommGraph:
     """Per-iteration bytes between rank pairs, as a CSR graph.
 
@@ -197,16 +172,17 @@ def rank_comm_bytes(census) -> SparseCommGraph:
     exchange — exactly what crossing a node boundary costs under pairwise
     pricing.
 
-    Accepts either an object-based
-    :class:`~repro.hydro.workload.WorkloadCensus` (walked link by link) or
-    a columnar :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`
-    (fully vectorized, no Python per-link loop — the million-rank path).
+    Accepts an object-based :class:`~repro.hydro.workload.WorkloadCensus`
+    (converted once) or a columnar
+    :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`; the build is
+    fully vectorized, with no Python per-link loop.
     """
-    if hasattr(census, "boundary_links"):
-        src, dst, vals = _census_byte_edges(census)
-    else:
-        src, dst, vals = _columnar_census_byte_edges(census)
-    return SparseCommGraph.from_edges(census.num_ranks, src, dst, vals)
+    links = as_link_census(census)
+    be_bytes, gn_bytes = link_bytes(links)
+    src = np.concatenate([links.be_src, links.be_dst, links.gn_src, links.gn_dst])
+    dst = np.concatenate([links.be_dst, links.be_src, links.gn_dst, links.gn_src])
+    vals = np.concatenate([be_bytes, be_bytes, gn_bytes, gn_bytes])
+    return SparseCommGraph.from_edges(links.num_ranks, src, dst, vals)
 
 
 def inter_node_bytes(placement, graph: SparseCommGraph) -> float:
@@ -283,16 +259,12 @@ def rank_pair_times(census, cluster) -> SparsePairCosts:
     different nodes (``t_inter``).  The placement then just selects, per
     pair, which price applies; each rank's sum is its p2p cost, whose max
     is the makespan-aligned objective.  Contributions to one pair are
-    summed in link-walk order.
+    summed in census link order: by owning rank, boundary before ghost.
 
     Requires ``cluster.hierarchy``; intra host overheads default to the
     flat cluster overheads when the hierarchy does not declare cheaper
     shared-memory values.
     """
-    from repro.perfmodel.boundary import priced_tally_time
-    from repro.perfmodel.ghostmodel import priced_ghost_time
-    from repro.perfmodel.linktally import iter_link_tallies
-
     hierarchy = cluster.hierarchy
     if hierarchy is None:
         raise ValueError("rank_pair_times needs an SMP hierarchy on the cluster")
@@ -308,35 +280,30 @@ def rank_pair_times(census, cluster) -> SparsePairCosts:
         else hierarchy.intra_recv_overhead
     )
 
-    src: list = []
-    dst: list = []
-    val_intra: list = []
-    val_inter: list = []
-    for kind, rank, nbr, counts, sizes in iter_link_tallies(census):
-        if counts is None:
-            msgs = float(sizes.size)
-            wire_intra = priced_ghost_time(hierarchy.intra.tmsg_many(sizes))
-            wire_inter = priced_ghost_time(hierarchy.inter.tmsg_many(sizes))
-        else:
-            msgs = float(counts.sum())
-            wire_intra = priced_tally_time(counts, hierarchy.intra.tmsg_many(sizes))
-            wire_inter = priced_tally_time(counts, hierarchy.inter.tmsg_many(sizes))
-        src += [rank, nbr]
-        dst += [nbr, rank]
-        val_intra += [wire_intra + msgs * send_intra, msgs * recv_intra]
-        val_inter += [wire_inter + msgs * send_inter, msgs * recv_inter]
-    indptr, indices, intra, inter = _coalesce(
-        census.num_ranks,
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        [np.array(val_intra), np.array(val_inter)],
+    links = as_link_census(census)
+    wire_intra = np.concatenate(link_wire_times(links, hierarchy.intra))
+    wire_inter = np.concatenate(link_wire_times(links, hierarchy.inter))
+    msgs = np.concatenate(link_message_counts(links))
+    owner = np.concatenate([links.be_src, links.gn_src])
+    nbr = np.concatenate([links.be_dst, links.gn_dst])
+    kind = np.repeat([0, 1], [links.num_boundary_links, links.num_ghost_links])
+    # Each link sends on (owner, nbr) and receives on the mirrored entry;
+    # the stable sort by (owner, kind) restores census link order, which
+    # fixes the summation order of the entries _coalesce merges.
+    order = np.lexsort((np.concatenate([kind, kind]), np.concatenate([owner, owner])))
+    src = np.concatenate([owner, nbr])[order]
+    dst = np.concatenate([nbr, owner])[order]
+    intra = np.concatenate([wire_intra + msgs * send_intra, msgs * recv_intra])
+    inter = np.concatenate([wire_inter + msgs * send_inter, msgs * recv_inter])
+    indptr, indices, t_intra, t_inter = _coalesce(
+        links.num_ranks, src, dst, [intra[order], inter[order]]
     )
     return SparsePairCosts(
-        num_ranks=census.num_ranks,
+        num_ranks=links.num_ranks,
         indptr=indptr,
         indices=indices,
-        t_intra=intra,
-        t_inter=inter,
+        t_intra=t_intra,
+        t_inter=t_inter,
     )
 
 

@@ -47,6 +47,15 @@ __all__ = ["PredictionServer"]
 
 _MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a client has to deliver its request line, headers and body.  A
+#: client that stalls past it is answered 408 and disconnected; evaluating
+#: the request is not part of the deadline.
+_READ_DEADLINE_S = 30.0
+
+
+class _MalformedRequest(ValueError):
+    """A request that cannot be parsed off the wire (answered 400)."""
+
 
 class _Job:
     """One queued cache miss: a key, its request, and the shared future."""
@@ -211,6 +220,7 @@ class PredictionServer:
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         body = json.dumps(payload, sort_keys=True).encode()
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
+                  408: "Request Timeout",
                   500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -226,13 +236,28 @@ class PredictionServer:
             pass
 
     async def _handle_request(self, reader) -> tuple:
+        try:
+            async with asyncio.timeout(_READ_DEADLINE_S):
+                method, path, body = await self._read_request(reader)
+        except TimeoutError:
+            return 408, {
+                "error": f"request not received within {_READ_DEADLINE_S:g} s"
+            }
+        except _MalformedRequest as exc:
+            return 400, {"error": str(exc)}
+        return await self._dispatch(method, path, body)
+
+    async def _read_request(self, reader) -> tuple:
+        """``(method, path, body)`` of one request off the wire."""
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
-            return 400, {"error": "empty request"}
+            raise _MalformedRequest("empty request")
         try:
             method, path, _ = request_line.split(" ", 2)
         except ValueError:
-            return 400, {"error": f"malformed request line {request_line!r}"}
+            raise _MalformedRequest(
+                f"malformed request line {request_line!r}"
+            ) from None
         content_length = 0
         while True:
             line = (await reader.readline()).decode("latin-1").strip()
@@ -242,18 +267,20 @@ class PredictionServer:
             if name.strip().lower() == "content-length":
                 text = value.strip()
                 if not (text.isascii() and text.isdigit()):
-                    return 400, {"error": f"invalid Content-Length {text!r}"}
+                    raise _MalformedRequest(f"invalid Content-Length {text!r}")
                 content_length = int(text)
         if content_length > _MAX_BODY_BYTES:
-            return 400, {"error": "request body too large"}
+            raise _MalformedRequest("request body too large")
         try:
             body = await reader.readexactly(content_length)
         except asyncio.IncompleteReadError as exc:
-            return 400, {
-                "error": f"request body ended after {len(exc.partial)} of "
+            raise _MalformedRequest(
+                f"request body ended after {len(exc.partial)} of "
                 f"{content_length} bytes"
-            }
+            ) from None
+        return method, path, body
 
+    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple:
         self.counters["requests"] += 1
         if method == "GET" and path == "/healthz":
             return 200, {"ok": True}

@@ -10,14 +10,14 @@ from repro.analysis import (
     SweepSpec,
     SweepTask,
     ValidationPoint,
-    calibrated_table,
+    calibration_store,
     run_points,
     run_sweep,
     sweep_status,
     sweep_store,
     validation_sweep,
 )
-from repro.analysis.runner import _faces_for
+from repro.core.assemble import calibration_key, calibration_table, faces_for
 from repro.mesh import build_deck, build_face_table
 from repro.util import stable_hash
 
@@ -96,8 +96,8 @@ class TestFacesMemo:
         unstructured_b = dataclasses.replace(
             deck_b, mesh=dataclasses.replace(deck_b.mesh, nx=0, ny=0)
         )
-        faces_a = _faces_for(unstructured_a)
-        faces_b = _faces_for(unstructured_b)
+        faces_a = faces_for(unstructured_a)
+        faces_b = faces_for(unstructured_b)
         assert np.array_equal(
             faces_a.face_nodes, build_face_table(unstructured_a.mesh).face_nodes
         )
@@ -226,12 +226,15 @@ class TestResume:
         assert [p.num_ranks for p in retry] == [1, 2]
 
     def test_calibration_is_memoised_and_exact(self, cluster, tmp_cache):
-        fresh = calibrated_table(cluster, [1, 2, 4, 8])
+        store = calibration_store()
+        fresh = calibration_table(cluster, [1, 2, 4, 8], store=store)
         assert len(sweep_store(root=None).keys()) == 0  # separate namespace
-        replayed = calibrated_table(cluster, [1, 2, 4, 8])
+        assert store.get(calibration_key(cluster, [1, 2, 4, 8])) is not None
+        replayed = calibration_table(cluster, [1, 2, 4, 8], store=store)
         # Content-identical down to the hash, so sweep point keys agree.
         assert stable_hash(fresh) == stable_hash(replayed)
-        assert calibrated_table(cluster, [1, 2]).curves[0][0].cells.size == 2
+        two_sides = calibration_table(cluster, [1, 2], store=store)
+        assert two_sides.curves[0][0].cells.size == 2
 
     def test_store_key_sensitive_to_grid_parameters(self, tiny_spec, tmp_cache):
         """A finished grid does not satisfy a *different* grid."""

@@ -14,6 +14,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -194,7 +195,7 @@ def test_predict_smp_placement_runs():
     assert all(v > 0 for v in result.predicted.values())
 
 
-def test_weak_predict_sparse_only():
+def test_weak_request_prices_sparse_model_only():
     result = predict(
         PredictionRequest(deck="weak:64", ranks=256, models=("sparse",))
     )
@@ -261,3 +262,51 @@ def test_lru_store_tier_write_through_and_promotion():
     assert fresh.stats()["hits_store"] == 1
     assert fresh.get("k") == {"v": 7}  # promoted to memory
     assert fresh.stats()["hits_memory"] == 1
+
+
+# ------------------------------------------------------- per-process memos
+
+
+def test_faces_memo_evicts_lru_and_recomputes_bitwise():
+    import dataclasses
+
+    from repro.mesh import build_deck
+
+    assemble_mod = importlib.import_module("repro.core.assemble")
+
+    memo = assemble_mod._FACES_MEMO
+    memo.clear()
+    try:
+        decks = [build_deck((4, 2 + i)) for i in range(memo.max_entries + 1)]
+        first = assemble_mod.faces_for(decks[0])
+        second = assemble_mod.faces_for(decks[1])
+        for deck in decks[2:-1]:
+            assemble_mod.faces_for(deck)
+        assert assemble_mod.faces_for(decks[0]) is first  # refresh decks[0]
+        assemble_mod.faces_for(decks[-1])  # overfill: evicts decks[1]
+        assert len(memo) == memo.max_entries
+        assert ("structured", 4, 2) in memo
+        assert ("structured", 4, 3) not in memo
+        again = assemble_mod.faces_for(decks[1])
+        assert again is not second
+        for field in dataclasses.fields(second):
+            old, new = getattr(second, field.name), getattr(again, field.name)
+            assert (old.dtype, old.shape) == (new.dtype, new.shape)
+            assert old.tobytes() == new.tobytes()
+    finally:
+        memo.clear()
+
+
+def test_process_memos_are_bounded():
+    from repro.partition import dynamic
+
+    assemble_mod = importlib.import_module("repro.core.assemble")
+
+    for memo in (
+        assemble_mod._FACES_MEMO,
+        assemble_mod._TABLE_MEMO,
+        assemble_mod._FITTED_MEMO,
+        dynamic._REPARTITION_MEMO,
+    ):
+        assert memo.max_entries >= 8  # far above one process's decks/machines
+        assert hasattr(memo, "clear")

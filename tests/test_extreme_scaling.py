@@ -18,8 +18,8 @@ import pytest
 
 from repro.machine import es45_like_cluster
 from repro.perfmodel import (
+    MeshSpecificModel,
     SparseLinkCensus,
-    SparseMeshModel,
     calibrate_contrived_grid,
     weak_scaled_census,
 )
@@ -41,7 +41,7 @@ PEAK_BYTES_PER_RANK = 4096
 def model():
     cluster = es45_like_cluster()
     table = calibrate_contrived_grid(cluster, sides=[1, 8, 64])
-    return SparseMeshModel(table=table, network=cluster.network)
+    return MeshSpecificModel(table=table, network=cluster.network)
 
 
 class TestMillionRanks:
@@ -76,7 +76,7 @@ class TestMillionRanks:
     def test_smp_prediction_under_budget(self):
         cluster = es45_like_cluster().with_smp()
         table = calibrate_contrived_grid(cluster, sides=[1, 8, 64])
-        model = SparseMeshModel(
+        model = MeshSpecificModel(
             table=table, network=cluster.network, hierarchy=cluster.hierarchy
         )
         ranks = 1_000_000
@@ -136,21 +136,35 @@ class TestWeakScaledCensus:
         assert large.collectives > small.collectives
 
     def test_converted_workload_census_round_trip(self):
-        # SparseLinkCensus.from_workload_census is the bridge the
-        # equivalence tests lean on; sanity-check the counts here.
+        # SparseLinkCensus.from_workload_census is the one bridge from the
+        # object census to every pricing body; check it link by link.
         from repro.hydro import build_workload_census
+        from repro.hydro.workload import NUM_EXCHANGE_GROUPS
         from repro.mesh import build_deck, build_face_table
         from repro.partition import cached_partition
-        from repro.perfmodel.linktally import iter_link_tallies
 
         deck = build_deck("small")
         faces = build_face_table(deck.mesh)
         part = cached_partition(deck, 12, faces=faces)
         census = build_workload_census(deck, part, faces)
         sparse = SparseLinkCensus.from_workload_census(census)
-        kinds = [k for k, *_ in iter_link_tallies(census, True)]
-        assert sparse.num_boundary_links == kinds.count("be")
-        assert sparse.num_ghost_links == kinds.count("gn")
+        be_pairs, be_faces, gn_pairs, gn_counts = [], [], [], []
+        for rank in range(census.num_ranks):
+            for bl in census.boundary_links[rank]:
+                row = np.zeros(NUM_EXCHANGE_GROUPS)
+                for group, f, _ in bl.mine.groups:
+                    row[group] += f
+                be_pairs.append((rank, bl.nbr_rank))
+                be_faces.append(row)
+            for gl in census.ghost_links[rank]:
+                gn_pairs.append((rank, gl.nbr_rank))
+                gn_counts.append((gl.owned_by_me, gl.not_owned_by_me))
+        assert list(zip(sparse.be_src.tolist(), sparse.be_dst.tolist())) == be_pairs
+        assert np.array_equal(sparse.be_faces, np.array(be_faces))
+        assert list(zip(sparse.gn_src.tolist(), sparse.gn_dst.tolist())) == gn_pairs
+        assert list(
+            zip(sparse.gn_local.tolist(), sparse.gn_remote.tolist())
+        ) == gn_counts
         assert np.array_equal(
             sparse.material_counts(), census.material_counts
         )

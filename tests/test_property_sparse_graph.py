@@ -12,9 +12,9 @@ for *every* input — not just the mesh censuses the examples use:
 * **round-trip** — rebuilding a graph from its own densified nonzeros
   gives it back entry-for-entry;
 * **census fidelity** — the edge set :func:`rank_comm_bytes` builds from a
-  real workload census is exactly the neighbour set
-  :func:`iter_link_tallies` yields, and its weights equal that walk's
-  accumulated bytes bitwise.
+  real workload census is exactly its set of linked neighbours, and its
+  weights equal the bytes of each link's Table-3 and ghost tallies,
+  accumulated by a plain loop, bitwise.
 """
 
 from __future__ import annotations
@@ -146,6 +146,27 @@ class TestValidation:
             graph.row(3)
 
 
+def census_link_bytes(census):
+    """``(rank, nbr, bytes)`` of every census link, boundary then ghost
+    per rank, from the scalar per-neighbour tallies."""
+    from repro.hydro.workload import NUM_EXCHANGE_GROUPS
+    from repro.perfmodel import boundary_message_sizes
+    from repro.perfmodel.ghostmodel import ghost_sizes
+
+    for rank in range(census.num_ranks):
+        for bl in census.boundary_links[rank]:
+            faces = np.zeros(NUM_EXCHANGE_GROUPS)
+            multi = np.zeros(NUM_EXCHANGE_GROUPS)
+            for group, f, g in bl.mine.groups:
+                faces[group] += f
+                multi[group] += g
+            rows = boundary_message_sizes(faces, multi)
+            yield rank, bl.nbr_rank, sum(count * size for count, size in rows)
+        for gl in census.ghost_links[rank]:
+            sizes = ghost_sizes(gl.owned_by_me, gl.not_owned_by_me)
+            yield rank, gl.nbr_rank, float(sizes.sum())
+
+
 class TestCensusFidelity:
     @pytest.fixture(scope="class")
     def census(self):
@@ -159,11 +180,8 @@ class TestCensusFidelity:
         return build_workload_census(deck, part, faces)
 
     def test_weights_match_dense_bitwise(self, census):
-        from repro.perfmodel.linktally import iter_link_tallies
-
         dense = np.zeros((census.num_ranks, census.num_ranks))
-        for _, rank, nbr, counts, sizes in iter_link_tallies(census):
-            nbytes = float(sizes.sum() if counts is None else (counts * sizes).sum())
+        for rank, nbr, nbytes in census_link_bytes(census):
             dense[rank, nbr] += nbytes
             dense[nbr, rank] += nbytes
         graph = rank_comm_bytes(census)
@@ -171,10 +189,8 @@ class TestCensusFidelity:
         assert np.array_equal(graph.to_dense(), dense)
 
     def test_edge_set_matches_link_tallies(self, census):
-        from repro.perfmodel.linktally import iter_link_tallies
-
         talked = set()
-        for _, rank, nbr, _, _ in iter_link_tallies(census, True):
+        for rank, nbr, _ in census_link_bytes(census):
             talked.add((rank, nbr))
             talked.add((nbr, rank))
         graph = rank_comm_bytes(census)

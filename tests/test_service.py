@@ -245,3 +245,33 @@ def test_calibrate_route_fits_stores_and_serves(tmp_path):
         client.shutdown()
         thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+def test_stalled_client_gets_a_408(server, monkeypatch):
+    from repro.service import server as server_mod
+
+    monkeypatch.setattr(server_mod, "_READ_DEADLINE_S", 0.2)
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        # The request line only: no headers terminator, no body, no EOF.
+        sock.sendall(b"POST /predict HTTP/1.1\r\n")
+        status_line = sock.makefile("rb").readline()
+    assert int(status_line.split()[1]) == 408
+    assert b"Request Timeout" in status_line
+    assert server.counters["errors"] == 0
+
+
+def test_predict_succeeds_under_a_short_read_deadline(client, monkeypatch):
+    # Evaluation time is outside the deadline: an evaluation slowed past
+    # it still answers 200.
+    import time
+
+    from repro.service import server as server_mod
+
+    def slow_predict(request, store=None):
+        time.sleep(0.5)
+        return predict(request, store=store)
+
+    monkeypatch.setattr(server_mod, "_READ_DEADLINE_S", 0.2)
+    monkeypatch.setattr(server_mod, "predict", slow_predict)
+    served = client.predict(REQUEST)
+    assert served.predicted == predict(REQUEST).predicted

@@ -12,10 +12,11 @@ implementation must reproduce them bitwise —
   optimized maps, and the full optimizer's node map, on every SMP seed;
 * the full optimizer on the small deck at 16 and 24 ranks.
 
-Full model predictions (``predict`` against ``predict_sparse``) still have
-two implementations, which agree to the differential tolerance
-(**1e-12 relative** — only the association of exact per-edge terms
-differs).
+Full model predictions have one implementation too: ``predict`` prices a
+workload census by converting it to the columnar ``SparseLinkCensus``, so
+both census forms run the same body.  ``tests/goldens/mesh_model.json``
+pins the object-walk implementation it replaced, and the predictions must
+reproduce it bitwise on either form.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.verify.properties import relative_errors
 from repro.verify.scenarios import build_scenario, random_scenario
-
-RTOL = 1e-12
 
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"
 GOLDEN = json.loads((GOLDENS_DIR / "placement_maps.json").read_text())
+MODEL_GOLDEN = json.loads((GOLDENS_DIR / "mesh_model.json").read_text())
+MODEL_TERMS = ("computation", "boundary_exchange", "ghost_updates", "collectives")
 
 
 def _load_capture_module():
@@ -96,6 +95,8 @@ def test_small_deck_optimizer_node_map(ranks):
 @pytest.mark.parametrize("seed", range(0, 50, 5))
 @pytest.mark.parametrize("smp", [False, True])
 def test_model_predictions_within_tolerance(seed, smp):
+    # Both census forms price through the one columnar body and must give
+    # the object-walk model's pinned terms bit for bit.
     from repro.machine import es45_like_cluster
     from repro.perfmodel import (
         MeshSpecificModel,
@@ -113,16 +114,11 @@ def test_model_predictions_within_tolerance(seed, smp):
         network=cluster.network,
         hierarchy=cluster.hierarchy,
     )
-    dense_pred = model.predict(built.census)
-    sparse_pred = model.predict_sparse(
-        SparseLinkCensus.from_workload_census(built.census)
-    )
-    for field in (
-        "computation", "boundary_exchange", "ghost_updates", "collectives"
+    expected = MODEL_GOLDEN["fuzz"][str(seed)]["smp" if smp else "flat"]
+    for census in (
+        built.census, SparseLinkCensus.from_workload_census(built.census)
     ):
-        errs = relative_errors(
-            np.array(getattr(dense_pred, field)),
-            np.array(getattr(sparse_pred, field)),
-        )
-        assert float(errs.max()) <= RTOL, field
-    assert sparse_pred.total == pytest.approx(dense_pred.total, rel=RTOL)
+        predicted = model.predict(census)
+        assert [
+            float(getattr(predicted, name)).hex() for name in MODEL_TERMS
+        ] == expected["surcharge"]
