@@ -33,8 +33,9 @@ def smp_rows(medium_deck, fine_cost_table):
         ).seconds
 
         # Model the SMP machine with the blended flat-equivalent network.
+        lower = census.be_src < census.be_dst
         local_frac = smp.hierarchy.local_pair_fraction(
-            None, census.face_census.pairs.keys()
+            zip(census.be_src[lower].tolist(), census.be_dst[lower].tolist())
         )
         blended = smp.hierarchy.flat_equivalent(local_frac)
         pred_flat_net = GeneralModel(

@@ -35,7 +35,7 @@ def figure2_run(cluster):
 def test_figure2_report(figure2_run, report_writer):
     deck, part, census, run = figure2_run
     compute = run.result.trace.compute / run.iterations  # (ranks, phases)
-    counts = census.material_counts
+    counts = census.material_counts()
     dominant = np.where(
         counts.max(axis=1) >= DOMINANCE * counts.sum(axis=1),
         counts.argmax(axis=1),
@@ -71,7 +71,7 @@ def test_phase14_material_dependence(figure2_run):
     """Foam-dominated ranks are slowest in the strength phase."""
     _, _, census, run = figure2_run
     compute = run.result.trace.compute / run.iterations
-    counts = census.material_counts
+    counts = census.material_counts()
     dominant = counts.argmax(axis=1)
     foam = np.flatnonzero(dominant == 2)
     he = np.flatnonzero(dominant == 0)

@@ -52,6 +52,8 @@ class ResultStore:
             raise ValueError(f"invalid store namespace {namespace!r}")
         self.namespace = namespace
         self.directory = (Path(root) if root is not None else cache_root()) / namespace
+        #: Artifacts :meth:`get` found but could not read back.
+        self.unreadable = 0
 
     @staticmethod
     def key_for(params) -> str:
@@ -78,13 +80,17 @@ class ResultStore:
         """The stored value for ``key``, or ``default`` on a miss.
 
         An artifact that cannot be read back (truncated, not UTF-8, not
-        JSON) is a miss too; the next :meth:`put` of the key replaces it.
+        JSON) is a miss too, counted in :attr:`unreadable`; the next
+        :meth:`put` of the key replaces it.
         """
         path = self.path_for(key)
         try:
             with open(path, encoding="utf-8") as handle:
                 return json.load(handle)
+        except FileNotFoundError:
+            return default
         except (OSError, ValueError):
+            self.unreadable += 1
             return default
 
     def put(self, key: str, value) -> Path:

@@ -84,7 +84,11 @@ class LRUResultCache:
         self._memory.clear()
 
     def stats(self) -> dict:
-        """Counter snapshot for ``--stats`` output and bench invariants."""
+        """Counter snapshot for ``--stats`` output and bench invariants.
+
+        ``store_unreadable`` is the backing store's count of artifacts it
+        found but could not read back (0 for a store that keeps none).
+        """
         lookups = self.hits_memory + self.hits_store + self.misses
         return {
             "entries": len(self._memory),
@@ -94,4 +98,5 @@ class LRUResultCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "lookups": lookups,
+            "store_unreadable": getattr(self.store, "unreadable", 0),
         }

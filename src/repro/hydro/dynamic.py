@@ -215,7 +215,7 @@ class DynamicController:
 
         t = iteration * self.config.dt
         census = self._dyn.census_at(t)
-        work = census.material_counts.sum(axis=1).astype(np.float64)
+        work = census.material_counts().sum(axis=1)
         imbalance_before = imbalance(work)
         migration = None
         fired = self.config.policy.should_repartition(iteration, work)
@@ -240,7 +240,7 @@ class DynamicController:
                     bcast_bytes=self.num_ranks * NUM_MATERIALS * 8,
                 )
                 census = self._dyn.census_at(t)
-                work = census.material_counts.sum(axis=1).astype(np.float64)
+                work = census.material_counts().sum(axis=1)
 
         step = DynamicStep(
             index=iteration,

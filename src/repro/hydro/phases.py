@@ -146,22 +146,22 @@ class KrakProgram:
         """
         previous, self.census = self.census, census
         self.work = census.work_vector(self.rank)
-        if (
-            previous is not None
-            and census.boundary_links is previous.boundary_links
-            and census.ghost_links is previous.ghost_links
-        ):
+        if previous is not None and census.shares_links(previous):
             return
-        self.boundary_links = census.boundary_links[self.rank]
-        self.ghost_links = census.ghost_links[self.rank]
+        boundary = census.boundary_links[self.rank]
+        ghost = census.ghost_links[self.rank]
+        self.num_boundary_links = len(boundary)
+        self.ghost_nbrs = census.gn_dst[ghost.start:ghost.stop].tolist()
         #: Phase → (sends, recvs) of its boundary exchange or ghost update.
         self.messages = {}
         for phase, steps in enumerate(KRAK_SCHEDULE):
             for step in steps:
                 if step.kind == STEP_BOUNDARY:
-                    self.messages[phase] = self._boundary_messages(phase)
+                    self.messages[phase] = self._boundary_messages(phase, boundary)
                 elif step.kind == STEP_GHOST:
-                    self.messages[phase] = self._ghost_messages(phase, step.nbytes)
+                    self.messages[phase] = self._ghost_messages(
+                        phase, step.nbytes, ghost
+                    )
 
     def _phase_seconds(self, phase: int, iteration: int) -> float:
         """Modelled compute seconds for ``phase``, noise-scaled if perturbed.
@@ -180,46 +180,62 @@ class KrakProgram:
                 seconds = seconds * factors[phase]
         return seconds
 
-    def _boundary_messages(self, phase: int):
+    def _boundary_messages(self, phase: int, links: range):
         """Per-material sextets plus the final all-materials step (§4.1).
 
-        Returns ``(sends, recvs)``: ``(dst, tag, nbytes)`` and ``(src, tag)``
-        in program order.
+        Sends follow this rank's boundary rows ``links``; receives follow
+        the active groups of each reverse link.  Returns ``(sends,
+        recvs)``: ``(dst, tag, nbytes)`` and ``(src, tag)`` in program
+        order.
         """
+        census = self.census
+        rows = slice(links.start, links.stop)
+        nbrs = census.be_dst[rows].tolist()
+        mine = census.be_faces[rows].astype(np.int64).tolist()
+        multi = census.be_multi[rows].astype(np.int64).tolist()
+        theirs = census.be_faces[census.be_reverse[rows]].tolist()
         fb = BOUNDARY_BYTES_PER_FACE
         mb = BOUNDARY_BYTES_PER_MULTI_NODE
         final = _FINAL_GROUP_SLOT * 16
         sends, recvs = [], []
-        for bl in self.boundary_links:
-            nbr = bl.nbr_rank
-            for (group, faces, multi) in bl.mine.groups:
-                big = fb * faces + mb * multi
-                small = fb * faces
-                for i in range(BOUNDARY_MSGS_PER_STEP):
-                    sends.append(
-                        (nbr, _tag(phase, group * 16 + i), big if i < 2 else small)
-                    )
-            total = fb * bl.mine.total_faces
+        for nbr, faces, extra in zip(nbrs, mine, multi):
+            for group, (f, m) in enumerate(zip(faces, extra)):
+                if f > 0:
+                    big = fb * f + mb * m
+                    small = fb * f
+                    for i in range(BOUNDARY_MSGS_PER_STEP):
+                        sends.append(
+                            (nbr, _tag(phase, group * 16 + i), big if i < 2 else small)
+                        )
+            total = fb * sum(faces)
             for i in range(BOUNDARY_MSGS_PER_STEP):
                 sends.append((nbr, _tag(phase, final + i), total))
-        for bl in self.boundary_links:
-            for group, _, _ in bl.theirs.groups:
-                for i in range(BOUNDARY_MSGS_PER_STEP):
-                    recvs.append((bl.nbr_rank, _tag(phase, group * 16 + i)))
+        for nbr, faces in zip(nbrs, theirs):
+            for group, f in enumerate(faces):
+                if f > 0:
+                    for i in range(BOUNDARY_MSGS_PER_STEP):
+                        recvs.append((nbr, _tag(phase, group * 16 + i)))
             for i in range(BOUNDARY_MSGS_PER_STEP):
-                recvs.append((bl.nbr_rank, _tag(phase, final + i)))
+                recvs.append((nbr, _tag(phase, final + i)))
         return sends, recvs
 
-    def _ghost_messages(self, phase: int, bytes_per_node: int):
+    def _ghost_messages(self, phase: int, bytes_per_node: int, links: range):
         """Two messages per ghost neighbour (Section 4.2), as ``(sends, recvs)``.
 
         Slot 0 carries the shared nodes the sender owns, slot 1 the rest.
         """
+        census = self.census
+        rows = slice(links.start, links.stop)
+        counts = zip(
+            census.gn_dst[rows].tolist(),
+            census.gn_local[rows].astype(np.int64).tolist(),
+            census.gn_remote[rows].astype(np.int64).tolist(),
+        )
         sends, recvs = [], []
-        for gl in self.ghost_links:
-            for slot, nodes in ((0, gl.owned_by_me), (1, gl.not_owned_by_me)):
-                sends.append((gl.nbr_rank, _tag(phase, slot), bytes_per_node * nodes))
-                recvs.append((gl.nbr_rank, _tag(phase, slot)))
+        for nbr, owned, others in counts:
+            for slot, nodes in ((0, owned), (1, others)):
+                sends.append((nbr, _tag(phase, slot), bytes_per_node * nodes))
+                recvs.append((nbr, _tag(phase, slot)))
         return sends, recvs
 
     def _event_ops(self, it: int) -> list:
@@ -276,7 +292,7 @@ class KrakProgram:
             "dt": self.fixed_dt,
             "time": self.time,
             "iteration": it,
-            "boundary_links": float(len(self.boundary_links)),
+            "boundary_links": float(self.num_boundary_links),
         }
 
     def _end_iteration(self, reduced: dict) -> None:
@@ -358,8 +374,8 @@ class KrakProgram:
         """Per ghost message, copies of ``step.fields`` on the nodes it covers."""
         arrays = [getattr(self.state, name) for name in step.fields]
         payloads = []
-        for gl in self.ghost_links:
-            link = self.state_links[gl.nbr_rank]
+        for nbr in self.ghost_nbrs:
+            link = self.state_links[nbr]
             idx = link.shared_local_idx
             mine = link.owner_of_shared == self.rank
             payloads.append([a[idx[mine]].copy() for a in arrays])
@@ -374,11 +390,11 @@ class KrakProgram:
         and ignores the second message (phase 7).
         """
         arrays = [getattr(self.state, name) for name in step.fields]
-        pairs = zip(self.ghost_links, received[::2], received[1::2])
-        for gl, p_local, p_remote in pairs:
-            link = self.state_links[gl.nbr_rank]
+        pairs = zip(self.ghost_nbrs, received[::2], received[1::2])
+        for nbr, p_local, p_remote in pairs:
+            link = self.state_links[nbr]
             idx = link.shared_local_idx
-            from_nbr = link.owner_of_shared == gl.nbr_rank
+            from_nbr = link.owner_of_shared == nbr
             if step.op == "sum":
                 for a, chunk in zip(arrays, p_local):
                     a[idx[from_nbr]] += chunk

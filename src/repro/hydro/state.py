@@ -25,7 +25,7 @@ from repro.hydro.materials import (
 )
 from repro.mesh.deck import InputDeck
 from repro.mesh.geometry import cell_areas, cell_centroids
-from repro.mesh.ghost import node_owners
+from repro.mesh.ghost import node_owners, shared_node_pairs
 from repro.partition.base import Partition
 
 
@@ -126,29 +126,18 @@ def _shared_node_pairs(
     Built from node→rank incidence (any shared node, including corner-only
     contacts, so the additive ghost sums are globally exact).
     """
-    mesh = deck.mesh
-    nodes = mesh.cell_nodes.ravel()
-    ranks = np.repeat(partition.cell_rank, 4)
-    pairs_nr = np.unique(nodes * np.int64(partition.num_ranks) + ranks)
-    node_of = pairs_nr // partition.num_ranks
-    rank_of = pairs_nr % partition.num_ranks
-
-    out: dict[tuple[int, int], list[int]] = {}
-    # Group consecutive runs of the same node (pairs_nr is sorted).
-    start = 0
-    n = node_of.shape[0]
-    while start < n:
-        end = start + 1
-        while end < n and node_of[end] == node_of[start]:
-            end += 1
-        if end - start > 1:
-            rs = rank_of[start:end]
-            gid = int(node_of[start])
-            for i in range(rs.shape[0]):
-                for j in range(i + 1, rs.shape[0]):
-                    out.setdefault((int(rs[i]), int(rs[j])), []).append(gid)
-        start = end
-    return {k: np.array(v, dtype=np.int64) for k, v in out.items()}
+    num_ranks = partition.num_ranks
+    node, low, high, _ = shared_node_pairs(deck.mesh, partition.cell_rank, num_ranks)
+    # A stable sort by pair keeps each pair's nodes in ascending order.
+    key = low * np.int64(num_ranks) + high
+    order = np.argsort(key, kind="stable")
+    key, node = key[order], node[order]
+    pairs, start = np.unique(key, return_index=True)
+    groups = np.split(node, start[1:])
+    return {
+        (int(k // num_ranks), int(k % num_ranks)): gids
+        for k, gids in zip(pairs.tolist(), groups)
+    }
 
 
 def build_rank_states(

@@ -1,22 +1,27 @@
 """Per-rank workload and messaging census for the execution-driven simulation.
 
-The census captures, for every rank, exactly what the discrete-event
-simulator needs to charge costs without running the numerics:
+The census captures exactly what the discrete-event simulator and the
+mesh-specific model charge, without running the numerics:
 
 * the material census (cells per material) for compute charges;
-* for phase 2, per-neighbour boundary-exchange structure: faces per
-  *exchange group* on each side (identical materials — the two aluminums —
-  are combined, as Krak does), plus the count of ghost nodes touching more
-  than one material (they enlarge the first two messages of each sextet);
-* for phases 4/5/7, per-neighbour ghost-node counts split by ownership.
+* for phase 2, per directed rank link, the boundary faces per *exchange
+  group* on the sending side (identical materials — the two aluminums —
+  are combined, as Krak does), plus the ghost nodes touching more than one
+  material (they enlarge the first two messages of each sextet);
+* for phases 4/5/7, per directed rank link, the shared nodes split by
+  ownership.
 
-The same census drives both timing-only and functional runs, so the two
-modes are communication-identical by construction.
+It is held columnar — one numpy array per field, O(links) memory — so the
+same type serves a validation mesh and a weak-scaled machine of 10^6
+ranks.  The simulator, the mesh-specific model and the placement graphs
+all read it, and timing-only and functional runs charge the same links,
+so the two modes are communication-identical by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from repro.hydro.burn import ProgrammedBurn
 from repro.mesh.connectivity import FaceTable, build_face_table
 from repro.mesh.deck import ALUMINUM_INNER, ALUMINUM_OUTER, FOAM, HE_GAS, InputDeck, NUM_MATERIALS
 from repro.mesh.geometry import cell_centroids
-from repro.mesh.ghost import BoundaryCensus, boundary_census, node_owners
+from repro.mesh.ghost import cut_face_tally, reverse_links, shared_node_pairs
 from repro.partition.base import Partition
 from repro.util import bincount_fixed
 
@@ -34,110 +39,183 @@ from repro.util import bincount_fixed
 EXCHANGE_GROUP = {HE_GAS: 0, ALUMINUM_INNER: 1, FOAM: 2, ALUMINUM_OUTER: 1}
 NUM_EXCHANGE_GROUPS = 3
 
+#: ``(materials, groups)`` 0/1 matrix: face counts by material → by group.
+_GROUP_OF_MATERIAL = np.eye(NUM_EXCHANGE_GROUPS, dtype=np.int64)[
+    [EXCHANGE_GROUP[mat] for mat in range(NUM_MATERIALS)]
+]
 
-@dataclass(frozen=True)
-class BoundarySide:
-    """One side's view of a pair boundary for the phase-2 exchange.
-
-    Attributes
-    ----------
-    groups:
-        Tuple of ``(group_id, faces, multi_material_nodes)`` for every
-        exchange group with at least one face on this side.
-    total_faces:
-        All shared faces on the boundary (material-independent final step).
-    """
-
-    groups: tuple
-    total_faces: int
+_LINK_COLUMNS = (
+    "be_src", "be_dst", "be_faces", "be_multi",
+    "gn_src", "gn_dst", "gn_local", "gn_remote",
+)
 
 
-@dataclass(frozen=True)
-class GhostLink:
-    """Ghost-node exchange counts between a rank and one neighbour."""
-
-    nbr_rank: int
-    #: Shared nodes owned by this rank ("local" in the paper's wording).
-    owned_by_me: int
-    #: Shared nodes owned by anyone else ("remote").
-    not_owned_by_me: int
-    #: The neighbour's counts (needed to size the matching receives).
-    owned_by_nbr: int
-    not_owned_by_nbr: int
-
-    @property
-    def num_shared(self) -> int:
-        """Total shared nodes on this link."""
-        return self.owned_by_me + self.not_owned_by_me
+def _row_ranges(src: np.ndarray, num_ranks: int) -> tuple:
+    """Each rank's ``range`` of rows in a rank-major link column."""
+    bounds = np.searchsorted(src, np.arange(num_ranks + 1)).tolist()
+    return tuple(range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
-@dataclass(frozen=True)
-class BoundaryLink:
-    """Phase-2 boundary-exchange structure between a rank and one neighbour."""
-
-    nbr_rank: int
-    mine: BoundarySide
-    theirs: BoundarySide
+def material_profiles(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(profiles, profile_of_rank)``: the distinct rows of a
+    ``(ranks, materials)`` cell-count matrix and each rank's row."""
+    profiles, inverse = np.unique(
+        np.asarray(cells, dtype=np.float64), axis=0, return_inverse=True
+    )
+    return profiles, inverse.astype(np.int64).reshape(-1)
 
 
 @dataclass(frozen=True)
 class WorkloadCensus:
-    """Everything the simulator charges, for every rank."""
+    """Everything the simulator and the models charge, for every rank.
+
+    Directed boundary and ghost links are rank-major and neighbour-sorted:
+    entry ``k`` of the boundary columns is the link *owned* by
+    ``be_src[k]`` toward ``be_dst[k]``, with its per-exchange-group face
+    and multi-material ghost-node counts on the ``be_src`` side; ghost
+    entries carry the shared nodes ``gn_src`` owns (``gn_local``) and the
+    rest (``gn_remote``).  The material census is stored deduplicated: row
+    ``cell_profiles[profile_of_rank[r]]`` is rank ``r``'s per-material cell
+    counts (a weak-scaled machine has a handful of distinct profiles).
+    """
 
     num_ranks: int
-    #: Cells per (rank, material).
-    material_counts: np.ndarray
-    #: rank → list of BoundaryLink, sorted by neighbour (face-sharing pairs).
-    boundary_links: tuple
-    #: rank → list of GhostLink, sorted by neighbour (node-sharing pairs).
-    ghost_links: tuple
-    #: The underlying face-based census (reused by the mesh-specific model).
-    face_census: BoundaryCensus
+    be_src: np.ndarray
+    be_dst: np.ndarray
+    be_faces: np.ndarray
+    be_multi: np.ndarray
+    gn_src: np.ndarray
+    gn_dst: np.ndarray
+    gn_local: np.ndarray
+    gn_remote: np.ndarray
+    cell_profiles: np.ndarray
+    profile_of_rank: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.num_ranks < 1:
+            raise ValueError("num_ranks must be >= 1")
+        for name in ("be_src", "be_dst", "gn_src", "gn_dst", "profile_of_rank"):
+            object.__setattr__(
+                self, name, np.asarray(getattr(self, name), dtype=np.int64)
+            )
+        for name in ("be_faces", "be_multi", "gn_local", "gn_remote",
+                     "cell_profiles"):
+            object.__setattr__(
+                self, name, np.asarray(getattr(self, name), dtype=np.float64)
+            )
+        eb = self.be_src.shape[0]
+        if self.be_dst.shape != (eb,):
+            raise ValueError("boundary endpoint arrays must align")
+        if self.be_faces.shape != (eb, NUM_EXCHANGE_GROUPS) or (
+            self.be_multi.shape != (eb, NUM_EXCHANGE_GROUPS)
+        ):
+            raise ValueError(
+                "boundary tallies must be (edges, NUM_EXCHANGE_GROUPS)"
+            )
+        eg = self.gn_src.shape[0]
+        if (
+            self.gn_dst.shape != (eg,)
+            or self.gn_local.shape != (eg,)
+            or self.gn_remote.shape != (eg,)
+        ):
+            raise ValueError("ghost link arrays must align")
+        for ends in (self.be_src, self.be_dst, self.gn_src, self.gn_dst):
+            if ends.size and (ends.min() < 0 or ends.max() >= self.num_ranks):
+                raise ValueError("link endpoints out of rank range")
+        for counts in (self.be_faces, self.be_multi, self.gn_local,
+                       self.gn_remote, self.cell_profiles):
+            if np.any(counts < 0):
+                raise ValueError("census counts must be non-negative")
+        if self.profile_of_rank.shape != (self.num_ranks,):
+            raise ValueError("profile_of_rank must map every rank")
+        if self.cell_profiles.ndim != 2:
+            raise ValueError("cell_profiles must be (profiles, materials)")
+        if self.profile_of_rank.size and (
+            self.profile_of_rank.min() < 0
+            or self.profile_of_rank.max() >= self.cell_profiles.shape[0]
+        ):
+            raise ValueError("profile_of_rank indexes outside cell_profiles")
+
+    @property
+    def num_boundary_links(self) -> int:
+        return int(self.be_src.size)
+
+    @property
+    def num_ghost_links(self) -> int:
+        return int(self.gn_src.size)
+
+    @cached_property
+    def boundary_links(self) -> tuple:
+        """Rank ``r``'s boundary links: its ``range`` of boundary rows."""
+        return _row_ranges(self.be_src, self.num_ranks)
+
+    @cached_property
+    def ghost_links(self) -> tuple:
+        """Rank ``r``'s ghost links: its ``range`` of ghost rows."""
+        return _row_ranges(self.gn_src, self.num_ranks)
+
+    @cached_property
+    def be_reverse(self) -> np.ndarray:
+        """Row of each boundary link's reverse link (``be_dst → be_src``)."""
+        return reverse_links(self.be_src, self.be_dst, self.num_ranks)
+
+    def shares_links(self, other: "WorkloadCensus") -> bool:
+        """Whether ``other`` carries this census's very link columns."""
+        return all(getattr(self, n) is getattr(other, n) for n in _LINK_COLUMNS)
+
+    def material_counts(self) -> np.ndarray:
+        """The full ``(ranks, materials)`` cell counts."""
+        return self.cell_profiles[self.profile_of_rank]
+
+    def with_material_counts(self, cells: np.ndarray) -> "WorkloadCensus":
+        """This census's links under new ``(ranks, materials)`` counts."""
+        profiles, profile_of_rank = material_profiles(cells)
+        return replace(
+            self, cell_profiles=profiles, profile_of_rank=profile_of_rank
+        )
 
     def work_vector(self, rank: int) -> np.ndarray:
         """Material census of ``rank`` as a float work vector."""
-        return self.material_counts[rank].astype(np.float64)
-
-    def neighbors(self, rank: int) -> list:
-        """Neighbour ranks with at least one shared face."""
-        return [bl.nbr_rank for bl in self.boundary_links[rank]]
+        return self.cell_profiles[self.profile_of_rank[rank]].copy()
 
 
-def _group_faces(faces_by_material: np.ndarray) -> np.ndarray:
-    """Collapse per-material face counts into exchange groups."""
-    out = np.zeros(NUM_EXCHANGE_GROUPS, dtype=np.int64)
-    for mat, grp in EXCHANGE_GROUP.items():
-        out[grp] += int(faces_by_material[mat])
-    return out
+def _split_multi(faces: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Spread each link's multi-material node count over its active groups.
 
-
-def _multi_by_group(
-    census_pair, side: int, group_faces: np.ndarray
-) -> np.ndarray:
-    """Distribute a side's multi-material node count over its active groups.
-
-    The face census records how many ghost nodes touch more than one
-    material per side; each such node enlarges the messages of the groups it
-    borders.  We attribute each multi-material node to every active group
-    (a node bordering two materials adds 12 bytes to both sextets), split
-    proportionally when exact attribution is unavailable — the totals match
-    the census exactly.
+    Section 4.1 records multi-material nodes per side only; each enlarges
+    the messages of the groups it borders.  Every active group (one with
+    faces) gets ``floor(total / active)`` and the first ``remainder``
+    active groups one more, so each link's per-group counts sum to its
+    total.
     """
-    total_multi = int(census_pair.multi_material_nodes[side])
-    active = np.flatnonzero(group_faces > 0)
-    out = np.zeros(NUM_EXCHANGE_GROUPS, dtype=np.int64)
-    if total_multi == 0 or active.size == 0:
-        return out
-    # A node on a material interface borders exactly the adjacent groups;
-    # with ≥2 active groups each multi node belongs to 2 of them.  Spread
-    # evenly over active groups, keeping integer totals.
-    share = np.zeros(NUM_EXCHANGE_GROUPS, dtype=np.float64)
-    share[active] = 1.0 / active.size
-    counts = np.floor(total_multi * share).astype(np.int64)
-    remainder = total_multi - int(counts[active].sum())
-    for idx in active[:remainder]:
-        counts[idx] += 1
-    return counts
+    active = faces > 0
+    num_active = active.sum(axis=1)
+    share = 1.0 / np.maximum(num_active, 1)
+    each = np.floor(total * share).astype(np.int64)
+    remainder = total - num_active * each
+    position = np.cumsum(active, axis=1) - 1
+    extra = position < remainder[:, None]
+    return np.where(active, each[:, None] + extra, 0)
+
+
+def _ghost_links(mesh, cell_rank: np.ndarray, num_ranks: int):
+    """Directed ghost links ``(src, dst, local, remote)`` of a partition:
+    the shared nodes of every rank pair, tallied by owner."""
+    _, low_rank, high_rank, own = shared_node_pairs(mesh, cell_rank, num_ranks)
+    pairs, pair_of = np.unique(
+        low_rank * np.int64(num_ranks) + high_rank, return_inverse=True
+    )
+    num_pairs = pairs.shape[0]
+    shared = bincount_fixed(pair_of, num_pairs)
+    owned_low = bincount_fixed(pair_of[own == low_rank], num_pairs)
+    owned_high = bincount_fixed(pair_of[own == high_rank], num_pairs)
+    a, b = pairs // num_ranks, pairs % num_ranks
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    local = np.concatenate([owned_low, owned_high])
+    remote = np.concatenate([shared - owned_low, shared - owned_high])
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], local[order], remote[order]
 
 
 def build_workload_census(
@@ -149,85 +227,29 @@ def build_workload_census(
     mesh = deck.mesh
     if faces is None:
         faces = build_face_table(mesh)
-    census = boundary_census(
-        mesh, faces, deck.cell_material, partition.cell_rank, partition.num_ranks
+    num_ranks = partition.num_ranks
+    tally = cut_face_tally(
+        mesh, faces, deck.cell_material, partition.cell_rank, num_ranks
     )
-    material_counts = partition.material_census(deck.cell_material, NUM_MATERIALS)
-
-    # --- phase-2 boundary links (face-sharing pairs) -------------------------
-    boundary_links: list[list[BoundaryLink]] = [[] for _ in range(partition.num_ranks)]
-    for (a, b), pb in sorted(census.pairs.items()):
-        sides = []
-        for side in (0, 1):
-            gf = _group_faces(pb.faces_by_material[side])
-            gm = _multi_by_group(pb, side, gf)
-            groups = tuple(
-                (int(g), int(gf[g]), int(gm[g])) for g in range(NUM_EXCHANGE_GROUPS) if gf[g] > 0
-            )
-            sides.append(BoundarySide(groups=groups, total_faces=pb.num_faces))
-        boundary_links[a].append(BoundaryLink(nbr_rank=b, mine=sides[0], theirs=sides[1]))
-        boundary_links[b].append(BoundaryLink(nbr_rank=a, mine=sides[1], theirs=sides[0]))
-    for links in boundary_links:
-        links.sort(key=lambda bl: bl.nbr_rank)
-
-    # --- ghost links (node-sharing pairs, global exactness) ------------------
-    owners = node_owners(mesh, partition.cell_rank)
-    nodes = mesh.cell_nodes.ravel()
-    ranks = np.repeat(partition.cell_rank, 4)
-    pairs_nr = np.unique(nodes * np.int64(partition.num_ranks) + ranks)
-    node_of = pairs_nr // partition.num_ranks
-    rank_of = pairs_nr % partition.num_ranks
-
-    pair_counts: dict[tuple[int, int], list[int]] = {}
-    start = 0
-    n = node_of.shape[0]
-    while start < n:
-        end = start + 1
-        while end < n and node_of[end] == node_of[start]:
-            end += 1
-        if end - start > 1:
-            rs = rank_of[start:end]
-            owner = int(owners[node_of[start]])
-            for i in range(rs.shape[0]):
-                for j in range(i + 1, rs.shape[0]):
-                    key = (int(rs[i]), int(rs[j]))
-                    rec = pair_counts.setdefault(key, [0, 0, 0])
-                    rec[0] += 1  # total shared
-                    if owner == key[0]:
-                        rec[1] += 1  # owned by lower rank
-                    elif owner == key[1]:
-                        rec[2] += 1  # owned by higher rank
-        start = end
-
-    ghost_links: list[list[GhostLink]] = [[] for _ in range(partition.num_ranks)]
-    for (a, b), (tot, own_a, own_b) in sorted(pair_counts.items()):
-        ghost_links[a].append(
-            GhostLink(
-                nbr_rank=b,
-                owned_by_me=own_a,
-                not_owned_by_me=tot - own_a,
-                owned_by_nbr=own_b,
-                not_owned_by_nbr=tot - own_b,
-            )
-        )
-        ghost_links[b].append(
-            GhostLink(
-                nbr_rank=a,
-                owned_by_me=own_b,
-                not_owned_by_me=tot - own_b,
-                owned_by_nbr=own_a,
-                not_owned_by_nbr=tot - own_a,
-            )
-        )
-    for links in ghost_links:
-        links.sort(key=lambda gl: gl.nbr_rank)
-
+    be_faces = tally.faces_by_material @ _GROUP_OF_MATERIAL
+    gn_src, gn_dst, gn_local, gn_remote = _ghost_links(
+        mesh, partition.cell_rank, num_ranks
+    )
+    profiles, profile_of_rank = material_profiles(
+        partition.material_census(deck.cell_material, NUM_MATERIALS)
+    )
     return WorkloadCensus(
-        num_ranks=partition.num_ranks,
-        material_counts=material_counts,
-        boundary_links=tuple(tuple(l) for l in boundary_links),
-        ghost_links=tuple(tuple(l) for l in ghost_links),
-        face_census=census,
+        num_ranks=num_ranks,
+        be_src=tally.src,
+        be_dst=tally.dst,
+        be_faces=be_faces,
+        be_multi=_split_multi(be_faces, tally.multi_material_nodes),
+        gn_src=gn_src,
+        gn_dst=gn_dst,
+        gn_local=gn_local,
+        gn_remote=gn_remote,
+        cell_profiles=profiles,
+        profile_of_rank=profile_of_rank,
     )
 
 
@@ -316,13 +338,13 @@ class DynamicCensus:
         burning = self.burning_cells_by_rank(t)
         if not burning.any():
             return self.base
-        counts = self.base.material_counts.astype(np.float64, copy=True)
+        counts = self.base.material_counts()
         counts[:, HE_GAS] += (self.burn_multiplier - 1.0) * burning
-        return replace(self.base, material_counts=counts)
+        return self.base.with_material_counts(counts)
 
     def work_by_rank(self, t: float | None) -> np.ndarray:
         """Effective (multiplier-weighted) cells per rank at time ``t``."""
-        return self.census_at(t).material_counts.sum(axis=1).astype(np.float64)
+        return self.census_at(t).material_counts().sum(axis=1)
 
     def cell_weights(self, t: float) -> np.ndarray:
         """Integer per-cell work weights at ``t`` (for weighted partitioners).

@@ -219,11 +219,12 @@ class HierarchicalNetwork:
 
     # ------------------------------------------------------------- blending
 
-    def local_pair_fraction(self, labels: np.ndarray, pairs) -> float:
+    def local_pair_fraction(self, pairs) -> float:
         """Fraction of communicating rank pairs that are on-node.
 
         ``pairs`` is an iterable of ``(rank_a, rank_b)`` tuples (e.g. the
-        keys of a :class:`~repro.mesh.ghost.BoundaryCensus`).
+        keys of a :class:`~repro.mesh.ghost.BoundaryCensus`); an installed
+        placement decides which ranks share a node.
         """
         pairs = list(pairs)
         if not pairs:

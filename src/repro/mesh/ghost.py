@@ -6,8 +6,11 @@ exactly one processor and *remote* to all others that share it.  Boundary-
 exchange message sizes depend on the number of shared faces per material and
 on ghost nodes touching more than one material (Section 4.1); ghost-node
 update sizes depend on local/remote ownership per processor pair
-(Section 4.2).  This module computes all of that exactly for an arbitrary
-partition — it is the ground truth the mesh-specific model consumes.
+(Section 4.2).  :func:`cut_face_tally` counts the shared faces and
+multi-material nodes of an arbitrary partition per directed rank link — the
+tally :func:`~repro.hydro.workload.build_workload_census` reads — and
+:func:`boundary_census` views the same tally per rank pair, with each
+pair's face ids, ghost nodes and ownership.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from repro.mesh.connectivity import FaceTable
 from repro.mesh.deck import NUM_MATERIALS
 from repro.mesh.grid import QuadMesh
-from repro.util import as_int_array, bincount_fixed
+from repro.util import as_int_array, bincount_fixed, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,134 @@ def node_owners(mesh: QuadMesh, cell_rank: np.ndarray) -> np.ndarray:
     return owners
 
 
+def reverse_links(src: np.ndarray, dst: np.ndarray, num_ranks: int) -> np.ndarray:
+    """Row of each directed link's reverse link (``dst → src``), for links
+    sorted by ``(src, dst)`` whose reverses are all present."""
+    keys = src * np.int64(num_ranks) + dst
+    return np.searchsorted(keys, dst * np.int64(num_ranks) + src)
+
+
+def shared_node_pairs(
+    mesh: QuadMesh, cell_rank: np.ndarray, num_ranks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every node shared by two ranks, once per pair of its ranks.
+
+    Returns ``(node, low, high, owner)``: one entry per shared node and
+    pair ``low < high`` of the ranks with a cell on it, in ascending node
+    order, with the node's owner (its lowest rank, as in
+    :func:`node_owners`).  The sorted ``(node, rank)`` incidences give
+    each node's ranks as one run, and every pair within a run is expanded
+    with array arithmetic.
+    """
+    entries = sorted_unique(
+        mesh.cell_nodes.ravel() * np.int64(num_ranks)
+        + np.repeat(cell_rank, mesh.cell_nodes.shape[1])
+    )
+    node_of = entries // num_ranks
+    rank_of = entries % num_ranks
+    n = entries.shape[0]
+    first = np.ones(n, dtype=bool)
+    first[1:] = node_of[1:] != node_of[:-1]
+    start = np.flatnonzero(first)
+    size = np.diff(np.append(start, n))
+    # Entry e pairs with the `later[e]` entries after it in its run.
+    later = np.repeat(start + size, size) - np.arange(n) - 1
+    lo = np.repeat(np.arange(n), later)
+    hi = lo + 1 + np.arange(lo.shape[0]) - np.repeat(np.cumsum(later) - later, later)
+    owner = np.repeat(rank_of[start], size)
+    return node_of[lo], rank_of[lo], rank_of[hi], owner[lo]
+
+
+@dataclass(frozen=True)
+class CutFaceTally:
+    """Every cut face, tallied per directed rank link.
+
+    A face whose two cells sit on ranks ``a`` and ``b`` is seen once from
+    each side: by link ``a → b`` with the material of ``a``'s cell and by
+    link ``b → a`` with the material of ``b``'s.  Links are sorted by
+    ``(src, dst)``; entries are sorted by ``(link, face id)``.
+
+    Attributes
+    ----------
+    src, dst:
+        Endpoints of each directed link.
+    faces_by_material:
+        Shape ``(links, NUM_MATERIALS)``: the link's faces counted by the
+        material of the ``src``-side cell.
+    multi_material_nodes:
+        Per link, the nodes of its faces whose ``src``-side faces carry
+        more than one material (Section 4.1's 12-byte surcharge).
+    entry_link, entry_face:
+        Link and mesh face id of every (face, side) entry.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    faces_by_material: np.ndarray
+    multi_material_nodes: np.ndarray
+    entry_link: np.ndarray
+    entry_face: np.ndarray
+
+    @property
+    def num_links(self) -> int:
+        return int(self.src.shape[0])
+
+
+def cut_face_tally(
+    mesh: QuadMesh,
+    faces: FaceTable,
+    cell_material: np.ndarray,
+    cell_rank: np.ndarray,
+    num_ranks: int,
+) -> CutFaceTally:
+    """Tally the cut faces of a partition per directed link, array-at-a-time."""
+    cell_material = as_int_array(cell_material, "cell_material")
+    cell_rank = as_int_array(cell_rank, "cell_rank")
+    if cell_rank.size and (cell_rank.min() < 0 or cell_rank.max() >= num_ranks):
+        raise ValueError(f"cell_rank values must lie in [0, {num_ranks})")
+
+    interior = np.flatnonzero(faces.interior_mask())
+    c0 = faces.face_cells[interior, 0]
+    c1 = faces.face_cells[interior, 1]
+    cut = cell_rank[c0] != cell_rank[c1]
+    fid, c0, c1 = interior[cut], c0[cut], c1[cut]
+    mine = np.concatenate([c0, c1])
+    theirs = np.concatenate([c1, c0])
+    key = cell_rank[mine] * np.int64(num_ranks) + cell_rank[theirs]
+    order = np.lexsort((np.concatenate([fid, fid]), key))
+    key, mine = key[order], mine[order]
+    entry_face = np.concatenate([fid, fid])[order]
+    material = cell_material[mine]
+
+    new_link = np.ones(key.shape[0], dtype=bool)
+    new_link[1:] = key[1:] != key[:-1]
+    link_key = key[new_link]
+    entry_link = np.cumsum(new_link) - 1
+    num_links = link_key.shape[0]
+    faces_by_material = bincount_fixed(
+        entry_link * NUM_MATERIALS + material, num_links * NUM_MATERIALS
+    ).reshape(num_links, NUM_MATERIALS)
+
+    # A node is multi-material on a link when the link's faces through it
+    # carry two or more distinct src-side materials.
+    link_node = (
+        np.repeat(entry_link, 2) * np.int64(mesh.num_nodes)
+        + faces.face_nodes[entry_face].ravel()
+    )
+    seen = sorted_unique(link_node * NUM_MATERIALS + np.repeat(material, 2))
+    seen //= NUM_MATERIALS
+    repeated = seen[1:][seen[1:] == seen[:-1]]
+    multi_nodes = sorted_unique(repeated) // mesh.num_nodes
+    return CutFaceTally(
+        src=link_key // num_ranks,
+        dst=link_key % num_ranks,
+        faces_by_material=faces_by_material,
+        multi_material_nodes=bincount_fixed(multi_nodes, num_links),
+        entry_link=entry_link,
+        entry_face=entry_face,
+    )
+
+
 def boundary_census(
     mesh: QuadMesh,
     faces: FaceTable,
@@ -144,7 +275,11 @@ def boundary_census(
     cell_rank: np.ndarray,
     num_ranks: int,
 ) -> BoundaryCensus:
-    """Compute the full partition-boundary census.
+    """The partition-boundary census, one :class:`PairBoundary` per pair.
+
+    A per-pair view of :func:`cut_face_tally`: side 0 of pair ``(a, b)``
+    is link ``a → b`` and side 1 is link ``b → a``, so the face and
+    multi-material counts are the ones the workload census reads.
 
     Parameters
     ----------
@@ -157,98 +292,27 @@ def boundary_census(
     num_ranks:
         Number of ranks in the partition.
     """
-    cell_material = as_int_array(cell_material, "cell_material")
-    cell_rank = as_int_array(cell_rank, "cell_rank")
-    if cell_rank.size and (cell_rank.min() < 0 or cell_rank.max() >= num_ranks):
-        raise ValueError(f"cell_rank values must lie in [0, {num_ranks})")
-
+    tally = cut_face_tally(mesh, faces, cell_material, cell_rank, num_ranks)
     owners = node_owners(mesh, cell_rank)
-
-    interior = faces.interior_mask()
-    c0 = faces.face_cells[interior, 0]
-    c1 = faces.face_cells[interior, 1]
-    r0 = cell_rank[c0]
-    r1 = cell_rank[c1]
-    cut = r0 != r1
-    face_ids_all = np.flatnonzero(interior)[cut]
-    c0, c1, r0, r1 = c0[cut], c1[cut], r0[cut], r1[cut]
-
-    # Canonicalise so side a is the lower rank.
-    swap = r0 > r1
-    ca = np.where(swap, c1, c0)
-    cb = np.where(swap, c0, c1)
-    ra = np.where(swap, r1, r0)
-    rb = np.where(swap, r0, r1)
-    mat_a = cell_material[ca]
-    mat_b = cell_material[cb]
-
-    pair_key = ra * np.int64(num_ranks) + rb
-    order = np.argsort(pair_key, kind="stable")
-    pair_key = pair_key[order]
-    face_ids_all = face_ids_all[order]
-    mat_a, mat_b = mat_a[order], mat_b[order]
-    ra, rb = ra[order], rb[order]
-
+    bounds = np.searchsorted(tally.entry_link, np.arange(tally.num_links + 1))
+    back = reverse_links(tally.src, tally.dst, num_ranks)
     pairs: dict = {}
-    unique_keys, starts = np.unique(pair_key, return_index=True)
-    bounds = np.append(starts, pair_key.shape[0])
-    for k, key in enumerate(unique_keys):
-        s, e = bounds[k], bounds[k + 1]
-        a = int(key // num_ranks)
-        b = int(key % num_ranks)
-        fids = face_ids_all[s:e]
-        fm = np.stack(
-            [
-                bincount_fixed(mat_a[s:e], NUM_MATERIALS),
-                bincount_fixed(mat_b[s:e], NUM_MATERIALS),
-            ]
-        )
-        fnodes = faces.face_nodes[fids]  # (nf, 2)
-        ghost = np.unique(fnodes)
+    for k in np.flatnonzero(tally.src < tally.dst).tolist():
+        a, b, sides = int(tally.src[k]), int(tally.dst[k]), [k, int(back[k])]
+        fids = tally.entry_face[bounds[k]:bounds[k + 1]]
+        ghost = np.unique(faces.face_nodes[fids])
         node_owner = owners[ghost]
         owned_a = int(np.count_nonzero(node_owner == a))
         owned_b = int(np.count_nonzero(node_owner == b))
-        owned_other = int(ghost.shape[0] - owned_a - owned_b)
-
-        multi = np.zeros(2, dtype=np.int64)
-        for side, side_mat in enumerate((mat_a[s:e], mat_b[s:e])):
-            # A ghost node "touches more than one material" if its incident
-            # boundary faces (within this pair) carry differing materials.
-            multi[side] = _count_multi_material_nodes(fnodes, side_mat)
-
         pairs[(a, b)] = PairBoundary(
             rank_a=a,
             rank_b=b,
             face_ids=fids,
-            faces_by_material=fm,
+            faces_by_material=tally.faces_by_material[sides],
             ghost_nodes=ghost,
             owned_by_a=owned_a,
             owned_by_b=owned_b,
-            owned_by_other=owned_other,
-            multi_material_nodes=multi,
+            owned_by_other=int(ghost.shape[0] - owned_a - owned_b),
+            multi_material_nodes=tally.multi_material_nodes[sides],
         )
-
     return BoundaryCensus(num_ranks=num_ranks, pairs=pairs, owners=owners)
-
-
-def _count_multi_material_nodes(face_nodes: np.ndarray, face_material: np.ndarray) -> int:
-    """Count nodes incident to boundary faces of more than one material."""
-    nodes = face_nodes.ravel()
-    mats = np.repeat(face_material, 2)
-    order = np.argsort(nodes, kind="stable")
-    nodes, mats = nodes[order], mats[order]
-    count = 0
-    i = 0
-    n = nodes.shape[0]
-    while i < n:
-        j = i + 1
-        first = mats[i]
-        differs = False
-        while j < n and nodes[j] == nodes[i]:
-            if mats[j] != first:
-                differs = True
-            j += 1
-        if differs:
-            count += 1
-        i = j
-    return count

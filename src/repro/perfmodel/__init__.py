@@ -48,8 +48,6 @@ from repro.perfmodel.collectives import (
 from repro.perfmodel.runtime import PredictedTime
 from repro.perfmodel.mesh_specific import MeshSpecificModel
 from repro.perfmodel.sparse_mesh import (
-    SparseLinkCensus,
-    as_link_census,
     link_wire_times,
     weak_scaled_census,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "hier_collectives_time",
     "PredictedTime",
     "MeshSpecificModel",
-    "SparseLinkCensus",
-    "as_link_census",
     "link_wire_times",
     "weak_scaled_census",
     "GeneralModel",

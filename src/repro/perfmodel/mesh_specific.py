@@ -12,11 +12,10 @@ carrying an explicit rank→node placement), every link is priced by its
 actual endpoint nodes — shared memory on-node, the fabric across nodes —
 instead of one flat network, and collectives use the SMP two-level trees.
 
-One body prices every census: a
-:class:`~repro.hydro.workload.WorkloadCensus` is converted once to the
-columnar :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`, whose
-links :func:`~repro.perfmodel.sparse_mesh.link_wire_times` prices in the
-serial per-neighbour order, and per-rank sums accumulate in link order.
+One body prices every census: the links of the columnar
+:class:`~repro.hydro.workload.WorkloadCensus` are priced by
+:func:`~repro.perfmodel.sparse_mesh.link_wire_times` in the serial
+per-neighbour order, and per-rank sums accumulate in link order.
 The result is bitwise identical to pricing each link on its own
 (``tests/goldens/mesh_model.json`` pins it), and the same body serves the
 weak-scaled censuses at 10^6 ranks in O(edges + log P).
@@ -32,11 +31,8 @@ from repro.perfmodel.collectives import collectives_time, hier_collectives_time
 from repro.perfmodel.computation import computation_time
 from repro.perfmodel.costcurves import CostTable
 from repro.perfmodel.runtime import PredictedTime
-from repro.perfmodel.sparse_mesh import (
-    SparseLinkCensus,
-    as_link_census,
-    link_wire_times,
-)
+from repro.hydro.workload import WorkloadCensus
+from repro.perfmodel.sparse_mesh import link_wire_times
 from repro.machine.network import NetworkModel
 
 
@@ -69,14 +65,14 @@ class MeshSpecificModel:
     include_multi_surcharge: bool = True
     hierarchy: object | None = None
 
-    def computation(self, census) -> float:
+    def computation(self, census: WorkloadCensus) -> float:
         """Equation (3) over the distinct per-rank material profiles.
 
         The per-phase max over ranks equals the max over distinct rows.
         """
-        return computation_time(self.table, as_link_census(census).cell_profiles)
+        return computation_time(self.table, census.cell_profiles)
 
-    def _link_times(self, census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
+    def _link_times(self, census: WorkloadCensus) -> tuple[np.ndarray, np.ndarray]:
         """Per-link ``(boundary, ghost)`` times, each link priced by the
         network level its endpoints use."""
         if self.hierarchy is None:
@@ -94,13 +90,12 @@ class MeshSpecificModel:
             np.where(same_gn, intra[1], inter[1]),
         )
 
-    def point_to_point(self, census) -> tuple[float, float]:
+    def point_to_point(self, census: WorkloadCensus) -> tuple[float, float]:
         """Max-over-ranks boundary-exchange and ghost-update times.
 
         Each rank's time is the serial sum of its links' times in link
         order (``np.add.at`` accumulates sequentially).
         """
-        census = as_link_census(census)
         be_link, gn_link = self._link_times(census)
         be_by_rank = np.zeros(census.num_ranks, dtype=np.float64)
         gn_by_rank = np.zeros(census.num_ranks, dtype=np.float64)
@@ -108,9 +103,8 @@ class MeshSpecificModel:
         np.add.at(gn_by_rank, census.gn_src, gn_link)
         return float(be_by_rank.max()), float(gn_by_rank.max())
 
-    def predict(self, census) -> PredictedTime:
-        """Full per-iteration prediction from a workload or link census."""
-        census = as_link_census(census)
+    def predict(self, census: WorkloadCensus) -> PredictedTime:
+        """Full per-iteration prediction from a workload census."""
         be, gn = self.point_to_point(census)
         if self.hierarchy is None:
             coll = collectives_time(self.network, census.num_ranks)

@@ -1,34 +1,30 @@
-"""Columnar link census: the one form every census-wide pricing reads.
+"""Census-wide pricing of the columnar workload census.
 
-The object-based :class:`~repro.hydro.workload.WorkloadCensus` carries one
-Python object per link — perfect for the validation-scale meshes, hopeless
-at 10^5–10^6 ranks.  :class:`SparseLinkCensus` stores the same information
-*columnar* (one numpy array per field, O(edges) memory).  The
-mesh-specific model
+:class:`~repro.hydro.workload.WorkloadCensus` holds one numpy array per
+link field (O(links) memory), so a full prediction prices every link with
+array arithmetic.  The mesh-specific model
 (:meth:`~repro.perfmodel.mesh_specific.MeshSpecificModel.predict`) and the
 placement graphs (:func:`~repro.placement.sparse.rank_comm_bytes`,
-:func:`~repro.placement.sparse.rank_pair_times`) price only this form; a
-workload census is converted once, at entry, by
-:func:`as_link_census`.  At a million ranks a full prediction completes in
+:func:`~repro.placement.sparse.rank_pair_times`) price through this module,
+and :func:`weak_scaled_census` builds the census of a weak-scaled machine
+directly in columns.  At a million ranks a full prediction completes in
 seconds without ever materialising a ``(P, P)`` array.
 
 Equivalence contract: :func:`link_wire_times` sums each link's priced
 messages in the serial order of the scalar per-neighbour helpers
 (:func:`~repro.perfmodel.boundary.priced_tally_time`,
-:func:`~repro.perfmodel.ghostmodel.priced_ghost_time`), so pricing a
-converted census is bitwise identical to pricing its links one by one.
-``tests/goldens/mesh_model.json`` pins the predictions of the object-walk
-implementation this replaced; ``tests/test_model_golden.py`` and
-``tests/test_sparse_dense_equivalence.py`` check them bitwise.
+:func:`~repro.perfmodel.ghostmodel.priced_ghost_time`), so pricing the
+census is bitwise identical to pricing its links one by one.
+``tests/goldens/mesh_model.json`` pins the predictions;
+``tests/test_model_golden.py`` and ``tests/test_sparse_dense_equivalence.py``
+check them bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.hydro.workload import NUM_EXCHANGE_GROUPS
+from repro.hydro.workload import NUM_EXCHANGE_GROUPS, WorkloadCensus
 from repro.machine.costdb import (
     BOUNDARY_BYTES_PER_FACE,
     BOUNDARY_BYTES_PER_MULTI_NODE,
@@ -41,158 +37,6 @@ from repro.perfmodel.ghostmodel import GHOST_PHASE_BYTES
 #: Edges priced per vectorized chunk — bounds peak memory at large P
 #: (a chunk touches ~10 temporaries of `chunk × groups` float64).
 DEFAULT_CHUNK_EDGES = 1 << 19
-
-
-@dataclass(frozen=True)
-class SparseLinkCensus:
-    """Columnar per-link workload census (O(edges) memory).
-
-    Directed boundary/ghost link arrays are rank-major and
-    neighbour-sorted, like the workload census's link lists: entry ``k``
-    of the boundary arrays is the link *owned* by ``be_src[k]`` toward
-    ``be_dst[k]``, with its per-exchange-group face and multi-material
-    ghost-node counts; ghost entries carry the locally-owned/remote node
-    counts.  The material census is stored deduplicated: row
-    ``cell_profiles[profile_of_rank[r]]`` is rank ``r``'s per-material
-    cell counts (weak-scaled machines have a handful of distinct
-    profiles, so this is O(1) instead of O(P) for the synthetic
-    generator).
-    """
-
-    num_ranks: int
-    be_src: np.ndarray
-    be_dst: np.ndarray
-    be_faces: np.ndarray
-    be_multi: np.ndarray
-    gn_src: np.ndarray
-    gn_dst: np.ndarray
-    gn_local: np.ndarray
-    gn_remote: np.ndarray
-    cell_profiles: np.ndarray
-    profile_of_rank: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
-        for name in ("be_src", "be_dst", "gn_src", "gn_dst", "profile_of_rank"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=np.int64)
-            )
-        for name in ("be_faces", "be_multi", "gn_local", "gn_remote",
-                     "cell_profiles"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=np.float64)
-            )
-        eb = self.be_src.shape[0]
-        if self.be_dst.shape != (eb,):
-            raise ValueError("boundary endpoint arrays must align")
-        if self.be_faces.shape != (eb, NUM_EXCHANGE_GROUPS) or (
-            self.be_multi.shape != (eb, NUM_EXCHANGE_GROUPS)
-        ):
-            raise ValueError(
-                "boundary tallies must be (edges, NUM_EXCHANGE_GROUPS)"
-            )
-        eg = self.gn_src.shape[0]
-        if (
-            self.gn_dst.shape != (eg,)
-            or self.gn_local.shape != (eg,)
-            or self.gn_remote.shape != (eg,)
-        ):
-            raise ValueError("ghost link arrays must align")
-        for ends in (self.be_src, self.be_dst, self.gn_src, self.gn_dst):
-            if ends.size and (ends.min() < 0 or ends.max() >= self.num_ranks):
-                raise ValueError("link endpoints out of rank range")
-        for counts in (self.be_faces, self.be_multi, self.gn_local,
-                       self.gn_remote, self.cell_profiles):
-            if np.any(counts < 0):
-                raise ValueError("census counts must be non-negative")
-        if self.profile_of_rank.shape != (self.num_ranks,):
-            raise ValueError("profile_of_rank must map every rank")
-        if self.cell_profiles.ndim != 2:
-            raise ValueError("cell_profiles must be (profiles, materials)")
-        if self.profile_of_rank.size and (
-            self.profile_of_rank.min() < 0
-            or self.profile_of_rank.max() >= self.cell_profiles.shape[0]
-        ):
-            raise ValueError("profile_of_rank indexes outside cell_profiles")
-
-    @property
-    def num_boundary_links(self) -> int:
-        return int(self.be_src.size)
-
-    @property
-    def num_ghost_links(self) -> int:
-        return int(self.gn_src.size)
-
-    def material_counts(self) -> np.ndarray:
-        """The full ``(P, materials)`` census (small-P reference only)."""
-        return self.cell_profiles[self.profile_of_rank]
-
-    @classmethod
-    def from_workload_census(cls, census) -> "SparseLinkCensus":
-        """Exact columnar form of an object-based workload census.
-
-        Links keep the census order — rank-major, each rank's boundary
-        links then its ghost links, each sorted by neighbour — and
-        per-group face/multi counts accumulate in the census's group
-        order, so pricing the result reproduces the per-link tallies
-        value for value.
-        """
-        be_src: list = []
-        be_dst: list = []
-        group_link: list = []
-        group_id: list = []
-        group_faces: list = []
-        group_multi: list = []
-        gn_src: list = []
-        gn_dst: list = []
-        gn_local: list = []
-        gn_remote: list = []
-        for rank in range(census.num_ranks):
-            for bl in census.boundary_links[rank]:
-                link = len(be_src)
-                be_src.append(rank)
-                be_dst.append(bl.nbr_rank)
-                for (group, f, g) in bl.mine.groups:
-                    group_link.append(link)
-                    group_id.append(group)
-                    group_faces.append(f)
-                    group_multi.append(g)
-            for gl in census.ghost_links[rank]:
-                gn_src.append(rank)
-                gn_dst.append(gl.nbr_rank)
-                gn_local.append(gl.owned_by_me)
-                gn_remote.append(gl.not_owned_by_me)
-        be_faces = np.zeros((len(be_src), NUM_EXCHANGE_GROUPS))
-        be_multi = np.zeros_like(be_faces)
-        cell = (
-            np.array(group_link, dtype=np.int64),
-            np.array(group_id, dtype=np.int64),
-        )
-        np.add.at(be_faces, cell, np.array(group_faces, dtype=np.float64))
-        np.add.at(be_multi, cell, np.array(group_multi, dtype=np.float64))
-        cells = np.asarray(census.material_counts, dtype=np.float64)
-        profiles, inverse = np.unique(cells, axis=0, return_inverse=True)
-        return cls(
-            num_ranks=census.num_ranks,
-            be_src=np.array(be_src, dtype=np.int64),
-            be_dst=np.array(be_dst, dtype=np.int64),
-            be_faces=be_faces,
-            be_multi=be_multi,
-            gn_src=np.array(gn_src, dtype=np.int64),
-            gn_dst=np.array(gn_dst, dtype=np.int64),
-            gn_local=np.array(gn_local, dtype=np.float64),
-            gn_remote=np.array(gn_remote, dtype=np.float64),
-            cell_profiles=profiles,
-            profile_of_rank=inverse.astype(np.int64).reshape(-1),
-        )
-
-
-def as_link_census(census) -> SparseLinkCensus:
-    """``census`` in columnar form, converting a workload census once."""
-    if isinstance(census, SparseLinkCensus):
-        return census
-    return SparseLinkCensus.from_workload_census(census)
 
 
 def _near_square_grid(num_ranks: int) -> tuple[int, int]:
@@ -211,7 +55,7 @@ def weak_scaled_census(
     faces_per_side: float = 90.0,
     multi_frac: float = 0.125,
     ghost_per_side: float = 128.0,
-) -> SparseLinkCensus:
+) -> WorkloadCensus:
     """A weak-scaled 2-D rank grid at any P — the extrapolation workload.
 
     Every rank owns the same subgrid (the paper's weak-scaling premise:
@@ -254,7 +98,7 @@ def weak_scaled_census(
 
     material_split = np.full(NUM_MATERIALS, 1.0 / NUM_MATERIALS)
     profile = (cells_per_rank * material_split)[None, :]
-    return SparseLinkCensus(
+    return WorkloadCensus(
         num_ranks=num_ranks,
         be_src=src,
         be_dst=dst,
@@ -272,7 +116,7 @@ def weak_scaled_census(
 # ----------------------------------------------------------------- pricing
 
 
-def link_bytes(census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
+def link_bytes(census: WorkloadCensus) -> tuple[np.ndarray, np.ndarray]:
     """Per-link bytes ``(boundary, ghost)`` — the comm-graph weights.
 
     Matches ``(counts · sizes).sum()`` over each boundary link's Table-3
@@ -293,7 +137,7 @@ def link_bytes(census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def link_wire_times(
-    census: SparseLinkCensus,
+    census: WorkloadCensus,
     network: NetworkModel,
     include_multi_surcharge: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +185,7 @@ def link_wire_times(
     return be_time, gn_time
 
 
-def link_message_counts(census: SparseLinkCensus) -> tuple[np.ndarray, np.ndarray]:
+def link_message_counts(census: WorkloadCensus) -> tuple[np.ndarray, np.ndarray]:
     """Messages per link ``(boundary, ghost)``: one sextet per active
     exchange group plus the all-faces sextet; two per ghost phase."""
     active = np.count_nonzero(census.be_faces > 0, axis=1)

@@ -124,15 +124,6 @@ class Placement:
             next_slot[node] += 1
         return out
 
-    def local_pair_fraction(self, pairs) -> float:
-        """Fraction of ``(rank_a, rank_b)`` pairs that share a node."""
-        pairs = list(pairs)
-        if not pairs:
-            return 0.0
-        nodes = self.node_of_rank
-        local = sum(1 for a, b in pairs if nodes[a] == nodes[b])
-        return local / len(pairs)
-
     def relabelled(self, name: str) -> "Placement":
         """Copy of this placement under a different strategy label."""
         return Placement(

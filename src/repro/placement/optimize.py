@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perfmodel.sparse_mesh import as_link_census
 from repro.placement.base import Placement, compact_labels
 from repro.placement.sparse import (
     MINIMAX_EXHAUSTIVE_MAX_RANKS,
@@ -490,7 +489,6 @@ def optimize_placement(
     acceptance is strict, the result is never worse than block placement
     under the objective.
     """
-    census = as_link_census(census)  # converted once for both builders
     costs = rank_pair_times(census, cluster)
     ranks_per_node = cluster.hierarchy.ranks_per_node
     num_ranks = census.num_ranks

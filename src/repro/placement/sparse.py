@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.perfmodel.sparse_mesh import (
-    as_link_census,
     link_bytes,
     link_message_counts,
     link_wire_times,
@@ -172,17 +171,14 @@ def rank_comm_bytes(census) -> SparseCommGraph:
     exchange — exactly what crossing a node boundary costs under pairwise
     pricing.
 
-    Accepts an object-based :class:`~repro.hydro.workload.WorkloadCensus`
-    (converted once) or a columnar
-    :class:`~repro.perfmodel.sparse_mesh.SparseLinkCensus`; the build is
-    fully vectorized, with no Python per-link loop.
+    The build reads the :class:`~repro.hydro.workload.WorkloadCensus`
+    columns and is fully vectorized, with no Python per-link loop.
     """
-    links = as_link_census(census)
-    be_bytes, gn_bytes = link_bytes(links)
-    src = np.concatenate([links.be_src, links.be_dst, links.gn_src, links.gn_dst])
-    dst = np.concatenate([links.be_dst, links.be_src, links.gn_dst, links.gn_src])
+    be_bytes, gn_bytes = link_bytes(census)
+    src = np.concatenate([census.be_src, census.be_dst, census.gn_src, census.gn_dst])
+    dst = np.concatenate([census.be_dst, census.be_src, census.gn_dst, census.gn_src])
     vals = np.concatenate([be_bytes, be_bytes, gn_bytes, gn_bytes])
-    return SparseCommGraph.from_edges(links.num_ranks, src, dst, vals)
+    return SparseCommGraph.from_edges(census.num_ranks, src, dst, vals)
 
 
 def inter_node_bytes(placement, graph: SparseCommGraph) -> float:
@@ -280,13 +276,12 @@ def rank_pair_times(census, cluster) -> SparsePairCosts:
         else hierarchy.intra_recv_overhead
     )
 
-    links = as_link_census(census)
-    wire_intra = np.concatenate(link_wire_times(links, hierarchy.intra))
-    wire_inter = np.concatenate(link_wire_times(links, hierarchy.inter))
-    msgs = np.concatenate(link_message_counts(links))
-    owner = np.concatenate([links.be_src, links.gn_src])
-    nbr = np.concatenate([links.be_dst, links.gn_dst])
-    kind = np.repeat([0, 1], [links.num_boundary_links, links.num_ghost_links])
+    wire_intra = np.concatenate(link_wire_times(census, hierarchy.intra))
+    wire_inter = np.concatenate(link_wire_times(census, hierarchy.inter))
+    msgs = np.concatenate(link_message_counts(census))
+    owner = np.concatenate([census.be_src, census.gn_src])
+    nbr = np.concatenate([census.be_dst, census.gn_dst])
+    kind = np.repeat([0, 1], [census.num_boundary_links, census.num_ghost_links])
     # Each link sends on (owner, nbr) and receives on the mirrored entry;
     # the stable sort by (owner, kind) restores census link order, which
     # fixes the summation order of the entries _coalesce merges.
@@ -296,10 +291,10 @@ def rank_pair_times(census, cluster) -> SparsePairCosts:
     intra = np.concatenate([wire_intra + msgs * send_intra, msgs * recv_intra])
     inter = np.concatenate([wire_inter + msgs * send_inter, msgs * recv_inter])
     indptr, indices, t_intra, t_inter = _coalesce(
-        links.num_ranks, src, dst, [intra[order], inter[order]]
+        census.num_ranks, src, dst, [intra[order], inter[order]]
     )
     return SparsePairCosts(
-        num_ranks=links.num_ranks,
+        num_ranks=census.num_ranks,
         indptr=indptr,
         indices=indices,
         t_intra=t_intra,

@@ -19,6 +19,7 @@ from repro.util.arrays import (
     as_int_array,
     bincount_fixed,
     group_sums,
+    sorted_unique,
 )
 from repro.util.validation import (
     check_positive,
@@ -41,6 +42,7 @@ __all__ = [
     "as_float_array",
     "as_int_array",
     "bincount_fixed",
+    "sorted_unique",
     "group_sums",
     "check_positive",
     "check_nonnegative",

@@ -29,6 +29,15 @@ def as_int_array(values, name: str = "values") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of ``values`` — ``np.unique`` by sorting,
+    which on large integer arrays is many times faster than its hashing."""
+    out = np.sort(values)
+    keep = np.ones(out.shape[0], dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def bincount_fixed(labels: np.ndarray, num_bins: int, weights=None) -> np.ndarray:
     """`np.bincount` with a guaranteed output length of ``num_bins``.
 

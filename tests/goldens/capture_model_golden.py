@@ -7,7 +7,7 @@ Run from the repository root::
 The output ``tests/goldens/mesh_model.json`` was first written by the
 object-walk implementation of ``MeshSpecificModel.predict`` (one priced
 tally per census link, summed per rank in link order), which the columnar
-pricing over ``SparseLinkCensus`` has since replaced.  It pins, for fixed
+pricing over ``WorkloadCensus`` has since replaced.  It pins, for fixed
 inputs:
 
 * ``fuzz`` — the four ``PredictedTime`` terms of every fuzz scenario

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.store import ResultStore, sweep_store
+from repro.core.cache import LRUResultCache
 from repro.mesh import build_deck
 from repro.util import stable_hash
 
@@ -91,6 +92,20 @@ class TestResultStore:
         assert "k" not in store
         store.put("k", value)
         assert store.get("k") == value
+
+    def test_unreadable_artifact_is_counted_once(self, tmp_cache):
+        store = sweep_store()
+        value = {"measured": 0.125}
+        path = store.put("k", value)
+        path.write_text(path.read_text(encoding="utf-8")[:5], encoding="utf-8")
+        cache = LRUResultCache(store=store)
+        assert cache.get("k") is None
+        assert store.get("absent") is None  # a plain miss is not counted
+        stats = cache.stats()
+        assert (stats["misses"], stats["store_unreadable"]) == (1, 1)
+        cache.put("k", value)
+        assert store.get("k") == value
+        assert store.unreadable == 1
 
     def test_invalid_namespace_rejected(self):
         with pytest.raises(ValueError, match="namespace"):

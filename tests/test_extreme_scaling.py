@@ -19,7 +19,6 @@ import pytest
 from repro.machine import es45_like_cluster
 from repro.perfmodel import (
     MeshSpecificModel,
-    SparseLinkCensus,
     calibrate_contrived_grid,
     weak_scaled_census,
 )
@@ -134,37 +133,3 @@ class TestWeakScaledCensus:
             small.ghost_updates, rel=1e-9
         )
         assert large.collectives > small.collectives
-
-    def test_converted_workload_census_round_trip(self):
-        # SparseLinkCensus.from_workload_census is the one bridge from the
-        # object census to every pricing body; check it link by link.
-        from repro.hydro import build_workload_census
-        from repro.hydro.workload import NUM_EXCHANGE_GROUPS
-        from repro.mesh import build_deck, build_face_table
-        from repro.partition import cached_partition
-
-        deck = build_deck("small")
-        faces = build_face_table(deck.mesh)
-        part = cached_partition(deck, 12, faces=faces)
-        census = build_workload_census(deck, part, faces)
-        sparse = SparseLinkCensus.from_workload_census(census)
-        be_pairs, be_faces, gn_pairs, gn_counts = [], [], [], []
-        for rank in range(census.num_ranks):
-            for bl in census.boundary_links[rank]:
-                row = np.zeros(NUM_EXCHANGE_GROUPS)
-                for group, f, _ in bl.mine.groups:
-                    row[group] += f
-                be_pairs.append((rank, bl.nbr_rank))
-                be_faces.append(row)
-            for gl in census.ghost_links[rank]:
-                gn_pairs.append((rank, gl.nbr_rank))
-                gn_counts.append((gl.owned_by_me, gl.not_owned_by_me))
-        assert list(zip(sparse.be_src.tolist(), sparse.be_dst.tolist())) == be_pairs
-        assert np.array_equal(sparse.be_faces, np.array(be_faces))
-        assert list(zip(sparse.gn_src.tolist(), sparse.gn_dst.tolist())) == gn_pairs
-        assert list(
-            zip(sparse.gn_local.tolist(), sparse.gn_remote.tolist())
-        ) == gn_counts
-        assert np.array_equal(
-            sparse.material_counts(), census.material_counts
-        )

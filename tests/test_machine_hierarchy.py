@@ -34,8 +34,8 @@ class TestHierarchicalNetwork:
 
     def test_local_pair_fraction(self, smp):
         pairs = [(0, 1), (0, 4), (4, 5), (8, 12)]
-        assert smp.local_pair_fraction(None, pairs) == 0.5
-        assert smp.local_pair_fraction(None, []) == 0.0
+        assert smp.local_pair_fraction(pairs) == 0.5
+        assert smp.local_pair_fraction([]) == 0.0
 
     def test_flat_equivalent_bounds(self, smp):
         blended = smp.flat_equivalent(0.5)

@@ -162,6 +162,12 @@ class TestPlacementInvariants:
         assert after == before
 
 
+def placed_hierarchy(placement):
+    """The SMP hierarchy of the ES-45 cluster under ``placement``."""
+    smp = es45_like_cluster().with_smp(ranks_per_node=placement.ranks_per_node)
+    return smp.with_placement(placement).hierarchy
+
+
 class TestBlendPermutationConsistency:
     def test_local_fraction_consistent_under_relabelling(self):
         """Relabelling nodes changes nothing about who shares a node."""
@@ -171,9 +177,9 @@ class TestBlendPermutationConsistency:
             ranks_per_node=4,
         )
         pairs = [(0, 3), (1, 2), (4, 11), (5, 6), (0, 1)]
-        assert placement.local_pair_fraction(pairs) == pytest.approx(
-            relabelled.local_pair_fraction(pairs)
-        )
+        assert placed_hierarchy(placement).local_pair_fraction(
+            pairs
+        ) == pytest.approx(placed_hierarchy(relabelled).local_pair_fraction(pairs))
 
     def test_blend_matches_permuted_block(self):
         """A shuffled placement is block placement composed with a rank
@@ -188,15 +194,12 @@ class TestBlendPermutationConsistency:
         block = block_placement(num_ranks, rpn)
         pairs = [(a, b) for a in range(num_ranks) for b in range(a + 1, num_ranks)]
         permuted_pairs = [(perm[a], perm[b]) for a, b in pairs]
-        assert placement.local_pair_fraction(pairs) == pytest.approx(
-            block.local_pair_fraction(permuted_pairs)
-        )
+        frac = placed_hierarchy(placement).local_pair_fraction(pairs)
+        block_frac = placed_hierarchy(block).local_pair_fraction(permuted_pairs)
+        assert frac == pytest.approx(block_frac)
         smp = es45_hierarchical_network(QSNET_LIKE)
-        frac = placement.local_pair_fraction(pairs)
         blended = smp.flat_equivalent(frac)
-        blended_block = smp.flat_equivalent(
-            block.local_pair_fraction(permuted_pairs)
-        )
+        blended_block = smp.flat_equivalent(block_frac)
         for size in (8, 512, 65536):
             assert blended.tmsg(size) == blended_block.tmsg(size)
 

@@ -149,22 +149,17 @@ class TestValidation:
 def census_link_bytes(census):
     """``(rank, nbr, bytes)`` of every census link, boundary then ghost
     per rank, from the scalar per-neighbour tallies."""
-    from repro.hydro.workload import NUM_EXCHANGE_GROUPS
     from repro.perfmodel import boundary_message_sizes
     from repro.perfmodel.ghostmodel import ghost_sizes
 
     for rank in range(census.num_ranks):
-        for bl in census.boundary_links[rank]:
-            faces = np.zeros(NUM_EXCHANGE_GROUPS)
-            multi = np.zeros(NUM_EXCHANGE_GROUPS)
-            for group, f, g in bl.mine.groups:
-                faces[group] += f
-                multi[group] += g
-            rows = boundary_message_sizes(faces, multi)
-            yield rank, bl.nbr_rank, sum(count * size for count, size in rows)
-        for gl in census.ghost_links[rank]:
-            sizes = ghost_sizes(gl.owned_by_me, gl.not_owned_by_me)
-            yield rank, gl.nbr_rank, float(sizes.sum())
+        for k in census.boundary_links[rank]:
+            rows = boundary_message_sizes(census.be_faces[k], census.be_multi[k])
+            nbr = int(census.be_dst[k])
+            yield rank, nbr, sum(count * size for count, size in rows)
+        for k in census.ghost_links[rank]:
+            sizes = ghost_sizes(census.gn_local[k], census.gn_remote[k])
+            yield rank, int(census.gn_dst[k]), float(sizes.sum())
 
 
 class TestCensusFidelity:

@@ -12,11 +12,10 @@ implementation must reproduce them bitwise —
   optimized maps, and the full optimizer's node map, on every SMP seed;
 * the full optimizer on the small deck at 16 and 24 ranks.
 
-Full model predictions have one implementation too: ``predict`` prices a
-workload census by converting it to the columnar ``SparseLinkCensus``, so
-both census forms run the same body.  ``tests/goldens/mesh_model.json``
-pins the object-walk implementation it replaced, and the predictions must
-reproduce it bitwise on either form.
+Full model predictions have one implementation too: ``predict`` prices the
+columnar workload census.  ``tests/goldens/mesh_model.json`` pins the
+object-walk implementation it replaced, and the predictions must reproduce
+it bitwise.
 """
 
 from __future__ import annotations
@@ -95,14 +94,10 @@ def test_small_deck_optimizer_node_map(ranks):
 @pytest.mark.parametrize("seed", range(0, 50, 5))
 @pytest.mark.parametrize("smp", [False, True])
 def test_model_predictions_within_tolerance(seed, smp):
-    # Both census forms price through the one columnar body and must give
-    # the object-walk model's pinned terms bit for bit.
+    # The columnar census must give the object-walk model's pinned terms
+    # bit for bit.
     from repro.machine import es45_like_cluster
-    from repro.perfmodel import (
-        MeshSpecificModel,
-        SparseLinkCensus,
-        calibrate_contrived_grid,
-    )
+    from repro.perfmodel import MeshSpecificModel, calibrate_contrived_grid
 
     built = _built(seed)
     cluster = es45_like_cluster()
@@ -115,10 +110,7 @@ def test_model_predictions_within_tolerance(seed, smp):
         hierarchy=cluster.hierarchy,
     )
     expected = MODEL_GOLDEN["fuzz"][str(seed)]["smp" if smp else "flat"]
-    for census in (
-        built.census, SparseLinkCensus.from_workload_census(built.census)
-    ):
-        predicted = model.predict(census)
-        assert [
-            float(getattr(predicted, name)).hex() for name in MODEL_TERMS
-        ] == expected["surcharge"]
+    predicted = model.predict(built.census)
+    assert [
+        float(getattr(predicted, name)).hex() for name in MODEL_TERMS
+    ] == expected["surcharge"]
