@@ -39,6 +39,7 @@ from repro.mesh.deck import InputDeck, build_deck
 from repro.perfmodel.calibrate import default_sample_sides
 from repro.perfmodel.costcurves import CostTable
 from repro.analysis.store import ResultStore, calibration_store
+from repro.util.artifacts import MODEL_VERSION
 
 #: Model labels understood by :func:`evaluate_point`.
 KNOWN_MODELS = ("mesh-specific", "homogeneous", "heterogeneous")
@@ -113,7 +114,7 @@ class SweepTask:
         """Content hash of every input that determines this point's result."""
         params = {
             "kind": "validation-point",
-            "version": 1,
+            "version": MODEL_VERSION,
             "deck": self.deck,
             "num_ranks": self.num_ranks,
             "cluster": self.cluster,

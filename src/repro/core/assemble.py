@@ -35,7 +35,7 @@ from repro.perfmodel.calibrate import (
     default_sample_sides,
 )
 from repro.perfmodel.costcurves import CostTable
-from repro.util.artifacts import stable_hash
+from repro.util.artifacts import MODEL_VERSION, stable_hash
 from repro.util.lru import LRUMemo
 
 __all__ = [
@@ -109,11 +109,17 @@ def apply_placement(
 def calibration_key(cluster: ClusterConfig, sides) -> str:
     """Content hash of a calibration's full parameter set.
 
-    Identical to the key the sweep layer has always stored calibrations
-    under, so existing on-disk ``calibrations`` artifacts keep hitting.
+    The sweep layer stores calibrations under the same key.  It carries
+    :data:`~repro.util.artifacts.MODEL_VERSION`, so a calibration stored
+    by another version is a miss.
     """
     return stable_hash(
-        {"kind": "calibration", "version": 1, "cluster": cluster, "sides": tuple(sides)}
+        {
+            "kind": "calibration",
+            "version": MODEL_VERSION,
+            "cluster": cluster,
+            "sides": tuple(sides),
+        }
     )
 
 

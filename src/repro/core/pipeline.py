@@ -28,7 +28,7 @@ from repro.perfmodel.mesh_specific import MeshSpecificModel
 from repro.perfmodel.runtime import PredictedTime
 from repro.perfmodel.sparse_mesh import weak_scaled_census
 from repro.perfmodel.transition import TransitionModel
-from repro.util.artifacts import stable_hash
+from repro.util.artifacts import MODEL_VERSION, stable_hash
 
 __all__ = [
     "measure",
@@ -51,7 +51,12 @@ def request_key(request: PredictionRequest, mode: str = "predict") -> str:
     if mode not in ("predict", "measure"):
         raise ValueError(f"unknown request mode {mode!r}")
     return stable_hash(
-        {"kind": "core-prediction", "version": 1, "mode": mode, "request": request}
+        {
+            "kind": "core-prediction",
+            "version": MODEL_VERSION,
+            "mode": mode,
+            "request": request,
+        }
     )
 
 

@@ -12,7 +12,9 @@ Tables 1 and 4 — is :data:`~repro.machine.costdb.KRAK_SCHEDULE`.
   **census** mode (``state=None``) phases only charge their modelled
   compute time and messages carry sizes alone.
 * :meth:`KrakProgram.lower_into` writes the census-mode op stream straight
-  into a :class:`~repro.simmpi.compile.ProgramWriter` for the batch engine.
+  into a :class:`~repro.simmpi.compile.ProgramWriter` for the batch engine,
+  one iteration at a time from a per-rank template whose compute rows are
+  filled from :meth:`~repro.machine.node.NodeModel.phase_times`.
 
 Either way the *communication structure and message sizes* are identical,
 driven by the :class:`~repro.hydro.workload.WorkloadCensus`.
@@ -42,6 +44,7 @@ from repro.machine.costdb import (
 )
 from repro.machine.node import NodeModel
 from repro.perturb.model import FAILURE_PHASE
+from repro.simmpi.compile import ProgramWriter
 from repro.simmpi.api import (
     Allreduce,
     Barrier,
@@ -148,6 +151,8 @@ class KrakProgram:
         self.work = census.work_vector(self.rank)
         if previous is not None and census.shares_links(previous):
             return
+        #: One iteration's lowered rows, built on first use (see _template).
+        self._iteration_template = None
         boundary = census.boundary_links[self.rank]
         ghost = census.ghost_links[self.rank]
         self.num_boundary_links = len(boundary)
@@ -163,22 +168,21 @@ class KrakProgram:
                         phase, step.nbytes, ghost
                     )
 
-    def _phase_seconds(self, phase: int, iteration: int) -> float:
-        """Modelled compute seconds for ``phase``, noise-scaled if perturbed.
+    def _phase_seconds(self, iteration: int) -> list:
+        """Modelled compute seconds of every phase, noise-scaled if perturbed.
 
         The one shared pricing site for both execution modes: the generator
         (:meth:`__call__`) and the lowering path (:meth:`lower_into`) both
         charge through here, so a perturbed batch run stays bitwise equal
         to the scalar run by construction.
         """
-        seconds = self.node_model.phase_time(
-            phase, self.work, self.rank, iteration
-        )
+        seconds = self.node_model.phase_times(self.work, self.rank, iteration)
+        seconds = seconds[: len(KRAK_SCHEDULE)]
         if self.perturb is not None:
             factors = self.perturb.compute_factors(self.rank, iteration)
             if factors is not None:
-                seconds = seconds * factors[phase]
-        return seconds
+                seconds = seconds * np.asarray(factors)
+        return seconds.tolist()
 
     def _boundary_messages(self, phase: int, links: range):
         """Per-material sextets plus the final all-materials step (§4.1).
@@ -421,27 +425,49 @@ class KrakProgram:
         """
         if self.state is not None:
             return False
-        seconds = self._phase_seconds
         for it in range(self.iterations):
             writer.mark(it)
             for op in self._event_ops(it):
                 op.lower(writer)
-            for phase, steps in enumerate(KRAK_SCHEDULE):
-                writer.set_phase(phase)
-                writer.compute(seconds(phase, it))
-                for step in steps:
-                    kind = step.kind
-                    if kind == STEP_ALLREDUCE:
-                        writer.allreduce(step.nbytes)
-                    elif kind == STEP_BCAST:
-                        writer.bcast(0, step.nbytes)
-                    elif kind == STEP_GATHER:
-                        writer.gather(0, step.nbytes)
-                    else:
-                        writer.exchange(*self.messages[phase])
+            body, compute_rows = self._template()
+            farg = body.farg.copy()
+            seconds = self._phase_seconds(it)
+            for row, phase_seconds in zip(compute_rows, seconds, strict=True):
+                farg[row] = phase_seconds
+            writer.extend(body.opcode, farg, body.a, body.b)
             self._end_iteration(self._census_inputs(it))
         writer.mark(self.iterations)
         return True
+
+    def _template(self) -> tuple:
+        """This rank's one-iteration rows under the bound message lists.
+
+        Returns ``(body, compute_rows)``: a :class:`ProgramWriter` holding
+        the 15 phases' rows with zero-second compute rows, and the row
+        index of each phase's compute.  Only the compute seconds differ
+        from one iteration to the next, so :meth:`lower_into` copies the
+        body and fills those rows.  Built once per :meth:`_bind` that
+        rebuilds the message lists.
+        """
+        if self._iteration_template is None:
+            body = ProgramWriter()
+            compute_rows = []
+            for phase, steps in enumerate(KRAK_SCHEDULE):
+                body.set_phase(phase)
+                compute_rows.append(len(body.opcode))
+                body.compute(0.0)
+                for step in steps:
+                    kind = step.kind
+                    if kind == STEP_ALLREDUCE:
+                        body.allreduce(step.nbytes)
+                    elif kind == STEP_BCAST:
+                        body.bcast(0, step.nbytes)
+                    elif kind == STEP_GATHER:
+                        body.gather(0, step.nbytes)
+                    else:
+                        body.exchange(*self.messages[phase])
+            self._iteration_template = (body, compute_rows)
+        return self._iteration_template
 
     # ------------------------------------------------------------- program
 
@@ -454,9 +480,10 @@ class KrakProgram:
                 yield op
             local = self._census_inputs(it)
             reduced: dict = {}
+            seconds = self._phase_seconds(it)
             for phase, steps in enumerate(KRAK_SCHEDULE):
                 yield SetPhase(phase)
-                yield Compute(self._phase_seconds(phase, it))
+                yield Compute(seconds[phase])
                 if functional:
                     self._numerics(phase, local, reduced)
                 for step in steps:

@@ -23,18 +23,45 @@ import numpy as np
 from repro.util import as_float_array
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MIX_RANK = 0x9E3779B97F4A7C15
+_MIX_PHASE = 0xC2B2AE3D27D4EB4F
+_MIX_ITERATION = 0x165667B19E3779F9
+_MIX_SEED = 0x27D4EB2F165667C5
+_FINALIZE = 0xFF51AFD7ED558CCD
+
+
 def _hash_jitter(rank: int, phase: int, iteration: int, seed: int) -> float:
     """Deterministic pseudo-random value in [-1, 1) from a 64-bit mix."""
     x = (
-        (rank + 1) * 0x9E3779B97F4A7C15
-        ^ (phase + 1) * 0xC2B2AE3D27D4EB4F
-        ^ (iteration + 1) * 0x165667B19E3779F9
-        ^ (seed + 1) * 0x27D4EB2F165667C5
-    ) & 0xFFFFFFFFFFFFFFFF
+        (rank + 1) * _MIX_RANK
+        ^ (phase + 1) * _MIX_PHASE
+        ^ (iteration + 1) * _MIX_ITERATION
+        ^ (seed + 1) * _MIX_SEED
+    ) & _MASK64
     x ^= x >> 33
-    x = (x * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
+    x = (x * _FINALIZE) & _MASK64
     x ^= x >> 33
     return (x / 2**63) - 1.0
+
+
+def _hash_jitters(rank: int, iteration: int, seed: int, num_phases: int) -> np.ndarray:
+    """:func:`_hash_jitter` of phases ``0 .. num_phases - 1``, bitwise.
+
+    The mix is taken modulo 2**64 either way, so wrapping ``uint64``
+    products give the masked Python-integer ones, and ``x / 2**63`` is a
+    correctly rounded conversion scaled by a power of two in both forms.
+    """
+    key = np.uint64(
+        ((rank + 1) * _MIX_RANK ^ (iteration + 1) * _MIX_ITERATION
+         ^ (seed + 1) * _MIX_SEED) & _MASK64
+    )
+    shift = np.uint64(33)
+    x = key ^ np.arange(1, num_phases + 1, dtype=np.uint64) * np.uint64(_MIX_PHASE)
+    x ^= x >> shift
+    x *= np.uint64(_FINALIZE)
+    x ^= x >> shift
+    return x / 2.0**63 - 1.0
 
 
 @dataclass(frozen=True)
@@ -98,6 +125,45 @@ class NodeModel:
             return 1.0
         return 1.0 + self.cache_penalty * total_cells / (total_cells + self.cache_cells)
 
+    def _base_times(self, work_by_material: np.ndarray) -> np.ndarray:
+        """Noise-free time of every phase for one work vector."""
+        work = np.asarray(work_by_material, dtype=np.float64)
+        if work.shape != (self.num_materials,):
+            raise ValueError(
+                f"work_by_material must have shape ({self.num_materials},)"
+            )
+        if np.any(work < 0):
+            raise ValueError("work counts must be non-negative")
+        cache = self.cache_factor(float(work.sum()))
+        overhead = self.phase_overhead.tolist()
+        return np.array(
+            [
+                overhead[phase] + cache * float(cell_cost @ work)
+                for phase, cell_cost in enumerate(self.cell_cost)
+            ]
+        )
+
+    def phase_times(
+        self, work_by_material: np.ndarray, rank: int = 0, iteration: int = 0
+    ) -> np.ndarray:
+        """Compute time of every phase on one rank in one iteration.
+
+        Parameters
+        ----------
+        work_by_material:
+            Effective cell counts per material (the hydro workload census may
+            scale raw counts by activity multipliers, e.g. actively-burning
+            HE cells cost more).
+        rank, iteration:
+            Identify the jitter stream.
+        """
+        times = self._base_times(work_by_material)
+        if self.jitter_frac:
+            times *= 1.0 + self.jitter_frac * _hash_jitters(
+                rank, iteration, self.seed, self.num_phases
+            )
+        return times
+
     def phase_time(
         self,
         phase: int,
@@ -106,39 +172,16 @@ class NodeModel:
         iteration: int = 0,
         with_jitter: bool = True,
     ) -> float:
-        """Compute time of one phase on one rank.
-
-        Parameters
-        ----------
-        phase:
-            0-based phase index.
-        work_by_material:
-            Effective cell counts per material (the hydro workload census may
-            scale raw counts by activity multipliers, e.g. actively-burning
-            HE cells cost more).
-        rank, iteration:
-            Identify the jitter stream.
-        with_jitter:
-            Disable for noise-free queries (used by unit tests).
-        """
+        """Compute time of one phase on one rank: one entry of
+        :meth:`phase_times`, or of the noise-free times when
+        ``with_jitter`` is off (used by unit tests)."""
         if not 0 <= phase < self.num_phases:
             raise ValueError(f"phase must lie in [0, {self.num_phases}), got {phase}")
-        work = np.asarray(work_by_material, dtype=np.float64)
-        if work.shape != (self.num_materials,):
-            raise ValueError(
-                f"work_by_material must have shape ({self.num_materials},)"
-            )
-        if np.any(work < 0):
-            raise ValueError("work counts must be non-negative")
-        n = float(work.sum())
-        base = float(self.phase_overhead[phase]) + self.cache_factor(n) * float(
-            self.cell_cost[phase] @ work
-        )
-        if with_jitter and self.jitter_frac:
-            base *= 1.0 + self.jitter_frac * _hash_jitter(
-                rank, phase, iteration, self.seed
-            )
-        return base
+        if with_jitter:
+            times = self.phase_times(work_by_material, rank, iteration)
+        else:
+            times = self._base_times(work_by_material)
+        return float(times[phase])
 
     def per_cell_cost(self, phase: int, material: int, cells: float) -> float:
         """Noise-free per-cell cost ``T/n`` for a pure-material subgrid.

@@ -28,7 +28,7 @@ from repro.partition.base import Partition
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.rcb import rcb_partition
 from repro.partition.block import block_partition, structured_block_partition
-from repro.util.artifacts import cache_root
+from repro.util.artifacts import MODEL_VERSION, cache_root
 
 
 def cache_dir() -> Path:
@@ -40,7 +40,7 @@ def _cache_key(deck: InputDeck, num_ranks: int, method: str, seed: int) -> str:
     mesh = deck.mesh
     return (
         f"{deck.name}-{mesh.nx}x{mesh.ny}-c{mesh.num_cells}"
-        f"-p{num_ranks}-{method}-s{seed}"
+        f"-p{num_ranks}-{method}-s{seed}-v{MODEL_VERSION}"
     )
 
 

@@ -31,16 +31,22 @@ def _validate(cells_matrix: np.ndarray, table: CostTable) -> np.ndarray:
 def phase_computation_time(
     table: CostTable, phase: int, cells_matrix: np.ndarray
 ) -> float:
-    """Equation (2): max over processors of the phase's subgrid time."""
+    """Equation (2): max over processors of the phase's subgrid time.
+
+    Each material's curve is evaluated once, over the totals of every
+    rank that holds cells; each rank's time is then its own row of
+    per-cell costs contracted with its cell counts.
+    """
     cells_matrix = _validate(cells_matrix, table)
     totals = cells_matrix.sum(axis=1)
+    active = np.flatnonzero(totals > 0)
+    #: per_cell[i, m]: material m's per-cell cost on rank active[i].
+    per_cell = np.stack(
+        [curve(totals[active]) for curve in table.curves[phase]], axis=1
+    )
     best = 0.0
-    for j in range(cells_matrix.shape[0]):
-        n = totals[j]
-        if n <= 0:
-            continue
-        per_cell = table.per_cell_vector(phase, n)
-        t = float(per_cell @ cells_matrix[j])
+    for row, j in zip(per_cell, active.tolist()):
+        t = float(row @ cells_matrix[j])
         if t > best:
             best = t
     return best

@@ -106,9 +106,13 @@ class CostTable:
         """``T(phase, material, n)``: interpolated per-cell cost."""
         return self.curves[phase][material](n)
 
-    def per_cell_vector(self, phase: int, n: float) -> np.ndarray:
-        """Per-cell cost of every material at subgrid size ``n``."""
-        return np.array([self.curves[phase][m](n) for m in range(self.num_materials)])
+    def per_cell_grid(self, n) -> np.ndarray:
+        """Every curve at subgrid size(s) ``n``: ``(phases, materials) + shape(n)``.
+
+        Curves are elementwise, so evaluating one at an array of sizes
+        gives bitwise the values of the scalar calls.
+        """
+        return np.array([[curve(n) for curve in row] for row in self.curves])
 
     def to_payload(self) -> dict:
         """Plain-JSON form; exact round trip (doubles serialise via ``repr``)."""

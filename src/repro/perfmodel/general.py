@@ -87,8 +87,7 @@ class GeneralModel:
         if n < 1:
             raise ValueError("fewer than one cell per processor")
         total = 0.0
-        for phase in range(self.table.num_phases):
-            per_cell = self.table.per_cell_vector(phase, n)
+        for per_cell in self.table.per_cell_grid(n):
             if self.mode == "heterogeneous":
                 counts = np.asarray(self.ratios) * n
                 total += float(per_cell @ counts)

@@ -150,13 +150,11 @@ class TransitionModel:
         """
         n = total_cells / num_ranks
         side = self._subgrid_side(total_cells, num_ranks)
+        grid = self.table.per_cell_grid(n)
         best_x, best_cost = 0.0, -1.0
         for x in self.profile.candidate_offsets(side):
             fracs = self.profile.overlap_fractions(x, side)
-            cost = sum(
-                float(self.table.per_cell_vector(p, n) @ fracs)
-                for p in range(self.table.num_phases)
-            )
+            cost = sum(float(per_cell @ fracs) for per_cell in grid)
             if cost > best_cost:
                 best_cost, best_x = cost, float(x)
         return best_x, self.profile.overlap_fractions(best_x, side)
@@ -174,8 +172,7 @@ class TransitionModel:
             [self.profile.overlap_fractions(x, side) for x in offsets]
         )  # (offsets, materials)
         total = 0.0
-        for p in range(self.table.num_phases):
-            per_cell = self.table.per_cell_vector(p, n)
+        for per_cell in self.table.per_cell_grid(n):
             total += float((fracs @ per_cell).max()) * n
         return total
 

@@ -268,22 +268,47 @@ def _exhaustive_minimax(
     num_nodes: int,
     max_passes: int,
 ) -> np.ndarray:
-    """Every move and swap, scored on the densified cost matrices.
+    """Every move and swap, scored as rows of trial matrices.
 
-    Candidates are scored incrementally: an op only touches rows/columns
-    of the two nodes involved, so each trial costs ``O(P)`` (delta-update
-    the per-rank vector, then one max/sum) instead of re-pricing the full
-    matrix.  After an op is *applied* the vector is recomputed exactly,
-    so float error cannot accumulate across accepted ops.
+    An op only touches the rows of the two nodes involved, so each trial
+    is the current per-rank vector with those entries delta-updated.  For
+    each rank ``a`` every legal move is one row of a ``(k, P)`` array and
+    every swap with a higher rank on another node one row of a ``(B, P)``
+    array, built elementwise with the same expressions a one-trial-at-a-
+    time scan would evaluate; ``max``/``sum`` along axis 1 score them all
+    at once.  The first lexicographic minimum that is strictly below the
+    current cost is the op a sequential ``cost < best`` scan (moves by
+    node, then swaps by rank) would keep.  After an op is *applied* the
+    per-rank vector is recomputed exactly, so float error cannot
+    accumulate across accepted ops.
     """
     num_ranks = costs.num_ranks
     t_intra, t_inter = costs.to_dense()
     #: delta[r, x]: what rank r's row cost loses when x joins its node.
     delta = t_inter - t_intra
+    delta_t = np.ascontiguousarray(delta.T)
+    #: member_sums[x, n] = delta[x, members(n)].sum() and
+    #: mate_sums[x, y] = delta[x, mates(y)].sum(), where mates(y) is y's
+    #: node minus y; gathered then summed, in ascending rank order.
+    member_sums = np.empty((num_ranks, num_nodes))
+    mate_sums = np.empty((num_ranks, num_ranks))
 
+    def gather_sums(cols: np.ndarray) -> np.ndarray:
+        # Row sums of a C-contiguous gather: each equals the 1-D sum of
+        # that row's gathered entries (a strided reduction would not).
+        return np.ascontiguousarray(delta[:, cols]).sum(axis=1)
+
+    def refresh(touched) -> None:
+        for n in touched:
+            members = np.flatnonzero(nodes == n)
+            member_sums[:, n] = gather_sums(members)
+            for y in members.tolist():
+                mate_sums[:, y] = gather_sums(members[members != y])
+
+    refresh(range(num_nodes))
+    ranks = np.arange(num_ranks)
     per_rank = dense_rank_costs(nodes, t_intra, t_inter)
     current = (float(per_rank.max()), float(per_rank.sum()))
-    trial = np.empty_like(per_rank)
     for _ in range(max_passes):
         improved = False
         for a in range(num_ranks):
@@ -291,46 +316,56 @@ def _exhaustive_minimax(
             counts = np.bincount(nodes, minlength=num_nodes)
             mates_a = nodes == na
             mates_a[a] = False  # a's node-mates, excluding a itself
-            best = current
-            best_op = None
-            for m in range(num_nodes):
-                if m == na or counts[m] >= ranks_per_node:
-                    continue
-                members_m = nodes == m
-                np.copyto(trial, per_rank)
-                trial[mates_a] += delta[mates_a, a]
-                trial[members_m] -= delta[members_m, a]
-                trial[a] += delta[a, mates_a].sum() - delta[a, members_m].sum()
-                cost = (float(trial.max()), float(trial.sum()))
-                if cost < best:
-                    best = cost
-                    best_op = ("move", m)
-            for b in range(a + 1, num_ranks):
-                nb = int(nodes[b])
-                if nb == na:
-                    continue
-                mates_b = nodes == nb
-                mates_b[b] = False
-                # Swapping a↔b: a's old mates gain a's absence and b's
-                # presence (and vice versa); the (a, b) pair itself stays
-                # cross-node, so its price is untouched.
-                np.copyto(trial, per_rank)
-                trial[mates_a] += delta[mates_a, a] - delta[mates_a, b]
-                trial[mates_b] += delta[mates_b, b] - delta[mates_b, a]
-                trial[a] += delta[a, mates_a].sum() - delta[a, mates_b].sum()
-                trial[b] += delta[b, mates_b].sum() - delta[b, mates_a].sum()
-                cost = (float(trial.max()), float(trial.sum()))
-                if cost < best:
-                    best = cost
-                    best_op = ("swap", b)
-            if best_op is None:
+            col_a = delta_t[a]
+            # Moving a to m: a's old mates gain its absence, m's members
+            # pay its presence.
+            targets = np.flatnonzero(counts < ranks_per_node)
+            targets = targets[targets != na]
+            moves = np.where(
+                nodes == targets[:, None],
+                per_rank - col_a,
+                np.where(mates_a, per_rank + col_a, per_rank),
+            )
+            moves[:, a] = per_rank[a] + (
+                mate_sums[a, a] - member_sums[a, targets]
+            )
+            # Swapping a<->b: a's old mates gain a's absence and b's
+            # presence (and vice versa); the (a, b) pair itself stays
+            # cross-node, so its price is untouched.
+            partners = ranks[a + 1 :][nodes[a + 1 :] != na]
+            rows = np.arange(partners.size)
+            col_b = delta_t[partners]
+            mates_b = nodes == nodes[partners][:, None]
+            mates_b[rows, partners] = False
+            swaps = np.where(
+                mates_a,
+                per_rank + (col_a - col_b),
+                np.where(mates_b, per_rank + (col_b - col_a), per_rank),
+            )
+            swaps[:, a] = per_rank[a] + (
+                mate_sums[a, a] - mate_sums[a, partners]
+            )
+            swaps[rows, partners] = per_rank[partners] + (
+                mate_sums[partners, partners] - mate_sums[partners, a]
+            )
+            maxes = np.concatenate((moves.max(axis=1), swaps.max(axis=1)))
+            if maxes.size == 0:
+                continue
+            totals = np.concatenate((moves.sum(axis=1), swaps.sum(axis=1)))
+            tied = np.flatnonzero(maxes == maxes.min())
+            pick = int(tied[np.argmin(totals[tied])])
+            cost = (float(maxes[pick]), float(totals[pick]))
+            if not cost < current:
                 continue
             improved = True
-            if best_op[0] == "move":
-                nodes[a] = best_op[1]
+            if pick < targets.size:
+                dst = int(targets[pick])
+                nodes[a] = dst
             else:
-                b = best_op[1]
-                nodes[a], nodes[b] = nodes[b], nodes[a]
+                b = int(partners[pick - targets.size])
+                dst = int(nodes[b])
+                nodes[a], nodes[b] = dst, na
+            refresh((na, dst))
             per_rank = dense_rank_costs(nodes, t_intra, t_inter)
             current = (float(per_rank.max()), float(per_rank.sum()))
         if not improved:

@@ -104,6 +104,13 @@ class ProgramWriter:
         self.a += [dst for dst, _, _ in sends] + [0] + [src for src, _ in recvs]
         self.b += [tag for _, tag, _ in sends] + [0] + [tag for _, tag in recvs]
 
+    def extend(self, opcode: list, farg: list, a: list, b: list) -> None:
+        """Append rows given column by column, one extend per column."""
+        self.opcode += opcode
+        self.farg += farg
+        self.a += a
+        self.b += b
+
     def allreduce(self, nbytes: float) -> None:
         """Enter an allreduce of ``nbytes`` per tree message."""
         self._row(OP_COLL, nbytes, 0, COLL_ALLREDUCE)

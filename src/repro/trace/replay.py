@@ -118,9 +118,7 @@ def _fitted_cluster(
     convention :func:`~repro.perfmodel.calibrate.fit_cost_table` documents.
     """
     table = calibration.table
-    cell_cost = np.stack(
-        [table.per_cell_vector(p, cells_per_rank) for p in range(table.num_phases)]
-    )
+    cell_cost = table.per_cell_grid(cells_per_rank)
     if table.num_phases < num_phases:
         # Traced runs can carry extra bookkeeping phases (repartition,
         # checkpoint) past the fitted ones; they replay at zero cost.

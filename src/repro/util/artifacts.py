@@ -24,6 +24,15 @@ import numpy as np
 DEFAULT_CACHE_ROOT = Path(__file__).resolve().parents[3] / ".cache"
 
 
+#: Version of every result a content key stands for: the models, the
+#: simulator and the partitioners.  Calibration, prediction and sweep keys
+#: and partition file names all carry it, so an entry stored by another
+#: version is a miss.  Bump it with any change to a result golden
+#: (``tests/test_golden_fingerprints.py`` fails until you do).  Keys made
+#: before the salt carried a constant 1, hence the start at 2.
+MODEL_VERSION = 2
+
+
 def cache_root() -> Path:
     """Resolve the shared on-disk cache root directory."""
     override = os.environ.get("REPRO_CACHE_DIR")

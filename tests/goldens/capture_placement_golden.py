@@ -18,8 +18,16 @@ It pins, for fixed inputs:
   refiners on seeded random graphs (``greedy_refine`` from the round-robin
   start, ``comm_aware_placement``, exhaustive ``minimax_refine`` from the
   block start);
-* ``small_deck_optimize`` — ``optimize_placement`` on the small deck at 16
-  and 24 ranks on the overhead SMP cluster of the ``placement.*`` benches.
+* ``minimax_large`` — exhaustive ``minimax_refine`` from the block start on
+  seeded random cost graphs at 48, 64 and 128 ranks with 2, 4 and 8 ranks
+  per node, with one spare node so moves as well as swaps are legal;
+* ``minimax_ties`` — the same search where trials tie exactly: costs on a
+  coarse dyadic grid (``t_inter`` equal to ``t_intra`` on some links),
+  ``t_inter == t_intra`` everywhere, and ``t_inter < t_intra`` (spreading
+  out wins);
+* ``small_deck_optimize`` — ``optimize_placement`` on the small deck at 16,
+  24 and 64 ranks on the overhead SMP cluster of the ``placement.*``
+  benches.
 
 Node maps are integer lists and costs are hex floats, so a match is a
 bitwise match.  The script runs against either form of the API (dense
@@ -58,7 +66,16 @@ RANDOM_SEEDS = range(8)
 GREEDY_SHAPE = (24, 4)
 COMM_AWARE_SHAPE = (20, 4)
 MINIMAX_SHAPE = (24, 4)
-SMALL_DECK_RANKS = (16, 24)
+#: (ranks, ranks per node) of the larger exhaustive minimax runs.
+MINIMAX_LARGE_SHAPES = tuple((p, rpn) for p in (48, 64, 128) for rpn in (2, 4, 8))
+#: (cost regime, ranks, ranks per node, seed) of the exact-tie minimax runs.
+MINIMAX_TIE_CASES = tuple(
+    (regime, p, rpn, seed)
+    for regime in ("dyadic", "equal", "cheaper-inter")
+    for p, rpn in ((24, 4), (48, 8))
+    for seed in range(2)
+)
+SMALL_DECK_RANKS = (16, 24, 64)
 
 #: True when the API takes dense ``(P, P)`` matrices rather than CSR forms.
 DENSE_API = "t_intra" in inspect.signature(placement_comm_cost).parameters
@@ -100,6 +117,38 @@ def random_costs(num_ranks: int, seed: int) -> SparsePairCosts:
     graph = csr_graph(random_graph(num_ranks, seed))
     t_intra = rng.random(graph.num_entries) * 1e-5
     t_inter = t_intra + rng.random(graph.num_entries) * 1e-4
+    return SparsePairCosts(
+        num_ranks=num_ranks,
+        indptr=graph.indptr,
+        indices=graph.indices,
+        t_intra=t_intra,
+        t_inter=t_inter,
+    )
+
+
+def regime_costs(num_ranks: int, seed: int, regime: str) -> SparsePairCosts:
+    """Priced costs on one random topology in a tie-prone regime.
+
+    ``dyadic`` puts both prices on multiples of 2**-20 s with ``t_inter``
+    equal to ``t_intra`` on about a third of the links, so many trial sums
+    tie exactly; ``equal`` prices every link the same at both levels;
+    ``cheaper-inter`` makes every inter-node price lower than its
+    intra-node one.
+    """
+    rng = np.random.default_rng(seed)
+    graph = csr_graph(random_graph(num_ranks, seed))
+    size = graph.num_entries
+    if regime == "dyadic":
+        t_intra = rng.integers(1, 4, size).astype(np.float64) * 2.0**-20
+        t_inter = t_intra + rng.integers(0, 3, size) * 2.0**-20
+    elif regime == "equal":
+        t_intra = rng.random(size) * 1e-5
+        t_inter = t_intra.copy()
+    elif regime == "cheaper-inter":
+        t_intra = rng.random(size) * 1e-4
+        t_inter = t_intra * rng.uniform(0.1, 0.9, size)
+    else:
+        raise ValueError(f"unknown cost regime {regime!r}")
     return SparsePairCosts(
         num_ranks=num_ranks,
         indptr=graph.indptr,
@@ -176,6 +225,26 @@ def random_minimax(seed: int) -> list:
     return node_list(minimax_refine(start, *args, rpn, num_nodes))
 
 
+def spare_node_minimax(costs: SparsePairCosts, rpn: int) -> list:
+    """Exhaustive ``minimax_refine`` from the block start, one node spare."""
+    num_ranks = costs.num_ranks
+    num_nodes = num_ranks // rpn + 1
+    start = np.arange(num_ranks, dtype=np.int64) // rpn
+    return node_list(minimax_refine(start, *cost_args(costs), rpn, num_nodes))
+
+
+def minimax_large(num_ranks: int, rpn: int) -> list:
+    return spare_node_minimax(random_costs(num_ranks, seed=num_ranks + rpn), rpn)
+
+
+def minimax_ties(regime: str, num_ranks: int, rpn: int, seed: int) -> list:
+    return spare_node_minimax(regime_costs(num_ranks, seed, regime), rpn)
+
+
+def case_key(*parts) -> str:
+    return "/".join(str(p) for p in parts)
+
+
 def small_deck_optimize(num_ranks: int) -> list:
     from repro.hydro import build_workload_census
     from repro.machine import es45_like_cluster
@@ -201,6 +270,12 @@ def capture() -> dict:
         "random_greedy": {str(s): random_greedy(s) for s in RANDOM_SEEDS},
         "random_comm_aware": {str(s): random_comm_aware(s) for s in RANDOM_SEEDS},
         "random_minimax": {str(s): random_minimax(s) for s in RANDOM_SEEDS},
+        "minimax_large": {
+            case_key(*shape): minimax_large(*shape) for shape in MINIMAX_LARGE_SHAPES
+        },
+        "minimax_ties": {
+            case_key(*case): minimax_ties(*case) for case in MINIMAX_TIE_CASES
+        },
         "small_deck_optimize": {
             str(r): small_deck_optimize(r) for r in SMALL_DECK_RANKS
         },

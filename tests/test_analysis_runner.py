@@ -20,6 +20,7 @@ from repro.analysis import (
 from repro.core.assemble import calibration_key, calibration_table, faces_for
 from repro.mesh import build_deck, build_face_table
 from repro.util import stable_hash
+from repro.util.artifacts import MODEL_VERSION
 
 
 @pytest.fixture(autouse=True)
@@ -275,7 +276,7 @@ class TestDynamicAxis:
         task = tiny_spec.tasks()[0]
         params = {
             "kind": "validation-point",
-            "version": 1,
+            "version": MODEL_VERSION,
             "deck": task.deck,
             "num_ranks": task.num_ranks,
             "cluster": task.cluster,

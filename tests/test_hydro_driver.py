@@ -101,8 +101,8 @@ class TestMeasureIterationTime:
         deck, faces, part = setup
 
         class ColdStartNodeModel(type(es45_like_cluster().node)):
-            def phase_time(self, phase, work, rank=0, iteration=0, with_jitter=True):
-                base = super().phase_time(phase, work, rank, iteration, with_jitter)
+            def phase_times(self, work, rank=0, iteration=0):
+                base = super().phase_times(work, rank, iteration)
                 return base * 10.0 if iteration == 0 else base
 
         warm = es45_like_cluster()

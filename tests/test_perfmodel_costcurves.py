@@ -77,7 +77,7 @@ class TestCostTable:
         cells = np.array([1.0])
         per_cell = np.arange(8, dtype=float).reshape(2, 4, 1) * 1e-6
         table = CostTable.from_arrays(cells, per_cell)
-        assert np.allclose(table.per_cell_vector(1, 1.0), [4e-6, 5e-6, 6e-6, 7e-6])
+        assert np.allclose(table.per_cell_grid(1.0)[1], [4e-6, 5e-6, 6e-6, 7e-6])
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):

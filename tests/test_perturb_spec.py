@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.runner import SweepSpec
 from repro.core import ClusterSpec, PredictionRequest, PerturbSpec
 from repro.core.pipeline import request_key
+from repro.util.artifacts import MODEL_VERSION
 from repro.perturb import parse_perturb
 from repro.util.artifacts import stable_hash
 
@@ -138,8 +139,8 @@ class TestHashStability:
         legacy = legacy_type(**{name: getattr(request, name) for name in names})
         assert stable_hash(request) == stable_hash(legacy)
         assert request_key(request) == stable_hash(
-            {"kind": "core-prediction", "version": 1, "mode": "predict",
-             "request": legacy}
+            {"kind": "core-prediction", "version": MODEL_VERSION,
+             "mode": "predict", "request": legacy}
         )
 
     def test_perturbed_request_hashes_differently(self):

@@ -3,8 +3,10 @@
 Complements ``tests/test_sparse_dense_equivalence.py`` (fuzz-scenario
 sweeps) with targeted checks on synthetic graphs: the refiners reproduce
 the node maps the dense ``(P, P)`` reference produced on seeded random
-graphs (pinned in ``tests/goldens/placement_maps.json``), the heuristic
-refinement above the exhaustive bound never worsens its start, and
+graphs (pinned in ``tests/goldens/placement_maps.json``), the exhaustive
+trial-matrix search picks exactly the ops of a one-trial-at-a-time scan
+(kept here as the reference), the heuristic refinement above the
+exhaustive bound never worsens its start, and
 ``inter_node_bytes`` equals the masked sum over the densified graph
 without allocating anything quadratic.
 """
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.placement import (
     SparseCommGraph,
@@ -28,7 +32,11 @@ from repro.placement import (
     minimax_refine,
     placement_comm_cost,
 )
-from repro.placement.sparse import MINIMAX_EXHAUSTIVE_MAX_RANKS, SparsePairCosts
+from repro.placement.sparse import (
+    MINIMAX_EXHAUSTIVE_MAX_RANKS,
+    SparsePairCosts,
+    dense_rank_costs,
+)
 
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"
 GOLDEN = json.loads((GOLDENS_DIR / "placement_maps.json").read_text())
@@ -74,6 +82,23 @@ class TestMinimaxRefine:
         expected = GOLDEN["random_minimax"][str(seed)]
         assert capture.random_minimax(seed) == expected
 
+    @pytest.mark.parametrize(
+        "shape", capture.MINIMAX_LARGE_SHAPES, ids=lambda s: capture.case_key(*s)
+    )
+    def test_exhaustive_mode_large_graphs(self, shape):
+        assert shape[0] <= MINIMAX_EXHAUSTIVE_MAX_RANKS
+        expected = GOLDEN["minimax_large"][capture.case_key(*shape)]
+        assert capture.minimax_large(*shape) == expected
+
+    @pytest.mark.parametrize(
+        "case", capture.MINIMAX_TIE_CASES, ids=lambda c: capture.case_key(*c)
+    )
+    def test_exhaustive_mode_exact_ties(self, case):
+        # Trials that tie exactly must resolve to the first op in scan
+        # order (moves by node, then swaps by rank).
+        expected = GOLDEN["minimax_ties"][capture.case_key(*case)]
+        assert capture.minimax_ties(*case) == expected
+
     @pytest.mark.parametrize("seed", range(4))
     def test_heuristic_mode_never_worsens(self, seed):
         # Above the exhaustive threshold the candidate-restricted search
@@ -109,6 +134,93 @@ class TestMinimaxRefine:
         )
         # Still a valid assignment: capacities respected.
         assert np.bincount(refined, minlength=num_nodes).max() <= rpn
+
+
+def _scan_minimax(nodes, costs, ranks_per_node, num_nodes, max_passes=8):
+    """Reference exhaustive minimax: score one trial at a time.
+
+    The scan the trial-matrix search replaced: each move (by node) and
+    swap (by rank) delta-updates a copy of the per-rank vector and is kept
+    on a strict ``cost < best``.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64).copy()
+    t_intra, t_inter = costs.to_dense()
+    delta = t_inter - t_intra
+    per_rank = dense_rank_costs(nodes, t_intra, t_inter)
+    current = (float(per_rank.max()), float(per_rank.sum()))
+    for _ in range(max_passes):
+        improved = False
+        for a in range(costs.num_ranks):
+            na = int(nodes[a])
+            counts = np.bincount(nodes, minlength=num_nodes)
+            mates_a = nodes == na
+            mates_a[a] = False
+            best, best_op = current, None
+            for m in range(num_nodes):
+                if m == na or counts[m] >= ranks_per_node:
+                    continue
+                members_m = nodes == m
+                trial = per_rank.copy()
+                trial[mates_a] += delta[mates_a, a]
+                trial[members_m] -= delta[members_m, a]
+                trial[a] += delta[a, mates_a].sum() - delta[a, members_m].sum()
+                cost = (float(trial.max()), float(trial.sum()))
+                if cost < best:
+                    best, best_op = cost, ("move", m)
+            for b in range(a + 1, costs.num_ranks):
+                nb = int(nodes[b])
+                if nb == na:
+                    continue
+                mates_b = nodes == nb
+                mates_b[b] = False
+                trial = per_rank.copy()
+                trial[mates_a] += delta[mates_a, a] - delta[mates_a, b]
+                trial[mates_b] += delta[mates_b, b] - delta[mates_b, a]
+                trial[a] += delta[a, mates_a].sum() - delta[a, mates_b].sum()
+                trial[b] += delta[b, mates_b].sum() - delta[b, mates_a].sum()
+                cost = (float(trial.max()), float(trial.sum()))
+                if cost < best:
+                    best, best_op = cost, ("swap", b)
+            if best_op is None:
+                continue
+            improved = True
+            if best_op[0] == "move":
+                nodes[a] = best_op[1]
+            else:
+                b = best_op[1]
+                nodes[a], nodes[b] = nodes[b], nodes[a]
+            per_rank = dense_rank_costs(nodes, t_intra, t_inter)
+            current = (float(per_rank.max()), float(per_rank.sum()))
+        if not improved:
+            break
+    return nodes
+
+
+class TestExhaustiveMatchesScan:
+    """The trial-matrix search picks exactly the ops of the scalar scan."""
+
+    @given(
+        num_ranks=st.integers(2, 40),
+        rpn=st.sampled_from([1, 2, 3, 4, 8, 16]),
+        spare=st.integers(0, 2),
+        regime=st.sampled_from(["random", "dyadic", "equal", "cheaper-inter"]),
+        seed=st.integers(0, 2**16),
+        round_robin=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_node_map(self, num_ranks, rpn, spare, regime, seed, round_robin):
+        if regime == "random":
+            costs = capture.random_costs(num_ranks, seed)
+        else:
+            costs = capture.regime_costs(num_ranks, seed, regime)
+        full = -(-num_ranks // rpn)
+        ranks = np.arange(num_ranks, dtype=np.int64)
+        start = ranks % full if round_robin else ranks // rpn
+        num_nodes = full + spare
+        assert np.array_equal(
+            minimax_refine(start, costs, rpn, num_nodes),
+            _scan_minimax(start, costs, rpn, num_nodes),
+        )
 
 
 def _masked_sum(dense: np.ndarray, nodes: np.ndarray) -> float:

@@ -186,7 +186,7 @@ class TestRoundTripProperty:
             times = run.steady_compute()
             x = run.cells_per_rank
             for p in range(run.num_phases):
-                knot = calibration.table.per_cell_vector(p, x)
+                knot = calibration.table.per_cell_grid(x)[p]
                 predicted = run.material_cells @ knot
                 assert np.allclose(predicted, times[:, p], rtol=1e-9)
 
@@ -235,7 +235,7 @@ class TestNoiseRobustness:
             x = clean.cells_per_rank
             sqrt_r = np.sqrt(clean.ranks)
             for p in range(clean.num_phases):
-                knot = calibration.table.per_cell_vector(p, x)
+                knot = calibration.table.per_cell_grid(x)[p]
                 predicted = clean.material_cells @ knot
                 bound = (
                     (sqrt_r + 1.5) * eps * np.abs(true_times[:, p]).max()
