@@ -11,13 +11,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import format_series, scaling_sweep, sweep_store
+from repro.analysis import SweepSpec, format_series, run_sweep, sweep_store
 
 MAX_RANKS = 1024
 
 
 @pytest.fixture(scope="module")
-def figure5_sweeps(cluster, medium_deck, large_deck, fine_cost_table):
+def figure5_sweeps():
     """Both decks' scaling sweeps, parallel and resumable.
 
     The dominant cost of this module is the 22 simulated points; they run
@@ -27,16 +27,10 @@ def figure5_sweeps(cluster, medium_deck, large_deck, fine_cost_table):
     """
     jobs = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
     sweeps = {}
-    for deck in (medium_deck, large_deck):
-        sweeps[deck.name] = scaling_sweep(
-            deck,
-            cluster,
-            fine_cost_table,
-            max_ranks=MAX_RANKS,
-            seed=1,
-            jobs=jobs,
-            store=sweep_store(),
-        )
+    for deck in ("medium", "large"):
+        spec = SweepSpec.figure5(decks=(deck,), max_ranks=MAX_RANKS, max_side=512)
+        outcomes = run_sweep(spec, jobs=jobs, store=sweep_store())
+        sweeps[deck] = [outcome.point for outcome in outcomes]
     return sweeps
 
 

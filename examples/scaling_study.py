@@ -17,9 +17,7 @@ Run:  python examples/scaling_study.py [--deck medium] [--max-ranks 256] [--jobs
 
 import argparse
 
-from repro.analysis import TextTable, scaling_sweep, sweep_store
-from repro.core import ClusterSpec, calibration_table, parse_deck
-from repro.perfmodel import default_sample_sides
+from repro.analysis import SweepSpec, TextTable, run_sweep, sweep_store
 
 
 def main() -> None:
@@ -32,27 +30,21 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    deck = parse_deck(args.deck)
-    cluster = ClusterSpec().build()
-
-    print("calibrating cost curves ...")
-    table = calibration_table(cluster, default_sample_sides(256))
+    spec = SweepSpec.figure5(decks=(args.deck,), max_ranks=args.max_ranks, max_side=256)
 
     def progress(done, total, task, point, cached):
         source = "store" if cached else "simulated"
         print(f"  [{done}/{total}] P = {task.num_ranks}: {source}", flush=True)
 
-    print(f"sweeping P = 1 .. {args.max_ranks} on the {deck.name} deck ...")
-    points = scaling_sweep(
-        deck,
-        cluster,
-        table,
-        max_ranks=args.max_ranks,
-        seed=1,
+    print(f"calibrating, then sweeping P = 1 .. {args.max_ranks} on the {args.deck} deck ...")
+    outcomes = run_sweep(
+        spec,
         jobs=args.jobs,
         store=None if args.no_cache else sweep_store(),
         progress=progress,
     )
+    points = [outcome.point for outcome in outcomes]
+    deck = outcomes[0].task.deck
 
     report = TextTable(
         f"strong scaling, {deck.name} deck ({deck.num_cells} cells)",

@@ -13,7 +13,11 @@ The package rebuilds the paper's whole stack from scratch:
   hydro mini-app (the measured application);
 * :mod:`repro.perfmodel` — the paper's analytic model (Equations 1–10,
   calibration, mesh-specific and general variants);
-* :mod:`repro.analysis` — sweeps, error metrics, and report rendering.
+* :mod:`repro.core` — the request/result API: one
+  :class:`~repro.core.PredictionRequest` in, one measured or predicted
+  :class:`~repro.core.PredictionResult` out;
+* :mod:`repro.analysis` — declarative sweep grids of such requests, error
+  metrics, and report rendering.
 
 Quickstart::
 
@@ -33,7 +37,7 @@ from repro.perfmodel import (
     calibrate_contrived_grid,
     calibrate_linear_system,
 )
-from repro.analysis import validation_sweep, scaling_sweep
+from repro.analysis import SweepSpec, run_sweep
 
 __version__ = "1.0.0"
 
@@ -48,8 +52,8 @@ __all__ = [
     "MeshSpecificModel",
     "calibrate_contrived_grid",
     "calibrate_linear_system",
-    "validation_sweep",
-    "scaling_sweep",
+    "SweepSpec",
+    "run_sweep",
     "quick_validation",
 ]
 
@@ -58,13 +62,12 @@ def quick_validation(deck_size: str = "small", num_ranks: int = 16, seed: int = 
     """One-call validation point: measure + general-homogeneous prediction.
 
     Calibrates a small cost table from contrived grids, "measures" the deck
-    on the simulated cluster, and predicts with the general homogeneous
-    model.  Returns a :class:`repro.analysis.sweep.ValidationPoint`.
+    (a deck spec: ``small``/``medium``/``large`` or ``NXxNY``) on the
+    simulated cluster, and predicts with the general homogeneous model.
+    Returns a :class:`repro.analysis.runner.ValidationPoint`.
     """
-    cluster = es45_like_cluster()
-    table = calibrate_contrived_grid(cluster, sides=[1, 2, 4, 8, 16, 32, 64, 128, 256])
-    deck = build_deck(deck_size)
-    points = validation_sweep(
-        deck, [num_ranks], cluster, table, models=("homogeneous",), seed=seed
+    spec = SweepSpec(
+        decks=(deck_size,), rank_counts=(num_ranks,), models=("homogeneous",),
+        seeds=(seed,),
     )
-    return points[0]
+    return run_sweep(spec)[0].point

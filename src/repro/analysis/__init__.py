@@ -4,10 +4,11 @@ The benchmark harness uses these to regenerate every table and figure of the
 paper in plain-text form (the repository has no plotting dependency; figures
 are emitted as aligned data series ready for any plotting tool).
 
-Sweep execution is layered: :mod:`repro.analysis.runner` orchestrates grids
-of validation points (serial or process-parallel), and
-:mod:`repro.analysis.store` persists finished points so sweeps resume
-instead of recomputing.
+Sweep execution is layered: :mod:`repro.analysis.runner` expands
+declarative grids into one :class:`~repro.core.request.PredictionRequest`
+per point and runs each through :func:`repro.core.measure` (serially or
+process-parallel), and :mod:`repro.analysis.store` persists finished
+points so sweeps resume instead of recomputing.
 """
 
 from repro.analysis.errors import signed_relative_error, mean_absolute_percentage_error
@@ -31,7 +32,7 @@ from repro.analysis.store import (
     prediction_store,
     sweep_store,
 )
-from repro.analysis.sweep import DynamicSpec, validation_sweep, scaling_sweep
+from repro.core.request import DynamicSpec
 
 __all__ = [
     "signed_relative_error",
@@ -54,6 +55,4 @@ __all__ = [
     "prediction_store",
     "sweep_store",
     "DynamicSpec",
-    "validation_sweep",
-    "scaling_sweep",
 ]

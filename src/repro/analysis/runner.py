@@ -2,23 +2,23 @@
 
 The paper's headline artifacts (Tables 5–6, Figure 5) are *sweeps*: dozens
 of (deck, rank count, cluster, partition method) points, each needing a
-multilevel partition and one fully simulated iteration.  This module turns
-those from a serial for-loop into an orchestrated workload:
+multilevel partition and one fully simulated iteration.  Every point is a
+:class:`~repro.core.request.PredictionRequest` answered by
+:func:`repro.core.measure`, the same call the CLI and the prediction
+service make; this module only enumerates and schedules them:
 
-* :class:`SweepTask` — one fully specified validation point;
-* :func:`evaluate_point` — measure + predict one point (the former body of
-  ``validation_sweep``'s loop, bit-for-bit);
-* :func:`run_points` — execute tasks serially (``jobs=1``, the default —
-  results identical to the historical loop) or on a
+* :class:`SweepSpec` — a declarative cartesian grid (decks × rank counts ×
+  clusters × partition methods × seeds × workloads × placements ×
+  perturbations) that materialises into :class:`SweepTask`\\ s;
+* :func:`evaluate_point` — measure one task;
+* :func:`run_points` / :func:`run_sweep` — execute tasks serially
+  (``jobs=1``, the default) or on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, consulting an optional
-  :class:`~repro.analysis.store.ResultStore` so finished points are never
-  recomputed;
-* :class:`SweepSpec` / :func:`run_sweep` — declarative cartesian grids
-  (decks × rank counts × clusters × partition methods × seeds) for the CLI
-  and scripted studies, plus :func:`sweep_status` for resumability
-  reporting.
+  :class:`~repro.analysis.store.ResultStore` under
+  :func:`~repro.core.pipeline.request_key` so finished points are never
+  recomputed; :func:`sweep_status` reports resumability.
 
-Every point is deterministic given its parameters (partitioners, the
+Every point is deterministic given its request (partitioners, the
 simulator's jitter, and the models are all seeded), so parallel execution
 and cache replay both reproduce the serial results exactly.
 """
@@ -29,26 +29,22 @@ import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from repro.core.assemble import calibration_table, faces_for
+from repro.analysis.store import ResultStore, calibration_store
+from repro.core.assemble import calibration_table
 from repro.core.parsing import as_deck_size
-from repro.core.pipeline import run_point
-from repro.core.request import ClusterSpec
-from repro.machine.cluster import ClusterConfig
-from repro.mesh.connectivity import FaceTable
+from repro.core.pipeline import measure, request_key
+from repro.core.request import ClusterSpec, PredictionRequest, PredictionResult
 from repro.mesh.deck import InputDeck, build_deck
 from repro.perfmodel.calibrate import default_sample_sides
-from repro.perfmodel.costcurves import CostTable
-from repro.analysis.store import ResultStore, calibration_store
-from repro.util.artifacts import MODEL_VERSION
 
-#: Model labels understood by :func:`evaluate_point`.
-KNOWN_MODELS = ("mesh-specific", "homogeneous", "heterogeneous")
-DEFAULT_MODELS = KNOWN_MODELS
+#: The models a sweep prices by default: the paper's three variants.
+DEFAULT_MODELS = ("mesh-specific", "homogeneous", "heterogeneous")
 
 
 @dataclass(frozen=True)
 class ValidationPoint:
-    """One (deck, rank count) validation row."""
+    """One (deck, rank count) validation row: the measured-vs-predicted view
+    of a :class:`~repro.core.request.PredictionResult`."""
 
     deck_name: str
     num_ranks: int
@@ -61,7 +57,7 @@ class ValidationPoint:
         return (self.measured - self.predicted[model]) / self.measured
 
     def to_payload(self) -> dict:
-        """JSON-serialisable form for the result store."""
+        """JSON-serialisable form of the row."""
         return {
             "deck_name": self.deck_name,
             "num_ranks": self.num_ranks,
@@ -70,143 +66,77 @@ class ValidationPoint:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ValidationPoint":
-        """Rebuild a point from :meth:`to_payload` output (exact: JSON
-        round-trips IEEE doubles via ``repr``)."""
+    def from_result(cls, result: PredictionResult) -> "ValidationPoint":
+        """The row of a measured result."""
         return cls(
-            deck_name=payload["deck_name"],
-            num_ranks=int(payload["num_ranks"]),
-            measured=payload["measured"],
-            predicted=dict(payload["predicted"]),
+            deck_name=result.meta["deck_name"],
+            num_ranks=result.request.ranks,
+            measured=result.measured,
+            predicted=dict(result.predicted),
         )
 
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One fully specified sweep point: everything a worker needs.
+    """One grid point: its request plus the deck the request names.
 
-    Tasks carry the *objects* (deck, cluster, cost table), not references,
-    so a worker process computes from inputs identical to the parent's and
-    the result cannot drift from the serial path.
+    The deck is built once per grid (:meth:`SweepSpec.tasks`) so progress
+    lines and tables can label points; evaluation reads only the request.
+    The axis attributes below read through to the request.
     """
 
+    request: PredictionRequest
     deck: InputDeck
-    num_ranks: int
-    cluster: ClusterConfig
-    #: May be ``None`` when ``models`` is empty (measurement-only points,
-    #: e.g. partition studies).
-    table: CostTable | None
-    models: tuple = DEFAULT_MODELS
-    partition_method: str = "multilevel"
-    seed: int = 1
-    #: Optional :class:`~repro.analysis.sweep.DynamicSpec` — a time-evolving
-    #: workload with a repartitioning policy; ``None`` is the static path.
-    dynamic: object = None
-    #: Optional rank→node placement strategy name (``"block"``,
-    #: ``"round-robin"``, ``"random[:seed]"``, ``"comm-aware"``); requires
-    #: an SMP cluster.  ``None`` keeps the implicit block map.
-    placement: str | None = None
-    #: Optional :class:`~repro.perturb.PerturbSpec` — seeded noise injected
-    #: into the measurement only; ``None`` is the clean path.
-    perturb: object = None
+
+    @property
+    def num_ranks(self) -> int:
+        return self.request.ranks
+
+    @property
+    def models(self) -> tuple:
+        return self.request.models
+
+    @property
+    def partition_method(self) -> str:
+        return self.request.partition_method
+
+    @property
+    def seed(self) -> int:
+        return self.request.seed
+
+    @property
+    def dynamic(self):
+        return self.request.dynamic
+
+    @property
+    def placement(self) -> str | None:
+        return self.request.placement
+
+    @property
+    def perturb(self):
+        return self.request.perturb
 
     def store_key(self) -> str:
-        """Content hash of every input that determines this point's result."""
-        params = {
-            "kind": "validation-point",
-            "version": MODEL_VERSION,
-            "deck": self.deck,
-            "num_ranks": self.num_ranks,
-            "cluster": self.cluster,
-            "table": self.table,
-            "models": tuple(self.models),
-            "partition_method": self.partition_method,
-            "seed": self.seed,
-        }
-        if self.dynamic is not None:
-            # Only dynamic points hash the spec, so every static key (and
-            # the results already stored under it) is unchanged.
-            params["dynamic"] = self.dynamic
-        if self.placement is not None:
-            # Same contract as the dynamic axis: default-placement keys are
-            # byte-identical to what they were before the axis existed.
-            params["placement"] = self.placement
-        if self.perturb is not None:
-            # And again: unperturbed keys (every sweep result stored before
-            # the perturbation axis existed) are byte-identical.
-            params["perturb"] = self.perturb
-        return ResultStore.key_for(params)
+        """The store key of this point's measured result."""
+        return request_key(self.request, "measure")
 
 
-def evaluate_point(
-    deck: InputDeck,
-    num_ranks: int,
-    cluster: ClusterConfig,
-    table: CostTable,
-    models=DEFAULT_MODELS,
-    seed: int = 1,
-    partition_method: str = "multilevel",
-    faces: FaceTable | None = None,
-    dynamic=None,
-    placement: str | None = None,
-    perturb=None,
-) -> ValidationPoint:
-    """Measure ``deck`` at ``num_ranks`` on the simulated machine and
-    predict it with each requested model (``models=()`` measures only).
-
-    ``dynamic`` is an optional :class:`~repro.analysis.sweep.DynamicSpec`:
-    the measurement then runs the time-evolving workload (burn-front cost
-    shifts plus the spec's repartitioning policy) over the spec's iteration
-    window, while model predictions stay static — their error under an
-    evolving workload is exactly what such sweeps study.
-
-    ``placement`` is an optional rank→node strategy name (see
-    :func:`repro.placement.make_placement`): the measurement then runs
-    under that explicit map on the SMP hierarchy — the comm-aware strategy
-    optimises against this point's own census — while model predictions
-    keep the flat network, quantifying what placement does to their error.
-
-    ``perturb`` is an optional :class:`~repro.perturb.PerturbSpec`: the
-    measurement then runs under seeded noise (stragglers, degraded links,
-    failures, churn) while model predictions stay clean, quantifying how
-    far a perturbed machine drifts from the model.
+def evaluate_point(task: SweepTask) -> PredictionResult:
+    """Measure and predict one point (module-level so pool workers can
+    run it).  The calibration store lets a worker that did not inherit
+    the parent's calibration memo load the table instead of recomputing it.
     """
-    measured, predictions = run_point(
-        deck,
-        num_ranks,
-        cluster,
-        table,
-        models=models,
-        seed=seed,
-        partition_method=partition_method,
-        faces=faces,
-        dynamic=dynamic,
-        placement=placement,
-        perturb=perturb,
-    )
-    return ValidationPoint(
-        deck_name=deck.name,
-        num_ranks=num_ranks,
-        measured=measured,
-        predicted={model: pred.total for model, pred in predictions.items()},
-    )
+    return measure(task.request, store=calibration_store())
 
 
-def _run_task(task: SweepTask) -> ValidationPoint:
-    """Worker entry point: evaluate one task (module-level for pickling)."""
-    return evaluate_point(
-        task.deck,
-        task.num_ranks,
-        task.cluster,
-        task.table,
-        models=task.models,
-        seed=task.seed,
-        partition_method=task.partition_method,
-        faces=faces_for(task.deck),
-        dynamic=task.dynamic,
-        placement=task.placement,
-        perturb=task.perturb,
-    )
+@dataclass(frozen=True)
+class SweepOutcome:
+    """One executed grid point: its task, result, and provenance."""
+
+    task: SweepTask
+    point: ValidationPoint
+    #: ``True`` when the point was replayed from the store.
+    cached: bool
 
 
 def run_points(
@@ -215,21 +145,21 @@ def run_points(
     store: ResultStore | None = None,
     progress=None,
 ) -> list:
-    """Evaluate ``tasks`` and return their :class:`ValidationPoint`\\ s in
-    task order.
+    """Evaluate ``tasks`` and return their :class:`SweepOutcome`\\ s in task
+    order.
 
     Parameters
     ----------
     jobs:
-        ``1`` (default) evaluates in-process, in order — the historical
-        serial path.  ``> 1`` fans pending tasks out to a process pool;
-        results are reassembled in task order and are identical to the
-        serial path because every point is deterministic in its inputs.
+        ``1`` (default) evaluates in-process, in order.  ``> 1`` fans
+        pending tasks out to a process pool; outcomes are reassembled in
+        task order and are identical to the serial path because every
+        point is deterministic in its request.
     store:
         When given, each task's :meth:`SweepTask.store_key` is looked up
-        first and finished points are replayed from disk; fresh results are
-        persisted as they complete, so an interrupted sweep resumes where
-        it stopped.
+        first and finished points are replayed from disk; fresh results
+        are persisted (as :meth:`PredictionResult.to_payload` dicts) as
+        they complete, so an interrupted sweep resumes where it stopped.
     progress:
         Optional callback ``progress(done, total, task, point, cached)``
         invoked once per task as it completes (cache hits first).
@@ -237,46 +167,43 @@ def run_points(
     tasks = list(tasks)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    results: list = [None] * len(tasks)
+    outcomes: list = [None] * len(tasks)
+    keys = [task.store_key() for task in tasks] if store is not None else None
     done = 0
 
-    def notify(task, point, cached):
+    def record(i, result, cached):
         nonlocal done
+        if store is not None and not cached:
+            store.put(keys[i], result.to_payload())
+        outcome = SweepOutcome(
+            task=tasks[i], point=ValidationPoint.from_result(result), cached=cached
+        )
+        outcomes[i] = outcome
         done += 1
         if progress is not None:
-            progress(done, len(tasks), task, point, cached)
+            progress(done, len(tasks), outcome.task, outcome.point, cached)
 
     pending = []
-    keys = {}
-    for i, task in enumerate(tasks):
-        if store is not None:
-            keys[i] = task.store_key()
-            payload = store.get(keys[i])
-            if payload is not None:
-                results[i] = ValidationPoint.from_payload(payload)
-                notify(task, results[i], True)
-                continue
-        pending.append(i)
-
-    def record(i, point):
-        results[i] = point
-        if store is not None:
-            store.put(keys[i], point.to_payload())
-        notify(tasks[i], point, False)
+    for i in range(len(tasks)):
+        payload = store.get(keys[i]) if store is not None else None
+        if payload is None:
+            pending.append(i)
+        else:
+            record(i, PredictionResult.from_payload(payload), True)
 
     if jobs == 1 or len(pending) <= 1:
         for i in pending:
-            record(i, _run_task(tasks[i]))
+            record(i, evaluate_point(tasks[i]), False)
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = {pool.submit(_run_task, tasks[i]): i for i in pending}
+            futures = {pool.submit(evaluate_point, tasks[i]): i for i in pending}
             remaining = set(futures)
             first_error = None
             while remaining:
                 finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in finished:
                     try:
-                        point = future.result()
+                        result = future.result()
                     except Exception as exc:
                         # Drain the rest of the pool before re-raising so
                         # every finished point is recorded (and stored) —
@@ -284,10 +211,10 @@ def run_points(
                         if first_error is None:
                             first_error = exc
                         continue
-                    record(futures[future], point)
+                    record(futures[future], result, False)
             if first_error is not None:
                 raise first_error
-    return results
+    return outcomes
 
 
 def powers_of_two(max_ranks: int) -> tuple:
@@ -306,7 +233,7 @@ class SweepSpec:
 
     Points are enumerated deck-major (deck → cluster → partition method →
     seed → workload → placement → perturbation → rank count), matching the
-    paper's table layout.
+    paper's table layout.  Decks are deck specs (named sizes or ``NXxNY``).
     """
 
     decks: tuple = ("small",)
@@ -316,7 +243,7 @@ class SweepSpec:
     models: tuple = DEFAULT_MODELS
     seeds: tuple = (1,)
     #: Workload axis: ``None`` is the static run; a
-    #: :class:`~repro.analysis.sweep.DynamicSpec` runs the time-evolving
+    #: :class:`~repro.core.request.DynamicSpec` runs the time-evolving
     #: workload under its repartitioning policy.
     dynamics: tuple = (None,)
     #: Placement axis: ``None`` is the implicit block map; strategy names
@@ -381,61 +308,47 @@ class SweepSpec:
     def tasks(self) -> list:
         """Materialise the grid into :class:`SweepTask`\\ s.
 
-        Heavy shared inputs (decks, clusters, calibrated cost tables) are
-        built once per distinct axis value, in the parent process, so every
-        task of a group shares identical objects.
+        Every request is validated first, so an invalid grid fails before
+        anything is built.  Each deck is then built once, and each cluster
+        calibrated once, here in the parent, through the calibration store,
+        so every point — in this process or a pool worker — finds a warm
+        table.
         """
-        decks = [build_deck(as_deck_size(d)) for d in self.decks]
-        built = []
-        for cluster_spec in self.clusters:
-            cluster = cluster_spec.build()
-            table = (
+        requests = [
+            PredictionRequest(
+                deck=deck,
+                ranks=ranks,
+                cluster=cluster,
+                partition_method=method,
+                seed=seed,
+                placement=placement,
+                dynamic=dynamic,
+                models=self.models,
+                max_side=self.max_side,
+                perturb=perturb,
+            )
+            for deck, cluster, method, seed, dynamic, placement, perturb, ranks in (
+                itertools.product(
+                    self.decks,
+                    self.clusters,
+                    self.partition_methods,
+                    self.seeds,
+                    self.dynamics,
+                    self.placements,
+                    self.perturbs,
+                    self.rank_counts,
+                )
+            )
+        ]
+        decks = {spec: build_deck(as_deck_size(spec)) for spec in self.decks}
+        if self.models:
+            for cluster in self.clusters:
                 calibration_table(
-                    cluster,
+                    cluster.build(),
                     default_sample_sides(self.max_side),
                     store=calibration_store(),
                 )
-                if self.models
-                else None
-            )
-            built.append((cluster, table))
-        out = []
-        for deck, (cluster, table), method, seed, dynamic, placement, perturb, ranks in (
-            itertools.product(
-                decks,
-                built,
-                self.partition_methods,
-                self.seeds,
-                self.dynamics,
-                self.placements,
-                self.perturbs,
-                self.rank_counts,
-            )
-        ):
-            out.append(
-                SweepTask(
-                    deck=deck,
-                    num_ranks=ranks,
-                    cluster=cluster,
-                    table=table,
-                    models=self.models,
-                    partition_method=method,
-                    seed=seed,
-                    dynamic=dynamic,
-                    placement=placement,
-                    perturb=perturb,
-                )
-            )
-        return out
-
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    """One executed grid point: its task, result, and provenance."""
-
-    task: SweepTask
-    point: ValidationPoint
-    cached: bool
+        return [SweepTask(request=r, deck=decks[r.deck]) for r in requests]
 
 
 @dataclass(frozen=True)
@@ -461,19 +374,7 @@ def run_sweep(
 ) -> list:
     """Execute a declarative grid; returns :class:`SweepOutcome`\\ s in grid
     order."""
-    tasks = spec.tasks()
-    cached_flags = {}
-
-    def wrapped(done, total, task, point, cached):
-        cached_flags[id(task)] = cached
-        if progress is not None:
-            progress(done, total, task, point, cached)
-
-    points = run_points(tasks, jobs=jobs, store=store, progress=wrapped)
-    return [
-        SweepOutcome(task=t, point=p, cached=cached_flags.get(id(t), False))
-        for t, p in zip(tasks, points)
-    ]
+    return run_points(spec.tasks(), jobs=jobs, store=store, progress=progress)
 
 
 def sweep_status(spec: SweepSpec, store: ResultStore) -> SweepStatus:

@@ -1,12 +1,14 @@
-"""Content-addressed on-disk store for sweep artifacts.
+"""Content-addressed on-disk store for sweep, prediction and calibration
+artifacts.
 
 Generalises the memoisation pattern of :mod:`repro.partition.cache` from
-partitions to arbitrary JSON-serialisable sweep results: every artifact is
-keyed by a :func:`repro.util.stable_hash` of the *full* parameter set that
-produced it (deck content, cluster model, cost table, partition method,
-seed, …), so a key hit guarantees the cached value is the one the
-computation would reproduce.  Stores from concurrent worker processes are
-safe — writes go through a temporary file and an atomic ``os.replace``.
+partitions to arbitrary JSON-serialisable results: every artifact is keyed
+by a :func:`repro.util.stable_hash` of everything that determines it —
+:func:`repro.core.pipeline.request_key` for sweep points and predictions,
+:func:`repro.core.assemble.calibration_key` for cost tables — so a key hit
+guarantees the cached value is the one the computation would reproduce.
+Stores from concurrent worker processes are safe — writes go through a
+temporary file and an atomic ``os.replace``.
 
 The store is what makes sweeps resumable: re-running a partially completed
 sweep looks every point up here first and only simulates the misses.
@@ -54,11 +56,6 @@ class ResultStore:
         self.directory = (Path(root) if root is not None else cache_root()) / namespace
         #: Artifacts :meth:`get` found but could not read back.
         self.unreadable = 0
-
-    @staticmethod
-    def key_for(params) -> str:
-        """The store key of a parameter set (see :func:`stable_hash`)."""
-        return stable_hash(params)
 
     def path_for(self, key: str) -> Path:
         """Path of the artifact file for ``key``."""
@@ -126,7 +123,12 @@ class ResultStore:
 
 
 def sweep_store(root: Path | None = None) -> ResultStore:
-    """The default store for validation-sweep points."""
+    """The default store for validation-sweep points.
+
+    Keys and values are those of :func:`prediction_store` in measure mode;
+    the namespace is separate so ``repro sweep clear`` leaves the
+    service's results alone.
+    """
     return ResultStore(namespace="sweeps", root=root)
 
 

@@ -87,25 +87,13 @@ def perturb_label(task) -> str:
 
 
 def spec_from_args(args) -> SweepSpec:
-    """Build the declarative grid shared by ``sweep run`` and ``sweep status``."""
+    """Build the declarative grid shared by ``sweep run`` and ``sweep status``.
+
+    Cross-axis rules (a placement needs ``--smp``; churn needs every
+    ``--dynamic`` entry to be a policy) are the grid's requests' own
+    checks, which :meth:`SweepSpec.tasks` runs before any point.
+    """
     ranks = csv_ints(args.ranks) if args.ranks else powers_of_two(args.max_ranks)
-    placements = placements_from_args(args)
-    if any(p is not None for p in placements) and not args.smp:
-        # Fail before any grid point is evaluated, not mid-sweep.
-        raise SystemExit(
-            "error: --placements (other than 'default') requires --smp"
-        )
-    perturbs = perturbs_from_args(args)
-    dynamics = dynamics_from_args(args)
-    if any(p is not None and p.has_churn for p in perturbs) and any(
-        d is None for d in dynamics
-    ):
-        # The grid is a full cross product, so one static workload entry
-        # would pair with the churn perturbation mid-sweep.
-        raise SystemExit(
-            "error: --perturb churn:P requires every --dynamic entry to be "
-            "a repartition policy (churn forces repartitions)"
-        )
     return SweepSpec(
         decks=csv_strings(args.decks),
         rank_counts=ranks,
@@ -113,9 +101,9 @@ def spec_from_args(args) -> SweepSpec:
         partition_methods=csv_strings(args.methods),
         models=csv_strings(args.models),
         seeds=csv_ints(args.seeds),
-        dynamics=dynamics,
-        placements=placements,
-        perturbs=perturbs,
+        dynamics=dynamics_from_args(args),
+        placements=placements_from_args(args),
+        perturbs=perturbs_from_args(args),
         max_side=args.max_side,
     )
 

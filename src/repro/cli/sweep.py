@@ -2,13 +2,14 @@
 
 The legacy single-deck table routes each power-of-two point through
 :func:`repro.core.measure`; the grid subcommands (``run``/``status``/
-``clear``) drive :func:`repro.analysis.run_sweep` over the same core
-constructors via :func:`repro.cli.common.spec_from_args`.
+``clear``) expand the grid of :func:`repro.cli.common.spec_from_args` into
+requests (:meth:`repro.analysis.SweepSpec.tasks`) that run through the
+same call.
 """
 
 from __future__ import annotations
 
-from repro.analysis import TextTable, run_sweep, sweep_status, sweep_store
+from repro.analysis import TextTable, run_points, sweep_status, sweep_store
 from repro.cli.common import (
     add_common_arguments,
     add_grid_arguments,
@@ -64,10 +65,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _grid_checked(build, *args):
+    """``build(*args)``, with an invalid grid reported as ``error: …``
+    before any point runs."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def cmd_sweep_run(args) -> int:
     """Evaluate a sweep grid — parallel with ``--jobs``, resumable via the
     result store."""
     spec = spec_from_args(args)
+    tasks = _grid_checked(spec.tasks)
     store = None if args.no_cache else sweep_store()
 
     def progress(done, total, task, point, cached):
@@ -80,8 +91,8 @@ def cmd_sweep_run(args) -> int:
             flush=True,
         )
 
-    outcomes = run_sweep(
-        spec,
+    outcomes = run_points(
+        tasks,
         jobs=args.jobs,
         store=store,
         progress=None if args.quiet else progress,
@@ -92,7 +103,7 @@ def cmd_sweep_run(args) -> int:
         task = outcome.task
         key = (
             deck_label(task.deck),
-            task.cluster.name,
+            task.request.cluster,
             task.partition_method,
             task.seed,
             dynamic_label(task),
@@ -101,11 +112,10 @@ def cmd_sweep_run(args) -> int:
         )
         groups.setdefault(key, []).append(outcome.point)
     for (
-        deck_name, cluster_name, method, seed, dyn_label, place_label,
-        pert_label,
+        deck_name, cluster, method, seed, dyn_label, place_label, pert_label,
     ), points in groups.items():
         out = TextTable(
-            f"{deck_name} deck on {cluster_name} "
+            f"{deck_name} deck on {cluster.build().name} "
             f"({method}, seed {seed}, {dyn_label}, place {place_label}, "
             f"perturb {pert_label})",
             ["PEs", "measured (ms)"]
@@ -130,7 +140,7 @@ def cmd_sweep_run(args) -> int:
 def cmd_sweep_status(args) -> int:
     """Report grid completion against the result store."""
     spec = spec_from_args(args)
-    status = sweep_status(spec, sweep_store())
+    status = _grid_checked(sweep_status, spec, sweep_store())
     out = TextTable("sweep status", ["points", "count"])
     out.add_row("total", status.total)
     out.add_row("completed", status.completed)

@@ -44,7 +44,6 @@ from repro.core.pipeline import (
     predict,
     predict_models,
     request_key,
-    run_point,
 )
 from repro.core.request import (
     KNOWN_MODELS,
@@ -81,6 +80,5 @@ __all__ = [
     "predict",
     "predict_models",
     "request_key",
-    "run_point",
     "weak_cells_per_rank",
 ]

@@ -213,9 +213,7 @@ def assemble(request: PredictionRequest, store=None) -> Assembled:
     """Build every live object ``request`` describes.
 
     ``store`` optionally persists the calibration (see
-    :func:`calibration_table`).  The construction order and arguments are
-    exactly the historical sweep-runner path, so results downstream are
-    bit-identical to what `evaluate_point` always produced.
+    :func:`calibration_table`).
     """
     cluster = request.cluster.build()
     if request.calibration is not None:

@@ -5,24 +5,17 @@
 "measured" per-iteration time next to the predictions.  Both consume a
 :class:`~repro.core.request.PredictionRequest` and return a
 :class:`~repro.core.request.PredictionResult`; every other surface (CLI
-subcommands, sweep tasks, verification scenarios, benchmarks, the
-prediction service) is a thin shell over these two calls.
-
-:func:`run_point` is the same engine over pre-built objects (deck,
-cluster, cost table) — the sweep orchestrator's entry, kept separate so
-worker processes can ship objects rather than re-derive them, bit-for-bit
-compatible with the historical ``evaluate_point`` loop body.
+subcommands, sweep grid points, verification scenarios, benchmarks, the
+prediction service) is a thin shell over these two calls, and
+:func:`request_key` is the one store key of their results.
 """
 
 from __future__ import annotations
 
-from repro.core.assemble import Assembled, apply_placement, assemble
+from repro.core.assemble import Assembled, assemble
 from repro.core.parsing import is_weak_deck
 from repro.core.request import PredictionRequest, PredictionResult
 from repro.hydro.driver import measure_iteration_time
-from repro.hydro.workload import build_workload_census
-from repro.mesh.connectivity import build_face_table
-from repro.partition.cache import cached_partition
 from repro.perfmodel.general import GeneralModel
 from repro.perfmodel.mesh_specific import MeshSpecificModel
 from repro.perfmodel.runtime import PredictedTime
@@ -35,7 +28,6 @@ __all__ = [
     "predict",
     "predict_models",
     "request_key",
-    "run_point",
 ]
 
 
@@ -63,9 +55,7 @@ def request_key(request: PredictionRequest, mode: str = "predict") -> str:
 def predict_models(deck, census, num_ranks, cluster, table, models) -> dict:
     """Price one assembled configuration with each named model.
 
-    Returns ``{model label → PredictedTime}``.  The constructor calls and
-    argument order are exactly the historical sweep-runner dispatch, so
-    totals are bit-identical to what it always produced.
+    Returns ``{model label → PredictedTime}``.
     """
     out = {}
     for model in models:
@@ -92,82 +82,26 @@ def predict_models(deck, census, num_ranks, cluster, table, models) -> dict:
     return out
 
 
-def _measure_seconds(deck, partition, cluster, faces, census, dynamic,
-                     iterations, warmup, perturb=None) -> float:
+def _measure_seconds(asm: Assembled, request: PredictionRequest) -> float:
     """One simulated measurement; a dynamic spec's window wins.
 
-    ``perturb`` reaches only this measurement path: model predictions are
-    always priced on the clean machine, so perturbed results quantify how
-    far injected noise pushes "reality" away from the model.
+    ``request.perturb`` reaches only this measurement path: model
+    predictions are always priced on the clean machine, so perturbed
+    results quantify how far injected noise pushes "reality" away from the
+    model.
     """
-    if dynamic is None:
-        return measure_iteration_time(
-            deck,
-            partition,
-            cluster=cluster,
-            iterations=iterations,
-            warmup=warmup,
-            faces=faces,
-            census=census,
-            perturb=perturb,
-        ).seconds
+    window = request if request.dynamic is None else request.dynamic
     return measure_iteration_time(
-        deck,
-        partition,
-        cluster=cluster,
-        iterations=dynamic.iterations,
-        warmup=dynamic.warmup,
-        faces=faces,
-        census=census,
-        dynamic=dynamic.build(),
-        perturb=perturb,
+        asm.deck,
+        asm.partition,
+        cluster=asm.cluster,
+        iterations=window.iterations,
+        warmup=window.warmup,
+        faces=asm.faces,
+        census=asm.census,
+        dynamic=None if request.dynamic is None else request.dynamic.build(),
+        perturb=request.perturb,
     ).seconds
-
-
-def run_point(
-    deck,
-    num_ranks: int,
-    cluster,
-    table,
-    models=(),
-    seed: int = 1,
-    partition_method: str = "multilevel",
-    faces=None,
-    dynamic=None,
-    placement: str | None = None,
-    iterations: int = 3,
-    warmup: int = 1,
-    with_measurement: bool = True,
-    perturb=None,
-):
-    """The pipeline body over pre-built objects.
-
-    Returns ``(measured_seconds_or_None, {model → PredictedTime})``.  This
-    is the former ``evaluate_point`` loop body, verbatim: partition →
-    census → optional placement → simulated measurement → model pricing.
-    ``dynamic`` is a :class:`~repro.core.request.DynamicSpec` (its
-    iteration window overrides ``iterations``/``warmup``); ``placement``
-    is a strategy name applied to the SMP hierarchy for the measurement
-    while model predictions keep the flat network; ``perturb`` is a
-    :class:`~repro.perturb.PerturbSpec` injected into the measurement only.
-    """
-    if models and table is None:
-        raise ValueError("a cost table is required when models are requested")
-    if faces is None:
-        faces = build_face_table(deck.mesh)
-    partition = cached_partition(
-        deck, num_ranks, method=partition_method, seed=seed, faces=faces
-    )
-    census = build_workload_census(deck, partition, faces)
-    if placement is not None:
-        cluster = apply_placement(cluster, placement, num_ranks, census, seed=seed)
-    measured = None
-    if with_measurement:
-        measured = _measure_seconds(
-            deck, partition, cluster, faces, census, dynamic, iterations, warmup,
-            perturb=perturb,
-        )
-    return measured, predict_models(deck, census, num_ranks, cluster, table, models)
 
 
 def _sparse_result(asm: Assembled, request: PredictionRequest) -> PredictionResult:
@@ -220,19 +154,7 @@ def _run(request: PredictionRequest, with_measurement: bool, store) -> Predictio
             )
         return _sparse_result(assemble(request, store=store), request)
     asm = assemble(request, store=store)
-    measured = None
-    if with_measurement:
-        measured = _measure_seconds(
-            asm.deck,
-            asm.partition,
-            asm.cluster,
-            asm.faces,
-            asm.census,
-            request.dynamic,
-            request.iterations,
-            request.warmup,
-            perturb=request.perturb,
-        )
+    measured = _measure_seconds(asm, request) if with_measurement else None
     predictions = predict_models(
         asm.deck, asm.census, request.ranks, asm.cluster, asm.table, request.models
     )

@@ -97,13 +97,14 @@ class ClusterSpec:
 class DynamicSpec:
     """Declarative (CLI-expressible, hashable) form of a dynamic workload.
 
-    This is the sweep-grid axis value for time-evolving runs: it carries the
-    repartition policy as a string spec (``never`` / ``every:N`` /
-    ``imbalance:X``) plus the scalar knobs, and materialises into a
+    This is :attr:`PredictionRequest.dynamic`, and so the value of a sweep
+    grid's workload axis: it carries the repartition policy as a string
+    spec (``never`` / ``every:N`` / ``imbalance:X``) plus the scalar
+    knobs, and materialises into a
     :class:`~repro.hydro.dynamic.DynamicConfig` via :meth:`build`.  Being a
     plain dataclass of primitives it hashes stably into
-    :meth:`~repro.analysis.runner.SweepTask.store_key`, so dynamic sweep
-    points are resumable like static ones.
+    :func:`~repro.core.pipeline.request_key`, so dynamic requests and sweep
+    points are cached and resumable like static ones.
     """
 
     policy: str = "never"

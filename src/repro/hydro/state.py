@@ -53,10 +53,6 @@ class NeighborLink:
         """Number of shared nodes on this link."""
         return int(self.shared_local_idx.shape[0])
 
-    def owned_by(self, rank: int) -> np.ndarray:
-        """Mask of shared nodes owned by ``rank``."""
-        return self.owner_of_shared == rank
-
 
 @dataclass
 class RankState:

@@ -105,25 +105,6 @@ class HierarchicalNetwork:
         """Whether two ranks share a node (validated like :meth:`node_of`)."""
         return self.node_of(a) == self.node_of(b)
 
-    def node_of_many(self, ranks: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`node_of` — validated once for the whole batch.
-
-        The sparse extreme-scale paths map millions of endpoints per
-        call; this keeps the loud out-of-range behaviour of the scalar
-        lookup at O(1) validation cost instead of per element.
-        """
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size and int(ranks.min()) < 0:
-            raise ValueError("ranks must be non-negative")
-        if self.placement is None:
-            return ranks // self.ranks_per_node
-        if ranks.size and int(ranks.max()) >= self.placement.num_ranks:
-            raise ValueError(
-                f"rank {int(ranks.max())} out of range for a "
-                f"{self.placement.num_ranks}-rank placement"
-            )
-        return self.placement.node_of_rank[ranks]
-
     def same_node_mask(self, a_ranks: np.ndarray, b_ranks: np.ndarray) -> np.ndarray:
         """Batched :meth:`same_node` over aligned endpoint arrays.
 

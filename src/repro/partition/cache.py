@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
 import zipfile
 import zlib
 from pathlib import Path
@@ -29,6 +30,19 @@ from repro.partition.multilevel import multilevel_partition
 from repro.partition.rcb import rcb_partition
 from repro.partition.block import block_partition, structured_block_partition
 from repro.util.artifacts import MODEL_VERSION, cache_root
+
+
+#: Partition files :func:`cached_partition` found but could not use
+#: (unreadable, or not fitting the deck) in this process; each was a miss,
+#: recomputed and replaced.  Read it with :func:`unreadable_count`.  The
+#: prediction service partitions on executor threads, hence the lock.
+_unreadable = 0
+_unreadable_lock = threading.Lock()
+
+
+def unreadable_count() -> int:
+    """How many unusable partition files this process has met."""
+    return _unreadable
 
 
 def cache_dir() -> Path:
@@ -110,14 +124,17 @@ def cached_partition(
         ``"block"``, or ``"structured-block"``.
     use_cache:
         Disable to force recomputation (the cache file is then refreshed).
-        An unreadable or mismatched cache file is a miss, and is refreshed
-        the same way.
+        An unreadable or mismatched cache file is a miss, counted in
+        :func:`unreadable_count`, and is refreshed the same way.
     """
+    global _unreadable
     path = cache_dir() / f"{_cache_key(deck, num_ranks, method, seed)}.npz"
     if use_cache and path.exists():
         cached = _load_cached(path, deck, num_ranks)
         if cached is not None:
             return cached
+        with _unreadable_lock:
+            _unreadable += 1
 
     part = make_partition(deck.mesh, num_ranks, method=method, seed=seed, faces=faces)
 

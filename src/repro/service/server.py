@@ -40,6 +40,7 @@ import json
 from repro.core.cache import LRUResultCache
 from repro.core.pipeline import measure, predict, request_key
 from repro.core.request import PredictionRequest
+from repro.partition.cache import unreadable_count
 from repro.trace.replay import fit_calibration
 from repro.trace.schema import TraceDoc, TraceFormatError
 
@@ -203,11 +204,13 @@ class PredictionServer:
         return await asyncio.shield(future), False, key
 
     def stats(self) -> dict:
-        """Counter snapshot: service counters + cache tiers."""
+        """Counter snapshot: service counters, cache tiers, and the
+        process's count of unusable partition cache files."""
         return {
             "service": dict(self.counters),
             "cache": self.cache.stats(),
             "inflight": len(self._inflight),
+            "partition_unreadable": unreadable_count(),
         }
 
     # ------------------------------------------------------------ HTTP layer

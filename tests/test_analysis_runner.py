@@ -15,12 +15,13 @@ from repro.analysis import (
     run_sweep,
     sweep_status,
     sweep_store,
-    validation_sweep,
 )
+from repro.analysis import runner
 from repro.core.assemble import calibration_key, calibration_table, faces_for
+from repro.core.pipeline import request_key
+from repro.core.request import PredictionRequest
 from repro.mesh import build_deck, build_face_table
 from repro.util import stable_hash
-from repro.util.artifacts import MODEL_VERSION
 
 
 @pytest.fixture(autouse=True)
@@ -62,10 +63,14 @@ class TestSweepSpec:
         }
         assert len(combos) == 16
 
-    def test_measurement_only_grid_skips_calibration(self):
+    def test_measurement_only_grid_skips_calibration(self, monkeypatch):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("a measurement-only grid was calibrated")
+
+        monkeypatch.setattr(runner, "calibration_table", calibrate)
         spec = SweepSpec(decks=("16x8",), rank_counts=(2,), models=())
         (task,) = spec.tasks()
-        assert task.table is None
+        assert task.models == ()
 
     def test_rejects_empty_axes(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -115,22 +120,16 @@ class TestParallelEqualsSerial:
         assert [o.point for o in serial] == [o.point for o in parallel]
         assert not any(o.cached for o in serial + parallel)
 
-    def test_validation_sweep_jobs_identical(self, cluster, coarse_cost_table, tmp_cache):
-        deck = build_deck((32, 16))
-        serial = validation_sweep(
-            deck, [2, 4], cluster, coarse_cost_table, models=("homogeneous",)
-        )
-        parallel = validation_sweep(
-            deck, [2, 4], cluster, coarse_cost_table, models=("homogeneous",), jobs=2
-        )
-        assert serial == parallel
+    def test_validation_sweep_jobs_identical(self, tmp_cache):
+        spec = SweepSpec(decks=("32x16",), rank_counts=(2, 4), models=("homogeneous",))
+        serial = run_sweep(spec)
+        parallel = run_sweep(spec, jobs=2)
+        assert [o.point for o in serial] == [o.point for o in parallel]
 
-    def test_unknown_model_raises_in_parallel_too(self, cluster, coarse_cost_table, tmp_cache):
-        deck = build_deck((16, 8))
+    def test_unknown_model_raises_in_parallel_too(self, tmp_cache):
+        spec = SweepSpec(decks=("16x8",), rank_counts=(2, 4), models=("psychic",))
         with pytest.raises(ValueError, match="unknown model"):
-            validation_sweep(
-                deck, [2, 4], cluster, coarse_cost_table, models=("psychic",), jobs=2
-            )
+            run_sweep(spec, jobs=2)
 
     def test_rejects_bad_jobs(self, tiny_spec):
         with pytest.raises(ValueError, match="jobs"):
@@ -197,23 +196,20 @@ class TestResume:
         assert (after.total, after.completed, after.pending) == (3, 3, 0)
         assert after.pending_keys == ()
 
-    def test_failing_sibling_does_not_lose_finished_points(
-        self, cluster, coarse_cost_table, tmp_cache
-    ):
+    def test_failing_sibling_does_not_lose_finished_points(self, tiny_spec, tmp_cache):
         """A task that raises in the pool must not discard siblings'
         completed results — they land in the store and replay on retry."""
-        deck = build_deck((16, 8))
-
-        def task(ranks, models):
-            return SweepTask(
-                deck=deck, num_ranks=ranks, cluster=cluster,
-                table=coarse_cost_table, models=models,
-            )
-
+        good = tiny_spec.tasks()[:2]
+        # A valid request whose placement strategy fails in the worker.
+        bad = dataclasses.replace(
+            good[0],
+            request=dataclasses.replace(
+                good[0].request, ranks=4, cluster=ClusterSpec(smp=True),
+                placement="psychic",
+            ),
+        )
         store = sweep_store()
-        good = [task(1, ("homogeneous",)), task(2, ("homogeneous",))]
-        bad = task(4, ("psychic",))
-        with pytest.raises(ValueError, match="unknown model"):
+        with pytest.raises(ValueError, match="psychic"):
             run_points(good + [bad], jobs=2, store=store)
         # Both good points were preserved; retrying them is pure replay.
         retry = run_points(good, jobs=2, store=store)
@@ -224,7 +220,7 @@ class TestResume:
             progress=lambda done, total, t, p, cached: events.append(cached),
         )
         assert events == [True, True]
-        assert [p.num_ranks for p in retry] == [1, 2]
+        assert [o.point.num_ranks for o in retry] == [1, 2]
 
     def test_calibration_is_memoised_and_exact(self, cluster, tmp_cache):
         store = calibration_store()
@@ -271,36 +267,31 @@ class TestDynamicAxis:
         }
 
     def test_static_store_keys_unchanged_by_dynamic_field(self, tiny_spec):
-        """Adding the dynamic field must not invalidate existing stored
-        static sweep points: a None-dynamic task hashes exactly as before."""
+        """A static grid point is keyed as the plain measure request for
+        the same question, exactly as the prediction service keys it."""
         task = tiny_spec.tasks()[0]
-        params = {
-            "kind": "validation-point",
-            "version": MODEL_VERSION,
-            "deck": task.deck,
-            "num_ranks": task.num_ranks,
-            "cluster": task.cluster,
-            "table": task.table,
-            "models": tuple(task.models),
-            "partition_method": task.partition_method,
-            "seed": task.seed,
-        }
-        from repro.analysis import ResultStore
-
-        assert task.store_key() == ResultStore.key_for(params)
+        plain = PredictionRequest(
+            deck="16x8", ranks=1, models=tiny_spec.models, max_side=16
+        )
+        assert task.request == plain
+        assert task.store_key() == request_key(plain, "measure")
 
     def test_dynamic_key_differs_from_static(self, tiny_spec):
         from repro.analysis import DynamicSpec
 
         task = tiny_spec.tasks()[0]
-        dyn_task = dataclasses.replace(
-            task, dynamic=DynamicSpec(policy="never", iterations=4)
-        )
+
+        def with_dynamic(policy):
+            dynamic = DynamicSpec(policy=policy, iterations=4)
+            return SweepTask(
+                request=dataclasses.replace(task.request, dynamic=dynamic),
+                deck=task.deck,
+            )
+
+        dyn_task = with_dynamic("never")
+        assert dyn_task.dynamic == DynamicSpec(policy="never", iterations=4)
         assert dyn_task.store_key() != task.store_key()
-        other = dataclasses.replace(
-            task, dynamic=DynamicSpec(policy="every:2", iterations=4)
-        )
-        assert other.store_key() != dyn_task.store_key()
+        assert with_dynamic("every:2").store_key() != dyn_task.store_key()
 
     def test_dynamic_points_run_and_resume(self, tmp_cache):
         from repro.analysis import DynamicSpec

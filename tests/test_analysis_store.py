@@ -50,7 +50,7 @@ class TestStableHash:
 class TestResultStore:
     def test_roundtrip_and_contains(self, tmp_cache):
         store = sweep_store()
-        key = ResultStore.key_for({"x": 1})
+        key = stable_hash({"x": 1})
         assert key not in store
         assert store.get(key) is None
         store.put(key, {"measured": 0.125, "predicted": {"homogeneous": 0.1}})
@@ -118,15 +118,14 @@ class TestResultStore:
 def _hash_reference_payload(_):
     """Executed in a worker process: hash a payload built from scratch."""
     from repro.analysis.runner import SweepTask
-    from repro.machine import es45_like_cluster
+    from repro.core import PredictionRequest
     from repro.mesh import build_deck
-    from repro.perfmodel import calibrate_contrived_grid
 
-    deck = build_deck((16, 8))
-    cluster = es45_like_cluster()
-    table = calibrate_contrived_grid(cluster, sides=[1, 2, 4])
     task = SweepTask(
-        deck=deck, num_ranks=4, cluster=cluster, table=table, models=("homogeneous",)
+        request=PredictionRequest(
+            deck="16x8", ranks=4, models=("homogeneous",), max_side=4
+        ),
+        deck=build_deck((16, 8)),
     )
     return task.store_key()
 

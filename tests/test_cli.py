@@ -147,6 +147,36 @@ class TestSweepSubcommands:
         assert "completed      0" in capsys.readouterr().out
 
 
+class TestSweepGridErrors:
+    """An invalid grid is refused by its requests' own checks, as
+    ``error: …``, before any point runs."""
+
+    GRID = ["--decks", "16x8", "--ranks", "4", "--max-side", "16"]
+    PLACEMENT_WITHOUT_SMP = GRID + ["--placements", "comm-aware"]
+    CHURN_WITH_STATIC = GRID + [
+        "--dynamic", "static,every:2", "--dyn-iterations", "4",
+        "--perturb", "churn:0.2",
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "status"])
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (PLACEMENT_WITHOUT_SMP, "error: a placement requires an SMP cluster"),
+            (CHURN_WITH_STATIC, "error: churn_prob requires a dynamic workload"),
+        ],
+        ids=["placement-without-smp", "churn-with-static"],
+    )
+    def test_refused_before_any_point(self, capsys, command, grid, message):
+        from repro.analysis import sweep_store
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", command] + grid)
+        assert str(exit_info.value.code).startswith(message)
+        assert capsys.readouterr().out == ""
+        assert sweep_store().keys() == []
+
+
 class TestDynamicSweepCLI:
     DYN_ARGS = [
         "sweep",

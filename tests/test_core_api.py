@@ -4,8 +4,6 @@ The load-bearing contracts:
 
 * ``PredictionRequest`` round-trips through JSON losslessly and rejects
   malformed payloads (the service's wire format depends on both).
-* ``core.measure``/``core.predict`` reproduce the legacy construction
-  path (``analysis.runner.evaluate_point``) bit-for-bit.
 * ``request_key`` is stable across processes (content-addressed store
   keys must never drift) and mode-separated.
 * ``LRUResultCache`` counts hits/misses/evictions correctly across its
@@ -19,8 +17,6 @@ import json
 
 import pytest
 
-from repro.analysis import ValidationPoint
-from repro.analysis.runner import SweepTask, run_points
 from repro.core import (
     ClusterSpec,
     DynamicSpec,
@@ -152,34 +148,6 @@ def test_request_key_stable_and_mode_separated():
 
 
 # ------------------------------------------------------------------ pipeline
-
-
-def test_measure_matches_legacy_runner_bitwise():
-    request = PredictionRequest(
-        deck="16x8",
-        ranks=4,
-        models=("mesh-specific", "homogeneous", "heterogeneous"),
-        max_side=16,
-    )
-    result = measure(request)
-
-    from repro.core import calibration_table
-    from repro.perfmodel import default_sample_sides
-
-    cluster = ClusterSpec().build()
-    task = SweepTask(
-        deck=parse_deck("16x8"),
-        num_ranks=4,
-        cluster=cluster,
-        table=calibration_table(cluster, default_sample_sides(16)),
-        models=("mesh-specific", "homogeneous", "heterogeneous"),
-        partition_method="multilevel",
-        seed=1,
-    )
-    [legacy] = run_points([task])
-    assert isinstance(legacy, ValidationPoint)
-    assert result.measured == legacy.measured
-    assert result.predicted == legacy.predicted
 
 
 def test_predict_smp_placement_runs():

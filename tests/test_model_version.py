@@ -1,8 +1,8 @@
 """Fault injection: a cache entry stored by another model version is a miss.
 
-Every content key — calibrations (``calibration_key``), predictions
-(``request_key``), sweep points (``SweepTask.store_key``) and partition
-files — carries :data:`repro.util.artifacts.MODEL_VERSION`.  Each test
+Every content key — calibrations (``calibration_key``), predictions and
+sweep points (``request_key``, which ``SweepTask.store_key`` returns) and
+partition files — carries :data:`repro.util.artifacts.MODEL_VERSION`.  Each test
 writes a wrong answer under the key the same code derives at another
 version (1 is what every key carried before the salt, so it is the key a
 stale cache dir holds), then checks that the current code neither serves
@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis import ResultStore, SweepSpec, run_sweep, sweep_status
 from repro.core.cache import LRUResultCache
-from repro.core.request import PredictionRequest
+from repro.core.request import PredictionRequest, PredictionResult
 from repro.machine import es45_like_cluster
 from repro.mesh import build_deck
 from repro.partition import cached_partition
@@ -27,7 +27,6 @@ from repro.util.artifacts import MODEL_VERSION
 # The modules themselves: their packages re-export functions of the same name.
 assemble = import_module("repro.core.assemble")
 pipeline = import_module("repro.core.pipeline")
-runner = import_module("repro.analysis.runner")
 partition_cache = import_module("repro.partition.cache")
 
 OTHER_VERSIONS = (1, MODEL_VERSION + 1)
@@ -42,7 +41,7 @@ def tmp_cache(tmp_path, monkeypatch):
 def at_version(monkeypatch, version, fn, *args):
     """``fn(*args)`` with every keyed module salted by ``version``."""
     with monkeypatch.context() as patch:
-        for module in (assemble, pipeline, runner, partition_cache):
+        for module in (assemble, pipeline, partition_cache):
             patch.setattr(module, "MODEL_VERSION", version)
         return fn(*args)
 
@@ -89,7 +88,8 @@ def test_stale_sweep_point_is_a_miss(tmp_cache, monkeypatch, version):
     assert sweep_status(spec, store).pending_keys == (task.store_key(),)
     (outcome,) = run_sweep(spec, store=store)
     assert not outcome.cached
-    assert store.get(task.store_key()) == outcome.point.to_payload()
+    stored = PredictionResult.from_payload(store.get(task.store_key()))
+    assert stored.measured == outcome.point.measured
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)

@@ -160,9 +160,12 @@ class TestHashStability:
                          clusters=(ClusterSpec(),), models=(), max_side=16)
         task = spec.tasks()[0]
         perturbed = dataclasses.replace(
-            task, perturb=PerturbSpec(seed=1, compute_noise=0.1)
+            task,
+            request=dataclasses.replace(
+                task.request, perturb=PerturbSpec(seed=1, compute_noise=0.1)
+            ),
         )
         assert task.store_key() != perturbed.store_key()
         # perturb=None tasks must key identically to the pre-field layout;
-        # the store_key only adds the param when the axis is used.
+        # the request key only hashes the field when the axis is used.
         assert task.perturb is None

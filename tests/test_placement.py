@@ -452,28 +452,34 @@ class TestSweepIntegration:
         )
         task = spec.tasks()[0]
         assert task.placement is None
-        assert task.store_key() == replace(task, placement=None).store_key()
+        explicit = replace(task, request=replace(task.request, placement=None))
+        assert task.store_key() == explicit.store_key()
 
-    def test_evaluate_point_requires_smp_for_placement(self, tiny_deck, tiny_faces):
-        from repro.analysis import evaluate_point
+    def test_evaluate_point_requires_smp_for_placement(self, tiny_deck):
+        from repro.analysis import SweepTask, evaluate_point
+        from repro.core import PredictionRequest
 
         with pytest.raises(ValueError, match="SMP cluster"):
-            evaluate_point(
-                tiny_deck, 4, es45_like_cluster(), None, models=(),
-                faces=tiny_faces, placement="block",
+            evaluate_point(SweepTask(
+                request=PredictionRequest(
+                    deck="16x8", ranks=4, models=(), placement="block"
+                ),
+                deck=tiny_deck,
+            ))
+
+    def test_evaluate_point_runs_placement(self, tiny_deck):
+        from repro.analysis import ClusterSpec, SweepTask, evaluate_point
+        from repro.core import PredictionRequest
+
+        def point(placement):
+            request = PredictionRequest(
+                deck="16x8", ranks=4, cluster=ClusterSpec(smp=True), models=(),
+                placement=placement,
             )
+            return evaluate_point(SweepTask(request=request, deck=tiny_deck))
 
-    def test_evaluate_point_runs_placement(self, tiny_deck, tiny_faces):
-        from repro.analysis import evaluate_point
-
-        cluster = es45_like_cluster().with_smp()
-        base = evaluate_point(
-            tiny_deck, 4, cluster, None, models=(), faces=tiny_faces,
-        )
-        placed = evaluate_point(
-            tiny_deck, 4, cluster, None, models=(), faces=tiny_faces,
-            placement="block",
-        )
+        base = point(None)
+        placed = point("block")
         # Explicit block placement measures bitwise what the default does.
         assert placed.measured == base.measured
 

@@ -236,7 +236,7 @@ class TestSweepWorkerDeterminism:
             max_side=16,
         )
         tasks = spec.tasks()
-        serial = run_points(tasks, jobs=1)
-        parallel = run_points(tasks, jobs=2)
+        serial = [o.point for o in run_points(tasks, jobs=1)]
+        parallel = [o.point for o in run_points(tasks, jobs=2)]
         assert [p.measured for p in serial] == [p.measured for p in parallel]
         assert serial[0].measured != serial[2].measured  # perturb vs clean

@@ -12,6 +12,7 @@ the payload round-trips IEEE doubles through ``repr``).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import socket
 import threading
 
@@ -65,6 +66,32 @@ def test_healthz_and_stats(client):
     stats = client.stats()
     assert stats["service"]["requests"] >= 1
     assert "cache" in stats and "inflight" in stats
+
+
+def test_truncated_partition_file_is_counted_once_and_replaced(
+    tmp_path, monkeypatch, client
+):
+    """Fault injection: a truncated partition ``.npz`` is a miss, counted
+    once in ``/stats`` as ``partition_unreadable``, and replaced by the
+    recomputed partition."""
+    import numpy as np
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    first = client.predict(REQUEST)
+    (path,) = (tmp_path / "partitions").glob("*.npz")
+    with np.load(path) as data:
+        cell_rank = data["cell_rank"]
+    path.write_bytes(path.read_bytes()[:40])
+    before = client.stats()["partition_unreadable"]
+
+    # Same partition, new result keys: each answer needs the partition.
+    again = client.predict(dataclasses.replace(REQUEST, models=("homogeneous",)))
+    assert client.stats()["partition_unreadable"] == before + 1
+    with np.load(path) as data:
+        assert np.array_equal(data["cell_rank"], cell_rank)
+    client.predict(dataclasses.replace(REQUEST, models=("heterogeneous",)))
+    assert client.stats()["partition_unreadable"] == before + 1
+    assert again.predicted["homogeneous"] == first.predicted["homogeneous"]
 
 
 def test_served_measurement_matches_core_exactly(client):
