@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import SweepSpec, format_series, run_sweep, sweep_store
+from repro.analysis import SweepSpec, format_series, prediction_store, run_sweep
 
 MAX_RANKS = 1024
 
@@ -29,7 +29,7 @@ def figure5_sweeps():
     sweeps = {}
     for deck in ("medium", "large"):
         spec = SweepSpec.figure5(decks=(deck,), max_ranks=MAX_RANKS, max_side=512)
-        outcomes = run_sweep(spec, jobs=jobs, store=sweep_store())
+        outcomes = run_sweep(spec, jobs=jobs, store=prediction_store())
         sweeps[deck] = [outcome.point for outcome in outcomes]
     return sweeps
 

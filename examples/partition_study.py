@@ -18,7 +18,7 @@ Run:  python examples/partition_study.py [--deck small] [--ranks 16] [--jobs 4]
 
 import argparse
 
-from repro.analysis import SweepSpec, TextTable, run_sweep, sweep_store
+from repro.analysis import SweepSpec, TextTable, prediction_store, run_sweep
 from repro.mesh import build_deck, build_face_table
 from repro.partition import (
     cached_partition,
@@ -54,7 +54,7 @@ def main() -> None:
     outcomes = run_sweep(
         spec,
         jobs=args.jobs,
-        store=None if args.no_cache else sweep_store(),
+        store=None if args.no_cache else prediction_store(),
         progress=progress,
     )
 

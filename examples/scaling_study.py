@@ -17,7 +17,7 @@ Run:  python examples/scaling_study.py [--deck medium] [--max-ranks 256] [--jobs
 
 import argparse
 
-from repro.analysis import SweepSpec, TextTable, run_sweep, sweep_store
+from repro.analysis import SweepSpec, TextTable, prediction_store, run_sweep
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     outcomes = run_sweep(
         spec,
         jobs=args.jobs,
-        store=None if args.no_cache else sweep_store(),
+        store=None if args.no_cache else prediction_store(),
         progress=progress,
     )
     points = [outcome.point for outcome in outcomes]

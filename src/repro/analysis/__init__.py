@@ -30,7 +30,6 @@ from repro.analysis.store import (
     ResultStore,
     calibration_store,
     prediction_store,
-    sweep_store,
 )
 from repro.core.request import DynamicSpec
 
@@ -53,6 +52,5 @@ __all__ = [
     "ResultStore",
     "calibration_store",
     "prediction_store",
-    "sweep_store",
     "DynamicSpec",
 ]

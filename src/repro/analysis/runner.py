@@ -305,14 +305,13 @@ class SweepSpec:
             * len(self.perturbs)
         )
 
-    def tasks(self) -> list:
-        """Materialise the grid into :class:`SweepTask`\\ s.
+    def requests(self) -> list:
+        """The grid's :class:`~repro.core.request.PredictionRequest`\\ s in
+        grid order.
 
-        Every request is validated first, so an invalid grid fails before
-        anything is built.  Each deck is then built once, and each cluster
-        calibrated once, here in the parent, through the calibration store,
-        so every point — in this process or a pool worker — finds a warm
-        table.
+        Every request runs its own checks and every deck spec must name a
+        buildable deck, so an invalid grid fails here, before anything is
+        built or calibrated.
         """
         requests = [
             PredictionRequest(
@@ -340,6 +339,23 @@ class SweepSpec:
                 )
             )
         ]
+        for deck in self.decks:
+            as_deck_size(deck)
+        return requests
+
+    def store_keys(self) -> list:
+        """Store keys of the grid's measured results, in grid order."""
+        return [request_key(request, "measure") for request in self.requests()]
+
+    def tasks(self) -> list:
+        """Materialise the grid into :class:`SweepTask`\\ s.
+
+        The grid is validated first (:meth:`requests`).  Each deck is then
+        built once, and each cluster calibrated once, here in the parent,
+        through the calibration store, so every point — in this process or
+        a pool worker — finds a warm table.
+        """
+        requests = self.requests()
         decks = {spec: build_deck(as_deck_size(spec)) for spec in self.decks}
         if self.models:
             for cluster in self.clusters:
@@ -378,9 +394,10 @@ def run_sweep(
 
 
 def sweep_status(spec: SweepSpec, store: ResultStore) -> SweepStatus:
-    """How much of ``spec`` is already in ``store``."""
-    tasks = spec.tasks()
-    pending = tuple(k for k in (t.store_key() for t in tasks) if k not in store)
+    """How much of ``spec`` is already in ``store`` (hashes the grid's
+    requests; builds no deck and calibrates nothing)."""
+    keys = spec.store_keys()
+    pending = tuple(k for k in keys if k not in store)
     return SweepStatus(
-        total=len(tasks), completed=len(tasks) - len(pending), pending_keys=pending
+        total=len(keys), completed=len(keys) - len(pending), pending_keys=pending
     )

@@ -1,12 +1,13 @@
-"""Content-addressed on-disk store for sweep, prediction and calibration
+"""Content-addressed on-disk store for prediction and calibration
 artifacts.
 
 Generalises the memoisation pattern of :mod:`repro.partition.cache` from
 partitions to arbitrary JSON-serialisable results: every artifact is keyed
 by a :func:`repro.util.stable_hash` of everything that determines it —
-:func:`repro.core.pipeline.request_key` for sweep points and predictions,
-:func:`repro.core.assemble.calibration_key` for cost tables — so a key hit
-guarantees the cached value is the one the computation would reproduce.
+:func:`repro.core.pipeline.request_key` for results (sweep points are
+measured results), :func:`repro.core.assemble.calibration_key` for cost
+tables — so a key hit guarantees the cached value is the one the
+computation would reproduce.
 Stores from concurrent worker processes are safe — writes go through a
 temporary file and an atomic ``os.replace``.
 
@@ -27,7 +28,6 @@ __all__ = [
     "ResultStore",
     "calibration_store",
     "prediction_store",
-    "sweep_store",
     "stable_hash",
 ]
 
@@ -42,14 +42,14 @@ class ResultStore:
     ----------
     namespace:
         Subdirectory under the cache root; different artifact kinds
-        (validation points, calibration tables, …) use different namespaces
-        so ``clear`` has a bounded blast radius.
+        (measured and predicted results, calibration tables, …) use
+        different namespaces.
     root:
         Override the cache root (defaults to ``.cache/`` at the repository
         root or ``$REPRO_CACHE_DIR``).
     """
 
-    def __init__(self, namespace: str = "sweeps", root: Path | None = None) -> None:
+    def __init__(self, namespace: str, root: Path | None = None) -> None:
         if not namespace or "/" in namespace or namespace in (".", ".."):
             raise ValueError(f"invalid store namespace {namespace!r}")
         self.namespace = namespace
@@ -110,26 +110,16 @@ class ResultStore:
             raise
         return self.path_for(key)
 
-    def clear(self) -> int:
-        """Delete every artifact in this namespace; returns the count."""
+    def clear(self, keys) -> int:
+        """Delete the artifacts of ``keys``; returns how many existed."""
         removed = 0
-        for key in self.keys():
+        for key in keys:
             try:
                 self.path_for(key).unlink()
                 removed += 1
             except FileNotFoundError:
                 pass
         return removed
-
-
-def sweep_store(root: Path | None = None) -> ResultStore:
-    """The default store for validation-sweep points.
-
-    Keys and values are those of :func:`prediction_store` in measure mode;
-    the namespace is separate so ``repro sweep clear`` leaves the
-    service's results alone.
-    """
-    return ResultStore(namespace="sweeps", root=root)
 
 
 def calibration_store(root: Path | None = None) -> ResultStore:
@@ -141,8 +131,10 @@ def prediction_store(root: Path | None = None) -> ResultStore:
     """The default store for core prediction/measurement results.
 
     Keys come from :func:`repro.core.pipeline.request_key`; values are
-    :meth:`repro.core.request.PredictionResult.to_payload` dicts.  The
-    prediction service fronts this namespace with an in-process
-    :class:`repro.core.cache.LRUResultCache`.
+    :meth:`repro.core.request.PredictionResult.to_payload` dicts.  Sweep
+    points are measure-mode entries here, and the prediction service
+    fronts the same namespace with an in-process
+    :class:`repro.core.cache.LRUResultCache`, so each surface answers the
+    other's finished requests.
     """
     return ResultStore(namespace="predictions", root=root)

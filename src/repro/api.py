@@ -1,11 +1,14 @@
 """The one-import public surface of the repro package.
 
 Downstream code (notebooks, scripts, services) should depend on this
-module rather than reaching into subpackages::
+module rather than reaching into subpackages:
 
-    from repro.api import PredictionRequest, predict
-
-    result = predict(PredictionRequest(deck="small", num_ranks=[16]))
+>>> from repro.api import PredictionRequest, predict
+>>> result = predict(PredictionRequest(deck="16x8", ranks=4, max_side=16))
+>>> sorted(result.predicted)
+['heterogeneous', 'homogeneous']
+>>> result.measured is None
+True
 
 Everything exported here is a stable name with a stable signature:
 

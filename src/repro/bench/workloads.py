@@ -1045,29 +1045,13 @@ def _setup_query_storm(size):
 
 
 def _run_query_storm(ctx):
-    import asyncio
-    import threading
-
     from repro.core import LRUResultCache
     from repro.service import PredictionServer, ServiceClient, run_storm
 
     server = PredictionServer(
         host="127.0.0.1", port=0, cache=LRUResultCache(store=None)
     )
-    started = threading.Event()
-
-    def serve():
-        async def main():
-            await server.start()
-            started.set()
-            await server.serve_until_shutdown()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    if not started.wait(timeout=30):
-        raise RuntimeError("prediction server did not start")
+    thread = server.serve_in_thread()
     client = ServiceClient(host="127.0.0.1", port=server.port)
     storm = run_storm(client, [ctx["request"]] * ctx["queries"], mode="predict")
     client.shutdown()

@@ -87,11 +87,11 @@ def perturb_label(task) -> str:
 
 
 def spec_from_args(args) -> SweepSpec:
-    """Build the declarative grid shared by ``sweep run`` and ``sweep status``.
+    """Build the declarative grid shared by ``sweep run|status|clear``.
 
     Cross-axis rules (a placement needs ``--smp``; churn needs every
     ``--dynamic`` entry to be a policy) are the grid's requests' own
-    checks, which :meth:`SweepSpec.tasks` runs before any point.
+    checks, which :meth:`SweepSpec.requests` runs before any point.
     """
     ranks = csv_ints(args.ranks) if args.ranks else powers_of_two(args.max_ranks)
     return SweepSpec(
@@ -118,7 +118,7 @@ def add_common_arguments(p) -> None:
 
 
 def add_grid_arguments(p) -> None:
-    """The declarative-grid axes shared by ``sweep run`` and ``sweep status``."""
+    """The declarative-grid axes shared by ``sweep run|status|clear``."""
     p.add_argument(
         "--decks", default="small", help="comma list: small|medium|large or NXxNY"
     )

@@ -1,81 +1,68 @@
 """``place`` — topology-aware rank-placement studies.
 
-``compare`` and ``optimize`` build their configuration (deck, partition,
-census, SMP cluster) through the core constructors; ``scale`` costs
-placements on synthetic weak-scaled meshes.  All three cost placements
-with the same CSR graph and objectives.
+``compare`` and ``optimize`` ask one measure-only
+:class:`~repro.core.request.PredictionRequest` per placement strategy and
+answer it through :func:`repro.core.measure`; the byte and cost columns
+read the census and rank→node map of the same request's
+:func:`repro.core.assemble`.  ``scale`` costs placements on synthetic
+weak-scaled meshes.  All three cost placements with the same CSR graph and
+objectives.
 """
 
 from __future__ import annotations
 
 from repro.analysis import TextTable
-from repro.cli.common import add_place_arguments, csv_strings, parse_deck
-from repro.core import ClusterSpec, faces_for
-from repro.hydro import build_workload_census, measure_iteration_time
-from repro.partition import cached_partition
+from repro.cli.common import add_place_arguments, csv_strings
+from repro.core import ClusterSpec, PredictionRequest, assemble
+from repro.core import measure as core_measure
 
 __all__ = ["cmd_place_compare", "cmd_place_optimize", "cmd_place_scale",
            "register"]
 
 
-def _place_setup(args):
-    """Shared deck/partition/census/SMP-cluster construction for ``place``."""
-    deck = parse_deck(args.deck)
-    faces = faces_for(deck)
-    part = cached_partition(
-        deck, args.ranks, method=args.method, seed=args.seed, faces=faces
-    )
-    census = build_workload_census(deck, part, faces)
+def _place_runs(args, strategies) -> dict:
+    """Strategy → ``(assembled request, measured seconds)`` of its
+    measure-only request on the SMP machine the arguments describe; each
+    distinct strategy is asked once."""
     cluster = ClusterSpec(
-        speed=args.speed,
-        smp=True,
-        ranks_per_node=args.ranks_per_node,
+        speed=args.speed, smp=True, ranks_per_node=args.ranks_per_node,
         intra_send_overhead=args.intra_send_us * 1e-6,
         intra_recv_overhead=args.intra_recv_us * 1e-6,
-    ).build()
-    return deck, faces, part, census, cluster
+    )
+    runs = {}
+    for strategy in dict.fromkeys(strategies):
+        request = PredictionRequest(
+            deck=args.deck, ranks=args.ranks, cluster=cluster,
+            partition_method=args.method, seed=args.seed,
+            placement=strategy, models=(),
+        )
+        runs[strategy] = (assemble(request), core_measure(request).measured)
+    return runs
+
+
+def _title(args, asm) -> str:
+    """``<deck> deck, <P> ranks on <machine without its placement>``."""
+    machine = asm.request.cluster.build().name
+    return f"{asm.deck.name} deck, {args.ranks} ranks on {machine}"
 
 
 def cmd_place_compare(args) -> int:
     """Measure one configuration under each placement strategy."""
-    from repro.placement import (
-        inter_node_bytes,
-        make_placement,
-        rank_comm_bytes,
-        total_pair_bytes,
-    )
+    from repro.placement import inter_node_bytes, rank_comm_bytes, total_pair_bytes
 
-    deck, faces, part, census, cluster = _place_setup(args)
-    graph = rank_comm_bytes(census)
+    strategies = csv_strings(args.strategies)
+    runs = _place_runs(args, ["block", *strategies])
+    block_asm, t_block = runs["block"]
+    graph = rank_comm_bytes(block_asm.census)
     total = total_pair_bytes(graph)
 
-    block = make_placement("block", args.ranks, args.ranks_per_node)
-    t_block = measure_iteration_time(
-        deck, part, cluster=cluster.with_placement(block), faces=faces,
-        census=census,
-    ).seconds
-
     out = TextTable(
-        f"rank placement, {deck.name} deck, {args.ranks} ranks on {cluster.name}",
+        f"rank placement, {_title(args, block_asm)}",
         ["strategy", "nodes", "inter-node KB", "share", "measured (ms)", "vs block"],
     )
-    for strategy in csv_strings(args.strategies):
-        placement = make_placement(
-            strategy,
-            num_ranks=args.ranks,
-            ranks_per_node=args.ranks_per_node,
-            census=census,
-            cluster=cluster,
-            seed=args.seed,
-        )
-        seconds = (
-            t_block
-            if strategy == "block"
-            else measure_iteration_time(
-                deck, part, cluster=cluster.with_placement(placement),
-                faces=faces, census=census,
-            ).seconds
-        )
+    for strategy in strategies:
+        asm, seconds = runs[strategy]
+        placement = asm.cluster.hierarchy.placement
         inter = inter_node_bytes(placement, graph)
         out.add_row(
             placement.name,
@@ -92,32 +79,24 @@ def cmd_place_compare(args) -> int:
 def cmd_place_optimize(args) -> int:
     """Run the communication-aware optimizer and report its margin."""
     from repro.placement import (
-        block_placement,
         inter_node_bytes,
-        optimize_placement,
         placement_comm_cost,
         rank_comm_bytes,
         rank_pair_times,
     )
 
-    deck, faces, part, census, cluster = _place_setup(args)
-    graph = rank_comm_bytes(census)
-    block = block_placement(args.ranks, args.ranks_per_node)
-    optimized = optimize_placement(census, cluster)
-    costs = rank_pair_times(census, cluster)
-
-    t_block = measure_iteration_time(
-        deck, part, cluster=cluster.with_placement(block), faces=faces,
-        census=census,
-    ).seconds
-    t_opt = measure_iteration_time(
-        deck, part, cluster=cluster.with_placement(optimized), faces=faces,
-        census=census,
-    ).seconds
+    runs = _place_runs(args, ("block", "comm-aware"))
+    block_asm, t_block = runs["block"]
+    opt_asm, t_opt = runs["comm-aware"]
+    block = block_asm.cluster.hierarchy.placement
+    optimized = opt_asm.cluster.hierarchy.placement
+    graph = rank_comm_bytes(block_asm.census)
+    # Per-pair message times depend on the census and the machine's
+    # levels, not on the installed rank→node map.
+    costs = rank_pair_times(block_asm.census, block_asm.cluster)
 
     out = TextTable(
-        f"comm-aware optimization, {deck.name} deck, {args.ranks} ranks "
-        f"on {cluster.name}",
+        f"comm-aware optimization, {_title(args, block_asm)}",
         ["quantity", "block", "comm-aware", "change"],
     )
     rows = [

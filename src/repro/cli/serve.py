@@ -66,26 +66,14 @@ def _run_server(args) -> int:
 
 def _run_check(args) -> int:
     """Self-test: storm an ephemeral in-process server, verify guarantees."""
-    import threading
-
     from repro.service import PredictionServer, ServiceClient, run_storm
 
     server = PredictionServer(
         host=args.host, port=0, cache=LRUResultCache(store=None)
     )
-    started = threading.Event()
-
-    def serve() -> None:
-        async def main() -> None:
-            await server.start()
-            started.set()
-            await server.serve_until_shutdown()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    if not started.wait(timeout=30):
+    try:
+        thread = server.serve_in_thread()
+    except RuntimeError:
         print("check FAILED: server did not start")
         return 1
 

@@ -3,13 +3,14 @@
 The legacy single-deck table routes each power-of-two point through
 :func:`repro.core.measure`; the grid subcommands (``run``/``status``/
 ``clear``) expand the grid of :func:`repro.cli.common.spec_from_args` into
-requests (:meth:`repro.analysis.SweepSpec.tasks`) that run through the
-same call.
+requests (:meth:`repro.analysis.SweepSpec.requests`) that run through the
+same call and are stored where the service stores them: under
+:func:`repro.core.request_key` in the ``predictions`` result store.
 """
 
 from __future__ import annotations
 
-from repro.analysis import TextTable, run_points, sweep_status, sweep_store
+from repro.analysis import TextTable, prediction_store, run_points, sweep_status
 from repro.cli.common import (
     add_common_arguments,
     add_grid_arguments,
@@ -79,7 +80,7 @@ def cmd_sweep_run(args) -> int:
     result store."""
     spec = spec_from_args(args)
     tasks = _grid_checked(spec.tasks)
-    store = None if args.no_cache else sweep_store()
+    store = None if args.no_cache else prediction_store()
 
     def progress(done, total, task, point, cached):
         source = "store" if cached else f"{point.measured * 1e3:.2f} ms"
@@ -140,7 +141,7 @@ def cmd_sweep_run(args) -> int:
 def cmd_sweep_status(args) -> int:
     """Report grid completion against the result store."""
     spec = spec_from_args(args)
-    status = _grid_checked(sweep_status, spec, sweep_store())
+    status = _grid_checked(sweep_status, spec, prediction_store())
     out = TextTable("sweep status", ["points", "count"])
     out.add_row("total", status.total)
     out.add_row("completed", status.completed)
@@ -150,8 +151,13 @@ def cmd_sweep_status(args) -> int:
 
 
 def cmd_sweep_clear(args) -> int:
-    """Drop stored sweep artifacts (and optionally cached partitions)."""
-    removed = sweep_store().clear()
+    """Drop the grid's stored points (and optionally cached partitions).
+
+    Only the grid's own keys leave the ``predictions`` store; results the
+    service or other grids stored there stay.
+    """
+    keys = _grid_checked(spec_from_args(args).store_keys)
+    removed = prediction_store().clear(keys)
     print(f"removed {removed} stored sweep points")
     if args.partitions:
         count = 0
@@ -171,8 +177,8 @@ def register(sub, common=add_common_arguments, grid=add_grid_arguments) -> None:
             "Without a subcommand: the legacy single-deck strong-scaling "
             "table.  Subcommands orchestrate declarative grids: `run` "
             "evaluates (in parallel with --jobs, resumably via the on-disk "
-            "result store), `status` reports completion, `clear` drops "
-            "stored results."
+            "result store), `status` reports completion, `clear` drops the "
+            "grid's stored results."
         ),
     )
     common(p_sweep)
@@ -199,7 +205,10 @@ def register(sub, common=add_common_arguments, grid=add_grid_arguments) -> None:
     grid(p_status)
     p_status.set_defaults(func=cmd_sweep_status)
 
-    p_clear = sweep_sub.add_parser("clear", help="drop stored sweep results")
+    p_clear = sweep_sub.add_parser(
+        "clear", help="drop a grid's stored results from the result store"
+    )
+    grid(p_clear)
     p_clear.add_argument(
         "--partitions", action="store_true", help="also drop cached partitions"
     )

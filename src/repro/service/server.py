@@ -9,23 +9,23 @@ parameters to it (:func:`repro.trace.replay.fit_calibration`), stores
 the artifact in the calibrations store, and returns its key — which
 follow-up requests reference via their ``calibration`` field.
 
-Three layers keep a query storm cheap:
+Three rules keep a query storm cheap and bounded:
 
 * **Result caching** — every request is content-hashed
   (:func:`repro.core.pipeline.request_key`) and answered through an
   in-process :class:`~repro.core.cache.LRUResultCache`, optionally
   write-through to the on-disk ``predictions`` namespace of the result
-  store, so identical questions across batches, connections, and server
-  restarts are never re-simulated.
+  store, so identical questions across connections and server restarts
+  are never re-simulated.  That namespace is the one ``repro sweep``
+  stores its points in, so a finished sweep point is a cache hit here.
 * **In-flight coalescing** — identical requests that arrive while the
   first one is still computing await the same future; a storm of N equal
   queries executes exactly one simulation.
-* **Batched single-worker execution** — distinct misses are drained from
-  a queue in batches by one worker task and evaluated together on the
-  executor; each evaluation runs the core pipeline's vectorized
-  ``tmsg_many`` pricing paths, and calibration tables are memoised
-  process-wide (:func:`repro.core.assemble.calibration_table`), so a
-  batch over one machine calibrates once.
+* **Bounded misses** — each distinct miss is one task running the core
+  pipeline on the default executor; past :data:`_MAX_INFLIGHT` of them,
+  the next distinct miss is answered ``503`` with ``Retry-After: 1``.
+  Calibration tables are memoised process-wide, so concurrent misses
+  over one machine calibrate once.
 
 The wire format is deliberately minimal HTTP/1.1 (one request per
 connection, ``Connection: close``) so the stdlib is enough on both ends;
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 from repro.core.cache import LRUResultCache
 from repro.core.pipeline import measure, predict, request_key
@@ -48,6 +49,11 @@ __all__ = ["PredictionServer"]
 
 _MAX_BODY_BYTES = 1 << 20
 
+#: Distinct cache misses computing at once.  One more distinct miss is
+#: answered 503 with ``Retry-After``; cache hits and requests coalescing
+#: onto a miss in flight are not counted against it.
+_MAX_INFLIGHT = 64
+
 #: Seconds a client has to deliver its request line, headers and body.  A
 #: client that stalls past it is answered 408 and disconnected; evaluating
 #: the request is not part of the deadline.
@@ -58,20 +64,12 @@ class _MalformedRequest(ValueError):
     """A request that cannot be parsed off the wire (answered 400)."""
 
 
-class _Job:
-    """One queued cache miss: a key, its request, and the shared future."""
-
-    __slots__ = ("key", "mode", "request", "future")
-
-    def __init__(self, key, mode, request, future):
-        self.key = key
-        self.mode = mode
-        self.request = request
-        self.future = future
+class _Overloaded(RuntimeError):
+    """A distinct miss over the in-flight bound (answered 503)."""
 
 
 class PredictionServer:
-    """The serving loop: HTTP front end, coalescing cache, batch worker.
+    """The serving loop: HTTP front end, coalescing cache, bounded misses.
 
     Parameters
     ----------
@@ -95,8 +93,7 @@ class PredictionServer:
         self.cache = cache if cache is not None else LRUResultCache()
         self.calibration_store = calibration_store
         self._server: asyncio.AbstractServer | None = None
-        self._queue: asyncio.Queue | None = None
-        self._worker_task: asyncio.Task | None = None
+        #: key → the task computing that miss (itself the shared future).
         self._inflight: dict = {}
         self._shutdown = None
         self.counters = {
@@ -106,102 +103,94 @@ class PredictionServer:
             "calibrations": 0,
             "computed": 0,
             "coalesced": 0,
-            "batches": 0,
-            "largest_batch": 0,
+            "overloaded": 0,
             "errors": 0,
         }
 
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Bind the listener and launch the batch worker."""
-        self._queue = asyncio.Queue()
+        """Bind the listener."""
         self._shutdown = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._worker_task = asyncio.create_task(self._worker())
 
     async def serve_until_shutdown(self) -> None:
         """Serve until ``POST /shutdown`` (or :meth:`request_shutdown`)."""
         if self._server is None:
             await self.start()
         await self._shutdown.wait()
-        await self.stop()
+        self._server.close()
+        await self._server.wait_closed()
+        self._server = None
+
+    def serve_in_thread(self) -> threading.Thread:
+        """Serve on a daemon thread with its own event loop.
+
+        Returns the thread once the listener is bound, so :attr:`port` is
+        final.  ``POST /shutdown`` ends it; join the thread after that.
+        """
+        started = threading.Event()
+
+        async def main() -> None:
+            try:
+                await self.start()
+            finally:
+                started.set()
+            await self.serve_until_shutdown()
+
+        thread = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+        thread.start()
+        if not started.wait(timeout=30) or self._server is None:
+            raise RuntimeError("prediction server did not start")
+        return thread
 
     def request_shutdown(self) -> None:
         self._shutdown.set()
 
-    async def stop(self) -> None:
-        """Close the listener and drain the worker cleanly."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._worker_task is not None:
-            self._worker_task.cancel()
-            try:
-                await self._worker_task
-            except asyncio.CancelledError:
-                pass
-            self._worker_task = None
-
     # ------------------------------------------------------------ evaluation
 
-    def _evaluate(self, job: _Job):
-        """Run one request through the core pipeline (executor thread)."""
-        run = measure if job.mode == "measure" else predict
-        return run(job.request, store=self.calibration_store)
-
-    async def _worker(self) -> None:
-        """Single-worker batch loop: drain every queued miss, evaluate the
-        batch concurrently on the executor, resolve the shared futures."""
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._queue.get()]
-            while not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-            self.counters["batches"] += 1
-            self.counters["largest_batch"] = max(
-                self.counters["largest_batch"], len(batch)
+    async def _compute(self, key: str, mode: str, request) -> dict:
+        """One miss: evaluate on the executor, write through the cache,
+        leave the in-flight map; the task's result is the payload."""
+        run = measure if mode == "measure" else predict
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, run, request, self.calibration_store
             )
-
-            async def run_job(job: _Job) -> None:
-                try:
-                    result = await loop.run_in_executor(None, self._evaluate, job)
-                except Exception as exc:  # surface, don't kill the worker
-                    if not job.future.done():
-                        job.future.set_exception(exc)
-                else:
-                    self.counters["computed"] += 1
-                    self.cache.put(job.key, result.to_payload())
-                    if not job.future.done():
-                        job.future.set_result(result.to_payload())
-                finally:
-                    self._inflight.pop(job.key, None)
-
-            await asyncio.gather(*(run_job(job) for job in batch))
+            payload = result.to_payload()
+            self.counters["computed"] += 1
+            self.cache.put(key, payload)
+            return payload
+        finally:
+            del self._inflight[key]
 
     async def answer(self, mode: str, request: PredictionRequest) -> tuple:
         """Resolve one request; returns ``(payload, cached, key)``.
 
-        The cache answers repeats; an in-flight future coalesces identical
-        concurrent requests onto one computation; everything else queues
-        for the batch worker.
+        The cache answers repeats; an in-flight task coalesces identical
+        concurrent requests onto one computation; any other miss starts
+        its own task, unless :data:`_MAX_INFLIGHT` misses are already
+        computing (then :class:`_Overloaded`).
         """
         key = request_key(request, mode)
         payload = self.cache.get(key)
         if payload is not None:
             return payload, True, key
-        future = self._inflight.get(key)
-        if future is not None:
+        task = self._inflight.get(key)
+        if task is not None:
             self.counters["coalesced"] += 1
-            return await asyncio.shield(future), True, key
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        await self._queue.put(_Job(key, mode, request, future))
-        return await asyncio.shield(future), False, key
+            return await asyncio.shield(task), True, key
+        if len(self._inflight) >= _MAX_INFLIGHT:
+            self.counters["overloaded"] += 1
+            raise _Overloaded(
+                f"{len(self._inflight)} distinct requests already computing"
+            )
+        task = asyncio.create_task(self._compute(key, mode, request))
+        self._inflight[key] = task
+        return await asyncio.shield(task), False, key
 
     def stats(self) -> dict:
         """Counter snapshot: service counters, cache tiers, and the
@@ -223,11 +212,12 @@ class PredictionServer:
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         body = json.dumps(payload, sort_keys=True).encode()
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  408: "Request Timeout",
-                  500: "Internal Server Error"}.get(status, "OK")
+                  408: "Request Timeout", 500: "Internal Server Error",
+                  503: "Service Unavailable"}.get(status, "OK")
+        retry = "Retry-After: 1\r\n" if status == 503 else ""
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Content-Type: application/json\r\n{retry}"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n".encode() + body
         )
@@ -324,5 +314,7 @@ class PredictionServer:
                 payload, cached, key = await self.answer(mode, request)
             except (ValueError, TypeError) as exc:
                 return 400, {"error": f"{exc}"}
+            except _Overloaded as exc:
+                return 503, {"error": f"server busy: {exc}"}
             return 200, {"result": payload, "cached": cached, "key": key}
         return 404, {"error": f"no route for {method} {path}"}

@@ -21,7 +21,6 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.request import PredictionRequest, PredictionResult
 from repro.service.client import ServiceClient
 
 __all__ = ["StormResult", "run_storm"]
@@ -82,24 +81,13 @@ def run_storm(
         raise ValueError("a storm needs at least one request")
     if mode not in ("predict", "measure"):
         raise ValueError(f"unknown storm mode {mode!r}")
+    query = client.measure_detailed if mode == "measure" else client.predict_detailed
     before = client.stats()
-
-    def fire(request: PredictionRequest) -> tuple:
-        query = client.measure_detailed if mode == "measure" else (
-            client.predict_detailed
-        )
-        return query(request)
-
     with ThreadPoolExecutor(max_workers=min(concurrency, len(requests))) as pool:
-        answers = list(pool.map(fire, requests))
+        answers = list(pool.map(query, requests))
     after = client.stats()
-
-    results = tuple(result for result, _ in answers)
-    for result in results:
-        if not isinstance(result, PredictionResult):  # pragma: no cover
-            raise TypeError("storm answers must be PredictionResults")
     return StormResult(
-        results=results,
+        results=tuple(result for result, _ in answers),
         cached_flags=tuple(cached for _, cached in answers),
         counters=_delta(before["service"], after["service"]),
         cache=_delta(before["cache"], after["cache"]),

@@ -11,10 +11,10 @@ from repro.analysis import (
     SweepTask,
     ValidationPoint,
     calibration_store,
+    prediction_store,
     run_points,
     run_sweep,
     sweep_status,
-    sweep_store,
 )
 from repro.analysis import runner
 from repro.core.assemble import calibration_key, calibration_table, faces_for
@@ -77,8 +77,12 @@ class TestSweepSpec:
             SweepSpec(decks=())
 
     def test_rejects_unknown_deck(self):
+        spec = SweepSpec(decks=("16x8", "enormous"))
         with pytest.raises(ValueError, match="unknown deck"):
-            SweepSpec(decks=("enormous",)).tasks()
+            spec.tasks()
+        # Status builds nothing, yet refuses the same grid.
+        with pytest.raises(ValueError, match="unknown deck"):
+            sweep_status(spec, prediction_store())
 
     def test_figure5_grid(self):
         spec = SweepSpec.figure5(max_ranks=8)
@@ -138,7 +142,7 @@ class TestParallelEqualsSerial:
 
 class TestResume:
     def test_resuming_skips_cached_points(self, tiny_spec, tmp_cache):
-        store = sweep_store()
+        store = prediction_store()
         # First, complete a *subset* of the grid (the first rank count only).
         half = SweepSpec(
             decks=tiny_spec.decks,
@@ -171,7 +175,7 @@ class TestResume:
     def test_replayed_points_equal_computed_exactly(self, tiny_spec, tmp_cache):
         """JSON round-trips IEEE doubles exactly, so cache replay is not a
         near-equality — it is equality."""
-        store = sweep_store()
+        store = prediction_store()
         fresh = run_sweep(tiny_spec, store=store)
         replayed = run_sweep(tiny_spec, store=store)
         for a, b in zip(fresh, replayed):
@@ -180,14 +184,14 @@ class TestResume:
 
     def test_parallel_run_populates_store_for_serial(self, tiny_spec, tmp_cache):
         """Workers and the serial path share one store keyed by content."""
-        store = sweep_store()
+        store = prediction_store()
         parallel = run_sweep(tiny_spec, jobs=2, store=store)
         serial = run_sweep(tiny_spec, jobs=1, store=store)
         assert all(o.cached for o in serial)
         assert [o.point for o in serial] == [o.point for o in parallel]
 
     def test_status_tracks_completion(self, tiny_spec, tmp_cache):
-        store = sweep_store()
+        store = prediction_store()
         before = sweep_status(tiny_spec, store)
         assert (before.total, before.completed, before.pending) == (3, 0, 3)
         assert len(before.pending_keys) == 3
@@ -195,6 +199,19 @@ class TestResume:
         after = sweep_status(tiny_spec, store)
         assert (after.total, after.completed, after.pending) == (3, 3, 0)
         assert after.pending_keys == ()
+
+    def test_status_builds_and_calibrates_nothing(self, tiny_spec, monkeypatch):
+        """Status hashes the grid's requests: the same keys as the tasks,
+        without a deck build or a calibration."""
+        keys = [task.store_key() for task in tiny_spec.tasks()]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep_status must not build or calibrate")
+
+        monkeypatch.setattr(runner, "build_deck", forbidden)
+        monkeypatch.setattr(runner, "calibration_table", forbidden)
+        assert tiny_spec.store_keys() == keys
+        assert sweep_status(tiny_spec, prediction_store()).pending_keys == tuple(keys)
 
     def test_failing_sibling_does_not_lose_finished_points(self, tiny_spec, tmp_cache):
         """A task that raises in the pool must not discard siblings'
@@ -208,7 +225,7 @@ class TestResume:
                 placement="psychic",
             ),
         )
-        store = sweep_store()
+        store = prediction_store()
         with pytest.raises(ValueError, match="psychic"):
             run_points(good + [bad], jobs=2, store=store)
         # Both good points were preserved; retrying them is pure replay.
@@ -225,7 +242,7 @@ class TestResume:
     def test_calibration_is_memoised_and_exact(self, cluster, tmp_cache):
         store = calibration_store()
         fresh = calibration_table(cluster, [1, 2, 4, 8], store=store)
-        assert len(sweep_store(root=None).keys()) == 0  # separate namespace
+        assert len(prediction_store().keys()) == 0  # separate namespace
         assert store.get(calibration_key(cluster, [1, 2, 4, 8])) is not None
         replayed = calibration_table(cluster, [1, 2, 4, 8], store=store)
         # Content-identical down to the hash, so sweep point keys agree.
@@ -235,7 +252,7 @@ class TestResume:
 
     def test_store_key_sensitive_to_grid_parameters(self, tiny_spec, tmp_cache):
         """A finished grid does not satisfy a *different* grid."""
-        store = sweep_store()
+        store = prediction_store()
         run_sweep(tiny_spec, store=store)
         other = SweepSpec(
             decks=tiny_spec.decks,
@@ -306,7 +323,7 @@ class TestDynamicAxis:
             ),
             max_side=4,
         )
-        store = sweep_store()
+        store = prediction_store()
         first = run_sweep(spec, store=store)
         assert [o.cached for o in first] == [False, False]
         again = run_sweep(spec, store=store)

@@ -1,11 +1,11 @@
-"""Unit tests for the content-addressed sweep result store."""
+"""Unit tests for the content-addressed result store."""
 
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.analysis.store import ResultStore, sweep_store
+from repro.analysis.store import ResultStore, prediction_store
 from repro.core.cache import LRUResultCache
 from repro.mesh import build_deck
 from repro.util import stable_hash
@@ -49,7 +49,7 @@ class TestStableHash:
 
 class TestResultStore:
     def test_roundtrip_and_contains(self, tmp_cache):
-        store = sweep_store()
+        store = prediction_store()
         key = stable_hash({"x": 1})
         assert key not in store
         assert store.get(key) is None
@@ -59,20 +59,22 @@ class TestResultStore:
         assert store.keys() == [key]
 
     def test_float_roundtrip_is_exact(self, tmp_cache):
-        store = sweep_store()
+        store = prediction_store()
         value = {"measured": 0.1 + 0.2, "tiny": 5e-324, "big": 1.7976931348623157e308}
         store.put("k", value)
         assert store.get("k") == value
 
     def test_clear_is_scoped_to_namespace(self, tmp_cache):
-        sweeps = ResultStore(namespace="sweeps")
+        store = prediction_store()
         other = ResultStore(namespace="other")
-        sweeps.put("a", 1)
-        sweeps.put("b", 2)
-        other.put("c", 3)
-        assert sweeps.clear() == 2
-        assert len(sweeps) == 0
-        assert other.get("c") == 3
+        store.put("a", 1)
+        store.put("b", 2)
+        store.put("kept", 4)
+        other.put("a", 3)
+        # Only the given keys go; a key that was never stored is not counted.
+        assert store.clear(["a", "b", "absent"]) == 2
+        assert store.keys() == ["kept"]
+        assert other.get("a") == 3
 
     @pytest.mark.parametrize(
         "damage",
@@ -82,7 +84,7 @@ class TestResultStore:
         ],
     )
     def test_unreadable_artifact_is_a_miss_then_replaced(self, tmp_cache, damage):
-        store = sweep_store()
+        store = prediction_store()
         value = {"measured": 0.125, "predicted": {"homogeneous": 0.1}}
         path = store.put("k", value)
         text = path.read_text(encoding="utf-8")
@@ -94,7 +96,7 @@ class TestResultStore:
         assert store.get("k") == value
 
     def test_unreadable_artifact_is_counted_once(self, tmp_cache):
-        store = sweep_store()
+        store = prediction_store()
         value = {"measured": 0.125}
         path = store.put("k", value)
         path.write_text(path.read_text(encoding="utf-8")[:5], encoding="utf-8")
@@ -112,7 +114,7 @@ class TestResultStore:
             ResultStore(namespace="../escape")
 
     def test_env_override_respected(self, tmp_cache):
-        assert str(sweep_store().directory).startswith(str(tmp_cache))
+        assert str(prediction_store().directory).startswith(str(tmp_cache))
 
 
 def _hash_reference_payload(_):

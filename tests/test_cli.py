@@ -141,10 +141,20 @@ class TestSweepSubcommands:
         capsys.readouterr()
         assert main(self.STATUS_ARGS) == 0
         assert "completed      2" in capsys.readouterr().out
-        assert main(["sweep", "clear", "--partitions"]) == 0
+        assert main(["sweep", "clear", *self.STATUS_ARGS[2:], "--partitions"]) == 0
         assert "removed 2 stored sweep points" in capsys.readouterr().out
         assert main(self.STATUS_ARGS) == 0
         assert "completed      0" in capsys.readouterr().out
+
+    def test_clear_removes_only_its_grid(self, capsys):
+        other = ["--decks", "16x8", "--ranks", "4", "--max-side", "16"]
+        assert main(self.RUN_ARGS + ["--quiet"]) == 0
+        assert main(["sweep", "run", *other, "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "clear", *self.STATUS_ARGS[2:]]) == 0
+        assert "removed 2 stored sweep points" in capsys.readouterr().out
+        assert main(["sweep", "status", *other]) == 0
+        assert "completed      1" in capsys.readouterr().out
 
 
 class TestSweepGridErrors:
@@ -158,7 +168,7 @@ class TestSweepGridErrors:
         "--perturb", "churn:0.2",
     ]
 
-    @pytest.mark.parametrize("command", ["run", "status"])
+    @pytest.mark.parametrize("command", ["run", "status", "clear"])
     @pytest.mark.parametrize(
         "grid, message",
         [
@@ -168,13 +178,13 @@ class TestSweepGridErrors:
         ids=["placement-without-smp", "churn-with-static"],
     )
     def test_refused_before_any_point(self, capsys, command, grid, message):
-        from repro.analysis import sweep_store
+        from repro.analysis import prediction_store
 
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", command] + grid)
         assert str(exit_info.value.code).startswith(message)
         assert capsys.readouterr().out == ""
-        assert sweep_store().keys() == []
+        assert prediction_store().keys() == []
 
 
 class TestDynamicSweepCLI:

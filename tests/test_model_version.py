@@ -83,7 +83,7 @@ def test_stale_sweep_point_is_a_miss(tmp_cache, monkeypatch, version):
     )
     (task,) = spec.tasks()
     stale_key = at_version(monkeypatch, version, task.store_key)
-    store = ResultStore(root=tmp_cache)
+    store = ResultStore(namespace="predictions", root=tmp_cache)
     store.put(stale_key, {"stale": True})
     assert sweep_status(spec, store).pending_keys == (task.store_key(),)
     (outcome,) = run_sweep(spec, store=store)

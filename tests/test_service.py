@@ -33,19 +33,7 @@ REQUEST = PredictionRequest(deck="16x8", ranks=4, max_side=16)
 def server():
     """A running ephemeral-port server; torn down via /shutdown."""
     srv = PredictionServer(host="127.0.0.1", port=0, cache=LRUResultCache())
-    started = threading.Event()
-
-    def serve():
-        async def main():
-            await srv.start()
-            started.set()
-            await srv.serve_until_shutdown()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30), "server did not start"
+    thread = srv.serve_in_thread()
     yield srv
     if thread.is_alive():
         try:
@@ -194,19 +182,7 @@ def test_store_backed_cache_survives_server_restart(tmp_path):
         srv = PredictionServer(
             host="127.0.0.1", port=0, cache=LRUResultCache(store=store)
         )
-        started = threading.Event()
-
-        def serve():
-            async def main():
-                await srv.start()
-                started.set()
-                await srv.serve_until_shutdown()
-
-            asyncio.run(main())
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert started.wait(timeout=30)
+        thread = srv.serve_in_thread()
         client = ServiceClient(host=srv.host, port=srv.port)
         result, cached = client.predict_detailed(REQUEST)
         client.shutdown()
@@ -241,19 +217,7 @@ def test_calibrate_route_fits_stores_and_serves(tmp_path):
         host="127.0.0.1", port=0, cache=LRUResultCache(),
         calibration_store=store,
     )
-    started = threading.Event()
-
-    def serve():
-        async def main():
-            await srv.start()
-            started.set()
-            await srv.serve_until_shutdown()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30)
+    thread = srv.serve_in_thread()
     client = ServiceClient(host=srv.host, port=srv.port)
     try:
         answer = client.calibrate(doc.to_payload())
@@ -302,3 +266,109 @@ def test_predict_succeeds_under_a_short_read_deadline(client, monkeypatch):
     monkeypatch.setattr(server_mod, "predict", slow_predict)
     served = client.predict(REQUEST)
     assert served.predicted == predict(REQUEST).predicted
+
+
+def test_distinct_miss_over_the_inflight_bound_is_a_503(server, monkeypatch):
+    """Fault injection: with room for one miss in flight, a second distinct
+    miss is refused 503 with ``Retry-After`` while the first computes.  A
+    cache hit and a request coalescing onto the first are still answered,
+    and the first completes once its evaluation is released."""
+    import http.client
+    import json
+    import time
+
+    from repro.service import server as server_mod
+
+    client = ServiceClient(host=server.host, port=server.port)
+    client.measure(REQUEST)  # a cache entry to hit while the slot is full
+    release = threading.Event()
+
+    def blocked_predict(request, store=None):
+        assert release.wait(timeout=30)
+        return predict(request, store=store)
+
+    monkeypatch.setattr(server_mod, "_MAX_INFLIGHT", 1)
+    monkeypatch.setattr(server_mod, "predict", blocked_predict)
+    answers = {}
+
+    def ask(name):
+        answers[name] = client.predict_detailed(REQUEST)
+
+    def wait_for(condition):
+        deadline = time.monotonic() + 30
+        while not condition(client.stats()):
+            assert time.monotonic() < deadline, client.stats()
+            time.sleep(0.01)
+
+    first = threading.Thread(target=ask, args=("first",))
+    first.start()
+    wait_for(lambda stats: stats["inflight"] == 1)
+    coalesced = threading.Thread(target=ask, args=("coalesced",))
+    coalesced.start()
+    wait_for(lambda stats: stats["service"]["coalesced"] == 1)
+
+    other = dataclasses.replace(REQUEST, ranks=8)
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", "/predict", body=other.to_json())
+        response = conn.getresponse()
+        body = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 503
+    assert response.getheader("Retry-After") == "1"
+    assert "busy" in body["error"]
+    assert client.measure_detailed(REQUEST)[1]  # the hit is answered
+    assert client.stats()["service"]["overloaded"] == 1
+
+    release.set()
+    first.join(timeout=30)
+    coalesced.join(timeout=30)
+    result, cached = answers["first"]
+    assert not cached
+    assert result.predicted == predict(REQUEST).predicted
+    assert answers["coalesced"] == (result, True)
+    assert client.stats()["inflight"] == 0
+    assert not client.predict_detailed(other)[1]  # the slot is free again
+
+
+def test_sweep_point_is_a_service_cache_hit(tmp_path, monkeypatch):
+    """One store: a point ``run_sweep`` wrote is the service's ``measure``
+    answer for the same request, cached and identical."""
+    from repro.analysis import SweepSpec, prediction_store, run_sweep
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    spec = SweepSpec(decks=("16x8",), rank_counts=(4,), max_side=16)
+    (outcome,) = run_sweep(spec, store=prediction_store())
+    srv = PredictionServer(cache=LRUResultCache(store=prediction_store()))
+    request = outcome.task.request
+    payload, cached, key = asyncio.run(srv.answer("measure", request))
+    assert cached
+    assert key == outcome.task.store_key()
+    assert payload == prediction_store().get(key)
+    assert payload == measure(request).to_payload()
+    assert srv.counters["computed"] == 0
+
+
+def test_service_answer_counts_in_sweep_status(tmp_path, monkeypatch, capsys):
+    """One store: a service ``/measure`` answer is a completed point of
+    the sweep grid that contains its request."""
+    from repro.analysis import prediction_store
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    srv = PredictionServer(
+        host="127.0.0.1", port=0, cache=LRUResultCache(store=prediction_store())
+    )
+    thread = srv.serve_in_thread()
+    client = ServiceClient(host=srv.host, port=srv.port)
+    try:
+        assert not client.measure_detailed(REQUEST)[1]
+    finally:
+        client.shutdown()
+        thread.join(timeout=30)
+    grid = ["--decks", "16x8", "--ranks", "2,4", "--max-side", "16"]
+    assert main(["sweep", "status"] + grid) == 0
+    out = capsys.readouterr().out
+    assert "completed      1" in out
+    assert "pending      1" in out
