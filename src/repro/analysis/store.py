@@ -77,8 +77,9 @@ class ResultStore:
         """The stored value for ``key``, or ``default`` on a miss.
 
         An artifact that cannot be read back (truncated, not UTF-8, not
-        JSON) is a miss too, counted in :attr:`unreadable`; the next
-        :meth:`put` of the key replaces it.
+        JSON) is a miss too, counted in :attr:`unreadable` and renamed to
+        ``<key>.json.unreadable``, so the next :meth:`put` of the key
+        cannot destroy the evidence and :meth:`keys` no longer lists it.
         """
         path = self.path_for(key)
         try:
@@ -88,6 +89,10 @@ class ResultStore:
             return default
         except (OSError, ValueError):
             self.unreadable += 1
+            try:
+                os.replace(path, path.with_name(f"{path.name}.unreadable"))
+            except OSError:
+                pass  # a concurrent reader quarantined it first
             return default
 
     def put(self, key: str, value) -> Path:

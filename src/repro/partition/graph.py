@@ -99,7 +99,8 @@ def graph_from_edges(
     key = lo * np.int64(num_vertices) + hi
     order = np.argsort(key, kind="stable")
     key, w = key[order], w[order]
-    unique_key, start = np.unique(key, return_index=True)
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # run heads; keys are >= 0
+    unique_key = key[start]
     merged_w = np.add.reduceat(w, start) if key.size else w
     lo = unique_key // num_vertices
     hi = unique_key % num_vertices
@@ -110,8 +111,7 @@ def graph_from_edges(
     order = np.argsort(src, kind="stable")
     src, dst, arc_w = src[order], dst[order], arc_w[order]
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
 
     if vweights is None:
         vweights = np.ones(num_vertices, dtype=np.int64)
@@ -149,9 +149,10 @@ def contract(graph: CSRGraph, match: np.ndarray) -> tuple[CSRGraph, np.ndarray]:
     if not np.array_equal(match[match], np.arange(n)):
         raise ValueError("match must be an involution")
 
-    rep = np.minimum(np.arange(n), match)  # canonical representative per pair
-    unique_rep, mapping = np.unique(rep, return_inverse=True)
-    num_coarse = unique_rep.shape[0]
+    # The lower id of each pair represents it; coarse ids follow rep order.
+    is_rep = match >= np.arange(n)
+    mapping = (np.cumsum(is_rep) - 1)[np.minimum(np.arange(n), match)]
+    num_coarse = int(np.count_nonzero(is_rep))
 
     vweights = np.zeros(num_coarse, dtype=np.int64)
     np.add.at(vweights, mapping, graph.vweights)

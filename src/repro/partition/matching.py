@@ -3,9 +3,16 @@
 Classic Metis coarsening visits vertices in random order and matches each
 with its heaviest unmatched neighbour.  A strictly sequential visit is slow
 in Python, so we use the standard parallel-friendly variant: every vertex
-*proposes* to its heaviest eligible neighbour (ties broken by lower id), and
-mutual proposals are accepted; a few rounds match almost as many vertices as
-the sequential algorithm, which is all coarsening needs.
+*proposes* to its heaviest eligible neighbour (ties broken by a per-round
+random permutation), and mutual proposals are accepted; a few rounds match
+almost as many vertices as the sequential algorithm, which is all
+coarsening needs.
+
+Proposals are integer arithmetic over the CSR arcs: an arc to ``u`` scores
+``w·(n+1) + n − tiebreak[u]``, which orders arcs by weight and then by
+smaller tiebreak.  ``tiebreak`` is a permutation, so one
+``maximum.reduceat`` gives each vertex's best score, and the score modulo
+``n+1`` names the neighbour that earned it.
 """
 
 from __future__ import annotations
@@ -13,47 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.graph import CSRGraph
-
-
-def _segment_argmax_neighbor(
-    graph: CSRGraph, eligible: np.ndarray, tiebreak: np.ndarray
-) -> np.ndarray:
-    """For each vertex, its max-weight eligible neighbour (or -1).
-
-    ``tiebreak`` is a per-vertex random permutation value; among equal-weight
-    neighbours the one with the smallest tiebreak value wins, which keeps the
-    matching deterministic given the RNG seed.
-    """
-    n = graph.num_vertices
-    arc_dst = graph.indices
-    arc_ok = eligible[arc_dst]
-    # Composite score: primary = weight, secondary = reversed tiebreak.
-    w = graph.eweights.astype(np.float64)
-    score = np.where(arc_ok, w * (n + 1) + (n - tiebreak[arc_dst]), -1.0)
-
-    best = np.full(n, -1, dtype=np.int64)
-    starts = graph.indptr[:-1]
-    ends = graph.indptr[1:]
-    nonempty = ends > starts
-    if not np.any(nonempty):
-        return best
-    # reduceat over CSR segments; empty segments produce garbage we mask out.
-    seg_max = np.maximum.reduceat(score, np.maximum(starts, 0)[nonempty])
-    idx_best = np.full(n, -1, dtype=np.int64)
-    # Find the arg of the max per segment: compare score to segment max.
-    seg_of_arc = np.repeat(np.arange(n), np.diff(graph.indptr))
-    max_per_vertex = np.full(n, -np.inf)
-    max_per_vertex[np.flatnonzero(nonempty)] = seg_max
-    is_max = score == max_per_vertex[seg_of_arc]
-    # First arc achieving the max in each segment wins.
-    arc_ids = np.arange(arc_dst.shape[0])
-    first_max = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_max, seg_of_arc[is_max], arc_ids[is_max])
-    has = first_max != np.iinfo(np.int64).max
-    idx_best[has] = arc_dst[first_max[has]]
-    valid = has & (max_per_vertex > -0.5)
-    best[valid] = idx_best[valid]
-    return best
 
 
 def heavy_edge_matching(
@@ -86,15 +52,28 @@ def heavy_edge_matching(
     match = np.arange(n, dtype=np.int64)
     if n == 0 or graph.indices.size == 0:
         return match
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    dst = graph.indices
+    base = graph.eweights * (n + 1) + n
     eligible = np.ones(n, dtype=bool)
 
-    for _ in range(max_rounds):
+    for round_ in range(max_rounds):
         if not np.any(eligible):
             break
         tiebreak = rng.permutation(n)
-        proposal = _segment_argmax_neighbor(graph, eligible, tiebreak)
-        # A vertex only proposes if it is itself eligible.
-        proposal[~eligible] = -1
+        if round_:
+            # Drop the arcs of vertices matched last round.
+            live = np.flatnonzero(eligible[src] & eligible[dst])
+            src, dst, base = src[live], dst[live], base[live]
+        proposal = np.full(n, -1, dtype=np.int64)
+        if src.size:
+            # src is sorted, so each vertex's live arcs form one run.
+            heads = np.flatnonzero(np.diff(src, prepend=-1))
+            best = np.maximum.reduceat(base - tiebreak[dst], heads)
+            # best % (n+1) is n - tiebreak[winner]; invert tiebreak to name it.
+            by_tiebreak = np.empty(n, dtype=np.int64)
+            by_tiebreak[tiebreak] = np.arange(n)
+            proposal[src[heads]] = by_tiebreak[n - best % (n + 1)]
         has = proposal >= 0
         # Mutual: proposal[proposal[i]] == i.
         mutual = has.copy()

@@ -6,10 +6,12 @@ moved one at a time in best-gain order subject to a balance constraint, and
 the pass is rolled back to the best prefix seen.  Only boundary vertices
 enter the priority queue, so a pass costs O(boundary · degree · log n).
 
-The move loops run over plain Python lists rather than NumPy arrays: every
-quantity involved (gains, weights, cuts) is an integer, and single-element
-list access is an order of magnitude cheaper than NumPy scalar indexing.
-Heap contents, tie-break draws, and move order are unchanged, so the
+The move loops index the CSR arrays and the per-vertex state through
+``memoryview``s rather than NumPy scalars or per-level ``tolist()`` copies:
+every quantity involved (gains, weights, cuts) is an integer, single-element
+memoryview access is as cheap as list access, and nothing is converted per
+vertex, so a pass costs time in the boundary, not in the graph size.
+Tie-break draws, queue entries and move order are unchanged, so the
 refined bisection is identical to the array-based implementation — this is
 the repartition-dominated hot path of dynamic runs.
 """
@@ -37,15 +39,17 @@ def compute_cut(graph: CSRGraph, side: np.ndarray) -> int:
 
 def _internal_external(graph: CSRGraph, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex edge weight to the same side (internal) and other (external)."""
-    src_side = np.repeat(side, np.diff(graph.indptr))
-    same = side[graph.indices] == src_side
-    n = graph.num_vertices
-    internal = np.zeros(n, dtype=np.int64)
-    external = np.zeros(n, dtype=np.int64)
-    src = np.repeat(np.arange(n), np.diff(graph.indptr))
-    np.add.at(internal, src[same], graph.eweights[same])
-    np.add.at(external, src[~same], graph.eweights[~same])
-    return internal, external
+    degree = np.diff(graph.indptr)
+    crossing = side[graph.indices] != np.repeat(side, degree)
+    total = np.zeros(graph.num_vertices, dtype=np.int64)
+    external = np.zeros(graph.num_vertices, dtype=np.int64)
+    # reduceat sums up to the next listed start, so listing only the
+    # non-empty segments' starts gives exact per-vertex sums.
+    starts = graph.indptr[:-1][degree > 0]
+    if starts.size:
+        total[degree > 0] = np.add.reduceat(graph.eweights, starts)
+        external[degree > 0] = np.add.reduceat(graph.eweights * crossing, starts)
+    return total - external, external
 
 
 def fm_refine(
@@ -86,34 +90,38 @@ def fm_refine(
     max_vw = int(graph.vweights.max()) if n else 1
     slack = max(max_vw, int(np.ceil(imbalance_tol * total)))
 
-    internal_a, external_a = _internal_external(graph, side)
-    cut = compute_cut(graph, side)
-    w0, _ = compute_side_weights(graph, side)
+    side_a = np.array(side, dtype=np.int64)
+    internal_a, external_a = _internal_external(graph, side_a)
+    cut = int(external_a.sum()) // 2
+    w0, _ = compute_side_weights(graph, side_a)
 
-    # List-backed working state: all integers, identical arithmetic.
-    side_l = side.tolist()
-    internal = internal_a.tolist()
-    external = external_a.tolist()
-    vweights = graph.vweights.tolist()
-    indptr = graph.indptr.tolist()
-    indices = graph.indices.tolist()
-    eweights = graph.eweights.tolist()
-    stamp = [0] * n
+    # Memoryview-backed working state: all integers, identical arithmetic.
+    side_mv = memoryview(side_a)
+    internal = memoryview(internal_a)
+    external = memoryview(external_a)
+    vweights = memoryview(graph.vweights)
+    indptr = memoryview(graph.indptr)
+    indices = memoryview(graph.indices)
+    eweights = memoryview(graph.eweights)
+    stamp_a = np.zeros(n, dtype=np.int64)
+    stamp = memoryview(stamp_a)
+    heappush = heapq.heappush
 
     for _ in range(max_passes):
-        locked = [False] * n
-        heap: list = []
-        tiebreak = rng.permutation(n).tolist()
-
-        heappush = heapq.heappush
-
-        def push(v: int) -> None:
-            gain = external[v] - internal[v]
-            stamp[v] += 1
-            heappush(heap, (-gain, tiebreak[v], v, stamp[v]))
-
-        for v in np.flatnonzero(external_a > 0).tolist():
-            push(v)
+        locked = bytearray(n)
+        tiebreak_a = rng.permutation(n)
+        tiebreak = memoryview(tiebreak_a)
+        # Queue entries are (-gain, tiebreak, v, stamp): all distinct, so
+        # the pops come in one order however the heap was built.
+        boundary = np.flatnonzero(external_a > 0)
+        stamp_a[boundary] += 1
+        heap = list(zip(
+            (internal_a - external_a)[boundary].tolist(),
+            tiebreak_a[boundary].tolist(),
+            boundary.tolist(),
+            stamp_a[boundary].tolist(),
+        ))
+        heapq.heapify(heap)
 
         moves: list[int] = []
         best_prefix = 0
@@ -131,33 +139,34 @@ def fm_refine(
                 continue
             gain = -neg_gain
             vw = vweights[v]
-            new_w0 = w0_now - vw if side_l[v] == 0 else w0_now + vw
+            new_w0 = w0_now - vw if side_mv[v] == 0 else w0_now + vw
             # Balance gate: allow the move if it keeps side 0 within the
             # slack band, or strictly improves distance to the target.
             if abs(new_w0 - target0) > slack and abs(new_w0 - target0) >= abs(
                 w0_now - target0
             ):
-                locked[v] = True
+                locked[v] = 1
                 continue
 
             # Apply the move.
-            new_side = 1 - side_l[v]
-            side_l[v] = new_side
-            locked[v] = True
+            new_side = 1 - side_mv[v]
+            side_mv[v] = new_side
+            locked[v] = 1
             w0_now = new_w0
             cut_now -= gain
             internal[v], external[v] = external[v], internal[v]
             for e in range(indptr[v], indptr[v + 1]):
                 u = indices[e]
                 w = eweights[e]
-                if side_l[u] == new_side:
+                if side_mv[u] == new_side:
                     internal[u] += w
                     external[u] -= w
                 else:
                     internal[u] -= w
                     external[u] += w
                 if not locked[u]:
-                    push(u)
+                    stamp[u] += 1
+                    heappush(heap, (internal[u] - external[u], tiebreak[u], u, stamp[u]))
             moves.append(v)
 
             # Prefer better cuts; among equal cuts prefer better balance.
@@ -169,27 +178,25 @@ def fm_refine(
 
         # Roll back to the best prefix.
         for v in moves[best_prefix:]:
-            new_side = 1 - side_l[v]
-            side_l[v] = new_side
+            new_side = 1 - side_mv[v]
+            side_mv[v] = new_side
             internal[v], external[v] = external[v], internal[v]
             for e in range(indptr[v], indptr[v + 1]):
                 u = indices[e]
                 w = eweights[e]
-                if side_l[u] == new_side:
+                if side_mv[u] == new_side:
                     internal[u] += w
                     external[u] -= w
                 else:
                     internal[u] -= w
                     external[u] += w
-        side[:] = side_l
-        external_a = np.asarray(external, dtype=np.int64)
-        w0, _ = compute_side_weights(graph, side)
+        w0, _ = compute_side_weights(graph, side_a)
         improved = best_cut < cut
         cut = best_cut
         if not improved:
             break
 
-    side[:] = side_l
+    side[:] = side_a
     return cut
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.hydro.driver import run_krak
 from repro.machine.cluster import ClusterConfig
@@ -178,6 +177,8 @@ def calibrate_linear_system(
         Simulated measurement window; only the steady-state iterations
         ``[warmup, iterations)`` are sampled.
     """
+    from scipy.optimize import nnls  # only the linear-system fits need scipy
+
     _check_window(iterations, warmup)
     if not partitions:
         raise ValueError("need at least one partition")
@@ -230,6 +231,8 @@ def fit_phase_costs(counts: np.ndarray, times: np.ndarray) -> tuple:
     smeared into the material coefficients.  Returns ``(coeffs, overhead)``
     with shapes ``(phases, materials)`` and ``(phases,)``.
     """
+    from scipy.optimize import nnls  # only the linear-system fits need scipy
+
     counts = np.asarray(counts, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if counts.ndim != 2 or times.ndim != 2 or counts.shape[0] != times.shape[0]:

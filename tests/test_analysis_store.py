@@ -109,6 +109,23 @@ class TestResultStore:
         assert store.get("k") == value
         assert store.unreadable == 1
 
+    def test_unreadable_artifact_is_quarantined(self, tmp_cache):
+        store = prediction_store()
+        store.put("kept", {"measured": 0.5})
+        path = store.put("k", {"measured": 0.125})
+        damaged = b'{"measured": 0.1'
+        path.write_bytes(damaged)
+        assert store.get("k") is None
+        quarantined = path.with_name("k.json.unreadable")
+        assert quarantined.read_bytes() == damaged
+        assert not path.exists()
+        assert store.keys() == ["kept"] and len(store) == 1
+        # The next put stores a fresh artifact and leaves the evidence alone.
+        store.put("k", {"measured": 0.25})
+        assert store.get("k") == {"measured": 0.25}
+        assert quarantined.read_bytes() == damaged
+        assert store.keys() == ["k", "kept"] and store.unreadable == 1
+
     def test_invalid_namespace_rejected(self):
         with pytest.raises(ValueError, match="namespace"):
             ResultStore(namespace="../escape")

@@ -1,5 +1,10 @@
 """Tests for both calibration methods of Section 3.1."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -265,3 +270,45 @@ class TestFitNetwork:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             fit_network([1.0, 2.0], [1e-5])
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with this tree's ``src`` on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return proc.stdout.strip()
+
+
+class TestScipyStaysLazy:
+    def test_measure_path_imports_no_scipy(self):
+        out = _run_fresh(
+            """
+            import sys
+            import repro, repro.core, repro.analysis.store
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        assert out == "[]"
+
+    def test_linear_system_imports_nnls_on_demand(self):
+        out = _run_fresh(
+            """
+            import sys
+            import numpy as np
+            from repro.machine import es45_like_cluster
+            from repro.mesh import build_deck
+            from repro.partition import structured_block_partition
+            from repro.perfmodel import calibrate_linear_system
+            before = "scipy.optimize" in sys.modules
+            deck = build_deck((16, 8))
+            parts = [structured_block_partition(deck.mesh, k) for k in (2, 4)]
+            table = calibrate_linear_system(es45_like_cluster(jitter_frac=0.0), deck, parts)
+            ok = all(np.all(np.isfinite(c.per_cell)) for row in table.curves for c in row)
+            print(before, "scipy.optimize" in sys.modules, ok)
+            """
+        )
+        assert out == "False True True"
