@@ -4,7 +4,8 @@ Application* (Barker, Pakin, Kerbyson; ICPP 2006).
 The package rebuilds the paper's whole stack from scratch:
 
 * :mod:`repro.mesh` — spatial grids, the layered-cylinder input decks, and
-  partition-boundary censuses;
+  the cut-face and shared-node tallies of a partition (gathered into one
+  census by :mod:`repro.hydro.workload`);
 * :mod:`repro.partition` — a multilevel k-way partitioner (Metis stand-in)
   plus RCB/block baselines;
 * :mod:`repro.machine` — the simulated ES-45/QsNet-like cluster cost model;

@@ -11,7 +11,7 @@ process-parallel), and :mod:`repro.analysis.store` persists finished
 points so sweeps resume instead of recomputing.
 """
 
-from repro.analysis.errors import signed_relative_error, mean_absolute_percentage_error
+from repro.analysis.errors import mean_absolute_percentage_error
 from repro.analysis.report import TextTable, format_series
 from repro.analysis.runner import (
     ClusterSpec,
@@ -34,7 +34,6 @@ from repro.analysis.store import (
 from repro.core.request import DynamicSpec
 
 __all__ = [
-    "signed_relative_error",
     "mean_absolute_percentage_error",
     "TextTable",
     "format_series",

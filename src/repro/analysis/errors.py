@@ -5,17 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def signed_relative_error(measured: float, predicted: float) -> float:
-    """The paper's error convention: ``(measured − predicted) / measured``.
-
-    Positive errors mean the model under-predicts; Tables 5 and 6 use this
-    sign convention.
-    """
-    if measured <= 0:
-        raise ValueError("measured must be positive")
-    return (measured - predicted) / measured
-
-
 def mean_absolute_percentage_error(measured, predicted) -> float:
     """MAPE over paired measurement/prediction arrays, in percent."""
     measured = np.asarray(measured, dtype=np.float64)

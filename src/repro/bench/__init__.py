@@ -20,7 +20,6 @@ from repro.bench.registry import (
     SIZES,
     Benchmark,
     all_benchmarks,
-    benchmark_names,
     get_benchmark,
     groups,
     register,
@@ -39,7 +38,6 @@ __all__ = [
     "SIZES",
     "Benchmark",
     "all_benchmarks",
-    "benchmark_names",
     "get_benchmark",
     "groups",
     "register",

@@ -111,12 +111,6 @@ def all_benchmarks() -> dict[str, Benchmark]:
     return dict(_REGISTRY)
 
 
-def benchmark_names(group: str | None = None) -> list[str]:
-    """Registered names, optionally restricted to one group."""
-    _ensure_loaded()
-    return [n for n, b in _REGISTRY.items() if group is None or b.group == group]
-
-
 def get_benchmark(name: str) -> Benchmark:
     """Look up one benchmark by name."""
     _ensure_loaded()

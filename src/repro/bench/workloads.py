@@ -435,20 +435,16 @@ register(Benchmark(
 
 def _setup_boundary_census(size):
     ranks = 8 if size == "smoke" else 16
-    deck = _deck("small")
     return {
-        "deck": deck, "faces": _faces("small"),
-        "part": _partition("small", ranks), "ranks": ranks,
+        "deck": _deck("small"), "faces": _faces("small"),
+        "part": _partition("small", ranks),
     }
 
 
 def _run_boundary_census(ctx):
-    from repro.mesh import boundary_census
+    from repro.hydro import build_workload_census
 
-    return boundary_census(
-        ctx["deck"].mesh, ctx["faces"], ctx["deck"].cell_material,
-        ctx["part"].cell_rank, ctx["ranks"],
-    )
+    return build_workload_census(ctx["deck"], ctx["part"], ctx["faces"])
 
 
 register(Benchmark(
@@ -458,7 +454,9 @@ register(Benchmark(
     source="benchmarks/bench_figure1_partition.py",
     setup=_setup_boundary_census,
     run=_run_boundary_census,
-    invariants=lambda ctx, census: {"num_pairs": len(census.pairs)},
+    invariants=lambda ctx, census: {
+        "num_pairs": int((census.be_src < census.be_dst).sum())
+    },
     threshold=0.6,
 ))
 

@@ -47,10 +47,19 @@ def _network_table(calibration) -> TextTable:
     return table
 
 
+def _fitted(doc, warmup):
+    """``fit_calibration(doc)``, with a trace it cannot fit reported as
+    ``error: …``."""
+    try:
+        return fit_calibration(doc, warmup=warmup)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def cmd_fit(args) -> int:
     """Fit model parameters to a trace document and store the artifact."""
     doc = load_trace(args.trace)
-    calibration = fit_calibration(doc, warmup=args.warmup)
+    calibration = _fitted(doc, args.warmup)
     key = calibration.store_key()
 
     curve = calibration.table.curves[0][0]
@@ -86,7 +95,7 @@ def cmd_report(args) -> int:
 
         calibration = fitted_calibration(args.calibration, calibration_store())
     else:
-        calibration = fit_calibration(doc, warmup=args.warmup)
+        calibration = _fitted(doc, args.warmup)
     reports = replay_calibration(doc, calibration, warmup=args.warmup)
 
     table = TextTable(

@@ -31,7 +31,6 @@ from repro.core.cache import LRUResultCache
 from repro.core.parsing import (
     WEAK_PREFIX,
     as_deck_size,
-    csv_floats,
     csv_ints,
     csv_strings,
     deck_label,
@@ -69,7 +68,6 @@ __all__ = [
     "assemble",
     "calibration_key",
     "calibration_table",
-    "csv_floats",
     "csv_ints",
     "csv_strings",
     "deck_label",

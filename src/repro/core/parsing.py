@@ -18,7 +18,6 @@ from repro.mesh.deck import DECK_SIZES, InputDeck, build_deck
 __all__ = [
     "csv_strings",
     "csv_ints",
-    "csv_floats",
     "as_deck_size",
     "parse_deck",
     "deck_label",
@@ -38,11 +37,6 @@ def csv_strings(text: str) -> tuple:
 def csv_ints(text: str) -> tuple:
     """``"1,2, 4"`` → ``(1, 2, 4)``."""
     return tuple(int(s) for s in csv_strings(text))
-
-
-def csv_floats(text: str) -> tuple:
-    """``"0.5,1"`` → ``(0.5, 1.0)``."""
-    return tuple(float(s) for s in csv_strings(text))
 
 
 def is_weak_deck(spec: str) -> bool:

@@ -48,11 +48,6 @@ class NeighborLink:
     shared_local_idx: np.ndarray
     owner_of_shared: np.ndarray
 
-    @property
-    def num_shared(self) -> int:
-        """Number of shared nodes on this link."""
-        return int(self.shared_local_idx.shape[0])
-
 
 @dataclass
 class RankState:

@@ -56,10 +56,6 @@ class ClusterConfig:
         """Copy of this cluster with a different interconnect."""
         return replace(self, network=network, name=f"{self.name}+{network.name}")
 
-    def with_node(self, node: NodeModel) -> "ClusterConfig":
-        """Copy of this cluster with different compute costs."""
-        return replace(self, node=node)
-
     def with_smp(
         self,
         ranks_per_node: int = 4,

@@ -204,7 +204,8 @@ class HierarchicalNetwork:
         """Fraction of communicating rank pairs that are on-node.
 
         ``pairs`` is an iterable of ``(rank_a, rank_b)`` tuples (e.g. the
-        keys of a :class:`~repro.mesh.ghost.BoundaryCensus`); an installed
+        ``(be_src, be_dst)`` boundary links of a
+        :class:`~repro.hydro.workload.WorkloadCensus`); an installed
         placement decides which ranks share a node.
         """
         pairs = list(pairs)

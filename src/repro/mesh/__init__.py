@@ -1,10 +1,10 @@
 """Spatial-grid substrate: structured quad meshes, Krak input decks,
-connectivity, cylindrical geometry, and partition-boundary censuses.
+connectivity, geometry, and partition-boundary tallies.
 
 The paper's input is a rectangular 2-D grid of quadrilateral *cells*, each
 bounded by four *faces* joining *nodes*, with exactly one material per cell
 (Section 2).  The grid is conceptually rotated about a vertical axis to form
-a cylinder; :mod:`repro.mesh.geometry` supplies the rotation volumes.
+a cylinder.
 """
 
 from repro.mesh.grid import QuadMesh, structured_quad_mesh
@@ -12,13 +12,10 @@ from repro.mesh.connectivity import (
     FaceTable,
     build_face_table,
     build_dual_graph,
-    node_cell_incidence,
 )
 from repro.mesh.geometry import (
     cell_areas,
     cell_centroids,
-    cylindrical_volumes,
-    mesh_extents,
 )
 from repro.mesh.deck import (
     MATERIALS,
@@ -34,9 +31,6 @@ from repro.mesh.deck import (
     material_fractions,
 )
 from repro.mesh.ghost import (
-    BoundaryCensus,
-    PairBoundary,
-    boundary_census,
     node_owners,
 )
 
@@ -46,11 +40,8 @@ __all__ = [
     "FaceTable",
     "build_face_table",
     "build_dual_graph",
-    "node_cell_incidence",
     "cell_areas",
     "cell_centroids",
-    "cylindrical_volumes",
-    "mesh_extents",
     "MATERIALS",
     "MATERIAL_NAMES",
     "NUM_MATERIALS",
@@ -62,8 +53,5 @@ __all__ = [
     "InputDeck",
     "build_deck",
     "material_fractions",
-    "BoundaryCensus",
-    "PairBoundary",
-    "boundary_census",
     "node_owners",
 ]

@@ -49,10 +49,6 @@ class FaceTable:
         """Boolean mask of faces shared by two cells."""
         return self.face_cells[:, 1] >= 0
 
-    def boundary_mask(self) -> np.ndarray:
-        """Boolean mask of exterior-boundary faces."""
-        return self.face_cells[:, 1] < 0
-
 
 def build_face_table(mesh: QuadMesh) -> FaceTable:
     """Extract the unique faces of ``mesh`` with cell incidence.
@@ -124,18 +120,3 @@ def build_dual_graph(faces: FaceTable, num_cells: int) -> tuple[np.ndarray, np.n
     np.cumsum(indptr, out=indptr)
     return indptr, dst.astype(np.int64)
 
-
-def node_cell_incidence(mesh: QuadMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Build the node→cell incidence in CSR form.
-
-    Returns ``(indptr, cells)`` where ``cells[indptr[n]:indptr[n+1]]`` lists
-    the cells touching node ``n``.
-    """
-    nodes = mesh.cell_nodes.ravel()
-    cells = np.repeat(np.arange(mesh.num_cells), 4)
-    order = np.argsort(nodes, kind="stable")
-    nodes, cells = nodes[order], cells[order]
-    indptr = np.zeros(mesh.num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, nodes + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cells.astype(np.int64)

@@ -1,11 +1,4 @@
-"""Geometric quantities for quad meshes, including the paper's cylindrical
-rotation.
-
-Section 2.1: "The rectangular, 2-D spatial grid is rotated about a vertical
-axis so that the domain becomes a cylinder" — cell *volumes* in the rotated
-interpretation follow Pappus's centroid theorem (area × 2π × centroid
-radius), which is what the hydro substrate uses for masses.
-"""
+"""Geometric quantities for quad meshes: cell areas and centroids."""
 
 from __future__ import annotations
 
@@ -47,27 +40,3 @@ def cell_centroids(mesh: QuadMesh) -> np.ndarray:
         out[:, 1] = np.where(ok, cy / (6.0 * area), y.mean(axis=1))
     return out
 
-
-def cylindrical_volumes(mesh: QuadMesh) -> np.ndarray:
-    """Cell volumes after rotating the planar mesh about the ``x = 0`` axis.
-
-    By Pappus's theorem the solid of revolution swept by a planar region of
-    area ``A`` whose centroid sits at radius ``r`` has volume ``2·π·r·A``.
-    Cells touching the axis have small but positive volume as long as their
-    centroid radius is positive.
-    """
-    areas = np.abs(cell_areas(mesh))
-    radii = cell_centroids(mesh)[:, 0]
-    if np.any(radii < -1e-12):
-        raise ValueError("mesh crosses the rotation axis (negative centroid radius)")
-    return 2.0 * np.pi * np.clip(radii, 0.0, None) * areas
-
-
-def mesh_extents(mesh: QuadMesh) -> tuple[float, float, float, float]:
-    """Return the bounding box ``(xmin, xmax, ymin, ymax)``."""
-    return (
-        float(mesh.node_x.min()),
-        float(mesh.node_x.max()),
-        float(mesh.node_y.min()),
-        float(mesh.node_y.max()),
-    )

@@ -70,10 +70,6 @@ class QuadMesh:
         """Whether this mesh retains its logically-rectangular metadata."""
         return self.nx > 0 and self.ny > 0
 
-    def node_coords(self) -> np.ndarray:
-        """Return node coordinates stacked as shape ``(num_nodes, 2)``."""
-        return np.column_stack([self.node_x, self.node_y])
-
     def cell_ij(self) -> tuple[np.ndarray, np.ndarray]:
         """Return structured ``(i, j)`` indices per cell (structured meshes only)."""
         if not self.is_structured:

@@ -34,7 +34,7 @@ from repro.util.artifacts import MODEL_VERSION, cache_root
 
 #: Partition files :func:`cached_partition` found but could not use
 #: (unreadable, or not fitting the deck) in this process; each was a miss,
-#: recomputed and replaced.  Read it with :func:`unreadable_count`.  The
+#: quarantined and recomputed.  Read it with :func:`unreadable_count`.  The
 #: prediction service partitions on executor threads, hence the lock.
 _unreadable = 0
 _unreadable_lock = threading.Lock()
@@ -92,7 +92,7 @@ def _load_cached(path: Path, deck: InputDeck, num_ranks: int) -> Partition | Non
     """The partition stored at ``path``, or ``None`` when the file is
     unreadable (truncated, not an ``.npz``, missing arrays) or its
     ``cell_rank`` does not fit ``deck`` and ``num_ranks``.  The caller then
-    recomputes and replaces the file."""
+    quarantines the file and recomputes."""
     try:
         with np.load(path) as data:
             cell_rank = data["cell_rank"]
@@ -125,7 +125,9 @@ def cached_partition(
     use_cache:
         Disable to force recomputation (the cache file is then refreshed).
         An unreadable or mismatched cache file is a miss, counted in
-        :func:`unreadable_count`, and is refreshed the same way.
+        :func:`unreadable_count` and renamed to ``<name>.npz.unreadable``
+        before the recomputed partition is written, so the evidence
+        survives.
     """
     global _unreadable
     path = cache_dir() / f"{_cache_key(deck, num_ranks, method, seed)}.npz"
@@ -135,6 +137,10 @@ def cached_partition(
             return cached
         with _unreadable_lock:
             _unreadable += 1
+        try:
+            os.replace(path, path.with_name(f"{path.name}.unreadable"))
+        except OSError:
+            pass  # a concurrent caller quarantined it first
 
     part = make_partition(deck.mesh, num_ranks, method=method, seed=seed, faces=faces)
 

@@ -116,8 +116,8 @@ def parse_policy(spec: str) -> RepartitionPolicy:
 
 # In-process memo for weighted_repartition, content-addressed like the disk
 # cache in repro.partition.cache: the multilevel pipeline is a deterministic
-# pure function of (dual graph, weights, num_ranks, seed, imbalance_tol), and
-# the dual graph is itself determined by the mesh connectivity + face table.
+# pure function of (dual graph, weights, num_ranks, seed), and the dual
+# graph is itself determined by the mesh connectivity + face table.
 # Dynamic studies recompute identical repartitions constantly — the oracle
 # differential replays the production run's exact calls, bench repeats re-run
 # the same trajectory, and cadence sweeps share prefixes — so memoized hits
@@ -137,14 +137,13 @@ def _repartition_key(
     num_ranks: int,
     faces: FaceTable | None,
     seed: int,
-    imbalance_tol: float,
 ) -> tuple:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(mesh.cell_nodes).tobytes())
     if faces is not None:
         h.update(np.ascontiguousarray(faces.face_cells).tobytes())
     h.update(np.ascontiguousarray(cell_weights).tobytes())
-    return (h.hexdigest(), int(num_ranks), int(seed), float(imbalance_tol))
+    return (h.hexdigest(), int(num_ranks), int(seed))
 
 
 def weighted_repartition(
@@ -153,8 +152,6 @@ def weighted_repartition(
     num_ranks: int,
     faces: FaceTable | None = None,
     seed: int = 0,
-    imbalance_tol: float = 0.03,
-    use_memo: bool = True,
 ) -> Partition:
     """Partition ``mesh`` balancing ``cell_weights`` instead of cell counts.
 
@@ -164,7 +161,7 @@ def weighted_repartition(
     repartition in response to an evolving workload needs.
 
     Results are memoized in-process by content (mesh connectivity, weights,
-    rank count, seed, tolerance); pass ``use_memo=False`` to force a
+    rank count, seed); :func:`clear_repartition_memo` forces a
     recomputation.
     """
     cell_weights = as_int_array(cell_weights, "cell_weights")
@@ -172,17 +169,14 @@ def weighted_repartition(
         raise ValueError("cell_weights must have one entry per cell")
     if np.any(cell_weights < 1):
         raise ValueError("cell_weights must be positive")
-    if use_memo:
-        key = _repartition_key(
-            mesh, cell_weights, num_ranks, faces, seed, imbalance_tol
+    key = _repartition_key(mesh, cell_weights, num_ranks, faces, seed)
+    cached = _REPARTITION_MEMO.get(key)
+    if cached is not None:
+        return Partition(
+            num_ranks=num_ranks,
+            cell_rank=cached.copy(),
+            method="multilevel-weighted",
         )
-        cached = _REPARTITION_MEMO.get(key)
-        if cached is not None:
-            return Partition(
-                num_ranks=num_ranks,
-                cell_rank=cached.copy(),
-                method="multilevel-weighted",
-            )
     if faces is None:
         faces = build_face_table(mesh)
     graph = dual_graph_of_mesh(mesh, faces)
@@ -192,11 +186,8 @@ def weighted_repartition(
         eweights=graph.eweights,
         vweights=cell_weights,
     )
-    labels = multilevel_partition_graph(
-        graph, num_ranks, seed=seed, imbalance_tol=imbalance_tol
-    )
-    if use_memo:
-        _REPARTITION_MEMO.put(key, labels.copy())
+    labels = multilevel_partition_graph(graph, num_ranks, seed=seed)
+    _REPARTITION_MEMO.put(key, labels.copy())
     return Partition(
         num_ranks=num_ranks, cell_rank=labels, method="multilevel-weighted"
     )

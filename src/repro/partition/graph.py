@@ -51,11 +51,6 @@ class CSRGraph:
         return int(self.indptr.shape[0] - 1)
 
     @property
-    def num_edges(self) -> int:
-        """Number of undirected edges (half the stored arc count)."""
-        return int(self.indices.shape[0] // 2)
-
-    @property
     def total_vweight(self) -> int:
         """Sum of vertex weights."""
         return int(self.vweights.sum())
@@ -67,11 +62,6 @@ class CSRGraph:
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour ids of vertex ``v``."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def edge_weights_of(self, v: int) -> np.ndarray:
-        """Edge weights aligned with :meth:`neighbors`."""
-        return self.eweights[self.indptr[v] : self.indptr[v + 1]]
-
 
 def graph_from_edges(
     num_vertices: int,

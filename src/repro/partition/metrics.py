@@ -57,14 +57,6 @@ class PartitionQuality:
     min_neighbors: int
     max_neighbors: int
 
-    def as_row(self) -> str:
-        """Render as a fixed-width report row."""
-        return (
-            f"{self.method:>18s} {self.num_ranks:>5d} {self.edge_cut:>9d} "
-            f"{self.imbalance:>9.4f} {self.mean_neighbors:>8.2f} "
-            f"{self.min_neighbors:>4d} {self.max_neighbors:>4d}"
-        )
-
 
 def partition_quality(graph: CSRGraph, partition: Partition) -> PartitionQuality:
     """Compute :class:`PartitionQuality` for ``partition`` over ``graph``."""

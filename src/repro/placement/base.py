@@ -124,14 +124,6 @@ class Placement:
             next_slot[node] += 1
         return out
 
-    def relabelled(self, name: str) -> "Placement":
-        """Copy of this placement under a different strategy label."""
-        return Placement(
-            node_of_rank=self.node_of_rank, ranks_per_node=self.ranks_per_node,
-            name=name,
-        )
-
-
 def compact_labels(node_of_rank: np.ndarray) -> np.ndarray:
     """Relabel node ids compactly, preserving first-occurrence order.
 

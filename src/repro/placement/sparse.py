@@ -132,10 +132,6 @@ class SparseCommGraph:
         lo, hi = int(self.indptr[rank]), int(self.indptr[rank + 1])
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degrees(self) -> np.ndarray:
-        """Neighbour count per rank."""
-        return np.diff(self.indptr)
-
     def row_of_entry(self) -> np.ndarray:
         """Row id of every stored entry (``np.repeat`` expansion)."""
         return np.repeat(

@@ -292,7 +292,12 @@ class PredictionServer:
             except (TraceFormatError, ValueError, TypeError, KeyError) as exc:
                 return 400, {"error": f"invalid trace: {exc}"}
             loop = asyncio.get_running_loop()
-            calibration = await loop.run_in_executor(None, fit_calibration, doc)
+            try:
+                calibration = await loop.run_in_executor(
+                    None, fit_calibration, doc
+                )
+            except ValueError as exc:
+                return 400, {"error": f"invalid trace: {exc}"}
             key = calibration.store_key()
             if self.calibration_store is not None:
                 self.calibration_store.put(key, calibration.to_payload())

@@ -109,14 +109,6 @@ class PhaseTrace:
 
     # ---- summaries ---------------------------------------------------------
 
-    def phase_compute_max(self) -> np.ndarray:
-        """Max-over-ranks compute seconds per phase (Equation 2's max)."""
-        return self.compute.max(axis=0)
-
-    def phase_comm_max(self) -> np.ndarray:
-        """Max-over-ranks communication seconds per phase."""
-        return self.comm.max(axis=0)
-
     def _window(self, snapshots: dict, first: int, last: int) -> np.ndarray:
         """Per-(rank, phase) seconds accumulated in iterations ``[first, last)``."""
         if first not in snapshots or last not in snapshots:
@@ -141,11 +133,11 @@ class PhaseTrace:
         return self._window(self._comm_at_mark, first, last)
 
     def window_compute_max(self, first: int, last: int) -> np.ndarray:
-        """Max-over-ranks compute seconds per phase over ``[first, last)``.
+        """Max-over-ranks compute seconds per phase over ``[first, last)``
+        (Equation 2's max).
 
-        The window form of :meth:`phase_compute_max`: only time charged
-        between the two iteration marks counts, so warm-up iterations can be
-        excluded from measured breakdowns.
+        Only time charged between the two iteration marks counts, so
+        warm-up iterations can be excluded from measured breakdowns.
         """
         return self._window(self._compute_at_mark, first, last).max(axis=0)
 

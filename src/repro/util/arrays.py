@@ -53,10 +53,3 @@ def bincount_fixed(labels: np.ndarray, num_bins: int, weights=None) -> np.ndarra
             )
     return np.bincount(labels, weights=weights, minlength=num_bins)[:num_bins]
 
-
-def group_sums(group_ids: np.ndarray, values: np.ndarray, num_groups: int) -> np.ndarray:
-    """Sum ``values`` by ``group_ids`` into an array of length ``num_groups``."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != np.shape(group_ids):
-        raise ValueError("group_ids and values must have identical shapes")
-    return bincount_fixed(group_ids, num_groups, weights=values)

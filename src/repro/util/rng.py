@@ -25,16 +25,3 @@ def seeded_rng(seed: int | None = None) -> np.random.Generator:
     """
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
-
-def spawn_rng(parent: np.random.Generator, key: int) -> np.random.Generator:
-    """Derive an independent child generator from ``parent`` and ``key``.
-
-    Used to give each simulated rank / each calibration run its own stream
-    so that changing the number of ranks does not perturb unrelated draws.
-    """
-    if key < 0:
-        raise ValueError(f"stream key must be non-negative, got {key}")
-    base = int(parent.integers(0, 2**63 - 1))
-    # Re-seed the parent draw back in so repeated spawns with different keys
-    # from the same parent state stay independent of call order.
-    return np.random.default_rng((base ^ (key * 0x9E3779B97F4A7C15)) % (2**63))

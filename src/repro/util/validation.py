@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def check_positive(value: float, name: str) -> float:
     """Require ``value > 0``; return it for chaining."""
@@ -18,16 +16,3 @@ def check_nonnegative(value: float, name: str) -> float:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
-
-def check_probability(value: float, name: str) -> float:
-    """Require ``0 <= value <= 1``; return it for chaining."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
-def check_in_range(value: float, lo: float, hi: float, name: str) -> float:
-    """Require ``lo <= value <= hi``; return it for chaining."""
-    if math.isnan(value) or not (lo <= value <= hi):
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
-    return value

@@ -56,7 +56,6 @@ from repro.verify.oracle import (
 from repro.verify.scenarios import (
     Scenario,
     build_scenario,
-    generate_scenarios,
     load_scenario,
     random_scenario,
     save_scenario,
@@ -77,7 +76,6 @@ __all__ = [
     "check_properties",
     "diff_scenario",
     "fuzz",
-    "generate_scenarios",
     "load_scenario",
     "oracle_allreduce_time",
     "oracle_bcast_time",

@@ -487,13 +487,6 @@ def random_scenario(seed: int) -> Scenario:
     return Scenario(**fields)
 
 
-def generate_scenarios(count: int, base_seed: int = 0) -> list[Scenario]:
-    """``count`` scenarios at seeds ``base_seed .. base_seed + count - 1``."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [random_scenario(base_seed + i) for i in range(count)]
-
-
 # -------------------------------------------------------------- serialization
 
 

@@ -89,10 +89,12 @@ def deck_partition(name: str, num_ranks: int) -> str:
 def weighted(num_ranks: int) -> str:
     from repro.mesh import build_deck
     from repro.partition import weighted_repartition
+    from repro.partition.dynamic import clear_repartition_memo
 
     deck = build_deck("small")
     work = np.random.default_rng(7).integers(1, 40, size=deck.mesh.num_cells)
-    part = weighted_repartition(deck.mesh, work, num_ranks, seed=3, use_memo=False)
+    clear_repartition_memo()
+    part = weighted_repartition(deck.mesh, work, num_ranks, seed=3)
     return digest(part.cell_rank)
 
 

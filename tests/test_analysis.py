@@ -7,20 +7,7 @@ from repro.analysis import (
     TextTable,
     format_series,
     mean_absolute_percentage_error,
-    signed_relative_error,
 )
-
-
-class TestSignedRelativeError:
-    def test_underprediction_positive(self):
-        assert signed_relative_error(100.0, 80.0) == pytest.approx(0.2)
-
-    def test_overprediction_negative(self):
-        assert signed_relative_error(100.0, 120.0) == pytest.approx(-0.2)
-
-    def test_rejects_nonpositive_measured(self):
-        with pytest.raises(ValueError):
-            signed_relative_error(0.0, 1.0)
 
 
 class TestMape:

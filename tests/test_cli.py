@@ -157,6 +157,28 @@ class TestSweepSubcommands:
         assert "completed      1" in capsys.readouterr().out
 
 
+class TestCalibrateErrors:
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_unfittable_trace_is_an_error_line(self, tmp_path, capsys, command):
+        """A trace with no ping-pong ladder exits with ``error: …``, not a
+        traceback."""
+        import json
+
+        assert main([
+            "calibrate", "synth", "--deck", "16x8", "--ranks", "2",
+            "--jitter", "0", "--out", str(tmp_path / "trace.json"),
+        ]) == 0
+        path = tmp_path / "trace.json"
+        payload = json.loads(path.read_text())
+        payload["pingpong"] = []
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["calibrate", command, str(path)])
+        assert str(exit_info.value.code).startswith("error: ")
+        assert capsys.readouterr().out == ""
+
+
 class TestSweepGridErrors:
     """An invalid grid is refused by its requests' own checks, as
     ``error: …``, before any point runs."""

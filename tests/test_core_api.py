@@ -25,7 +25,6 @@ from repro.core import (
     PredictionResult,
     assemble,
     as_deck_size,
-    csv_floats,
     csv_ints,
     csv_strings,
     is_weak_deck,
@@ -42,7 +41,6 @@ from repro.core import (
 def test_csv_helpers():
     assert csv_strings(" a, b ,,c ") == ("a", "b", "c")
     assert csv_ints("1, 2,4") == (1, 2, 4)
-    assert csv_floats("0.5,2") == (0.5, 2.0)
 
 
 def test_weak_deck_spec():

@@ -1,5 +1,7 @@
 """Unit tests for the run driver and measurement wrapper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ class TestMeasureIterationTime:
             jitter_frac=warm.node.jitter_frac,
             seed=warm.node.seed,
         )
-        cold = warm.with_node(cold_node)
+        cold = dataclasses.replace(warm, node=cold_node)
 
         m_warm = measure_iteration_time(deck, part, cluster=warm, faces=faces)
         m_cold = measure_iteration_time(deck, part, cluster=cold, faces=faces)

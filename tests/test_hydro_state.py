@@ -72,7 +72,7 @@ class TestNeighborLinks:
                 peer = states[lk.nbr_rank]
                 back = [l for l in peer.links if l.nbr_rank == st.rank]
                 assert len(back) == 1
-                assert back[0].num_shared == lk.num_shared
+                assert back[0].shared_local_idx.size == lk.shared_local_idx.size
 
     def test_shared_nodes_agree_globally(self, four_states):
         _, _, states = four_states
@@ -97,7 +97,7 @@ class TestNeighborLinks:
         _, _, states = four_states
         diag = [lk for lk in states[0].links if lk.nbr_rank == 3]
         assert len(diag) == 1
-        assert diag[0].num_shared == 1
+        assert diag[0].shared_local_idx.size == 1
 
     def test_ownership_is_min_rank(self, four_states):
         _, _, states = four_states

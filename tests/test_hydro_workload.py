@@ -5,8 +5,8 @@ import pytest
 
 from repro.hydro import build_workload_census
 from repro.hydro.workload import EXCHANGE_GROUP, NUM_EXCHANGE_GROUPS
-from repro.mesh import boundary_census, build_deck, build_face_table
-from repro.mesh.deck import ALUMINUM_INNER, ALUMINUM_OUTER, NUM_MATERIALS
+from repro.mesh import build_deck, build_face_table
+from repro.mesh.deck import ALUMINUM_INNER, ALUMINUM_OUTER, FOAM, NUM_MATERIALS
 from repro.partition import structured_block_partition
 
 
@@ -56,33 +56,15 @@ class TestBoundaryLinks:
         assert np.array_equal(back, census.be_reverse)
 
     def test_group_faces_sum_to_total(self, census_setup):
-        """Each side's group faces sum to the pair's shared faces."""
+        """Each side's group faces sum to the faces its pair shares."""
         deck, part, census = census_setup
         faces = build_face_table(deck.mesh)
-        pairs = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, part.num_ranks
-        ).pairs
+        interior = faces.interior_mask()
+        r0 = part.cell_rank[faces.face_cells[interior, 0]]
+        r1 = part.cell_rank[faces.face_cells[interior, 1]]
         for k, (a, b) in enumerate(zip(census.be_src, census.be_dst)):
-            pb = pairs[(min(a, b), max(a, b))]
-            assert census.be_faces[k].sum() == pb.num_faces
-
-    def test_matches_boundary_census_view(self, census_setup):
-        """Link by link, the census and the per-pair view count the same
-        group faces and multi-material nodes on each side."""
-        deck, part, census = census_setup
-        faces = build_face_table(deck.mesh)
-        pairs = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, part.num_ranks
-        ).pairs
-        assert census.num_boundary_links == 2 * len(pairs)
-        for k, (a, b) in enumerate(zip(census.be_src, census.be_dst)):
-            pb = pairs[(min(a, b), max(a, b))]
-            side = pb.side_index(a)
-            by_group = np.zeros(NUM_EXCHANGE_GROUPS)
-            for mat, group in EXCHANGE_GROUP.items():
-                by_group[group] += pb.faces_by_material[side][mat]
-            assert np.array_equal(census.be_faces[k], by_group)
-            assert census.be_multi[k].sum() == pb.multi_material_nodes[side]
+            shared = np.count_nonzero((r0 == a) & (r1 == b) | (r0 == b) & (r1 == a))
+            assert census.be_faces[k].sum() == shared
 
     def test_neighbors_sorted(self, census_setup):
         _, _, census = census_setup
@@ -91,6 +73,81 @@ class TestBoundaryLinks:
             nbrs = census.be_dst[rows].tolist()
             assert nbrs == sorted(set(nbrs))
             assert rank not in nbrs
+
+
+def census_of(shape, num_ranks, px, py):
+    """The census of a structured ``px × py`` tiling of deck ``shape``."""
+    deck = build_deck(shape)
+    part = structured_block_partition(deck.mesh, num_ranks, px=px, py=py)
+    return build_workload_census(deck, part, build_face_table(deck.mesh))
+
+
+class TestStraightCut:
+    """An 8×4 deck split left/right: one straight vertical cut."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        return census_of((8, 4), 2, 2, 1)
+
+    def test_single_pair(self, census):
+        assert census.be_src.tolist() == [0, 1]
+        assert census.be_dst.tolist() == [1, 0]
+        assert census.gn_src.tolist() == [0, 1]
+        assert census.gn_dst.tolist() == [1, 0]
+
+    def test_vertical_boundary_face_count(self, census):
+        """The cut shares ny=4 faces, seen once from each side."""
+        assert census.be_faces.sum(axis=1).tolist() == [4, 4]
+
+    def test_faces_by_material_sums_to_total(self, census):
+        """Rank 0's side is all inner aluminum and rank 1's all foam."""
+        assert census.be_faces[0, EXCHANGE_GROUP[ALUMINUM_INNER]] == 4
+        assert census.be_faces[1, EXCHANGE_GROUP[FOAM]] == 4
+
+    def test_ghost_nodes_one_more_than_faces(self, census):
+        """The general model's assumption holds exactly for straight cuts."""
+        assert (census.gn_local + census.gn_remote).tolist() == [5, 5]
+
+    def test_local_plus_remote_is_total(self, census):
+        """Rank 0, the lower rank, owns all 5 shared nodes."""
+        assert census.gn_local.tolist() == [5, 0]
+        assert census.gn_remote.tolist() == [0, 5]
+
+
+class TestMultiMaterialNodes:
+    def test_material_interface_on_boundary(self):
+        """A horizontal cut of ``small`` crosses all material layers."""
+        census = census_of("small", 2, 1, 2)
+        # The cut crosses 3 internal material interfaces (HE|Al, Al|foam,
+        # foam|Al), each contributing one multi-material node per side.
+        assert census.be_multi.sum(axis=1).tolist() == [3, 3]
+
+    def test_homogeneous_boundary_has_none(self):
+        """Each side of the 8×4 vertical cut carries one material."""
+        census = census_of((8, 4), 2, 2, 1)
+        assert np.count_nonzero(census.be_faces, axis=1).tolist() == [1, 1]
+        assert not census.be_multi.any()
+
+
+class TestFourRankCensus:
+    """An 8×8 deck tiled 2×2."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        return census_of((8, 8), 4, 2, 2)
+
+    def test_2x2_tiling_neighbors(self, census):
+        # Face-sharing pairs: (0,1),(2,3) horizontal; (0,2),(1,3) vertical.
+        pairs = {
+            (a, b) for a, b in zip(census.be_src.tolist(), census.be_dst.tolist())
+            if a < b
+        }
+        assert pairs == {(0, 1), (2, 3), (0, 2), (1, 3)}
+        assert [len(rows) for rows in census.boundary_links] == [2, 2, 2, 2]
+
+    def test_total_boundary_faces(self, census):
+        rows = census.boundary_links[0]
+        assert census.be_faces[rows].sum() == 8  # 4 right + 4 top
 
 
 class TestGhostLinks:

@@ -1,5 +1,7 @@
 """Unit tests for the cluster configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.machine import ClusterConfig, es45_like_cluster
@@ -26,7 +28,7 @@ class TestEs45LikeCluster:
         cl = es45_like_cluster()
         from repro.machine import krak_node_model
 
-        cl2 = cl.with_node(krak_node_model(speed=2.0))
+        cl2 = dataclasses.replace(cl, node=krak_node_model(speed=2.0))
         assert cl2.node.cell_cost[0, 0] < cl.node.cell_cost[0, 0]
         assert cl2.network is cl.network
 

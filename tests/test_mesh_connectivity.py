@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import build_face_table, build_dual_graph, node_cell_incidence, structured_quad_mesh
+from repro.mesh import build_face_table, build_dual_graph, structured_quad_mesh
 
 
 class TestFaceTable:
@@ -19,7 +19,7 @@ class TestFaceTable:
         mesh = structured_quad_mesh(nx, ny)
         faces = build_face_table(mesh)
         boundary = 2 * nx + 2 * ny
-        assert int(faces.boundary_mask().sum()) == boundary
+        assert int((faces.face_cells[:, 1] < 0).sum()) == boundary
         assert int(faces.interior_mask().sum()) == faces.num_faces - boundary
 
     def test_each_cell_has_four_distinct_faces(self):
@@ -75,18 +75,3 @@ class TestDualGraph:
         # Centre cell of a 5x5 grid has 4 neighbours; corners have 2.
         assert degrees[12] == 4
         assert degrees[0] == 2
-
-
-class TestNodeCellIncidence:
-    def test_total_incidence(self):
-        mesh = structured_quad_mesh(4, 4)
-        indptr, cells = node_cell_incidence(mesh)
-        assert cells.shape[0] == 4 * mesh.num_cells
-        assert indptr[-1] == cells.shape[0]
-
-    def test_interior_node_touches_four_cells(self):
-        mesh = structured_quad_mesh(3, 3)
-        indptr, cells = node_cell_incidence(mesh)
-        # Node (1,1) has id 1*(3+1)+1 = 5 and touches cells 0,1,3,4.
-        touching = sorted(cells[indptr[5] : indptr[6]].tolist())
-        assert touching == [0, 1, 3, 4]

@@ -7,8 +7,6 @@ from repro.mesh import (
     QuadMesh,
     cell_areas,
     cell_centroids,
-    cylindrical_volumes,
-    mesh_extents,
     structured_quad_mesh,
 )
 
@@ -40,34 +38,3 @@ class TestCentroids:
         mesh = structured_quad_mesh(2, 2, width=2.0, height=2.0)
         c = cell_centroids(mesh)
         assert np.allclose(sorted(c[:, 0].tolist()), [0.5, 0.5, 1.5, 1.5])
-
-
-class TestCylindricalVolumes:
-    def test_pappus_single_cell(self):
-        # Unit square with centroid at radius 0.5: V = 2*pi*0.5*1.
-        mesh = QuadMesh(
-            node_x=[0, 1, 1, 0], node_y=[0, 0, 1, 1], cell_nodes=[[0, 1, 2, 3]]
-        )
-        assert cylindrical_volumes(mesh)[0] == pytest.approx(np.pi)
-
-    def test_total_volume_matches_cylinder(self):
-        # Full rectangle rotated: V = pi * R^2 * H.
-        mesh = structured_quad_mesh(50, 10, width=2.0, height=3.0)
-        total = cylindrical_volumes(mesh).sum()
-        assert total == pytest.approx(np.pi * 4.0 * 3.0, rel=1e-12)
-
-    def test_rejects_axis_crossing(self):
-        mesh = QuadMesh(
-            node_x=[-1, 1, 1, -1], node_y=[0, 0, 1, 1], cell_nodes=[[0, 1, 2, 3]]
-        )
-        with pytest.raises(ValueError, match="rotation axis"):
-            # Centroid at x=0 is fine, but shift to make it negative:
-            shifted = QuadMesh(
-                node_x=[-2, -1, -1, -2], node_y=[0, 0, 1, 1], cell_nodes=[[0, 1, 2, 3]]
-            )
-            cylindrical_volumes(shifted)
-
-
-def test_mesh_extents():
-    mesh = structured_quad_mesh(2, 2, width=5.0, height=7.0, x0=-1.0)
-    assert mesh_extents(mesh) == (-1.0, 4.0, 0.0, 7.0)

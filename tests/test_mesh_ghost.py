@@ -1,27 +1,10 @@
-"""Unit tests for repro.mesh.ghost (boundary census and ownership)."""
+"""Unit tests for repro.mesh.ghost's node ownership rule."""
 
 import numpy as np
 import pytest
 
-from repro.mesh import (
-    boundary_census,
-    build_deck,
-    build_face_table,
-    node_owners,
-    structured_quad_mesh,
-)
-from repro.mesh.deck import InputDeck
+from repro.mesh import build_deck, node_owners, structured_quad_mesh
 from repro.partition import structured_block_partition
-
-
-@pytest.fixture(scope="module")
-def two_rank_setup():
-    """An 8×4 deck split into left/right halves."""
-    deck = build_deck((8, 4))
-    faces = build_face_table(deck.mesh)
-    part = structured_block_partition(deck.mesh, 2, px=2, py=1)
-    census = boundary_census(deck.mesh, faces, deck.cell_material, part.cell_rank, 2)
-    return deck, faces, part, census
 
 
 class TestNodeOwners:
@@ -30,104 +13,16 @@ class TestNodeOwners:
         owners = node_owners(mesh, np.zeros(9, dtype=np.int64))
         assert np.all(owners == 0)
 
-    def test_shared_nodes_go_to_min_rank(self, two_rank_setup):
-        deck, _, part, census = two_rank_setup
-        pb = census.pair(0, 1)
-        assert pb.owned_by_a == pb.num_ghost_nodes
-        assert pb.owned_by_b == 0
+    def test_shared_nodes_go_to_min_rank(self):
+        """The 5 seam nodes of an 8×4 deck split left/right belong to rank 0."""
+        deck = build_deck((8, 4))
+        part = structured_block_partition(deck.mesh, 2, px=2, py=1)
+        owners = node_owners(deck.mesh, part.cell_rank)
+        seam = np.flatnonzero(deck.mesh.node_x == np.unique(deck.mesh.node_x)[4])
+        assert seam.size == 5
+        assert np.all(owners[seam] == 0)
 
     def test_wrong_length_rejected(self):
         mesh = structured_quad_mesh(2, 2)
         with pytest.raises(ValueError, match="one entry per cell"):
             node_owners(mesh, np.zeros(3, dtype=np.int64))
-
-
-class TestBoundaryCensusTwoRanks:
-    def test_single_pair(self, two_rank_setup):
-        _, _, _, census = two_rank_setup
-        assert set(census.pairs) == {(0, 1)}
-        assert census.neighbors(0) == [1]
-        assert census.neighbors(1) == [0]
-
-    def test_vertical_boundary_face_count(self, two_rank_setup):
-        """A straight vertical cut through an 8×4 grid shares ny=4 faces."""
-        _, _, _, census = two_rank_setup
-        pb = census.pair(0, 1)
-        assert pb.num_faces == 4
-
-    def test_ghost_nodes_one_more_than_faces(self, two_rank_setup):
-        """The general model's assumption holds exactly for straight cuts."""
-        _, _, _, census = two_rank_setup
-        pb = census.pair(0, 1)
-        assert pb.num_ghost_nodes == pb.num_faces + 1
-
-    def test_faces_by_material_sums_to_total(self, two_rank_setup):
-        _, _, _, census = two_rank_setup
-        pb = census.pair(0, 1)
-        assert pb.faces_by_material[0].sum() == pb.num_faces
-        assert pb.faces_by_material[1].sum() == pb.num_faces
-
-    def test_local_plus_remote_is_total(self, two_rank_setup):
-        _, _, _, census = two_rank_setup
-        pb = census.pair(0, 1)
-        for rank in (0, 1):
-            assert (
-                pb.local_ghost_count(rank) + pb.remote_ghost_count(rank)
-                == pb.num_ghost_nodes
-            )
-
-    def test_side_index_rejects_stranger(self, two_rank_setup):
-        _, _, _, census = two_rank_setup
-        with pytest.raises(ValueError):
-            census.pair(0, 1).side_index(7)
-
-
-class TestMultiMaterialNodes:
-    def test_material_interface_on_boundary(self):
-        """Partition cut along the grid's length crosses all material layers."""
-        deck = build_deck("small")
-        faces = build_face_table(deck.mesh)
-        part = structured_block_partition(deck.mesh, 2, px=1, py=2)
-        census = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, 2
-        )
-        pb = census.pair(0, 1)
-        # The horizontal cut crosses 3 internal material interfaces
-        # (HE|Al, Al|foam, foam|Al), each contributing one multi-material
-        # node per side.
-        assert pb.multi_material_nodes[0] == 3
-        assert pb.multi_material_nodes[1] == 3
-
-    def test_homogeneous_boundary_has_none(self, two_rank_setup):
-        deck, faces, part, census = two_rank_setup
-        # Vertical cut in the middle of one material layer (x-split at 4 of
-        # 8 columns lands inside HE gas for this tiny deck? compute instead):
-        pb = census.pair(0, 1)
-        sides = pb.faces_by_material
-        for side in range(2):
-            active = np.count_nonzero(sides[side])
-            if active == 1:
-                assert pb.multi_material_nodes[side] == 0
-
-
-class TestFourRankCensus:
-    def test_2x2_tiling_neighbors(self):
-        deck = build_deck((8, 8))
-        faces = build_face_table(deck.mesh)
-        part = structured_block_partition(deck.mesh, 4, px=2, py=2)
-        census = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, 4
-        )
-        # Face-sharing pairs: (0,1),(2,3) horizontal; (0,2),(1,3) vertical.
-        assert set(census.pairs) == {(0, 1), (2, 3), (0, 2), (1, 3)}
-        mean, lo, hi = census.neighbor_count_stats()
-        assert (mean, lo, hi) == (2.0, 2, 2)
-
-    def test_total_boundary_faces(self):
-        deck = build_deck((8, 8))
-        faces = build_face_table(deck.mesh)
-        part = structured_block_partition(deck.mesh, 4, px=2, py=2)
-        census = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, 4
-        )
-        assert census.total_boundary_faces(0) == 8  # 4 right + 4 top

@@ -71,7 +71,3 @@ class TestQuadMeshValidation:
         assert not mesh.is_structured
         with pytest.raises(ValueError):
             mesh.cell_ij()
-
-    def test_node_coords_shape(self):
-        mesh = structured_quad_mesh(2, 2)
-        assert mesh.node_coords().shape == (mesh.num_nodes, 2)

@@ -52,10 +52,16 @@ class TestCachedPartition:
         else:
             cell_rank = expected.cell_rank + 4  # every rank id out of range
             np.savez_compressed(path, cell_rank=cell_rank, method="rcb")
+        damaged = path.read_bytes()
+        unreadable = cache_mod.unreadable_count()
         again = cached_partition(deck, 4, method="rcb")
         assert np.array_equal(again.cell_rank, expected.cell_rank)
         assert again.method == "rcb"
-        # The miss rewrote the file: it loads cleanly now.
+        assert cache_mod.unreadable_count() == unreadable + 1
+        # The damaged file is kept aside, byte for byte ...
+        quarantined = path.with_name(f"{path.name}.unreadable")
+        assert quarantined.read_bytes() == damaged
+        # ... and the miss wrote a fresh file that loads cleanly.
         with np.load(path) as data:
             assert np.array_equal(data["cell_rank"], expected.cell_rank)
 

@@ -63,10 +63,3 @@ class TestPartitionQuality:
         assert q.edge_cut == 16
         assert (q.min_neighbors, q.max_neighbors) == (2, 2)
         assert q.mean_neighbors == 2.0
-
-    def test_as_row_renders(self, grid8):
-        mesh, g = grid8
-        part = structured_block_partition(mesh, 4, px=2, py=2)
-        row = partition_quality(g, part).as_row()
-        assert "structured-block" in row
-        assert "16" in row

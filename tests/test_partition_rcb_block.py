@@ -67,17 +67,15 @@ class TestStructuredBlockPartition:
     def test_general_model_square_subgrids(self):
         """Square tiles have sqrt(cells/PE) boundary faces — the paper's
         general-model assumption."""
-        mesh = structured_quad_mesh(16, 16)
-        faces = build_face_table(mesh)
-        part = structured_block_partition(mesh, 4, px=2, py=2)
-        from repro.mesh import boundary_census
+        from repro.hydro import build_workload_census
+        from repro.mesh import build_deck
 
-        census = boundary_census(
-            mesh, faces, np.zeros(mesh.num_cells, dtype=np.int64), part.cell_rank, 4
-        )
-        n_per_pe = mesh.num_cells / 4
-        for pb in census.pairs.values():
-            assert pb.num_faces == int(np.sqrt(n_per_pe))
+        deck = build_deck((16, 16))
+        part = structured_block_partition(deck.mesh, 4, px=2, py=2)
+        census = build_workload_census(deck, part, build_face_table(deck.mesh))
+        n_per_pe = deck.num_cells / 4
+        assert census.num_boundary_links == 8
+        assert np.all(census.be_faces.sum(axis=1) == int(np.sqrt(n_per_pe)))
 
 
 class TestRcbPartition:

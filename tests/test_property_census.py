@@ -1,4 +1,4 @@
-"""Property-based tests for the boundary census under random partitions.
+"""Property-based tests for the workload census under random partitions.
 
 The census feeds both the simulator's message sizes and the mesh-specific
 model, so its invariants must hold for *any* partition, not just the ones
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hydro.workload import build_workload_census
-from repro.mesh import boundary_census, build_deck, build_face_table
+from repro.mesh import build_deck, build_face_table
 from repro.partition import Partition
 
 
@@ -32,53 +32,53 @@ class TestCensusInvariants:
     @given(case=random_partitioned_deck())
     @settings(max_examples=25, deadline=None)
     def test_pair_faces_consistent_across_sides(self, case):
-        """Both sides of every pair boundary count the same total faces."""
+        """Both sides of every boundary link count the faces its pair shares."""
         deck, part = case
         faces = build_face_table(deck.mesh)
-        census = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, part.num_ranks
-        )
-        for pb in census.pairs.values():
-            assert pb.faces_by_material[0].sum() == pb.num_faces
-            assert pb.faces_by_material[1].sum() == pb.num_faces
+        census = build_workload_census(deck, part, faces)
+        interior = faces.interior_mask()
+        r0 = part.cell_rank[faces.face_cells[interior, 0]]
+        r1 = part.cell_rank[faces.face_cells[interior, 1]]
+        low, high = np.minimum(r0, r1), np.maximum(r0, r1)
+        for k, (a, b) in enumerate(zip(census.be_src, census.be_dst)):
+            shared = np.count_nonzero((low == min(a, b)) & (high == max(a, b)))
+            assert census.be_faces[k].sum() == shared
 
     @given(case=random_partitioned_deck())
     @settings(max_examples=25, deadline=None)
     def test_cut_faces_partition_exactly(self, case):
-        """Every interior face with differing ranks appears in exactly one
-        pair, and the pair totals sum to the global cut."""
+        """Every interior face with differing ranks is seen once from each
+        side, so the boundary faces of all links sum to twice the cut."""
         deck, part = case
         faces = build_face_table(deck.mesh)
-        census = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, part.num_ranks
-        )
+        census = build_workload_census(deck, part, faces)
         interior = faces.interior_mask()
         r0 = part.cell_rank[faces.face_cells[interior, 0]]
         r1 = part.cell_rank[faces.face_cells[interior, 1]]
         global_cut = int(np.count_nonzero(r0 != r1))
-        assert sum(pb.num_faces for pb in census.pairs.values()) == global_cut
-        seen = np.concatenate(
-            [pb.face_ids for pb in census.pairs.values()]
-        ) if census.pairs else np.array([], dtype=np.int64)
-        assert np.unique(seen).size == seen.size
+        assert census.be_faces.sum() == 2 * global_cut
 
     @given(case=random_partitioned_deck())
     @settings(max_examples=25, deadline=None)
     def test_ghost_ownership_sums(self, case):
-        """owned_by_a + owned_by_b + owned_by_other == ghost node count."""
+        """Each ghost link's local/remote split matches a node-by-node tally
+        of the ranks on every node and its owner (its lowest rank)."""
         deck, part = case
-        faces = build_face_table(deck.mesh)
-        census = boundary_census(
-            deck.mesh, faces, deck.cell_material, part.cell_rank, part.num_ranks
-        )
-        for pb in census.pairs.values():
-            assert (
-                pb.owned_by_a + pb.owned_by_b + pb.owned_by_other
-                == pb.num_ghost_nodes
-            )
-            # Ghost nodes are at most faces + 1 per connected run; globally
-            # bounded by 2 * faces (each face brings two nodes).
-            assert pb.num_ghost_nodes <= 2 * pb.num_faces
+        census = build_workload_census(deck, part, build_face_table(deck.mesh))
+        ranks_of_node = [set() for _ in range(deck.mesh.num_nodes)]
+        for cell, nodes in enumerate(deck.mesh.cell_nodes.tolist()):
+            for node in nodes:
+                ranks_of_node[node].add(int(part.cell_rank[cell]))
+        expected = {}
+        for ranks in ranks_of_node:
+            for a in ranks:
+                for b in ranks - {a}:
+                    local, remote = expected.get((a, b), (0, 0))
+                    owned = min(ranks) == a
+                    expected[(a, b)] = (local + owned, remote + (not owned))
+        links = zip(census.gn_src.tolist(), census.gn_dst.tolist(),
+                    census.gn_local.tolist(), census.gn_remote.tolist())
+        assert {(a, b): (lo, re) for a, b, lo, re in links} == expected
 
     @given(case=random_partitioned_deck())
     @settings(max_examples=20, deadline=None)

@@ -238,6 +238,24 @@ def test_calibrate_route_fits_stores_and_serves(tmp_path):
     assert not thread.is_alive()
 
 
+def test_unfittable_trace_is_a_400(server, client):
+    """A schema-valid trace with no ping-pong ladder cannot be fitted: the
+    client gets a 400 and the server counts no error."""
+    from repro.machine.cluster import es45_like_cluster
+    from repro.trace import synthesize_trace
+
+    payload = synthesize_trace(
+        deck="16x8", ranks=(2,), cluster=es45_like_cluster(jitter_frac=0.0),
+        iterations=2,
+    ).to_payload()
+    payload["pingpong"] = []
+    with pytest.raises(ServiceError) as err:
+        client.calibrate(payload)
+    assert err.value.status == 400
+    assert err.value.payload["error"].startswith("invalid trace: ")
+    assert server.counters["errors"] == 0
+
+
 def test_stalled_client_gets_a_408(server, monkeypatch):
     from repro.service import server as server_mod
 

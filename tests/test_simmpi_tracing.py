@@ -17,9 +17,13 @@ class TestPhaseTrace:
 
     def test_phase_maxima(self):
         tr = PhaseTrace(2, 2)
+        for rank in (0, 1):
+            tr.mark_iteration(rank, 0, 0.0)
         tr.add_compute(0, 0, 1.0)
         tr.add_compute(1, 0, 2.0)
-        assert tr.phase_compute_max().tolist() == [2.0, 0.0]
+        for rank in (0, 1):
+            tr.mark_iteration(rank, 1, 2.0)
+        assert tr.window_compute_max(0, 1).tolist() == [2.0, 0.0]
 
     def test_iteration_time(self):
         tr = PhaseTrace(2, 1)
@@ -76,13 +80,13 @@ class TestWindowSummaries:
         tr = self._traced()
         assert tr.window_compute_max(1, 3).tolist() == [2.0]
         assert tr.window_comm_max(1, 3).tolist() == [pytest.approx(0.2)]
-        # The full-run totals still include the cold iteration.
-        assert tr.phase_compute_max().tolist() == [12.0]
+        # The full-run window still includes the cold iteration.
+        assert tr.window_compute_max(0, 3).tolist() == [12.0]
 
     def test_full_window_matches_totals(self):
         tr = self._traced()
-        assert np.array_equal(tr.window_compute_max(0, 3), tr.phase_compute_max())
-        assert np.array_equal(tr.window_comm_max(0, 3), tr.phase_comm_max())
+        assert np.array_equal(tr.window_compute_max(0, 3), tr.compute.max(axis=0))
+        assert np.array_equal(tr.window_comm_max(0, 3), tr.comm.max(axis=0))
 
     def test_window_is_max_over_ranks(self):
         tr = PhaseTrace(2, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util import as_float_array, as_int_array, bincount_fixed, group_sums
+from repro.util import as_float_array, as_int_array, bincount_fixed
 
 
 class TestAsFloatArray:
@@ -57,13 +57,3 @@ class TestBincountFixed:
 
     def test_empty_labels(self):
         assert bincount_fixed(np.array([], dtype=np.int64), 3).tolist() == [0, 0, 0]
-
-
-class TestGroupSums:
-    def test_basic(self):
-        out = group_sums(np.array([0, 1, 0]), np.array([1.0, 2.0, 3.0]), 2)
-        assert out.tolist() == [4.0, 2.0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="identical shapes"):
-            group_sums(np.array([0, 1]), np.array([1.0]), 2)

@@ -1,9 +1,8 @@
 """Unit tests for repro.util.rng determinism guarantees."""
 
 import numpy as np
-import pytest
 
-from repro.util import seeded_rng, spawn_rng
+from repro.util import seeded_rng
 
 
 class TestSeededRng:
@@ -21,21 +20,3 @@ class TestSeededRng:
         a = seeded_rng(1).random(8)
         b = seeded_rng(2).random(8)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnRng:
-    def test_children_reproducible(self):
-        a = spawn_rng(seeded_rng(3), 5).random(4)
-        b = spawn_rng(seeded_rng(3), 5).random(4)
-        assert np.array_equal(a, b)
-
-    def test_children_with_different_keys_differ(self):
-        parent = seeded_rng(3)
-        a = spawn_rng(parent, 0).random(4)
-        parent2 = seeded_rng(3)
-        b = spawn_rng(parent2, 1).random(4)
-        assert not np.array_equal(a, b)
-
-    def test_negative_key_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rng(seeded_rng(), -1)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.util import check_in_range, check_nonnegative, check_positive, check_probability
+from repro.util import check_nonnegative, check_positive
 
 
 class TestCheckPositive:
@@ -27,27 +27,3 @@ class TestCheckNonnegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="y must be >= 0"):
             check_nonnegative(-1e-9, "y")
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_bounds_inclusive(self, value):
-        assert check_probability(value, "p") == value
-
-    @pytest.mark.parametrize("value", [-0.1, 1.1])
-    def test_rejects_outside(self, value):
-        with pytest.raises(ValueError):
-            check_probability(value, "p")
-
-
-class TestCheckInRange:
-    def test_inside(self):
-        assert check_in_range(3, 1, 5, "z") == 3
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            check_in_range(math.nan, 0, 1, "z")
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            check_in_range(6, 1, 5, "z")

@@ -10,7 +10,6 @@ from repro.verify.scenarios import (
     ARCHETYPES,
     Scenario,
     build_scenario,
-    generate_scenarios,
     load_scenario,
     random_scenario,
     save_scenario,
@@ -26,7 +25,7 @@ class TestGeneration:
 
     def test_all_build(self):
         # Every generated scenario must materialise into valid objects.
-        for scenario in generate_scenarios(40):
+        for scenario in map(random_scenario, range(40)):
             built = build_scenario(scenario)
             assert built.partition.num_ranks == scenario.num_ranks
             assert built.census.num_ranks == scenario.num_ranks
@@ -34,7 +33,7 @@ class TestGeneration:
 
     def test_archetypes_all_reached(self):
         # One full rotation of seeds touches every edge-case family.
-        scenarios = generate_scenarios(len(ARCHETYPES))
+        scenarios = [random_scenario(seed) for seed in range(len(ARCHETYPES))]
         assert any(s.num_ranks == 1 for s in scenarios)
         assert any(s.num_ranks == s.nx * s.ny for s in scenarios)
         assert any(s.smp and s.placement is not None for s in scenarios)
@@ -57,10 +56,6 @@ class TestGeneration:
         hierarchy = built.cluster.hierarchy
         assert hierarchy is not None
         assert hierarchy.ranks_per_node == scenario.ranks_per_node
-
-    def test_generate_count_validation(self):
-        with pytest.raises(ValueError):
-            generate_scenarios(0)
 
 
 class TestValidation:
