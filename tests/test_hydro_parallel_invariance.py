@@ -77,15 +77,24 @@ class TestPartitionInvariance:
 class TestTimingModesAgree:
     def test_census_and_functional_same_virtual_time(self):
         """The two modes charge identical compute and identical message
-        sizes, so the simulated clock must agree exactly."""
+        sizes, so the simulated clock must agree bit for bit: makespan,
+        final clocks, the per-(rank, phase) trace and every iteration
+        mark."""
         deck = build_deck((16, 8))
         faces = build_face_table(deck.mesh)
         part = structured_block_partition(deck.mesh, 4, px=2, py=2)
         cluster = es45_like_cluster()
-        t_census = run_krak(
+        census = run_krak(
             deck, part, cluster=cluster, iterations=3, faces=faces
-        ).result.makespan
-        t_func = run_krak(
+        ).result
+        func = run_krak(
             deck, part, cluster=cluster, iterations=3, functional=True, faces=faces
-        ).result.makespan
-        assert t_func == pytest.approx(t_census, rel=1e-12)
+        ).result
+        assert func.makespan == census.makespan
+        assert np.array_equal(func.final_clocks, census.final_clocks)
+        assert np.array_equal(func.trace.compute, census.trace.compute)
+        assert np.array_equal(func.trace.comm, census.trace.comm)
+        starts = census.trace.iteration_starts
+        assert set(func.trace.iteration_starts) == set(starts)
+        for index, row in starts.items():
+            assert np.array_equal(func.trace.iteration_starts[index], row)
