@@ -17,8 +17,8 @@ Everything exported here is a stable name with a stable signature:
 * :func:`predict` / :func:`measure` — the single prediction/measurement
   pipeline every surface runs through;
 * :func:`run_krak` — one simulated MiniKrak execution (the "measured"
-  application; ``engine="auto"|"scalar"|"batch"`` selects the event-loop
-  or batch-compiled pricing path, see ``docs/engine.md``);
+  application, priced by the batch-compiled engine, see
+  ``docs/engine.md``);
 * :class:`SweepSpec` — declarative multi-axis sweeps for the analysis
   runner.
 

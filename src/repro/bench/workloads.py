@@ -168,50 +168,6 @@ register(Benchmark(
 ))
 
 
-# ------------------------------------------------------------------- engine.*
-
-def _setup_engine_batch(size):
-    iters = 6 if size == "smoke" else 12
-    return {
-        "deck": _deck("small"), "part": _partition("small", 16),
-        "faces": _faces("small"), "census": _census("small", 16),
-        "cluster": _cluster(), "iters": iters,
-    }
-
-
-def _run_engine_batch_vs_scalar(ctx):
-    from repro.hydro import run_krak
-
-    # Both engines price the same static census run inside the timed
-    # region; the invariants pin that they agreed bitwise on the makespan.
-    return {
-        eng: run_krak(
-            ctx["deck"], ctx["part"], cluster=ctx["cluster"],
-            iterations=ctx["iters"], faces=ctx["faces"], census=ctx["census"],
-            engine=eng,
-        )
-        for eng in ("batch", "scalar")
-    }
-
-
-register(Benchmark(
-    name="engine.batch_vs_scalar",
-    group="engine",
-    description="batch-compiled vs scalar event-loop pricing of one static run",
-    source="src/repro/simmpi/compile.py",
-    setup=_setup_engine_batch,
-    run=_run_engine_batch_vs_scalar,
-    invariants=lambda ctx, runs: {
-        "batch_makespan_s": float(runs["batch"].result.makespan),
-        "scalar_makespan_s": float(runs["scalar"].result.makespan),
-        "bitwise_equal": float(
-            runs["batch"].result.makespan == runs["scalar"].result.makespan
-        ),
-    },
-    repeats=2,
-))
-
-
 def _setup_mesh_census(size):
     from repro.perfmodel import MeshSpecificModel
 

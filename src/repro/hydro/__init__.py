@@ -7,13 +7,13 @@ programmed-burn high explosive, and an iteration built from the paper's
 exact 15 phases (Table 1) with boundary exchanges, ghost-node updates, and
 collectives in the documented places.
 
-Two execution modes share the same phase/communication structure:
-
-* **functional** — real vectorised numerics per rank with actual ghost-node
-  data exchange (used by correctness tests and small demos);
-* **census** (timing-only) — compute time charged from the per-rank
-  material census through the machine cost model, messages carry sizes only
-  (used to "measure" iteration times at scale).
+Every run is priced the same way: compute time charged from the per-rank
+material census through the machine cost model, messages carrying sizes
+only, lowered to the engine's event tables (how iteration times are
+"measured" at any scale).  A **functional** run additionally executes the
+real vectorised numerics per rank, walking the same phase schedule in
+lockstep with actual ghost-node data exchange (used by correctness tests
+and small demos; see :mod:`repro.hydro.functional`).
 """
 
 from repro.hydro.materials import (

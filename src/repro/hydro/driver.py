@@ -1,7 +1,8 @@
 """Top-level MiniKrak runs: "measure" iteration times on the simulated machine.
 
 ``run_krak`` executes the full pipeline (deck → partition → census →
-discrete-event run) and returns the trace plus application diagnostics;
+lowered op streams → engine run) and returns the trace plus application
+diagnostics;
 ``measure_iteration_time`` is the convenience most benchmarks use — it
 averages the steady-state iterations, skipping a warm-up, exactly how one
 times a production code.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hydro.dynamic import DynamicConfig, DynamicController, DynamicRunInfo
+from repro.hydro.functional import run_functional
 from repro.hydro.phases import KrakProgram
 from repro.hydro.state import RankState, build_rank_states
 from repro.hydro.workload import WorkloadCensus, build_workload_census
@@ -72,7 +74,6 @@ def run_krak(
     faces: FaceTable | None = None,
     census: WorkloadCensus | None = None,
     dynamic: DynamicConfig | None = None,
-    engine: str = "auto",
     perturb: PerturbSpec | None = None,
 ) -> KrakRun:
     """Run MiniKrak on the simulated cluster.
@@ -86,8 +87,9 @@ def run_krak(
     iterations:
         Full 15-phase iterations to execute.
     functional:
-        Run the real numerics with array payloads (small problems only);
-        otherwise charge census-based costs (timing mode, any scale).
+        Also run the real numerics on per-rank states (small problems
+        only; see :mod:`repro.hydro.functional`).  Timing is charged from
+        the census either way, so the trace is the census run's.
     faces, census:
         Optional precomputed structures to avoid rebuilding in sweeps.
     dynamic:
@@ -97,14 +99,6 @@ def run_krak(
         and the configured policy may repartition mid-run, paying the
         modelled allgather + cell-migration cost.  ``dynamic=None`` is the
         static path, bit-for-bit identical to previous behaviour.
-    engine:
-        ``"auto"`` (default) lowers census-mode programs straight to the
-        batch engine (:meth:`KrakProgram.lower_into`) and runs functional
-        programs on the scalar event loop; ``"scalar"`` forces the event
-        loop; ``"batch"`` forces the batch engine and raises
-        ``ValueError`` for functional runs, whose array payloads cannot be
-        lowered.  All choices produce bitwise-identical clocks and traces
-        (see ``docs/engine.md``).
     perturb:
         Optional :class:`~repro.perturb.PerturbSpec` injecting seeded noise
         (OS jitter/stragglers on compute, link degradation on messaging, a
@@ -123,7 +117,7 @@ def run_krak(
                 "machinery); pass a DynamicConfig"
             )
         # Link degradation is a machine transform: every consumer prices
-        # through the same degraded coefficients on every engine path.
+        # through the same degraded coefficients.
         cluster = degrade_cluster(cluster, perturb)
     if dynamic is not None:
         if functional:
@@ -132,7 +126,10 @@ def run_krak(
             faces = build_face_table(deck.mesh)  # shared with the controller
     if census is None:
         census = build_workload_census(deck, partition, faces)
-    states = build_rank_states(deck, partition) if functional else None
+    states = None
+    if functional:
+        states = build_rank_states(deck, partition)
+        diagnostics = run_functional(states, census, iterations)
 
     perturbation = None
     if perturb is not None:
@@ -159,22 +156,11 @@ def run_krak(
         # so phase indices are stable across configurations.
         num_phases = FAILURE_PHASE + 1
 
-    if engine not in ("auto", "scalar", "batch"):
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'auto', 'scalar', or 'batch'"
-        )
-    if engine == "batch" and functional:
-        raise ValueError(
-            "functional programs carry array payloads and cannot be lowered "
-            "to the batch engine; use engine='auto' or 'scalar'"
-        )
-
     programs = [
         KrakProgram(
             rank=r,
             census=census,
             node_model=cluster.node,
-            state=None if states is None else states[r],
             iterations=iterations,
             dynamic=controller,
             perturb=perturbation,
@@ -182,16 +168,14 @@ def run_krak(
         )
         for r in range(partition.num_ranks)
     ]
-    sim = Engine(cluster, partition.num_ranks, num_phases)
-    if engine == "scalar" or functional:
-        result = sim.run(lambda r: programs[r]())
-    else:
-        compiled = []
-        for program in programs:
-            writer = ProgramWriter()
-            program.lower_into(writer)
-            compiled.append(writer.finish())
-        result = sim.run_compiled(compiled)
+    compiled = []
+    for program in programs:
+        writer = ProgramWriter()
+        program.lower_into(writer)
+        compiled.append(writer.finish())
+    result = Engine(cluster, partition.num_ranks, num_phases).run_compiled(compiled)
+    if not functional:
+        diagnostics = programs[0].diagnostics
 
     return KrakRun(
         deck=deck,
@@ -200,7 +184,7 @@ def run_krak(
         cluster=cluster,
         result=result,
         iterations=iterations,
-        diagnostics=dict(programs[0].diagnostics),
+        diagnostics=dict(diagnostics),
         states=states,
         dynamic=controller.run_info() if controller is not None else None,
     )

@@ -14,8 +14,9 @@ mesh-specific model charge, without running the numerics:
 It is held columnar — one numpy array per field, O(links) memory — so the
 same type serves a validation mesh and a weak-scaled machine of 10^6
 ranks.  The simulator, the mesh-specific model and the placement graphs
-all read it, and timing-only and functional runs charge the same links,
-so the two modes are communication-identical by construction.
+all read it, and functional runs are priced from it exactly like
+timing-only runs, so the two modes are communication-identical by
+construction.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 :data:`KRAK_SCHEDULE` is the single source of truth for one Krak iteration:
 the paper's Table 1 (phase actions and synchronisation points) and Table 4
-(collective sizes/counts).  The census lowering and the functional
-generator in :mod:`repro.hydro.phases` both interpret it, and every
-``PHASE_*`` table below is computed from it.  The module also holds the
+(collective sizes/counts).  The lowering and the op generator in
+:mod:`repro.hydro.phases` and the lockstep numerics in
+:mod:`repro.hydro.functional` all interpret it, and every ``PHASE_*``
+table below is computed from it.  The module also holds the
 default per-phase/per-material compute costs of the simulated machine.
 
 Phase numbering is 0-based internally (phase index 0 = the paper's

@@ -1,9 +1,10 @@
 """A deterministic discrete-event simulated MPI runtime.
 
-Each simulated rank is a Python generator that yields communication and
-compute *requests*; the engine advances per-rank virtual clocks, matches
-messages through mailboxes, and synchronises collectives.  The timing rules
-mirror the application behaviour described in Section 4 of the paper:
+Each simulated rank is a stream of communication and compute *requests*
+(a generator, or columns written straight into the event tables); the
+engine advances per-rank virtual clocks, matches sends to receives, and
+synchronises collectives.  The timing rules mirror the application
+behaviour described in Section 4 of the paper:
 
 * point-to-point sends are asynchronous (``Isend``) with blocking receives;
 * back-to-back sends from one rank pipeline their start-up latencies but
@@ -17,7 +18,6 @@ Virtual time is exact and bit-reproducible; no wall clocks anywhere.
 """
 
 from repro.simmpi.api import (
-    OP_REGISTRY,
     Allreduce,
     Barrier,
     Bcast,
@@ -42,7 +42,6 @@ from repro.simmpi.collectives import (
 from repro.simmpi.tracing import PhaseTrace
 
 __all__ = [
-    "OP_REGISTRY",
     "Allreduce",
     "Barrier",
     "Bcast",

@@ -85,10 +85,10 @@ def advance_rank(
     ``ST_COLLECTIVE`` with the op position, the cursor left *at* the
     collective for the orchestrator to rendezvous.
 
-    Every float operation replicates the scalar engine's order exactly —
-    element-wise adds into the row buckets in execution order, the same
-    ``nic``/arrival formulas — so charged times are bitwise identical to
-    :meth:`repro.simmpi.engine.Engine.run`.
+    Every float operation follows the timing rules in program order —
+    element-wise adds into the row buckets in execution order, one
+    ``nic``/arrival formula — so charged times are bitwise identical to
+    the reference oracle's (:class:`repro.verify.oracle.OracleEngine`).
     """
     pc = pcs[r]
     end = off[r + 1]

@@ -1,24 +1,22 @@
-"""Columnar event tables: what the batch engine executes.
+"""Columnar event tables: what the engine executes.
 
-The batch engine prices a whole run array-at-a-time instead of one request
+The engine prices a whole run array-at-a-time instead of one request
 object per Python-level event.  The bridge is this module: a
 :class:`ProgramWriter` accumulates one rank's op stream into flat columns
 (opcode, float argument, two integer arguments) and a
 :class:`CompiledProgram` freezes them as NumPy arrays.
 
-There are two producers.  Krak census runs emit their columns directly
+There are two producers.  Krak runs emit their columns directly
 (:meth:`repro.hydro.phases.KrakProgram.lower_into`), and
-:func:`lower_ops` compiles a static op sequence through each op's
-:meth:`~repro.simmpi.api.Op.lower` hook, for tests and tools that
-hand-compile programs.  Programs whose values flow between ranks
-(payload-carrying sends) cannot be lowered and run on the scalar event
-loop — see ``docs/engine.md``.
+:func:`lower_ops` compiles an op sequence or generator through each op's
+:meth:`~repro.simmpi.api.Op.lower` hook, for tests, tools and
+:meth:`repro.simmpi.engine.Engine.run` — see ``docs/engine.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,9 +36,6 @@ COLL_ALLREDUCE = 0
 COLL_BCAST = 1
 COLL_GATHER = 2
 COLL_BARRIER = 3
-
-#: Sub-kind → op class, for collective timing/mismatch reporting.
-COLL_CLASSES = (api.Allreduce, api.Bcast, api.Gather, api.Barrier)
 
 
 class ProgramWriter:
@@ -152,8 +147,8 @@ class CompiledProgram:
         return int(self.opcode.shape[0])
 
 
-def lower_ops(ops: Sequence[api.Op]) -> CompiledProgram:
-    """Compile a static op sequence; raises :class:`api.NotLowerable`."""
+def lower_ops(ops: Iterable[api.Op]) -> CompiledProgram:
+    """Compile an op sequence; raises :class:`api.NotLowerable` on a non-op."""
     writer = ProgramWriter()
     for op in ops:
         lower = getattr(op, "lower", None)
@@ -175,7 +170,6 @@ __all__ = [
     "COLL_BCAST",
     "COLL_GATHER",
     "COLL_BARRIER",
-    "COLL_CLASSES",
     "ProgramWriter",
     "CompiledProgram",
     "lower_ops",

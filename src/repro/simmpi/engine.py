@@ -1,4 +1,4 @@
-"""The logical-time scheduler: scalar event loop + batch-compiled core.
+"""The logical-time scheduler: one batch-compiled core.
 
 Each rank advances its own virtual clock; the engine only mediates where
 ranks interact (message matching, collective barriers).  Because Krak's
@@ -17,42 +17,30 @@ Timing rules (see :mod:`repro.machine`):
 * Collectives: all ranks enter; completion is the latest entry time plus the
   binary-tree time; all ranks resume synchronised at completion.
 
-Two execution paths share those rules:
-
-* :meth:`Engine.run` — the scalar event loop, dispatching per yielded
-  request through a table built from :data:`repro.simmpi.api.OP_REGISTRY`.
-  It handles any program, including functional mode (payload-carrying
-  sends).
-* :meth:`Engine.run_compiled` — the batch core.  Programs already lowered
-  to columnar event tables (:mod:`repro.simmpi.compile`) are priced
-  array-at-a-time: one vectorized ``send_times_many`` sweep for every
-  message, static FIFO send/recv matching via one sort, and a tight
-  per-rank advance kernel (:mod:`repro.simmpi._kernels`, optionally
-  numba-compiled) that touches no request objects.  Charged times replicate
-  the scalar engine's float operations in the exact same order, so clocks
-  and traces are **bitwise identical** between the two paths.
-
-The engine never lowers a program itself: callers hand it either
-generators or compiled columns.  ``docs/engine.md`` describes the two
-lowering producers and how :func:`repro.hydro.run_krak` picks a path.
+Programs arrive lowered to columnar event tables
+(:mod:`repro.simmpi.compile`) and are priced array-at-a-time by
+:meth:`Engine.run_compiled`: one vectorized ``send_times_many`` sweep for
+every message, static FIFO send/recv matching via one sort, and a tight
+per-rank advance kernel (:mod:`repro.simmpi._kernels`, optionally
+numba-compiled) that touches no request objects.  :meth:`Engine.run` is
+the convenience for hand-written generator programs: it lowers each rank
+with :func:`~repro.simmpi.compile.lower_ops` and runs the same core.
+``docs/engine.md`` describes the two lowering producers.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from repro.machine.cluster import ClusterConfig
 from repro.simmpi import _kernels, api
 from repro.simmpi import compile as simc
-from repro.simmpi.collectives import allreduce_time, bcast_time, combine, gather_time
+from repro.simmpi.collectives import allreduce_time, bcast_time, gather_time
 from repro.simmpi.tracing import PhaseTrace
-
-#: Collective request types (rendezvous semantics share one code path).
-_COLLECTIVES = api.COLLECTIVE_OPS
 
 
 class DeadlockError(RuntimeError):
@@ -63,53 +51,6 @@ class DeadlockError(RuntimeError):
     actually posted — enough to diagnose a tag mismatch without re-running
     under a debugger.
     """
-
-
-def _format_deadlock(blocked, waiting, posted, limit: int = 8) -> str:
-    """Shared deadlock report for the scalar and batch paths.
-
-    ``waiting`` maps each blocked rank to ``("recv", MessageKey)``,
-    ``("collective", seq)``, or ``None``; ``posted`` maps a rank to its
-    undelivered posted sends as ``(MessageKey, nbytes)`` in post order.
-    """
-    lines = [f"{len(blocked)} ranks blocked forever (first few: {blocked[:8]})"]
-    for rank in blocked[:limit]:
-        why = waiting.get(rank)
-        if why is None:
-            lines.append(f"  rank {rank}: blocked")
-            continue
-        if why[0] == "collective":
-            lines.append(f"  rank {rank}: waiting in collective sequence {why[1]}")
-            continue
-        key = why[1]
-        lines.append(f"  rank {rank}: parked on recv {key}")
-        queue = posted.get(key.src, [])
-        if queue:
-            shown = ", ".join(
-                f"{k} ({nbytes:g} B)" for k, nbytes in queue[:6]
-            )
-            more = "" if len(queue) <= 6 else f", +{len(queue) - 6} more"
-            lines.append(f"    rank {key.src} pending sends: {shown}{more}")
-        else:
-            lines.append(f"    rank {key.src} has no pending sends")
-    if len(blocked) > limit:
-        lines.append(f"  ... {len(blocked) - limit} more blocked ranks")
-    return "\n".join(lines)
-
-
-@dataclass
-class _RankState:
-    """Mutable per-rank bookkeeping."""
-
-    program: Iterator
-    clock: float = 0.0
-    nic_free: float = 0.0
-    phase: int = 0
-    finished: bool = False
-    #: Value fed into the generator at the next resume.
-    pending_value: Any = None
-    #: Mailbox key when parked on a blocking receive.
-    waiting_recv: api.MessageKey | None = None
 
 
 @dataclass(frozen=True)
@@ -139,51 +80,20 @@ class Engine:
         self.cluster = cluster
         self.num_ranks = num_ranks
         self.trace = PhaseTrace(num_ranks, num_phases)
-        #: MessageKey → deque of (arrival_time, nbytes, payload)
-        self._mailboxes: dict[api.MessageKey, deque] = {}
-        #: MessageKey → rank id parked on that receive
-        self._recv_waiters: dict[api.MessageKey, int] = {}
-        #: Per-rank count of collectives entered (rendezvous sequence ids).
-        self._coll_seq_entered: list[int] = [0] * num_ranks
-        #: sequence id → {rank: (request, entry clock)}
-        self._coll_pending: dict[int, dict[int, tuple]] = {}
-        self._states: list[_RankState] = []
-        # Hot-loop constants, resolved once.
         self._send_overhead = cluster.send_overhead
         self._recv_overhead = cluster.recv_overhead
         self._flat_net = cluster.network if cluster.hierarchy is None else None
-        #: (src, dst) → flat network, filled lazily for hierarchical runs.
-        self._pair_nets: dict[tuple, Any] = {}
         # Per-pair host overheads apply only when the hierarchy prices
-        # on-node messages with a cheaper shared-memory transport; the flag
-        # keeps the common flat-overhead path branch-free per event.
+        # on-node messages with a cheaper shared-memory transport.
         hierarchy = cluster.hierarchy
         self._pair_overheads_on = hierarchy is not None and (
             hierarchy.intra_send_overhead is not None
             or hierarchy.intra_recv_overhead is not None
         )
-        #: (src, dst) → (send, recv) overheads, lazily memoised.
-        self._pair_oh: dict[tuple, tuple] = {}
         self._coll_timers = self._make_collective_timers()
-        self._dispatch = self._build_dispatch()
 
-    def _build_dispatch(self) -> dict:
-        """Request type → handler, built from the frozen op registry.
-
-        Collective kinds share one rendezvous handler; every other kind maps
-        to ``_op_<kind>``.  Extending the vocabulary means registering a new
-        op class and adding its handler — there is no type ladder to edit.
-        """
-        handlers: dict = {}
-        for cls in api.OP_REGISTRY.values():
-            if cls.collective:
-                handlers[cls] = self._op_collective
-            else:
-                handlers[cls] = getattr(self, "_op_" + cls.kind)
-        return handlers
-
-    def _make_collective_timers(self) -> dict:
-        """Kind → duration function, resolved against the cluster once."""
+    def _make_collective_timers(self) -> tuple:
+        """Duration functions indexed by collective sub-kind (``COLL_*``)."""
         hierarchy = self.cluster.hierarchy
         if hierarchy is not None:
             from repro.machine.hierarchy import (
@@ -200,257 +110,20 @@ class Engine:
             t_allreduce = lambda n: allreduce_time(net, self.num_ranks, n)
             t_bcast = lambda n: bcast_time(net, self.num_ranks, n)
             t_gather = lambda n: gather_time(net, self.num_ranks, n)
-        return {
-            api.Allreduce: t_allreduce,
-            api.Bcast: t_bcast,
-            api.Gather: t_gather,
-            api.Barrier: t_allreduce,
-        }
-
-    def _network_for(self, src: int, dst: int):
-        """Memoised per-pair flat network (trivial without a hierarchy)."""
-        if self._flat_net is not None:
-            return self._flat_net
-        key = (src, dst)
-        net = self._pair_nets.get(key)
-        if net is None:
-            net = self._pair_nets[key] = self.cluster.network_for(src, dst)
-        return net
-
-    def _overheads_for(self, src: int, dst: int) -> tuple:
-        """Memoised per-pair ``(send, recv)`` host overheads.
-
-        Only consulted when the hierarchy declares cheaper on-node
-        overheads; every other configuration uses the flat constants
-        resolved in ``__init__``, exactly as before.
-        """
-        key = (src, dst)
-        oh = self._pair_oh.get(key)
-        if oh is None:
-            oh = self._pair_oh[key] = self.cluster.hierarchy.host_overheads_for(
-                src, dst, self._send_overhead, self._recv_overhead
-            )
-        return oh
+        # Order of simc.COLL_ALLREDUCE, COLL_BCAST, COLL_GATHER, COLL_BARRIER.
+        return (t_allreduce, t_bcast, t_gather, t_allreduce)
 
     # ------------------------------------------------------------------ run
 
-    def run(self, make_program: Callable[[int], Iterator]) -> SimResult:
-        """Execute ``make_program(rank)`` for every rank until all finish.
+    def run(self, make_program: Callable[[int], Iterable[api.Op]]) -> SimResult:
+        """Lower ``make_program(rank)`` for every rank and run it.
 
-        ``make_program`` must return a generator yielding request objects
-        from :mod:`repro.simmpi.api`.  This is the scalar event loop; see
-        :meth:`run_compiled` for the batch-compiled path.
+        ``make_program`` returns a generator (or any iterable) of request
+        objects from :mod:`repro.simmpi.api`; nothing is sent back into it.
         """
-        states = [_RankState(program=make_program(r)) for r in range(self.num_ranks)]
-        self._states = states
-        runnable = deque(range(self.num_ranks))
-
-        while runnable:
-            rank = runnable.popleft()
-            st = states[rank]
-            if st.finished:
-                continue
-            self._advance(rank, st, runnable)
-
-        if not all(st.finished for st in states):
-            raise DeadlockError(self._deadlock_report_scalar(states))
-        clocks = np.array([st.clock for st in states])
-        return SimResult(trace=self.trace, final_clocks=clocks)
-
-    def _deadlock_report_scalar(self, states: list[_RankState]) -> str:
-        """Enriched deadlock message from the scalar engine's live state."""
-        blocked = [r for r, st in enumerate(states) if not st.finished]
-        waiting: dict[int, tuple | None] = {}
-        for r in blocked:
-            st = states[r]
-            if st.waiting_recv is not None:
-                waiting[r] = ("recv", api.MessageKey(*st.waiting_recv))
-            else:
-                seq = next(
-                    (s for s, pend in self._coll_pending.items() if r in pend), None
-                )
-                waiting[r] = None if seq is None else ("collective", seq)
-        posted: dict[int, list] = {}
-        for key, box in self._mailboxes.items():
-            for _arrival, nbytes, _payload in box:
-                posted.setdefault(key[0], []).append(
-                    (api.MessageKey(*key), float(nbytes))
-                )
-        return _format_deadlock(blocked, waiting, posted)
-
-    # ------------------------------------------------------- request handling
-
-    def _park_recv(self, rank: int, key: api.MessageKey) -> None:
-        """Park ``rank`` as the waiter on ``key``.
-
-        Tags are unique per (phase, slot) and keys include the destination
-        rank, so a key can only ever have one waiter; a second one (or a
-        different rank re-parking on another's key) is a program bug and
-        must fail loudly instead of silently overwriting the first.
-        """
-        existing = self._recv_waiters.get(key)
-        if existing is not None and existing != rank:
-            raise RuntimeError(f"two receivers parked on {key}")
-        self._recv_waiters[key] = rank
-
-    def _satisfy_recv(self, rank: int, st: _RankState, key: api.MessageKey) -> bool:
-        """Try to complete a receive on ``key``; True on success."""
-        box = self._mailboxes.get(key)
-        if not box:
-            return False
-        arrival, nbytes, payload = box.popleft()
-        if self._pair_overheads_on:
-            recv_overhead = self._overheads_for(key[0], rank)[1]
-        else:
-            recv_overhead = self._recv_overhead
-        wait = max(0.0, arrival - st.clock) + recv_overhead
-        st.clock += wait
-        self.trace.add_comm(rank, st.phase, wait)
-        st.pending_value = (nbytes, payload)
-        return True
-
-    def _advance(self, rank: int, st: _RankState, runnable: deque) -> None:
-        """Run ``rank`` until it blocks or finishes (scalar path)."""
-        # If the rank was parked on a receive, the wake-up implies a message
-        # is (normally) available; spurious wake-ups simply re-park.
-        if st.waiting_recv is not None:
-            key = st.waiting_recv
-            if not self._satisfy_recv(rank, st, key):
-                self._park_recv(rank, key)
-                return
-            st.waiting_recv = None
-
-        program_send = st.program.send
-        dispatch = self._dispatch
-        while True:
-            try:
-                req = program_send(st.pending_value)
-            except StopIteration:
-                st.finished = True
-                return
-            st.pending_value = None
-            handler = dispatch.get(type(req))
-            if handler is None:
-                raise TypeError(f"unknown request {req!r}")
-            if not handler(rank, st, req, runnable):
-                return
-
-    # Handlers return True to keep advancing the rank, False to yield
-    # control back to the scheduler (park, rendezvous).
-
-    def _op_compute(self, rank: int, st: _RankState, req, runnable: deque) -> bool:
-        st.clock += req.seconds
-        self.trace.add_compute(rank, st.phase, req.seconds)
-        return True
-
-    def _op_isend(self, rank: int, st: _RankState, req, runnable: deque) -> bool:
-        dst = req.dst
-        if not 0 <= dst < self.num_ranks:
-            raise ValueError(f"Isend to invalid rank {dst}")
-        if dst == rank:
-            raise ValueError("self-sends are not supported")
-        if self._pair_overheads_on:
-            overhead = self._overheads_for(rank, dst)[0]
-        else:
-            overhead = self._send_overhead
-        st.clock += overhead
-        self.trace.add_comm(rank, st.phase, overhead)
-        startup, bw = self._network_for(rank, dst).send_times(req.nbytes)
-        nic_start = st.nic_free if st.nic_free > st.clock else st.clock
-        arrival = nic_start + startup + bw
-        st.nic_free = nic_start + bw
-        key = api.MessageKey(rank, dst, req.tag)
-        box = self._mailboxes.get(key)
-        if box is None:
-            box = self._mailboxes[key] = deque()
-        box.append((arrival, req.nbytes, req.payload))
-        waiter = self._recv_waiters.pop(key, None)
-        if waiter is not None:
-            runnable.append(waiter)
-        return True
-
-    def _op_recv(self, rank: int, st: _RankState, req, runnable: deque) -> bool:
-        key = req.message_key(rank)
-        if not self._satisfy_recv(rank, st, key):
-            st.waiting_recv = key
-            self._park_recv(rank, key)
-            return False
-        return True
-
-    def _op_set_phase(self, rank: int, st: _RankState, req, runnable: deque) -> bool:
-        if not 0 <= req.phase < self.trace.num_phases:
-            raise ValueError(f"phase {req.phase} out of range")
-        st.phase = req.phase
-        return True
-
-    def _op_wait_sends(self, rank: int, st: _RankState, req, runnable: deque) -> bool:
-        if st.nic_free > st.clock:
-            self.trace.add_comm(rank, st.phase, st.nic_free - st.clock)
-            st.clock = st.nic_free
-        return True
-
-    def _op_mark_iteration(
-        self, rank: int, st: _RankState, req, runnable: deque
-    ) -> bool:
-        self.trace.mark_iteration(rank, req.index, st.clock)
-        return True
-
-    def _op_collective(self, rank: int, st: _RankState, req, runnable: deque) -> bool:
-        seq = self._coll_seq_entered[rank]
-        self._coll_seq_entered[rank] += 1
-        pend = self._coll_pending.setdefault(seq, {})
-        pend[rank] = (req, st.clock)
-        if len(pend) == self.num_ranks:
-            self._complete_collective(seq, self._states, runnable)
-        return False
-
-    def _complete_collective(
-        self, seq: int, states: list[_RankState], runnable: deque
-    ) -> None:
-        """All ranks have entered collective ``seq``: time it and wake them."""
-        pend = self._coll_pending.pop(seq)
-        reqs = [pend[r][0] for r in range(self.num_ranks)]
-        enter_times = [pend[r][1] for r in range(self.num_ranks)]
-        kind = type(reqs[0])
-        if any(type(q) is not kind for q in reqs):
-            raise RuntimeError(f"collective mismatch at sequence {seq}")
-
-        timer = self._coll_timers[kind]
-        start = max(enter_times)
-        if kind is api.Allreduce:
-            op = reqs[0].op
-            nbytes = max(q.nbytes for q in reqs)
-            duration = timer(nbytes)
-            result = combine(op, [q.value for q in reqs])
-            results: list[Any] = [result] * self.num_ranks
-        elif kind is api.Bcast:
-            root = reqs[0].root
-            nbytes = reqs[root].nbytes
-            duration = timer(nbytes)
-            results = [reqs[root].value] * self.num_ranks
-        elif kind is api.Gather:
-            root = reqs[0].root
-            nbytes = max(q.nbytes for q in reqs)
-            duration = timer(nbytes)
-            gathered = [q.value for q in reqs]
-            results = [gathered if r == root else None for r in range(self.num_ranks)]
-        elif kind is api.Barrier:
-            duration = timer(4)
-            results = [None] * self.num_ranks
-        else:  # pragma: no cover - guarded by the dispatch table
-            raise TypeError(kind)
-
-        finish = start + duration
-        add_comm = self.trace.add_comm
-        for r, st in enumerate(states):
-            waited = finish - st.clock
-            if waited > 0:
-                add_comm(r, st.phase, waited)
-                st.clock = finish
-            st.pending_value = results[r]
-            runnable.append(r)
-
-    # --------------------------------------------------------- batch engine
+        return self.run_compiled(
+            [simc.lower_ops(make_program(r)) for r in range(self.num_ranks)]
+        )
 
     def run_compiled(self, compiled: list[simc.CompiledProgram]) -> SimResult:
         """Execute pre-lowered columnar programs array-at-a-time.
@@ -458,8 +131,7 @@ class Engine:
         Pricing (``send_times_many``), send/recv matching (one stable sort),
         host overheads, and phase attribution are all resolved up front with
         vectorized sweeps; execution is then a tight per-rank advance kernel
-        plus a small rendezvous orchestrator.  Bitwise identical to
-        :meth:`run` on the same op streams.
+        plus a small rendezvous orchestrator.
         """
         R = self.num_ranks
         if len(compiled) != R:
@@ -476,26 +148,17 @@ class Engine:
         rank_of = np.repeat(np.arange(R, dtype=np.int64), counts)
         hierarchy = self.cluster.hierarchy
 
-        # --- static phase attribution: SetPhase forward-fill, per rank.
-        phase = np.zeros(n, dtype=np.int64)
+        # --- static phase attribution: every op takes the latest SetPhase
+        # at or before it in its own rank's stream (phase 0 before any).
         sp_mask = opcode == simc.OP_SETPHASE
-        if sp_mask.any():
-            vals = acol[sp_mask]
-            bad = (vals < 0) | (vals >= num_phases)
-            if bad.any():
-                raise ValueError(f"phase {int(vals[np.argmax(bad)])} out of range")
-            for r in range(R):
-                s, e = int(off[r]), int(off[r + 1])
-                sp = np.flatnonzero(sp_mask[s:e])
-                if not sp.size:
-                    continue
-                run_id = np.zeros(e - s, dtype=np.int64)
-                run_id[sp] = np.arange(1, sp.size + 1)
-                run_id = np.maximum.accumulate(run_id)
-                rvals = acol[s:e][sp]
-                phase[s:e] = np.where(
-                    run_id > 0, rvals[np.maximum(run_id, 1) - 1], 0
-                )
+        vals = acol[sp_mask]
+        bad = (vals < 0) | (vals >= num_phases)
+        if bad.any():
+            raise ValueError(f"phase {int(vals[np.argmax(bad)])} out of range")
+        last_sp = np.where(sp_mask, np.arange(n), -1)
+        np.maximum.accumulate(last_sp, out=last_sp)
+        own_rank = last_sp >= off[:-1][rank_of]
+        phase = np.where(own_rank, acol[np.maximum(last_sp, 0)], 0)
 
         # --- sends: validate, then price every message in one sweep.
         send_idx = np.flatnonzero(opcode == simc.OP_ISEND)
@@ -578,11 +241,9 @@ class Engine:
 
         # --- collectives: per-rank rendezvous sequence ids.
         coll_mask = opcode == simc.OP_COLL
-        seq_col = np.full(n, -1, dtype=np.int64)
-        for r in range(R):
-            s, e = int(off[r]), int(off[r + 1])
-            c = np.flatnonzero(coll_mask[s:e])
-            seq_col[s + c] = np.arange(c.size)
+        coll_count = np.cumsum(coll_mask)
+        before_rank = np.concatenate(([0], coll_count))[off[:-1]]
+        seq_col = np.where(coll_mask, coll_count - 1 - before_rank[rank_of], -1)
 
         # --- iteration marks: static snapshot slots.
         mark_idx = np.flatnonzero(opcode == simc.OP_MARK)
@@ -675,7 +336,7 @@ class Engine:
 
         if not all(finished):
             raise DeadlockError(
-                self._deadlock_report_compiled(
+                self._deadlock_report(
                     finished, pcs, off, opcode, acol, bcol, farg,
                     rank_of, seq_col, match, done, send_idx, recv_idx,
                 )
@@ -700,13 +361,13 @@ class Engine:
     def _complete_collective_batch(
         self, seq, pend, farg, acol, bcol, phase, pcs, clocks, comm_rows, runnable
     ) -> None:
-        """Rendezvous for the batch path (same timing rules as scalar)."""
+        """All ranks entered collective ``seq``: time it and release them."""
         R = self.num_ranks
         positions = [pend[r] for r in range(R)]
         k0 = int(bcol[positions[0]])
         if any(int(bcol[p]) != k0 for p in positions):
             raise RuntimeError(f"collective mismatch at sequence {seq}")
-        timer = self._coll_timers[simc.COLL_CLASSES[k0]]
+        timer = self._coll_timers[k0]
         if k0 == simc.COLL_BCAST:
             root = int(acol[positions[0]])
             duration = timer(float(farg[positions[root]]))
@@ -724,26 +385,14 @@ class Engine:
             pcs[r] = positions[r] + 1
             runnable.append(r)
 
-    def _deadlock_report_compiled(
+    def _deadlock_report(
         self, finished, pcs, off, opcode, acol, bcol, farg,
         rank_of, seq_col, match, done, send_idx, recv_idx,
     ) -> str:
-        """Enriched deadlock message from the batch engine's tables."""
-        R = self.num_ranks
-        blocked = [r for r in range(R) if not finished[r]]
-        waiting: dict[int, tuple | None] = {}
-        for r in blocked:
-            pos = int(pcs[r])
-            if pos >= int(off[r + 1]):
-                waiting[r] = None
-            elif opcode[pos] == simc.OP_RECV:
-                waiting[r] = (
-                    "recv", api.MessageKey(int(acol[pos]), r, int(bcol[pos]))
-                )
-            elif opcode[pos] == simc.OP_COLL:
-                waiting[r] = ("collective", int(seq_col[pos]))
-            else:
-                waiting[r] = None
+        """Deadlock message: each blocked rank's parked receive key (or the
+        collective sequence it is stuck in) and the undelivered sends of the
+        peer it waits on, in post order."""
+        blocked = [r for r in range(self.num_ranks) if not finished[r]]
         # A posted send is pending until its matched receive has executed.
         pcs_arr = np.asarray(pcs, dtype=np.int64)
         done_arr = np.asarray(done, dtype=bool)
@@ -758,4 +407,28 @@ class Engine:
             posted.setdefault(src, []).append(
                 (api.MessageKey(src, int(acol[g]), int(bcol[g])), float(farg[g]))
             )
-        return _format_deadlock(blocked, waiting, posted)
+
+        limit = 8
+        lines = [f"{len(blocked)} ranks blocked forever (first few: {blocked[:8]})"]
+        for rank in blocked[:limit]:
+            pos = int(pcs[rank])
+            op = int(opcode[pos]) if pos < int(off[rank + 1]) else None
+            if op == simc.OP_COLL:
+                seq = int(seq_col[pos])
+                lines.append(f"  rank {rank}: waiting in collective sequence {seq}")
+                continue
+            if op != simc.OP_RECV:
+                lines.append(f"  rank {rank}: blocked")
+                continue
+            key = api.MessageKey(int(acol[pos]), rank, int(bcol[pos]))
+            lines.append(f"  rank {rank}: parked on recv {key}")
+            queue = posted.get(key.src, [])
+            if queue:
+                shown = ", ".join(f"{k} ({nbytes:g} B)" for k, nbytes in queue[:6])
+                more = "" if len(queue) <= 6 else f", +{len(queue) - 6} more"
+                lines.append(f"    rank {key.src} pending sends: {shown}{more}")
+            else:
+                lines.append(f"    rank {key.src} has no pending sends")
+        if len(blocked) > limit:
+            lines.append(f"  ... {len(blocked) - limit} more blocked ranks")
+        return "\n".join(lines)

@@ -90,7 +90,7 @@ class PhaseTrace:
         the batch counterpart of calling :meth:`add_compute` /
         :meth:`add_comm` / :meth:`mark_iteration` per event.  Values are
         charged by the kernel in execution order, so the loaded trace is
-        bitwise identical to the scalar engine's.
+        bitwise identical to charging every event one call at a time.
         """
         self._compute_rows = [[float(v) for v in row] for row in compute_rows]
         self._comm_rows = [[float(v) for v in row] for row in comm_rows]

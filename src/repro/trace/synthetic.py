@@ -56,7 +56,7 @@ def _count_messages(census, cluster: ClusterConfig, num_ranks: int, iterations: 
     """Per-rank point-to-point ``{"count", "bytes"}`` totals.
 
     Each rank's program is lowered to its columnar op stream (the same
-    lowering the batch engine executes) and the ``OP_ISEND`` rows are
+    lowering the engine executes) and the ``OP_ISEND`` rows are
     tallied — so counts/bytes are exactly what the run sent, not a model
     of it.
     """
@@ -66,12 +66,10 @@ def _count_messages(census, cluster: ClusterConfig, num_ranks: int, iterations: 
             rank=rank,
             census=census,
             node_model=cluster.node,
-            state=None,
             iterations=iterations,
         )
         writer = ProgramWriter()
-        if not program.lower_into(writer):  # pragma: no cover - census mode lowers
-            return None
+        program.lower_into(writer)
         compiled = writer.finish()
         sel = compiled.opcode == OP_ISEND
         messages.append(

@@ -1,4 +1,4 @@
-"""The differential runner: optimized engine vs reference oracle.
+"""The differential runner: production engine vs reference oracle.
 
 For one scenario, :func:`diff_scenario` executes the production stack
 (:func:`repro.hydro.driver.run_krak`) and the naive oracle
@@ -7,10 +7,6 @@ compares every observable phase-by-phase: per-(rank, phase) compute and
 communication seconds, per-rank iteration marks, and final clocks — all to
 a tight relative tolerance (default 1e-12; the optimized paths claim to be
 *bitwise* refactorings, so in practice the observed error is exactly zero).
-Since the batch-compiled engine landed, the comparison is three-way: the
-production run is also cross-checked against the *alternate* engine
-(scalar vs batch) at the same tolerance, so every seed pins
-batch == scalar == oracle.
 
 :func:`fuzz` sweeps seeded random scenarios through the differential *and*
 the metamorphic property checks (:mod:`repro.verify.properties`); any
@@ -129,13 +125,7 @@ def diff_built(
 
 
 def _diff_built_with_run(built: BuiltScenario, rtol: float):
-    """The differential plus its production run (reused by the properties).
-
-    Three-way: the production run (the scenario's configured engine) is
-    compared against the reference oracle *and* against the alternate
-    engine — scalar when the production run compiled, batch otherwise — so
-    every fuzz seed checks batch == scalar == oracle on identical inputs.
-    """
+    """The differential plus its production run (reused by the properties)."""
     run = run_krak(
         built.deck,
         built.partition,
@@ -144,19 +134,6 @@ def _diff_built_with_run(built: BuiltScenario, rtol: float):
         faces=built.faces,
         census=built.census,
         dynamic=built.dynamic,
-        engine=built.scenario.engine,
-        perturb=built.perturb,
-    )
-    alt_engine = "scalar" if built.scenario.engine != "scalar" else "batch"
-    alt = run_krak(
-        built.deck,
-        built.partition,
-        cluster=built.cluster,
-        iterations=built.iterations,
-        faces=built.faces,
-        census=built.census,
-        dynamic=built.dynamic,
-        engine=alt_engine,
         perturb=built.perturb,
     )
     oracle = oracle_run_krak(
@@ -172,32 +149,13 @@ def _diff_built_with_run(built: BuiltScenario, rtol: float):
 
     trace = run.result.trace
     mismatches: list = []
-    max_rel = 0.0
     max_rel = max(
-        max_rel,
         _compare_field("compute", trace.compute, oracle.result.compute, rtol, mismatches),
         _compare_field("comm", trace.comm, oracle.result.comm, rtol, mismatches),
         _compare_field(
             "final_clocks",
             run.result.final_clocks,
             oracle.result.final_clocks,
-            rtol,
-            mismatches,
-        ),
-    )
-    alt_trace = alt.result.trace
-    max_rel = max(
-        max_rel,
-        _compare_field(
-            f"{alt_engine}.compute", alt_trace.compute, trace.compute, rtol, mismatches
-        ),
-        _compare_field(
-            f"{alt_engine}.comm", alt_trace.comm, trace.comm, rtol, mismatches
-        ),
-        _compare_field(
-            f"{alt_engine}.final_clocks",
-            alt.result.final_clocks,
-            run.result.final_clocks,
             rtol,
             mismatches,
         ),
@@ -224,29 +182,6 @@ def _diff_built_with_run(built: BuiltScenario, rtol: float):
                 f"iteration_start[{index}]",
                 opt_marks[index],
                 orc_marks[index],
-                rtol,
-                mismatches,
-            ),
-        )
-    alt_marks = alt_trace.iteration_starts
-    for index in sorted(set(opt_marks) ^ set(alt_marks)):
-        mismatches.append(
-            Mismatch(
-                field=f"{alt_engine}.iteration_start[{index}] recorded (1=yes)",
-                index=(),
-                optimized=float(index in opt_marks),
-                oracle=float(index in alt_marks),
-                rel_err=np.inf,
-            )
-        )
-        max_rel = np.inf
-    for index in sorted(set(opt_marks) & set(alt_marks)):
-        max_rel = max(
-            max_rel,
-            _compare_field(
-                f"{alt_engine}.iteration_start[{index}]",
-                alt_marks[index],
-                opt_marks[index],
                 rtol,
                 mismatches,
             ),
@@ -390,8 +325,6 @@ def _shrink_candidates(scenario: Scenario):
         yield dataclasses.replace(scenario, zero_cost_node=False)
     if scenario.speed != 1.0:
         yield dataclasses.replace(scenario, speed=1.0)
-    if scenario.engine != "auto":
-        yield dataclasses.replace(scenario, engine="auto")
 
 
 def shrink_scenario(

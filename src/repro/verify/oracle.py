@@ -313,12 +313,11 @@ class _OracleRankState:
     """Mutable per-rank bookkeeping (a plain object, no dataclass magic)."""
 
     def __init__(self, program) -> None:
-        self.program = program
+        self.program = iter(program)
         self.clock = 0.0
         self.nic_free = 0.0
         self.phase = 0
         self.finished = False
-        self.value = None  # fed into the generator at the next resume
         self.pending = None  # request we could not complete yet
         self.in_collective = False
 
@@ -356,7 +355,7 @@ class OracleEngine:
         self._compute = np.zeros((num_ranks, num_phases))
         self._comm = np.zeros((num_ranks, num_phases))
         self._marks: dict[int, np.ndarray] = {}
-        #: (src, dst, tag) → list of (arrival, nbytes, payload), FIFO.
+        #: (src, dst, tag) → list of arrival times, FIFO.
         self._mailboxes: dict[tuple, list] = {}
         #: Per-rank count of collectives entered (rendezvous sequence ids).
         self._coll_entered: list[int] = [0] * num_ranks
@@ -452,11 +451,10 @@ class OracleEngine:
                 req = st.pending
             else:
                 try:
-                    req = st.program.send(st.value)
+                    req = next(st.program)
                 except StopIteration:
                     st.finished = True
                     return True
-                st.value = None
             if not self._handle(rank, st, req, states):
                 st.pending = req
                 return moved
@@ -480,21 +478,18 @@ class OracleEngine:
             arrival = nic_start + startup + bandwidth
             st.nic_free = nic_start + bandwidth
             key = (rank, req.dst, req.tag)
-            self._mailboxes.setdefault(key, []).append(
-                (arrival, req.nbytes, req.payload)
-            )
+            self._mailboxes.setdefault(key, []).append(arrival)
 
         elif isinstance(req, api.Recv):
             key = (req.src, rank, req.tag)
             box = self._mailboxes.get(key)
             if not box:
                 return False
-            arrival, nbytes, payload = box.pop(0)
+            arrival = box.pop(0)
             _, recv_overhead = self._host_overheads(req.src, rank)
             wait = max(0.0, arrival - st.clock) + recv_overhead
             st.clock += wait
             self._comm[rank, st.phase] += wait
-            st.value = (nbytes, payload)
 
         elif isinstance(req, api.SetPhase):
             if not 0 <= req.phase < self.num_phases:
@@ -536,26 +531,12 @@ class OracleEngine:
         if any(type(q) is not kind for q in reqs):
             raise RuntimeError(f"collective mismatch at sequence {seq}")
 
-        if kind is api.Allreduce:
-            nbytes = max(q.nbytes for q in reqs)
-            duration = self._collective_duration(kind, nbytes)
-            result = self._combine(reqs[0].op, [q.value for q in reqs])
-            results = [result] * self.num_ranks
-        elif kind is api.Bcast:
-            root = reqs[0].root
-            duration = self._collective_duration(kind, reqs[root].nbytes)
-            results = [reqs[root].value] * self.num_ranks
-        elif kind is api.Gather:
-            root = reqs[0].root
-            nbytes = max(q.nbytes for q in reqs)
-            duration = self._collective_duration(kind, nbytes)
-            gathered = [q.value for q in reqs]
-            results = [
-                gathered if r == root else None for r in range(self.num_ranks)
-            ]
-        else:  # Barrier: a zero-payload (4-byte) allreduce.
+        if kind is api.Bcast:
+            duration = self._collective_duration(kind, reqs[reqs[0].root].nbytes)
+        elif kind is api.Barrier:  # a zero-payload (4-byte) allreduce
             duration = self._collective_duration(kind, 4)
-            results = [None] * self.num_ranks
+        else:  # Allreduce and Gather pay for the largest contribution.
+            duration = self._collective_duration(kind, max(q.nbytes for q in reqs))
 
         finish = max(enter_times) + duration
         for rank, st in enumerate(states):
@@ -563,23 +544,7 @@ class OracleEngine:
             if waited > 0:
                 self._comm[rank, st.phase] += waited
                 st.clock = finish
-            st.value = results[rank]
             st.in_collective = False
-
-    @staticmethod
-    def _combine(op: str, values: list):
-        """Reduce per-rank contributions, left to right in rank order."""
-        acc = values[0]
-        for value in values[1:]:
-            if op == "sum":
-                acc = acc + value
-            elif op == "min":
-                acc = np.minimum(acc, value)
-            elif op == "max":
-                acc = np.maximum(acc, value)
-            else:
-                raise ValueError(f"unsupported reduction op {op!r}")
-        return acc
 
 
 # --------------------------------------------------------- perturbation twin
@@ -669,7 +634,7 @@ def oracle_run_krak(
 ) -> OracleRun:
     """The oracle's independent execution of one census-mode Krak run.
 
-    Mirrors :func:`repro.hydro.driver.run_krak` (timing mode only): deck →
+    Mirrors :func:`repro.hydro.driver.run_krak` (timing only): deck →
     partition → census → rank programs, but the programs run on the
     :class:`OracleEngine`.  The rank programs themselves are shared with
     the production path — the program *is* the workload specification; what
@@ -715,7 +680,6 @@ def oracle_run_krak(
             rank=r,
             census=census,
             node_model=cluster.node,
-            state=None,
             iterations=iterations,
             dynamic=controller,
             perturb=perturbation,

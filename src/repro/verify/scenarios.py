@@ -94,16 +94,10 @@ class Scenario:
     #: ``None`` → static run; else ``{"policy", "burn_multiplier", "dt",
     #: "migration_bytes_per_cell", "partition_seed"}``.
     dynamic: dict | None = None
-    # --- engine selection --------------------------------------------------
-    #: ``run_krak`` engine for the production run: ``"auto"`` (default),
-    #: ``"scalar"`` (force the event loop), or ``"batch"`` (force the
-    #: compiled path).  The differential additionally cross-checks the
-    #: *other* engine against whichever one ran (see ``verify/diff.py``).
-    engine: str = "auto"
     # --- perturbation ------------------------------------------------------
     #: ``None`` → clean machine; else
     #: :meth:`repro.perturb.PerturbSpec.to_dict` keys (missing keys take
-    #: the spec's defaults), injected into every engine of the differential.
+    #: the spec's defaults), injected into both sides of the differential.
     perturb: dict | None = None
 
     def __post_init__(self) -> None:
@@ -119,8 +113,6 @@ class Scenario:
             raise ValueError("iterations must be >= 1")
         if self.placement is not None and not self.smp:
             raise ValueError("a placement requires the SMP hierarchy")
-        if self.engine not in ("auto", "scalar", "batch"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.perturb is not None:
             spec = PerturbSpec.from_dict(self.perturb)  # validates the knobs
             if spec.has_churn and self.dynamic is None:
@@ -158,8 +150,6 @@ class Scenario:
             policy = self.dynamic["policy"]
             mult = float(self.dynamic.get("burn_multiplier", 4.0))
             bits.append(f"dyn={policy}x{mult:g}")
-        if self.engine != "auto":
-            bits.append(f"eng={self.engine}")
         if self.perturb is not None:
             bits.append(f"perturb={PerturbSpec.from_dict(self.perturb).label}")
         return " ".join(bits)
@@ -167,7 +157,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BuiltScenario:
-    """The live objects a scenario describes (shared by both engines)."""
+    """The live objects a scenario describes (shared by the production run
+    and the oracle)."""
 
     scenario: Scenario
     deck: object
@@ -417,12 +408,12 @@ def random_scenario(seed: int) -> Scenario:
             if rng.random() < 0.5:
                 fields["placement"] = _random_placement(rng)
     elif archetype == "batch_lowering":
-        # Head-on batch-vs-scalar stress: force a specific engine (the
-        # differential cross-checks the other one against it), run longer
-        # with repartition bursts so the op stream mixes migration
-        # point-to-points with the phase schedule, and sprinkle SMP so the
-        # split inter/intra send sweep is exercised too.
-        fields["engine"] = rng.choice(["batch", "scalar", "auto"])
+        # Lowering stress: run longer with repartition bursts so the op
+        # stream mixes migration point-to-points with the phase schedule,
+        # and sprinkle SMP so the split inter/intra send sweep is exercised
+        # too.  The draw below once picked an engine; it is kept (and
+        # discarded) so every seed still maps to the same scenario.
+        rng.choice(["batch", "scalar", "auto"])
         fields["iterations"] = rng.randrange(3, 6)
         if rng.random() < 0.7:
             fields["dynamic"] = _random_dynamic(rng, burst=True)
@@ -433,7 +424,7 @@ def random_scenario(seed: int) -> Scenario:
             fields["intra_recv_overhead"] = rng.choice([None, 0.7e-6])
     elif archetype == "straggler_noise":
         # Seeded OS-noise/straggler injection: the production perturbation
-        # machinery (cached vectorized draws, both engines) must match the
+        # machinery (cached vectorized draws) must match the
         # oracle's naive per-draw re-implementation bit for bit.  Zero
         # amplitudes are drawn on purpose — the null-identity edge.
         fields["iterations"] = rng.randrange(3, 6)
@@ -496,7 +487,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Rebuild a scenario, rejecting unknown keys loudly."""
+    """Rebuild a scenario, rejecting unknown keys loudly.
+
+    A legacy ``engine`` key (from files written when runs could choose
+    between engines that priced identically) is dropped.
+    """
+    data = {k: v for k, v in data.items() if k != "engine"}
     known = {f.name for f in dataclasses.fields(Scenario)}
     unknown = set(data) - known
     if unknown:

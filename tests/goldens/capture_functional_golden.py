@@ -5,8 +5,8 @@ Run from the repository root::
     PYTHONPATH=src python tests/goldens/capture_functional_golden.py
 
 The output ``tests/goldens/functional_run.json`` pins, as exact hex floats,
-what a functional (real-numerics, payload-carrying) run produces: the final
-global diagnostics, every rank's final clock, and every rank's ``rho``,
+what a functional (real-numerics) run produces: the final global
+diagnostics, every rank's final clock, and every rank's ``rho``,
 ``energy``, ``vx`` and ``x`` arrays after a few iterations of a small deck
 on 2 and 4 ranks.  Functional mode is otherwise checked only to a relative
 tolerance or by conservation, so this is the file that proves a refactor

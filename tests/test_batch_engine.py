@@ -1,9 +1,9 @@
-"""The batch-compiled engine core: lowering, bitwise agreement, engine choice.
+"""The batch-compiled engine core: lowering, bitwise agreement, errors.
 
-The contract under test (docs/engine.md): every program that lowers prices
-bitwise identically on the batch path and the scalar event loop — clocks,
-traces, marks, and error messages — and Krak's direct emission writes
-exactly the op stream its generator yields.
+The contract under test (docs/engine.md): every program prices bitwise
+identically on the engine and the reference oracle — clocks, traces and
+marks — and Krak's direct emission writes exactly the op stream its
+generator yields.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.mesh.connectivity import build_face_table
 from repro.partition import ImbalanceThresholdPolicy, make_partition
 from repro.perturb import FAILURE_PHASE, Perturbation, PerturbSpec
 from repro.simmpi import (
-    OP_REGISTRY,
     Allreduce,
     Barrier,
     Bcast,
@@ -41,6 +40,7 @@ from repro.simmpi import (
 from repro.simmpi import _kernels
 from repro.simmpi import compile as simc
 from repro.simmpi.compile import ProgramWriter, lower_ops
+from repro.verify.oracle import OracleEngine, oracle_run_krak
 
 
 def flat_cluster():
@@ -83,101 +83,70 @@ def mixed_program(ranks, iters=3):
 
 
 def hand_compile(make, ranks):
-    """Lower programs that ignore the values sent back to them."""
-    return [lower_ops(list(make(r))) for r in range(ranks)]
+    """Lower every rank's program to its columnar op stream."""
+    return [lower_ops(make(r)) for r in range(ranks)]
 
 
-def run_both(cluster, ranks, make, num_phases=2):
-    scalar = Engine(cluster, ranks, num_phases).run(make)
+def run_against_oracle(cluster, ranks, make, num_phases=2):
+    """The batch core on hand-compiled programs, and the oracle on the same."""
     batch = Engine(cluster, ranks, num_phases).run_compiled(hand_compile(make, ranks))
-    return scalar, batch
+    oracle = OracleEngine(cluster, ranks, num_phases).run(make)
+    return batch, oracle
 
 
-def assert_bitwise_equal(a, b):
-    assert np.array_equal(a.final_clocks, b.final_clocks)
-    assert np.array_equal(a.trace.compute, b.trace.compute)
-    assert np.array_equal(a.trace.comm, b.trace.comm)
-    assert set(a.trace.iteration_starts) == set(b.trace.iteration_starts)
-    for i in a.trace.iteration_starts:
-        assert np.array_equal(
-            a.trace.iteration_starts[i],
-            b.trace.iteration_starts[i],
-            equal_nan=True,
-        )
+def assert_matches_oracle(result, oracle):
+    """Exact equality of a SimResult with an OracleResult."""
+    assert np.array_equal(result.final_clocks, oracle.final_clocks)
+    assert np.array_equal(result.trace.compute, oracle.compute)
+    assert np.array_equal(result.trace.comm, oracle.comm)
+    assert set(result.trace.iteration_starts) == set(oracle.iteration_starts)
+    for i, row in oracle.iteration_starts.items():
+        assert np.array_equal(result.trace.iteration_starts[i], row, equal_nan=True)
 
 
 class TestBitwiseAgreement:
     def test_flat_cluster(self):
-        scalar, batch = run_both(flat_cluster(), 4, mixed_program(4))
-        assert_bitwise_equal(scalar, batch)
+        batch, oracle = run_against_oracle(flat_cluster(), 4, mixed_program(4))
+        assert_matches_oracle(batch, oracle)
 
     def test_smp_cluster_with_intra_overheads(self):
-        scalar, batch = run_both(smp_cluster(), 6, mixed_program(6))
-        assert_bitwise_equal(scalar, batch)
+        batch, oracle = run_against_oracle(smp_cluster(), 6, mixed_program(6))
+        assert_matches_oracle(batch, oracle)
+
+    def test_phase_attribution_stays_within_each_rank(self):
+        # Rank 1's last SetPhase must not leak into rank 2, which never sets
+        # a phase, and rank 1's first compute precedes its own SetPhase.
+        def make(rank):
+            if rank == 0:
+                yield SetPhase(2)
+            yield Compute(1e-6 * (rank + 1))
+            yield Barrier()
+            if rank == 1:
+                yield SetPhase(1)
+            yield Compute(2e-6)
+
+        batch, oracle = run_against_oracle(flat_cluster(), 3, make, num_phases=3)
+        assert_matches_oracle(batch, oracle)
+        assert batch.trace.compute[2, 0] == 1e-6 * 3 + 2e-6
 
     def test_window_summaries_agree(self):
-        scalar, batch = run_both(flat_cluster(), 4, mixed_program(4, iters=4))
-        assert np.array_equal(
-            scalar.trace.window_compute_max(1, 4),
-            batch.trace.window_compute_max(1, 4),
-        )
-        assert np.array_equal(
-            scalar.trace.window_comm_max(1, 4),
-            batch.trace.window_comm_max(1, 4),
-        )
-        assert scalar.trace.mean_iteration_time(1, 4) == (
-            batch.trace.mean_iteration_time(1, 4)
+        # The last mark is the program's last op, so the full window is the
+        # oracle's per-bucket totals, and iteration times come from marks
+        # the oracle records identically.
+        batch, oracle = run_against_oracle(flat_cluster(), 4, mixed_program(4, iters=4))
+        assert np.array_equal(batch.trace.window_compute(0, 4), oracle.compute)
+        assert np.array_equal(batch.trace.window_comm(0, 4), oracle.comm)
+        starts = oracle.iteration_starts
+        assert batch.trace.mean_iteration_time(1, 4) == (
+            float(starts[4].max() - starts[1].max()) / 3
         )
 
     def test_forced_batch_engine_on_compiled_program(self):
+        # Engine.run lowers generators itself and runs the same core.
         make = mixed_program(4)
-        compiled = hand_compile(make, 4)
-        batch = Engine(flat_cluster(), 4, 2).run_compiled(compiled)
-        scalar = Engine(flat_cluster(), 4, 2).run(make)
-        assert_bitwise_equal(scalar, batch)
-
-
-class TestScalarFallback:
-    def test_payload_send_is_not_lowerable(self):
-        def make(rank):
-            if rank == 0:
-                yield Isend(1, tag=0, nbytes=8.0, payload=np.ones(2))
-                yield WaitSends()
-            else:
-                yield Recv(0, tag=0)
-
-        with pytest.raises(NotLowerable, match="payload"):
-            lower_ops(list(make(0)))
-        assert lower_ops(list(make(1))).num_ops == 1
-
-    def test_mixed_lowerable_then_not(self):
-        # The non-lowerable op appears mid-stream: the whole stream refuses.
-        def make(rank):
-            yield SetPhase(0)
-            yield Compute(1e-6)
-            yield Barrier()
-            if rank == 1:
-                yield Isend(0, tag=7, nbytes=16.0, payload=(1, 2))
-                yield WaitSends()
-            else:
-                yield Recv(1, tag=7)
-
-        with pytest.raises(NotLowerable):
-            hand_compile(make, 2)
-
-    def test_run_krak_auto_runs_functional_on_scalar_loop(self):
-        deck = build_deck((8, 4))
-        faces = build_face_table(deck.mesh)
-        partition = make_partition(deck.mesh, 2, method="block", faces=faces)
-        runs = {
-            eng: run_krak(
-                deck, partition, iterations=1, faces=faces, functional=True,
-                engine=eng,
-            )
-            for eng in ("auto", "scalar")
-        }
-        assert_bitwise_equal(runs["auto"].result, runs["scalar"].result)
-        assert runs["auto"].diagnostics == runs["scalar"].diagnostics
+        result = Engine(flat_cluster(), 4, 2).run(make)
+        oracle = OracleEngine(flat_cluster(), 4, 2).run(make)
+        assert_matches_oracle(result, oracle)
 
 
 class TestCompile:
@@ -233,21 +202,6 @@ class TestCompile:
 
 
 class TestOpProtocol:
-    def test_registry_covers_all_ops(self):
-        kinds = set(OP_REGISTRY)
-        assert kinds == {
-            "compute",
-            "set_phase",
-            "mark_iteration",
-            "isend",
-            "recv",
-            "wait_sends",
-            "allreduce",
-            "bcast",
-            "gather",
-            "barrier",
-        }
-
     def test_message_key_is_tuple_compatible(self):
         key = MessageKey(0, 1, 7)
         assert key == (0, 1, 7)
@@ -258,20 +212,20 @@ class TestOpProtocol:
 
     def test_unknown_request_rejected_by_both_paths(self):
         class Bogus:
-            collective = False
+            pass
 
         def make(rank):
             yield Bogus()
 
-        with pytest.raises(TypeError, match="unknown request"):
+        # It has no lower() hook: Engine.run and hand lowering both refuse.
+        with pytest.raises(NotLowerable, match="unknown request"):
             Engine(flat_cluster(), 1, 1).run(make)
-        # Lowering refuses it too: it has no lower() hook.
         with pytest.raises(NotLowerable, match="unknown request"):
             hand_compile(make, 1)
 
 
 class TestValidationParity:
-    """Batch validation errors must match the scalar messages exactly."""
+    """Engine.run and run_compiled raise the same validation messages."""
 
     @pytest.mark.parametrize(
         "op, message",
@@ -285,12 +239,12 @@ class TestValidationParity:
         def make(rank):
             yield op
 
-        with pytest.raises(ValueError) as scalar_err:
+        with pytest.raises(ValueError) as run_err:
             Engine(flat_cluster(), 2, 2).run(make)
-        with pytest.raises(ValueError) as batch_err:
+        with pytest.raises(ValueError) as compiled_err:
             Engine(flat_cluster(), 2, 2).run_compiled(hand_compile(make, 2))
-        assert str(scalar_err.value) == message
-        assert str(batch_err.value) == message
+        assert str(run_err.value) == message
+        assert str(compiled_err.value) == message
 
     def test_collective_mismatch_message(self):
         compiled = [
@@ -314,7 +268,7 @@ class TestDeadlockReport:
 
         return make
 
-    def test_scalar_report_contents(self):
+    def test_report_contents(self):
         with pytest.raises(DeadlockError) as err:
             Engine(flat_cluster(), 2, 1).run(self.make_deadlocked())
         text = str(err.value)
@@ -323,18 +277,14 @@ class TestDeadlockReport:
         assert "rank 0 pending sends: MessageKey(src=0, dst=1, tag=5) (64 B)" in text
         assert "rank 1 has no pending sends" in text
 
-    def test_batch_report_identical_to_scalar(self):
-        # Hand-compile the same op streams so the batch deadlock reporter
-        # runs; its text must match the scalar engine's exactly.
-        compiled = [
-            lower_ops([Isend(1, tag=5, nbytes=64.0), Recv(1, tag=0)]),
-            lower_ops([Recv(0, tag=6)]),
-        ]
-        with pytest.raises(DeadlockError) as scalar_err:
-            Engine(flat_cluster(), 2, 1).run(self.make_deadlocked())
-        with pytest.raises(DeadlockError) as batch_err:
+    def test_collective_wait_reported(self):
+        compiled = [lower_ops([Barrier()]), lower_ops([Recv(0, tag=3)])]
+        with pytest.raises(DeadlockError) as err:
             Engine(flat_cluster(), 2, 1).run_compiled(compiled)
-        assert str(scalar_err.value) == str(batch_err.value)
+        text = str(err.value)
+        assert "rank 0: waiting in collective sequence 0" in text
+        assert "rank 1: parked on recv MessageKey(src=0, dst=1, tag=3)" in text
+        assert "rank 0 has no pending sends" in text
 
 
 class TestKrakLowering:
@@ -374,34 +324,28 @@ class TestKrakLowering:
         ], controller
 
     def assert_emission_matches_executed_generator(self, make_programs):
-        """``lower_into`` writes exactly what the scalar engine executes.
+        """``lower_into`` writes exactly what the oracle executes.
 
-        The generator runs on the scalar engine under a wrapper that lowers
-        each yielded op into a writer and forwards the values sent back, so
-        the recorded stream is the one real collective results and message
-        deliveries drove.
+        The generator runs on the reference oracle under a wrapper that
+        lowers each yielded op into a writer, so the recorded stream is the
+        one an interleaved execution — ranks taking turns at the shared
+        dynamic controller — drove.
         """
 
         def recording(program, writer):
-            gen = program()
-            value = None
-            while True:
-                try:
-                    op = gen.send(value)
-                except StopIteration:
-                    return
+            for op in program():
                 op.lower(writer)
-                value = yield op
+                yield op
 
         executed, _ = make_programs()
         writers = [ProgramWriter() for _ in executed]
-        Engine(es45_like_cluster(), len(executed), FAILURE_PHASE + 1).run(
+        OracleEngine(es45_like_cluster(), len(executed), FAILURE_PHASE + 1).run(
             lambda r: recording(executed[r], writers[r])
         )
         lowered, controller = make_programs()
         for r, program in enumerate(lowered):
             writer = ProgramWriter()
-            assert program.lower_into(writer)
+            program.lower_into(writer)
             direct, via_generator = writer.finish(), writers[r].finish()
             for col in ("opcode", "farg", "a", "b"):
                 assert np.array_equal(
@@ -442,73 +386,24 @@ class TestKrakLowering:
         assert failure_rows.sum() == 1
         assert controller.run_info().num_repartitions >= 1
 
-    def test_functional_mode_refuses_direct_emission(self, problem):
-        deck, faces, partition = problem
-        from repro.hydro.state import build_rank_states
-
-        census = build_workload_census(deck, partition, faces)
-        states = build_rank_states(deck, partition)
-        program = KrakProgram(
-            rank=0,
-            census=census,
-            node_model=es45_like_cluster().node,
-            state=states[0],
-            iterations=1,
-        )
-        assert not program.lower_into(ProgramWriter())
-
     def test_run_krak_engines_agree(self, problem):
         deck, faces, partition = problem
-        runs = {
-            eng: run_krak(
-                deck, partition, iterations=2, faces=faces, engine=eng
-            )
-            for eng in ("auto", "scalar", "batch")
-        }
-        base = runs["scalar"]
-        for eng in ("auto", "batch"):
-            assert_bitwise_equal(base.result, runs[eng].result)
-            assert runs[eng].diagnostics == base.diagnostics
+        run = run_krak(deck, partition, iterations=2, faces=faces)
+        oracle = oracle_run_krak(deck, partition, iterations=2, faces=faces)
+        assert_matches_oracle(run.result, oracle.result)
 
     def test_run_krak_dynamic_engines_agree(self, problem):
         deck, faces, partition = problem
         config = DynamicConfig(
             policy=ImbalanceThresholdPolicy(threshold=1.1), burn_multiplier=8.0
         )
-        runs = {
-            eng: run_krak(
-                deck,
-                partition,
-                iterations=4,
-                faces=faces,
-                dynamic=config,
-                engine=eng,
-            )
-            for eng in ("auto", "scalar", "batch")
-        }
-        base = runs["scalar"]
-        for eng in ("auto", "batch"):
-            assert_bitwise_equal(base.result, runs[eng].result)
-            assert runs[eng].dynamic.num_repartitions == (
-                base.dynamic.num_repartitions
-            )
-
-    def test_unknown_engine_rejected(self, problem):
-        deck, faces, partition = problem
-        with pytest.raises(ValueError, match="unknown engine 'vector'"):
-            run_krak(deck, partition, faces=faces, engine="vector")
-
-    def test_batch_engine_rejects_functional_mode(self, problem):
-        deck, faces, partition = problem
-        with pytest.raises(ValueError, match="cannot be lowered"):
-            run_krak(
-                deck,
-                partition,
-                iterations=1,
-                faces=faces,
-                functional=True,
-                engine="batch",
-            )
+        run = run_krak(deck, partition, iterations=4, faces=faces, dynamic=config)
+        oracle = oracle_run_krak(
+            deck, partition, iterations=4, faces=faces, dynamic=config
+        )
+        assert_matches_oracle(run.result, oracle.result)
+        assert run.dynamic.num_repartitions == oracle.dynamic.num_repartitions
+        assert run.dynamic.num_repartitions >= 1
 
 
 class TestKernelContainers:

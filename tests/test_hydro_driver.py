@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.hydro import build_workload_census, measure_iteration_time, run_krak
-from repro.hydro.phases import KrakProgram
+from repro.hydro.functional import run_functional
 from repro.hydro.state import build_rank_states
 from repro.machine import NUM_PHASES, es45_like_cluster
 from repro.mesh import build_deck, build_face_table
 from repro.partition import structured_block_partition
-from repro.simmpi import Engine
 
 
 @pytest.fixture(scope="module")
@@ -47,31 +46,22 @@ class TestRunKrak:
         assert run.cluster.name == "es45-qsnet-like"
 
     def test_functional_diagnostics_agree_across_ranks(self, setup):
-        """run_krak returns ``programs[0].diagnostics`` documented as "same
-        values on every rank" — verify the claim: every rank's final global
-        diagnostics must be identical (they all come from the same
-        collectives)."""
+        """run_krak's functional diagnostics are the lockstep numerics'
+        global reductions over every rank: rerunning them on fresh states
+        reproduces the diagnostics and every rank's arrays exactly, and the
+        reduced mass is the sum of the ranks' own masses."""
         deck, faces, part = setup
-        cluster = es45_like_cluster()
         census = build_workload_census(deck, part, faces)
         states = build_rank_states(deck, part)
-        programs = [
-            KrakProgram(
-                rank=r,
-                census=census,
-                node_model=cluster.node,
-                state=states[r],
-                iterations=2,
-            )
-            for r in range(part.num_ranks)
-        ]
-        Engine(cluster, part.num_ranks, NUM_PHASES).run(
-            lambda r: programs[r]()
+        diagnostics = run_functional(states, census, iterations=2)
+        run = run_krak(deck, part, iterations=2, functional=True, faces=faces)
+        assert diagnostics == run.diagnostics
+        for mine, theirs in zip(states, run.states, strict=True):
+            assert np.array_equal(mine.rho, theirs.rho)
+            assert np.array_equal(mine.vx, theirs.vx)
+        assert diagnostics["total_mass"] == pytest.approx(
+            sum(float(st.cell_mass.sum()) for st in states), rel=1e-12
         )
-        reference = programs[0].diagnostics
-        assert reference  # populated after the run
-        for program in programs[1:]:
-            assert program.diagnostics == reference
 
 
 class TestMeasureIterationTime:

@@ -19,27 +19,8 @@ def program_requests():
     part = structured_block_partition(deck.mesh, 4, px=2, py=2)
     census = build_workload_census(deck, part, faces)
     cluster = es45_like_cluster(jitter_frac=0.0)
-    prog = KrakProgram(0, census, cluster.node, state=None, iterations=1)
-
-    requests = []
-    gen = prog()
-    try:
-        req = gen.send(None)
-        while True:
-            requests.append(req)
-            value = None
-            if isinstance(req, api.Recv):
-                value = (0, None)
-            elif isinstance(req, api.Allreduce):
-                value = req.value
-            elif isinstance(req, api.Bcast):
-                value = req.value if req.value is not None else 0.0
-            elif isinstance(req, api.Gather):
-                value = [req.value]
-            req = gen.send(value)
-    except StopIteration:
-        pass
-    return requests, census
+    prog = KrakProgram(0, census, cluster.node, iterations=1)
+    return list(prog()), census
 
 
 class TestPhaseStructure:
@@ -134,23 +115,15 @@ class TestFunctionalSmoke:
         deck = build_deck((8, 4))
         faces = build_face_table(deck.mesh)
         part = structured_block_partition(deck.mesh, 2, px=2, py=1)
-        from repro.hydro.driver import build_rank_states
-        from repro.hydro.workload import build_workload_census
-        from repro.machine import es45_like_cluster
-        from repro.simmpi import Engine
+        from repro.hydro.functional import run_functional
+        from repro.hydro.state import build_rank_states
 
         census = build_workload_census(deck, part, faces)
-        cluster = es45_like_cluster()
         states = build_rank_states(deck, part)
         # Invert a cell outright: swap one cell's diagonal node positions.
         st0 = states[0]
         a, _, c, _ = st0.cell_nodes[0]
         st0.x[[a, c]] = st0.x[[c, a]]
         st0.y[[a, c]] = st0.y[[c, a]]
-        progs = [
-            KrakProgram(r, census, cluster.node, state=states[r], iterations=1)
-            for r in range(2)
-        ]
-        engine = Engine(cluster, 2, 15)
         with pytest.raises(FloatingPointError, match="tangled"):
-            engine.run(lambda r: progs[r]())
+            run_functional(states, census, iterations=1)

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from repro.hydro import build_rank_states
-from repro.hydro.phases import KrakProgram
+from repro.hydro.functional import run_functional
 from repro.hydro.workload import build_workload_census
-from repro.machine import es45_like_cluster
 from repro.mesh import build_deck, build_face_table
 from repro.mesh.grid import structured_quad_mesh
 from repro.mesh.deck import HE_GAS, InputDeck
 from repro.partition import structured_block_partition
-from repro.simmpi import Engine
 
 
 def _shock_tube_states(nx=64, ny=4, ranks=2, pressure_ratio=4.0):
@@ -51,14 +49,9 @@ def _shock_tube_states(nx=64, ny=4, ranks=2, pressure_ratio=4.0):
 
 
 def _run(deck, faces, part, states, iterations):
-    cluster = es45_like_cluster()
+    """Advance ``states`` in place; returns the final global diagnostics."""
     census = build_workload_census(deck, part, faces)
-    progs = [
-        KrakProgram(r, census, cluster.node, state=states[r], iterations=iterations)
-        for r in range(part.num_ranks)
-    ]
-    Engine(cluster, part.num_ranks, 15).run(lambda r: progs[r]())
-    return progs
+    return run_functional(states, census, iterations)
 
 
 class TestShockTube:
@@ -66,8 +59,8 @@ class TestShockTube:
     def evolved(self):
         deck, faces, part, states = _shock_tube_states()
         initial_ie = sum(float((st.cell_mass * st.energy).sum()) for st in states)
-        progs = _run(deck, faces, part, states, iterations=40)
-        return deck, states, initial_ie, progs
+        diagnostics = _run(deck, faces, part, states, iterations=40)
+        return deck, states, initial_ie, diagnostics
 
     def test_contact_moves_right(self, evolved):
         """The hot (high-pressure) left side pushes the interface right:
@@ -108,8 +101,7 @@ class TestShockTube:
     def test_total_energy_approximately_conserved(self, evolved):
         """KE + IE stays within a few percent of the initial IE (explicit
         PdV update + artificial viscosity is conservative to O(dt))."""
-        _, states, initial_ie, progs = evolved
-        d = progs[0].diagnostics
+        _, states, initial_ie, d = evolved
         total = d["total_ke"] + d["total_ie"]
         assert total == pytest.approx(initial_ie, rel=0.05)
 
@@ -133,9 +125,8 @@ class TestUniformStateStability:
     def test_uniform_gas_stays_at_rest(self):
         """A uniform state is a fixed point: no spurious velocities."""
         deck, faces, part, states = _shock_tube_states(pressure_ratio=1.0)
-        progs = _run(deck, faces, part, states, iterations=10)
+        d = _run(deck, faces, part, states, iterations=10)
         for st in states:
             assert np.all(np.abs(st.vx) < 1e-8)
             assert np.all(np.abs(st.vy) < 1e-8)
-        d = progs[0].diagnostics
         assert d["total_ke"] == pytest.approx(0.0, abs=1e-10)

@@ -30,6 +30,7 @@ from repro.hydro import run_krak
 from repro.mesh import build_deck, build_face_table
 from repro.partition import make_partition
 from repro.perturb import Perturbation, PerturbSpec, perturb_rng
+from repro.verify.oracle import oracle_run_krak
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "goldens" / "perturb_streams.json").read_text()
@@ -45,10 +46,9 @@ _PARTITION = make_partition(
 )
 
 
-def _run(perturb, engine="auto", iterations=ITERATIONS):
+def _run(perturb, iterations=ITERATIONS):
     return run_krak(
-        _DECK, _PARTITION, iterations=iterations, faces=_FACES,
-        perturb=perturb, engine=engine,
+        _DECK, _PARTITION, iterations=iterations, faces=_FACES, perturb=perturb,
     ).result
 
 
@@ -176,11 +176,16 @@ class TestPerturbProperties:
 
     @given(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.01, 0.5))
     @settings(max_examples=10, deadline=None)
-    def test_scalar_batch_bitwise_under_noise(self, seed, amp):
+    def test_oracle_bitwise_under_noise(self, seed, amp):
         spec = PerturbSpec(seed=seed, compute_noise=amp, straggler_prob=0.3,
                            link_degrade=0.5)
-        assert _results_identical(_run(spec, engine="scalar"),
-                                  _run(spec, engine="batch"))
+        result = _run(spec)
+        oracle = oracle_run_krak(
+            _DECK, _PARTITION, iterations=ITERATIONS, faces=_FACES, perturb=spec
+        ).result
+        assert np.array_equal(result.trace.compute, oracle.compute)
+        assert np.array_equal(result.trace.comm, oracle.comm)
+        assert np.array_equal(result.final_clocks, oracle.final_clocks)
 
     @given(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.0, 1.0))
     @settings(max_examples=10, deadline=None)

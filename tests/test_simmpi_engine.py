@@ -1,4 +1,9 @@
-"""Unit tests for the discrete-event simulated MPI engine."""
+"""Unit tests for the discrete-event simulated MPI engine.
+
+Programs here are generators run through :meth:`Engine.run`, which lowers
+them to the engine's event tables; requests carry sizes only and nothing is
+sent back into the program.
+"""
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from repro.simmpi import (
     Compute,
     DeadlockError,
     Engine,
-    Gather,
     Isend,
     MarkIteration,
     Recv,
@@ -62,25 +66,13 @@ class TestPointToPoint:
             if rank == 0:
                 yield Isend(1, 1, nbytes)
             else:
-                got = yield Recv(0, 1)
-                assert got[0] == nbytes
+                yield Recv(0, 1)
 
         res = run(cl, 2, prog)
         expected = (
             cl.send_overhead + cl.network.tmsg(nbytes) + cl.recv_overhead
         )
         assert res.final_clocks[1] == pytest.approx(expected)
-
-    def test_payload_delivery(self, cl):
-        def prog(rank):
-            yield SetPhase(0)
-            if rank == 0:
-                yield Isend(1, 9, 8, payload={"x": 42})
-            else:
-                _, data = yield Recv(0, 9)
-                assert data == {"x": 42}
-
-        run(cl, 2, prog)
 
     def test_recv_before_send_blocks_correctly(self, cl):
         """Receiver arrives first; sender computes 1 ms before sending."""
@@ -97,17 +89,24 @@ class TestPointToPoint:
         assert res.final_clocks[1] > 1e-3
 
     def test_fifo_same_tag(self, cl):
+        """Two sends on one key pair with the receives in post order: the
+        first receive (phase 0) waits only for the small message."""
+        small, big = 8, 1_000_000
+
         def prog(rank):
             yield SetPhase(0)
             if rank == 0:
-                yield Isend(1, 1, 8, payload="first")
-                yield Isend(1, 1, 8, payload="second")
+                yield Isend(1, 1, small)
+                yield Isend(1, 1, big)
             else:
-                _, a = yield Recv(0, 1)
-                _, b = yield Recv(0, 1)
-                assert (a, b) == ("first", "second")
+                yield Recv(0, 1)
+                yield SetPhase(1)
+                yield Recv(0, 1)
 
-        run(cl, 2, prog)
+        res = run(cl, 2, prog, num_phases=2)
+        first = cl.send_overhead + cl.network.tmsg(small) + cl.recv_overhead
+        assert res.trace.comm[1, 0] == pytest.approx(first)
+        assert res.trace.comm[1, 1] > cl.network.bandwidth_time(big)
 
     def test_nic_serialises_bandwidth(self, cl):
         """Two large back-to-back sends: second arrives later (NIC busy)."""
@@ -171,23 +170,6 @@ class TestDeadlockDetection:
 
 
 class TestCollectives:
-    def test_allreduce_sum(self, cl):
-        def prog(rank):
-            yield SetPhase(0)
-            total = yield Allreduce(rank + 1.0, "sum", 8)
-            assert total == pytest.approx(10.0)
-
-        run(cl, 4, prog)
-
-    def test_allreduce_min_max(self, cl):
-        def prog(rank):
-            yield SetPhase(0)
-            lo = yield Allreduce(float(rank), "min", 8)
-            hi = yield Allreduce(float(rank), "max", 8)
-            assert lo == 0.0 and hi == 3.0
-
-        run(cl, 4, prog)
-
     def test_allreduce_timing_matches_tree(self, cl):
         def prog(rank):
             yield SetPhase(0)
@@ -195,14 +177,6 @@ class TestCollectives:
 
         res = run(cl, 8, prog)
         assert res.makespan == pytest.approx(allreduce_time(cl.network, 8, 8))
-
-    def test_bcast_root_value(self, cl):
-        def prog(rank):
-            yield SetPhase(0)
-            v = yield Bcast("root-data" if rank == 2 else None, 2, 4)
-            assert v == "root-data"
-
-        run(cl, 4, prog)
 
     def test_bcast_synchronises_at_max_entry(self, cl):
         def prog(rank):
@@ -213,17 +187,6 @@ class TestCollectives:
         res = run(cl, 4, prog)
         expected = 3e-3 + bcast_time(cl.network, 4, 4)
         assert np.allclose(res.final_clocks, expected)
-
-    def test_gather_collects_in_rank_order(self, cl):
-        def prog(rank):
-            yield SetPhase(0)
-            data = yield Gather(rank * 2, 0, 32)
-            if rank == 0:
-                assert data == [0, 2, 4, 6]
-            else:
-                assert data is None
-
-        run(cl, 4, prog)
 
     def test_barrier(self, cl):
         def prog(rank):
@@ -245,69 +208,10 @@ class TestCollectives:
     def test_single_rank_collective_is_free(self, cl):
         def prog(rank):
             yield SetPhase(0)
-            v = yield Allreduce(5.0, "sum", 8)
-            assert v == 5.0
+            yield Allreduce(5.0, "sum", 8)
 
         res = run(cl, 1, prog)
         assert res.makespan == 0.0
-
-
-class TestRecvParking:
-    def test_duplicate_foreign_waiter_raises(self, cl):
-        """Both parking paths go through _park_recv, which rejects a second
-        rank claiming an occupied key instead of silently overwriting it."""
-        engine = Engine(cl, 2, 1)
-        key = (0, 1, 7)
-        engine._park_recv(1, key)
-        with pytest.raises(RuntimeError, match="two receivers parked"):
-            engine._park_recv(0, key)
-
-    def test_self_repark_is_idempotent(self, cl):
-        """A spurious wake-up re-parks the same rank on its own key."""
-        engine = Engine(cl, 2, 1)
-        key = (0, 1, 7)
-        engine._park_recv(1, key)
-        engine._park_recv(1, key)
-        assert engine._recv_waiters[key] == 1
-
-    def test_spurious_wakeup_reparks_through_guard(self, cl, monkeypatch):
-        """Force a spurious wake-up (the waiter runs but its receive cannot
-        complete) and check the rank re-parks through the guard and the run
-        still finishes once a later send arrives."""
-        engine = Engine(cl, 3, 1)
-        original = Engine._satisfy_recv
-        fail_once = {"armed": True}
-
-        def flaky(self, rank, st, key):
-            if rank == 1 and fail_once["armed"] and key == (0, 1, 1):
-                if key in self._mailboxes and self._mailboxes[key]:
-                    fail_once["armed"] = False
-                    return False  # pretend the mailbox was empty
-            return original(self, rank, st, key)
-
-        monkeypatch.setattr(Engine, "_satisfy_recv", flaky)
-        got = []
-
-        def prog(rank):
-            yield SetPhase(0)
-            if rank == 0:
-                yield Recv(1, 9)
-                yield Isend(1, 1, 8, payload="data")
-                yield Isend(2, 5, 8)
-                yield Recv(2, 6)
-                yield Isend(1, 1, 8, payload="data2")
-            elif rank == 1:
-                yield Isend(0, 9, 8)
-                _, a = yield Recv(0, 1)
-                _, b = yield Recv(0, 1)
-                got.extend([a, b])
-            else:
-                yield Recv(0, 5)
-                yield Isend(0, 6, 8)
-
-        engine.run(lambda r: prog(r))
-        assert not fail_once["armed"]
-        assert got == ["data", "data2"]
 
 
 class TestDeterminism:

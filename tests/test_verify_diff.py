@@ -48,33 +48,26 @@ class TestAgreement:
         assert outcome.ok, outcome.describe()
 
 
-def _recv_overhead_dropped(self, rank, st, key):
-    """Mutant ``Engine._satisfy_recv``: forgets the receive host overhead."""
-    box = self._mailboxes.get(key)
-    if not box:
-        return False
-    arrival, nbytes, payload = box.popleft()
-    wait = max(0.0, arrival - st.clock)  # BUG: no recv_overhead
-    st.clock += wait
-    self.trace.add_comm(rank, st.phase, wait)
-    st.pending_value = (nbytes, payload)
-    return True
+def _drop_recv_overhead(monkeypatch):
+    """Mutant engine: every receive forgets its host overhead."""
+    original = engine_module.Engine.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self._recv_overhead = 0.0  # BUG: receives cost no host time
+
+    monkeypatch.setattr(engine_module.Engine, "__init__", init)
 
 
 class TestMutationSmoke:
     """Injected engine bugs must fail the differential."""
 
     def test_dropped_recv_overhead_caught(self, monkeypatch):
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         # Seed 2 is the ranks == cells archetype: plenty of receives.
         result = diff_scenario(random_scenario(2))
         assert not result.ok
-        # The production run may have taken the batch path, in which case
-        # the scalar mutant is caught by the alternate-engine cross-check
-        # ("scalar.comm") rather than the oracle comparison ("comm").
-        assert any(m.field.endswith("comm") for m in result.mismatches)
+        assert any(m.field == "comm" for m in result.mismatches)
 
     def test_wrong_collective_factor_caught(self, monkeypatch):
         original = engine_module.allreduce_time
@@ -89,9 +82,7 @@ class TestMutationSmoke:
         assert not result.ok
 
     def test_mutant_also_breaks_multi_rank_scenarios(self, monkeypatch):
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         failures = [
             seed
             for seed in SMOKE_SEEDS
@@ -103,9 +94,7 @@ class TestMutationSmoke:
 
 class TestShrinking:
     def test_shrinks_to_smaller_failing_scenario(self, monkeypatch):
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         original = random_scenario(2)
 
         def still_fails(scenario):
@@ -149,9 +138,7 @@ class TestCli:
         assert "OK" in out
 
     def test_fuzz_verb_saves_failures(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         outdir = tmp_path / "failures"
         rc = main([
             "verify", "fuzz", "--seeds", "3", "--base-seed", "2", "--quiet",
@@ -165,9 +152,7 @@ class TestCli:
         assert not diff_scenario(Scenario(**data)).ok
 
     def test_diff_verb_fails_on_mismatch(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         path = save_scenario(random_scenario(2), tmp_path / "s.json")
         assert main(["verify", "diff", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -175,9 +160,7 @@ class TestCli:
 
 class TestReporting:
     def test_mismatch_reports_are_bounded_and_descriptive(self, monkeypatch):
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         result = diff_scenario(random_scenario(2))
         from repro.verify.diff import MAX_MISMATCHES
 
@@ -215,25 +198,28 @@ class TestDefenses:
     def test_nan_compute_caught_end_to_end(self, monkeypatch):
         from repro.simmpi.tracing import PhaseTrace
 
-        original = PhaseTrace.add_compute
+        original = PhaseTrace.load_batch
 
-        def poisoned(self, rank, phase, seconds):
-            original(self, rank, phase, np.nan if phase == 2 else seconds)
+        def poisoned(self, compute_rows, comm_rows, marks):
+            rows = [list(row) for row in compute_rows]
+            for row in rows:
+                row[2] = np.nan
+            original(self, rows, comm_rows, marks)
 
-        monkeypatch.setattr(PhaseTrace, "add_compute", poisoned)
+        monkeypatch.setattr(PhaseTrace, "load_batch", poisoned)
         outcome = verify_scenario(random_scenario(2))
         assert not outcome.ok
 
     def test_missing_iteration_mark_is_a_mismatch_not_a_crash(self, monkeypatch):
         from repro.simmpi.tracing import PhaseTrace
 
-        original = PhaseTrace.mark_iteration
+        original = PhaseTrace.load_batch
 
-        def dropped(self, rank, index, clock):
-            if index != 1:
-                original(self, rank, index, clock)
+        def dropped(self, compute_rows, comm_rows, marks):
+            kept = [mark for mark in marks if mark[1] != 1]
+            original(self, compute_rows, comm_rows, kept)
 
-        monkeypatch.setattr(PhaseTrace, "mark_iteration", dropped)
+        monkeypatch.setattr(PhaseTrace, "load_batch", dropped)
         result = diff_scenario(random_scenario(2))
         assert not result.ok
         assert any("iteration_start[1]" in m.field for m in result.mismatches)
@@ -267,9 +253,7 @@ class TestDefenses:
             seed=99, nx=8, ny=2, num_ranks=5,
             partition_method="structured-block",
         )
-        monkeypatch.setattr(
-            engine_module.Engine, "_satisfy_recv", _recv_overhead_dropped
-        )
+        _drop_recv_overhead(monkeypatch)
         monkeypatch.setattr(diff_module, "random_scenario", lambda seed: crafted)
         outcome = fuzz(1, shrink=True)
         assert len(outcome.failures) == 1

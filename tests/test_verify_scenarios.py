@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,22 @@ class TestSerialization:
         data["typo_field"] = 1
         with pytest.raises(ValueError, match="typo_field"):
             scenario_from_dict(data)
+
+    def test_legacy_engine_key_dropped(self):
+        # Files written when a scenario could pick among engines that all
+        # priced identically still load, as the same scenario.
+        scenario = random_scenario(3)
+        data = dict(scenario_to_dict(scenario), engine="scalar")
+        assert scenario_from_dict(data) == scenario
+
+    def test_committed_scenario_file_replays_its_seed(self):
+        # The CLI golden carries the legacy key; every seed must still map
+        # to the scenario it was saved from.
+        path = (
+            Path(__file__).resolve().parent / "goldens" / "cli" / "scenario_seed3.json"
+        )
+        assert "engine" in json.loads(path.read_text())
+        assert load_scenario(path) == random_scenario(3)
 
     def test_label_tolerates_sparse_dynamic_spec(self):
         # A hand-trimmed scenario file may carry only the required policy
