@@ -59,7 +59,7 @@ class NetworkModel:
         # Memoisation for the simulator/model hot paths.  Message sizes in a
         # run come from a small repeated set (per-face/per-node constants ×
         # census counts), so per-size caching removes nearly every
-        # searchsorted from the event loop.  Values are identical to the
+        # repeated searchsorted.  Values are identical to the
         # uncached paths; these are plain dicts, not dataclass fields.
         object.__setattr__(self, "_tmsg_cache", {})
         object.__setattr__(self, "_send_cache", {})
@@ -110,9 +110,9 @@ class NetworkModel:
     def send_times(self, size) -> tuple:
         """``(L(S), S · TB(S))`` with one segment lookup, memoised per size.
 
-        The simulator charges both terms for every ``Isend``; this resolves
-        the segment once and caches the pair, so the event loop pays a dict
-        hit instead of two ``searchsorted`` calls per message.
+        Both terms of one ``Isend``: this resolves the segment once and
+        caches the pair, a dict hit instead of two ``searchsorted`` calls
+        per repeated size.
         """
         cached = self._send_cache.get(size)
         if cached is None:

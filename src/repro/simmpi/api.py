@@ -36,7 +36,7 @@ class MessageKey(NamedTuple):
 
 
 class NotLowerable(Exception):
-    """Raised by :meth:`Op.lower` when an op cannot be batch-compiled."""
+    """Raised when a request cannot be lowered to the columnar tables."""
 
 
 class Op:

@@ -4,11 +4,12 @@ The tracer splits each rank's virtual time into *compute* and
 *communication* buckets per iteration phase, with MPI time excluded from
 compute — matching the paper's Figure 2 caption ("Time (s) — No MPI").
 
-Accumulation is the engine's hottest bookkeeping (one call per simulated
-event), so the buckets live in plain Python lists — a list float-add is an
-order of magnitude cheaper than a NumPy scalar ``+=`` — and the public
-``compute``/``comm`` arrays are materialised on demand.  The arithmetic is
-identical either way: one IEEE double addition per charge.
+The engine's kernel accumulates the buckets element-wise and hands them
+over in one :meth:`PhaseTrace.load_batch`; they live in plain Python lists
+— a list float-add is an order of magnitude cheaper than a NumPy scalar
+``+=`` — and the public ``compute``/``comm`` arrays are materialised on
+demand.  The arithmetic is identical either way: one IEEE double addition
+per charge.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class PhaseTrace:
         ] = self._comm_rows[rank]
 
     def load_batch(self, compute_rows, comm_rows, marks) -> None:
-        """Bulk-load accumulation rows and mark snapshots from the batch engine.
+        """Bulk-load accumulation rows and mark snapshots from the engine.
 
         ``compute_rows``/``comm_rows`` are ``(num_ranks, num_phases)``
         row containers (lists or arrays) holding the *final* per-bucket
