@@ -39,8 +39,8 @@ class KrakRun:
     cluster: ClusterConfig
     result: SimResult
     iterations: int
-    #: Final global diagnostics (same values on every rank); empty in census
-    #: mode except for timing fields.
+    #: Final global diagnostics (the functional numerics' reductions); in
+    #: census mode only the timing fields are non-zero.
     diagnostics: dict
     #: Functional rank states after the run (None in census mode).
     states: list[RankState] | None
@@ -126,10 +126,6 @@ def run_krak(
             faces = build_face_table(deck.mesh)  # shared with the controller
     if census is None:
         census = build_workload_census(deck, partition, faces)
-    states = None
-    if functional:
-        states = build_rank_states(deck, partition)
-        diagnostics = run_functional(states, census, iterations)
 
     perturbation = None
     if perturb is not None:
@@ -174,8 +170,11 @@ def run_krak(
         program.lower_into(writer)
         compiled.append(writer.finish())
     result = Engine(cluster, partition.num_ranks, num_phases).run_compiled(compiled)
-    if not functional:
-        diagnostics = programs[0].diagnostics
+    states = None
+    diagnostics = programs[0].diagnostics
+    if functional:
+        states = build_rank_states(deck, partition)
+        diagnostics = run_functional(states, census, iterations)
 
     return KrakRun(
         deck=deck,
