@@ -64,7 +64,7 @@ def test_simulated_collectives_match_model(cluster):
     def prog(rank):
         yield SetPhase(0)
         yield Compute(0.0)
-        yield Allreduce(1.0, "sum", 8)
+        yield Allreduce(nbytes=8)
 
     res = Engine(cluster, 64, 1).run(prog)
     assert res.makespan == pytest.approx(allreduce_time(cluster.network, 64, 8))

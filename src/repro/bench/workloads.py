@@ -151,7 +151,7 @@ def _run_engine_loop(ctx):
             yield Isend(right, tag=it, nbytes=256.0)
             yield Recv(left, tag=it)
             yield WaitSends()
-            yield Allreduce(1.0, "sum", 8)
+            yield Allreduce(nbytes=8)
 
     return Engine(ctx["cluster"], ranks, 1).run(prog).makespan
 
@@ -556,7 +556,7 @@ def _run_allreduce(ctx):
     def prog(rank):
         yield SetPhase(0)
         yield Compute(0.0)
-        yield Allreduce(1.0, "sum", 8)
+        yield Allreduce(nbytes=8)
 
     return Engine(ctx["cluster"], ctx["ranks"], 1).run(prog).makespan
 

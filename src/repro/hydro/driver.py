@@ -1,8 +1,8 @@
 """Top-level MiniKrak runs: "measure" iteration times on the simulated machine.
 
 ``run_krak`` executes the full pipeline (deck → partition → census →
-lowered op streams → engine run) and returns the trace plus application
-diagnostics;
+lowered op streams → engine run) and returns the trace, plus the
+application diagnostics of a functional run;
 ``measure_iteration_time`` is the convenience most benchmarks use — it
 averages the steady-state iterations, skipping a warm-up, exactly how one
 times a production code.
@@ -39,9 +39,9 @@ class KrakRun:
     cluster: ClusterConfig
     result: SimResult
     iterations: int
-    #: Final global diagnostics (the functional numerics' reductions); in
-    #: census mode only the timing fields are non-zero.
-    diagnostics: dict
+    #: Final global diagnostics of the functional numerics (None in census
+    #: mode).
+    diagnostics: dict | None
     #: Functional rank states after the run (None in census mode).
     states: list[RankState] | None
     #: Imbalance trajectory + repartition tally (None for static runs).
@@ -133,7 +133,6 @@ def run_krak(
 
     controller = None
     num_phases = NUM_PHASES
-    fixed_dt = {}
     if dynamic is not None:
         controller = DynamicController(
             deck, partition, dynamic, faces=faces, base_census=census,
@@ -145,7 +144,6 @@ def run_krak(
         )
         # Repartition time gets its own trace phase past the 15 Krak phases.
         num_phases = NUM_PHASES + 1
-        fixed_dt = {"fixed_dt": dynamic.dt}
     if perturb is not None and perturb.has_failure:
         # Checkpoint/restart time gets its own phase too; the repartition
         # column exists (possibly unused) whenever the failure column does,
@@ -160,7 +158,6 @@ def run_krak(
             iterations=iterations,
             dynamic=controller,
             perturb=perturbation,
-            **fixed_dt,
         )
         for r in range(partition.num_ranks)
     ]
@@ -170,8 +167,7 @@ def run_krak(
         program.lower_into(writer)
         compiled.append(writer.finish())
     result = Engine(cluster, partition.num_ranks, num_phases).run_compiled(compiled)
-    states = None
-    diagnostics = programs[0].diagnostics
+    states = diagnostics = None
     if functional:
         states = build_rank_states(deck, partition)
         diagnostics = run_functional(states, census, iterations)
@@ -183,7 +179,7 @@ def run_krak(
         cluster=cluster,
         result=result,
         iterations=iterations,
-        diagnostics=dict(diagnostics),
+        diagnostics=diagnostics,
         states=states,
         dynamic=controller.run_info() if controller is not None else None,
     )

@@ -16,11 +16,14 @@ A repartition is charged to the run the way a real code pays for it:
   :func:`~repro.partition.dynamic.migration_matrix` flows at
   ``migration_bytes_per_cell`` bytes per moved cell.
 
-Determinism: iterations end in global collectives, so every rank reaches
-the same iteration boundary with the same simulation time; the first rank
-to ask for a step computes it and the rest replay the cached value.  The
-engine's collective rendezvous guarantees no rank can start iteration
-``k+1`` before all ranks have consumed step ``k``.
+Determinism: every rank reaches iteration ``k`` at the same simulation
+time ``k · dt``; the first rank to ask for a step computes it and the rest
+replay the cached value.  Steps are consumed when the programs are
+lowered, rank by rank: the first rank lowers all its iterations, so steps
+are computed in index order (each may repartition, changing what the
+next one starts from), and the later ranks only read the cache.  The
+reference oracle runs the rank generators interleaved instead; there the
+collectives that end every iteration keep the ranks in step.
 """
 
 from __future__ import annotations

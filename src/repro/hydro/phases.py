@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hydro.dynamic import REPARTITION_PHASE, DynamicController
-from repro.hydro.functional import DIAGNOSTICS
 from repro.hydro.workload import WorkloadCensus
 from repro.machine.costdb import (
     BOUNDARY_BYTES_PER_FACE,
@@ -74,8 +73,6 @@ class KrakProgram:
         Compute-cost model used to charge phase times.
     iterations:
         Number of iterations to execute.
-    fixed_dt:
-        Timestep the iterations advance ``time`` by.
     dynamic:
         Optional shared :class:`~repro.hydro.dynamic.DynamicController`.
         When given, each iteration re-reads its census from
@@ -96,22 +93,16 @@ class KrakProgram:
         census: WorkloadCensus,
         node_model: NodeModel,
         iterations: int = 3,
-        fixed_dt: float = 2.0e-7,
         dynamic: DynamicController | None = None,
         perturb=None,
     ) -> None:
         self.rank = rank
         self.node_model = node_model
         self.iterations = iterations
-        self.fixed_dt = fixed_dt
         self.dynamic = dynamic
         self.perturb = perturb
         self.census = None
         self._bind(census)
-        self.time = 0.0
-        self.dt = fixed_dt
-        #: Filled at the end of the run (same values on every rank).
-        self.diagnostics: dict[str, float] = {}
 
     # ------------------------------------------------------------- helpers
 
@@ -130,7 +121,6 @@ class KrakProgram:
         self._iteration_template = None
         boundary = census.boundary_links[self.rank]
         ghost = census.ghost_links[self.rank]
-        self.num_boundary_links = len(boundary)
         #: Phase → (sends, recvs) of its boundary exchange or ghost update.
         self.messages = {}
         for phase, steps in enumerate(KRAK_SCHEDULE):
@@ -243,8 +233,8 @@ class KrakProgram:
             tag = _tag(REPARTITION_PHASE, 0)
             ops += [
                 SetPhase(REPARTITION_PHASE),
-                Gather(float(self.work.sum()), 0, plan.gather_bytes),
-                Bcast(0.0 if self.rank == 0 else None, 0, plan.bcast_bytes),
+                Gather(nbytes=plan.gather_bytes),
+                Bcast(nbytes=plan.bcast_bytes),
             ]
             for dst, cells in enumerate(plan.matrix[self.rank]):
                 if cells:
@@ -256,42 +246,16 @@ class KrakProgram:
         self._bind(step.census)
         return ops
 
-    def _census_inputs(self, it: int) -> dict:
-        """This rank's inputs to iteration ``it``'s collectives.
-
-        Every quantity the schedule names and this leaves out contributes
-        ``0.0``, so the collective results are analytic: the ``min`` of
-        identical fixed timesteps is the fixed timestep, sums of zeros stay
-        ``0.0``, and the broadcast time is rank 0's — which is why
-        :meth:`_end_iteration` can read them from the inputs directly.
-        """
-        return {
-            "dt": self.fixed_dt,
-            "time": self.time,
-            "iteration": it,
-            "boundary_links": float(self.num_boundary_links),
-        }
-
-    def _end_iteration(self, inputs: dict) -> None:
-        """Advance the clock and record the diagnostics from ``inputs``."""
-        self.dt = inputs["dt"]
-        self.time = inputs["time"] + self.dt
-        self.diagnostics = {name: inputs.get(name, 0.0) for name in DIAGNOSTICS}
-        self.diagnostics.update(dt=self.dt, time=self.time)
-
     # ------------------------------------------------------------ lowering
 
     def lower_into(self, writer) -> None:
         """Emit this rank's op stream straight into ``writer``.
 
-        The op stream is fully deterministic — messages carry sizes only
-        and every collective result is analytic (see
-        :meth:`_census_inputs`) — so it is written column-wise without
-        allocating a request object per op or running the generator.  It
-        walks the same schedule, message lists and event ops as
-        :meth:`__call__`, so the stream is op-for-op what the generator
-        yields, and ``time``/``dt``/``diagnostics`` end at the generator's
-        values.
+        The op stream is fully deterministic — messages and collectives
+        carry sizes only — so it is written column-wise without allocating
+        a request object per op or running the generator.  It walks the
+        same schedule, message lists and event ops as :meth:`__call__`, so
+        the stream is op-for-op what the generator yields.
         """
         for it in range(self.iterations):
             writer.mark(it)
@@ -303,7 +267,6 @@ class KrakProgram:
             for row, phase_seconds in zip(compute_rows, seconds, strict=True):
                 farg[row] = phase_seconds
             writer.extend(body.opcode, farg, body.a, body.b)
-            self._end_iteration(self._census_inputs(it))
         writer.mark(self.iterations)
 
     def _template(self) -> tuple:
@@ -343,21 +306,18 @@ class KrakProgram:
         for it in range(self.iterations):
             yield MarkIteration(it)
             yield from self._event_ops(it)
-            inputs = self._census_inputs(it)
             seconds = self._phase_seconds(it)
             for phase, steps in enumerate(KRAK_SCHEDULE):
                 yield SetPhase(phase)
                 yield Compute(seconds[phase])
                 for step in steps:
                     kind = step.kind
-                    value = inputs.get(step.name, 0.0)
                     if kind == STEP_ALLREDUCE:
-                        yield Allreduce(value, step.op, step.nbytes)
+                        yield Allreduce(nbytes=step.nbytes)
                     elif kind == STEP_BCAST:
-                        root_value = value if self.rank == 0 else None
-                        yield Bcast(root_value, 0, step.nbytes)
+                        yield Bcast(nbytes=step.nbytes)
                     elif kind == STEP_GATHER:
-                        yield Gather(value, 0, step.nbytes)
+                        yield Gather(nbytes=step.nbytes)
                     else:
                         sends, recvs = self.messages[phase]
                         for dst, tag, nbytes in sends:
@@ -365,5 +325,4 @@ class KrakProgram:
                         yield WaitSends()
                         for src, tag in recvs:
                             yield Recv(src, tag)
-            self._end_iteration(inputs)
         yield MarkIteration(self.iterations)

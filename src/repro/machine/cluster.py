@@ -46,12 +46,6 @@ class ClusterConfig:
         if self.send_overhead < 0 or self.recv_overhead < 0:
             raise ValueError("host overheads must be non-negative")
 
-    def network_for(self, src: int, dst: int) -> NetworkModel:
-        """The flat network applicable to a rank pair."""
-        if self.hierarchy is None:
-            return self.network
-        return self.hierarchy.network_for(src, dst)
-
     def with_network(self, network: NetworkModel) -> "ClusterConfig":
         """Copy of this cluster with a different interconnect."""
         return replace(self, network=network, name=f"{self.name}+{network.name}")
@@ -95,9 +89,10 @@ class ClusterConfig:
         >>> placed = cluster.with_placement(round_robin_placement(8, 4))
         >>> placed.name
         'es45-qsnet-like+smp4+round-robin'
-        >>> placed.network_for(0, 1) is placed.hierarchy.inter  # adjacent ranks split
+        >>> h = placed.hierarchy
+        >>> h.network_for(0, 1) is h.inter  # adjacent ranks split
         True
-        >>> placed.network_for(0, 2) is placed.hierarchy.intra  # stride-2 shares a node
+        >>> h.network_for(0, 2) is h.intra  # stride-2 shares a node
         True
         """
         if self.hierarchy is None:

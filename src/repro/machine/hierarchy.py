@@ -151,31 +151,22 @@ class HierarchicalNetwork:
             self, placement=placement, name=f"{self.name}+{placement.name}"
         )
 
-    def host_overheads_for(
-        self, a: int, b: int, send_overhead: float, recv_overhead: float
+    def intra_overheads(
+        self, send_overhead: float, recv_overhead: float
     ) -> tuple[float, float]:
-        """``(send, recv)`` host overheads for a rank pair.
+        """``(send, recv)`` host overheads of an on-node message.
 
-        The flat cluster overheads apply across nodes and — when no
-        intra-node overheads are configured — on-node too, so the default
-        machine charges exactly what the placement-unaware model did.
+        Each falls back to the given flat cluster overhead when no
+        intra-node value is configured, so the default machine charges
+        on-node messages exactly what the placement-unaware model did.
+        Off-node messages always pay the flat overheads.
         """
-        if (
-            self.intra_send_overhead is None
-            and self.intra_recv_overhead is None
-        ) or not self.same_node(a, b):
-            return send_overhead, recv_overhead
-        send = (
-            send_overhead
-            if self.intra_send_overhead is None
-            else self.intra_send_overhead
+        send = self.intra_send_overhead
+        recv = self.intra_recv_overhead
+        return (
+            send_overhead if send is None else send,
+            recv_overhead if recv is None else recv,
         )
-        recv = (
-            recv_overhead
-            if self.intra_recv_overhead is None
-            else self.intra_recv_overhead
-        )
-        return send, recv
 
     def tree_extents(self, num_ranks: int) -> tuple[int, int]:
         """``(num_nodes, max_ranks_on_one_node)`` for ``num_ranks`` ranks.

@@ -56,13 +56,11 @@ class NetworkModel:
             )
         if np.any(lat < 0) or np.any(pb < 0):
             raise ValueError("latency and per_byte must be non-negative")
-        # Memoisation for the simulator/model hot paths.  Message sizes in a
-        # run come from a small repeated set (per-face/per-node constants ×
-        # census counts), so per-size caching removes nearly every
-        # repeated searchsorted.  Values are identical to the
-        # uncached paths; these are plain dicts, not dataclass fields.
+        # Memoisation for the collective timers: their payloads come from a
+        # handful of sizes, so per-size caching removes nearly every
+        # repeated searchsorted.  Values are identical to the uncached
+        # path; this is a plain dict, not a dataclass field.
         object.__setattr__(self, "_tmsg_cache", {})
-        object.__setattr__(self, "_send_cache", {})
 
     def segment_of(self, size) -> np.ndarray:
         """Segment index for message size(s) ``size``.
@@ -107,33 +105,14 @@ class NetworkModel:
             cached = self._tmsg_cache[size] = float(self.tmsg(size))
         return cached
 
-    def send_times(self, size) -> tuple:
-        """``(L(S), S · TB(S))`` with one segment lookup, memoised per size.
-
-        Both terms of one ``Isend``: this resolves the segment once and
-        caches the pair, a dict hit instead of two ``searchsorted`` calls
-        per repeated size.
-        """
-        cached = self._send_cache.get(size)
-        if cached is None:
-            s = float(size)
-            if s < 0:
-                raise ValueError("message size must be non-negative")
-            seg = int(self.breakpoints.searchsorted(s, side="left"))
-            cached = self._send_cache[size] = (
-                float(self.latency[seg]),
-                s * float(self.per_byte[seg]),
-            )
-        return cached
-
     def send_times_many(self, sizes: np.ndarray) -> tuple:
-        """Batched :meth:`send_times`: ``(L(S), S · TB(S))`` arrays.
+        """``(L(S), S · TB(S))`` arrays: the two terms an ``Isend`` charges.
 
         One ``searchsorted`` sweep prices every message of a compiled
-        program at once — the batch engine's counterpart of the per-size
-        memoised scalar path.  Each element pair is bitwise identical to
-        ``send_times`` of the same size.  Like :meth:`tmsg_many`, this is a
-        no-validation hot path: ``sizes`` must be non-negative float64.
+        program at once; the start-up latency pipelines while the
+        bandwidth term serialises through the sender's NIC.  Like
+        :meth:`tmsg_many`, this is a no-validation hot path: ``sizes`` must
+        be non-negative float64.
         """
         seg = self.breakpoints.searchsorted(sizes, side="left")
         return self.latency[seg], sizes * self.per_byte[seg]

@@ -261,16 +261,7 @@ def rank_pair_times(census, cluster) -> SparsePairCosts:
     if hierarchy is None:
         raise ValueError("rank_pair_times needs an SMP hierarchy on the cluster")
     send_inter, recv_inter = cluster.send_overhead, cluster.recv_overhead
-    send_intra = (
-        send_inter
-        if hierarchy.intra_send_overhead is None
-        else hierarchy.intra_send_overhead
-    )
-    recv_intra = (
-        recv_inter
-        if hierarchy.intra_recv_overhead is None
-        else hierarchy.intra_recv_overhead
-    )
+    send_intra, recv_intra = hierarchy.intra_overheads(send_inter, recv_inter)
 
     wire_intra = np.concatenate(link_wire_times(census, hierarchy.intra))
     wire_inter = np.concatenate(link_wire_times(census, hierarchy.inter))

@@ -12,15 +12,18 @@ Every request type derives from :class:`Op` and implements
 :func:`~repro.simmpi.compile.lower_ops` and Krak's rare event blocks use to
 write ops into the columnar event tables the engine executes.
 
-Message identity is a named :class:`MessageKey` ``(src, dst, tag)``.  It
-subclasses ``tuple``, so it compares and hashes equal to the positional
-``(src, dst, tag)`` triple.
+Collectives take keyword arguments only, so a stray positional value can
+never be priced as a byte count.
+
+Message identity is a named :class:`MessageKey` ``(src, dst, tag)`` (the
+deadlock report names messages by it).  It subclasses ``tuple``, so it
+compares and hashes equal to the positional ``(src, dst, tag)`` triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 
 class MessageKey(NamedTuple):
@@ -97,10 +100,6 @@ class Isend(Op):
         if self.nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {self.nbytes}")
 
-    def message_key(self, src: int) -> MessageKey:
-        """The :class:`MessageKey` this send posted from rank ``src``."""
-        return MessageKey(src, self.dst, self.tag)
-
     def lower(self, writer) -> None:
         writer.isend(self.dst, self.tag, self.nbytes)
 
@@ -112,10 +111,6 @@ class Recv(Op):
     src: int
     tag: int
 
-    def message_key(self, dst: int) -> MessageKey:
-        """The :class:`MessageKey` this receive waits on at rank ``dst``."""
-        return MessageKey(self.src, dst, self.tag)
-
     def lower(self, writer) -> None:
         writer.recv(self.src, self.tag)
 
@@ -124,36 +119,25 @@ class Recv(Op):
 class WaitSends(Op):
     """Block until all of this rank's posted sends have left the NIC."""
 
-
     def lower(self, writer) -> None:
         writer.wait_sends()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Allreduce(Op):
-    """Reduce this rank's ``value`` with ``op`` (``"sum"|"min"|"max"``).
+    """Global reduce + broadcast of ``nbytes`` per tree message (Table 4:
+    4 or 8 bytes)."""
 
-    ``nbytes`` is the wire payload per tree message (Table 4: 4 or 8 bytes);
-    ``value`` and ``op`` name the reduction, the engine prices ``nbytes``.
-    """
-
-    value: Any
-    op: str = "sum"
     nbytes: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.op not in ("sum", "min", "max"):
-            raise ValueError(f"unsupported reduction op {self.op!r}")
 
     def lower(self, writer) -> None:
         writer.allreduce(self.nbytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Bcast(Op):
-    """Broadcast ``value`` from ``root`` (priced by root's ``nbytes``)."""
+    """Broadcast from ``root`` (priced by the root's ``nbytes``)."""
 
-    value: Any
     root: int = 0
     nbytes: float = 8.0
 
@@ -161,11 +145,10 @@ class Bcast(Op):
         writer.bcast(self.root, self.nbytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Gather(Op):
-    """Gather per-rank values to ``root`` (priced by the largest ``nbytes``)."""
+    """Gather to ``root`` (priced by the largest ``nbytes`` of any rank)."""
 
-    value: Any
     root: int = 0
     nbytes: float = 32.0
 
@@ -175,7 +158,7 @@ class Gather(Op):
 
 @dataclass(frozen=True)
 class Barrier(Op):
-    """Synchronise all ranks (modelled as a zero-payload allreduce)."""
+    """Synchronise all ranks (priced as a 4-byte allreduce)."""
 
     def lower(self, writer) -> None:
         writer.barrier()

@@ -72,6 +72,8 @@ class Engine:
     def __init__(self, cluster: ClusterConfig, num_ranks: int, num_phases: int) -> None:
         if num_ranks < 1:
             raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
+        if num_phases < 1:
+            raise ValueError(f"num_phases must be >= 1, got {num_phases}")
         if cluster.hierarchy is not None:
             # Fail at construction, not mid-run: an explicit placement must
             # cover exactly this job's ranks or pairwise pricing would be
@@ -79,17 +81,9 @@ class Engine:
             cluster.hierarchy.tree_extents(num_ranks)
         self.cluster = cluster
         self.num_ranks = num_ranks
-        self.trace = PhaseTrace(num_ranks, num_phases)
+        self.num_phases = num_phases
         self._send_overhead = cluster.send_overhead
         self._recv_overhead = cluster.recv_overhead
-        self._flat_net = cluster.network if cluster.hierarchy is None else None
-        # Per-pair host overheads apply only when the hierarchy prices
-        # on-node messages with a cheaper shared-memory transport.
-        hierarchy = cluster.hierarchy
-        self._pair_overheads_on = hierarchy is not None and (
-            hierarchy.intra_send_overhead is not None
-            or hierarchy.intra_recv_overhead is not None
-        )
         self._coll_timers = self._make_collective_timers()
 
     def _make_collective_timers(self) -> tuple:
@@ -136,7 +130,7 @@ class Engine:
         R = self.num_ranks
         if len(compiled) != R:
             raise ValueError(f"expected {R} compiled programs, got {len(compiled)}")
-        num_phases = self.trace.num_phases
+        num_phases = self.num_phases
         counts = np.array([p.num_ops for p in compiled], dtype=np.int64)
         off = np.zeros(R + 1, dtype=np.int64)
         np.cumsum(counts, out=off[1:])
@@ -147,6 +141,10 @@ class Engine:
         bcol = np.concatenate([p.b for p in compiled])
         rank_of = np.repeat(np.arange(R, dtype=np.int64), counts)
         hierarchy = self.cluster.hierarchy
+        if hierarchy is not None:
+            intra_send, intra_recv = hierarchy.intra_overheads(
+                self._send_overhead, self._recv_overhead
+            )
 
         # --- static phase attribution: every op takes the latest SetPhase
         # at or before it in its own rank's stream (phase 0 before any).
@@ -177,8 +175,9 @@ class Engine:
             if (s_dst == s_src).any():
                 raise ValueError("self-sends are not supported")
             sizes = farg[send_idx]
-            if self._flat_net is not None:
-                lat, bwt = self._flat_net.send_times_many(sizes)
+            if hierarchy is None:
+                lat, bwt = self.cluster.network.send_times_many(sizes)
+                soh[send_idx] = self._send_overhead
             else:
                 intra = hierarchy.same_node_mask(s_src, s_dst)
                 lat, bwt = hierarchy.inter.send_times_many(sizes)
@@ -186,16 +185,9 @@ class Engine:
                     ilat, ibwt = hierarchy.intra.send_times_many(sizes[intra])
                     lat[intra] = ilat
                     bwt[intra] = ibwt
+                soh[send_idx] = np.where(intra, intra_send, self._send_overhead)
             startup[send_idx] = lat
             bwcost[send_idx] = bwt
-            if self._pair_overheads_on and hierarchy.intra_send_overhead is not None:
-                soh[send_idx] = np.where(
-                    hierarchy.same_node_mask(s_src, s_dst),
-                    hierarchy.intra_send_overhead,
-                    self._send_overhead,
-                )
-            else:
-                soh[send_idx] = self._send_overhead
 
         # --- receives: overheads + static FIFO matching (one stable sort).
         recv_idx = np.flatnonzero(opcode == simc.OP_RECV)
@@ -203,17 +195,13 @@ class Engine:
         if recv_idx.size:
             r_src = acol[recv_idx]
             r_dst = rank_of[recv_idx]
-            if self._pair_overheads_on and hierarchy.intra_recv_overhead is not None:
+            if hierarchy is None:
+                roh[recv_idx] = self._recv_overhead
+            else:
                 # Out-of-range sources can never match a validated send, so
                 # their (never-consulted) overhead may use a clipped rank.
-                src_safe = np.clip(r_src, 0, R - 1)
-                roh[recv_idx] = np.where(
-                    hierarchy.same_node_mask(src_safe, r_dst),
-                    hierarchy.intra_recv_overhead,
-                    self._recv_overhead,
-                )
-            else:
-                roh[recv_idx] = self._recv_overhead
+                intra = hierarchy.same_node_mask(np.clip(r_src, 0, R - 1), r_dst)
+                roh[recv_idx] = np.where(intra, intra_recv, self._recv_overhead)
             if send_idx.size:
                 # All sends on a key come from one rank in program order and
                 # all receives from one rank in program order, so the k-th
@@ -352,9 +340,10 @@ class Engine:
             )
             for slot, g in enumerate(mark_idx.tolist())
         ]
-        self.trace.load_batch(comp_rows, comm_rows, marks)
+        trace = PhaseTrace(R, num_phases)
+        trace.load_batch(comp_rows, comm_rows, marks)
         return SimResult(
-            trace=self.trace,
+            trace=trace,
             final_clocks=np.array(clocks, dtype=np.float64),
         )
 

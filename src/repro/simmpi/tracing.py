@@ -4,12 +4,9 @@ The tracer splits each rank's virtual time into *compute* and
 *communication* buckets per iteration phase, with MPI time excluded from
 compute — matching the paper's Figure 2 caption ("Time (s) — No MPI").
 
-The engine's kernel accumulates the buckets element-wise and hands them
-over in one :meth:`PhaseTrace.load_batch`; they live in plain Python lists
-— a list float-add is an order of magnitude cheaper than a NumPy scalar
-``+=`` — and the public ``compute``/``comm`` arrays are materialised on
-demand.  The arithmetic is identical either way: one IEEE double addition
-per charge.
+The engine's kernel accumulates the buckets element-wise in execution
+order and hands the final sums and the per-mark snapshots over in one
+:meth:`PhaseTrace.load_batch`.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ class PhaseTrace:
             raise ValueError("num_ranks and num_phases must be positive")
         self.num_ranks = num_ranks
         self.num_phases = num_phases
-        self._compute_rows = [[0.0] * num_phases for _ in range(num_ranks)]
-        self._comm_rows = [[0.0] * num_phases for _ in range(num_ranks)]
+        self._compute = np.zeros((num_ranks, num_phases))
+        self._comm = np.zeros((num_ranks, num_phases))
         self.iteration_starts: dict[int, np.ndarray] = {}
         #: index → (num_ranks, num_phases) cumulative arrays at each rank's
         #: ``MarkIteration(index)`` (rows are NaN until that rank marks).
@@ -51,34 +48,12 @@ class PhaseTrace:
     @property
     def compute(self) -> np.ndarray:
         """Computation seconds, ``(num_ranks, num_phases)``."""
-        return np.array(self._compute_rows)
+        return self._compute.copy()
 
     @property
     def comm(self) -> np.ndarray:
         """Communication seconds, ``(num_ranks, num_phases)``."""
-        return np.array(self._comm_rows)
-
-    def add_compute(self, rank: int, phase: int, seconds: float) -> None:
-        """Charge computation time."""
-        self._compute_rows[rank][phase] += seconds
-
-    def add_comm(self, rank: int, phase: int, seconds: float) -> None:
-        """Charge communication time."""
-        self._comm_rows[rank][phase] += seconds
-
-    def mark_iteration(self, rank: int, index: int, clock: float) -> None:
-        """Record ``rank``'s clock at the start of iteration ``index``."""
-        marks = self.iteration_starts.setdefault(
-            index, np.full(self.num_ranks, np.nan)
-        )
-        marks[rank] = clock
-        shape = (self.num_ranks, self.num_phases)
-        self._compute_at_mark.setdefault(index, np.full(shape, np.nan))[
-            rank
-        ] = self._compute_rows[rank]
-        self._comm_at_mark.setdefault(index, np.full(shape, np.nan))[
-            rank
-        ] = self._comm_rows[rank]
+        return self._comm.copy()
 
     def load_batch(self, compute_rows, comm_rows, marks) -> None:
         """Bulk-load accumulation rows and mark snapshots from the engine.
@@ -87,14 +62,10 @@ class PhaseTrace:
         row containers (lists or arrays) holding the *final* per-bucket
         sums; ``marks`` is an iterable of
         ``(rank, index, clock, compute_row, comm_row)`` tuples whose rows
-        are the cumulative snapshots taken *at* each ``MarkIteration`` —
-        the batch counterpart of calling :meth:`add_compute` /
-        :meth:`add_comm` / :meth:`mark_iteration` per event.  Values are
-        charged by the kernel in execution order, so the loaded trace is
-        bitwise identical to charging every event one call at a time.
+        are the cumulative snapshots taken *at* each ``MarkIteration``.
         """
-        self._compute_rows = [[float(v) for v in row] for row in compute_rows]
-        self._comm_rows = [[float(v) for v in row] for row in comm_rows]
+        self._compute = np.array(compute_rows, dtype=np.float64)
+        self._comm = np.array(comm_rows, dtype=np.float64)
         shape = (self.num_ranks, self.num_phases)
         for rank, index, clock, comp_row, comm_row in marks:
             starts = self.iteration_starts.setdefault(

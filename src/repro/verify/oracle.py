@@ -660,7 +660,6 @@ def oracle_run_krak(
 
     controller = None
     num_phases = NUM_PHASES
-    fixed_dt = {}
     if dynamic is not None:
         controller = DynamicController(
             deck, partition, dynamic, faces=faces, base_census=census,
@@ -671,7 +670,6 @@ def oracle_run_krak(
             ),
         )
         num_phases = NUM_PHASES + 1
-        fixed_dt = {"fixed_dt": dynamic.dt}
     if perturb is not None and perturb.fail_rank is not None:
         num_phases = FAILURE_PHASE + 1
 
@@ -683,7 +681,6 @@ def oracle_run_krak(
             iterations=iterations,
             dynamic=controller,
             perturb=perturbation,
-            **fixed_dt,
         )
         for r in range(partition.num_ranks)
     ]

@@ -123,7 +123,7 @@ def lowered_case(name: str) -> dict:
     census = build_workload_census(deck, partition, faces)
     dynamic, perturb = LOWERED_RUNS[name]
     perturbation = None if perturb is None else Perturbation(perturb, LOWERED_RANKS)
-    controller, iterations, fixed_dt = None, STATIC_ITERATIONS, {}
+    controller, iterations = None, STATIC_ITERATIONS
     if dynamic is not None:
         config = dynamic.build()
         churn = perturbation.churn_at if perturbation is not None else None
@@ -131,13 +131,12 @@ def lowered_case(name: str) -> dict:
             deck, partition, config, faces=faces, base_census=census,
             force_repartition=churn,
         )
-        iterations, fixed_dt = dynamic.iterations, {"fixed_dt": config.dt}
+        iterations = dynamic.iterations
     digests = []
     for rank in range(LOWERED_RANKS):
         program = KrakProgram(
             rank=rank, census=census, node_model=es45_like_cluster().node,
             iterations=iterations, dynamic=controller, perturb=perturbation,
-            **fixed_dt,
         )
         writer = ProgramWriter()
         program.lower_into(writer)

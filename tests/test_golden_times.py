@@ -76,11 +76,11 @@ class TestTmsgGoldens:
             assert QSNET_LIKE.tmsg_cached(size) == unhex(expected)
 
     def test_send_times_decomposition_bitwise(self):
-        for size_str in GOLDEN["bandwidth_time"]:
-            size = int(size_str)
-            startup, bw = QSNET_LIKE.send_times(size)
-            assert startup == unhex(GOLDEN["startup_time"][size_str])
-            assert bw == unhex(GOLDEN["bandwidth_time"][size_str])
+        keys = list(GOLDEN["bandwidth_time"])
+        sizes = np.array([int(k) for k in keys], dtype=np.float64)
+        startup, bw = QSNET_LIKE.send_times_many(sizes)
+        assert [v.hex() for v in startup] == [GOLDEN["startup_time"][k] for k in keys]
+        assert [v.hex() for v in bw] == [GOLDEN["bandwidth_time"][k] for k in keys]
 
 
 class TestBoundaryGoldens:

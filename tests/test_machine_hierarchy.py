@@ -115,7 +115,7 @@ class TestEngineWithSmp:
 
         def prog(rank):
             yield SetPhase(0)
-            yield Allreduce(1.0, "sum", 8)
+            yield Allreduce(nbytes=8)
 
         t_flat = Engine(flat, 16, 1).run(prog).makespan
         t_smp = Engine(smp_cluster, 16, 1).run(prog).makespan

@@ -241,9 +241,9 @@ class TestUnifiedRankValidation:
             block_placement(8, 4)
         )
         with pytest.raises(ValueError, match="out of range"):
-            cluster.network_for(0, 8)
+            cluster.hierarchy.network_for(0, 8)
         with pytest.raises(ValueError, match="non-negative"):
-            cluster.network_for(-1, 0)
+            cluster.hierarchy.network_for(-1, 0)
 
     def test_engine_rejects_mismatched_placement(self, placed):
         from repro.simmpi import Engine
@@ -289,15 +289,16 @@ class TestPairwisePricing:
 
     def test_host_overheads_default_to_flat(self):
         h = es45_hierarchical_network(QSNET_LIKE)
-        assert h.host_overheads_for(0, 1, 1.5e-6, 2.0e-6) == (1.5e-6, 2.0e-6)
-        assert h.host_overheads_for(0, 4, 1.5e-6, 2.0e-6) == (1.5e-6, 2.0e-6)
+        assert h.intra_overheads(1.5e-6, 2.0e-6) == (1.5e-6, 2.0e-6)
 
     def test_host_overheads_cheaper_on_node(self):
         h = es45_hierarchical_network(
             QSNET_LIKE, intra_send_overhead=0.5e-6, intra_recv_overhead=0.7e-6
         )
-        assert h.host_overheads_for(0, 1, 1.5e-6, 2.0e-6) == (0.5e-6, 0.7e-6)
-        assert h.host_overheads_for(0, 4, 1.5e-6, 2.0e-6) == (1.5e-6, 2.0e-6)
+        assert h.intra_overheads(1.5e-6, 2.0e-6) == (0.5e-6, 0.7e-6)
+        # Each direction falls back to the flat value on its own.
+        send_only = es45_hierarchical_network(QSNET_LIKE, intra_send_overhead=0.5e-6)
+        assert send_only.intra_overheads(1.5e-6, 2.0e-6) == (0.5e-6, 2.0e-6)
 
     def test_explicit_block_placement_prices_identically(
         self, small_deck, small_faces, small_census

@@ -21,7 +21,7 @@ class TestEngineProperties:
         def prog(rank):
             yield SetPhase(0)
             yield Compute(times[rank])
-            yield Allreduce(1.0, "sum", 8)
+            yield Allreduce(nbytes=8)
 
         res = Engine(CL, len(times), 1).run(prog)
         from repro.simmpi import allreduce_time
@@ -74,7 +74,7 @@ class TestEngineProperties:
         def prog(rank):
             yield SetPhase(0)
             yield Compute(total[rank])
-            yield Allreduce(0.0, "sum", 8)
+            yield Allreduce(nbytes=8)
 
         eng = Engine(CL, len(total), 1)
         res = eng.run(prog)

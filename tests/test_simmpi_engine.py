@@ -173,7 +173,7 @@ class TestCollectives:
     def test_allreduce_timing_matches_tree(self, cl):
         def prog(rank):
             yield SetPhase(0)
-            yield Allreduce(1.0, "sum", 8)
+            yield Allreduce(nbytes=8)
 
         res = run(cl, 8, prog)
         assert res.makespan == pytest.approx(allreduce_time(cl.network, 8, 8))
@@ -182,7 +182,7 @@ class TestCollectives:
         def prog(rank):
             yield SetPhase(0)
             yield Compute(1e-3 * rank)
-            yield Bcast(1 if rank == 0 else None, 0, 4)
+            yield Bcast(root=0, nbytes=4)
 
         res = run(cl, 4, prog)
         expected = 3e-3 + bcast_time(cl.network, 4, 4)
@@ -208,7 +208,7 @@ class TestCollectives:
     def test_single_rank_collective_is_free(self, cl):
         def prog(rank):
             yield SetPhase(0)
-            yield Allreduce(5.0, "sum", 8)
+            yield Allreduce(nbytes=8)
 
         res = run(cl, 1, prog)
         assert res.makespan == 0.0
@@ -224,10 +224,37 @@ class TestDeterminism:
                     yield Isend(1, 1, 64)
                 elif rank == 1:
                     yield Recv(0, 1)
-                yield Allreduce(1.0, "sum", 8)
+                yield Allreduce(nbytes=8)
 
             return prog
 
         r1 = run(cl, 3, make())
         r2 = run(cl, 3, make())
         assert np.array_equal(r1.final_clocks, r2.final_clocks)
+
+    def test_reused_engine_keeps_earlier_results(self, cl):
+        """Each run returns its own trace: a second run on the same engine
+        neither rewrites the first result nor inherits its marks."""
+
+        def three_marks(rank):
+            yield SetPhase(0)
+            for i in range(2):
+                yield MarkIteration(i)
+                yield Compute(1.0)
+            yield MarkIteration(2)
+
+        def two_marks(rank):
+            yield SetPhase(0)
+            yield MarkIteration(0)
+            yield Compute(3.0)
+            yield MarkIteration(1)
+
+        engine = Engine(cl, 1, 1)
+        first = engine.run(three_marks)
+        second = engine.run(two_marks)
+        assert first.trace is not second.trace
+        assert first.trace.compute[0, 0] == 2.0
+        assert first.trace.iteration_time(0, 2) == 2.0
+        assert second.trace.compute[0, 0] == 3.0
+        with pytest.raises(KeyError):
+            second.trace.iteration_time(0, 2)
