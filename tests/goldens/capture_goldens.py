@@ -8,8 +8,9 @@ The output ``tests/goldens/vectorized_paths.json`` records, as exact hex
 floats, every quantity the vectorized ``Tmsg``/boundary/collectives/engine
 paths must reproduce *bitwise*: raw Equation-(4) evaluations, boundary and
 ghost exchange times, collective times, mesh-specific and general model
-predictions, simulated iteration times, and a Figure-5 subset (medium-deck
-measured curve plus both decks' general-model curves).
+predictions, simulated iteration times, a Figure-5 subset (medium-deck
+measured curve plus both decks' general-model curves), and every knot of
+the default contrived-grid calibration on the flat and SMP clusters.
 
 Only regenerate after an *intentional* semantic change to the timing model;
 a vectorization or refactor must never need to.
@@ -36,6 +37,7 @@ from repro.perfmodel import (
     broadcast_time,
     calibrate_contrived_grid,
     collectives_time,
+    default_sample_sides,
     gather_total_time,
 )
 from repro.perfmodel.ghostmodel import ghost_phase_total, ghost_update_time
@@ -76,6 +78,18 @@ def predicted_dict(pred) -> dict:
         "ghost_updates": hexf(pred.ghost_updates),
         "collectives": hexf(pred.collectives),
         "total": hexf(pred.total),
+    }
+
+
+def table_knots(table) -> dict:
+    """Every knot of a cost table: the shared abscissae and, per phase and
+    material, the per-cell costs."""
+    return {
+        "cells": [hexf(v) for v in table.curves[0][0].cells],
+        "per_cell": [
+            [[hexf(v) for v in curve.per_cell] for curve in row]
+            for row in table.curves
+        ],
     }
 
 
@@ -205,6 +219,14 @@ def main(output: Path | None = None) -> int:
                 for p in FIGURE5_MODEL_RANKS
             }
         golden["figure5_predicted"][deck.name] = per_deck
+
+    # --- default contrived-grid calibration ------------------------------
+    golden["calibration"] = {
+        label: table_knots(
+            calibrate_contrived_grid(clu, sides=default_sample_sides(256))
+        )
+        for label, clu in (("flat", cluster), ("smp", smp))
+    }
 
     output.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {output}")

@@ -4,7 +4,7 @@
 on the *scalar* implementations of Equation (4) and everything built on it.
 These tests recompute every recorded quantity — raw ``Tmsg``, boundary and
 ghost exchanges, collectives, model predictions, simulated iteration times,
-and the Figure-5 subset — and require equality to the last bit: the
+the Figure-5 subset and the default contrived-grid calibration — and require equality to the last bit: the
 batched/memoised paths are pure refactorings of the arithmetic, never
 approximations of it.
 
@@ -32,7 +32,9 @@ from repro.perfmodel import (
     boundary_exchange_time,
     boundary_message_sizes,
     broadcast_time,
+    calibrate_contrived_grid,
     collectives_time,
+    default_sample_sides,
     gather_total_time,
 )
 from repro.perfmodel.ghostmodel import ghost_phase_total, ghost_update_time
@@ -192,3 +194,16 @@ class TestFigure5Goldens:
                 for p_str, expected in by_ranks.items():
                     got = model.predict(cells[deck_name], int(p_str)).total
                     assert got == unhex(expected), (deck_name, mode, p_str)
+
+
+class TestCalibrationGoldens:
+    def test_default_contrived_table_bitwise(self, cluster, smp_cluster):
+        """Every knot of the default table on the flat and SMP clusters."""
+        for label, clu in (("flat", cluster), ("smp", smp_cluster)):
+            table = calibrate_contrived_grid(clu, sides=default_sample_sides(256))
+            expected = GOLDEN["calibration"][label]
+            for row, expected_row in zip(table.curves, expected["per_cell"]):
+                for curve, knots in zip(row, expected_row):
+                    assert [v.hex() for v in curve.cells] == expected["cells"]
+                    assert [v.hex() for v in curve.per_cell] == knots, label
+            assert len(table.curves) == len(expected["per_cell"])
