@@ -1,7 +1,7 @@
 """Figure 3: per-cell computation time vs cells-per-processor.
 
 Regenerates the three panels (phases 1, 2, 7) for all four materials from
-the contrived-grid calibration runs, showing the knee: per-cell cost is flat
+the contrived-grid calibration, showing the knee: per-cell cost is flat
 for large subgrids and rises as 1/n below ~10³ cells per processor.
 """
 

@@ -29,13 +29,11 @@ import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from repro.analysis.store import ResultStore, calibration_store
-from repro.core.assemble import calibration_table
+from repro.analysis.store import ResultStore
 from repro.core.parsing import as_deck_size
 from repro.core.pipeline import measure, request_key
 from repro.core.request import ClusterSpec, PredictionRequest, PredictionResult
 from repro.mesh.deck import InputDeck, build_deck
-from repro.perfmodel.calibrate import default_sample_sides
 
 #: The models a sweep prices by default: the paper's three variants.
 DEFAULT_MODELS = ("mesh-specific", "homogeneous", "heterogeneous")
@@ -123,10 +121,8 @@ class SweepTask:
 
 def evaluate_point(task: SweepTask) -> PredictionResult:
     """Measure and predict one point (module-level so pool workers can
-    run it).  The calibration store lets a worker that did not inherit
-    the parent's calibration memo load the table instead of recomputing it.
-    """
-    return measure(task.request, store=calibration_store())
+    run it)."""
+    return measure(task.request)
 
 
 @dataclass(frozen=True)
@@ -350,20 +346,11 @@ class SweepSpec:
     def tasks(self) -> list:
         """Materialise the grid into :class:`SweepTask`\\ s.
 
-        The grid is validated first (:meth:`requests`).  Each deck is then
-        built once, and each cluster calibrated once, here in the parent,
-        through the calibration store, so every point — in this process or
-        a pool worker — finds a warm table.
+        The grid is validated first (:meth:`requests`), then each deck is
+        built once.
         """
         requests = self.requests()
         decks = {spec: build_deck(as_deck_size(spec)) for spec in self.decks}
-        if self.models:
-            for cluster in self.clusters:
-                calibration_table(
-                    cluster.build(),
-                    default_sample_sides(self.max_side),
-                    store=calibration_store(),
-                )
         return [SweepTask(request=r, deck=decks[r.deck]) for r in requests]
 
 

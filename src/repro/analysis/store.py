@@ -5,9 +5,9 @@ Generalises the memoisation pattern of :mod:`repro.partition.cache` from
 partitions to arbitrary JSON-serialisable results: every artifact is keyed
 by a :func:`repro.util.stable_hash` of everything that determines it —
 :func:`repro.core.pipeline.request_key` for results (sweep points are
-measured results), :func:`repro.core.assemble.calibration_key` for cost
-tables — so a key hit guarantees the cached value is the one the
-computation would reproduce.
+measured results), :meth:`repro.perfmodel.calibrate.FittedCalibration.store_key`
+for trace-fitted calibrations — so a key hit guarantees the cached value
+is the one the computation would reproduce.
 Stores from concurrent worker processes are safe — writes go through a
 temporary file and an atomic ``os.replace``.
 
@@ -128,7 +128,11 @@ class ResultStore:
 
 
 def calibration_store(root: Path | None = None) -> ResultStore:
-    """The default store for calibrated cost tables."""
+    """The default store for trace-fitted calibrations.
+
+    Contrived-grid tables are not stored: they are recomputed from the
+    node model in every process.
+    """
     return ResultStore(namespace="calibrations", root=root)
 
 

@@ -9,8 +9,8 @@ and the prediction service cannot drift apart on how a request becomes a
 simulation.  Everything is deterministic in the request, which is what
 makes the request's content hash a sound cache key.
 
-The module is store-agnostic: calibration results can be persisted through
-any object with ``get(key)``/``put(key, value)`` (the content-addressed
+The module is store-agnostic: trace-fitted calibrations are loaded from
+any object with ``get(key)`` (the content-addressed
 :class:`~repro.analysis.store.ResultStore` in practice), but nothing here
 imports the analysis layer — the dependency points the other way.
 """
@@ -18,8 +18,6 @@ imports the analysis layer — the dependency points the other way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from repro.core.parsing import as_deck_size, is_weak_deck, weak_cells_per_rank
 from repro.core.request import PredictionRequest
@@ -107,12 +105,8 @@ def apply_placement(
 
 
 def calibration_key(cluster: ClusterConfig, sides) -> str:
-    """Content hash of a calibration's full parameter set.
-
-    The sweep layer stores calibrations under the same key.  It carries
-    :data:`~repro.util.artifacts.MODEL_VERSION`, so a calibration stored
-    by another version is a miss.
-    """
+    """Content hash of a calibration's full parameter set (the key of the
+    per-process calibration memo)."""
     return stable_hash(
         {
             "kind": "calibration",
@@ -123,35 +117,23 @@ def calibration_key(cluster: ClusterConfig, sides) -> str:
     )
 
 
-#: Per-process calibration memo (key → CostTable).  Calibration is the
-#: dominant setup cost of any request, and one process (a sweep parent, the
-#: prediction service) prices many requests against few machines.
+#: Per-process calibration memo (key → CostTable).  One process (a sweep
+#: parent, the prediction service) prices many requests against few
+#: machines, so each table is computed once per process.
 _TABLE_MEMO = LRUMemo(_MEMO_MAX)
 
 
-def calibration_table(cluster: ClusterConfig, sides, store=None) -> CostTable:
-    """Contrived-grid calibration, memoised in process and optionally to
-    ``store`` (any ``get``/``put`` mapping of JSON payloads, e.g. the
-    ``calibrations`` namespace of the result store).
+def calibration_table(cluster: ClusterConfig, sides) -> CostTable:
+    """Contrived-grid calibration, memoised in process.
 
-    Calibration is a deterministic function of (cluster, sides), and the
-    store round trip is exact — JSON round-trips IEEE doubles via ``repr``
-    — so a hit reproduces the freshly calibrated table bit for bit.
+    A table is read straight from the node model in milliseconds, so it is
+    recomputed in every process rather than stored on disk.
     """
     key = calibration_key(cluster, sides)
     table = _TABLE_MEMO.get(key)
-    if table is not None:
-        return table
-    if store is not None:
-        payload = store.get(key)
-        if payload is not None:
-            table = CostTable.from_payload(payload)
-            _TABLE_MEMO.put(key, table)
-            return table
-    table = calibrate_contrived_grid(cluster, sides=tuple(sides))
-    if store is not None:
-        store.put(key, table.to_payload())
-    _TABLE_MEMO.put(key, table)
+    if table is None:
+        table = calibrate_contrived_grid(cluster, sides=tuple(sides))
+        _TABLE_MEMO.put(key, table)
     return table
 
 
@@ -212,8 +194,8 @@ class Assembled:
 def assemble(request: PredictionRequest, store=None) -> Assembled:
     """Build every live object ``request`` describes.
 
-    ``store`` optionally persists the calibration (see
-    :func:`calibration_table`).
+    ``store`` holds the trace-fitted calibration a request may reference
+    (see :func:`fitted_calibration`).
     """
     cluster = request.cluster.build()
     if request.calibration is not None:
@@ -234,9 +216,7 @@ def assemble(request: PredictionRequest, store=None) -> Assembled:
         table = fitted.table if request.models else None
     else:
         table = (
-            calibration_table(
-                cluster, default_sample_sides(request.max_side), store=store
-            )
+            calibration_table(cluster, default_sample_sides(request.max_side))
             if request.models
             else None
         )

@@ -173,9 +173,10 @@ def _run(request: PredictionRequest, with_measurement: bool, store) -> Predictio
 def predict(request: PredictionRequest, store=None) -> PredictionResult:
     """Price ``request`` with every model it names (no simulation).
 
-    ``store`` optionally persists the calibration table (see
-    :func:`repro.core.assemble.calibration_table`); result-level caching
-    is the caller's concern — key with :func:`request_key`.
+    ``store`` holds the trace-fitted calibration the request may
+    reference (see :func:`repro.core.assemble.fitted_calibration`);
+    result-level caching is the caller's concern — key with
+    :func:`request_key`.
     """
     return _run(request, with_measurement=False, store=store)
 

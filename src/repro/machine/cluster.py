@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 from repro.machine.costdb import krak_node_model
 from repro.machine.hierarchy import HierarchicalNetwork, es45_hierarchical_network
-from repro.machine.network import QSNET_LIKE, NetworkModel, make_network
+from repro.machine.network import QSNET_LIKE, NetworkModel
 from repro.machine.node import NodeModel
 
 

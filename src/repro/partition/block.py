@@ -2,7 +2,7 @@
 
 The structured tiling is what the paper's *general* model idealises — equal
 square subgrids with ``sqrt(Cells/PEs)`` boundary faces per side — and is
-also how we build the two-process "contrived" calibration grids of
+also the 2×1 tiling of the two-process "contrived" calibration grids of
 Section 3.1.
 """
 

@@ -3,9 +3,11 @@
 **Contrived-grid method** — "Two processes are required; in order for a
 detonation to occur, high-explosive gas must be present.  However, the gas
 can be isolated to a single process while the material on the second process
-varies."  For every sample subgrid size we build exactly that two-process
-deck, run it on the simulated machine, and read the second process's
-per-phase compute time divided by its cell count.
+varies."  The sample is the second process's per-phase compute time divided
+by its cell count.  On the simulated machine that compute is the node
+model's charge for the second process's cells alone — no message or
+collective enters it — so the samples are read from the node model
+directly instead of simulating the two-process deck.
 
 **Linear-system method** — used by the paper for its validation results:
 run the *actual* deck at several processor counts and, for each phase, solve
@@ -22,9 +24,8 @@ bundles both into a serialisable :class:`FittedCalibration` artifact that
 the model core can price what-if questions against.
 
 Every sampling path here is warm-up aware: per-phase times come from the
-steady-state iteration window ``[warmup, iterations)`` of the trace, never
-from the full-run totals, so first-iteration noise cannot contaminate the
-calibrated knots.
+steady-state iteration window, never from the full-run totals, so
+first-iteration noise cannot contaminate the calibrated knots.
 """
 
 from __future__ import annotations
@@ -37,11 +38,8 @@ from repro.hydro.driver import run_krak
 from repro.machine.cluster import ClusterConfig
 from repro.machine.costdb import NUM_PHASES
 from repro.machine.network import NetworkModel
-from repro.mesh.deck import HE_GAS, NUM_MATERIALS, InputDeck
-from repro.mesh.grid import structured_quad_mesh
-from repro.partition.base import Partition
-from repro.partition.block import structured_block_partition
-from repro.perfmodel.costcurves import CostCurve, CostTable
+from repro.mesh.deck import NUM_MATERIALS, InputDeck
+from repro.perfmodel.costcurves import CostTable
 
 
 def default_sample_sides(max_side: int = 512) -> list:
@@ -56,19 +54,6 @@ def default_sample_sides(max_side: int = 512) -> list:
         sides.append(s)
         s *= 2
     return sides
-
-
-def _contrived_deck(side: int, material: int) -> InputDeck:
-    """A ``2·side × side`` deck: left half HE gas, right half ``material``."""
-    mesh = structured_quad_mesh(2 * side, side, width=2.0 * side * 0.0125, height=side * 0.0125)
-    column = np.arange(mesh.num_cells) % (2 * side)
-    cell_material = np.where(column < side, HE_GAS, material).astype(np.int64)
-    return InputDeck(
-        name=f"contrived-{side}-{material}",
-        mesh=mesh,
-        cell_material=cell_material,
-        detonator_xy=(0.0, 0.45 * side * 0.0125),
-    )
 
 
 def _check_window(iterations: int, warmup: int) -> None:
@@ -98,22 +83,19 @@ def _steady_compute(run, iterations: int, warmup: int) -> np.ndarray:
     return window / (iterations - warmup)
 
 
-def calibrate_contrived_grid(
-    cluster: ClusterConfig,
-    sides=None,
-    iterations: int = 2,
-    warmup: int = 1,
-) -> CostTable:
-    """Build a :class:`CostTable` from two-process contrived-grid runs.
+def calibrate_contrived_grid(cluster: ClusterConfig, sides=None) -> CostTable:
+    """Build a :class:`CostTable` from the contrived-grid method.
 
-    For each sample side ``s`` and each material, rank 0 holds ``s²`` HE-gas
-    cells (the detonation driver) and rank 1 holds ``s²`` cells of the
-    material under study; the measured per-phase compute time on rank 1
-    divided by ``s²`` is the per-cell cost sample.  Only the steady-state
-    window ``[warmup, iterations)`` is sampled — warm-up iterations are
-    excluded exactly as in measured phase breakdowns.
+    For each sample side ``s`` and each material, the second process holds
+    ``s²`` cells of the material under study (the first holds the HE gas
+    that drives the detonation); its per-phase compute time in the
+    steady-state iteration 1, divided by ``s²``, is the per-cell cost
+    sample.  The node model charges rank 1's cells in iterations 0 and 1,
+    the running sums reproduce the simulator's phase buckets at its
+    iteration marks, and the sample is the second mark minus the first —
+    the arithmetic of a simulated run's steady window, so every knot
+    equals the simulated one bit for bit.
     """
-    _check_window(iterations, warmup)
     if sides is None:
         sides = default_sample_sides()
     sides = sorted(set(int(s) for s in sides))
@@ -122,17 +104,14 @@ def calibrate_contrived_grid(
 
     cells = np.array([s * s for s in sides], dtype=np.float64)
     per_cell = np.zeros((NUM_PHASES, NUM_MATERIALS, len(sides)))
-
     for si, side in enumerate(sides):
         for material in range(NUM_MATERIALS):
-            deck = _contrived_deck(side, material)
-            partition = structured_block_partition(deck.mesh, 2, px=2, py=1)
-            run = run_krak(
-                deck, partition, cluster=cluster, iterations=iterations, functional=False
+            work = np.zeros(NUM_MATERIALS)
+            work[material] = side * side
+            charged = np.cumsum(
+                [cluster.node.phase_times(work, 1, it) for it in (0, 1)], axis=0
             )
-            # Rank 1 is the right half (columns >= side) under a 2x1 tiling.
-            rank_times = _steady_compute(run, iterations, warmup)[1]
-            per_cell[:, material, si] = rank_times / (side * side)
+            per_cell[:, material, si] = (charged[1] - charged[0]) / (side * side)
 
     return CostTable.from_arrays(cells, per_cell)
 

@@ -81,8 +81,8 @@ class PredictionServer:
         :class:`~repro.core.cache.LRUResultCache`; give it a ``store`` to
         persist results server-side).
     calibration_store:
-        Optional ``get``/``put`` store for calibrated cost tables, shared
-        with the CLI's ``calibrations`` namespace.
+        Optional ``get``/``put`` store for trace-fitted calibrations,
+        shared with the CLI's ``calibrations`` namespace.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8177,

@@ -1,6 +1,7 @@
 """Tests for the parallel, resumable sweep engine."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -10,18 +11,16 @@ from repro.analysis import (
     SweepSpec,
     SweepTask,
     ValidationPoint,
-    calibration_store,
     prediction_store,
     run_points,
     run_sweep,
     sweep_status,
 )
 from repro.analysis import runner
-from repro.core.assemble import calibration_key, calibration_table, faces_for
+from repro.core.assemble import calibration_table, faces_for
 from repro.core.pipeline import request_key
 from repro.core.request import PredictionRequest
 from repro.mesh import build_deck, build_face_table
-from repro.util import stable_hash
 
 
 @pytest.fixture(autouse=True)
@@ -67,10 +66,13 @@ class TestSweepSpec:
         def calibrate(*args, **kwargs):
             raise AssertionError("a measurement-only grid was calibrated")
 
-        monkeypatch.setattr(runner, "calibration_table", calibrate)
+        # The module: ``repro.core`` re-exports a function named ``assemble``.
+        assemble = importlib.import_module("repro.core.assemble")
+        monkeypatch.setattr(assemble, "calibration_table", calibrate)
         spec = SweepSpec(decks=("16x8",), rank_counts=(2,), models=())
         (task,) = spec.tasks()
         assert task.models == ()
+        assert runner.evaluate_point(task).predicted == {}
 
     def test_rejects_empty_axes(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -209,7 +211,6 @@ class TestResume:
             raise AssertionError("sweep_status must not build or calibrate")
 
         monkeypatch.setattr(runner, "build_deck", forbidden)
-        monkeypatch.setattr(runner, "calibration_table", forbidden)
         assert tiny_spec.store_keys() == keys
         assert sweep_status(tiny_spec, prediction_store()).pending_keys == tuple(keys)
 
@@ -239,15 +240,10 @@ class TestResume:
         assert events == [True, True]
         assert [o.point.num_ranks for o in retry] == [1, 2]
 
-    def test_calibration_is_memoised_and_exact(self, cluster, tmp_cache):
-        store = calibration_store()
-        fresh = calibration_table(cluster, [1, 2, 4, 8], store=store)
-        assert len(prediction_store().keys()) == 0  # separate namespace
-        assert store.get(calibration_key(cluster, [1, 2, 4, 8])) is not None
-        replayed = calibration_table(cluster, [1, 2, 4, 8], store=store)
-        # Content-identical down to the hash, so sweep point keys agree.
-        assert stable_hash(fresh) == stable_hash(replayed)
-        two_sides = calibration_table(cluster, [1, 2], store=store)
+    def test_calibration_is_memoised_and_exact(self, cluster):
+        fresh = calibration_table(cluster, [1, 2, 4, 8])
+        assert calibration_table(cluster, [1, 2, 4, 8]) is fresh
+        two_sides = calibration_table(cluster, [1, 2])
         assert two_sides.curves[0][0].cells.size == 2
 
     def test_store_key_sensitive_to_grid_parameters(self, tiny_spec, tmp_cache):

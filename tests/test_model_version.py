@@ -1,12 +1,11 @@
 """Fault injection: a cache entry stored by another model version is a miss.
 
-Every content key — calibrations (``calibration_key``), predictions and
-sweep points (``request_key``, which ``SweepTask.store_key`` returns) and
-partition files — carries :data:`repro.util.artifacts.MODEL_VERSION`.  Each test
-writes a wrong answer under the key the same code derives at another
-version (1 is what every key carried before the salt, so it is the key a
-stale cache dir holds), then checks that the current code neither serves
-nor reports it.
+Every result key — predictions and sweep points (``request_key``, which
+``SweepTask.store_key`` returns) and partition files — carries
+:data:`repro.util.artifacts.MODEL_VERSION`.  Each test writes a wrong
+answer under the key the same code derives at another version (1 is what
+every key carried before the salt, so it is the key a stale cache dir
+holds), then checks that the current code neither serves nor reports it.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ import pytest
 from repro.analysis import ResultStore, SweepSpec, run_sweep, sweep_status
 from repro.core.cache import LRUResultCache
 from repro.core.request import PredictionRequest, PredictionResult
-from repro.machine import es45_like_cluster
 from repro.mesh import build_deck
 from repro.partition import cached_partition
 from repro.util.artifacts import MODEL_VERSION
 
 # The modules themselves: their packages re-export functions of the same name.
-assemble = import_module("repro.core.assemble")
 pipeline = import_module("repro.core.pipeline")
 partition_cache = import_module("repro.partition.cache")
 
@@ -41,7 +38,7 @@ def tmp_cache(tmp_path, monkeypatch):
 def at_version(monkeypatch, version, fn, *args):
     """``fn(*args)`` with every keyed module salted by ``version``."""
     with monkeypatch.context() as patch:
-        for module in (assemble, pipeline, partition_cache):
+        for module in (pipeline, partition_cache):
             patch.setattr(module, "MODEL_VERSION", version)
         return fn(*args)
 
@@ -55,25 +52,6 @@ def test_stale_prediction_is_a_miss(tmp_cache, monkeypatch, version):
     cache = LRUResultCache(store)
     assert cache.get(pipeline.request_key(request)) is None
     assert pipeline.request_key(request) != stale_key
-
-
-@pytest.mark.parametrize("version", OTHER_VERSIONS)
-def test_stale_calibration_is_a_miss(tmp_cache, monkeypatch, version):
-    cluster = es45_like_cluster()
-    sides = (1, 2, 4)
-    fresh = assemble.calibration_table(cluster, sides)
-    stale_key = at_version(
-        monkeypatch, version, assemble.calibration_key, cluster, sides
-    )
-    store = ResultStore(namespace="calibrations", root=tmp_cache)
-    payload = fresh.to_payload()
-    for row in payload["curves"]:
-        for curve in row:
-            curve["per_cell"] = [2.0 * v for v in curve["per_cell"]]
-    store.put(stale_key, payload)
-    assemble._TABLE_MEMO.clear()
-    table = assemble.calibration_table(cluster, sides, store=store)
-    assert table.to_payload() == fresh.to_payload()
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)

@@ -8,10 +8,12 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.hydro import run_krak
 from repro.machine import NUM_PHASES, es45_like_cluster
 from repro.machine.network import QSNET_LIKE
 from repro.mesh import build_deck, build_face_table
-from repro.mesh.deck import NUM_MATERIALS
+from repro.mesh.deck import HE_GAS, NUM_MATERIALS, InputDeck
+from repro.mesh.grid import structured_quad_mesh
 from repro.partition import structured_block_partition
 from repro.partition.rcb import rcb_partition
 from repro.perfmodel import (
@@ -79,6 +81,37 @@ class TestContrivedGridCalibration:
     def test_rejects_bad_sides(self, quiet_cluster_module):
         with pytest.raises(ValueError):
             calibrate_contrived_grid(quiet_cluster_module, sides=[0])
+
+    @pytest.mark.parametrize("smp", [False, True], ids=["flat", "smp"])
+    def test_equals_simulated_two_process_deck(self, smp):
+        """The paper's method, simulated: a ``2s × s`` deck with the left
+        half HE gas, tiled 2×1, sampled from rank 1's steady iteration.
+        The table reads the same knots from the node model, bit for bit."""
+        cluster = es45_like_cluster()
+        if smp:
+            cluster = cluster.with_smp()
+        sides = [1, 8, 64]
+        table = calibrate_contrived_grid(cluster, sides=sides)
+        for side in sides:
+            for material in range(NUM_MATERIALS):
+                mesh = structured_quad_mesh(
+                    2 * side, side, width=2.0 * side * 0.0125, height=side * 0.0125
+                )
+                column = np.arange(mesh.num_cells) % (2 * side)
+                deck = InputDeck(
+                    name=f"contrived-{side}-{material}",
+                    mesh=mesh,
+                    cell_material=np.where(column < side, HE_GAS, material),
+                    detonator_xy=(0.0, 0.45 * side * 0.0125),
+                )
+                partition = structured_block_partition(mesh, 2, px=2, py=1)
+                run = run_krak(deck, partition, cluster=cluster, iterations=2)
+                simulated = run.result.trace.window_compute(1, 2)[1] / (side * side)
+                knots = [
+                    table.curves[phase][material].per_cell[sides.index(side)]
+                    for phase in range(NUM_PHASES)
+                ]
+                assert [v.hex() for v in knots] == [v.hex() for v in simulated]
 
 
 class TestLinearSystemCalibration:
@@ -149,12 +182,6 @@ class TestLinearSystemCalibration:
 
 
 class TestWindowValidation:
-    def test_contrived_grid_rejects_single_iteration(self, quiet_cluster_module):
-        with pytest.raises(ValueError, match="iterations >= 2"):
-            calibrate_contrived_grid(
-                quiet_cluster_module, sides=[2], iterations=1, warmup=0
-            )
-
     def test_linear_system_rejects_single_iteration(self, quiet_cluster_module):
         deck = build_deck((16, 8))
         parts = [structured_block_partition(deck.mesh, 2)]
@@ -164,9 +191,11 @@ class TestWindowValidation:
             )
 
     def test_rejects_warmup_outside_window(self, quiet_cluster_module):
+        deck = build_deck((16, 8))
+        parts = [structured_block_partition(deck.mesh, 2)]
         with pytest.raises(ValueError, match="warmup"):
-            calibrate_contrived_grid(
-                quiet_cluster_module, sides=[2], iterations=3, warmup=3
+            calibrate_linear_system(
+                quiet_cluster_module, deck, parts, iterations=3, warmup=3
             )
 
 
