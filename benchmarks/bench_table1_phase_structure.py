@@ -64,8 +64,10 @@ def test_request_stream_matches_table1(small_deck):
     from repro.machine import es45_like_cluster
     from repro.simmpi import api
 
-    prog = KrakProgram(0, census, es45_like_cluster().node, iterations=1)
-    phases_seen = {req.phase for req in prog() if isinstance(req, api.SetPhase)}
+    prog = KrakProgram(census, es45_like_cluster().node, iterations=1)
+    phases_seen = {
+        req.phase for req in prog.rank_ops(0) if isinstance(req, api.SetPhase)
+    }
     assert phases_seen == set(range(NUM_PHASES))
 
 

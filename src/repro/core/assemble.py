@@ -9,6 +9,12 @@ and the prediction service cannot drift apart on how a request becomes a
 simulation.  Everything is deterministic in the request, which is what
 makes the request's content hash a sound cache key.
 
+Long-lived callers (sweep parents, the prediction service) ask about
+the same few decks and partitions again and again, so everything that
+depends only on a request's mesh-side fields — the deck, its partition and
+their workload census — is memoised per process (:func:`mesh_side`).  The
+partition ``.npz`` files under the cache dir stay the only persisted tier.
+
 The module is store-agnostic: trace-fitted calibrations are loaded from
 any object with ``get(key)`` (the content-addressed
 :class:`~repro.analysis.store.ResultStore` in practice), but nothing here
@@ -17,7 +23,10 @@ imports the analysis layer — the dependency points the other way.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.core.parsing import as_deck_size, is_weak_deck, weak_cells_per_rank
 from repro.core.request import PredictionRequest
@@ -44,6 +53,7 @@ __all__ = [
     "calibration_table",
     "faces_for",
     "fitted_calibration",
+    "mesh_side",
 ]
 
 
@@ -71,6 +81,61 @@ def faces_for(deck: InputDeck) -> FaceTable:
         faces = build_face_table(mesh)
         _FACES_MEMO.put(key, faces)
     return faces
+
+
+#: Per-process memo of what a request's mesh-side fields fix: ``("deck",
+#: spec)`` → the deck, and ``("partition", spec, ranks, method, seed)`` →
+#: ``(deck, partition, census)``.  Entries of one deck share its deck
+#: object, and every array they hold is read-only.  The bound is in
+#: entries, so the memory held is at most ``_MEMO_MAX`` decks or
+#: partition-plus-census pairs of the decks served.
+_MESH_MEMO = LRUMemo(_MEMO_MAX)
+
+
+def _read_only(value):
+    """``value`` with every array field, through nested dataclasses, made
+    read-only, so a caller that writes into a shared memo entry raises."""
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif dataclasses.is_dataclass(item):
+            _read_only(item)
+    return value
+
+
+def mesh_side(request: PredictionRequest) -> tuple:
+    """``(deck, faces, partition, census)`` of a request's deck spec, rank
+    count, partition method and seed, memoised per process.
+
+    A miss builds the deck (or reuses the memoised one), loads or computes
+    the partition through the ``.npz`` cache and takes the census.  The
+    returned objects are shared by every request with the same mesh-side
+    fields; their arrays are read-only.
+    """
+    spec = as_deck_size(request.deck)
+    key = (
+        "partition", spec, request.ranks, request.partition_method, request.seed
+    )
+    entry = _MESH_MEMO.get(key)
+    if entry is None:
+        deck = _MESH_MEMO.get(("deck", spec))
+        if deck is None:
+            deck = _read_only(build_deck(spec))
+            _MESH_MEMO.put(("deck", spec), deck)
+        faces = faces_for(deck)
+        partition = cached_partition(
+            deck,
+            request.ranks,
+            method=request.partition_method,
+            seed=request.seed,
+            faces=faces,
+        )
+        census = build_workload_census(deck, partition, faces)
+        entry = (deck, _read_only(partition), _read_only(census))
+        _MESH_MEMO.put(key, entry)
+    deck, partition, census = entry
+    return deck, faces_for(deck), partition, census
 
 
 def apply_placement(
@@ -194,8 +259,10 @@ class Assembled:
 def assemble(request: PredictionRequest, store=None) -> Assembled:
     """Build every live object ``request`` describes.
 
-    ``store`` holds the trace-fitted calibration a request may reference
-    (see :func:`fitted_calibration`).
+    The deck, partition and census come from the per-process
+    :func:`mesh_side` memo; the cluster, calibration and placement are
+    resolved per request.  ``store`` holds the trace-fitted calibration a
+    request may reference (see :func:`fitted_calibration`).
     """
     cluster = request.cluster.build()
     if request.calibration is not None:
@@ -223,16 +290,7 @@ def assemble(request: PredictionRequest, store=None) -> Assembled:
     if is_weak_deck(request.deck):
         return Assembled(request=request, cluster=cluster, table=table)
 
-    deck = build_deck(as_deck_size(request.deck))
-    faces = faces_for(deck)
-    partition = cached_partition(
-        deck,
-        request.ranks,
-        method=request.partition_method,
-        seed=request.seed,
-        faces=faces,
-    )
-    census = build_workload_census(deck, partition, faces)
+    deck, faces, partition, census = mesh_side(request)
     if request.placement is not None:
         cluster = apply_placement(
             cluster, request.placement, request.ranks, census, seed=request.seed

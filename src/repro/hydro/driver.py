@@ -1,7 +1,7 @@
 """Top-level MiniKrak runs: "measure" iteration times on the simulated machine.
 
 ``run_krak`` executes the full pipeline (deck → partition → census →
-lowered op streams → engine run) and returns the trace, plus the
+one op table of every rank → engine run) and returns the trace, plus the
 application diagnostics of a functional run;
 ``measure_iteration_time`` is the convenience most benchmarks use — it
 averages the steady-state iterations, skipping a warm-up, exactly how one
@@ -150,23 +150,16 @@ def run_krak(
         # so phase indices are stable across configurations.
         num_phases = FAILURE_PHASE + 1
 
-    programs = [
-        KrakProgram(
-            rank=r,
-            census=census,
-            node_model=cluster.node,
-            iterations=iterations,
-            dynamic=controller,
-            perturb=perturbation,
-        )
-        for r in range(partition.num_ranks)
-    ]
-    compiled = []
-    for program in programs:
-        writer = ProgramWriter()
-        program.lower_into(writer)
-        compiled.append(writer.finish())
-    result = Engine(cluster, partition.num_ranks, num_phases).run_compiled(compiled)
+    writer = ProgramWriter()
+    KrakProgram(
+        census=census,
+        node_model=cluster.node,
+        iterations=iterations,
+        dynamic=controller,
+        perturb=perturbation,
+    ).lower_into(writer)
+    engine = Engine(cluster, partition.num_ranks, num_phases)
+    result = engine.run_compiled(writer.finish())
     states = diagnostics = None
     if functional:
         states = build_rank_states(deck, partition)

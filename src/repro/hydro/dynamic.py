@@ -2,7 +2,7 @@
 
 The burn front makes per-cell cost a function of time, so a dynamic run
 charges iteration ``k`` against ``census_at(t_k)`` instead of one static
-census.  A :class:`DynamicController` is shared by every rank program: at
+census.  A :class:`DynamicController` is shared by the whole job: at
 each iteration boundary it produces (exactly once, cached by iteration
 index) the :class:`DynamicStep` all ranks act on — the effective census at
 ``t_k`` and, when the configured policy fires, a repartition event.
@@ -17,13 +17,13 @@ A repartition is charged to the run the way a real code pays for it:
   ``migration_bytes_per_cell`` bytes per moved cell.
 
 Determinism: every rank reaches iteration ``k`` at the same simulation
-time ``k · dt``; the first rank to ask for a step computes it and the rest
-replay the cached value.  Steps are consumed when the programs are
-lowered, rank by rank: the first rank lowers all its iterations, so steps
-are computed in index order (each may repartition, changing what the
-next one starts from), and the later ranks only read the cache.  The
-reference oracle runs the rank generators interleaved instead; there the
-collectives that end every iteration keep the ranks in step.
+time ``k · dt``; the first to ask for a step computes it and later
+askers replay the cached value.  Steps are consumed when the job is
+lowered, every rank in one pass and iteration by iteration, so steps are
+computed in index order (each may repartition, changing what the next one
+starts from).  The reference oracle runs the rank generators interleaved
+instead; there the collectives that end every iteration keep the ranks in
+step, and the later ranks only read the cache.
 """
 
 from __future__ import annotations

@@ -1,17 +1,21 @@
-"""The 15-phase Krak iteration as a simulated-MPI rank program.
+"""The 15-phase Krak iteration as a simulated-MPI job.
 
 The iteration itself — which phases broadcast, which do the boundary
 exchange and the gather, which update ghost nodes at 8 or 16 bytes per
 node, and the 22 allreduces, 6 broadcasts and 1 gather per iteration of
 Tables 1 and 4 — is :data:`~repro.machine.costdb.KRAK_SCHEDULE`.
-:class:`KrakProgram` interprets that schedule two ways:
+:class:`KrakProgram` describes the whole job and interprets that schedule
+two ways:
 
-* :meth:`KrakProgram.lower_into` writes the op stream straight into a
-  :class:`~repro.simmpi.compile.ProgramWriter` for the engine, one
-  iteration at a time from a per-rank template whose compute rows are
-  filled from :meth:`~repro.machine.node.NodeModel.phase_times`.
-* :meth:`KrakProgram.__call__` yields the same stream as request objects,
-  for the reference oracle (:mod:`repro.verify.oracle`).
+* :meth:`KrakProgram.lower_into` loads every rank's op stream into one
+  :class:`~repro.simmpi.compile.ProgramWriter` table in a single pass.
+  The message rows come array-at-a-time from the census link columns
+  (boundary sextets, the final group, ghost pairs) and the compute rows
+  from :meth:`~repro.machine.node.NodeModel.phase_times_grid`.
+* :meth:`KrakProgram.rank_ops` yields one rank's stream as request
+  objects, one link at a time, for the reference oracle
+  (:mod:`repro.verify.oracle`) — an independent description of the same
+  stream.
 
 Phases charge their modelled compute time and messages carry sizes alone,
 both driven by the :class:`~repro.hydro.workload.WorkloadCensus`; a
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hydro.dynamic import REPARTITION_PHASE, DynamicController
-from repro.hydro.workload import WorkloadCensus
+from repro.hydro.workload import NUM_EXCHANGE_GROUPS, WorkloadCensus
 from repro.machine.costdb import (
     BOUNDARY_BYTES_PER_FACE,
     BOUNDARY_BYTES_PER_MULTI_NODE,
@@ -37,7 +41,7 @@ from repro.machine.costdb import (
 )
 from repro.machine.node import NodeModel
 from repro.perturb.model import FAILURE_PHASE
-from repro.simmpi.compile import ProgramWriter
+from repro.simmpi import compile as simc
 from repro.simmpi.api import (
     Allreduce,
     Barrier,
@@ -54,6 +58,7 @@ from repro.simmpi.api import (
 #: Tag arithmetic: tags are unique per (phase, message slot).
 _TAG_STRIDE = 1000
 _FINAL_GROUP_SLOT = 9
+_NUM_PHASES = len(KRAK_SCHEDULE)
 
 
 def _tag(phase: int, slot: int) -> int:
@@ -61,12 +66,11 @@ def _tag(phase: int, slot: int) -> int:
 
 
 class KrakProgram:
-    """One rank's Krak execution: ``iterations`` full 15-phase iterations.
+    """The whole job's Krak execution: ``iterations`` full 15-phase
+    iterations on every rank of ``census``.
 
     Parameters
     ----------
-    rank:
-        This rank's id.
     census:
         Global workload census (material counts + messaging structure).
     node_model:
@@ -89,224 +93,137 @@ class KrakProgram:
 
     def __init__(
         self,
-        rank: int,
         census: WorkloadCensus,
         node_model: NodeModel,
         iterations: int = 3,
         dynamic: DynamicController | None = None,
         perturb=None,
     ) -> None:
-        self.rank = rank
+        self.census = census
         self.node_model = node_model
         self.iterations = iterations
         self.dynamic = dynamic
         self.perturb = perturb
-        self.census = None
-        self._bind(census)
 
-    # ------------------------------------------------------------- helpers
-
-    def _bind(self, census: WorkloadCensus) -> None:
-        """Charge against ``census`` from now on.
-
-        The point-to-point message lists repeat every iteration, so they
-        are built once per link structure: a dynamic census that only
-        re-weights the material counts keeps the previous lists.
-        """
-        previous, self.census = self.census, census
-        self.work = census.work_vector(self.rank)
-        if previous is not None and census.shares_links(previous):
-            return
-        #: One iteration's lowered rows, built on first use (see _template).
-        self._iteration_template = None
-        boundary = census.boundary_links[self.rank]
-        ghost = census.ghost_links[self.rank]
-        #: Phase → (sends, recvs) of its boundary exchange or ghost update.
-        self.messages = {}
-        for phase, steps in enumerate(KRAK_SCHEDULE):
-            for step in steps:
-                if step.kind == STEP_BOUNDARY:
-                    self.messages[phase] = self._boundary_messages(phase, boundary)
-                elif step.kind == STEP_GHOST:
-                    self.messages[phase] = self._ghost_messages(
-                        phase, step.nbytes, ghost
-                    )
-
-    def _phase_seconds(self, iteration: int) -> list:
-        """Modelled compute seconds of every phase, noise-scaled if perturbed.
-
-        The one shared pricing site of the generator (:meth:`__call__`) and
-        the lowering path (:meth:`lower_into`), so a perturbed run's two
-        op streams agree by construction.
-        """
-        seconds = self.node_model.phase_times(self.work, self.rank, iteration)
-        seconds = seconds[: len(KRAK_SCHEDULE)]
-        if self.perturb is not None:
-            factors = self.perturb.compute_factors(self.rank, iteration)
-            if factors is not None:
-                seconds = seconds * np.asarray(factors)
-        return seconds.tolist()
-
-    def _boundary_messages(self, phase: int, links: range):
-        """Per-material sextets plus the final all-materials step (§4.1).
-
-        Sends follow this rank's boundary rows ``links``; receives follow
-        the active groups of each reverse link.  Returns ``(sends,
-        recvs)``: ``(dst, tag, nbytes)`` and ``(src, tag)`` in program
-        order.
-        """
-        census = self.census
-        rows = slice(links.start, links.stop)
-        nbrs = census.be_dst[rows].tolist()
-        mine = census.be_faces[rows].astype(np.int64).tolist()
-        multi = census.be_multi[rows].astype(np.int64).tolist()
-        theirs = census.be_faces[census.be_reverse[rows]].tolist()
-        fb = BOUNDARY_BYTES_PER_FACE
-        mb = BOUNDARY_BYTES_PER_MULTI_NODE
-        final = _FINAL_GROUP_SLOT * 16
-        sends, recvs = [], []
-        for nbr, faces, extra in zip(nbrs, mine, multi):
-            for group, (f, m) in enumerate(zip(faces, extra)):
-                if f > 0:
-                    big = fb * f + mb * m
-                    small = fb * f
-                    for i in range(BOUNDARY_MSGS_PER_STEP):
-                        sends.append(
-                            (nbr, _tag(phase, group * 16 + i), big if i < 2 else small)
-                        )
-            total = fb * sum(faces)
-            for i in range(BOUNDARY_MSGS_PER_STEP):
-                sends.append((nbr, _tag(phase, final + i), total))
-        for nbr, faces in zip(nbrs, theirs):
-            for group, f in enumerate(faces):
-                if f > 0:
-                    for i in range(BOUNDARY_MSGS_PER_STEP):
-                        recvs.append((nbr, _tag(phase, group * 16 + i)))
-            for i in range(BOUNDARY_MSGS_PER_STEP):
-                recvs.append((nbr, _tag(phase, final + i)))
-        return sends, recvs
-
-    def _ghost_messages(self, phase: int, bytes_per_node: int, links: range):
-        """Two messages per ghost neighbour (Section 4.2), as ``(sends, recvs)``.
-
-        Slot 0 carries the shared nodes the sender owns, slot 1 the rest.
-        """
-        census = self.census
-        rows = slice(links.start, links.stop)
-        counts = zip(
-            census.gn_dst[rows].tolist(),
-            census.gn_local[rows].astype(np.int64).tolist(),
-            census.gn_remote[rows].astype(np.int64).tolist(),
-        )
-        sends, recvs = [], []
-        for nbr, owned, others in counts:
-            for slot, nodes in ((0, owned), (1, others)):
-                sends.append((nbr, _tag(phase, slot), bytes_per_node * nodes))
-                recvs.append((nbr, _tag(phase, slot)))
-        return sends, recvs
-
-    def _event_ops(self, it: int) -> list:
-        """Ops charged before iteration ``it``'s phases, rebinding the census.
-
-        A rank failure is a global stall around the restart cost: all
-        ranks rendezvous (failure detection), the failed rank pays its
-        checkpoint/restart compute, and all ranks rendezvous again, all
-        attributed to :data:`~repro.perturb.FAILURE_PHASE`.  A dynamic
-        step then rebinds this rank to ``census_at(t_it)``; when its policy
-        fired, the repartition's census allgather (gather + broadcast) and
-        cell-migration messages are charged to :data:`REPARTITION_PHASE`.
-        Both op streams carry these rare blocks as plain op objects.
-        """
-        ops = []
-        event = self.perturb.failure_event(it) if self.perturb is not None else None
-        if event is not None:
-            fail_rank, restart_seconds = event
-            ops += [SetPhase(FAILURE_PHASE), Barrier()]
-            if self.rank == fail_rank:
-                ops.append(Compute(restart_seconds))
-            ops.append(Barrier())
-        if self.dynamic is None:
-            return ops
-        step = self.dynamic.step(it)
-        plan = step.migration
-        if plan is not None:
-            tag = _tag(REPARTITION_PHASE, 0)
-            ops += [
-                SetPhase(REPARTITION_PHASE),
-                Gather(nbytes=plan.gather_bytes),
-                Bcast(nbytes=plan.bcast_bytes),
-            ]
-            for dst, cells in enumerate(plan.matrix[self.rank]):
-                if cells:
-                    ops.append(Isend(dst, tag, int(cells) * plan.bytes_per_cell))
-            ops.append(WaitSends())
-            for src, cells in enumerate(plan.matrix[:, self.rank]):
-                if cells:
-                    ops.append(Recv(src, tag))
-        self._bind(step.census)
-        return ops
+    @property
+    def num_ranks(self) -> int:
+        """Ranks of the job."""
+        return self.census.num_ranks
 
     # ------------------------------------------------------------ lowering
 
     def lower_into(self, writer) -> None:
-        """Emit this rank's op stream straight into ``writer``.
+        """Load every rank's op stream into the empty ``writer`` in one pass.
 
-        The op stream is fully deterministic — messages and collectives
-        carry sizes only — so it is written column-wise without allocating
-        a request object per op or running the generator.  It walks the
-        same schedule, message lists and event ops as :meth:`__call__`, so
-        the stream is op-for-op what the generator yields.
+        Iteration by iteration — consuming dynamic steps in order — each
+        rank gets its iteration mark, any failure or repartition rows, and
+        one copy of the iteration body with its compute seconds filled in.
+        The body is built once per link structure: a dynamic census that
+        only re-weights the material counts reuses it.  The stream is
+        op-for-op what :meth:`rank_ops` yields.
         """
-        for it in range(self.iterations):
-            writer.mark(it)
-            for op in self._event_ops(it):
-                op.lower(writer)
-            body, compute_rows = self._template()
-            farg = body.farg.copy()
-            seconds = self._phase_seconds(it)
-            for row, phase_seconds in zip(compute_rows, seconds, strict=True):
-                farg[row] = phase_seconds
-            writer.extend(body.opcode, farg, body.a, body.b)
-        writer.mark(self.iterations)
+        num_ranks, iterations = self.num_ranks, self.iterations
+        table = _RankMajor(num_ranks)
+        census, body = self.census, None
+        if self.dynamic is None:
+            # Static runs charge one census: every iteration's times at once.
+            times = self.node_model.phase_times_grid(
+                census.cell_profiles, census.profile_of_rank, range(iterations)
+            )
+        for it in range(iterations):
+            table.add_uniform(_uniform([(simc.OP_MARK, 0.0, it, 0)]))
+            self._lower_failure(it, table)
+            if self.dynamic is not None:
+                step = self.dynamic.step(it)
+                if step.migration is not None:
+                    _lower_repartition(step.migration, table)
+                census = step.census
+                seconds = self.node_model.phase_times_grid(
+                    census.cell_profiles, census.profile_of_rank, (it,)
+                )[0]
+            else:
+                seconds = times[it]
+            if body is None or not census.shares_links(body.census):
+                body = _IterationBody(census)
+            seconds = seconds[:, :_NUM_PHASES]
+            if self.perturb is not None:
+                factors = [self.perturb.compute_factors(r, it) for r in range(num_ranks)]
+                if factors[0] is not None:
+                    seconds = seconds * np.asarray(factors)
+            table.add(*body.with_seconds(seconds))
+        table.add_uniform(_uniform([(simc.OP_MARK, 0.0, iterations, 0)]))
+        writer.load(*table.assemble())
 
-    def _template(self) -> tuple:
-        """This rank's one-iteration rows under the bound message lists.
-
-        Returns ``(body, compute_rows)``: a :class:`ProgramWriter` holding
-        the 15 phases' rows with zero-second compute rows, and the row
-        index of each phase's compute.  Only the compute seconds differ
-        from one iteration to the next, so :meth:`lower_into` copies the
-        body and fills those rows.  Built once per :meth:`_bind` that
-        rebuilds the message lists.
-        """
-        if self._iteration_template is None:
-            body = ProgramWriter()
-            compute_rows = []
-            for phase, steps in enumerate(KRAK_SCHEDULE):
-                body.set_phase(phase)
-                compute_rows.append(len(body.opcode))
-                body.compute(0.0)
-                for step in steps:
-                    kind = step.kind
-                    if kind == STEP_ALLREDUCE:
-                        body.allreduce(step.nbytes)
-                    elif kind == STEP_BCAST:
-                        body.bcast(0, step.nbytes)
-                    elif kind == STEP_GATHER:
-                        body.gather(0, step.nbytes)
-                    else:
-                        body.exchange(*self.messages[phase])
-            self._iteration_template = (body, compute_rows)
-        return self._iteration_template
+    def _lower_failure(self, it: int, table: "_RankMajor") -> None:
+        """Iteration ``it``'s rank failure, if one fires: the rows of
+        :meth:`rank_ops`' failure block for every rank."""
+        event = self.perturb.failure_event(it) if self.perturb is not None else None
+        if event is None:
+            return
+        fail_rank, restart_seconds = event
+        table.add_uniform(_uniform([
+            (simc.OP_SETPHASE, 0.0, FAILURE_PHASE, 0),
+            (simc.OP_COLL, 0.0, 0, simc.COLL_BARRIER),
+        ]))
+        counts = np.zeros(self.num_ranks, dtype=np.int64)
+        counts[fail_rank] = 1
+        table.add(*_uniform([(simc.OP_COMPUTE, restart_seconds, 0, 0)]), counts)
+        table.add_uniform(_uniform([(simc.OP_COLL, 0.0, 0, simc.COLL_BARRIER)]))
 
     # ------------------------------------------------------------- program
 
-    def __call__(self):
-        """This rank's op stream as request objects (what the oracle runs)."""
+    def rank_ops(self, rank: int):
+        """Rank ``rank``'s op stream as request objects (what the oracle runs).
+
+        Each rank's message lists are built here from its own links, one
+        link at a time, independently of :meth:`lower_into`'s column
+        arithmetic.  A rank failure is a global stall around the restart
+        cost: all ranks rendezvous (failure detection), the failed rank
+        pays its checkpoint/restart compute, and all ranks rendezvous
+        again, all attributed to :data:`~repro.perturb.FAILURE_PHASE`.  A
+        dynamic step then rebinds this rank to ``census_at(t_it)``; when
+        its policy fired, the repartition's census allgather (gather +
+        broadcast) and cell-migration messages are charged to
+        :data:`REPARTITION_PHASE`.
+        """
+        census, messages = self.census, None
         for it in range(self.iterations):
             yield MarkIteration(it)
-            yield from self._event_ops(it)
-            seconds = self._phase_seconds(it)
+            event = self.perturb.failure_event(it) if self.perturb is not None else None
+            if event is not None:
+                fail_rank, restart_seconds = event
+                yield SetPhase(FAILURE_PHASE)
+                yield Barrier()
+                if rank == fail_rank:
+                    yield Compute(restart_seconds)
+                yield Barrier()
+            if self.dynamic is not None:
+                dynamic_step = self.dynamic.step(it)
+                plan = dynamic_step.migration
+                if plan is not None:
+                    tag = _tag(REPARTITION_PHASE, 0)
+                    yield SetPhase(REPARTITION_PHASE)
+                    yield Gather(nbytes=plan.gather_bytes)
+                    yield Bcast(nbytes=plan.bcast_bytes)
+                    for dst, cells in enumerate(plan.matrix[rank]):
+                        if cells:
+                            yield Isend(dst, tag, int(cells) * plan.bytes_per_cell)
+                    yield WaitSends()
+                    for src, cells in enumerate(plan.matrix[:, rank]):
+                        if cells:
+                            yield Recv(src, tag)
+                if not dynamic_step.census.shares_links(census):
+                    messages = None
+                census = dynamic_step.census
+            if messages is None:
+                messages = _rank_messages(census, rank)
+            seconds = self.node_model.phase_times(census.work_vector(rank), rank, it)
+            seconds = seconds[:_NUM_PHASES]
+            if self.perturb is not None:
+                factors = self.perturb.compute_factors(rank, it)
+                if factors is not None:
+                    seconds = seconds * np.asarray(factors)
+            seconds = seconds.tolist()
             for phase, steps in enumerate(KRAK_SCHEDULE):
                 yield SetPhase(phase)
                 yield Compute(seconds[phase])
@@ -319,10 +236,304 @@ class KrakProgram:
                     elif kind == STEP_GATHER:
                         yield Gather(nbytes=step.nbytes)
                     else:
-                        sends, recvs = self.messages[phase]
+                        sends, recvs = messages[phase]
                         for dst, tag, nbytes in sends:
                             yield Isend(dst, tag, nbytes)
                         yield WaitSends()
                         for src, tag in recvs:
                             yield Recv(src, tag)
         yield MarkIteration(self.iterations)
+
+
+# ------------------------------------------------------- per-rank messages
+
+
+def _rank_messages(census: WorkloadCensus, rank: int) -> dict:
+    """Phase → ``(sends, recvs)`` of ``rank``'s boundary exchange and ghost
+    updates: ``(dst, tag, nbytes)`` and ``(src, tag)`` in program order."""
+    messages = {}
+    for phase, steps in enumerate(KRAK_SCHEDULE):
+        for step in steps:
+            if step.kind == STEP_BOUNDARY:
+                messages[phase] = _boundary_messages(
+                    census, phase, census.boundary_links[rank]
+                )
+            elif step.kind == STEP_GHOST:
+                messages[phase] = _ghost_messages(
+                    census, phase, step.nbytes, census.ghost_links[rank]
+                )
+    return messages
+
+
+def _boundary_messages(census: WorkloadCensus, phase: int, links: range):
+    """Per-material sextets plus the final all-materials step (§4.1).
+
+    Sends follow the rank's boundary rows ``links``; receives follow the
+    active groups of each reverse link.
+    """
+    rows = slice(links.start, links.stop)
+    nbrs = census.be_dst[rows].tolist()
+    mine = census.be_faces[rows].astype(np.int64).tolist()
+    multi = census.be_multi[rows].astype(np.int64).tolist()
+    theirs = census.be_faces[census.be_reverse[rows]].tolist()
+    fb = BOUNDARY_BYTES_PER_FACE
+    mb = BOUNDARY_BYTES_PER_MULTI_NODE
+    final = _FINAL_GROUP_SLOT * 16
+    sends, recvs = [], []
+    for nbr, faces, extra in zip(nbrs, mine, multi):
+        for group, (f, m) in enumerate(zip(faces, extra)):
+            if f > 0:
+                big = fb * f + mb * m
+                small = fb * f
+                for i in range(BOUNDARY_MSGS_PER_STEP):
+                    sends.append(
+                        (nbr, _tag(phase, group * 16 + i), big if i < 2 else small)
+                    )
+        total = fb * sum(faces)
+        for i in range(BOUNDARY_MSGS_PER_STEP):
+            sends.append((nbr, _tag(phase, final + i), total))
+    for nbr, faces in zip(nbrs, theirs):
+        for group, f in enumerate(faces):
+            if f > 0:
+                for i in range(BOUNDARY_MSGS_PER_STEP):
+                    recvs.append((nbr, _tag(phase, group * 16 + i)))
+        for i in range(BOUNDARY_MSGS_PER_STEP):
+            recvs.append((nbr, _tag(phase, final + i)))
+    return sends, recvs
+
+
+def _ghost_messages(census: WorkloadCensus, phase: int, bytes_per_node: int,
+                    links: range):
+    """Two messages per ghost neighbour (Section 4.2), as ``(sends, recvs)``.
+
+    Slot 0 carries the shared nodes the sender owns, slot 1 the rest.
+    """
+    rows = slice(links.start, links.stop)
+    counts = zip(
+        census.gn_dst[rows].tolist(),
+        census.gn_local[rows].astype(np.int64).tolist(),
+        census.gn_remote[rows].astype(np.int64).tolist(),
+    )
+    sends, recvs = [], []
+    for nbr, owned, others in counts:
+        for slot, nodes in ((0, owned), (1, others)):
+            sends.append((nbr, _tag(phase, slot), bytes_per_node * nodes))
+            recvs.append((nbr, _tag(phase, slot)))
+    return sends, recvs
+
+
+# ---------------------------------------------------------- all-rank rows
+
+
+def _uniform(rows) -> tuple:
+    """``(opcode, farg, a, b)`` column arrays of ``rows``, each row an
+    ``(opcode, farg, a, b)`` tuple."""
+    opcode, farg, a, b = zip(*rows)
+    return (
+        np.array(opcode, dtype=np.int64),
+        np.array(farg, dtype=np.float64),
+        np.array(a, dtype=np.int64),
+        np.array(b, dtype=np.int64),
+    )
+
+
+class _RankMajor:
+    """Blocks of every rank's rows, assembled into one rank-major table.
+
+    Each block holds, for every rank in rank order, that rank's next rows;
+    :meth:`assemble` places rank ``r``'s share of each block after its
+    share of the previous blocks.
+    """
+
+    def __init__(self, num_ranks: int) -> None:
+        self.num_ranks = num_ranks
+        #: ``(columns, counts, uniform)`` per block.
+        self._blocks: list = []
+
+    def add(self, opcode, farg, a, b, counts) -> None:
+        """A block of rank-major columns with each rank's row count."""
+        self._blocks.append(((opcode, farg, a, b), counts, False))
+
+    def add_uniform(self, columns: tuple) -> None:
+        """A block of rows every rank gets alike (see :func:`_uniform`)."""
+        counts = np.full(self.num_ranks, columns[0].shape[0], dtype=np.int64)
+        self._blocks.append((columns, counts, True))
+
+    def assemble(self) -> tuple:
+        """``(opcode, farg, a, b, offsets)`` of the whole table."""
+        counts = np.stack([block[1] for block in self._blocks])
+        within = np.cumsum(counts, axis=0)
+        offsets = np.zeros(self.num_ranks + 1, dtype=np.int64)
+        np.cumsum(within[-1], out=offsets[1:])
+        starts = offsets[:-1] + within - counts
+        n = int(offsets[-1])
+        out = (
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.float64),
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64),
+        )
+        for (columns, block_counts, uniform), start in zip(self._blocks, starts):
+            if uniform:
+                pos = start[:, None] + np.arange(int(block_counts[0]))
+            else:
+                first = np.cumsum(block_counts) - block_counts
+                pos = np.arange(int(block_counts.sum())) + np.repeat(
+                    start - first, block_counts
+                )
+            for column, values in zip(out, columns):
+                column[pos] = values
+        return (*out, offsets)
+
+
+def _per_rank(src: np.ndarray, rows_per_link, num_ranks: int) -> np.ndarray:
+    """Rows per rank, given each (rank-major) link's row count."""
+    weights = np.broadcast_to(rows_per_link, src.shape).astype(np.float64)
+    return np.bincount(src, weights=weights, minlength=num_ranks).astype(np.int64)
+
+
+def _sends(nbytes, peers, tags, counts) -> tuple:
+    """A block of ``Isend`` rows (rank-major, ``counts`` per rank)."""
+    return (
+        np.full(peers.shape[0], simc.OP_ISEND, dtype=np.int64),
+        nbytes.astype(np.float64), peers.astype(np.int64), tags, counts,
+    )
+
+
+def _recvs(peers, tags, counts) -> tuple:
+    """A block of ``Recv`` rows (rank-major, ``counts`` per rank)."""
+    num = peers.shape[0]
+    return (
+        np.full(num, simc.OP_RECV, dtype=np.int64), np.zeros(num),
+        peers.astype(np.int64), tags, counts,
+    )
+
+
+def _boundary_rows(census: WorkloadCensus, phase: int) -> tuple:
+    """Every rank's boundary-exchange sends and receives, as two blocks.
+
+    Each link contributes a sextet per active exchange group and one for
+    the final all-materials step, in :func:`_boundary_messages` order:
+    a ``(links, groups + 1, 6)`` grid of candidate rows, masked by which
+    groups have faces on the sending (or, for receives, the reverse) side.
+    """
+    k, groups = BOUNDARY_MSGS_PER_STEP, NUM_EXCHANGE_GROUPS
+    fb, mb = BOUNDARY_BYTES_PER_FACE, BOUNDARY_BYTES_PER_MULTI_NODE
+    faces = census.be_faces.astype(np.int64)
+    multi = census.be_multi.astype(np.int64)
+    shape = (faces.shape[0], groups + 1, k)
+    slots = np.append(np.arange(groups) * 16, _FINAL_GROUP_SLOT * 16)
+    tags = np.broadcast_to(_tag(phase, 0) + slots[:, None] + np.arange(k), shape)
+    peers = np.broadcast_to(census.be_dst[:, None, None], shape)
+    nbytes = np.empty(shape, dtype=np.int64)
+    nbytes[:, :groups, :2] = (fb * faces + mb * multi)[:, :, None]
+    nbytes[:, :groups, 2:] = (fb * faces)[:, :, None]
+    nbytes[:, groups, :] = (fb * faces.sum(axis=1))[:, None]
+
+    def grid(active_groups):
+        active = np.ones(shape[:2], dtype=bool)
+        active[:, :groups] = active_groups
+        counts = _per_rank(census.be_src, k * active.sum(axis=1), census.num_ranks)
+        return np.broadcast_to(active[:, :, None], shape), counts
+
+    sent, sent_counts = grid(faces > 0)
+    received, received_counts = grid(census.be_faces[census.be_reverse] > 0)
+    return (
+        _sends(nbytes[sent], peers[sent], tags[sent], sent_counts),
+        _recvs(peers[received], tags[received], received_counts),
+    )
+
+
+def _ghost_rows(census: WorkloadCensus, phase: int, bytes_per_node: int) -> tuple:
+    """Every rank's ghost-update sends and receives, as two blocks: two
+    messages per ghost link (slot 0 the owned nodes, slot 1 the rest)."""
+    nodes = np.stack([census.gn_local, census.gn_remote], axis=1).astype(np.int64)
+    peers = np.repeat(census.gn_dst, 2)
+    tags = np.tile(np.array([_tag(phase, 0), _tag(phase, 1)]), census.gn_src.shape[0])
+    counts = 2 * np.bincount(census.gn_src, minlength=census.num_ranks)
+    return (
+        _sends((bytes_per_node * nodes).reshape(-1), peers, tags, counts),
+        _recvs(peers, tags, counts),
+    )
+
+
+def _body_plan() -> tuple:
+    """One iteration of :data:`KRAK_SCHEDULE` as blocks: runs of rows every
+    rank gets alike (column tuples), and between them the ``(phase,
+    step)`` of each point-to-point exchange."""
+    plan, rows = [], []
+    for phase, steps in enumerate(KRAK_SCHEDULE):
+        rows += [(simc.OP_SETPHASE, 0.0, phase, 0), (simc.OP_COMPUTE, 0.0, 0, 0)]
+        for step in steps:
+            kind = step.kind
+            if kind == STEP_ALLREDUCE:
+                rows.append((simc.OP_COLL, step.nbytes, 0, simc.COLL_ALLREDUCE))
+            elif kind == STEP_BCAST:
+                rows.append((simc.OP_COLL, step.nbytes, 0, simc.COLL_BCAST))
+            elif kind == STEP_GATHER:
+                rows.append((simc.OP_COLL, step.nbytes, 0, simc.COLL_GATHER))
+            else:
+                plan += [_uniform(rows), (phase, step)]
+                rows = []
+    plan.append(_uniform(rows))
+    return tuple(plan)
+
+
+_BODY_PLAN = _body_plan()
+_WAIT_SENDS = _uniform([(simc.OP_WAITSENDS, 0.0, 0, 0)])
+
+
+class _IterationBody:
+    """Every rank's rows of one iteration under one census's links.
+
+    Compute rows hold zero seconds; :meth:`with_seconds` fills them.  Only
+    the compute seconds differ from one iteration to the next.
+    """
+
+    def __init__(self, census: WorkloadCensus) -> None:
+        self.census = census
+        table = _RankMajor(census.num_ranks)
+        for block in _BODY_PLAN:
+            if len(block) == 4:
+                table.add_uniform(block)
+                continue
+            phase, step = block
+            if step.kind == STEP_BOUNDARY:
+                sends, recvs = _boundary_rows(census, phase)
+            else:
+                sends, recvs = _ghost_rows(census, phase, step.nbytes)
+            table.add(*sends)
+            table.add_uniform(_WAIT_SENDS)
+            table.add(*recvs)
+        self.opcode, self.farg, self.a, self.b, offsets = table.assemble()
+        self.counts = np.diff(offsets)
+        #: Row of each rank's compute charge, rank-major in phase order.
+        self.compute_rows = np.flatnonzero(self.opcode == simc.OP_COMPUTE)
+
+    def with_seconds(self, seconds: np.ndarray) -> tuple:
+        """The body's block with ``(ranks, phases)`` compute ``seconds``."""
+        farg = self.farg.copy()
+        farg[self.compute_rows] = seconds.reshape(-1)
+        return self.opcode, farg, self.a, self.b, self.counts
+
+
+def _lower_repartition(plan, table: _RankMajor) -> None:
+    """A repartition's rows for every rank: census gather and broadcast,
+    then the cell-migration sends (by destination) and receives (by
+    source) of :meth:`KrakProgram.rank_ops`' repartition block."""
+    tag = _tag(REPARTITION_PHASE, 0)
+    table.add_uniform(_uniform([
+        (simc.OP_SETPHASE, 0.0, REPARTITION_PHASE, 0),
+        (simc.OP_COLL, plan.gather_bytes, 0, simc.COLL_GATHER),
+        (simc.OP_COLL, plan.bcast_bytes, 0, simc.COLL_BCAST),
+    ]))
+    moved = plan.matrix != 0
+    owner, dst = np.nonzero(moved)
+    cells = plan.matrix[owner, dst].astype(np.int64)
+    table.add(*_sends(
+        cells * plan.bytes_per_cell, dst, np.full(dst.shape[0], tag),
+        moved.sum(axis=1),
+    ))
+    table.add_uniform(_WAIT_SENDS)
+    _, src = np.nonzero(moved.T)
+    table.add(*_recvs(src, np.full(src.shape[0], tag), moved.sum(axis=0)))

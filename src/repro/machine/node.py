@@ -45,21 +45,23 @@ def _hash_jitter(rank: int, phase: int, iteration: int, seed: int) -> float:
     return (x / 2**63) - 1.0
 
 
-def _hash_jitters(rank: int, iteration: int, seed: int, num_phases: int) -> np.ndarray:
-    """:func:`_hash_jitter` of phases ``0 .. num_phases - 1``, bitwise.
+def _hash_jitter_grid(ranks, iterations, seed: int, num_phases: int) -> np.ndarray:
+    """:func:`_hash_jitter` of every phase, for each of ``iterations`` and
+    ``ranks``, as an ``(iterations, ranks, phases)`` array, bitwise.
 
     The mix is taken modulo 2**64 either way, so wrapping ``uint64``
     products give the masked Python-integer ones, and ``x / 2**63`` is a
     correctly rounded conversion scaled by a power of two in both forms.
     """
-    key = np.uint64(
-        ((rank + 1) * _MIX_RANK ^ (iteration + 1) * _MIX_ITERATION
-         ^ (seed + 1) * _MIX_SEED) & _MASK64
-    )
-    shift = np.uint64(33)
-    x = key ^ np.arange(1, num_phases + 1, dtype=np.uint64) * np.uint64(_MIX_PHASE)
+    u64 = np.uint64
+    rank_mix = (np.asarray(ranks, dtype=u64) + u64(1)) * u64(_MIX_RANK)
+    its = (np.asarray(iterations, dtype=u64) + u64(1)) * u64(_MIX_ITERATION)
+    key = its[:, None] ^ rank_mix[None, :] ^ u64(((seed + 1) * _MIX_SEED) & _MASK64)
+    shift = u64(33)
+    phases = np.arange(1, num_phases + 1, dtype=u64) * u64(_MIX_PHASE)
+    x = key[:, :, None] ^ phases
     x ^= x >> shift
-    x *= np.uint64(_FINALIZE)
+    x *= u64(_FINALIZE)
     x ^= x >> shift
     return x / 2.0**63 - 1.0
 
@@ -159,10 +161,32 @@ class NodeModel:
         """
         times = self._base_times(work_by_material)
         if self.jitter_frac:
-            times *= 1.0 + self.jitter_frac * _hash_jitters(
-                rank, iteration, self.seed, self.num_phases
-            )
+            times *= 1.0 + self.jitter_frac * _hash_jitter_grid(
+                (rank,), (iteration,), self.seed, self.num_phases
+            )[0, 0]
         return times
+
+    def phase_times_grid(
+        self, profiles: np.ndarray, profile_of_rank: np.ndarray, iterations
+    ) -> np.ndarray:
+        """Compute time of every phase on every rank in each of ``iterations``.
+
+        Rank ``r`` works on ``profiles[profile_of_rank[r]]``, and entry
+        ``[i, r]`` of the ``(iterations, ranks, phases)`` result is bitwise
+        :meth:`phase_times` of that work vector, rank and
+        ``iterations[i]``: the noise-free times are taken once per distinct
+        profile through the same per-row ``cell_cost @ work``, and only the
+        elementwise jitter is vectorised.
+        """
+        base = np.array([self._base_times(row.copy()) for row in profiles])
+        base = base.reshape(-1, self.num_phases)[profile_of_rank]
+        iterations = list(iterations)
+        if not self.jitter_frac:
+            return np.broadcast_to(base, (len(iterations), *base.shape))
+        jitter = _hash_jitter_grid(
+            np.arange(base.shape[0]), iterations, self.seed, self.num_phases
+        )
+        return base * (1.0 + self.jitter_frac * jitter)
 
     def phase_time(
         self,

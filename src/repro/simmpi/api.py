@@ -9,8 +9,8 @@ back into the program.
 Every request type derives from :class:`Op` and implements
 :meth:`Op.lower`, appending itself to a
 :class:`~repro.simmpi.compile.ProgramWriter` — the hook
-:func:`~repro.simmpi.compile.lower_ops` and Krak's rare event blocks use to
-write ops into the columnar event tables the engine executes.
+:func:`~repro.simmpi.compile.lower_programs` uses to write hand-written
+programs into the columnar event table the engine executes.
 
 Collectives take keyword arguments only, so a stray positional value can
 never be priced as a byte count.

@@ -2,15 +2,17 @@
 
 The engine prices a whole run array-at-a-time instead of one request
 object per Python-level event.  The bridge is this module: a
-:class:`ProgramWriter` accumulates one rank's op stream into flat columns
-(opcode, float argument, two integer arguments) and a
-:class:`CompiledProgram` freezes them as NumPy arrays.
+:class:`ProgramWriter` accumulates a job's op streams into one table of
+flat columns (opcode, float argument, two integer arguments), rank after
+rank, and a :class:`CompiledProgram` freezes it as NumPy arrays with each
+rank's row offsets.
 
-There are two producers.  Krak runs emit their columns directly
+There are two producers, each filling one writer for the whole job.  Krak
+runs load every rank's columns in one pass
 (:meth:`repro.hydro.phases.KrakProgram.lower_into`), and
-:func:`lower_ops` compiles an op sequence or generator through each op's
-:meth:`~repro.simmpi.api.Op.lower` hook, for tests, tools and
-:meth:`repro.simmpi.engine.Engine.run` — see ``docs/engine.md``.
+:func:`lower_programs` compiles one op sequence or generator per rank
+through each op's :meth:`~repro.simmpi.api.Op.lower` hook, for tests,
+tools and :meth:`repro.simmpi.engine.Engine.run` — see ``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -39,28 +41,48 @@ COLL_BARRIER = 3
 
 
 class ProgramWriter:
-    """Append-only builder of one rank's columnar op stream.
+    """Append-only builder of a job's columnar op table, rank-major.
 
-    Each method appends one row: ``opcode`` selects the handler, ``farg``
-    carries the float argument (seconds or bytes), ``a``/``b`` carry the
-    integer arguments (peer rank / phase / index / root, tag / collective
-    sub-kind).  :meth:`finish` freezes the columns into a
+    Each row method appends one row to the rank being written and
+    :meth:`end_rank` closes that rank, so rank ``r``'s rows follow rank
+    ``r - 1``'s.  ``opcode`` selects the handler, ``farg`` carries the
+    float argument (seconds or bytes), ``a``/``b`` carry the integer
+    arguments (peer rank / phase / index / root, tag / collective
+    sub-kind).  :meth:`load` instead fills an empty writer with every
+    rank's columns at once.  :meth:`finish` freezes the table into a
     :class:`CompiledProgram`.
     """
 
-    __slots__ = ("opcode", "farg", "a", "b")
+    __slots__ = ("opcode", "farg", "a", "b", "offsets")
 
     def __init__(self) -> None:
         self.opcode: list[int] = []
         self.farg: list[float] = []
         self.a: list[int] = []
         self.b: list[int] = []
+        #: 0, then the row count at the end of each closed rank.
+        self.offsets: list[int] = [0]
 
     def _row(self, opcode: int, farg: float, a: int, b: int) -> None:
         self.opcode.append(opcode)
         self.farg.append(farg)
         self.a.append(a)
         self.b.append(b)
+
+    def end_rank(self) -> None:
+        """Close the rank being written; later rows belong to the next."""
+        self.offsets.append(len(self.opcode))
+
+    def load(self, opcode, farg, a, b, offsets) -> None:
+        """Fill this empty writer with every rank's rows at once.
+
+        The columns are arrays of the whole table, rank-major, and
+        ``offsets`` holds each rank's first row followed by the total.
+        """
+        if len(self.opcode) or len(self.offsets) > 1:
+            raise ValueError("load needs an empty writer")
+        self.opcode, self.farg, self.a, self.b = opcode, farg, a, b
+        self.offsets = offsets
 
     def compute(self, seconds: float) -> None:
         """Charge ``seconds`` of computation."""
@@ -86,26 +108,6 @@ class ProgramWriter:
         """Drain this rank's NIC."""
         self._row(OP_WAITSENDS, 0.0, 0, 0)
 
-    def exchange(self, sends, recvs) -> None:
-        """Post ``sends``, drain the NIC, then block on ``recvs``.
-
-        ``sends`` holds ``(dst, tag, nbytes)`` and ``recvs`` ``(src, tag)``;
-        the rows are those of the matching :meth:`isend`,
-        :meth:`wait_sends` and :meth:`recv` calls, appended in one go.
-        """
-        n, m = len(sends), len(recvs)
-        self.opcode += [OP_ISEND] * n + [OP_WAITSENDS] + [OP_RECV] * m
-        self.farg += [nbytes for _, _, nbytes in sends] + [0.0] * (m + 1)
-        self.a += [dst for dst, _, _ in sends] + [0] + [src for src, _ in recvs]
-        self.b += [tag for _, tag, _ in sends] + [0] + [tag for _, tag in recvs]
-
-    def extend(self, opcode: list, farg: list, a: list, b: list) -> None:
-        """Append rows given column by column, one extend per column."""
-        self.opcode += opcode
-        self.farg += farg
-        self.a += a
-        self.b += b
-
     def allreduce(self, nbytes: float) -> None:
         """Enter an allreduce of ``nbytes`` per tree message."""
         self._row(OP_COLL, nbytes, 0, COLL_ALLREDUCE)
@@ -123,38 +125,63 @@ class ProgramWriter:
         self._row(OP_COLL, 0.0, 0, COLL_BARRIER)
 
     def finish(self) -> "CompiledProgram":
-        """Freeze the accumulated rows."""
+        """Freeze the table; every rank must be closed."""
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if int(offsets[-1]) != len(self.opcode):
+            raise ValueError("the last rank is still open (call end_rank)")
         return CompiledProgram(
             opcode=np.asarray(self.opcode, dtype=np.int64),
             farg=np.asarray(self.farg, dtype=np.float64),
             a=np.asarray(self.a, dtype=np.int64),
             b=np.asarray(self.b, dtype=np.int64),
+            offsets=offsets,
         )
 
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """One rank's op stream as flat columns (see :class:`ProgramWriter`)."""
+    """A job's op streams as one table (see :class:`ProgramWriter`).
+
+    Rank ``r``'s rows are ``offsets[r]:offsets[r + 1]`` of every column.
+    """
 
     opcode: np.ndarray
     farg: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def num_ranks(self) -> int:
+        """Ranks in the table."""
+        return int(self.offsets.shape[0]) - 1
 
     @property
     def num_ops(self) -> int:
-        """Total rows in this rank's stream."""
+        """Total rows over all ranks."""
         return int(self.opcode.shape[0])
 
+    def rank_columns(self, rank: int) -> tuple:
+        """Rank ``rank``'s ``(opcode, farg, a, b)`` rows (views)."""
+        lo, hi = int(self.offsets[rank]), int(self.offsets[rank + 1])
+        return (
+            self.opcode[lo:hi], self.farg[lo:hi], self.a[lo:hi], self.b[lo:hi]
+        )
 
-def lower_ops(ops: Iterable[api.Op]) -> CompiledProgram:
-    """Compile an op sequence; raises :class:`api.NotLowerable` on a non-op."""
+
+def lower_programs(programs: Iterable[Iterable[api.Op]]) -> CompiledProgram:
+    """Compile one op sequence per rank, in rank order, into one table.
+
+    Raises :class:`api.NotLowerable` on anything that is not an op.
+    """
     writer = ProgramWriter()
-    for op in ops:
-        lower = getattr(op, "lower", None)
-        if lower is None:
-            raise api.NotLowerable(f"unknown request {op!r}")
-        lower(writer)
+    for ops in programs:
+        for op in ops:
+            lower = getattr(op, "lower", None)
+            if lower is None:
+                raise api.NotLowerable(f"unknown request {op!r}")
+            lower(writer)
+        writer.end_rank()
     return writer.finish()
 
 
@@ -172,5 +199,5 @@ __all__ = [
     "COLL_BARRIER",
     "ProgramWriter",
     "CompiledProgram",
-    "lower_ops",
+    "lower_programs",
 ]

@@ -23,9 +23,9 @@ Programs arrive lowered to columnar event tables
 every message, static FIFO send/recv matching via one sort, and a tight
 per-rank advance kernel (:mod:`repro.simmpi._kernels`, optionally
 numba-compiled) that touches no request objects.  :meth:`Engine.run` is
-the convenience for hand-written generator programs: it lowers each rank
-with :func:`~repro.simmpi.compile.lower_ops` and runs the same core.
-``docs/engine.md`` describes the two lowering producers.
+the convenience for hand-written generator programs: it lowers every rank
+into one table with :func:`~repro.simmpi.compile.lower_programs` and runs
+the same core.  ``docs/engine.md`` describes the two lowering producers.
 """
 
 from __future__ import annotations
@@ -114,13 +114,14 @@ class Engine:
 
         ``make_program`` returns a generator (or any iterable) of request
         objects from :mod:`repro.simmpi.api`; nothing is sent back into it.
+        Every rank is lowered into one table.
         """
         return self.run_compiled(
-            [simc.lower_ops(make_program(r)) for r in range(self.num_ranks)]
+            simc.lower_programs(make_program(r) for r in range(self.num_ranks))
         )
 
-    def run_compiled(self, compiled: list[simc.CompiledProgram]) -> SimResult:
-        """Execute pre-lowered columnar programs array-at-a-time.
+    def run_compiled(self, compiled: simc.CompiledProgram) -> SimResult:
+        """Execute a pre-lowered columnar table of every rank array-at-a-time.
 
         Pricing (``send_times_many``), send/recv matching (one stable sort),
         host overheads, and phase attribution are all resolved up front with
@@ -128,17 +129,16 @@ class Engine:
         plus a small rendezvous orchestrator.
         """
         R = self.num_ranks
-        if len(compiled) != R:
-            raise ValueError(f"expected {R} compiled programs, got {len(compiled)}")
+        if compiled.num_ranks != R:
+            raise ValueError(f"expected {R} ranks, got {compiled.num_ranks}")
         num_phases = self.num_phases
-        counts = np.array([p.num_ops for p in compiled], dtype=np.int64)
-        off = np.zeros(R + 1, dtype=np.int64)
-        np.cumsum(counts, out=off[1:])
+        off = compiled.offsets
+        counts = np.diff(off)
         n = int(off[-1])
-        opcode = np.concatenate([p.opcode for p in compiled])
-        farg = np.concatenate([p.farg for p in compiled])
-        acol = np.concatenate([p.a for p in compiled])
-        bcol = np.concatenate([p.b for p in compiled])
+        opcode = compiled.opcode
+        farg = compiled.farg
+        acol = compiled.a
+        bcol = compiled.b
         rank_of = np.repeat(np.arange(R, dtype=np.int64), counts)
         hierarchy = self.cluster.hierarchy
         if hierarchy is not None:
@@ -208,11 +208,15 @@ class Engine:
                 # send pairs the k-th receive statically.  Encode each
                 # (src, dst, tag) as one integer (tags compressed through
                 # np.unique) and line the two sorted streams up.
-                all_tags = np.concatenate([bcol[send_idx], bcol[recv_idx]])
-                uniq_tags, tag_inv = np.unique(all_tags, return_inverse=True)
+                p2p_idx = np.flatnonzero(
+                    (opcode == simc.OP_ISEND) | (opcode == simc.OP_RECV)
+                )
+                uniq_tags, p2p_inv = np.unique(bcol[p2p_idx], return_inverse=True)
                 num_tags = np.int64(uniq_tags.size)
-                s_key = (s_src * R + s_dst) * num_tags + tag_inv[: send_idx.size]
-                r_key = (r_src * R + r_dst) * num_tags + tag_inv[send_idx.size :]
+                tag_inv = np.zeros(n, dtype=np.int64)
+                tag_inv[p2p_idx] = p2p_inv
+                s_key = (s_src * R + s_dst) * num_tags + tag_inv[send_idx]
+                r_key = (r_src * R + r_dst) * num_tags + tag_inv[recv_idx]
                 s_order = np.argsort(s_key, kind="stable")
                 r_order = np.argsort(r_key, kind="stable")
                 s_sorted = s_key[s_order]
@@ -230,7 +234,11 @@ class Engine:
         # --- collectives: per-rank rendezvous sequence ids.
         coll_mask = opcode == simc.OP_COLL
         coll_count = np.cumsum(coll_mask)
-        before_rank = np.concatenate(([0], coll_count))[off[:-1]]
+        # Collectives in the ranks before each rank's first row.
+        starts = off[:-1]
+        before_rank = np.zeros(R, dtype=np.int64)
+        nonempty_prefix = starts > 0
+        before_rank[nonempty_prefix] = coll_count[starts[nonempty_prefix] - 1]
         seq_col = np.where(coll_mask, coll_count - 1 - before_rank[rank_of], -1)
 
         # --- iteration marks: static snapshot slots.

@@ -55,26 +55,20 @@ def default_pingpong_sizes(network: NetworkModel) -> np.ndarray:
 def _count_messages(census, cluster: ClusterConfig, num_ranks: int, iterations: int):
     """Per-rank point-to-point ``{"count", "bytes"}`` totals.
 
-    Each rank's program is lowered to its columnar op stream (the same
-    lowering the engine executes) and the ``OP_ISEND`` rows are
-    tallied — so counts/bytes are exactly what the run sent, not a model
-    of it.
+    The job is lowered to its columnar op table (the same lowering the
+    engine executes) and each rank's ``OP_ISEND`` rows are tallied — so
+    counts/bytes are exactly what the run sent, not a model of it.
     """
+    writer = ProgramWriter()
+    KrakProgram(census=census, node_model=cluster.node, iterations=iterations).lower_into(
+        writer
+    )
+    table = writer.finish()
     messages = []
     for rank in range(num_ranks):
-        program = KrakProgram(
-            rank=rank,
-            census=census,
-            node_model=cluster.node,
-            iterations=iterations,
-        )
-        writer = ProgramWriter()
-        program.lower_into(writer)
-        compiled = writer.finish()
-        sel = compiled.opcode == OP_ISEND
-        messages.append(
-            {"count": int(sel.sum()), "bytes": float(compiled.farg[sel].sum())}
-        )
+        opcode, farg, _, _ = table.rank_columns(rank)
+        sel = opcode == OP_ISEND
+        messages.append({"count": int(sel.sum()), "bytes": float(farg[sel].sum())})
     return tuple(messages)
 
 

@@ -635,10 +635,12 @@ def oracle_run_krak(
     """The oracle's independent execution of one census-mode Krak run.
 
     Mirrors :func:`repro.hydro.driver.run_krak` (timing only): deck →
-    partition → census → rank programs, but the programs run on the
-    :class:`OracleEngine`.  The rank programs themselves are shared with
-    the production path — the program *is* the workload specification; what
-    is being verified is every cost the engine charges while executing it.
+    partition → census → rank programs, but each rank runs its
+    :meth:`~repro.hydro.phases.KrakProgram.rank_ops` generator — the
+    program's per-rank description, built link by link apart from the
+    production all-rank lowering — on the :class:`OracleEngine`.  What is
+    being verified is the production lowering and every cost the engine
+    charges while executing it.
     Perturbations come from :class:`OraclePerturbation` (the naive twin)
     and the engine's naive per-site link degradation, *not* from
     :mod:`repro.perturb`, so the differential judges both copies.
@@ -673,21 +675,17 @@ def oracle_run_krak(
     if perturb is not None and perturb.fail_rank is not None:
         num_phases = FAILURE_PHASE + 1
 
-    programs = [
-        KrakProgram(
-            rank=r,
-            census=census,
-            node_model=cluster.node,
-            iterations=iterations,
-            dynamic=controller,
-            perturb=perturbation,
-        )
-        for r in range(partition.num_ranks)
-    ]
+    program = KrakProgram(
+        census=census,
+        node_model=cluster.node,
+        iterations=iterations,
+        dynamic=controller,
+        perturb=perturbation,
+    )
     engine = OracleEngine(
         cluster, partition.num_ranks, num_phases, link_degrade=link_degrade
     )
-    result = engine.run(lambda r: programs[r]())
+    result = engine.run(program.rank_ops)
     return OracleRun(
         result=result,
         iterations=iterations,

@@ -12,8 +12,8 @@ The output ``tests/goldens/workload_census.json`` pins, for fixed inputs:
   ``[src, dst, owned_by_src, not_owned_by_src, owned_by_dst,
   not_owned_by_dst]``, both rank-major and neighbour-sorted, and the
   ``(ranks, materials)`` cell counts;
-* ``lowered`` — the sha256 of every rank's lowered op columns
-  (``ProgramWriter.finish()``: ``opcode``, ``farg``, ``a``, ``b``) for a
+* ``lowered`` — the sha256 of every rank's slice of the job's lowered op
+  table (``ProgramWriter.finish()``: ``opcode``, ``farg``, ``a``, ``b``) for a
   static, a dynamic (``imbalance:1.1``) and a failure-plus-churn run of
   the small deck at 16 ranks, plus the number of repartitions each run
   fired.
@@ -132,17 +132,16 @@ def lowered_case(name: str) -> dict:
             force_repartition=churn,
         )
         iterations = dynamic.iterations
+    writer = ProgramWriter()
+    KrakProgram(
+        census=census, node_model=es45_like_cluster().node,
+        iterations=iterations, dynamic=controller, perturb=perturbation,
+    ).lower_into(writer)
+    table = writer.finish()
     digests = []
     for rank in range(LOWERED_RANKS):
-        program = KrakProgram(
-            rank=rank, census=census, node_model=es45_like_cluster().node,
-            iterations=iterations, dynamic=controller, perturb=perturbation,
-        )
-        writer = ProgramWriter()
-        program.lower_into(writer)
-        columns = writer.finish()
         digest = hashlib.sha256()
-        for col in (columns.opcode, columns.farg, columns.a, columns.b):
+        for col in table.rank_columns(rank):
             digest.update(np.ascontiguousarray(col).tobytes())
         digests.append(digest.hexdigest())
     repartitions = (

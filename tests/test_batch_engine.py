@@ -15,6 +15,7 @@ import pytest
 
 from repro.hydro import DynamicConfig, build_workload_census, run_krak
 from repro.hydro.dynamic import DynamicController
+from repro.core.assemble import apply_placement
 from repro.hydro.phases import KrakProgram
 from repro.machine.cluster import es45_like_cluster
 from repro.mesh.deck import build_deck
@@ -39,7 +40,7 @@ from repro.simmpi import (
 )
 from repro.simmpi import _kernels
 from repro.simmpi import compile as simc
-from repro.simmpi.compile import ProgramWriter, lower_ops
+from repro.simmpi.compile import ProgramWriter, lower_programs
 from repro.verify.oracle import OracleEngine, oracle_run_krak
 
 
@@ -83,8 +84,8 @@ def mixed_program(ranks, iters=3):
 
 
 def hand_compile(make, ranks):
-    """Lower every rank's program to its columnar op stream."""
-    return [lower_ops(make(r)) for r in range(ranks)]
+    """Lower every rank's program into one columnar op table."""
+    return lower_programs(make(r) for r in range(ranks))
 
 
 def run_against_oracle(cluster, ranks, make, num_phases=2):
@@ -151,22 +152,30 @@ class TestBitwiseAgreement:
 
 class TestCompile:
     def test_lower_ops_columns(self):
-        compiled = lower_ops(
+        compiled = lower_programs(
             [
-                SetPhase(1),
-                Compute(2.5e-6),
-                Isend(3, tag=9, nbytes=128.0),
-                Recv(2, tag=4),
-                WaitSends(),
-                MarkIteration(0),
-                Allreduce(nbytes=8),
-                Bcast(root=1, nbytes=4),
-                Gather(root=2, nbytes=32),
-                Barrier(),
+                [Compute(1e-6)],
+                [
+                    SetPhase(1),
+                    Compute(2.5e-6),
+                    Isend(3, tag=9, nbytes=128.0),
+                    Recv(2, tag=4),
+                    WaitSends(),
+                    MarkIteration(0),
+                    Allreduce(nbytes=8),
+                    Bcast(root=1, nbytes=4),
+                    Gather(root=2, nbytes=32),
+                    Barrier(),
+                ],
+                [],
             ]
         )
-        assert compiled.num_ops == 10
-        assert compiled.opcode.tolist() == [
+        assert compiled.num_ranks == 3
+        assert compiled.num_ops == 11
+        assert compiled.offsets.tolist() == [0, 1, 11, 11]
+        assert compiled.opcode[0] == simc.OP_COMPUTE
+        opcode, farg, a, b = compiled.rank_columns(1)
+        assert opcode.tolist() == [
             simc.OP_SETPHASE,
             simc.OP_COMPUTE,
             simc.OP_ISEND,
@@ -178,15 +187,24 @@ class TestCompile:
             simc.OP_COLL,
             simc.OP_COLL,
         ]
-        assert compiled.b[6:].tolist() == [
+        assert b[6:].tolist() == [
             simc.COLL_ALLREDUCE,
             simc.COLL_BCAST,
             simc.COLL_GATHER,
             simc.COLL_BARRIER,
         ]
-        assert compiled.farg[1] == 2.5e-6
-        assert compiled.a[2] == 3 and compiled.b[2] == 9
-        assert compiled.a[3] == 2 and compiled.b[3] == 4
+        assert farg[1] == 2.5e-6
+        assert a[2] == 3 and b[2] == 9
+        assert a[3] == 2 and b[3] == 4
+        assert compiled.rank_columns(2)[0].size == 0
+
+    def test_writer_refuses_an_open_rank_and_a_second_load(self):
+        writer = ProgramWriter()
+        writer.compute(1.0)
+        with pytest.raises(ValueError, match="still open"):
+            writer.finish()
+        with pytest.raises(ValueError, match="empty writer"):
+            writer.load(*([np.zeros(0)] * 4), np.zeros(1, dtype=np.int64))
 
     def test_kernel_opcodes_match_compile_constants(self):
         # _kernels duplicates the opcode table as plain literals so numba
@@ -255,10 +273,7 @@ class TestValidationParity:
         assert str(compiled_err.value) == message
 
     def test_collective_mismatch_message(self):
-        compiled = [
-            lower_ops([Allreduce(nbytes=8)]),
-            lower_ops([Barrier()]),
-        ]
+        compiled = lower_programs([[Allreduce(nbytes=8)], [Barrier()]])
         with pytest.raises(RuntimeError, match="collective mismatch at sequence 0"):
             Engine(flat_cluster(), 2, 1).run_compiled(compiled)
 
@@ -286,7 +301,7 @@ class TestDeadlockReport:
         assert "rank 1 has no pending sends" in text
 
     def test_collective_wait_reported(self):
-        compiled = [lower_ops([Barrier()]), lower_ops([Recv(0, tag=3)])]
+        compiled = lower_programs([[Barrier()], [Recv(0, tag=3)]])
         with pytest.raises(DeadlockError) as err:
             Engine(flat_cluster(), 2, 1).run_compiled(compiled)
         text = str(err.value)
@@ -303,8 +318,8 @@ class TestKrakLowering:
         partition = make_partition(deck.mesh, 4, method="block", faces=faces)
         return deck, faces, partition
 
-    def krak_programs(self, problem, iterations, dynamic=None, perturb=None):
-        """Census-mode programs wired as ``run_krak`` wires them."""
+    def krak_program(self, problem, iterations, dynamic=None, perturb=None):
+        """A census-mode job wired as ``run_krak`` wires it."""
         deck, faces, partition = problem
         census = build_workload_census(deck, partition, faces)
         perturbation = (
@@ -317,59 +332,80 @@ class TestKrakLowering:
                 deck, partition, dynamic, faces=faces, base_census=census,
                 force_repartition=churn,
             )
-        return [
-            KrakProgram(
-                rank=r,
-                census=census,
-                node_model=es45_like_cluster().node,
-                iterations=iterations,
-                dynamic=controller,
-                perturb=perturbation,
-            )
-            for r in range(partition.num_ranks)
-        ], controller
+        program = KrakProgram(
+            census=census,
+            node_model=es45_like_cluster().node,
+            iterations=iterations,
+            dynamic=controller,
+            perturb=perturbation,
+        )
+        return program, controller
 
-    def assert_emission_matches_executed_generator(self, make_programs):
-        """``lower_into`` writes exactly what the oracle executes.
+    def assert_emission_matches_executed_generator(
+        self, make_program, cluster=None
+    ):
+        """``lower_into``'s one table, sliced per rank, is exactly what the
+        oracle executes.
 
-        The generator runs on the reference oracle under a wrapper that
-        lowers each yielded op into a writer, so the recorded stream is the
-        one an interleaved execution — ranks taking turns at the shared
-        dynamic controller — drove.
+        Each rank's ``rank_ops`` generator runs on the reference oracle
+        under a wrapper that lowers each yielded op into that rank's
+        writer, so the recorded streams are the ones an interleaved
+        execution — ranks taking turns at the shared dynamic controller —
+        drove.  A fresh job (its own controller) is then lowered in one
+        pass.
         """
+        cluster = es45_like_cluster() if cluster is None else cluster
 
-        def recording(program, writer):
-            for op in program():
+        def recording(ops, writer):
+            for op in ops:
                 op.lower(writer)
                 yield op
+            writer.end_rank()
 
-        executed, _ = make_programs()
-        writers = [ProgramWriter() for _ in executed]
-        OracleEngine(es45_like_cluster(), len(executed), FAILURE_PHASE + 1).run(
-            lambda r: recording(executed[r], writers[r])
+        executed, _ = make_program()
+        writers = [ProgramWriter() for _ in range(executed.num_ranks)]
+        OracleEngine(cluster, executed.num_ranks, FAILURE_PHASE + 1).run(
+            lambda r: recording(executed.rank_ops(r), writers[r])
         )
-        lowered, controller = make_programs()
-        for r, program in enumerate(lowered):
-            writer = ProgramWriter()
-            program.lower_into(writer)
-            direct, via_generator = writer.finish(), writers[r].finish()
-            for col in ("opcode", "farg", "a", "b"):
-                assert np.array_equal(
-                    getattr(direct, col), getattr(via_generator, col)
-                ), (r, col)
-        return controller, direct
+        lowered, controller = make_program()
+        writer = ProgramWriter()
+        lowered.lower_into(writer)
+        table = writer.finish()
+        assert table.num_ranks == lowered.num_ranks
+        for r, recorded in enumerate(writers):
+            via_generator = recorded.finish()
+            for col, direct in zip(("opcode", "farg", "a", "b"), table.rank_columns(r)):
+                expected = getattr(via_generator, col)
+                assert direct.dtype == expected.dtype, (r, col)
+                assert np.array_equal(direct, expected), (r, col)
+        return controller, table
 
     def test_direct_emission_matches_generator_lowering(self, problem):
         self.assert_emission_matches_executed_generator(
-            lambda: self.krak_programs(problem, iterations=2)
+            lambda: self.krak_program(problem, iterations=2)
         )
+
+    def test_direct_emission_matches_generator_smp_comm_aware(self, problem):
+        deck, faces, partition = problem
+        census = build_workload_census(deck, partition, faces)
+        cluster = apply_placement(
+            smp_cluster(), "comm-aware", partition.num_ranks, census
+        )
+        self.assert_emission_matches_executed_generator(
+            lambda: self.krak_program(problem, iterations=2), cluster=cluster
+        )
+        run = run_krak(deck, partition, cluster=cluster, iterations=2, faces=faces)
+        oracle = oracle_run_krak(
+            deck, partition, cluster=cluster, iterations=2, faces=faces
+        )
+        assert_matches_oracle(run.result, oracle.result)
 
     def test_direct_emission_matches_generator_dynamic(self, problem):
         config = DynamicConfig(
             policy=ImbalanceThresholdPolicy(threshold=1.1), burn_multiplier=8.0
         )
         controller, _ = self.assert_emission_matches_executed_generator(
-            lambda: self.krak_programs(problem, iterations=4, dynamic=config)
+            lambda: self.krak_program(problem, iterations=4, dynamic=config)
         )
         assert controller.run_info().num_repartitions >= 1
 
@@ -381,14 +417,37 @@ class TestKrakLowering:
             seed=3, compute_noise=0.05, straggler_prob=0.2,
             fail_rank=1, fail_iteration=1, churn_prob=0.5,
         )
-        controller, last = self.assert_emission_matches_executed_generator(
-            lambda: self.krak_programs(
+        controller, table = self.assert_emission_matches_executed_generator(
+            lambda: self.krak_program(
                 problem, iterations=4, dynamic=config, perturb=spec
             )
         )
-        failure_rows = (last.opcode == simc.OP_SETPHASE) & (last.a == FAILURE_PHASE)
+        opcode, _, a, _ = table.rank_columns(table.num_ranks - 1)
+        failure_rows = (opcode == simc.OP_SETPHASE) & (a == FAILURE_PHASE)
         assert failure_rows.sum() == 1
         assert controller.run_info().num_repartitions >= 1
+
+    def test_compute_rows_are_phase_times_bitwise(self, small_deck, small_faces):
+        """Every compute row of the one-pass table is bitwise the per-rank,
+        per-iteration ``NodeModel.phase_times`` (jitter on)."""
+        partition = make_partition(small_deck.mesh, 16, seed=1, faces=small_faces)
+        census = build_workload_census(small_deck, partition, small_faces)
+        node = es45_like_cluster().node
+        assert node.jitter_frac > 0
+        iterations = 3
+        grid = node.phase_times_grid(
+            census.cell_profiles, census.profile_of_rank, range(iterations)
+        )
+        writer = ProgramWriter()
+        KrakProgram(census, node, iterations=iterations).lower_into(writer)
+        table = writer.finish()
+        for r in range(census.num_ranks):
+            opcode, farg, _, _ = table.rank_columns(r)
+            charged = farg[opcode == simc.OP_COMPUTE].reshape(iterations, -1)
+            for it in range(iterations):
+                expected = node.phase_times(census.work_vector(r), r, it)
+                assert grid[it, r].tobytes() == expected.tobytes()
+                assert charged[it].tobytes() == expected[: charged.shape[1]].tobytes()
 
     def test_run_krak_engines_agree(self, problem):
         deck, faces, partition = problem
@@ -414,13 +473,15 @@ class TestKernelContainers:
     """The kernel is one source run over lists (fallback) or arrays (JIT)."""
 
     def run_kernel(self, as_arrays):
-        compiled = lower_ops(
+        compiled = lower_programs(
             [
-                SetPhase(0),
-                Compute(3e-6),
-                MarkIteration(0),
-                Compute(2e-6),
-                WaitSends(),
+                [
+                    SetPhase(0),
+                    Compute(3e-6),
+                    MarkIteration(0),
+                    Compute(2e-6),
+                    WaitSends(),
+                ]
             ]
         )
         n = compiled.num_ops

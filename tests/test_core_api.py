@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.perturb import parse_perturb
 from repro.core import (
     ClusterSpec,
     DynamicSpec,
@@ -270,9 +271,79 @@ def test_process_memos_are_bounded():
 
     for memo in (
         assemble_mod._FACES_MEMO,
+        assemble_mod._MESH_MEMO,
         assemble_mod._TABLE_MEMO,
         assemble_mod._FITTED_MEMO,
         dynamic._REPARTITION_MEMO,
     ):
         assert memo.max_entries >= 8  # far above one process's decks/machines
         assert hasattr(memo, "clear")
+
+
+@pytest.fixture()
+def cold_mesh_memo():
+    """The mesh-side memo, empty before and after the test."""
+    memo = importlib.import_module("repro.core.assemble")._MESH_MEMO
+    memo.clear()
+    yield memo
+    memo.clear()
+
+
+def test_mesh_memo_hit_returns_the_same_objects(cold_mesh_memo):
+    assemble_mod = importlib.import_module("repro.core.assemble")
+
+    request = PredictionRequest(deck="16x8", ranks=4, max_side=16)
+    deck, faces, partition, census = assemble_mod.mesh_side(request)
+    again = assemble_mod.mesh_side(request)
+    assert all(x is y for x, y in zip(again, (deck, faces, partition, census)))
+    asm = assemble(request)
+    assert (asm.deck, asm.partition, asm.census) == (deck, partition, census)
+    assert asm.census is census
+    # Other ranks of the same deck share its deck object, not its partition.
+    other = assemble_mod.mesh_side(PredictionRequest(deck="16x8", ranks=2))
+    assert other[0] is deck
+    assert other[2] is not partition
+    key = ("partition", (16, 8), 4, request.partition_method, request.seed)
+    assert key in cold_mesh_memo
+    assert ("deck", (16, 8)) in cold_mesh_memo
+
+
+def test_mesh_memo_arrays_are_read_only(cold_mesh_memo):
+    assemble_mod = importlib.import_module("repro.core.assemble")
+
+    deck, _, partition, census = assemble_mod.mesh_side(
+        PredictionRequest(deck="16x8", ranks=4)
+    )
+    for array in (
+        deck.cell_material, deck.mesh.node_x, deck.mesh.cell_nodes,
+        partition.cell_rank, census.be_faces, census.gn_local,
+        census.cell_profiles, census.profile_of_rank,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        PredictionRequest(deck="16x8", ranks=4, max_side=16),
+        PredictionRequest(
+            deck="16x8", ranks=4, max_side=16, models=(),
+            dynamic=DynamicSpec(policy="every:2", iterations=5, warmup=1),
+            perturb=parse_perturb("noise:0.05+straggler:0.2x3+churn:0.5+fail:1@2x0.01"),
+        ),
+        PredictionRequest(
+            deck="16x8", ranks=4, max_side=16,
+            cluster=ClusterSpec(smp=True), placement="comm-aware",
+        ),
+    ],
+    ids=["static", "dynamic-perturbed", "smp-comm-aware"],
+)
+def test_warm_mesh_memo_answers_equal_cold(cold_mesh_memo, request_):
+    cold = measure(request_)
+    assert len(cold_mesh_memo) > 0
+    warm = measure(request_)
+    assert warm == cold
+    cold_mesh_memo.clear()
+    assert measure(request_) == cold
+

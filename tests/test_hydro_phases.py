@@ -19,8 +19,8 @@ def program_requests():
     part = structured_block_partition(deck.mesh, 4, px=2, py=2)
     census = build_workload_census(deck, part, faces)
     cluster = es45_like_cluster(jitter_frac=0.0)
-    prog = KrakProgram(0, census, cluster.node, iterations=1)
-    return list(prog()), census
+    prog = KrakProgram(census, cluster.node, iterations=1)
+    return list(prog.rank_ops(0)), census
 
 
 class TestPhaseStructure:

@@ -62,9 +62,14 @@ def test_truncated_partition_file_is_counted_once_and_replaced(
     """Fault injection: a truncated partition ``.npz`` is a miss, counted
     once in ``/stats`` as ``partition_unreadable``, and replaced by the
     recomputed partition."""
+    import importlib
+
     import numpy as np
 
+    # Each request must reach the disk tier, not the in-process memo.
+    reach_disk = importlib.import_module("repro.core.assemble")._MESH_MEMO.clear
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reach_disk()
     first = client.predict(REQUEST)
     (path,) = (tmp_path / "partitions").glob("*.npz")
     with np.load(path) as data:
@@ -73,10 +78,12 @@ def test_truncated_partition_file_is_counted_once_and_replaced(
     before = client.stats()["partition_unreadable"]
 
     # Same partition, new result keys: each answer needs the partition.
+    reach_disk()
     again = client.predict(dataclasses.replace(REQUEST, models=("homogeneous",)))
     assert client.stats()["partition_unreadable"] == before + 1
     with np.load(path) as data:
         assert np.array_equal(data["cell_rank"], cell_rank)
+    reach_disk()
     client.predict(dataclasses.replace(REQUEST, models=("heterogeneous",)))
     assert client.stats()["partition_unreadable"] == before + 1
     assert again.predicted["homogeneous"] == first.predicted["homogeneous"]
