@@ -168,6 +168,35 @@ register(Benchmark(
 ))
 
 
+def _setup_engine_krak(size):
+    from repro.hydro.phases import KrakProgram
+    from repro.machine.costdb import NUM_PHASES
+    from repro.simmpi import Engine
+    from repro.simmpi.compile import ProgramWriter
+
+    ranks = 64
+    cluster = _cluster()
+    writer = ProgramWriter()
+    KrakProgram(_census("medium", ranks), cluster.node, iterations=3).lower_into(writer)
+    return {"engine": Engine(cluster, ranks, NUM_PHASES), "table": writer.finish()}
+
+
+def _run_engine_krak(ctx):
+    return ctx["engine"].run_compiled(ctx["table"]).makespan
+
+
+register(Benchmark(
+    name="micro.engine_krak_superstep",
+    group="micro",
+    description="engine pricing of one lowered medium/64 Krak table (superstep executor)",
+    source="src/repro/simmpi/engine.py",
+    setup=_setup_engine_krak,
+    run=_run_engine_krak,
+    invariants=lambda ctx, result: {"makespan_hex": float(result).hex()},
+    repeats=3,
+))
+
+
 def _setup_mesh_census(size):
     from repro.perfmodel import MeshSpecificModel
 

@@ -106,11 +106,40 @@ def run_krak(
         repartitioning).  A ``None`` or null spec is bitwise-identical to
         the clean run, including trace shape.  See ``docs/perturbations.md``.
     """
+    if functional and perturb is not None:
+        raise ValueError("perturbed runs execute in census (timing) mode only")
+    if functional and dynamic is not None:
+        raise ValueError("dynamic workloads run in census (timing) mode only")
+    engine, table, cluster, census, controller = _krak_job(
+        deck, partition, cluster, iterations, faces, census, dynamic, perturb
+    )
+    result = engine.run_compiled(table)
+    states = diagnostics = None
+    if functional:
+        states = build_rank_states(deck, partition)
+        diagnostics = run_functional(states, census, iterations)
+
+    return KrakRun(
+        deck=deck,
+        partition=partition,
+        census=census,
+        cluster=cluster,
+        result=result,
+        iterations=iterations,
+        diagnostics=diagnostics,
+        states=states,
+        dynamic=controller.run_info() if controller is not None else None,
+    )
+
+
+def _krak_job(deck, partition, cluster, iterations, faces, census, dynamic, perturb):
+    """The engine and the one lowered table of every rank that
+    :func:`run_krak` prices, with the (possibly degraded) machine, the
+    census and the dynamic controller they were built from.  Each call
+    builds a fresh controller, so the table is the same every time."""
     if cluster is None:
         cluster = es45_like_cluster()
     if perturb is not None:
-        if functional:
-            raise ValueError("perturbed runs execute in census (timing) mode only")
         if perturb.has_churn and dynamic is None:
             raise ValueError(
                 "churn_prob requires a dynamic workload (the repartition "
@@ -119,11 +148,8 @@ def run_krak(
         # Link degradation is a machine transform: every consumer prices
         # through the same degraded coefficients.
         cluster = degrade_cluster(cluster, perturb)
-    if dynamic is not None:
-        if functional:
-            raise ValueError("dynamic workloads run in census (timing) mode only")
-        if faces is None:
-            faces = build_face_table(deck.mesh)  # shared with the controller
+    if dynamic is not None and faces is None:
+        faces = build_face_table(deck.mesh)  # shared with the controller
     if census is None:
         census = build_workload_census(deck, partition, faces)
 
@@ -159,23 +185,7 @@ def run_krak(
         perturb=perturbation,
     ).lower_into(writer)
     engine = Engine(cluster, partition.num_ranks, num_phases)
-    result = engine.run_compiled(writer.finish())
-    states = diagnostics = None
-    if functional:
-        states = build_rank_states(deck, partition)
-        diagnostics = run_functional(states, census, iterations)
-
-    return KrakRun(
-        deck=deck,
-        partition=partition,
-        census=census,
-        cluster=cluster,
-        result=result,
-        iterations=iterations,
-        diagnostics=diagnostics,
-        states=states,
-        dynamic=controller.run_info() if controller is not None else None,
-    )
+    return engine, writer.finish(), cluster, census, controller
 
 
 def measure_iteration_time(

@@ -94,7 +94,9 @@ def _load_cached(path: Path, deck: InputDeck, num_ranks: int) -> Partition | Non
     ``cell_rank`` does not fit ``deck`` and ``num_ranks``.  The caller then
     quarantines the file and recomputes."""
     try:
-        with np.load(path) as data:
+        # The handle is ours, so it closes even when np.load rejects the
+        # file before its own context manager exists.
+        with open(path, "rb") as handle, np.load(handle) as data:
             cell_rank = data["cell_rank"]
             method = str(data["method"])
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):

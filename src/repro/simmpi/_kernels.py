@@ -1,9 +1,13 @@
 """Batch-engine execution kernels (optionally numba-JIT-compiled).
 
-The batch scheduler's inner loop — advancing one rank through its compiled
-op stream until it blocks — lives here as a single source function,
-:func:`advance_rank`, written against the common indexing subset of Python
-lists and NumPy arrays.  The engine calls it in one of two configurations:
+The per-rank executor's inner loop — advancing one rank through its
+compiled op stream until it blocks — lives here as a single source
+function, :func:`advance_rank`, written against the common indexing subset
+of Python lists and NumPy arrays.  It is the engine's general executor and
+the reference for the superstep executor in :mod:`repro.simmpi.engine`,
+which replays a regular table's rows with this function's IEEE operations
+in each rank's program order, every rank at once.  The engine calls it in
+one of two configurations:
 
 * **Pure Python** (always available): plain lists, where element access is
   an order of magnitude cheaper than NumPy scalar indexing.

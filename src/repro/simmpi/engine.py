@@ -1,4 +1,4 @@
-"""The logical-time scheduler: one batch-compiled core.
+"""The logical-time scheduler: one batch-compiled core, two executors.
 
 Each rank advances its own virtual clock; the engine only mediates where
 ranks interact (message matching, collective barriers).  Because Krak's
@@ -18,21 +18,39 @@ Timing rules (see :mod:`repro.machine`):
   binary-tree time; all ranks resume synchronised at completion.
 
 Programs arrive lowered to columnar event tables
-(:mod:`repro.simmpi.compile`) and are priced array-at-a-time by
-:meth:`Engine.run_compiled`: one vectorized ``send_times_many`` sweep for
-every message, static FIFO send/recv matching via one sort, and a tight
-per-rank advance kernel (:mod:`repro.simmpi._kernels`, optionally
-numba-compiled) that touches no request objects.  :meth:`Engine.run` is
-the convenience for hand-written generator programs: it lowers every rank
-into one table with :func:`~repro.simmpi.compile.lower_programs` and runs
-the same core.  ``docs/engine.md`` describes the two lowering producers.
+(:mod:`repro.simmpi.compile`) and are priced by :meth:`Engine.run_compiled`.
+A shared set-up resolves everything the clocks do not decide,
+array-at-a-time: phase attribution, one vectorized ``send_times_many``
+sweep for every message, static FIFO send/recv matching via one sort,
+collective sequence ids and mark slots.  One of two executors then
+advances the clocks:
+
+* the **per-rank** executor runs any table: a tight per-rank advance
+  kernel (:mod:`repro.simmpi._kernels`, optionally numba-compiled) that
+  touches no request objects, plus a small rendezvous orchestrator for the
+  collectives.  Deadlocks and collective mismatches are reported here.
+* the **superstep** executor runs *regular* tables (:func:`_superstep_plan`):
+  Valiant's bulk-synchronous supersteps, where the collectives cut every
+  rank into the same sequence of supersteps and each rank's block of a
+  superstep posts its sends, drains its NIC, then receives.  It advances
+  all ranks of a superstep at once with NumPy, one vector step per op
+  position.
+
+Schedule independence makes "every send of a superstep before any of its
+receives" a valid schedule, and each rank performs the same IEEE operations
+in its own program order under either executor, so their results are
+bitwise identical.  ``run_compiled`` takes the superstep executor only
+where it is the faster one (:data:`_ROWS_PER_STEP`).  :meth:`Engine.run`
+is the convenience for hand-written generator programs: it lowers every
+rank into one table with :func:`~repro.simmpi.compile.lower_programs` and
+runs the same core.  ``docs/engine.md`` describes both.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +59,18 @@ from repro.simmpi import _kernels, api
 from repro.simmpi import compile as simc
 from repro.simmpi.collectives import allreduce_time, bcast_time, gather_time
 from repro.simmpi.tracing import PhaseTrace
+
+#: Message rows per vector step from which the superstep executor beats the
+#: pure-Python per-rank kernel (measured crossover: ``docs/engine.md``).  A
+#: vector step covers at most one row per rank, so a job of fewer ranks
+#: never qualifies and is not even planned.
+_ROWS_PER_STEP = 6
+
+# The section each opcode opens within a superstep block, by opcode value:
+# leading non-message rows, Isends, WaitSends, Recvs, trailing non-message
+# rows (a leading row after a message row), the closing collective.
+_PRE, _SEND, _WAIT, _RECV, _POST, _COLL = range(6)
+_SECTION = np.array([_PRE, _PRE, _PRE, _SEND, _RECV, _WAIT, _COLL], dtype=np.int64)
 
 
 class DeadlockError(RuntimeError):
@@ -64,6 +94,33 @@ class SimResult:
     def makespan(self) -> float:
         """Latest rank completion time."""
         return float(self.final_clocks.max())
+
+
+class _Job(NamedTuple):
+    """One table with everything the clocks do not decide resolved: row
+    ``i``'s rank, phase, message pricing, matched send, superstep (the
+    collectives before it in its rank; a collective's own sequence id) and
+    mark slot."""
+
+    num_ranks: int
+    num_phases: int
+    off: np.ndarray
+    opcode: np.ndarray
+    farg: np.ndarray
+    acol: np.ndarray
+    bcol: np.ndarray
+    rank_of: np.ndarray
+    phase: np.ndarray
+    startup: np.ndarray
+    bwcost: np.ndarray
+    soh: np.ndarray
+    roh: np.ndarray
+    match: np.ndarray
+    step: np.ndarray
+    send_idx: np.ndarray
+    recv_idx: np.ndarray
+    mark_idx: np.ndarray
+    mark_slot: np.ndarray
 
 
 class Engine:
@@ -125,9 +182,41 @@ class Engine:
 
         Pricing (``send_times_many``), send/recv matching (one stable sort),
         host overheads, and phase attribution are all resolved up front with
-        vectorized sweeps; execution is then a tight per-rank advance kernel
-        plus a small rendezvous orchestrator.
+        vectorized sweeps.  A regular table with enough message rows per
+        vector step then runs superstep by superstep, every rank at once;
+        any other runs through the per-rank advance kernel and its
+        rendezvous orchestrator.
         """
+        job = self._resolve(compiled)
+        plan = self._dispatch(job)
+        if plan is not None:
+            return self._run_supersteps(job, plan)
+        return self._run_per_rank(job)
+
+    def _dispatch(self, job: _Job):
+        """The superstep plan when that executor is the faster one, else
+        ``None``.  Under the numba kernel the per-rank executor stays."""
+        if _kernels.JIT_ENABLED or job.num_ranks < _ROWS_PER_STEP:
+            return None
+        return _superstep_plan(job, _ROWS_PER_STEP)
+
+    def _run_other(self, compiled: simc.CompiledProgram) -> SimResult | None:
+        """Price ``compiled`` with the executor :meth:`run_compiled` does
+        not pick, or ``None`` for a table only the per-rank one can run.
+
+        The differential verifier (:mod:`repro.verify.diff`) holds the two
+        to bitwise equality on every seed.
+        """
+        job = self._resolve(compiled)
+        if self._dispatch(job) is not None:
+            return self._run_per_rank(job)
+        plan = _superstep_plan(job, 0.0)
+        return None if plan is None else self._run_supersteps(job, plan)
+
+    # -------------------------------------------------------- shared set-up
+
+    def _resolve(self, compiled: simc.CompiledProgram) -> _Job:
+        """Everything the clocks do not decide, as whole-table arrays."""
         R = self.num_ranks
         if compiled.num_ranks != R:
             raise ValueError(f"expected {R} ranks, got {compiled.num_ranks}")
@@ -231,7 +320,8 @@ class Engine:
                 ok[ok] = s_sorted[pos[ok]] == r_sorted[ok]
                 match[recv_idx[r_order[ok]]] = send_idx[s_order[pos[ok]]]
 
-        # --- collectives: per-rank rendezvous sequence ids.
+        # --- supersteps: the collectives before each row in its own rank,
+        # which for a collective is its rendezvous sequence id.
         coll_mask = opcode == simc.OP_COLL
         coll_count = np.cumsum(coll_mask)
         # Collectives in the ranks before each rank's first row.
@@ -239,17 +329,58 @@ class Engine:
         before_rank = np.zeros(R, dtype=np.int64)
         nonempty_prefix = starts > 0
         before_rank[nonempty_prefix] = coll_count[starts[nonempty_prefix] - 1]
-        seq_col = np.where(coll_mask, coll_count - 1 - before_rank[rank_of], -1)
+        step = coll_count - coll_mask - before_rank[rank_of]
 
         # --- iteration marks: static snapshot slots.
         mark_idx = np.flatnonzero(opcode == simc.OP_MARK)
         mark_slot = np.full(n, -1, dtype=np.int64)
         mark_slot[mark_idx] = np.arange(mark_idx.size)
-        n_marks = int(mark_idx.size)
 
-        # --- execution state: NumPy containers under the JIT kernel, plain
+        return _Job(
+            num_ranks=R, num_phases=num_phases, off=off, opcode=opcode,
+            farg=farg, acol=acol, bcol=bcol, rank_of=rank_of, phase=phase,
+            startup=startup, bwcost=bwcost, soh=soh, roh=roh, match=match,
+            step=step, send_idx=send_idx, recv_idx=recv_idx,
+            mark_idx=mark_idx, mark_slot=mark_slot,
+        )
+
+    def _result(self, job, clocks, comp_rows, comm_rows, mark_clock, mark_comp,
+                mark_comm) -> SimResult:
+        """Load the final rows and the mark snapshots into a trace."""
+        marks = [
+            (
+                int(job.rank_of[g]),
+                int(job.acol[g]),
+                float(mark_clock[slot]),
+                mark_comp[slot],
+                mark_comm[slot],
+            )
+            for slot, g in enumerate(job.mark_idx.tolist())
+        ]
+        trace = PhaseTrace(self.num_ranks, self.num_phases)
+        trace.load_batch(comp_rows, comm_rows, marks)
+        return SimResult(
+            trace=trace,
+            final_clocks=np.array(clocks, dtype=np.float64),
+        )
+
+    # ---------------------------------------------------- per-rank executor
+
+    def _run_per_rank(self, job: _Job) -> SimResult:
+        """Advance each rank with the kernel until it blocks, rendezvous the
+        collectives, and report a deadlock if ranks remain blocked."""
+        R = self.num_ranks
+        num_phases = self.num_phases
+        off = job.off
+        n = int(off[-1])
+        n_marks = int(job.mark_idx.size)
+        # Execution state: NumPy containers under the JIT kernel, plain
         # lists under the pure-Python one (list element access is the faster
         # interpreter path).  Identical IEEE arithmetic either way.
+        columns: Any = (
+            off, job.opcode, job.farg, job.phase, job.startup, job.bwcost,
+            job.soh, job.roh, job.match, job.mark_slot,
+        )
         if _kernels.JIT_ENABLED:
             kernel = _kernels.advance_rank_jit
             pcs: Any = off[:-1].copy()
@@ -262,16 +393,6 @@ class Engine:
             mark_comm: Any = np.zeros((n_marks, num_phases))
             arrival: Any = np.zeros(n)
             done: Any = np.zeros(n, dtype=np.uint8)
-            k_off: Any = off
-            k_opcode: Any = opcode
-            k_farg: Any = farg
-            k_phase: Any = phase
-            k_startup: Any = startup
-            k_bw: Any = bwcost
-            k_soh: Any = soh
-            k_roh: Any = roh
-            k_match: Any = match
-            k_mark_slot: Any = mark_slot
         else:
             kernel = _kernels.advance_rank
             pcs = off[:-1].tolist()
@@ -284,16 +405,7 @@ class Engine:
             mark_comm = [[0.0] * num_phases for _ in range(n_marks)]
             arrival = [0.0] * n
             done = [0] * n
-            k_off = off.tolist()
-            k_opcode = opcode.tolist()
-            k_farg = farg.tolist()
-            k_phase = phase.tolist()
-            k_startup = startup.tolist()
-            k_bw = bwcost.tolist()
-            k_soh = soh.tolist()
-            k_roh = roh.tolist()
-            k_match = match.tolist()
-            k_mark_slot = mark_slot.tolist()
+            columns = tuple(col.tolist() for col in columns)
 
         finished = [False] * R
         parked: dict[int, int] = {}
@@ -304,10 +416,8 @@ class Engine:
             if finished[r]:
                 continue
             status, blocker = kernel(
-                r, pcs, clocks, nics, k_off, k_opcode, k_farg, k_phase,
-                k_startup, k_bw, k_soh, k_roh, k_match, k_mark_slot,
-                arrival, done, comp_rows, comm_rows,
-                mark_clock, mark_comp, mark_comm, num_phases,
+                r, pcs, clocks, nics, *columns, arrival, done, comp_rows,
+                comm_rows, mark_clock, mark_comp, mark_comm, num_phases,
             )
             if status == _kernels.ST_FINISHED:
                 finished[r] = True
@@ -315,14 +425,14 @@ class Engine:
                 parked[r] = int(blocker)
             else:
                 pos = int(pcs[r])
-                seq = int(seq_col[pos])
+                seq = int(job.step[pos])
                 pend = coll_pos.setdefault(seq, {})
                 pend[r] = pos
                 if len(pend) == R:
                     del coll_pos[seq]
                     self._complete_collective_batch(
-                        seq, pend, farg, acol, bcol, phase, pcs, clocks,
-                        comm_rows, runnable,
+                        seq, pend, job.farg, job.acol, job.bcol, job.phase,
+                        pcs, clocks, comm_rows, runnable,
                     )
             if parked:
                 woke = [w for w, m in parked.items() if m >= 0 and done[m]]
@@ -331,28 +441,9 @@ class Engine:
                     runnable.append(w)
 
         if not all(finished):
-            raise DeadlockError(
-                self._deadlock_report(
-                    finished, pcs, off, opcode, acol, bcol, farg,
-                    rank_of, seq_col, match, done, send_idx, recv_idx,
-                )
-            )
-
-        marks = [
-            (
-                int(rank_of[g]),
-                int(acol[g]),
-                float(mark_clock[slot]),
-                mark_comp[slot],
-                mark_comm[slot],
-            )
-            for slot, g in enumerate(mark_idx.tolist())
-        ]
-        trace = PhaseTrace(R, num_phases)
-        trace.load_batch(comp_rows, comm_rows, marks)
-        return SimResult(
-            trace=trace,
-            final_clocks=np.array(clocks, dtype=np.float64),
+            raise DeadlockError(self._deadlock_report(job, finished, pcs, done))
+        return self._result(
+            job, clocks, comp_rows, comm_rows, mark_clock, mark_comp, mark_comm
         )
 
     def _complete_collective_batch(
@@ -382,20 +473,19 @@ class Engine:
             pcs[r] = positions[r] + 1
             runnable.append(r)
 
-    def _deadlock_report(
-        self, finished, pcs, off, opcode, acol, bcol, farg,
-        rank_of, seq_col, match, done, send_idx, recv_idx,
-    ) -> str:
+    def _deadlock_report(self, job: _Job, finished, pcs, done) -> str:
         """Deadlock message: each blocked rank's parked receive key (or the
         collective sequence it is stuck in) and the undelivered sends of the
         peer it waits on, in post order."""
+        opcode, acol, bcol, farg = job.opcode, job.acol, job.bcol, job.farg
+        rank_of, send_idx, recv_idx = job.rank_of, job.send_idx, job.recv_idx
         blocked = [r for r in range(self.num_ranks) if not finished[r]]
         # A posted send is pending until its matched receive has executed.
         pcs_arr = np.asarray(pcs, dtype=np.int64)
         done_arr = np.asarray(done, dtype=bool)
         consumed = np.zeros(opcode.shape[0], dtype=bool)
         executed_recv = recv_idx[recv_idx < pcs_arr[rank_of[recv_idx]]]
-        matched = match[executed_recv]
+        matched = job.match[executed_recv]
         consumed[matched[matched >= 0]] = True
         pending = send_idx[done_arr[send_idx] & ~consumed[send_idx]]
         posted: dict[int, list] = {}
@@ -409,9 +499,9 @@ class Engine:
         lines = [f"{len(blocked)} ranks blocked forever (first few: {blocked[:8]})"]
         for rank in blocked[:limit]:
             pos = int(pcs[rank])
-            op = int(opcode[pos]) if pos < int(off[rank + 1]) else None
+            op = int(opcode[pos]) if pos < int(job.off[rank + 1]) else None
             if op == simc.OP_COLL:
-                seq = int(seq_col[pos])
+                seq = int(job.step[pos])
                 lines.append(f"  rank {rank}: waiting in collective sequence {seq}")
                 continue
             if op != simc.OP_RECV:
@@ -429,3 +519,279 @@ class Engine:
         if len(blocked) > limit:
             lines.append(f"  ... {len(blocked) - limit} more blocked ranks")
         return "\n".join(lines)
+
+    # --------------------------------------------------- superstep executor
+
+    def _run_supersteps(self, job: _Job, plan: "_Plan") -> SimResult:
+        """Advance every rank through one superstep at a time.
+
+        Each rank's rows run in its program order, with the per-rank
+        kernel's IEEE operations; only the interleaving across ranks
+        differs, and schedule independence makes it immaterial.
+        """
+        R, P = self.num_ranks, self.num_phases
+        n_marks = int(job.mark_idx.size)
+        clocks = np.zeros(R)
+        nics = np.zeros(R)
+        comp = np.zeros((R, P))
+        comm = np.zeros((R, P))
+        comp_flat = comp.reshape(-1)
+        comm_flat = comm.reshape(-1)
+        mark_clock = np.zeros(n_marks)
+        mark_comp = np.zeros((n_marks, P))
+        mark_comm = np.zeros((n_marks, P))
+        # One slot per row plus the padding row's, which arrives never.
+        arrival = np.zeros(job.opcode.shape[0] + 1)
+        arrival[-1] = -np.inf
+
+        def run_rows(groups):
+            for is_mark, ranks, at, secs in groups:
+                if is_mark:
+                    mark_clock[at] = clocks[ranks]
+                    mark_comp[at] = comp[ranks]
+                    mark_comm[at] = comm[ranks]
+                else:
+                    clocks[ranks] += secs
+                    comp_flat[at] += secs
+
+        timers = self._coll_timers
+        for s, (pre, sends, waits, recvs, post) in enumerate(plan.steps):
+            run_rows(pre)
+            if sends is not None:
+                _send_run(sends, clocks, nics, comm_flat, arrival)
+            if waits is not None:
+                ranks, at = waits
+                nic, clock = nics[ranks], clocks[ranks]
+                late = nic > clock
+                comm_flat[at[late]] += nic[late] - clock[late]
+                clocks[ranks[late]] = nic[late]
+            if recvs is not None:
+                _recv_run(recvs, clocks, comm_flat, arrival)
+            run_rows(post)
+            if s < plan.num_collectives:
+                # Waiting ranks pay finish - clock; the rest add +0.0, which
+                # is exact (no bucket is ever -0.0).
+                finish = clocks.max() + timers[plan.coll_kind[s]](plan.coll_arg[s])
+                waited = finish - clocks
+                np.maximum(waited, 0.0, out=waited)
+                comm_flat[plan.coll_at[s]] += waited
+                np.maximum(clocks, finish, out=clocks)
+
+        return self._result(job, clocks, comp, comm, mark_clock, mark_comp, mark_comm)
+
+
+def _send_run(run, clocks, nics, comm_flat, arrival) -> None:
+    """Post one superstep's ``Isend`` runs, every rank at once.
+
+    The clock and comm chains add each send overhead in order
+    (``np.add.accumulate`` is sequential), and the NIC recurrence
+    ``start = max(nic, clock); nic = start + bw`` steps through the
+    positions.  A padding position adds a zero overhead to the chains and
+    meets the NIC as a ``-inf`` clock with zero bandwidth, so it changes
+    nothing; its arrival lands in the padding row, reset to ``-inf``.
+    """
+    ranks, at, rows, soh, startup, bw = run
+    pad = len(arrival) - 1
+    clock = np.add.accumulate(np.vstack((clocks[ranks], soh)), axis=0)
+    charged = np.add.accumulate(np.vstack((comm_flat[at], soh)), axis=0)
+    nic = nics[ranks]
+    start = np.empty_like(soh)
+    for c, b, s in zip(np.where(rows < pad, clock[1:], -np.inf), bw, start):
+        np.maximum(nic, c, out=s)
+        np.add(s, b, out=nic)
+    arrival[rows] = start + startup + bw
+    arrival[pad] = -np.inf
+    clocks[ranks] = clock[-1]
+    comm_flat[at] = charged[-1]
+    nics[ranks] = nic
+
+
+def _recv_run(run, clocks, comm_flat, arrival) -> None:
+    """Complete one superstep's ``Recv`` runs, every rank at once, with the
+    kernel's ``wait = max(arrival - clock, 0) + overhead`` per position.
+
+    A padding position reads the ``-inf`` arrival and a zero overhead, so
+    it waits exactly ``+0.0``; the comm chain adds the waits in order.
+    """
+    ranks, at, sends, roh = run
+    ready = arrival[sends]
+    clock = clocks[ranks]
+    waits = np.empty_like(ready)
+    for a, o, wait in zip(ready, roh, waits):
+        np.subtract(a, clock, out=wait)
+        np.maximum(wait, 0.0, out=wait)
+        wait += o
+        clock += wait
+    clocks[ranks] = clock
+    comm_flat[at] = np.add.accumulate(np.vstack((comm_flat[at], waits)), axis=0)[-1]
+
+
+class _Plan(NamedTuple):
+    """A regular table's schedule: per superstep, its leading row groups,
+    send run, NIC waits, receive run and trailing row groups; then its
+    collective's sub-kind, pricing argument and comm buckets."""
+
+    steps: list
+    num_collectives: int
+    coll_kind: list
+    coll_arg: list
+    coll_at: np.ndarray
+
+
+def _runs(count, first, n):
+    """One section's runs: the ranks that have it and their rows as a
+    ``(position, rank)`` matrix padded with the padding row ``n``; ``None``
+    if no rank has the section."""
+    ranks = np.flatnonzero(count)
+    if not ranks.size:
+        return None
+    rows = first[ranks] + np.arange(int(count[ranks].max()))[:, None]
+    rows[rows >= first[ranks] + count[ranks]] = n
+    return ranks, rows
+
+
+def _superstep_plan(job: _Job, min_rows_per_step: float):
+    """The superstep schedule of a regular table, or ``None``.
+
+    A table is *regular* when every rank enters the same collective
+    sequence (same count, same sub-kind at each position, broadcast roots
+    in range), every float argument is finite, and each (rank, superstep)
+    block reads: non-message rows, ``Isend``s, at most one ``WaitSends``,
+    ``Recv``s, non-message rows, each receive matching a send of the same
+    or an earlier superstep, and all message rows of the block sharing one
+    phase.  Such a table cannot deadlock: by induction over the supersteps
+    every rank posts all its sends, every receive finds its message, and
+    every rank reaches the next collective.
+
+    ``None`` also when the table has fewer than ``min_rows_per_step``
+    message rows per vector step.
+    """
+    R, P = job.num_ranks, job.num_phases
+    opcode = job.opcode
+    n = int(opcode.shape[0])
+    if n == 0 or opcode.min() < 0 or opcode.max() > simc.OP_COLL:
+        return None
+    if not np.isfinite(job.farg).all():
+        return None
+    coll_idx = np.flatnonzero(opcode == simc.OP_COLL)
+    per_rank = np.bincount(job.rank_of[coll_idx], minlength=R)
+    C = int(per_rank[0])
+    if (per_rank != C).any():
+        return None
+    coll_rows = coll_idx.reshape(R, C)
+    kinds = job.bcol[coll_rows]
+    if (kinds != kinds[0]).any():
+        return None
+    roots = job.acol[coll_rows[0]]
+    if ((roots < 0) | (roots >= R))[kinds[0] == simc.COLL_BCAST].any():
+        return None
+
+    # --- cost: one vector step per compute or mark position, per send,
+    # WaitSends and receive position, and per collective.
+    S = C + 1
+    step = job.step
+    block = job.rank_of * S + step
+    per_op = np.bincount(block * 7 + opcode, minlength=R * S * 7).reshape(R, S, 7)
+    messages = per_op[:, :, simc.OP_ISEND:simc.OP_COLL]
+    vector_steps = (
+        int((per_op[:, :, simc.OP_COMPUTE] + per_op[:, :, simc.OP_MARK]).max(axis=0).sum())
+        + int(messages.max(axis=0).sum())
+        + C
+    )
+    if int(messages.sum()) < min_rows_per_step * vector_steps:
+        return None
+
+    # --- block shape: sections must appear in order within each block.
+    code = _SECTION[opcode]
+    is_msg = (code >= _SEND) & (code <= _RECV)
+    msg_before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(is_msg, out=msg_before[1:])
+    block_start = np.zeros(R * S, dtype=np.int64)
+    np.cumsum(per_op.sum(axis=2).reshape(-1)[:-1], out=block_start[1:])
+    code[(code == _PRE) & (msg_before[:-1] > msg_before[block_start[block]])] = _POST
+    same = block[1:] == block[:-1]
+    prev, cur = code[:-1], code[1:]
+    if (same & ((cur < prev) | ((cur == _WAIT) & (prev == _WAIT)))).any():
+        return None
+    msg_idx = np.flatnonzero(is_msg)
+    msg_phase = job.phase[msg_idx]
+    msg_block = block[msg_idx]
+    if ((msg_phase[1:] != msg_phase[:-1]) & (msg_block[1:] == msg_block[:-1])).any():
+        return None
+    sent = job.match[job.recv_idx]
+    if (sent < 0).any() or (step[sent] > step[job.recv_idx]).any():
+        return None
+    count = np.bincount(block * 6 + code, minlength=R * S * 6).reshape(R, S, 6)
+    first = block_start.reshape(R, S, 1) + np.cumsum(count, axis=2) - count
+
+    # --- compute and mark rows, grouped by (superstep, section, position):
+    # one group is one vector step over the ranks that have such a row.
+    rows = np.flatnonzero((opcode == simc.OP_COMPUTE) | (opcode == simc.OP_MARK))
+    pre_groups: list = [[] for _ in range(S)]
+    post_groups: list = [[] for _ in range(S)]
+    if rows.size:
+        section = code[rows]
+        position = rows - first.reshape(-1, 6)[block[rows], section]
+        is_mark = opcode[rows] == simc.OP_MARK
+        key = (
+            (step[rows] * 2 + (section == _POST)) * (int(position.max()) + 1)
+            + position
+        ) * 2 + is_mark
+        order = np.argsort(key, kind="stable")
+        rows = rows[order]
+        bounds = np.flatnonzero(np.diff(key[order])) + 1
+        ranks = job.rank_of[rows]
+        at_compute = ranks * P + job.phase[rows]
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), rows.size]):
+            head = rows[lo]
+            target = post_groups if code[head] == _POST else pre_groups
+            if opcode[head] == simc.OP_MARK:
+                group = (True, ranks[lo:hi], job.mark_slot[rows[lo:hi]], None)
+            else:
+                group = (False, ranks[lo:hi], at_compute[lo:hi], job.farg[rows[lo:hi]])
+            target[int(step[head])].append(group)
+
+    # --- message runs of each superstep that has any.
+    # Row n is the padding row: no overheads, no bandwidth, no send.
+    soh, startup, bw, roh = (
+        np.append(col, 0.0) for col in (job.soh, job.startup, job.bwcost, job.roh)
+    )
+    match = np.append(job.match, n)
+    sends: list = [None] * S
+    waits: list = [None] * S
+    recvs: list = [None] * S
+    for s in np.flatnonzero(count[:, :, _SEND:_POST].any(axis=(0, 2))).tolist():
+        run = _runs(count[:, s, _SEND], first[:, s, _SEND], n)
+        if run is not None:
+            ranks, cells = run
+            at = ranks * P + job.phase[cells[0]]
+            sends[s] = (ranks, at, cells, soh[cells], startup[cells], bw[cells])
+        ranks = np.flatnonzero(count[:, s, _WAIT])
+        if ranks.size:
+            waits[s] = (ranks, ranks * P + job.phase[first[ranks, s, _WAIT]])
+        run = _runs(count[:, s, _RECV], first[:, s, _RECV], n)
+        if run is not None:
+            ranks, cells = run
+            at = ranks * P + job.phase[cells[0]]
+            recvs[s] = (ranks, at, match[cells], roh[cells])
+
+    # --- collectives: the per-rank orchestrator's pricing arguments.
+    farg = job.farg[coll_rows]
+    coll_kind = kinds[0].tolist()
+    coll_arg: list = []
+    for k, kind in enumerate(coll_kind):
+        if kind == simc.COLL_BCAST:
+            coll_arg.append(float(farg[int(roots[k]), k]))
+        elif kind == simc.COLL_BARRIER:
+            coll_arg.append(4)
+        else:
+            coll_arg.append(max(farg[:, k].tolist()))
+    coll_at = (np.arange(R)[:, None] * P + job.phase[coll_rows]).T.copy()
+
+    return _Plan(
+        steps=list(zip(pre_groups, sends, waits, recvs, post_groups)),
+        num_collectives=C,
+        coll_kind=coll_kind,
+        coll_arg=coll_arg,
+        coll_at=coll_at,
+    )

@@ -68,16 +68,14 @@ class PhaseTrace:
         self._comm = np.array(comm_rows, dtype=np.float64)
         shape = (self.num_ranks, self.num_phases)
         for rank, index, clock, comp_row, comm_row in marks:
-            starts = self.iteration_starts.setdefault(
-                index, np.full(self.num_ranks, np.nan)
-            )
+            starts = self.iteration_starts.get(index)
+            if starts is None:
+                starts = self.iteration_starts[index] = np.full(self.num_ranks, np.nan)
+                self._compute_at_mark[index] = np.full(shape, np.nan)
+                self._comm_at_mark[index] = np.full(shape, np.nan)
             starts[rank] = clock
-            self._compute_at_mark.setdefault(index, np.full(shape, np.nan))[
-                rank
-            ] = comp_row
-            self._comm_at_mark.setdefault(index, np.full(shape, np.nan))[
-                rank
-            ] = comm_row
+            self._compute_at_mark[index][rank] = comp_row
+            self._comm_at_mark[index][rank] = comm_row
 
     # ---- summaries ---------------------------------------------------------
 

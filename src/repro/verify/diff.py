@@ -7,6 +7,9 @@ compares every observable phase-by-phase: per-(rank, phase) compute and
 communication seconds, per-rank iteration marks, and final clocks — all to
 a tight relative tolerance (default 1e-12; the optimized paths claim to be
 *bitwise* refactorings, so in practice the observed error is exactly zero).
+It also prices the production run's table through the engine executor
+that dispatch did not pick, wherever that one can run it, and requires the
+two to agree exactly.
 
 :func:`fuzz` sweeps seeded random scenarios through the differential *and*
 the metamorphic property checks (:mod:`repro.verify.properties`); any
@@ -27,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hydro.driver import run_krak
+from repro.hydro.driver import _krak_job, run_krak
 from repro.verify.oracle import oracle_run_krak
 from repro.verify.properties import (
     PropertyViolation,
@@ -117,6 +120,34 @@ def _compare_field(
     return float(rel.max()) if rel.size else 0.0
 
 
+def _compare_executors(chosen, other, mismatches: list) -> float:
+    """Record where the engine's two executors disagree on one table: final
+    clocks, per-(rank, phase) rows, and every mark's clocks and snapshot
+    rows, which must be equal exactly.  Returns the max rel error."""
+    fields = [
+        ("final_clocks", chosen.final_clocks, other.final_clocks),
+        ("compute", chosen.trace.compute, other.trace.compute),
+        ("comm", chosen.trace.comm, other.trace.comm),
+    ]
+    # Both executors load the marks the shared set-up slotted, so they
+    # record the same iteration indices.
+    a, b = chosen.trace, other.trace
+    for index in sorted(a.iteration_starts):
+        fields += [
+            (f"iteration_start[{index}]", a.iteration_starts[index],
+             b.iteration_starts[index]),
+            (f"compute_at_mark[{index}]", a._compute_at_mark[index],
+             b._compute_at_mark[index]),
+            (f"comm_at_mark[{index}]", a._comm_at_mark[index],
+             b._comm_at_mark[index]),
+        ]
+    return max(
+        0.0 if np.array_equal(x, y, equal_nan=True)
+        else _compare_field(f"{name} (other executor)", x, y, 0.0, mismatches)
+        for name, x, y in fields
+    )
+
+
 def diff_built(
     built: BuiltScenario, rtol: float = DEFAULT_RTOL
 ) -> DiffResult:
@@ -202,6 +233,17 @@ def _diff_built_with_run(built: BuiltScenario, rtol: float):
                 )
             )
             max_rel = np.inf
+
+    # The executor run_compiled did not pick must agree exactly wherever it
+    # can run the table: fuzz decks are small, so the dispatch alone would
+    # rarely reach the superstep executor.
+    engine, table, *_ = _krak_job(
+        built.deck, built.partition, built.cluster, built.iterations,
+        built.faces, built.census, built.dynamic, built.perturb,
+    )
+    other = engine._run_other(table)
+    if other is not None:
+        max_rel = max(max_rel, _compare_executors(run.result, other, mismatches))
 
     result = DiffResult(
         scenario=built.scenario,

@@ -40,6 +40,7 @@ from repro.simmpi import (
 )
 from repro.simmpi import _kernels
 from repro.simmpi import compile as simc
+from repro.simmpi import engine as engine_module
 from repro.simmpi.compile import ProgramWriter, lower_programs
 from repro.verify.oracle import OracleEngine, oracle_run_krak
 
@@ -308,6 +309,249 @@ class TestDeadlockReport:
         assert "rank 0: waiting in collective sequence 0" in text
         assert "rank 1: parked on recv MessageKey(src=0, dst=1, tag=3)" in text
         assert "rank 0 has no pending sends" in text
+
+
+def random_regular_program(seed, ranks, supersteps=6):
+    """Per-rank op lists of a random regular (bulk-synchronous) program.
+
+    Every superstep block reads: leading SetPhase/Compute/MarkIteration
+    rows, a ragged run of Isends (some of zero bytes), an optional
+    WaitSends, the receives of messages sent in this or the previous
+    superstep (shuffled), then trailing Compute rows; a collective of one
+    sub-kind for every rank closes it.  Some supersteps are empty, and the
+    last one sends nothing it does not receive.
+    """
+    rng = np.random.default_rng(seed)
+    ops = [[] for _ in range(ranks)]
+    inbox = [[] for _ in range(ranks)]  # (src, tag) received next superstep
+    for step in range(supersteps + 1):
+        empty = rng.random() < 0.2
+        later = [[] for _ in range(ranks)]
+        now = [list(pending) for pending in inbox]
+        for r in range(ranks):
+            if empty:
+                continue
+            block = ops[r]
+            block.append(SetPhase(int(rng.integers(0, 3))))
+            if step == 0 or rng.random() < 0.2:
+                block.append(MarkIteration(step))
+            block.append(Compute(float(rng.uniform(0.0, 5e-6))))
+            for _ in range(int(rng.integers(0, 5))):
+                dst = int((r + rng.integers(1, ranks)) % ranks)
+                tag = int(rng.integers(0, 3))
+                nbytes = 0.0 if rng.random() < 0.2 else float(rng.integers(1, 40000))
+                block.append(Isend(dst, tag=tag, nbytes=nbytes))
+                late = step < supersteps and rng.random() < 0.3
+                (later if late else now)[dst].append((r, tag))
+        for r in range(ranks):
+            if empty:
+                continue
+            block = ops[r]
+            if rng.random() < 0.6:
+                block.append(WaitSends())
+            # Messages on one (src, tag) key must be received in send order
+            # for the k-th send to meet the k-th receive; shuffling the
+            # keys, not the messages, keeps that.
+            keys = sorted(set(now[r]))
+            rng.shuffle(keys)
+            for key in keys:
+                block.extend(Recv(key[0], tag=key[1]) for m in now[r] if m == key)
+            if rng.random() < 0.5:
+                block.append(Compute(float(rng.uniform(0.0, 5e-6))))
+                if rng.random() < 0.3:
+                    block.append(SetPhase(int(rng.integers(0, 3))))
+                    block.append(Compute(float(rng.uniform(0.0, 1e-6))))
+        inbox = later if not empty else [a + b for a, b in zip(now, later)]
+        if step == supersteps:
+            break
+        kind = int(rng.integers(0, 4))
+        root = int(rng.integers(0, ranks))
+        for r in range(ranks):
+            nbytes = float(rng.integers(0, 64))
+            ops[r].append(
+                [
+                    Allreduce(nbytes=nbytes),
+                    Bcast(root=root, nbytes=nbytes),
+                    Gather(root=root, nbytes=nbytes),
+                    Barrier(),
+                ][kind]
+            )
+    for r in range(ranks):
+        ops[r].append(MarkIteration(supersteps + 1))
+    return ops
+
+
+def both_executors(cluster, ranks, compiled, num_phases=3):
+    """The same table through the per-rank and the superstep executor."""
+    engine = Engine(cluster, ranks, num_phases)
+    job = engine._resolve(compiled)
+    plan = engine_module._superstep_plan(job, 0.0)
+    assert plan is not None, "expected a regular table"
+    return engine._run_per_rank(job), engine._run_supersteps(job, plan)
+
+
+def assert_same_bits(a, b):
+    """Two SimResults equal bit for bit, mark snapshots included."""
+    assert a.final_clocks.tobytes() == b.final_clocks.tobytes()
+    assert a.trace.compute.tobytes() == b.trace.compute.tobytes()
+    assert a.trace.comm.tobytes() == b.trace.comm.tobytes()
+    assert set(a.trace.iteration_starts) == set(b.trace.iteration_starts)
+    for i in a.trace.iteration_starts:
+        assert a.trace.iteration_starts[i].tobytes() == b.trace.iteration_starts[i].tobytes()
+        assert a.trace._compute_at_mark[i].tobytes() == b.trace._compute_at_mark[i].tobytes()
+        assert a.trace._comm_at_mark[i].tobytes() == b.trace._comm_at_mark[i].tobytes()
+
+
+class TestSuperstepExecutor:
+    """Regular tables price bitwise alike on both executors (docs/engine.md)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_regular_programs_flat(self, seed):
+        ranks = 3 + seed % 7
+        ops = random_regular_program(seed, ranks)
+        per_rank, superstep = both_executors(
+            flat_cluster(), ranks, lower_programs(ops)
+        )
+        assert_same_bits(per_rank, superstep)
+        oracle = OracleEngine(flat_cluster(), ranks, 3).run(lambda r: iter(ops[r]))
+        assert_matches_oracle(superstep, oracle)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_regular_programs_smp(self, seed):
+        ranks = 6
+        ops = random_regular_program(100 + seed, ranks)
+        per_rank, superstep = both_executors(smp_cluster(), ranks, lower_programs(ops))
+        assert_same_bits(per_rank, superstep)
+
+    def test_generator_covers_the_shapes(self):
+        # The random programs exercise what the executor special-cases:
+        # ragged runs, empty supersteps, a mark before the sends, compute
+        # after the receives, zero-byte sends and receives of messages
+        # sent a superstep earlier.
+        tables = [lower_programs(random_regular_program(s, 5)) for s in range(12)]
+        seen = set()
+        for table in tables:
+            job = Engine(flat_cluster(), 5, 3)._resolve(table)
+            sends = np.flatnonzero(table.opcode == simc.OP_ISEND)
+            per_rank_step = np.bincount(
+                job.rank_of[sends] * (job.step.max() + 1) + job.step[sends]
+            )
+            if len(set(per_rank_step[per_rank_step > 0].tolist())) > 1:
+                seen.add("ragged")
+            if (table.farg[sends] == 0.0).any():
+                seen.add("zero-byte")
+            recvs = job.recv_idx
+            if (job.step[job.match[recvs]] < job.step[recvs]).any():
+                seen.add("late receive")
+            for r in range(5):
+                opcode, _, _, _ = table.rank_columns(r)
+                text = "".join("CSMIRWX"[o] for o in opcode)
+                if "XX" in text:
+                    seen.add("empty superstep")
+                if "MC" in text and "MCI" in text:
+                    seen.add("mark before sends")
+                if "RC" in text:
+                    seen.add("compute after receives")
+        assert seen == {
+            "ragged", "zero-byte", "late receive", "empty superstep",
+            "mark before sends", "compute after receives",
+        }
+
+    def test_krak_smp_comm_aware_table(self):
+        deck = build_deck((16, 8))
+        faces = build_face_table(deck.mesh)
+        partition = make_partition(deck.mesh, 8, method="multilevel", faces=faces)
+        census = build_workload_census(deck, partition, faces)
+        cluster = apply_placement(smp_cluster(), "comm-aware", 8, census)
+        writer = ProgramWriter()
+        KrakProgram(census, cluster.node, iterations=2).lower_into(writer)
+        per_rank, superstep = both_executors(cluster, 8, writer.finish(), 15)
+        assert_same_bits(per_rank, superstep)
+
+    def test_dispatch_prefers_supersteps_for_wide_exchanges(self):
+        ops = random_regular_program(7, 32, supersteps=3)
+        engine = Engine(flat_cluster(), 32, 3)
+        job = engine._resolve(lower_programs(ops))
+        expect_superstep = not _kernels.JIT_ENABLED
+        assert (engine._dispatch(job) is not None) == expect_superstep
+
+    def test_dispatch_keeps_few_ranks_per_rank(self, monkeypatch):
+        # Fewer than _ROWS_PER_STEP ranks cannot reach the threshold, so
+        # such a table is never even planned.
+        ranks = engine_module._ROWS_PER_STEP - 1
+        ops = random_regular_program(3, ranks)
+
+        def refuse(*args):
+            raise AssertionError("planned a narrow table")
+
+        monkeypatch.setattr(engine_module, "_superstep_plan", refuse)
+        result = Engine(flat_cluster(), ranks, 3).run_compiled(lower_programs(ops))
+        oracle = OracleEngine(flat_cluster(), ranks, 3).run(lambda r: iter(ops[r]))
+        assert_matches_oracle(result, oracle)
+
+    def test_ring_receiving_before_waitsends_is_irregular(self):
+        # The micro.engine_event_loop ring: Isend, Recv, then WaitSends.
+        ranks = 16
+
+        def make(rank):
+            for it in range(3):
+                yield SetPhase(0)
+                yield Compute(1e-6)
+                yield Isend((rank + 1) % ranks, tag=it, nbytes=256.0)
+                yield Recv((rank - 1) % ranks, tag=it)
+                yield WaitSends()
+                yield Allreduce(nbytes=8)
+
+        engine = Engine(flat_cluster(), ranks, 1)
+        job = engine._resolve(hand_compile(make, ranks))
+        assert engine_module._superstep_plan(job, 0.0) is None
+        assert engine._dispatch(job) is None
+        assert engine._run_other(hand_compile(make, ranks)) is None
+        oracle = OracleEngine(flat_cluster(), ranks, 1).run(make)
+        assert_matches_oracle(engine.run(make), oracle)
+
+    def test_deadlock_takes_the_per_rank_path_with_its_report(self):
+        ranks = 8
+
+        def make(rank):
+            yield SetPhase(0)
+            yield Compute(1e-6 * (rank + 1))
+            yield Isend((rank + 1) % ranks, tag=5, nbytes=64.0)
+            yield WaitSends()
+            yield Recv((rank - 1) % ranks, tag=5 if rank else 6)
+            yield Allreduce(nbytes=8)
+
+        engine = Engine(flat_cluster(), ranks, 1)
+        assert engine_module._superstep_plan(
+            engine._resolve(hand_compile(make, ranks)), 0.0
+        ) is None
+        with pytest.raises(DeadlockError) as err:
+            engine.run(make)
+        assert str(err.value) == "\n".join([
+            "8 ranks blocked forever (first few: [0, 1, 2, 3, 4, 5, 6, 7])",
+            "  rank 0: parked on recv MessageKey(src=7, dst=0, tag=6)",
+            "    rank 7 pending sends: MessageKey(src=7, dst=0, tag=5) (64 B)",
+            *[f"  rank {r}: waiting in collective sequence 0" for r in range(1, 8)],
+        ])
+
+    def test_collective_mismatch_takes_the_per_rank_path(self):
+        ranks = 8
+        compiled = lower_programs(
+            [[Compute(1e-6), Allreduce(nbytes=8)] for _ in range(ranks - 1)]
+            + [[Compute(1e-6), Gather(nbytes=8)]]
+        )
+        engine = Engine(flat_cluster(), ranks, 1)
+        assert engine_module._superstep_plan(engine._resolve(compiled), 0.0) is None
+        with pytest.raises(RuntimeError) as err:
+            engine.run_compiled(compiled)
+        assert str(err.value) == "collective mismatch at sequence 0"
+
+    def test_uneven_collective_counts_and_bad_roots_are_irregular(self):
+        engine = Engine(flat_cluster(), 2, 1)
+        uneven = lower_programs([[Barrier(), Barrier()], [Barrier()]])
+        bad_root = lower_programs([[Bcast(root=5, nbytes=8)], [Bcast(root=5, nbytes=8)]])
+        for table in (uneven, bad_root):
+            assert engine_module._superstep_plan(engine._resolve(table), 0.0) is None
 
 
 class TestKrakLowering:

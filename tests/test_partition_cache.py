@@ -1,5 +1,8 @@
 """Unit tests for the partition disk cache."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,25 @@ class TestCachedPartition:
         # ... and the miss wrote a fresh file that loads cleanly.
         with np.load(path) as data:
             assert np.array_equal(data["cell_rank"], expected.cell_rank)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_unreadable_file_leaves_no_open_handle(self, tmp_cache, damage):
+        deck = build_deck((16, 8))
+        cached_partition(deck, 4, method="rcb")
+        (path,) = (tmp_cache / "partitions").glob("*.npz")
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            path.write_bytes(b"\x00not a zip archive\xff" * 8)
+        # An unclosed handle warns when it is finalised, where an "error"
+        # filter could only print; record every ResourceWarning instead
+        # and fail on any.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cache_mod._load_cached(path, deck, 4) is None
+            gc.collect()
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks
 
     def test_unknown_method(self, tmp_cache):
         deck = build_deck((16, 8))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +60,40 @@ def _drop_recv_overhead(monkeypatch):
     monkeypatch.setattr(engine_module.Engine, "__init__", init)
 
 
+def _drop_wait_clamp(monkeypatch):
+    """Mutant superstep executor: a receive whose message arrived before the
+    receiver got there waits a negative time instead of none."""
+
+    def recv_run(run, clocks, comm_flat, arrival):
+        ranks, at, sends, roh = run
+        ready = arrival[sends]
+        clock = clocks[ranks]
+        waits = np.empty_like(ready)
+        for a, o, wait in zip(ready, roh, waits):
+            np.subtract(a, clock, out=wait)
+            # BUG: no max(wait, 0) clamp.  Padding slots (arrival -inf) keep
+            # their exact zero so that only real receives are mutated.
+            wait[np.isinf(a)] = 0.0
+            wait += o
+            clock += wait
+        clocks[ranks] = clock
+        comm_flat[at] = np.add.accumulate(np.vstack((comm_flat[at], waits)), axis=0)[-1]
+
+    monkeypatch.setattr(engine_module, "_recv_run", recv_run)
+
+
 class TestMutationSmoke:
     """Injected engine bugs must fail the differential."""
+
+    def test_dropped_wait_clamp_in_superstep_receives_caught(self, monkeypatch):
+        _drop_wait_clamp(monkeypatch)
+        # The fuzz decks are small, so dispatch mostly keeps the per-rank
+        # executor; the differential still prices every seed through the
+        # superstep one and must see the mutation.
+        failures = [seed for seed in SMOKE_SEEDS if not diff_scenario(random_scenario(seed)).ok]
+        assert failures, "no scenario caught the dropped clamp"
+        result = diff_scenario(random_scenario(2))
+        assert not result.ok
 
     def test_dropped_recv_overhead_caught(self, monkeypatch):
         _drop_recv_overhead(monkeypatch)
@@ -275,3 +308,33 @@ class TestBenchEntry:
         timing = run_benchmark(bench, "smoke", repeats=1, warmup=0)
         assert timing.invariants["failures"] == 0
         assert timing.invariants["scenarios"] == 6
+
+
+class TestSuperstepScenario:
+    """The committed 64-rank scenario CI replays with ``repro verify diff``:
+    wide enough that dispatch picks the superstep executor by itself."""
+
+    PATH = Path(__file__).parent / "scenarios" / "superstep_smp64.json"
+
+    def test_replays_clean(self):
+        from repro.verify.scenarios import load_scenario
+
+        outcome = verify_scenario(load_scenario(self.PATH))
+        assert outcome.ok, outcome.describe()
+        assert outcome.diff.max_rel_err == 0.0
+
+    def test_dispatch_picks_the_superstep_executor(self, monkeypatch):
+        from repro.simmpi import _kernels
+        from repro.verify.scenarios import load_scenario
+
+        picked = []
+        original = engine_module.Engine._dispatch
+
+        def spy(self, job):
+            plan = original(self, job)
+            picked.append(plan is not None)
+            return plan
+
+        monkeypatch.setattr(engine_module.Engine, "_dispatch", spy)
+        assert diff_scenario(load_scenario(self.PATH)).ok
+        assert picked[0] == (not _kernels.JIT_ENABLED)
