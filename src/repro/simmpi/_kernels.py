@@ -1,58 +1,27 @@
-"""Batch-engine execution kernels (optionally numba-JIT-compiled).
+"""The per-rank executor's kernel.
 
 The per-rank executor's inner loop — advancing one rank through its
-compiled op stream until it blocks — lives here as a single source
-function, :func:`advance_rank`, written against the common indexing subset
-of Python lists and NumPy arrays.  It is the engine's general executor and
-the reference for the superstep executor in :mod:`repro.simmpi.engine`,
-which replays a regular table's rows with this function's IEEE operations
-in each rank's program order, every rank at once.  The engine calls it in
-one of two configurations:
-
-* **Pure Python** (always available): plain lists, where element access is
-  an order of magnitude cheaper than NumPy scalar indexing.
-* **JIT** (``pip install repro[jit]``): the same function compiled by numba
-  over NumPy arrays, exported as :data:`advance_rank_jit`.
-
-numba is strictly optional: the import is guarded, and without it (or with
-``REPRO_JIT=0`` in the environment) ``advance_rank_jit`` *is* the pure
-Python function.  Both configurations perform the identical sequence of
-IEEE double operations, so simulated clocks and traces are bitwise
-identical either way — the CI matrix runs the suite in both lanes and a
-test asserts :data:`JIT_ENABLED` matches the lane's expectation
-(``REPRO_EXPECT_JIT``).
+compiled op stream until it blocks — lives here as a single function,
+:func:`advance_rank`, over plain Python lists, where element access is an
+order of magnitude cheaper than NumPy scalar indexing.  It is the engine's
+general executor and the reference for the superstep executor in
+:mod:`repro.simmpi.engine`, which replays a regular table's rows with this
+function's IEEE operations in each rank's program order, every rank at once.
 """
 
 from __future__ import annotations
 
-import os
+from repro.simmpi.compile import (
+    OP_COMPUTE, OP_ISEND, OP_MARK, OP_RECV, OP_SETPHASE, OP_WAITSENDS,
+)
 
-try:  # pragma: no cover - exercised via the CI jit lane
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default lane
-    numba = None
-    HAVE_NUMBA = False
-
-#: Whether the array kernel is actually numba-compiled in this process.
-JIT_ENABLED = HAVE_NUMBA and os.environ.get("REPRO_JIT", "1") != "0"
+#: Always ``False``: read only by ``perfbench/run.py:fingerprint``.
+JIT_ENABLED = False
 
 # advance_rank status codes.
 ST_FINISHED = 0
 ST_BLOCKED = 1
 ST_COLLECTIVE = 2
-
-# Opcodes, duplicated from repro.simmpi.compile as plain literals so the
-# kernel has no imports numba would need to resolve; guarded by a test
-# against the canonical values.
-_OP_COMPUTE = 0
-_OP_SETPHASE = 1
-_OP_MARK = 2
-_OP_ISEND = 3
-_OP_RECV = 4
-_OP_WAITSENDS = 5
-_OP_COLL = 6
 
 
 def advance_rank(
@@ -104,11 +73,11 @@ def advance_rank(
     blocker = -1
     while pc < end:
         op = opcode[pc]
-        if op == _OP_COMPUTE:
+        if op == OP_COMPUTE:
             s = farg[pc]
             clock += s
             comp_row[phase[pc]] += s
-        elif op == _OP_ISEND:
+        elif op == OP_ISEND:
             oh = soh[pc]
             clock += oh
             comm_row[phase[pc]] += oh
@@ -116,7 +85,7 @@ def advance_rank(
             arrival[pc] = nic_start + startup[pc] + bw[pc]
             nic = nic_start + bw[pc]
             done[pc] = 1
-        elif op == _OP_RECV:
+        elif op == OP_RECV:
             m = match[pc]
             if m < 0 or done[m] == 0:
                 status = ST_BLOCKED
@@ -128,13 +97,13 @@ def advance_rank(
             wait += roh[pc]
             clock += wait
             comm_row[phase[pc]] += wait
-        elif op == _OP_WAITSENDS:
+        elif op == OP_WAITSENDS:
             if nic > clock:
                 comm_row[phase[pc]] += nic - clock
                 clock = nic
-        elif op == _OP_SETPHASE:
+        elif op == OP_SETPHASE:
             pass  # the phase column is resolved at compile time
-        elif op == _OP_MARK:
+        elif op == OP_MARK:
             slot = mark_slot[pc]
             mark_clock[slot] = clock
             mc = mark_comp[slot]
@@ -142,7 +111,7 @@ def advance_rank(
             for p in range(num_phases):
                 mc[p] = comp_row[p]
                 mm[p] = comm_row[p]
-        else:  # _OP_COLL: rendezvous is the orchestrator's job
+        else:  # OP_COLL: rendezvous is the orchestrator's job
             status = ST_COLLECTIVE
             blocker = pc
             break
@@ -153,18 +122,10 @@ def advance_rank(
     return status, blocker
 
 
-if JIT_ENABLED:  # pragma: no cover - exercised via the CI jit lane
-    advance_rank_jit = numba.njit(cache=False)(advance_rank)
-else:
-    advance_rank_jit = advance_rank
-
-
 __all__ = [
-    "HAVE_NUMBA",
     "JIT_ENABLED",
     "ST_FINISHED",
     "ST_BLOCKED",
     "ST_COLLECTIVE",
     "advance_rank",
-    "advance_rank_jit",
 ]

@@ -26,8 +26,8 @@ collective sequence ids and mark slots.  One of two executors then
 advances the clocks:
 
 * the **per-rank** executor runs any table: a tight per-rank advance
-  kernel (:mod:`repro.simmpi._kernels`, optionally numba-compiled) that
-  touches no request objects, plus a small rendezvous orchestrator for the
+  kernel (:mod:`repro.simmpi._kernels`) over Python lists that touches
+  no request objects, plus a small rendezvous orchestrator for the
   collectives.  Deadlocks and collective mismatches are reported here.
 * the **superstep** executor runs *regular* tables (:func:`_superstep_plan`):
   Valiant's bulk-synchronous supersteps, where the collectives cut every
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -194,9 +194,8 @@ class Engine:
         return self._run_per_rank(job)
 
     def _dispatch(self, job: _Job):
-        """The superstep plan when that executor is the faster one, else
-        ``None``.  Under the numba kernel the per-rank executor stays."""
-        if _kernels.JIT_ENABLED or job.num_ranks < _ROWS_PER_STEP:
+        """The superstep plan when that executor is the faster one, else ``None``."""
+        if job.num_ranks < _ROWS_PER_STEP:
             return None
         return _superstep_plan(job, _ROWS_PER_STEP)
 
@@ -278,6 +277,16 @@ class Engine:
             startup[send_idx] = lat
             bwcost[send_idx] = bwt
 
+        # --- collective roots: every Bcast and Gather root names a rank.
+        coll_mask = opcode == simc.OP_COLL
+        coll_idx = np.flatnonzero(coll_mask)
+        rooted = coll_idx[np.isin(bcol[coll_idx], (simc.COLL_BCAST, simc.COLL_GATHER))]
+        invalid = (acol[rooted] < 0) | (acol[rooted] >= R)
+        if invalid.any():
+            g = int(rooted[np.argmax(invalid)])
+            name = "Bcast" if bcol[g] == simc.COLL_BCAST else "Gather"
+            raise ValueError(f"{name} root {int(acol[g])} out of range")
+
         # --- receives: overheads + static FIFO matching (one stable sort).
         recv_idx = np.flatnonzero(opcode == simc.OP_RECV)
         match = np.full(n, -1, dtype=np.int64)
@@ -322,7 +331,6 @@ class Engine:
 
         # --- supersteps: the collectives before each row in its own rank,
         # which for a collective is its rendezvous sequence id.
-        coll_mask = opcode == simc.OP_COLL
         coll_count = np.cumsum(coll_mask)
         # Collectives in the ranks before each rank's first row.
         starts = off[:-1]
@@ -374,38 +382,22 @@ class Engine:
         off = job.off
         n = int(off[-1])
         n_marks = int(job.mark_idx.size)
-        # Execution state: NumPy containers under the JIT kernel, plain
-        # lists under the pure-Python one (list element access is the faster
-        # interpreter path).  Identical IEEE arithmetic either way.
-        columns: Any = (
-            off, job.opcode, job.farg, job.phase, job.startup, job.bwcost,
-            job.soh, job.roh, job.match, job.mark_slot,
-        )
-        if _kernels.JIT_ENABLED:
-            kernel = _kernels.advance_rank_jit
-            pcs: Any = off[:-1].copy()
-            clocks: Any = np.zeros(R)
-            nics: Any = np.zeros(R)
-            comp_rows: Any = np.zeros((R, num_phases))
-            comm_rows: Any = np.zeros((R, num_phases))
-            mark_clock: Any = np.zeros(n_marks)
-            mark_comp: Any = np.zeros((n_marks, num_phases))
-            mark_comm: Any = np.zeros((n_marks, num_phases))
-            arrival: Any = np.zeros(n)
-            done: Any = np.zeros(n, dtype=np.uint8)
-        else:
-            kernel = _kernels.advance_rank
-            pcs = off[:-1].tolist()
-            clocks = [0.0] * R
-            nics = [0.0] * R
-            comp_rows = [[0.0] * num_phases for _ in range(R)]
-            comm_rows = [[0.0] * num_phases for _ in range(R)]
-            mark_clock = [0.0] * n_marks
-            mark_comp = [[0.0] * num_phases for _ in range(n_marks)]
-            mark_comm = [[0.0] * num_phases for _ in range(n_marks)]
-            arrival = [0.0] * n
-            done = [0] * n
-            columns = tuple(col.tolist() for col in columns)
+        # Execution state as plain lists, the faster interpreter path.
+        columns = [
+            col.tolist()
+            for col in (off, job.opcode, job.farg, job.phase, job.startup,
+                        job.bwcost, job.soh, job.roh, job.match, job.mark_slot)
+        ]
+        pcs = off[:-1].tolist()
+        clocks = [0.0] * R
+        nics = [0.0] * R
+        comp_rows = [[0.0] * num_phases for _ in range(R)]
+        comm_rows = [[0.0] * num_phases for _ in range(R)]
+        mark_clock = [0.0] * n_marks
+        mark_comp = [[0.0] * num_phases for _ in range(n_marks)]
+        mark_comm = [[0.0] * num_phases for _ in range(n_marks)]
+        arrival = [0.0] * n
+        done = [0] * n
 
         finished = [False] * R
         parked: dict[int, int] = {}
@@ -415,16 +407,16 @@ class Engine:
             r = runnable.popleft()
             if finished[r]:
                 continue
-            status, blocker = kernel(
+            status, blocker = _kernels.advance_rank(
                 r, pcs, clocks, nics, *columns, arrival, done, comp_rows,
                 comm_rows, mark_clock, mark_comp, mark_comm, num_phases,
             )
             if status == _kernels.ST_FINISHED:
                 finished[r] = True
             elif status == _kernels.ST_BLOCKED:
-                parked[r] = int(blocker)
+                parked[r] = blocker
             else:
-                pos = int(pcs[r])
+                pos = pcs[r]
                 seq = int(job.step[pos])
                 pend = coll_pos.setdefault(seq, {})
                 pend[r] = pos
@@ -654,14 +646,14 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     """The superstep schedule of a regular table, or ``None``.
 
     A table is *regular* when every rank enters the same collective
-    sequence (same count, same sub-kind at each position, broadcast roots
-    in range), every float argument is finite, and each (rank, superstep)
-    block reads: non-message rows, ``Isend``s, at most one ``WaitSends``,
-    ``Recv``s, non-message rows, each receive matching a send of the same
-    or an earlier superstep, and all message rows of the block sharing one
-    phase.  Such a table cannot deadlock: by induction over the supersteps
-    every rank posts all its sends, every receive finds its message, and
-    every rank reaches the next collective.
+    sequence (same count, same sub-kind at each position), every float
+    argument is finite, and each (rank, superstep) block reads: non-message
+    rows, ``Isend``s, at most one ``WaitSends``, ``Recv``s, non-message
+    rows, each receive matching a send of the same or an earlier
+    superstep, and all message rows of the block sharing one phase.  Such
+    a table cannot deadlock: by induction over the supersteps every rank
+    posts all its sends, every receive finds its message, and every rank
+    reaches the next collective.
 
     ``None`` also when the table has fewer than ``min_rows_per_step``
     message rows per vector step.
@@ -683,8 +675,6 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     if (kinds != kinds[0]).any():
         return None
     roots = job.acol[coll_rows[0]]
-    if ((roots < 0) | (roots >= R))[kinds[0] == simc.COLL_BCAST].any():
-        return None
 
     # --- cost: one vector step per compute or mark position, per send,
     # WaitSends and receive position, and per collective.

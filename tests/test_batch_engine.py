@@ -8,8 +8,6 @@ generator yields.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -207,18 +205,6 @@ class TestCompile:
         with pytest.raises(ValueError, match="empty writer"):
             writer.load(*([np.zeros(0)] * 4), np.zeros(1, dtype=np.int64))
 
-    def test_kernel_opcodes_match_compile_constants(self):
-        # _kernels duplicates the opcode table as plain literals so numba
-        # sees compile-time constants; this is the guard the duplication
-        # relies on.
-        assert _kernels._OP_COMPUTE == simc.OP_COMPUTE
-        assert _kernels._OP_SETPHASE == simc.OP_SETPHASE
-        assert _kernels._OP_MARK == simc.OP_MARK
-        assert _kernels._OP_ISEND == simc.OP_ISEND
-        assert _kernels._OP_RECV == simc.OP_RECV
-        assert _kernels._OP_WAITSENDS == simc.OP_WAITSENDS
-        assert _kernels._OP_COLL == simc.OP_COLL
-
 
 class TestOpProtocol:
     def test_message_key_is_tuple_compatible(self):
@@ -260,6 +246,9 @@ class TestValidationParity:
             (Isend(7, tag=0, nbytes=8.0), "Isend to invalid rank 7"),
             (Isend(0, tag=0, nbytes=8.0), "self-sends are not supported"),
             (SetPhase(9), "phase 9 out of range"),
+            (Bcast(root=5, nbytes=8.0), "Bcast root 5 out of range"),
+            (Bcast(root=-1, nbytes=8.0), "Bcast root -1 out of range"),
+            (Gather(root=5, nbytes=8.0), "Gather root 5 out of range"),
         ],
     )
     def test_error_messages(self, op, message):
@@ -472,8 +461,7 @@ class TestSuperstepExecutor:
         ops = random_regular_program(7, 32, supersteps=3)
         engine = Engine(flat_cluster(), 32, 3)
         job = engine._resolve(lower_programs(ops))
-        expect_superstep = not _kernels.JIT_ENABLED
-        assert (engine._dispatch(job) is not None) == expect_superstep
+        assert engine._dispatch(job) is not None
 
     def test_dispatch_keeps_few_ranks_per_rank(self, monkeypatch):
         # Fewer than _ROWS_PER_STEP ranks cannot reach the threshold, so
@@ -549,9 +537,11 @@ class TestSuperstepExecutor:
     def test_uneven_collective_counts_and_bad_roots_are_irregular(self):
         engine = Engine(flat_cluster(), 2, 1)
         uneven = lower_programs([[Barrier(), Barrier()], [Barrier()]])
+        assert engine_module._superstep_plan(engine._resolve(uneven), 0.0) is None
+        # A root outside the job is refused before any executor is planned.
         bad_root = lower_programs([[Bcast(root=5, nbytes=8)], [Bcast(root=5, nbytes=8)]])
-        for table in (uneven, bad_root):
-            assert engine_module._superstep_plan(engine._resolve(table), 0.0) is None
+        with pytest.raises(ValueError, match="Bcast root 5 out of range"):
+            engine._resolve(bad_root)
 
 
 class TestKrakLowering:
@@ -714,9 +704,9 @@ class TestKrakLowering:
 
 
 class TestKernelContainers:
-    """The kernel is one source run over lists (fallback) or arrays (JIT)."""
+    """The kernel runs over plain Python lists."""
 
-    def run_kernel(self, as_arrays):
+    def test_list_run_charges_computes_and_marks(self):
         compiled = lower_programs(
             [
                 [
@@ -729,70 +719,16 @@ class TestKernelContainers:
             ]
         )
         n = compiled.num_ops
-        num_phases = 1
-
-        def box(values, dtype):
-            arr = np.asarray(values, dtype=dtype)
-            return arr if as_arrays else arr.tolist()
-
-        pcs = box([0], np.int64)
-        clocks = box([0.0], np.float64)
-        nics = box([0.0], np.float64)
-        off = box([0, n], np.int64)
-        opcode = box(compiled.opcode, np.int64)
-        farg = box(compiled.farg, np.float64)
-        phase = box([0] * n, np.int64)
-        startup = box([0.0] * n, np.float64)
-        bw = box([0.0] * n, np.float64)
-        soh = box([0.0] * n, np.float64)
-        roh = box([0.0] * n, np.float64)
-        match = box([-1] * n, np.int64)
-        mark_slot = box([0, -1, -1, -1, -1], np.int64)
-        arrival = box([0.0] * n, np.float64)
-        done = box([0] * n, np.int64)
-        comp_rows = [box([0.0], np.float64)]
-        if as_arrays:
-            comp_rows = np.zeros((1, 1))
-        comm_rows = np.zeros((1, 1)) if as_arrays else [[0.0]]
-        mark_clock = box([0.0], np.float64)
-        mark_comp = np.zeros((1, 1, 1)) if as_arrays else [[[0.0]]]
-        mark_comm = np.zeros((1, 1, 1)) if as_arrays else [[[0.0]]]
-        status, blocker = _kernels.advance_rank(
-            0, pcs, clocks, nics, off, opcode, farg, phase,
-            startup, bw, soh, roh, match, mark_slot, arrival, done,
-            comp_rows, comm_rows, mark_clock, mark_comp, mark_comm,
-            num_phases,
+        clocks = [0.0]
+        comp_rows = [[0.0]]
+        mark_clock = [0.0]
+        status, _ = _kernels.advance_rank(
+            0, [0], clocks, [0.0], [0, n], compiled.opcode.tolist(),
+            compiled.farg.tolist(), [0] * n, [0.0] * n, [0.0] * n, [0.0] * n,
+            [0.0] * n, [-1] * n, [0, -1, -1, -1, -1], [0.0] * n, [0] * n,
+            comp_rows, [[0.0]], mark_clock, [[[0.0]]], [[[0.0]]], 1,
         )
-        return status, float(clocks[0]), float(comp_rows[0][0]), float(
-            mark_clock[0]
-        )
-
-    def test_list_and_array_containers_agree(self):
-        as_lists = self.run_kernel(as_arrays=False)
-        as_arrays = self.run_kernel(as_arrays=True)
-        assert as_lists == as_arrays
-        status, clock, comp, mark = as_lists
         assert status == _kernels.ST_FINISHED
-        assert clock == 3e-6 + 2e-6
-        assert comp == 3e-6 + 2e-6
-        assert mark == 3e-6  # snapshot taken after the first compute
-
-
-class TestJitLane:
-    def test_kernel_mode_matches_ci_lane_expectation(self):
-        # CI exports REPRO_EXPECT_JIT per matrix lane; a lane that claims
-        # numba but silently fell back to pure Python (or vice versa) must
-        # fail loudly instead of testing the wrong mode.
-        expect = os.environ.get("REPRO_EXPECT_JIT")
-        if expect is None:
-            pytest.skip("REPRO_EXPECT_JIT not set (not a CI jit lane)")
-        assert _kernels.JIT_ENABLED == (expect == "1")
-
-    def test_jit_disabled_without_numba_or_with_optout(self):
-        if _kernels.HAVE_NUMBA:
-            assert _kernels.advance_rank_jit is not _kernels.advance_rank or (
-                os.environ.get("REPRO_JIT") == "0"
-            )
-        else:
-            assert not _kernels.JIT_ENABLED
-            assert _kernels.advance_rank_jit is _kernels.advance_rank
+        assert clocks[0] == 3e-6 + 2e-6
+        assert comp_rows[0][0] == 3e-6 + 2e-6
+        assert mark_clock[0] == 3e-6  # snapshot taken after the first compute
