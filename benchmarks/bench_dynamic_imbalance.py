@@ -13,14 +13,9 @@ cost (census allgather + cell-migration messages).
 import pytest
 
 from repro.analysis import TextTable, format_series
-from repro.hydro import DynamicConfig, run_krak
+from repro.hydro import DynamicSpec, run_krak
 from repro.mesh import build_face_table
-from repro.partition import (
-    EveryNPolicy,
-    ImbalanceThresholdPolicy,
-    NeverPolicy,
-    cached_partition,
-)
+from repro.partition import cached_partition
 
 NUM_RANKS = 16
 ITERATIONS = 16
@@ -28,11 +23,7 @@ WARMUP = 1
 #: Strong burn-cost contrast so partition quality, not noise, dominates.
 BURN_MULTIPLIER = 8.0
 
-POLICIES = (
-    NeverPolicy(),
-    EveryNPolicy(period=4),
-    ImbalanceThresholdPolicy(threshold=1.15),
-)
+POLICIES = ("never", "every:4", "imbalance:1.15")
 
 
 @pytest.fixture(scope="module")
@@ -43,16 +34,15 @@ def dynamic_runs(cluster, small_deck):
     part = cached_partition(small_deck, NUM_RANKS, seed=1, faces=faces)
     runs = {}
     for policy in POLICIES:
-        config = DynamicConfig(policy=policy, burn_multiplier=BURN_MULTIPLIER)
         run = run_krak(
             small_deck,
             part,
             cluster=cluster,
             iterations=ITERATIONS,
             faces=faces,
-            dynamic=config,
+            dynamic=DynamicSpec(policy=policy, burn_multiplier=BURN_MULTIPLIER),
         )
-        runs[policy.name] = (run.mean_iteration_time(WARMUP), run.dynamic)
+        runs[run.dynamic.policy] = (run.mean_iteration_time(WARMUP), run.dynamic)
     return runs
 
 

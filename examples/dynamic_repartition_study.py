@@ -18,10 +18,10 @@ import argparse
 
 from repro.analysis import TextTable, format_series
 from repro.api import run_krak
-from repro.hydro import DynamicConfig
+from repro.hydro import DynamicSpec
 from repro.machine import es45_like_cluster
 from repro.mesh import build_deck, build_face_table
-from repro.partition import cached_partition, parse_policy
+from repro.partition import cached_partition
 
 
 def main() -> None:
@@ -55,7 +55,11 @@ def main() -> None:
     cluster = es45_like_cluster()
     faces = build_face_table(deck.mesh)
     partition = cached_partition(deck, args.ranks, seed=1, faces=faces)
-    policies = [parse_policy(p) for p in args.policies.split(",") if p.strip()]
+    specs = [
+        DynamicSpec(policy=p.strip(), burn_multiplier=args.burn_mult)
+        for p in args.policies.split(",")
+        if p.strip()
+    ]
 
     table = TextTable(
         f"repartitioning policies, {deck.name} deck, {args.ranks} ranks, "
@@ -64,22 +68,21 @@ def main() -> None:
     )
     series = []
     baseline = None
-    for policy in policies:
-        config = DynamicConfig(policy=policy, burn_multiplier=args.burn_mult)
+    for spec in specs:
         run = run_krak(
             deck,
             partition,
             cluster=cluster,
             iterations=args.iterations,
             faces=faces,
-            dynamic=config,
+            dynamic=spec,
         )
         seconds = run.mean_iteration_time(args.warmup)
         info = run.dynamic
         if baseline is None:
             baseline = seconds
         table.add_row(
-            policy.name,
+            info.policy,
             seconds * 1e3,
             f"{(seconds / baseline - 1) * 100:+.1f}%",
             info.num_repartitions,
@@ -87,9 +90,9 @@ def main() -> None:
         )
         times, imbalances = info.imbalance_series()
         series.append(
-            format_series(f"imbalance vs time [{policy.name}]", times, imbalances, "s", "")
+            format_series(f"imbalance vs time [{info.policy}]", times, imbalances, "s", "")
         )
-        print(f"  {policy.name}: done", flush=True)
+        print(f"  {info.policy}: done", flush=True)
 
     print()
     print(table.render())

@@ -29,10 +29,10 @@ import argparse
 
 from repro.analysis import TextTable
 from repro.api import run_krak
-from repro.hydro import DynamicConfig
+from repro.hydro import DynamicSpec
 from repro.machine import es45_like_cluster
 from repro.mesh import build_deck, build_face_table
-from repro.partition import cached_partition, parse_policy
+from repro.partition import cached_partition
 from repro.perturb import PerturbSpec, parse_perturb
 
 
@@ -92,7 +92,11 @@ def main() -> None:
     cluster = es45_like_cluster()
     faces = build_face_table(deck.mesh)
     partition = cached_partition(deck, args.ranks, seed=1, faces=faces)
-    policies = [parse_policy(p) for p in args.policies.split(",") if p.strip()]
+    specs = [
+        DynamicSpec(policy=p.strip(), burn_multiplier=args.burn_mult)
+        for p in args.policies.split(",")
+        if p.strip()
+    ]
     if args.perturb is not None:
         perturbs = [parse_perturb(args.perturb)]
     else:
@@ -112,15 +116,14 @@ def main() -> None:
         label = "none" if perturb is None else perturb.label
         baseline = None
         best = None
-        for policy in policies:
-            config = DynamicConfig(policy=policy, burn_multiplier=args.burn_mult)
+        for spec in specs:
             run = run_krak(
                 deck,
                 partition,
                 cluster=cluster,
                 iterations=args.iterations,
                 faces=faces,
-                dynamic=config,
+                dynamic=spec,
                 perturb=perturb,
             )
             seconds = run.mean_iteration_time(args.warmup)
@@ -128,16 +131,16 @@ def main() -> None:
             if baseline is None:
                 baseline = seconds  # first policy is the control
             if best is None or seconds < best[1]:
-                best = (policy.name, seconds)
+                best = (info.policy, seconds)
             table.add_row(
                 label,
-                policy.name,
+                info.policy,
                 seconds * 1e3,
                 f"{(seconds / baseline - 1) * 100:+.1f}%",
                 info.num_repartitions,
                 info.cells_moved,
             )
-            print(f"  {label} / {policy.name}: done", flush=True)
+            print(f"  {label} / {info.policy}: done", flush=True)
         winners.append((label, best[0]))
 
     print()

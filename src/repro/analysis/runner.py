@@ -239,7 +239,7 @@ class SweepSpec:
     models: tuple = DEFAULT_MODELS
     seeds: tuple = (1,)
     #: Workload axis: ``None`` is the static run; a
-    #: :class:`~repro.core.request.DynamicSpec` runs the time-evolving
+    #: :class:`~repro.hydro.dynamic.DynamicSpec` runs the time-evolving
     #: workload under its repartitioning policy.
     dynamics: tuple = (None,)
     #: Placement axis: ``None`` is the implicit block map; strategy names

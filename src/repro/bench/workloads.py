@@ -876,16 +876,13 @@ register(Benchmark(
 # ------------------------------------------------------------------ dynamic.*
 
 def _setup_dynamic(size):
-    from repro.hydro import DynamicConfig
-    from repro.partition import ImbalanceThresholdPolicy
+    from repro.hydro import DynamicSpec
 
     iters = 6 if size == "smoke" else 8
     return {
         "deck": _deck("small"), "part": _partition("small", 16),
         "faces": _faces("small"), "cluster": _cluster(), "iters": iters,
-        "config": DynamicConfig(
-            policy=ImbalanceThresholdPolicy(threshold=1.15), burn_multiplier=8.0
-        ),
+        "spec": DynamicSpec(policy="imbalance:1.15", burn_multiplier=8.0),
     }
 
 
@@ -894,7 +891,7 @@ def _run_dynamic(ctx):
 
     return run_krak(
         ctx["deck"], ctx["part"], cluster=ctx["cluster"], iterations=ctx["iters"],
-        faces=ctx["faces"], dynamic=ctx["config"],
+        faces=ctx["faces"], dynamic=ctx["spec"],
     )
 
 

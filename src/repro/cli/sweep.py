@@ -78,7 +78,7 @@ def _grid_checked(build, *args):
 def cmd_sweep_run(args) -> int:
     """Evaluate a sweep grid — parallel with ``--jobs``, resumable via the
     result store."""
-    spec = spec_from_args(args)
+    spec = _grid_checked(spec_from_args, args)
     tasks = _grid_checked(spec.tasks)
     store = None if args.no_cache else prediction_store()
 
@@ -140,7 +140,7 @@ def cmd_sweep_run(args) -> int:
 
 def cmd_sweep_status(args) -> int:
     """Report grid completion against the result store."""
-    spec = spec_from_args(args)
+    spec = _grid_checked(spec_from_args, args)
     status = _grid_checked(sweep_status, spec, prediction_store())
     out = TextTable("sweep status", ["points", "count"])
     out.add_row("total", status.total)
@@ -156,7 +156,8 @@ def cmd_sweep_clear(args) -> int:
     Only the grid's own keys leave the ``predictions`` store; results the
     service or other grids stored there stay.
     """
-    keys = _grid_checked(spec_from_args(args).store_keys)
+    spec = _grid_checked(spec_from_args, args)
+    keys = _grid_checked(spec.store_keys)
     removed = prediction_store().clear(keys)
     print(f"removed {removed} stored sweep points")
     if args.partitions:

@@ -99,7 +99,7 @@ def _measure_seconds(asm: Assembled, request: PredictionRequest) -> float:
         warmup=window.warmup,
         faces=asm.faces,
         census=asm.census,
-        dynamic=None if request.dynamic is None else request.dynamic.build(),
+        dynamic=request.dynamic,
         perturb=request.perturb,
     ).seconds
 

@@ -20,10 +20,9 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.parsing import is_weak_deck, weak_cells_per_rank
-from repro.hydro.dynamic import DynamicConfig
+from repro.hydro.dynamic import DynamicSpec
 from repro.machine.cluster import ClusterConfig, es45_like_cluster
 from repro.partition.cache import PARTITION_METHODS
-from repro.partition.dynamic import parse_policy
 from repro.perturb.spec import PerturbSpec
 
 __all__ = [
@@ -91,49 +90,6 @@ class ClusterSpec:
         """Short human-readable tag for tables and progress lines."""
         tag = f"x{self.speed:g}"
         return f"es45{tag}+smp" if self.smp else f"es45{tag}"
-
-
-@dataclass(frozen=True)
-class DynamicSpec:
-    """Declarative (CLI-expressible, hashable) form of a dynamic workload.
-
-    This is :attr:`PredictionRequest.dynamic`, and so the value of a sweep
-    grid's workload axis: it carries the repartition policy as a string
-    spec (``never`` / ``every:N`` / ``imbalance:X``) plus the scalar
-    knobs, and materialises into a
-    :class:`~repro.hydro.dynamic.DynamicConfig` via :meth:`build`.  Being a
-    plain dataclass of primitives it hashes stably into
-    :func:`~repro.core.pipeline.request_key`, so dynamic requests and sweep
-    points are cached and resumable like static ones.
-    """
-
-    policy: str = "never"
-    burn_multiplier: float = 4.0
-    dt: float = 1.0e-5
-    migration_bytes_per_cell: int = 256
-    iterations: int = 12
-    warmup: int = 1
-    partition_seed: int = 0
-
-    def __post_init__(self) -> None:
-        parse_policy(self.policy)  # fail fast on typos
-        if not 0 <= self.warmup < self.iterations:
-            raise ValueError("need 0 <= warmup < iterations")
-
-    def build(self) -> DynamicConfig:
-        """Materialise the simulation-side configuration."""
-        return DynamicConfig(
-            policy=parse_policy(self.policy),
-            burn_multiplier=self.burn_multiplier,
-            dt=self.dt,
-            migration_bytes_per_cell=self.migration_bytes_per_cell,
-            partition_seed=self.partition_seed,
-        )
-
-    @property
-    def label(self) -> str:
-        """Short human-readable tag for tables and progress lines."""
-        return f"dyn[{self.policy},x{self.burn_multiplier:g}]"
 
 
 def _from_dict(cls, data: dict):

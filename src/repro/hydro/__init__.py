@@ -23,12 +23,12 @@ from repro.hydro.materials import (
 )
 from repro.hydro.burn import ProgrammedBurn
 from repro.hydro.state import RankState, build_rank_states, NeighborLink
-from repro.hydro.workload import DynamicCensus, WorkloadCensus, build_workload_census
+from repro.hydro.workload import WorkloadCensus, build_workload_census
 from repro.hydro.dynamic import (
     REPARTITION_PHASE,
-    DynamicConfig,
     DynamicController,
     DynamicRunInfo,
+    DynamicSpec,
     IterationRecord,
 )
 from repro.hydro.driver import (
@@ -46,13 +46,12 @@ __all__ = [
     "RankState",
     "build_rank_states",
     "NeighborLink",
-    "DynamicCensus",
     "WorkloadCensus",
     "build_workload_census",
     "REPARTITION_PHASE",
-    "DynamicConfig",
     "DynamicController",
     "DynamicRunInfo",
+    "DynamicSpec",
     "IterationRecord",
     "KrakRun",
     "MeasuredIteration",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hydro.dynamic import DynamicConfig, DynamicController, DynamicRunInfo
+from repro.hydro.dynamic import DynamicController, DynamicRunInfo, DynamicSpec
 from repro.hydro.functional import run_functional
 from repro.hydro.phases import KrakProgram
 from repro.hydro.state import RankState, build_rank_states
@@ -73,7 +73,7 @@ def run_krak(
     functional: bool = False,
     faces: FaceTable | None = None,
     census: WorkloadCensus | None = None,
-    dynamic: DynamicConfig | None = None,
+    dynamic: DynamicSpec | None = None,
     perturb: PerturbSpec | None = None,
 ) -> KrakRun:
     """Run MiniKrak on the simulated cluster.
@@ -93,12 +93,14 @@ def run_krak(
     faces, census:
         Optional precomputed structures to avoid rebuilding in sweeps.
     dynamic:
-        Optional :class:`~repro.hydro.dynamic.DynamicConfig`.  When given
+        Optional :class:`~repro.hydro.dynamic.DynamicSpec`.  When given
         (census mode only), iteration ``k`` is charged against
         ``census_at(t_k)`` — the burn front shifts per-cell cost over time —
-        and the configured policy may repartition mid-run, paying the
-        modelled allgather + cell-migration cost.  ``dynamic=None`` is the
-        static path, bit-for-bit identical to previous behaviour.
+        and the spec's policy may repartition mid-run, paying the modelled
+        allgather + cell-migration cost.  ``iterations`` still sets the
+        run's length; the spec's own window is the one
+        :func:`repro.core.pipeline.measure` reads.  ``dynamic=None`` charges
+        the one static census every iteration.
     perturb:
         Optional :class:`~repro.perturb.PerturbSpec` injecting seeded noise
         (OS jitter/stragglers on compute, link degradation on messaging, a
@@ -143,7 +145,7 @@ def _krak_job(deck, partition, cluster, iterations, faces, census, dynamic, pert
         if perturb.has_churn and dynamic is None:
             raise ValueError(
                 "churn_prob requires a dynamic workload (the repartition "
-                "machinery); pass a DynamicConfig"
+                "machinery); pass a DynamicSpec"
             )
         # Link degradation is a machine transform: every consumer prices
         # through the same degraded coefficients.
@@ -196,7 +198,7 @@ def measure_iteration_time(
     warmup: int = 1,
     faces: FaceTable | None = None,
     census: WorkloadCensus | None = None,
-    dynamic: DynamicConfig | None = None,
+    dynamic: DynamicSpec | None = None,
     perturb: PerturbSpec | None = None,
 ) -> MeasuredIteration:
     """Produce a "measured" per-iteration time (census/timing mode).

@@ -1,11 +1,19 @@
 """Dynamic-workload coordination for simulated Krak runs.
 
 The burn front makes per-cell cost a function of time, so a dynamic run
-charges iteration ``k`` against ``census_at(t_k)`` instead of one static
-census.  A :class:`DynamicController` is shared by the whole job: at
-each iteration boundary it produces (exactly once, cached by iteration
-index) the :class:`DynamicStep` all ranks act on — the effective census at
-``t_k`` and, when the configured policy fires, a repartition event.
+charges iteration ``k`` against the census at ``t_k = k · dt`` instead of
+one static census.  A :class:`DynamicSpec` describes such a workload: the
+repartition policy as a string, the burn cost multiplier, the timestep,
+the migration payload, the measurement window and the repartition seed.
+It is plain, stably hashed data, so it is also the dynamic axis of a
+request and of a sweep grid.
+
+A :class:`DynamicController` is shared by the whole job.  It holds the burn
+schedule, the census of the current partition and the partition itself,
+and at each iteration boundary it produces (exactly once, cached by
+iteration index) the :class:`DynamicStep` all ranks act on — the
+effective census at ``t_k`` and, when the policy fires, a repartition
+event.
 
 A repartition is charged to the run the way a real code pays for it:
 
@@ -28,65 +36,89 @@ step, and the later ranks only read the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.hydro.burn import ProgrammedBurn
-from repro.hydro.workload import DynamicCensus, WorkloadCensus
+from repro.hydro.workload import WorkloadCensus, build_workload_census
 from repro.machine.costdb import NUM_PHASES
 from repro.mesh.connectivity import FaceTable, build_face_table
-from repro.mesh.deck import NUM_MATERIALS, InputDeck
+from repro.mesh.deck import HE_GAS, NUM_MATERIALS, InputDeck
 from repro.mesh.geometry import cell_centroids
 from repro.partition.base import Partition
 from repro.partition.dynamic import (
-    NeverPolicy,
-    RepartitionPolicy,
     migration_matrix,
+    parse_policy,
     weighted_repartition,
 )
 from repro.partition.metrics import imbalance
+from repro.util import bincount_fixed
 
 #: Trace phase index for repartition time (one past the 15 Krak phases).
 REPARTITION_PHASE = NUM_PHASES
 
+#: Programmed-burn wave speed (m/s) of every dynamic run.
+DETONATION_SPEED = 7000.0
+#: Time (s) a cell takes to burn once the wave arrives.  With the default
+#: ``dt`` the front sweeps a paper deck in tens of iterations, which is what
+#: repartition-cadence studies want.
+BURN_RAMP_TIME = 2.0e-5
+
+#: Integer scale for per-cell partitioner weights (resolution 1/8 cell).
+CELL_WEIGHT_SCALE = 8
+
 
 @dataclass(frozen=True)
-class DynamicConfig:
-    """Everything a dynamic run needs beyond the static inputs.
+class DynamicSpec:
+    """A dynamic workload: the burn front plus a repartition policy.
 
     Attributes
     ----------
     policy:
-        When to repartition (:mod:`repro.partition.dynamic` policies).
+        When to repartition: ``never``, ``every:N`` or ``imbalance:X``
+        (:func:`~repro.partition.dynamic.parse_policy`).
     burn_multiplier:
-        Cost multiplier for actively-burning cells.
+        Cost multiplier (>= 1) for actively-burning cells.
     dt:
         Census-mode timestep: iteration ``k`` is charged at ``t = k · dt``.
-        The default sweeps the burn front across a paper deck in tens of
-        iterations, which is what repartition-cadence studies want.
-    detonation_speed, ramp_time:
-        Programmed-burn parameters (see :class:`~repro.hydro.burn.ProgrammedBurn`).
     migration_bytes_per_cell:
         Payload per migrated cell (state + connectivity) for repartition
         cost charging.
+    iterations, warmup:
+        The measurement window :func:`repro.core.pipeline.measure` times
+        (it replaces the request's own window).
     partition_seed:
         Seed for the weighted repartitioner.
+
+    Being a plain dataclass of primitives it hashes stably into
+    :func:`~repro.core.pipeline.request_key`, so dynamic requests and sweep
+    points are cached and resumable like static ones.
     """
 
-    policy: RepartitionPolicy = field(default_factory=NeverPolicy)
+    policy: str = "never"
     burn_multiplier: float = 4.0
     dt: float = 1.0e-5
-    detonation_speed: float = 7000.0
-    ramp_time: float = 2.0e-5
     migration_bytes_per_cell: int = 256
+    iterations: int = 12
+    warmup: int = 1
     partition_seed: int = 0
 
     def __post_init__(self) -> None:
+        parse_policy(self.policy)  # fail fast on typos
+        if not 0 <= self.warmup < self.iterations:
+            raise ValueError("need 0 <= warmup < iterations")
+        if self.burn_multiplier < 1.0:
+            raise ValueError("burn_multiplier must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.migration_bytes_per_cell < 0:
             raise ValueError("migration_bytes_per_cell must be non-negative")
+
+    @property
+    def label(self) -> str:
+        """Short human-readable tag for tables and progress lines."""
+        return f"dyn[{self.policy},x{self.burn_multiplier:g}]"
 
 
 @dataclass(frozen=True)
@@ -163,46 +195,82 @@ class DynamicRunInfo:
 
 
 class DynamicController:
-    """Shared per-run coordinator of censuses and repartition events."""
+    """Shared per-run coordinator of censuses and repartition events.
+
+    It holds the deck's burn schedule, the partition currently in force
+    (:attr:`partition`) and that partition's static census, from which
+    :meth:`census_at` derives the census at any simulation time.
+    """
 
     def __init__(
         self,
         deck: InputDeck,
         partition: Partition,
-        config: DynamicConfig,
+        spec: DynamicSpec,
         faces: FaceTable | None = None,
         base_census: WorkloadCensus | None = None,
         force_repartition=None,
     ) -> None:
-        self.config = config
+        self.spec = spec
+        self._policy = parse_policy(spec.policy)
         #: Optional ``iteration -> bool`` override: when it returns True the
         #: controller repartitions regardless of the policy (node churn —
         #: see :mod:`repro.perturb`).  The policy is still evaluated first,
         #: so its internal state advances identically to an unforced run.
         self._force = force_repartition
+        self.deck = deck
         self.num_ranks = partition.num_ranks
         self._faces = faces if faces is not None else build_face_table(deck.mesh)
-        burn = ProgrammedBurn.from_deck(
+        self.burn = ProgrammedBurn.from_deck(
             cell_centroids(deck.mesh),
             deck.cell_material,
             deck.detonator_xy,
-            detonation_speed=config.detonation_speed,
-            ramp_time=config.ramp_time,
+            detonation_speed=DETONATION_SPEED,
+            ramp_time=BURN_RAMP_TIME,
         )
-        self._dyn = DynamicCensus.build(
-            deck,
-            partition,
-            burn=burn,
-            burn_multiplier=config.burn_multiplier,
-            faces=self._faces,
-            base=base_census,
-        )
+        if base_census is None:
+            base_census = build_workload_census(deck, partition, self._faces)
+        if base_census.num_ranks != partition.num_ranks:
+            raise ValueError("base census does not match the partition")
+        #: The currently active partition.
+        self.partition = partition
+        self._base = base_census
         self._steps: dict[int, DynamicStep] = {}
 
-    @property
-    def partition(self) -> Partition:
-        """The currently active partition."""
-        return self._dyn.partition
+    def census_at(self, t: float) -> WorkloadCensus:
+        """The census of the current partition at simulation time ``t``.
+
+        Actively-burning cells are charged ``burn_multiplier`` times their
+        static cost: the HE column of the material census gains
+        ``burn_multiplier - 1`` effective cells per burning cell.  The
+        links (a function of the partition, not of time) never change, and
+        with nothing burning the static census itself is returned.
+        """
+        multiplier = self.spec.burn_multiplier
+        if multiplier == 1.0:
+            return self._base
+        burning = bincount_fixed(
+            self.partition.cell_rank[self.burn.actively_burning(t)],
+            self.num_ranks,
+        )
+        if not burning.any():
+            return self._base
+        counts = self._base.material_counts()
+        counts[:, HE_GAS] += (multiplier - 1.0) * burning
+        return self._base.with_material_counts(counts)
+
+    def cell_weights(self, t: float) -> np.ndarray:
+        """Integer per-cell work weights at ``t`` for the repartitioner.
+
+        Weights are scaled by :data:`CELL_WEIGHT_SCALE` so fractional
+        multipliers survive the integer vertex weights of the partition
+        substrate.
+        """
+        weights = np.full(self.deck.num_cells, CELL_WEIGHT_SCALE, dtype=np.int64)
+        weights[self.burn.actively_burning(t)] = int(
+            round(self.spec.burn_multiplier * CELL_WEIGHT_SCALE)
+        )
+        return weights
 
     def step(self, iteration: int) -> DynamicStep:
         """The (cached) dynamic step for ``iteration``.
@@ -216,33 +284,38 @@ class DynamicController:
         if cached is not None:
             return cached
 
-        t = iteration * self.config.dt
-        census = self._dyn.census_at(t)
+        spec = self.spec
+        t = iteration * spec.dt
+        census = self.census_at(t)
         work = census.material_counts().sum(axis=1)
         imbalance_before = imbalance(work)
         migration = None
-        fired = self.config.policy.should_repartition(iteration, work)
+        fired = self._policy.should_repartition(iteration, work)
         if self._force is not None and self._force(iteration):
             fired = True
         if fired:
-            dyn = self._dyn
             new_partition = weighted_repartition(
-                dyn.deck.mesh,
-                dyn.cell_weights(t),
+                self.deck.mesh,
+                self.cell_weights(t),
                 self.num_ranks,
                 faces=self._faces,
-                seed=self.config.partition_seed,
+                seed=spec.partition_seed,
             )
-            flows = migration_matrix(dyn.partition, new_partition)
+            flows = migration_matrix(self.partition, new_partition)
             if flows.any():
-                self._dyn = dyn.with_partition(new_partition, self._faces)
+                self.partition = new_partition
+                # Called by name so a rebinding of the module function
+                # (tracing) sees repartition censuses too.
+                self._base = build_workload_census(
+                    self.deck, new_partition, self._faces
+                )
                 migration = MigrationPlan(
                     matrix=flows,
-                    bytes_per_cell=self.config.migration_bytes_per_cell,
+                    bytes_per_cell=spec.migration_bytes_per_cell,
                     gather_bytes=NUM_MATERIALS * 8,
                     bcast_bytes=self.num_ranks * NUM_MATERIALS * 8,
                 )
-                census = self._dyn.census_at(t)
+                census = self.census_at(t)
                 work = census.material_counts().sum(axis=1)
 
         step = DynamicStep(
@@ -270,8 +343,8 @@ class DynamicController:
             for _, s in sorted(self._steps.items())
         )
         return DynamicRunInfo(
-            policy=self.config.policy.name,
-            burn_multiplier=self.config.burn_multiplier,
-            dt=self.config.dt,
+            policy=self._policy.name,
+            burn_multiplier=self.spec.burn_multiplier,
+            dt=self.spec.dt,
             records=records,
         )

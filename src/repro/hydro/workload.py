@@ -26,10 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.hydro.burn import ProgrammedBurn
 from repro.mesh.connectivity import FaceTable, build_face_table
 from repro.mesh.deck import ALUMINUM_INNER, ALUMINUM_OUTER, FOAM, HE_GAS, InputDeck, NUM_MATERIALS
-from repro.mesh.geometry import cell_centroids
 from repro.mesh.ghost import cut_face_tally, reverse_links, shared_node_pairs
 from repro.partition.base import Partition
 from repro.util import bincount_fixed
@@ -253,120 +251,3 @@ def build_workload_census(
         profile_of_rank=profile_of_rank,
     )
 
-
-#: Integer scale for per-cell partitioner weights (resolution 1/8 cell).
-CELL_WEIGHT_SCALE = 8
-
-
-@dataclass(frozen=True)
-class DynamicCensus:
-    """A time-parameterised workload census.
-
-    The paper's central observation is that Krak's workload *evolves*: the
-    programmed burn front moves through the HE material, so per-cell cost is
-    a function of simulation time and any static partition degrades.  This
-    wrapper binds a static :class:`WorkloadCensus` to a
-    :class:`~repro.hydro.burn.ProgrammedBurn` schedule: at time ``t``,
-    actively-burning cells are charged ``burn_multiplier`` times their
-    static cost, while the communication structure (boundary/ghost links —
-    a function of the partition, not of time) is unchanged.
-
-    ``census_at(None)`` is the static fast path and returns the underlying
-    census object itself, so static callers pay nothing.
-    """
-
-    deck: InputDeck
-    partition: Partition
-    burn: ProgrammedBurn
-    base: WorkloadCensus
-    #: Cost multiplier for cells whose burn fraction lies strictly in (0, 1).
-    burn_multiplier: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.burn_multiplier < 1.0:
-            raise ValueError("burn_multiplier must be >= 1")
-        if self.base.num_ranks != self.partition.num_ranks:
-            raise ValueError("base census does not match the partition")
-
-    @classmethod
-    def build(
-        cls,
-        deck: InputDeck,
-        partition: Partition,
-        burn: ProgrammedBurn | None = None,
-        burn_multiplier: float = 4.0,
-        faces: FaceTable | None = None,
-        base: WorkloadCensus | None = None,
-    ) -> "DynamicCensus":
-        """Bind ``deck`` + ``partition`` to a burn schedule.
-
-        ``burn`` defaults to the deck's own programmed burn (detonator at
-        ``deck.detonator_xy``); ``base`` defaults to the freshly built
-        static census.
-        """
-        if burn is None:
-            burn = ProgrammedBurn.from_deck(
-                cell_centroids(deck.mesh), deck.cell_material, deck.detonator_xy
-            )
-        if base is None:
-            base = build_workload_census(deck, partition, faces)
-        return cls(
-            deck=deck,
-            partition=partition,
-            burn=burn,
-            base=base,
-            burn_multiplier=burn_multiplier,
-        )
-
-    def burning_cells_by_rank(self, t: float) -> np.ndarray:
-        """Actively-burning cell count per rank at time ``t``."""
-        mask = self.burn.actively_burning(t)
-        return bincount_fixed(
-            self.partition.cell_rank[mask], self.partition.num_ranks
-        )
-
-    def census_at(self, t: float | None) -> WorkloadCensus:
-        """The workload census at simulation time ``t``.
-
-        ``t=None`` (or any time with no actively-burning cell) returns the
-        static base census unchanged; otherwise the HE column of the
-        material census is inflated by ``(burn_multiplier - 1)`` effective
-        cells per burning cell.  Message structure never changes — only the
-        compute charge evolves.
-        """
-        if t is None or self.burn_multiplier == 1.0:
-            return self.base
-        burning = self.burning_cells_by_rank(t)
-        if not burning.any():
-            return self.base
-        counts = self.base.material_counts()
-        counts[:, HE_GAS] += (self.burn_multiplier - 1.0) * burning
-        return self.base.with_material_counts(counts)
-
-    def work_by_rank(self, t: float | None) -> np.ndarray:
-        """Effective (multiplier-weighted) cells per rank at time ``t``."""
-        return self.census_at(t).material_counts().sum(axis=1)
-
-    def cell_weights(self, t: float) -> np.ndarray:
-        """Integer per-cell work weights at ``t`` (for weighted partitioners).
-
-        Weights are scaled by :data:`CELL_WEIGHT_SCALE` so fractional
-        multipliers survive the integer vertex weights of the partition
-        substrate.
-        """
-        weights = np.full(self.deck.num_cells, CELL_WEIGHT_SCALE, dtype=np.int64)
-        mask = self.burn.actively_burning(t)
-        weights[mask] = int(round(self.burn_multiplier * CELL_WEIGHT_SCALE))
-        return weights
-
-    def with_partition(
-        self, partition: Partition, faces: FaceTable | None = None
-    ) -> "DynamicCensus":
-        """Rebind to a new partition (used after mid-run repartitioning)."""
-        return DynamicCensus(
-            deck=self.deck,
-            partition=partition,
-            burn=self.burn,
-            base=build_workload_census(self.deck, partition, faces),
-            burn_multiplier=self.burn_multiplier,
-        )

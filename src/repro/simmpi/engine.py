@@ -445,11 +445,15 @@ class Engine:
         R = self.num_ranks
         positions = [pend[r] for r in range(R)]
         k0 = int(bcol[positions[0]])
-        if any(int(bcol[p]) != k0 for p in positions):
+        root = int(acol[positions[0]])
+        rooted = k0 in (simc.COLL_BCAST, simc.COLL_GATHER)
+        if any(
+            int(bcol[p]) != k0 or (rooted and int(acol[p]) != root)
+            for p in positions
+        ):
             raise RuntimeError(f"collective mismatch at sequence {seq}")
         timer = self._coll_timers[k0]
         if k0 == simc.COLL_BCAST:
-            root = int(acol[positions[0]])
             duration = timer(float(farg[positions[root]]))
         elif k0 == simc.COLL_BARRIER:
             duration = timer(4)
@@ -646,7 +650,8 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     """The superstep schedule of a regular table, or ``None``.
 
     A table is *regular* when every rank enters the same collective
-    sequence (same count, same sub-kind at each position), every float
+    sequence (same count, same sub-kind and, for ``Bcast`` and ``Gather``,
+    the same root at each position), every float
     argument is finite, and each (rank, superstep) block reads: non-message
     rows, ``Isend``s, at most one ``WaitSends``, ``Recv``s, non-message
     rows, each receive matching a send of the same or an earlier
@@ -675,6 +680,9 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     if (kinds != kinds[0]).any():
         return None
     roots = job.acol[coll_rows[0]]
+    rooted = np.isin(kinds[0], (simc.COLL_BCAST, simc.COLL_GATHER))
+    if (job.acol[coll_rows][:, rooted] != roots[rooted]).any():
+        return None
 
     # --- cost: one vector step per compute or mark position, per send,
     # WaitSends and receive position, and per collective.

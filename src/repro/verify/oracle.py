@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hydro.dynamic import DynamicConfig, DynamicController, DynamicRunInfo
+from repro.hydro.dynamic import DynamicController, DynamicRunInfo, DynamicSpec
 from repro.hydro.phases import KrakProgram
 from repro.hydro.workload import WorkloadCensus, build_workload_census
 from repro.machine.cluster import ClusterConfig, es45_like_cluster
@@ -528,7 +528,10 @@ class OracleEngine:
         reqs = [pend[r][0] for r in range(self.num_ranks)]
         enter_times = [pend[r][1] for r in range(self.num_ranks)]
         kind = type(reqs[0])
-        if any(type(q) is not kind for q in reqs):
+        if any(type(q) is not kind for q in reqs) or (
+            kind in (api.Bcast, api.Gather)
+            and any(q.root != reqs[0].root for q in reqs)
+        ):
             raise RuntimeError(f"collective mismatch at sequence {seq}")
 
         if kind is api.Bcast:
@@ -629,7 +632,7 @@ def oracle_run_krak(
     iterations: int = 3,
     faces: FaceTable | None = None,
     census: WorkloadCensus | None = None,
-    dynamic: DynamicConfig | None = None,
+    dynamic: DynamicSpec | None = None,
     perturb: PerturbSpec | None = None,
 ) -> OracleRun:
     """The oracle's independent execution of one census-mode Krak run.

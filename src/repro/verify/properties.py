@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.hydro.driver import run_krak
 from repro.hydro.dynamic import REPARTITION_PHASE
-from repro.partition.dynamic import NeverPolicy
 
 #: Checks only re-run the simulator, so reuse the differential tolerance.
 DEFAULT_RTOL = 1e-12
@@ -145,7 +144,7 @@ def _check_never_policy(built, violations: list) -> None:
         # Churn exists precisely to force repartitions past the policy, so
         # "never is free" does not hold for this scenario.
         return
-    never = dataclasses.replace(built.dynamic, policy=NeverPolicy())
+    never = dataclasses.replace(built.dynamic, policy="never")
     run = _run(built, dynamic=never)
     if run.dynamic.num_repartitions != 0:
         violations.append(

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.assemble import apply_placement
-from repro.core.request import DynamicSpec
-from repro.hydro.dynamic import DynamicConfig
+from repro.hydro.dynamic import DynamicSpec
 from repro.hydro.workload import build_workload_census
 from repro.machine.cluster import ClusterConfig
 from repro.machine.costdb import NUM_MATERIALS, NUM_PHASES, krak_node_model
@@ -91,8 +90,8 @@ class Scenario:
     #: :func:`repro.placement.make_placement` strategy name.
     placement: str | None = None
     # --- dynamic workload -------------------------------------------------
-    #: ``None`` → static run; else ``{"policy", "burn_multiplier", "dt",
-    #: "migration_bytes_per_cell", "partition_seed"}``.
+    #: ``None`` → static run; else :class:`~repro.hydro.dynamic.DynamicSpec`
+    #: keyword values (missing keys take the spec's defaults).
     dynamic: dict | None = None
     # --- perturbation ------------------------------------------------------
     #: ``None`` → clean machine; else
@@ -113,6 +112,8 @@ class Scenario:
             raise ValueError("iterations must be >= 1")
         if self.placement is not None and not self.smp:
             raise ValueError("a placement requires the SMP hierarchy")
+        if self.dynamic is not None:
+            DynamicSpec(**self.dynamic)  # validates the knobs
         if self.perturb is not None:
             spec = PerturbSpec.from_dict(self.perturb)  # validates the knobs
             if spec.has_churn and self.dynamic is None:
@@ -145,11 +146,8 @@ class Scenario:
         if self.placement is not None:
             bits.append(f"place={self.placement}")
         if self.dynamic is not None:
-            # Optional keys default exactly as build_scenario defaults them,
-            # so a hand-trimmed scenario file still labels (and replays).
-            policy = self.dynamic["policy"]
-            mult = float(self.dynamic.get("burn_multiplier", 4.0))
-            bits.append(f"dyn={policy}x{mult:g}")
+            spec = DynamicSpec(**self.dynamic)
+            bits.append(f"dyn={spec.policy}x{spec.burn_multiplier:g}")
         if self.perturb is not None:
             bits.append(f"perturb={PerturbSpec.from_dict(self.perturb).label}")
         return " ".join(bits)
@@ -170,7 +168,7 @@ class BuiltScenario:
     #: The SMP cluster *before* any placement (``None`` without SMP) —
     #: property checks vary the placement against this base machine.
     smp_base: ClusterConfig | None
-    dynamic: DynamicConfig | None
+    dynamic: DynamicSpec | None
     iterations: int
     #: Materialised perturbation spec (``None`` for clean scenarios).
     perturb: PerturbSpec | None = None
@@ -255,16 +253,7 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
 
     dynamic = None
     if scenario.dynamic is not None:
-        spec = scenario.dynamic
-        # Materialise through the shared DynamicSpec constructor so the
-        # oracle and core.predict() can never disagree on the defaults.
-        dynamic = DynamicSpec(
-            policy=spec["policy"],
-            burn_multiplier=float(spec.get("burn_multiplier", 4.0)),
-            dt=float(spec.get("dt", 1.0e-5)),
-            migration_bytes_per_cell=int(spec.get("migration_bytes_per_cell", 256)),
-            partition_seed=int(spec.get("partition_seed", 0)),
-        ).build()
+        dynamic = DynamicSpec(**scenario.dynamic)
 
     perturb = None
     if scenario.perturb is not None:

@@ -33,9 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.request import DynamicSpec
 from repro.hydro import build_workload_census
-from repro.hydro.dynamic import DynamicController
+from repro.hydro.dynamic import DynamicController, DynamicSpec
 from repro.hydro.phases import KrakProgram
 from repro.machine import es45_like_cluster
 from repro.mesh import build_deck, build_face_table
@@ -125,10 +124,9 @@ def lowered_case(name: str) -> dict:
     perturbation = None if perturb is None else Perturbation(perturb, LOWERED_RANKS)
     controller, iterations = None, STATIC_ITERATIONS
     if dynamic is not None:
-        config = dynamic.build()
         churn = perturbation.churn_at if perturbation is not None else None
         controller = DynamicController(
-            deck, partition, config, faces=faces, base_census=census,
+            deck, partition, dynamic, faces=faces, base_census=census,
             force_repartition=churn,
         )
         iterations = dynamic.iterations

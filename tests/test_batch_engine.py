@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hydro import DynamicConfig, build_workload_census, run_krak
+from repro.hydro import DynamicSpec, build_workload_census, run_krak
 from repro.hydro.dynamic import DynamicController
 from repro.core.assemble import apply_placement
 from repro.hydro.phases import KrakProgram
 from repro.machine.cluster import es45_like_cluster
 from repro.mesh.deck import build_deck
 from repro.mesh.connectivity import build_face_table
-from repro.partition import ImbalanceThresholdPolicy, make_partition
+from repro.partition import make_partition
 from repro.perturb import FAILURE_PHASE, Perturbation, PerturbSpec
 from repro.simmpi import (
     Allreduce,
@@ -263,9 +263,42 @@ class TestValidationParity:
         assert str(compiled_err.value) == message
 
     def test_collective_mismatch_message(self):
+        mismatch = "collective mismatch at sequence 0"
         compiled = lower_programs([[Allreduce(nbytes=8)], [Barrier()]])
-        with pytest.raises(RuntimeError, match="collective mismatch at sequence 0"):
+        with pytest.raises(RuntimeError, match=mismatch):
             Engine(flat_cluster(), 2, 1).run_compiled(compiled)
+
+        # Ranks naming different roots for one collective: rank r roots its
+        # Bcast at itself, so each would price a different payload.
+        def split_bcast(rank):
+            yield Bcast(root=rank, nbytes=8.0 * (1 + 1000 * rank))
+
+        with pytest.raises(RuntimeError, match=mismatch):
+            Engine(flat_cluster(), 2, 1).run(split_bcast)
+        with pytest.raises(RuntimeError, match=mismatch):
+            OracleEngine(flat_cluster(), 2, 1).run(split_bcast)
+
+        # On 8 ranks a table that is regular but for its Gather roots is not
+        # planned, so the per-rank executor reports it.
+        def ring(root_of):
+            def make(rank):
+                for tag in range(2):
+                    yield Isend((rank + 1) % 8, tag=tag, nbytes=64.0)
+                for tag in range(2):
+                    yield Recv((rank - 1) % 8, tag=tag)
+                yield Gather(root=root_of(rank), nbytes=8.0)
+
+            return make
+
+        engine = Engine(flat_cluster(), 8, 1)
+        agreed = lower_programs(ring(lambda rank: 0)(r) for r in range(8))
+        assert engine._dispatch(engine._resolve(agreed)) is not None
+        split = lower_programs(ring(lambda rank: rank % 2)(r) for r in range(8))
+        assert engine._dispatch(engine._resolve(split)) is None
+        with pytest.raises(RuntimeError, match=mismatch):
+            engine.run_compiled(split)
+        with pytest.raises(RuntimeError, match=mismatch):
+            OracleEngine(flat_cluster(), 8, 1).run(ring(lambda rank: rank % 2))
 
 
 class TestDeadlockReport:
@@ -635,25 +668,21 @@ class TestKrakLowering:
         assert_matches_oracle(run.result, oracle.result)
 
     def test_direct_emission_matches_generator_dynamic(self, problem):
-        config = DynamicConfig(
-            policy=ImbalanceThresholdPolicy(threshold=1.1), burn_multiplier=8.0
-        )
+        dynamic = DynamicSpec(policy="imbalance:1.1", burn_multiplier=8.0)
         controller, _ = self.assert_emission_matches_executed_generator(
-            lambda: self.krak_program(problem, iterations=4, dynamic=config)
+            lambda: self.krak_program(problem, iterations=4, dynamic=dynamic)
         )
         assert controller.run_info().num_repartitions >= 1
 
     def test_direct_emission_matches_generator_perturbed(self, problem):
-        config = DynamicConfig(
-            policy=ImbalanceThresholdPolicy(threshold=1.5), burn_multiplier=8.0
-        )
+        dynamic = DynamicSpec(policy="imbalance:1.5", burn_multiplier=8.0)
         spec = PerturbSpec(
             seed=3, compute_noise=0.05, straggler_prob=0.2,
             fail_rank=1, fail_iteration=1, churn_prob=0.5,
         )
         controller, table = self.assert_emission_matches_executed_generator(
             lambda: self.krak_program(
-                problem, iterations=4, dynamic=config, perturb=spec
+                problem, iterations=4, dynamic=dynamic, perturb=spec
             )
         )
         opcode, _, a, _ = table.rank_columns(table.num_ranks - 1)
@@ -691,12 +720,10 @@ class TestKrakLowering:
 
     def test_run_krak_dynamic_engines_agree(self, problem):
         deck, faces, partition = problem
-        config = DynamicConfig(
-            policy=ImbalanceThresholdPolicy(threshold=1.1), burn_multiplier=8.0
-        )
-        run = run_krak(deck, partition, iterations=4, faces=faces, dynamic=config)
+        dynamic = DynamicSpec(policy="imbalance:1.1", burn_multiplier=8.0)
+        run = run_krak(deck, partition, iterations=4, faces=faces, dynamic=dynamic)
         oracle = oracle_run_krak(
-            deck, partition, iterations=4, faces=faces, dynamic=config
+            deck, partition, iterations=4, faces=faces, dynamic=dynamic
         )
         assert_matches_oracle(run.result, oracle.result)
         assert run.dynamic.num_repartitions == oracle.dynamic.num_repartitions

@@ -189,6 +189,10 @@ class TestSweepGridErrors:
         "--dynamic", "static,every:2", "--dyn-iterations", "4",
         "--perturb", "churn:0.2",
     ]
+    ZERO_PERIOD = GRID + ["--dynamic", "every:0", "--dyn-iterations", "4"]
+    BURN_BELOW_ONE = GRID + [
+        "--dynamic", "never", "--burn-mult", "0.5", "--dyn-iterations", "4",
+    ]
 
     @pytest.mark.parametrize("command", ["run", "status", "clear"])
     @pytest.mark.parametrize(
@@ -196,8 +200,13 @@ class TestSweepGridErrors:
         [
             (PLACEMENT_WITHOUT_SMP, "error: a placement requires an SMP cluster"),
             (CHURN_WITH_STATIC, "error: churn_prob requires a dynamic workload"),
+            (ZERO_PERIOD, "error: period must be >= 1, got 0"),
+            (BURN_BELOW_ONE, "error: burn_multiplier must be >= 1"),
         ],
-        ids=["placement-without-smp", "churn-with-static"],
+        ids=[
+            "placement-without-smp", "churn-with-static", "zero-period",
+            "burn-below-one",
+        ],
     )
     def test_refused_before_any_point(self, capsys, command, grid, message):
         from repro.analysis import prediction_store
@@ -241,8 +250,11 @@ class TestDynamicSweepCLI:
         assert "0 simulated, 2 from store" in capsys.readouterr().out
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(SystemExit) as exit_info:
             main(
                 self.DYN_ARGS[:-4]
                 + ["--dynamic", "sometimes", "--dyn-iterations", "4"]
             )
+        assert str(exit_info.value.code).startswith(
+            "error: unknown repartition policy 'sometimes'"
+        )

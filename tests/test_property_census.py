@@ -116,21 +116,26 @@ class TestCensusInvariants:
 
 
 class TestDynamicCensusInvariants:
+    """The dynamic controller's census over time, on arbitrary partitions."""
+
     @given(case=random_partitioned_deck())
     @settings(max_examples=15, deadline=None)
     def test_census_at_zero_equals_static(self, case):
         """Before detonation nothing burns: census_at(0) must be the static
         census, for any deck and partition."""
-        from repro.hydro import DynamicCensus
+        from repro.hydro import DynamicController, DynamicSpec
 
         deck, part = case
         faces = build_face_table(deck.mesh)
-        dyn = DynamicCensus.build(deck, part, faces=faces)
+        base = build_workload_census(deck, part, faces)
+        dyn = DynamicController(
+            deck, part, DynamicSpec(), faces=faces, base_census=base
+        )
         census = dyn.census_at(0.0)
         np.testing.assert_array_equal(
-            census.material_counts(), dyn.base.material_counts()
+            census.material_counts(), base.material_counts()
         )
-        assert census.shares_links(dyn.base)
+        assert census.shares_links(base)
 
     @given(
         case=random_partitioned_deck(),
@@ -140,10 +145,12 @@ class TestDynamicCensusInvariants:
     def test_ignited_cell_counts_are_monotone(self, case, times):
         """The burn front only advances: the set of cells whose burn has
         started grows monotonically with time."""
-        from repro.hydro import DynamicCensus
+        from repro.hydro import DynamicController, DynamicSpec
 
         deck, part = case
-        dyn = DynamicCensus.build(deck, part, faces=build_face_table(deck.mesh))
+        dyn = DynamicController(
+            deck, part, DynamicSpec(), faces=build_face_table(deck.mesh)
+        )
         counts = [
             int((dyn.burn.burn_fraction(t) > 0.0).sum()) for t in sorted(times)
         ]
@@ -157,14 +164,17 @@ class TestDynamicCensusInvariants:
     def test_effective_work_bounds(self, case, t):
         """Effective work per rank is bounded below by the static cell count
         and above by the fully-multiplied count."""
-        from repro.hydro import DynamicCensus
+        from repro.hydro import DynamicController, DynamicSpec
 
         deck, part = case
         mult = 4.0
-        dyn = DynamicCensus.build(
-            deck, part, burn_multiplier=mult, faces=build_face_table(deck.mesh)
+        faces = build_face_table(deck.mesh)
+        base = build_workload_census(deck, part, faces)
+        dyn = DynamicController(
+            deck, part, DynamicSpec(burn_multiplier=mult), faces=faces,
+            base_census=base,
         )
-        static = dyn.base.material_counts().sum(axis=1)
-        work = dyn.work_by_rank(t)
+        static = base.material_counts().sum(axis=1)
+        work = dyn.census_at(t).material_counts().sum(axis=1)
         assert np.all(work >= static - 1e-9)
         assert np.all(work <= mult * static + 1e-9)

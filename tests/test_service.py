@@ -149,6 +149,28 @@ def test_invalid_request_is_a_400(client):
     assert err.value.status == 400
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [{"dt": 0}, {"burn_multiplier": 0.5}, {"migration_bytes_per_cell": -1}],
+    ids=["zero-dt", "burn-below-one", "negative-migration"],
+)
+def test_invalid_dynamic_spec_is_refused_before_any_work(
+    client, monkeypatch, knobs
+):
+    """The spec's own checks answer 400 before the deck is assembled."""
+    import repro.core.pipeline as pipeline
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("an invalid request reached assembly")
+
+    monkeypatch.setattr(pipeline, "assemble", assemble)
+    body = dict(REQUEST.to_dict(), dynamic=dict({"policy": "never"}, **knobs))
+    with pytest.raises(ServiceError) as err:
+        client._call("POST", "/measure", body)
+    assert err.value.status == 400
+    assert err.value.payload["error"].startswith("invalid request: ")
+
+
 def _raw_status(server, message: bytes) -> int:
     """Send raw request bytes, close the write side, return the status."""
     with socket.create_connection((server.host, server.port), timeout=30) as sock:

@@ -337,3 +337,26 @@ class TestSuperstepScenario:
         monkeypatch.setattr(engine_module.Engine, "_dispatch", spy)
         assert diff_scenario(load_scenario(self.PATH)).ok
         assert picked[0] is True
+
+
+class TestDynamicChurnScenario:
+    """The committed dynamic SMP scenario CI replays with ``repro verify
+    diff``: an ``every:2`` policy with churn, so repartitions fire."""
+
+    PATH = Path(__file__).parent / "scenarios" / "dynamic_churn.json"
+
+    def test_replays_clean_with_repartitions(self):
+        from repro.hydro import run_krak
+        from repro.verify.scenarios import build_scenario, load_scenario
+
+        scenario = load_scenario(self.PATH)
+        outcome = verify_scenario(scenario)
+        assert outcome.ok, outcome.describe()
+        assert outcome.diff.max_rel_err == 0.0
+        built = build_scenario(scenario)
+        run = run_krak(
+            built.deck, built.partition, cluster=built.cluster,
+            iterations=built.iterations, faces=built.faces, census=built.census,
+            dynamic=built.dynamic, perturb=built.perturb,
+        )
+        assert run.dynamic.num_repartitions >= 1
