@@ -12,8 +12,10 @@ makes the request's content hash a sound cache key.
 Long-lived callers (sweep parents, the prediction service) ask about
 the same few decks and partitions again and again, so everything that
 depends only on a request's mesh-side fields — the deck, its partition and
-their workload census — is memoised per process (:func:`mesh_side`).  The
-partition ``.npz`` files under the cache dir stay the only persisted tier.
+their workload census — is memoised per process (:func:`mesh_side`), and so
+is the rank placement those fields fix with the machine and strategy
+(:func:`placed_cluster`).  The partition ``.npz`` files under the cache
+dir stay the only persisted tier.
 
 The module is store-agnostic: trace-fitted calibrations are loaded from
 any object with ``get(key)`` (the content-addressed
@@ -54,6 +56,7 @@ __all__ = [
     "faces_for",
     "fitted_calibration",
     "mesh_side",
+    "placed_cluster",
 ]
 
 
@@ -84,9 +87,11 @@ def faces_for(deck: InputDeck) -> FaceTable:
 
 
 #: Per-process memo of what a request's mesh-side fields fix: ``("deck",
-#: spec)`` → the deck, and ``("partition", spec, ranks, method, seed)`` →
-#: ``(deck, partition, census)``.  Entries of one deck share its deck
-#: object, and every array they hold is read-only.  The bound is in
+#: spec)`` → the deck, ``("partition", spec, ranks, method, seed)`` →
+#: ``(deck, partition, census)``, and that key extended by the cluster
+#: spec and placement strategy (``"placement"`` in front) → the
+#: :class:`~repro.placement.Placement`.  Entries of one deck share its
+#: deck object, and every array they hold is read-only.  The bound is in
 #: entries, so the memory held is at most ``_MEMO_MAX`` decks or
 #: partition-plus-census pairs of the decks served.
 _MESH_MEMO = LRUMemo(_MEMO_MAX)
@@ -104,6 +109,17 @@ def _read_only(value):
     return value
 
 
+def _mesh_key(request: PredictionRequest) -> tuple:
+    """``(deck size, ranks, partition method, seed)``: the request fields
+    that fix its deck, partition and census."""
+    return (
+        as_deck_size(request.deck),
+        request.ranks,
+        request.partition_method,
+        request.seed,
+    )
+
+
 def mesh_side(request: PredictionRequest) -> tuple:
     """``(deck, faces, partition, census)`` of a request's deck spec, rank
     count, partition method and seed, memoised per process.
@@ -113,12 +129,10 @@ def mesh_side(request: PredictionRequest) -> tuple:
     returned objects are shared by every request with the same mesh-side
     fields; their arrays are read-only.
     """
-    spec = as_deck_size(request.deck)
-    key = (
-        "partition", spec, request.ranks, request.partition_method, request.seed
-    )
+    key = ("partition", *_mesh_key(request))
     entry = _MESH_MEMO.get(key)
     if entry is None:
+        spec = key[1]
         deck = _MESH_MEMO.get(("deck", spec))
         if deck is None:
             deck = _read_only(build_deck(spec))
@@ -167,6 +181,29 @@ def apply_placement(
             seed=seed,
         )
     )
+
+
+def placed_cluster(
+    request: PredictionRequest, cluster: ClusterConfig, census: WorkloadCensus
+) -> ClusterConfig:
+    """``cluster`` with the request's placement installed, the placement
+    memoised per process.
+
+    The placement is fixed by the mesh-side fields (through ``census``),
+    the cluster spec and the strategy, so those request fields are its
+    key.  A miss builds it with :func:`apply_placement`; its
+    ``node_of_rank`` is read-only because every request with the key
+    shares it.
+    """
+    key = ("placement", *_mesh_key(request), request.cluster, request.placement)
+    placement = _MESH_MEMO.get(key)
+    if placement is None:
+        placed = apply_placement(
+            cluster, request.placement, request.ranks, census, seed=request.seed
+        )
+        placement = _read_only(placed.hierarchy.placement)
+        _MESH_MEMO.put(key, placement)
+    return cluster.with_placement(placement)
 
 
 def calibration_key(cluster: ClusterConfig, sides) -> str:
@@ -259,10 +296,11 @@ class Assembled:
 def assemble(request: PredictionRequest, store=None) -> Assembled:
     """Build every live object ``request`` describes.
 
-    The deck, partition and census come from the per-process
-    :func:`mesh_side` memo; the cluster, calibration and placement are
-    resolved per request.  ``store`` holds the trace-fitted calibration a
-    request may reference (see :func:`fitted_calibration`).
+    The deck, partition, census and placement come from the per-process
+    :func:`mesh_side` and :func:`placed_cluster` memos; the cluster and
+    calibration are resolved per request.  ``store`` holds the
+    trace-fitted calibration a request may reference (see
+    :func:`fitted_calibration`).
     """
     cluster = request.cluster.build()
     if request.calibration is not None:
@@ -292,9 +330,7 @@ def assemble(request: PredictionRequest, store=None) -> Assembled:
 
     deck, faces, partition, census = mesh_side(request)
     if request.placement is not None:
-        cluster = apply_placement(
-            cluster, request.placement, request.ranks, census, seed=request.seed
-        )
+        cluster = placed_cluster(request, cluster, census)
     return Assembled(
         request=request,
         cluster=cluster,

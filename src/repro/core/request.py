@@ -158,8 +158,17 @@ class PredictionRequest:
             raise ValueError("max_side must be >= 1")
         if not 0 <= self.warmup < self.iterations:
             raise ValueError("need 0 <= warmup < iterations")
-        if self.placement is not None and not self.cluster.smp:
-            raise ValueError("a placement requires an SMP cluster spec")
+        if self.placement is not None:
+            if not self.cluster.smp:
+                raise ValueError("a placement requires an SMP cluster spec")
+            from repro.placement.strategies import parse_strategy
+
+            name, seed = parse_strategy(self.placement)
+            if name == "random" and seed is None and self.seed < 0:
+                raise ValueError(
+                    "a random placement needs a non-negative seed, "
+                    f"got {self.seed}"
+                )
         if self.perturb is not None:
             if self.perturb.has_churn and self.dynamic is None:
                 raise ValueError(

@@ -91,6 +91,39 @@ def random_placement(num_ranks: int, ranks_per_node: int, seed: int = 0) -> Plac
     )
 
 
+def parse_strategy(strategy: str) -> tuple[str, int | None]:
+    """``(name, seed)`` of a strategy token: ``name`` is one of
+    :data:`STRATEGIES` and ``seed`` the ``random:<seed>`` suffix (``None``
+    when absent).  Raises ``ValueError`` on an unknown name or a suffix
+    that is not a non-negative integer, so a request can be refused before
+    any work.
+
+    >>> parse_strategy("roundrobin"), parse_strategy("random:7")
+    (('round-robin', None), ('random', 7))
+    """
+    token = strategy.strip()
+    if token == "roundrobin":
+        return "round-robin", None
+    if token.startswith("random:"):
+        suffix = token.split(":", 1)[1]
+        try:
+            seed = int(suffix)
+        except ValueError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ValueError(
+                f"random placement seed must be a non-negative integer, "
+                f"got {suffix!r}"
+            )
+        return "random", seed
+    if token in STRATEGIES:
+        return token, None
+    raise ValueError(
+        f"unknown placement strategy {strategy!r}; options: "
+        + ", ".join(STRATEGIES)
+    )
+
+
 def make_placement(
     strategy: str,
     num_ranks: int,
@@ -112,30 +145,25 @@ def make_placement(
     makespan-aligned objective); otherwise it falls back to unpriced
     inter-node bytes.
     """
-    token = strategy.strip()
-    if token == "block":
+    name, token_seed = parse_strategy(strategy)
+    if name == "block":
         return block_placement(num_ranks, ranks_per_node)
-    if token in ("round-robin", "roundrobin"):
+    if name == "round-robin":
         return round_robin_placement(num_ranks, ranks_per_node)
-    if token == "random" or token.startswith("random:"):
-        if ":" in token:
-            seed = int(token.split(":", 1)[1])
+    if name == "random":
+        if token_seed is not None:
+            seed = token_seed
         return random_placement(num_ranks, ranks_per_node, seed=seed)
-    if token == "comm-aware":
-        if census is not None and cluster is not None and cluster.hierarchy is not None:
-            if census.num_ranks != num_ranks:
-                raise ValueError("census does not match num_ranks")
-            return optimize_placement(census, cluster)
-        if graph is None:
-            if census is None:
-                raise ValueError(
-                    "comm-aware placement needs a census or communication graph"
-                )
-            graph = rank_comm_bytes(census)
-        if graph.num_ranks != num_ranks:
-            raise ValueError("communication graph does not match num_ranks")
-        return comm_aware_placement(graph, ranks_per_node)
-    raise ValueError(
-        f"unknown placement strategy {strategy!r}; options: "
-        + ", ".join(STRATEGIES)
-    )
+    if census is not None and cluster is not None and cluster.hierarchy is not None:
+        if census.num_ranks != num_ranks:
+            raise ValueError("census does not match num_ranks")
+        return optimize_placement(census, cluster)
+    if graph is None:
+        if census is None:
+            raise ValueError(
+                "comm-aware placement needs a census or communication graph"
+            )
+        graph = rank_comm_bytes(census)
+    if graph.num_ranks != num_ranks:
+        raise ValueError("communication graph does not match num_ranks")
+    return comm_aware_placement(graph, ranks_per_node)

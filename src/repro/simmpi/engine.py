@@ -304,17 +304,28 @@ class Engine:
                 # All sends on a key come from one rank in program order and
                 # all receives from one rank in program order, so the k-th
                 # send pairs the k-th receive statically.  Encode each
-                # (src, dst, tag) as one integer (tags compressed through
-                # np.unique) and line the two sorted streams up.
-                p2p_idx = np.flatnonzero(
-                    (opcode == simc.OP_ISEND) | (opcode == simc.OP_RECV)
-                )
-                uniq_tags, p2p_inv = np.unique(bcol[p2p_idx], return_inverse=True)
-                num_tags = np.int64(uniq_tags.size)
-                tag_inv = np.zeros(n, dtype=np.int64)
-                tag_inv[p2p_idx] = p2p_inv
-                s_key = (s_src * R + s_dst) * num_tags + tag_inv[send_idx]
-                r_key = (r_src * R + r_dst) * num_tags + tag_inv[recv_idx]
+                # (src, dst, tag) as one integer and line the two sorted
+                # streams up.  Tags are offset by their minimum, which keeps
+                # both sorts' orders; only a span too wide for the key's
+                # int64 is compressed through np.unique instead.  A source
+                # out of range keys as rank R, past every send's key.
+                s_tag = bcol[send_idx]
+                r_tag = bcol[recv_idx]
+                lo = min(int(s_tag.min()), int(r_tag.min()))
+                span = max(int(s_tag.max()), int(r_tag.max())) - lo
+                r_src = np.where((r_src >= 0) & (r_src < R), r_src, R)
+                if (R * R + R) * (span + 1) < 2**63:
+                    num_tags = np.int64(span + 1)
+                    s_tag = s_tag - lo
+                    r_tag = r_tag - lo
+                else:
+                    uniq, inv = np.unique(
+                        np.concatenate([s_tag, r_tag]), return_inverse=True
+                    )
+                    num_tags = np.int64(uniq.size)
+                    s_tag, r_tag = inv[: s_tag.size], inv[s_tag.size :]
+                s_key = (s_src * R + s_dst) * num_tags + s_tag
+                r_key = (r_src * R + r_dst) * num_tags + r_tag
                 s_order = np.argsort(s_key, kind="stable")
                 r_order = np.argsort(r_key, kind="stable")
                 s_sorted = s_key[s_order]

@@ -218,16 +218,16 @@ class TestResume:
         """A task that raises in the pool must not discard siblings'
         completed results — they land in the store and replay on retry."""
         good = tiny_spec.tasks()[:2]
-        # A valid request whose placement strategy fails in the worker.
+        # A valid request whose fitted calibration fails in the worker:
+        # the worker has no store to load it from.
         bad = dataclasses.replace(
             good[0],
             request=dataclasses.replace(
-                good[0].request, ranks=4, cluster=ClusterSpec(smp=True),
-                placement="psychic",
+                good[0].request, ranks=4, calibration="0" * 64
             ),
         )
         store = prediction_store()
-        with pytest.raises(ValueError, match="psychic"):
+        with pytest.raises(ValueError, match="fitted calibration"):
             run_points(good + [bad], jobs=2, store=store)
         # Both good points were preserved; retrying them is pure replay.
         retry = run_points(good, jobs=2, store=store)

@@ -141,6 +141,48 @@ class TestBitwiseAgreement:
             float(starts[4].max() - starts[1].max()) / 3
         )
 
+    @pytest.mark.parametrize(
+        "tags",
+        [(-7, -1, 0, 5, 2**40), (-(2**62), 3, 2**62)],
+        ids=["offset", "too-wide-for-offset"],
+    )
+    def test_negative_and_widely_spaced_tags(self, tags):
+        # Receive matching keys tags by their offset from the smallest, and
+        # falls back to compressing them when the span would overflow the
+        # int64 key.  Either way the match equals that of small tags in
+        # the same order, and the prices equal the oracle's.
+        def program(tag_values):
+            def make(rank):
+                ranks = 4
+                right, left = (rank + 1) % ranks, (rank - 1) % ranks
+                yield Compute(1e-6 * (rank + 1))
+                for tag in tag_values:
+                    yield Isend(right, tag=tag, nbytes=100.0 * (rank + 1))
+                    yield Isend(right, tag=tag, nbytes=7.0)
+                yield WaitSends()
+                for tag in reversed(tag_values):
+                    yield Recv(left, tag=tag)
+                    yield Recv(left, tag=tag)
+                yield Barrier()
+
+            return make
+
+        make = program(tags)
+        batch, oracle = run_against_oracle(flat_cluster(), 4, make)
+        assert_matches_oracle(batch, oracle)
+        engine = Engine(flat_cluster(), 4, 2)
+        small = program(tuple(range(len(tags))))
+        job = engine._resolve(hand_compile(make, 4))
+        assert np.array_equal(
+            job.match, engine._resolve(hand_compile(small, 4)).match
+        )
+        # Every receive meets a send on its own (src, dst, tag) key.
+        recv, send = job.recv_idx, job.match[job.recv_idx]
+        assert (send >= 0).all() and recv.size == 4 * 2 * len(tags)
+        assert np.array_equal(job.rank_of[send], job.acol[recv])
+        assert np.array_equal(job.acol[send], job.rank_of[recv])
+        assert np.array_equal(job.bcol[send], job.bcol[recv])
+
     def test_forced_batch_engine_on_compiled_program(self):
         # Engine.run lowers generators itself and runs the same core.
         make = mixed_program(4)

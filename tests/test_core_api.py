@@ -109,6 +109,18 @@ def test_request_placement_requires_smp():
         PredictionRequest(placement="round-robin")
 
 
+@pytest.mark.parametrize("strategy", ["bogus", "random:abc", "random:-1"])
+def test_request_rejects_a_bad_placement_strategy(strategy):
+    with pytest.raises(ValueError, match="placement"):
+        PredictionRequest(cluster=ClusterSpec(smp=True), placement=strategy)
+
+
+def test_request_random_placement_needs_a_non_negative_seed():
+    with pytest.raises(ValueError, match="non-negative seed"):
+        PredictionRequest(cluster=ClusterSpec(smp=True), placement="random", seed=-1)
+    PredictionRequest(cluster=ClusterSpec(smp=True), placement="random:2", seed=-1)
+
+
 def test_weak_request_constraints():
     with pytest.raises(ValueError):
         PredictionRequest(deck="weak:64", models=("homogeneous",))
@@ -347,3 +359,54 @@ def test_warm_mesh_memo_answers_equal_cold(cold_mesh_memo, request_):
     cold_mesh_memo.clear()
     assert measure(request_) == cold
 
+
+def _smp_request(placement="comm-aware", seed=1, **cluster):
+    return PredictionRequest(
+        deck="16x8", ranks=8, max_side=16, seed=seed,
+        cluster=ClusterSpec(smp=True, **cluster), placement=placement,
+    )
+
+
+def test_placement_memo_hit_returns_the_same_placement(cold_mesh_memo):
+    first = assemble(_smp_request()).cluster.hierarchy.placement
+    again = assemble(_smp_request()).cluster.hierarchy.placement
+    assert again is first
+    with pytest.raises(ValueError, match="read-only"):
+        first.node_of_rank[0] = first.node_of_rank[0]
+
+
+def test_placement_memo_misses_only_on_a_new_key(cold_mesh_memo, monkeypatch):
+    import repro.placement
+
+    calls = []
+    make_placement = repro.placement.make_placement
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return make_placement(*args, **kwargs)
+
+    monkeypatch.setattr(repro.placement, "make_placement", counting)
+    requests = [
+        _smp_request(),
+        _smp_request("block"),
+        _smp_request("random:3"),
+        _smp_request("random:4"),
+        _smp_request(seed=2),
+        _smp_request(ranks_per_node=2),
+        _smp_request(intra_latency=1e-6),
+    ]
+    for request in requests:
+        assemble(request)
+    assert len(calls) == len(requests)
+    for request in requests:
+        assemble(request)
+    assert len(calls) == len(requests)
+    # One deck, its partitions under seeds 1 and 2, one placement each.
+    assert len(cold_mesh_memo) == 3 + len(requests)
+
+
+@pytest.mark.parametrize("strategy", ["block", "round-robin", "random:3", "comm-aware"])
+def test_warm_placement_answers_equal_cold(cold_mesh_memo, strategy):
+    request = _smp_request(strategy)
+    cold = measure(request).to_payload()
+    assert measure(request).to_payload() == cold

@@ -171,6 +171,26 @@ def test_invalid_dynamic_spec_is_refused_before_any_work(
     assert err.value.payload["error"].startswith("invalid request: ")
 
 
+@pytest.mark.parametrize("placement", ["bogus", "random:abc", "random:-1"])
+def test_invalid_placement_is_refused_before_any_work(
+    client, monkeypatch, placement
+):
+    """The strategy is parsed with the request: 400 before any partition."""
+    import repro.core.pipeline as pipeline
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("an invalid request reached assembly")
+
+    monkeypatch.setattr(pipeline, "assemble", assemble)
+    body = dict(REQUEST.to_dict(), placement=placement)
+    body["cluster"] = dict(body["cluster"], smp=True)
+    with pytest.raises(ServiceError) as err:
+        client._call("POST", "/measure", body)
+    assert err.value.status == 400
+    assert err.value.payload["error"].startswith("invalid request: ")
+    assert "placement" in err.value.payload["error"]
+
+
 def _raw_status(server, message: bytes) -> int:
     """Send raw request bytes, close the write side, return the status."""
     with socket.create_connection((server.host, server.port), timeout=30) as sock:
