@@ -13,9 +13,10 @@ Long-lived callers (sweep parents, the prediction service) ask about
 the same few decks and partitions again and again, so everything that
 depends only on a request's mesh-side fields — the deck, its partition and
 their workload census — is memoised per process (:func:`mesh_side`), and so
-is the rank placement those fields fix with the machine and strategy
-(:func:`placed_cluster`).  The partition ``.npz`` files under the cache
-dir stay the only persisted tier.
+are the rank placement those fields fix with the machine and strategy
+(:func:`placed_cluster`) and the engine structure of the static job they
+fix with the iteration count (:func:`static_result`).  The partition ``.npz``
+files under the cache dir stay the only persisted tier.
 
 The module is store-agnostic: trace-fitted calibrations are loaded from
 any object with ``get(key)`` (the content-addressed
@@ -32,6 +33,7 @@ import numpy as np
 
 from repro.core.parsing import as_deck_size, is_weak_deck, weak_cells_per_rank
 from repro.core.request import PredictionRequest
+from repro.hydro.driver import run_static
 from repro.hydro.workload import WorkloadCensus, build_workload_census
 from repro.machine.cluster import ClusterConfig
 from repro.mesh.connectivity import FaceTable, build_face_table
@@ -44,8 +46,9 @@ from repro.perfmodel.calibrate import (
     default_sample_sides,
 )
 from repro.perfmodel.costcurves import CostTable
+from repro.simmpi.engine import SimResult
 from repro.util.artifacts import MODEL_VERSION, stable_hash
-from repro.util.lru import LRUMemo
+from repro.util.lru import LRUMemo, array_bytes
 
 __all__ = [
     "Assembled",
@@ -57,6 +60,7 @@ __all__ = [
     "fitted_calibration",
     "mesh_side",
     "placed_cluster",
+    "static_result",
 ]
 
 
@@ -86,15 +90,27 @@ def faces_for(deck: InputDeck) -> FaceTable:
     return faces
 
 
+#: Byte budget of :data:`_MESH_MEMO`: the arrays of its entries, summed
+#: (:func:`~repro.util.lru.array_bytes`), a deck counted in its own
+#: entry only.  A process serving the medium deck at 16, 64 and 256 ranks,
+#: flat and SMP with comm-aware placement, holds 32,384,182 B (30.9 MiB):
+#: the deck 10.95 MiB, the three partitions with their censuses 4.89 MiB,
+#: two placements 640 B and the three job structures 15.05 MiB (0.51, 2.76
+#: and 11.78 MiB).  The budget holds that four times over, or the large
+#: deck (43.8 MiB) with partitions and jobs of its own.
+_MESH_MAX_BYTES = 128 * 2**20
+
 #: Per-process memo of what a request's mesh-side fields fix: ``("deck",
 #: spec)`` → the deck, ``("partition", spec, ranks, method, seed)`` →
-#: ``(deck, partition, census)``, and that key extended by the cluster
-#: spec and placement strategy (``"placement"`` in front) → the
-#: :class:`~repro.placement.Placement`.  Entries of one deck share its
-#: deck object, and every array they hold is read-only.  The bound is in
-#: entries, so the memory held is at most ``_MEMO_MAX`` decks or
-#: partition-plus-census pairs of the decks served.
-_MESH_MEMO = LRUMemo(_MEMO_MAX)
+#: ``(deck, partition, census)``, that key extended by the cluster spec and
+#: placement strategy (``"placement"`` in front) → the
+#: :class:`~repro.placement.Placement`, and extended by the iteration
+#: count instead (``"job"`` in front) → the static job's
+#: :class:`~repro.simmpi.engine.JobStructure`.  Every array they hold is
+#: read-only.  The memo is bounded both in entries and in bytes
+#: (:data:`_MESH_MAX_BYTES`); a partition entry is charged without its
+#: deck.
+_MESH_MEMO = LRUMemo(_MEMO_MAX, max_bytes=_MESH_MAX_BYTES)
 
 
 def _read_only(value):
@@ -147,7 +163,9 @@ def mesh_side(request: PredictionRequest) -> tuple:
         )
         census = build_workload_census(deck, partition, faces)
         entry = (deck, _read_only(partition), _read_only(census))
-        _MESH_MEMO.put(key, entry)
+        # The deck is charged to its own entry; this one keeps it for as
+        # long as it lives, also once that entry is evicted or refused.
+        _MESH_MEMO.put(key, entry, nbytes=array_bytes(entry[1:]))
     deck, partition, census = entry
     return deck, faces_for(deck), partition, census
 
@@ -204,6 +222,25 @@ def placed_cluster(
         placement = _read_only(placed.hierarchy.placement)
         _MESH_MEMO.put(key, placement)
     return cluster.with_placement(placement)
+
+
+def static_result(request: PredictionRequest, asm: "Assembled") -> SimResult:
+    """The request's static, unperturbed Krak run on its machine, the
+    job's engine structure memoised per process.
+
+    The structure depends only on the census and the iteration count, so
+    its key is the request's mesh-side fields and ``iterations``: requests
+    that differ only in the machine (flat or SMP, ``speed``, the
+    ``intra_*`` knobs, a fitted calibration) or the placement share it.
+    A miss lowers the job (:func:`~repro.hydro.driver.run_static`); a hit
+    prices it without lowering, bitwise the same.
+    """
+    key = ("job", *_mesh_key(request), request.iterations)
+    structure = _MESH_MEMO.get(key)
+    result, built = run_static(asm.census, asm.cluster, request.iterations, structure)
+    if structure is None:
+        _MESH_MEMO.put(key, built)
+    return result
 
 
 def calibration_key(cluster: ClusterConfig, sides) -> str:

@@ -12,7 +12,7 @@ prediction service) is a thin shell over these two calls, and
 
 from __future__ import annotations
 
-from repro.core.assemble import Assembled, assemble
+from repro.core.assemble import Assembled, assemble, static_result
 from repro.core.parsing import is_weak_deck
 from repro.core.request import PredictionRequest, PredictionResult
 from repro.hydro.driver import measure_iteration_time
@@ -85,12 +85,16 @@ def predict_models(deck, census, num_ranks, cluster, table, models) -> dict:
 def _measure_seconds(asm: Assembled, request: PredictionRequest) -> float:
     """One simulated measurement; a dynamic spec's window wins.
 
-    ``request.perturb`` reaches only this measurement path: model
-    predictions are always priced on the clean machine, so perturbed
-    results quantify how far injected noise pushes "reality" away from the
-    model.
+    A static, unperturbed request reuses its partition's memoised job
+    structure (:func:`~repro.core.assemble.static_result`).  ``request.perturb``
+    reaches only this measurement path: model predictions are always
+    priced on the clean machine, so perturbed results quantify how far
+    injected noise pushes "reality" away from the model.
     """
     window = request if request.dynamic is None else request.dynamic
+    if request.dynamic is None and request.perturb is None:
+        trace = static_result(request, asm).trace
+        return trace.mean_iteration_time(window.warmup, window.iterations)
     return measure_iteration_time(
         asm.deck,
         asm.partition,

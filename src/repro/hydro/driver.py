@@ -26,7 +26,7 @@ from repro.mesh.deck import InputDeck
 from repro.partition.base import Partition
 from repro.perturb import FAILURE_PHASE, Perturbation, PerturbSpec, degrade_cluster
 from repro.simmpi.compile import ProgramWriter
-from repro.simmpi.engine import Engine, SimResult
+from repro.simmpi.engine import Engine, JobStructure, SimResult
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,18 @@ def run_krak(
         raise ValueError("perturbed runs execute in census (timing) mode only")
     if functional and dynamic is not None:
         raise ValueError("dynamic workloads run in census (timing) mode only")
-    engine, table, cluster, census, controller = _krak_job(
-        deck, partition, cluster, iterations, faces, census, dynamic, perturb
-    )
-    result = engine.run_compiled(table)
+    controller = None
+    if dynamic is None and perturb is None:
+        if cluster is None:
+            cluster = es45_like_cluster()
+        if census is None:
+            census = build_workload_census(deck, partition, faces)
+        result, _ = run_static(census, cluster, iterations)
+    else:
+        engine, table, cluster, census, controller = _krak_job(
+            deck, partition, cluster, iterations, faces, census, dynamic, perturb
+        )
+        result = engine.run_compiled(table)
     states = diagnostics = None
     if functional:
         states = build_rank_states(deck, partition)
@@ -136,7 +144,8 @@ def run_krak(
 
 def _krak_job(deck, partition, cluster, iterations, faces, census, dynamic, perturb):
     """The engine and the one lowered table of every rank that
-    :func:`run_krak` prices, with the (possibly degraded) machine, the
+    :func:`run_krak` prices for a dynamic or perturbed job (a static one
+    takes :func:`run_static`), with the (possibly degraded) machine, the
     census and the dynamic controller they were built from.  Each call
     builds a fresh controller, so the table is the same every time."""
     if cluster is None:
@@ -188,6 +197,35 @@ def _krak_job(deck, partition, cluster, iterations, faces, census, dynamic, pert
     ).lower_into(writer)
     engine = Engine(cluster, partition.num_ranks, num_phases)
     return engine, writer.finish(), cluster, census, controller
+
+
+def run_static(
+    census: WorkloadCensus,
+    cluster: ClusterConfig,
+    iterations: int,
+    structure: JobStructure | None = None,
+) -> tuple[SimResult, JobStructure]:
+    """Run a static, unperturbed job on ``cluster``: ``(result, structure)``.
+
+    The one run path of such a job: :func:`run_krak` calls it without
+    ``structure``, so the job is lowered and its engine structure built,
+    as :meth:`~repro.simmpi.engine.Engine.run_compiled` would.  Given the
+    structure of an earlier call on the same census and iteration count
+    (:func:`repro.core.assemble.static_result` memoises it), nothing is
+    lowered: only the compute seconds and the machine are priced.  The
+    result is bitwise the same either way.
+    """
+    program = KrakProgram(census=census, node_model=cluster.node, iterations=iterations)
+    engine = Engine(cluster, census.num_ranks, NUM_PHASES)
+    if structure is None:
+        writer = ProgramWriter()
+        program.lower_into(writer)
+        table = writer.finish()
+        structure = engine.structure(table)
+        seconds = table.farg[structure.compute_idx]
+    else:
+        seconds = program.compute_seconds()
+    return engine.price(structure, seconds), structure
 
 
 def measure_iteration_time(

@@ -154,6 +154,22 @@ class KrakProgram:
         table.add_uniform(_uniform([(simc.OP_MARK, 0.0, iterations, 0)]))
         writer.load(*table.assemble())
 
+    def compute_seconds(self) -> np.ndarray:
+        """A static job's compute charges in table order, without lowering.
+
+        Rank by rank, iteration by iteration, phase by phase: bitwise the
+        compute rows of the table :meth:`lower_into` writes, from the same
+        :meth:`~repro.machine.node.NodeModel.phase_times_grid` call.  A
+        dynamic or perturbed job has no such shortcut.
+        """
+        if self.dynamic is not None or self.perturb is not None:
+            raise ValueError("only a static, unperturbed job has fixed compute rows")
+        census = self.census
+        times = self.node_model.phase_times_grid(
+            census.cell_profiles, census.profile_of_rank, range(self.iterations)
+        )
+        return times[:, :, :_NUM_PHASES].transpose(1, 0, 2).reshape(-1)
+
     def _lower_failure(self, it: int, table: "_RankMajor") -> None:
         """Iteration ``it``'s rank failure, if one fires: the rows of
         :meth:`rank_ops`' failure block for every rank."""

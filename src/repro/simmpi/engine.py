@@ -18,12 +18,15 @@ Timing rules (see :mod:`repro.machine`):
   binary-tree time; all ranks resume synchronised at completion.
 
 Programs arrive lowered to columnar event tables
-(:mod:`repro.simmpi.compile`) and are priced by :meth:`Engine.run_compiled`.
-A shared set-up resolves everything the clocks do not decide,
-array-at-a-time: phase attribution, one vectorized ``send_times_many``
-sweep for every message, static FIFO send/recv matching via one sort,
-collective sequence ids and mark slots.  One of two executors then
-advances the clocks:
+(:mod:`repro.simmpi.compile`) and are priced by :meth:`Engine.run_compiled`
+in two passes, array-at-a-time.  The *structure* (:meth:`Engine.structure`)
+resolves everything the table alone decides: phase attribution, the range
+and root checks, static FIFO send/recv matching via one sort, collective
+sequence ids and the superstep schedule.  It reads no machine parameter,
+so one structure prices on any cluster of its rank count.  The *pricing*
+pass (:meth:`Engine.price`) takes the compute seconds and the machine: one
+vectorized ``send_times_many`` sweep for every message and the host
+overheads.  One of two executors then advances the clocks:
 
 * the **per-rank** executor runs any table: a tight per-rank advance
   kernel (:mod:`repro.simmpi._kernels`) over Python lists that touches
@@ -39,8 +42,8 @@ advances the clocks:
 Schedule independence makes "every send of a superstep before any of its
 receives" a valid schedule, and each rank performs the same IEEE operations
 in its own program order under either executor, so their results are
-bitwise identical.  ``run_compiled`` takes the superstep executor only
-where it is the faster one (:data:`_ROWS_PER_STEP`).  :meth:`Engine.run`
+bitwise identical.  ``price`` takes the superstep executor only where it
+is the faster one (:data:`_ROWS_PER_STEP`).  :meth:`Engine.run`
 is the convenience for hand-written generator programs: it lowers every
 rank into one table with :func:`~repro.simmpi.compile.lower_programs` and
 runs the same core.  ``docs/engine.md`` describes both.
@@ -96,11 +99,20 @@ class SimResult:
         return float(self.final_clocks.max())
 
 
-class _Job(NamedTuple):
-    """One table with everything the clocks do not decide resolved: row
-    ``i``'s rank, phase, message pricing, matched send, superstep (the
-    collectives before it in its rank; a collective's own sequence id) and
-    mark slot."""
+class JobStructure(NamedTuple):
+    """One table with everything the machine does not decide resolved.
+
+    Row ``i``'s phase, matched send (``-1`` if none) and superstep (the
+    collectives before it in its rank; a collective's own sequence id);
+    the rows of each opcode that pricing reads, with each send's source
+    and each receive's ranks; and the superstep schedule, ``None`` for a
+    table only the per-rank executor runs.  ``farg`` holds the message
+    and collective sizes, and ``0.0`` on compute rows, whose seconds are
+    priced per request in ``compute_idx`` order.  Integer columns other
+    than the ranks take the narrowest integer type that holds their
+    values, and every array is read-only, so one structure is shared by
+    every request that lowers the same table.
+    """
 
     num_ranks: int
     num_phases: int
@@ -109,18 +121,72 @@ class _Job(NamedTuple):
     farg: np.ndarray
     acol: np.ndarray
     bcol: np.ndarray
-    rank_of: np.ndarray
     phase: np.ndarray
+    match: np.ndarray
+    step: np.ndarray
+    compute_idx: np.ndarray
+    send_idx: np.ndarray
+    recv_idx: np.ndarray
+    mark_idx: np.ndarray
+    send_src: np.ndarray
+    recv_src: np.ndarray
+    recv_dst: np.ndarray
+    plan: "_Plan | None"
+
+
+class _Priced(NamedTuple):
+    """A structure priced on one machine: the compute seconds in
+    ``compute_idx`` order; per send, its start-up, bandwidth term and send
+    overhead; per receive, its receive overhead.  Each per-message column
+    ends in the padding message's zero."""
+
+    structure: JobStructure
+    seconds: np.ndarray
     startup: np.ndarray
     bwcost: np.ndarray
     soh: np.ndarray
     roh: np.ndarray
-    match: np.ndarray
-    step: np.ndarray
-    send_idx: np.ndarray
-    recv_idx: np.ndarray
-    mark_idx: np.ndarray
-    mark_slot: np.ndarray
+
+
+_INT_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _column(values: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """A read-only copy of an integer column in the narrowest of int8 to
+    int64 that holds its values.
+
+    ``bound`` is a known limit of the values' magnitude; without one the
+    values are scanned.
+    """
+    if bound is None:
+        bound = max(-int(values.min()) - 1, int(values.max())) if values.size else 0
+    dtype = next(t for t in _INT_TYPES if bound <= np.iinfo(t).max)
+    out = values.astype(dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """A read-only ``intp`` copy of a rank column.
+
+    Rank columns reach machine code (``same_node_mask`` divides them by
+    ``ranks_per_node``, which may exceed what a narrower type holds), so
+    they are never narrowed.
+    """
+    out = values.astype(np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _read_only(*arrays) -> tuple:
+    """``arrays``, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+#: The structure's columns of row ids.
+_ROW_IDS = ("match", "compute_idx", "send_idx", "recv_idx", "mark_idx")
 
 
 class Engine:
@@ -180,24 +246,43 @@ class Engine:
     def run_compiled(self, compiled: simc.CompiledProgram) -> SimResult:
         """Execute a pre-lowered columnar table of every rank array-at-a-time.
 
-        Pricing (``send_times_many``), send/recv matching (one stable sort),
-        host overheads, and phase attribution are all resolved up front with
-        vectorized sweeps.  A regular table with enough message rows per
-        vector step then runs superstep by superstep, every rank at once;
-        any other runs through the per-rank advance kernel and its
-        rendezvous orchestrator.
+        Builds the table's :meth:`structure` and prices it with the
+        table's own compute seconds (:meth:`price`).  A regular table with
+        enough message rows per vector step then runs superstep by
+        superstep, every rank at once; any other runs through the per-rank
+        advance kernel and its rendezvous orchestrator.
         """
-        job = self._resolve(compiled)
+        structure = self.structure(compiled)
+        return self.price(structure, compiled.farg[structure.compute_idx])
+
+    def price(self, structure: JobStructure, seconds: np.ndarray) -> SimResult:
+        """Run ``structure`` on this engine's machine, its compute rows
+        charging ``seconds`` (in ``structure.compute_idx`` order).
+
+        ``structure`` may come from another engine of the same rank and
+        phase counts: nothing in it depends on the machine.
+        """
+        if (structure.num_ranks, structure.num_phases) != (
+            self.num_ranks, self.num_phases
+        ):
+            raise ValueError(
+                f"structure of {structure.num_ranks} ranks and "
+                f"{structure.num_phases} phases on an engine of "
+                f"{self.num_ranks} ranks and {self.num_phases} phases"
+            )
+        job = self._priced(structure, seconds)
         plan = self._dispatch(job)
         if plan is not None:
             return self._run_supersteps(job, plan)
         return self._run_per_rank(job)
 
-    def _dispatch(self, job: _Job):
-        """The superstep plan when that executor is the faster one, else ``None``."""
-        if job.num_ranks < _ROWS_PER_STEP:
+    def _dispatch(self, job: _Priced):
+        """The superstep plan when that executor runs ``job``, else ``None``:
+        the structure has a plan and every compute second is finite."""
+        plan = job.structure.plan
+        if plan is None or not np.isfinite(job.seconds).all():
             return None
-        return _superstep_plan(job, _ROWS_PER_STEP)
+        return plan
 
     def _run_other(self, compiled: simc.CompiledProgram) -> SimResult | None:
         """Price ``compiled`` with the executor :meth:`run_compiled` does
@@ -206,16 +291,32 @@ class Engine:
         The differential verifier (:mod:`repro.verify.diff`) holds the two
         to bitwise equality on every seed.
         """
-        job = self._resolve(compiled)
+        structure = self.structure(compiled)
+        job = self._priced(structure, compiled.farg[structure.compute_idx])
         if self._dispatch(job) is not None:
             return self._run_per_rank(job)
-        plan = _superstep_plan(job, 0.0)
+        job = job._replace(structure=self._structure(compiled, 0.0))
+        plan = self._dispatch(job)
         return None if plan is None else self._run_supersteps(job, plan)
 
-    # -------------------------------------------------------- shared set-up
+    # ------------------------------------------------------------ structure
 
-    def _resolve(self, compiled: simc.CompiledProgram) -> _Job:
-        """Everything the clocks do not decide, as whole-table arrays."""
+    def structure(self, compiled: simc.CompiledProgram) -> JobStructure:
+        """Everything ``compiled`` alone decides, as whole-table arrays.
+
+        The table is planned for the superstep executor where that
+        executor is the faster one (:data:`_ROWS_PER_STEP`).  Reads no
+        machine parameter of this engine.
+        """
+        return self._structure(compiled, _ROWS_PER_STEP)
+
+    def _structure(
+        self, compiled: simc.CompiledProgram, min_rows_per_step: float
+    ) -> JobStructure:
+        """:meth:`structure`, planned when the table is regular and has at
+        least ``min_rows_per_step`` message rows per vector step
+        (:func:`_superstep_plan`); a job of fewer ranks than that is not
+        planned."""
         R = self.num_ranks
         if compiled.num_ranks != R:
             raise ValueError(f"expected {R} ranks, got {compiled.num_ranks}")
@@ -224,15 +325,9 @@ class Engine:
         counts = np.diff(off)
         n = int(off[-1])
         opcode = compiled.opcode
-        farg = compiled.farg
         acol = compiled.a
         bcol = compiled.b
         rank_of = np.repeat(np.arange(R, dtype=np.int64), counts)
-        hierarchy = self.cluster.hierarchy
-        if hierarchy is not None:
-            intra_send, intra_recv = hierarchy.intra_overheads(
-                self._send_overhead, self._recv_overhead
-            )
 
         # --- static phase attribution: every op takes the latest SetPhase
         # at or before it in its own rank's stream (phase 0 before any).
@@ -246,12 +341,8 @@ class Engine:
         own_rank = last_sp >= off[:-1][rank_of]
         phase = np.where(own_rank, acol[np.maximum(last_sp, 0)], 0)
 
-        # --- sends: validate, then price every message in one sweep.
+        # --- sends: every destination a rank other than the sender's own.
         send_idx = np.flatnonzero(opcode == simc.OP_ISEND)
-        startup = np.zeros(n)
-        bwcost = np.zeros(n)
-        soh = np.zeros(n)
-        roh = np.zeros(n)
         s_src = rank_of[send_idx]
         s_dst = acol[send_idx]
         if send_idx.size:
@@ -262,20 +353,6 @@ class Engine:
                 )
             if (s_dst == s_src).any():
                 raise ValueError("self-sends are not supported")
-            sizes = farg[send_idx]
-            if hierarchy is None:
-                lat, bwt = self.cluster.network.send_times_many(sizes)
-                soh[send_idx] = self._send_overhead
-            else:
-                intra = hierarchy.same_node_mask(s_src, s_dst)
-                lat, bwt = hierarchy.inter.send_times_many(sizes)
-                if intra.any():
-                    ilat, ibwt = hierarchy.intra.send_times_many(sizes[intra])
-                    lat[intra] = ilat
-                    bwt[intra] = ibwt
-                soh[send_idx] = np.where(intra, intra_send, self._send_overhead)
-            startup[send_idx] = lat
-            bwcost[send_idx] = bwt
 
         # --- collective roots: every Bcast and Gather root names a rank.
         coll_mask = opcode == simc.OP_COLL
@@ -287,58 +364,50 @@ class Engine:
             name = "Bcast" if bcol[g] == simc.COLL_BCAST else "Gather"
             raise ValueError(f"{name} root {int(acol[g])} out of range")
 
-        # --- receives: overheads + static FIFO matching (one stable sort).
+        # --- receives: static FIFO matching (one stable sort).
         recv_idx = np.flatnonzero(opcode == simc.OP_RECV)
+        r_src = acol[recv_idx]
+        r_dst = rank_of[recv_idx]
         match = np.full(n, -1, dtype=np.int64)
-        if recv_idx.size:
-            r_src = acol[recv_idx]
-            r_dst = rank_of[recv_idx]
-            if hierarchy is None:
-                roh[recv_idx] = self._recv_overhead
+        if recv_idx.size and send_idx.size:
+            # All sends on a key come from one rank in program order and
+            # all receives from one rank in program order, so the k-th
+            # send pairs the k-th receive statically.  Encode each
+            # (src, dst, tag) as one integer and line the two sorted
+            # streams up.  Tags are offset by their minimum, which keeps
+            # both sorts' orders; only a span too wide for the key's
+            # int64 is compressed through np.unique instead.  A source
+            # out of range keys as rank R, past every send's key.
+            s_tag = bcol[send_idx]
+            r_tag = bcol[recv_idx]
+            lo = min(int(s_tag.min()), int(r_tag.min()))
+            span = max(int(s_tag.max()), int(r_tag.max())) - lo
+            key_src = np.where((r_src >= 0) & (r_src < R), r_src, R)
+            if (R * R + R) * (span + 1) < 2**63:
+                num_tags = np.int64(span + 1)
+                s_tag = s_tag - lo
+                r_tag = r_tag - lo
             else:
-                # Out-of-range sources can never match a validated send, so
-                # their (never-consulted) overhead may use a clipped rank.
-                intra = hierarchy.same_node_mask(np.clip(r_src, 0, R - 1), r_dst)
-                roh[recv_idx] = np.where(intra, intra_recv, self._recv_overhead)
-            if send_idx.size:
-                # All sends on a key come from one rank in program order and
-                # all receives from one rank in program order, so the k-th
-                # send pairs the k-th receive statically.  Encode each
-                # (src, dst, tag) as one integer and line the two sorted
-                # streams up.  Tags are offset by their minimum, which keeps
-                # both sorts' orders; only a span too wide for the key's
-                # int64 is compressed through np.unique instead.  A source
-                # out of range keys as rank R, past every send's key.
-                s_tag = bcol[send_idx]
-                r_tag = bcol[recv_idx]
-                lo = min(int(s_tag.min()), int(r_tag.min()))
-                span = max(int(s_tag.max()), int(r_tag.max())) - lo
-                r_src = np.where((r_src >= 0) & (r_src < R), r_src, R)
-                if (R * R + R) * (span + 1) < 2**63:
-                    num_tags = np.int64(span + 1)
-                    s_tag = s_tag - lo
-                    r_tag = r_tag - lo
-                else:
-                    uniq, inv = np.unique(
-                        np.concatenate([s_tag, r_tag]), return_inverse=True
-                    )
-                    num_tags = np.int64(uniq.size)
-                    s_tag, r_tag = inv[: s_tag.size], inv[s_tag.size :]
-                s_key = (s_src * R + s_dst) * num_tags + s_tag
-                r_key = (r_src * R + r_dst) * num_tags + r_tag
-                s_order = np.argsort(s_key, kind="stable")
-                r_order = np.argsort(r_key, kind="stable")
-                s_sorted = s_key[s_order]
-                r_sorted = r_key[r_order]
-                grp_new = np.ones(r_sorted.size, dtype=bool)
-                grp_new[1:] = r_sorted[1:] != r_sorted[:-1]
-                grp_start = np.flatnonzero(grp_new)
-                grp_len = np.diff(np.append(grp_start, r_sorted.size))
-                ordinal = np.arange(r_sorted.size) - np.repeat(grp_start, grp_len)
-                pos = np.searchsorted(s_sorted, r_sorted, side="left") + ordinal
-                ok = pos < s_sorted.size
-                ok[ok] = s_sorted[pos[ok]] == r_sorted[ok]
-                match[recv_idx[r_order[ok]]] = send_idx[s_order[pos[ok]]]
+                uniq, inv = np.unique(
+                    np.concatenate([s_tag, r_tag]), return_inverse=True
+                )
+                num_tags = np.int64(uniq.size)
+                s_tag, r_tag = inv[: s_tag.size], inv[s_tag.size :]
+            s_key = (s_src * R + s_dst) * num_tags + s_tag
+            r_key = (key_src * R + r_dst) * num_tags + r_tag
+            s_order = np.argsort(s_key, kind="stable")
+            r_order = np.argsort(r_key, kind="stable")
+            s_sorted = s_key[s_order]
+            r_sorted = r_key[r_order]
+            grp_new = np.ones(r_sorted.size, dtype=bool)
+            grp_new[1:] = r_sorted[1:] != r_sorted[:-1]
+            grp_start = np.flatnonzero(grp_new)
+            grp_len = np.diff(np.append(grp_start, r_sorted.size))
+            ordinal = np.arange(r_sorted.size) - np.repeat(grp_start, grp_len)
+            pos = np.searchsorted(s_sorted, r_sorted, side="left") + ordinal
+            ok = pos < s_sorted.size
+            ok[ok] = s_sorted[pos[ok]] == r_sorted[ok]
+            match[recv_idx[r_order[ok]]] = send_idx[s_order[pos[ok]]]
 
         # --- supersteps: the collectives before each row in its own rank,
         # which for a collective is its rendezvous sequence id.
@@ -350,31 +419,94 @@ class Engine:
         before_rank[nonempty_prefix] = coll_count[starts[nonempty_prefix] - 1]
         step = coll_count - coll_mask - before_rank[rank_of]
 
-        # --- iteration marks: static snapshot slots.
-        mark_idx = np.flatnonzero(opcode == simc.OP_MARK)
-        mark_slot = np.full(n, -1, dtype=np.int64)
-        mark_slot[mark_idx] = np.arange(mark_idx.size)
+        # --- sizes: the float column with the compute seconds left out.
+        compute_idx = np.flatnonzero(opcode == simc.OP_COMPUTE)
+        sizes = compiled.farg.copy()
+        sizes[compute_idx] = 0.0
 
-        return _Job(
+        job = JobStructure(
             num_ranks=R, num_phases=num_phases, off=off, opcode=opcode,
-            farg=farg, acol=acol, bcol=bcol, rank_of=rank_of, phase=phase,
-            startup=startup, bwcost=bwcost, soh=soh, roh=roh, match=match,
-            step=step, send_idx=send_idx, recv_idx=recv_idx,
-            mark_idx=mark_idx, mark_slot=mark_slot,
+            farg=sizes, acol=acol, bcol=bcol, phase=phase, match=match,
+            step=step, compute_idx=compute_idx, send_idx=send_idx,
+            recv_idx=recv_idx, mark_idx=np.flatnonzero(opcode == simc.OP_MARK),
+            # Out-of-range sources can never match a validated send, so
+            # their (never-consulted) overhead may use a clipped rank.
+            send_src=s_src, recv_src=np.clip(r_src, 0, R - 1), recv_dst=r_dst,
+            plan=None,
+        )
+        plan = None
+        if R >= min_rows_per_step:
+            plan = _superstep_plan(job, rank_of, min_rows_per_step)
+        # Row ids, ranks, phases and sequence ids have known bounds; the
+        # opcodes and the integer arguments are scanned.
+        sizes.flags.writeable = False
+        return job._replace(
+            off=_column(off, n), opcode=_column(opcode), acol=_column(acol),
+            bcol=_column(bcol), phase=_column(phase, num_phases),
+            step=_column(step, int(coll_count[-1]) if n else 0),
+            send_src=_ranks(s_src), recv_src=_ranks(job.recv_src),
+            recv_dst=_ranks(r_dst), plan=plan,
+            **{name: _column(getattr(job, name), n) for name in _ROW_IDS},
         )
 
-    def _result(self, job, clocks, comp_rows, comm_rows, mark_clock, mark_comp,
-                mark_comm) -> SimResult:
-        """Load the final rows and the mark snapshots into a trace."""
-        marks = [
-            (
-                int(job.rank_of[g]),
-                int(job.acol[g]),
-                float(mark_clock[slot]),
-                mark_comp[slot],
-                mark_comm[slot],
+    # -------------------------------------------------------------- pricing
+
+    def _priced(self, structure: JobStructure, seconds) -> _Priced:
+        """Price ``structure`` on this engine's machine: every message in
+        one ``send_times_many`` sweep, split inter/intra-node on an SMP
+        hierarchy, and the host overheads."""
+        seconds = np.asarray(seconds, dtype=np.float64)
+        if seconds.shape != structure.compute_idx.shape:
+            raise ValueError(
+                f"expected {structure.compute_idx.size} compute seconds, "
+                f"got {seconds.shape}"
             )
-            for slot, g in enumerate(job.mark_idx.tolist())
+        send_idx = structure.send_idx
+        ns, nr = send_idx.size, structure.recv_idx.size
+        startup = np.zeros(ns + 1)
+        bwcost = np.zeros(ns + 1)
+        soh = np.zeros(ns + 1)
+        roh = np.zeros(nr + 1)
+        hierarchy = self.cluster.hierarchy
+        if hierarchy is not None:
+            intra_send, intra_recv = hierarchy.intra_overheads(
+                self._send_overhead, self._recv_overhead
+            )
+        if ns:
+            sizes = structure.farg[send_idx]
+            if hierarchy is None:
+                lat, bwt = self.cluster.network.send_times_many(sizes)
+                soh[:ns] = self._send_overhead
+            else:
+                intra = hierarchy.same_node_mask(
+                    structure.send_src, structure.acol[send_idx].astype(np.intp)
+                )
+                lat, bwt = hierarchy.inter.send_times_many(sizes)
+                if intra.any():
+                    ilat, ibwt = hierarchy.intra.send_times_many(sizes[intra])
+                    lat[intra] = ilat
+                    bwt[intra] = ibwt
+                soh[:ns] = np.where(intra, intra_send, self._send_overhead)
+            startup[:ns] = lat
+            bwcost[:ns] = bwt
+        if nr:
+            if hierarchy is None:
+                roh[:nr] = self._recv_overhead
+            else:
+                intra = hierarchy.same_node_mask(structure.recv_src, structure.recv_dst)
+                roh[:nr] = np.where(intra, intra_recv, self._recv_overhead)
+        return _Priced(structure, seconds, startup, bwcost, soh, roh)
+
+    def _result(self, job: JobStructure, clocks, comp_rows, comm_rows, mark_clock,
+                mark_comp, mark_comm) -> SimResult:
+        """Load the final rows and the mark snapshots into a trace."""
+        mark_idx = job.mark_idx
+        ranks = np.searchsorted(job.off, mark_idx, side="right") - 1
+        marks = [
+            (rank, index, float(mark_clock[slot]), mark_comp[slot], mark_comm[slot])
+            for slot, (rank, index) in enumerate(
+                zip(ranks.tolist(), job.acol[mark_idx].tolist())
+            )
         ]
         trace = PhaseTrace(self.num_ranks, self.num_phases)
         trace.load_batch(comp_rows, comm_rows, marks)
@@ -385,19 +517,30 @@ class Engine:
 
     # ---------------------------------------------------- per-rank executor
 
-    def _run_per_rank(self, job: _Job) -> SimResult:
+    def _run_per_rank(self, priced: _Priced) -> SimResult:
         """Advance each rank with the kernel until it blocks, rendezvous the
         collectives, and report a deadlock if ranks remain blocked."""
+        job = priced.structure
         R = self.num_ranks
         num_phases = self.num_phases
         off = job.off
         n = int(off[-1])
         n_marks = int(job.mark_idx.size)
+        # The priced columns row by row, as the kernel reads them.
+        farg = job.farg.copy()
+        farg[job.compute_idx] = priced.seconds
+        startup, bwcost, soh, roh = (np.zeros(n) for _ in range(4))
+        startup[job.send_idx] = priced.startup[:-1]
+        bwcost[job.send_idx] = priced.bwcost[:-1]
+        soh[job.send_idx] = priced.soh[:-1]
+        roh[job.recv_idx] = priced.roh[:-1]
+        mark_slot = np.full(n, -1, dtype=np.int64)
+        mark_slot[job.mark_idx] = np.arange(n_marks)
         # Execution state as plain lists, the faster interpreter path.
         columns = [
             col.tolist()
-            for col in (off, job.opcode, job.farg, job.phase, job.startup,
-                        job.bwcost, job.soh, job.roh, job.match, job.mark_slot)
+            for col in (off, job.opcode, farg, job.phase, startup, bwcost, soh,
+                        roh, job.match, mark_slot)
         ]
         pcs = off[:-1].tolist()
         clocks = [0.0] * R
@@ -434,7 +577,7 @@ class Engine:
                 if len(pend) == R:
                     del coll_pos[seq]
                     self._complete_collective_batch(
-                        seq, pend, job.farg, job.acol, job.bcol, job.phase,
+                        seq, pend, farg, job.acol, job.bcol, job.phase,
                         pcs, clocks, comm_rows, runnable,
                     )
             if parked:
@@ -480,24 +623,24 @@ class Engine:
             pcs[r] = positions[r] + 1
             runnable.append(r)
 
-    def _deadlock_report(self, job: _Job, finished, pcs, done) -> str:
+    def _deadlock_report(self, job: JobStructure, finished, pcs, done) -> str:
         """Deadlock message: each blocked rank's parked receive key (or the
         collective sequence it is stuck in) and the undelivered sends of the
         peer it waits on, in post order."""
         opcode, acol, bcol, farg = job.opcode, job.acol, job.bcol, job.farg
-        rank_of, send_idx, recv_idx = job.rank_of, job.send_idx, job.recv_idx
+        send_idx, recv_idx = job.send_idx, job.recv_idx
+        send_src = job.send_src
         blocked = [r for r in range(self.num_ranks) if not finished[r]]
         # A posted send is pending until its matched receive has executed.
         pcs_arr = np.asarray(pcs, dtype=np.int64)
         done_arr = np.asarray(done, dtype=bool)
         consumed = np.zeros(opcode.shape[0], dtype=bool)
-        executed_recv = recv_idx[recv_idx < pcs_arr[rank_of[recv_idx]]]
+        executed_recv = recv_idx[recv_idx < pcs_arr[job.recv_dst]]
         matched = job.match[executed_recv]
         consumed[matched[matched >= 0]] = True
-        pending = send_idx[done_arr[send_idx] & ~consumed[send_idx]]
+        is_pending = done_arr[send_idx] & ~consumed[send_idx]
         posted: dict[int, list] = {}
-        for g in pending.tolist():
-            src = int(rank_of[g])
+        for g, src in zip(send_idx[is_pending].tolist(), send_src[is_pending].tolist()):
             posted.setdefault(src, []).append(
                 (api.MessageKey(src, int(acol[g]), int(bcol[g])), float(farg[g]))
             )
@@ -529,13 +672,17 @@ class Engine:
 
     # --------------------------------------------------- superstep executor
 
-    def _run_supersteps(self, job: _Job, plan: "_Plan") -> SimResult:
+    def _run_supersteps(self, priced: _Priced, plan: "_Plan") -> SimResult:
         """Advance every rank through one superstep at a time.
 
         Each rank's rows run in its program order, with the per-rank
         kernel's IEEE operations; only the interleaving across ranks
-        differs, and schedule independence makes it immaterial.
+        differs, and schedule independence makes it immaterial.  The
+        plan's row indices gather each vector step's priced operands.
         """
+        job = priced.structure
+        seconds, startup, bwcost = priced.seconds, priced.startup, priced.bwcost
+        soh, roh = priced.soh, priced.roh
         R, P = self.num_ranks, self.num_phases
         n_marks = int(job.mark_idx.size)
         clocks = np.zeros(R)
@@ -547,17 +694,18 @@ class Engine:
         mark_clock = np.zeros(n_marks)
         mark_comp = np.zeros((n_marks, P))
         mark_comm = np.zeros((n_marks, P))
-        # One slot per row plus the padding row's, which arrives never.
-        arrival = np.zeros(job.opcode.shape[0] + 1)
+        # One slot per send plus the padding send's, which arrives never.
+        arrival = np.zeros(startup.shape[0])
         arrival[-1] = -np.inf
 
         def run_rows(groups):
-            for is_mark, ranks, at, secs in groups:
+            for is_mark, ranks, at, rows in groups:
                 if is_mark:
                     mark_clock[at] = clocks[ranks]
                     mark_comp[at] = comp[ranks]
                     mark_comm[at] = comm[ranks]
                 else:
+                    secs = seconds[rows]
                     clocks[ranks] += secs
                     comp_flat[at] += secs
 
@@ -565,7 +713,9 @@ class Engine:
         for s, (pre, sends, waits, recvs, post) in enumerate(plan.steps):
             run_rows(pre)
             if sends is not None:
-                _send_run(sends, clocks, nics, comm_flat, arrival)
+                ranks, at, cells = sends
+                run = (ranks, at, cells, soh[cells], startup[cells], bwcost[cells])
+                _send_run(run, clocks, nics, comm_flat, arrival)
             if waits is not None:
                 ranks, at = waits
                 nic, clock = nics[ranks], clocks[ranks]
@@ -573,7 +723,8 @@ class Engine:
                 comm_flat[at[late]] += nic[late] - clock[late]
                 clocks[ranks[late]] = nic[late]
             if recvs is not None:
-                _recv_run(recvs, clocks, comm_flat, arrival)
+                ranks, at, sent, cells = recvs
+                _recv_run((ranks, at, sent, roh[cells]), clocks, comm_flat, arrival)
             run_rows(post)
             if s < plan.num_collectives:
                 # Waiting ranks pay finish - clock; the rest add +0.0, which
@@ -593,9 +744,10 @@ def _send_run(run, clocks, nics, comm_flat, arrival) -> None:
     The clock and comm chains add each send overhead in order
     (``np.add.accumulate`` is sequential), and the NIC recurrence
     ``start = max(nic, clock); nic = start + bw`` steps through the
-    positions.  A padding position adds a zero overhead to the chains and
-    meets the NIC as a ``-inf`` clock with zero bandwidth, so it changes
-    nothing; its arrival lands in the padding row, reset to ``-inf``.
+    positions.  ``rows`` index the per-send columns.  A padding position
+    adds a zero overhead to the chains and meets the NIC as a ``-inf``
+    clock with zero bandwidth, so it changes nothing; its arrival lands in
+    the padding slot, reset to ``-inf``.
     """
     ranks, at, rows, soh, startup, bw = run
     pad = len(arrival) - 1
@@ -634,9 +786,12 @@ def _recv_run(run, clocks, comm_flat, arrival) -> None:
 
 
 class _Plan(NamedTuple):
-    """A regular table's schedule: per superstep, its leading row groups,
-    send run, NIC waits, receive run and trailing row groups; then its
-    collective's sub-kind, pricing argument and comm buckets."""
+    """A regular table's schedule as row indices: per superstep, its
+    leading row groups, send run, NIC waits, receive run and trailing row
+    groups; then its collective's sub-kind, pricing argument and comm
+    buckets.  A compute group indexes the compute seconds and a mark group
+    the mark slots; send cells index the per-send columns and receive
+    cells the per-receive ones, each padded with the padding message."""
 
     steps: list
     num_collectives: int
@@ -657,7 +812,16 @@ def _runs(count, first, n):
     return ranks, rows
 
 
-def _superstep_plan(job: _Job, min_rows_per_step: float):
+def _ordinals(idx: np.ndarray, n: int) -> np.ndarray:
+    """Each row's position in ``idx``, the rows of one opcode, for rows
+    ``0..n``; every other row, the padding row ``n`` included, maps to
+    ``idx.size``, the padding entry of a per-``idx`` column."""
+    of = np.full(n + 1, idx.size, dtype=np.int64)
+    of[idx] = np.arange(idx.size)
+    return of
+
+
+def _superstep_plan(job: JobStructure, rank_of: np.ndarray, min_rows_per_step: float):
     """The superstep schedule of a regular table, or ``None``.
 
     A table is *regular* when every rank enters the same collective
@@ -669,7 +833,9 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     superstep, and all message rows of the block sharing one phase.  Such
     a table cannot deadlock: by induction over the supersteps every rank
     posts all its sends, every receive finds its message, and every rank
-    reaches the next collective.
+    reaches the next collective.  Only the sizes are checked here; the
+    compute seconds, priced per request, are checked by
+    :meth:`Engine._dispatch`.
 
     ``None`` also when the table has fewer than ``min_rows_per_step``
     message rows per vector step.
@@ -682,7 +848,7 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     if not np.isfinite(job.farg).all():
         return None
     coll_idx = np.flatnonzero(opcode == simc.OP_COLL)
-    per_rank = np.bincount(job.rank_of[coll_idx], minlength=R)
+    per_rank = np.bincount(rank_of[coll_idx], minlength=R)
     C = int(per_rank[0])
     if (per_rank != C).any():
         return None
@@ -699,7 +865,7 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
     # WaitSends and receive position, and per collective.
     S = C + 1
     step = job.step
-    block = job.rank_of * S + step
+    block = rank_of * S + step
     per_op = np.bincount(block * 7 + opcode, minlength=R * S * 7).reshape(R, S, 7)
     messages = per_op[:, :, simc.OP_ISEND:simc.OP_COLL]
     vector_steps = (
@@ -749,22 +915,28 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
         order = np.argsort(key, kind="stable")
         rows = rows[order]
         bounds = np.flatnonzero(np.diff(key[order])) + 1
-        ranks = job.rank_of[rows]
-        at_compute = ranks * P + job.phase[rows]
+        # A compute row's index into the seconds, a mark row's its slot.
+        slot = np.empty(n, dtype=np.int64)
+        slot[job.compute_idx] = np.arange(job.compute_idx.size)
+        slot[job.mark_idx] = np.arange(job.mark_idx.size)
+        # The groups are slices of these, read-only like them.
+        ranks = rank_of[rows]
+        ranks, at_compute, slot = _read_only(
+            ranks, ranks * P + job.phase[rows], slot[rows]
+        )
         for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), rows.size]):
             head = rows[lo]
             target = post_groups if code[head] == _POST else pre_groups
             if opcode[head] == simc.OP_MARK:
-                group = (True, ranks[lo:hi], job.mark_slot[rows[lo:hi]], None)
+                group = (True, ranks[lo:hi], slot[lo:hi], None)
             else:
-                group = (False, ranks[lo:hi], at_compute[lo:hi], job.farg[rows[lo:hi]])
+                group = (False, ranks[lo:hi], at_compute[lo:hi], slot[lo:hi])
             target[int(step[head])].append(group)
 
-    # --- message runs of each superstep that has any.
-    # Row n is the padding row: no overheads, no bandwidth, no send.
-    soh, startup, bw, roh = (
-        np.append(col, 0.0) for col in (job.soh, job.startup, job.bwcost, job.roh)
-    )
+    # --- message runs of each superstep that has any, as per-send and
+    # per-receive indices; row n is the padding row.
+    send_of = _ordinals(job.send_idx, n)
+    recv_of = _ordinals(job.recv_idx, n)
     match = np.append(job.match, n)
     sends: list = [None] * S
     waits: list = [None] * S
@@ -773,16 +945,15 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
         run = _runs(count[:, s, _SEND], first[:, s, _SEND], n)
         if run is not None:
             ranks, cells = run
-            at = ranks * P + job.phase[cells[0]]
-            sends[s] = (ranks, at, cells, soh[cells], startup[cells], bw[cells])
+            sends[s] = _read_only(ranks, ranks * P + job.phase[cells[0]], send_of[cells])
         ranks = np.flatnonzero(count[:, s, _WAIT])
         if ranks.size:
-            waits[s] = (ranks, ranks * P + job.phase[first[ranks, s, _WAIT]])
+            waits[s] = _read_only(ranks, ranks * P + job.phase[first[ranks, s, _WAIT]])
         run = _runs(count[:, s, _RECV], first[:, s, _RECV], n)
         if run is not None:
             ranks, cells = run
             at = ranks * P + job.phase[cells[0]]
-            recvs[s] = (ranks, at, match[cells], roh[cells])
+            recvs[s] = _read_only(ranks, at, send_of[match[cells]], recv_of[cells])
 
     # --- collectives: the per-rank orchestrator's pricing arguments.
     farg = job.farg[coll_rows]
@@ -796,6 +967,7 @@ def _superstep_plan(job: _Job, min_rows_per_step: float):
         else:
             coll_arg.append(max(farg[:, k].tolist()))
     coll_at = (np.arange(R)[:, None] * P + job.phase[coll_rows]).T.copy()
+    coll_at.flags.writeable = False
 
     return _Plan(
         steps=list(zip(pre_groups, sends, waits, recvs, post_groups)),

@@ -129,7 +129,7 @@ def _compare_executors(chosen, other, mismatches: list) -> float:
         ("compute", chosen.trace.compute, other.trace.compute),
         ("comm", chosen.trace.comm, other.trace.comm),
     ]
-    # Both executors load the marks the shared set-up slotted, so they
+    # Both executors load the marks the shared structure slotted, so they
     # record the same iteration indices.
     a, b = chosen.trace, other.trace
     for index in sorted(a.iteration_starts):

@@ -16,6 +16,7 @@ from repro.hydro.dynamic import DynamicController
 from repro.core.assemble import apply_placement
 from repro.hydro.phases import KrakProgram
 from repro.machine.cluster import es45_like_cluster
+from repro.machine.costdb import NUM_PHASES
 from repro.mesh.deck import build_deck
 from repro.mesh.connectivity import build_face_table
 from repro.partition import make_partition
@@ -172,15 +173,16 @@ class TestBitwiseAgreement:
         assert_matches_oracle(batch, oracle)
         engine = Engine(flat_cluster(), 4, 2)
         small = program(tuple(range(len(tags))))
-        job = engine._resolve(hand_compile(make, 4))
+        job = engine.structure(hand_compile(make, 4))
         assert np.array_equal(
-            job.match, engine._resolve(hand_compile(small, 4)).match
+            job.match, engine.structure(hand_compile(small, 4)).match
         )
         # Every receive meets a send on its own (src, dst, tag) key.
+        rank_of = np.repeat(np.arange(4), np.diff(job.off))
         recv, send = job.recv_idx, job.match[job.recv_idx]
         assert (send >= 0).all() and recv.size == 4 * 2 * len(tags)
-        assert np.array_equal(job.rank_of[send], job.acol[recv])
-        assert np.array_equal(job.acol[send], job.rank_of[recv])
+        assert np.array_equal(rank_of[send], job.acol[recv])
+        assert np.array_equal(job.acol[send], rank_of[recv])
         assert np.array_equal(job.bcol[send], job.bcol[recv])
 
     def test_forced_batch_engine_on_compiled_program(self):
@@ -334,9 +336,9 @@ class TestValidationParity:
 
         engine = Engine(flat_cluster(), 8, 1)
         agreed = lower_programs(ring(lambda rank: 0)(r) for r in range(8))
-        assert engine._dispatch(engine._resolve(agreed)) is not None
+        assert engine.structure(agreed).plan is not None
         split = lower_programs(ring(lambda rank: rank % 2)(r) for r in range(8))
-        assert engine._dispatch(engine._resolve(split)) is None
+        assert engine.structure(split).plan is None
         with pytest.raises(RuntimeError, match=mismatch):
             engine.run_compiled(split)
         with pytest.raises(RuntimeError, match=mismatch):
@@ -448,10 +450,10 @@ def random_regular_program(seed, ranks, supersteps=6):
 def both_executors(cluster, ranks, compiled, num_phases=3):
     """The same table through the per-rank and the superstep executor."""
     engine = Engine(cluster, ranks, num_phases)
-    job = engine._resolve(compiled)
-    plan = engine_module._superstep_plan(job, 0.0)
-    assert plan is not None, "expected a regular table"
-    return engine._run_per_rank(job), engine._run_supersteps(job, plan)
+    structure = engine._structure(compiled, 0.0)
+    assert structure.plan is not None, "expected a regular table"
+    job = engine._priced(structure, compiled.farg[structure.compute_idx])
+    return engine._run_per_rank(job), engine._run_supersteps(job, structure.plan)
 
 
 def assert_same_bits(a, b):
@@ -495,10 +497,10 @@ class TestSuperstepExecutor:
         tables = [lower_programs(random_regular_program(s, 5)) for s in range(12)]
         seen = set()
         for table in tables:
-            job = Engine(flat_cluster(), 5, 3)._resolve(table)
-            sends = np.flatnonzero(table.opcode == simc.OP_ISEND)
+            job = Engine(flat_cluster(), 5, 3).structure(table)
+            sends = job.send_idx
             per_rank_step = np.bincount(
-                job.rank_of[sends] * (job.step.max() + 1) + job.step[sends]
+                job.send_src * (int(job.step.max()) + 1) + job.step[sends]
             )
             if len(set(per_rank_step[per_rank_step > 0].tolist())) > 1:
                 seen.add("ragged")
@@ -535,8 +537,7 @@ class TestSuperstepExecutor:
     def test_dispatch_prefers_supersteps_for_wide_exchanges(self):
         ops = random_regular_program(7, 32, supersteps=3)
         engine = Engine(flat_cluster(), 32, 3)
-        job = engine._resolve(lower_programs(ops))
-        assert engine._dispatch(job) is not None
+        assert engine.structure(lower_programs(ops)).plan is not None
 
     def test_dispatch_keeps_few_ranks_per_rank(self, monkeypatch):
         # Fewer than _ROWS_PER_STEP ranks cannot reach the threshold, so
@@ -566,10 +567,10 @@ class TestSuperstepExecutor:
                 yield Allreduce(nbytes=8)
 
         engine = Engine(flat_cluster(), ranks, 1)
-        job = engine._resolve(hand_compile(make, ranks))
-        assert engine_module._superstep_plan(job, 0.0) is None
-        assert engine._dispatch(job) is None
-        assert engine._run_other(hand_compile(make, ranks)) is None
+        table = hand_compile(make, ranks)
+        assert engine._structure(table, 0.0).plan is None
+        assert engine.structure(table).plan is None
+        assert engine._run_other(table) is None
         oracle = OracleEngine(flat_cluster(), ranks, 1).run(make)
         assert_matches_oracle(engine.run(make), oracle)
 
@@ -585,9 +586,7 @@ class TestSuperstepExecutor:
             yield Allreduce(nbytes=8)
 
         engine = Engine(flat_cluster(), ranks, 1)
-        assert engine_module._superstep_plan(
-            engine._resolve(hand_compile(make, ranks)), 0.0
-        ) is None
+        assert engine._structure(hand_compile(make, ranks), 0.0).plan is None
         with pytest.raises(DeadlockError) as err:
             engine.run(make)
         assert str(err.value) == "\n".join([
@@ -604,7 +603,7 @@ class TestSuperstepExecutor:
             + [[Compute(1e-6), Gather(nbytes=8)]]
         )
         engine = Engine(flat_cluster(), ranks, 1)
-        assert engine_module._superstep_plan(engine._resolve(compiled), 0.0) is None
+        assert engine._structure(compiled, 0.0).plan is None
         with pytest.raises(RuntimeError) as err:
             engine.run_compiled(compiled)
         assert str(err.value) == "collective mismatch at sequence 0"
@@ -612,11 +611,130 @@ class TestSuperstepExecutor:
     def test_uneven_collective_counts_and_bad_roots_are_irregular(self):
         engine = Engine(flat_cluster(), 2, 1)
         uneven = lower_programs([[Barrier(), Barrier()], [Barrier()]])
-        assert engine_module._superstep_plan(engine._resolve(uneven), 0.0) is None
+        assert engine._structure(uneven, 0.0).plan is None
         # A root outside the job is refused before any executor is planned.
         bad_root = lower_programs([[Bcast(root=5, nbytes=8)], [Bcast(root=5, nbytes=8)]])
         with pytest.raises(ValueError, match="Bcast root 5 out of range"):
-            engine._resolve(bad_root)
+            engine.structure(bad_root)
+
+
+class TestStructureAndPricing:
+    """One structure, built from one machine's table, prices on any machine
+    of its rank count bitwise as ``run_compiled`` does on a table lowered
+    for that machine (docs/engine.md, "Structure and pricing")."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        def make(ranks):
+            deck = build_deck((64, 32))
+            faces = build_face_table(deck.mesh)
+            partition = make_partition(deck.mesh, ranks, method="multilevel", faces=faces)
+            return build_workload_census(deck, partition, faces)
+
+        return make
+
+    @staticmethod
+    def lower(census, cluster, iterations=3):
+        writer = ProgramWriter()
+        KrakProgram(census, cluster.node, iterations=iterations).lower_into(writer)
+        return writer.finish()
+
+    @staticmethod
+    def machines(census, ranks):
+        return (
+            flat_cluster(),
+            es45_like_cluster(speed=1.7),
+            apply_placement(smp_cluster(), "comm-aware", ranks, census),
+        )
+
+    @pytest.mark.parametrize("ranks, planned", [(16, True), (4, False)])
+    def test_one_structure_prices_every_machine(self, census, ranks, planned):
+        census = census(ranks)
+        structure = Engine(flat_cluster(), ranks, NUM_PHASES).structure(
+            self.lower(census, flat_cluster())
+        )
+        assert (structure.plan is not None) is planned
+        for cluster in self.machines(census, ranks):
+            table = self.lower(census, cluster)
+            seconds = KrakProgram(census, cluster.node, iterations=3).compute_seconds()
+            assert seconds.tobytes() == table.farg[structure.compute_idx].tobytes()
+            engine = Engine(cluster, ranks, NUM_PHASES)
+            assert_same_bits(engine.price(structure, seconds), engine.run_compiled(table))
+
+    @pytest.mark.parametrize("ranks", [16, 4])
+    def test_nodes_wider_than_a_narrow_rank_type(self, ranks):
+        # 200 ranks per node and no placement: same_node_mask divides each
+        # rank by 200, more than int8 holds, so the structure's rank
+        # columns must not be narrowed to the job's rank count.
+        cluster = es45_like_cluster().with_smp(
+            ranks_per_node=200, intra_latency=3e-6, intra_bandwidth=1.2e9
+        )
+        deck = build_deck((64, 32))
+        faces = build_face_table(deck.mesh)
+        partition = make_partition(deck.mesh, ranks, method="multilevel", faces=faces)
+        run = run_krak(deck, partition, cluster=cluster, iterations=2, faces=faces)
+        oracle = oracle_run_krak(deck, partition, cluster=cluster, iterations=2, faces=faces)
+        assert_matches_oracle(run.result, oracle.result)
+        ops = random_regular_program(11, 16)
+        per_rank, superstep = both_executors(cluster, 16, lower_programs(ops))
+        assert_same_bits(per_rank, superstep)
+        assert_matches_oracle(superstep, OracleEngine(cluster, 16, 3).run(ops.__getitem__))
+
+    def test_non_finite_compute_falls_back_to_the_per_rank_executor(
+        self, census, monkeypatch
+    ):
+        census = census(16)
+        table = self.lower(census, flat_cluster())
+        engine = Engine(flat_cluster(), 16, NUM_PHASES)
+        structure = engine.structure(table)
+        assert structure.plan is not None
+        seconds = table.farg[structure.compute_idx].copy()
+        seconds[7] = np.inf
+        broken = simc.CompiledProgram(
+            opcode=table.opcode, farg=table.farg.copy(), a=table.a, b=table.b,
+            offsets=table.offsets,
+        )
+        broken.farg[structure.compute_idx[7]] = np.inf
+
+        def refuse(*args):
+            raise AssertionError("superstep executor on a non-finite argument")
+
+        monkeypatch.setattr(Engine, "_run_supersteps", refuse)
+        priced = engine.price(structure, seconds)
+        assert_same_bits(priced, engine.run_compiled(broken))
+        assert not np.isfinite(priced.makespan)
+
+    def test_only_static_jobs_have_fixed_compute_rows(self, census):
+        census = census(4)
+        for extra in ({"dynamic": object()}, {"perturb": object()}):
+            program = KrakProgram(census, flat_cluster().node, **extra)
+            with pytest.raises(ValueError, match="static, unperturbed"):
+                program.compute_seconds()
+
+    def test_price_rejects_a_foreign_structure(self):
+        ops = random_regular_program(5, 8)
+        structure = Engine(flat_cluster(), 8, 3).structure(lower_programs(ops))
+        seconds = np.zeros(structure.compute_idx.size)
+        with pytest.raises(ValueError, match="structure of 8 ranks and 3 phases"):
+            Engine(flat_cluster(), 8, 4).price(structure, seconds)
+        with pytest.raises(ValueError, match="compute seconds"):
+            Engine(flat_cluster(), 8, 3).price(structure, seconds[1:])
+
+    def test_structure_reads_no_machine_and_is_read_only(self, census):
+        census = census(16)
+        table = self.lower(census, flat_cluster())
+        flat = Engine(flat_cluster(), 16, NUM_PHASES).structure(table)
+        smp = Engine(smp_cluster(), 16, NUM_PHASES).structure(table)
+        for name in flat._fields:
+            a, b = getattr(flat, name), getattr(smp, name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert not a.flags.writeable, name
+        assert flat.opcode.dtype == np.int8 and flat.phase.dtype == np.int8
+        assert flat.plan.coll_arg == smp.plan.coll_arg
+        # The table itself is left writeable: the structure holds copies.
+        assert table.opcode.flags.writeable and table.farg.flags.writeable
+        assert (flat.farg[flat.compute_idx] == 0.0).all()
 
 
 class TestKrakLowering:
