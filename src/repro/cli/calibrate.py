@@ -62,7 +62,6 @@ def cmd_fit(args) -> int:
     calibration = _fitted(doc, args.warmup)
     key = calibration.store_key()
 
-    curve = calibration.table.curves[0][0]
     summary = TextTable(
         f"fit of '{args.trace}' ({doc.deck} deck, machine '{doc.machine.name}')",
         ["property", "value"],
@@ -71,7 +70,7 @@ def cmd_fit(args) -> int:
     summary.add_row("rank counts", ",".join(str(r.ranks) for r in doc.runs))
     summary.add_row("phases", calibration.table.num_phases)
     summary.add_row("materials", calibration.table.num_materials)
-    summary.add_row("curve knots", ",".join(f"{c:g}" for c in curve.cells))
+    summary.add_row("curve knots", ",".join(f"{c:g}" for c in calibration.table.cells))
     summary.add_row("pingpong samples", int(doc.pingpong_bytes.shape[0]))
     print(summary.render())
     print()

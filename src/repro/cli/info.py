@@ -53,12 +53,8 @@ def cmd_calibrate(args) -> int:
         f"per-cell cost [us] for phase {args.phase} (contrived-grid method)",
         ["cells/PE"] + list(MATERIAL_NAMES),
     )
-    curve = table.curves[args.phase - 1][0]
-    for i, n in enumerate(curve.cells):
-        out.add_row(
-            int(n),
-            *[table.curves[args.phase - 1][m].per_cell[i] * 1e6 for m in range(4)],
-        )
+    for n, per_cell in zip(table.cells, table.costs[args.phase - 1].T):
+        out.add_row(int(n), *(per_cell * 1e6))
     print(out.render())
     return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util import as_float_array
+from repro.util import as_float_array, row_dots
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -118,32 +118,33 @@ class NodeModel:
         """Number of materials this model covers."""
         return int(self.cell_cost.shape[1])
 
-    def cache_factor(self, total_cells: float) -> float:
-        """Multiplicative slowdown for a subgrid of ``total_cells`` cells.
+    def cache_factor(self, total_cells):
+        """Multiplicative slowdown for subgrid(s) of ``total_cells`` cells.
 
         Smoothly rises from 1 (fits in cache) to ``1 + cache_penalty``.
         """
-        if total_cells <= 0:
-            return 1.0
-        return 1.0 + self.cache_penalty * total_cells / (total_cells + self.cache_cells)
-
-    def _base_times(self, work_by_material: np.ndarray) -> np.ndarray:
-        """Noise-free time of every phase for one work vector."""
-        work = np.asarray(work_by_material, dtype=np.float64)
-        if work.shape != (self.num_materials,):
-            raise ValueError(
-                f"work_by_material must have shape ({self.num_materials},)"
+        n = np.asarray(total_cells, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(
+                n > 0, 1.0 + self.cache_penalty * n / (n + self.cache_cells), 1.0
             )
+        return float(factor) if factor.ndim == 0 else factor
+
+    def _base_times(self, work: np.ndarray) -> np.ndarray:
+        """Noise-free time of every phase for each work vector on the last
+        axis of ``work``: shape ``work.shape[:-1] + (phases,)``.
+
+        Each row's ``cell_cost[p] @ work`` is one :func:`~repro.util.row_dots`
+        product, bitwise the 1-D product of that row alone.
+        """
+        work = np.ascontiguousarray(work, dtype=np.float64)
+        if work.ndim == 0 or work.shape[-1] != self.num_materials:
+            raise ValueError(f"work vectors must have {self.num_materials} materials")
         if np.any(work < 0):
             raise ValueError("work counts must be non-negative")
-        cache = self.cache_factor(float(work.sum()))
-        overhead = self.phase_overhead.tolist()
-        return np.array(
-            [
-                overhead[phase] + cache * float(cell_cost @ work)
-                for phase, cell_cost in enumerate(self.cell_cost)
-            ]
-        )
+        cache = self.cache_factor(work.sum(axis=-1))
+        dots = row_dots(self.cell_cost, work[..., None, :])
+        return self.phase_overhead + np.asarray(cache)[..., None] * dots
 
     def phase_times(
         self, work_by_material: np.ndarray, rank: int = 0, iteration: int = 0
@@ -155,7 +156,9 @@ class NodeModel:
         work_by_material:
             Effective cell counts per material (the hydro workload census may
             scale raw counts by activity multipliers, e.g. actively-burning
-            HE cells cost more).
+            HE cells cost more), or a ``(rows, materials)`` array of them
+            charged on the same rank and iteration, giving
+            ``(rows, phases)``.
         rank, iteration:
             Identify the jitter stream.
         """
@@ -175,11 +178,9 @@ class NodeModel:
         ``[i, r]`` of the ``(iterations, ranks, phases)`` result is bitwise
         :meth:`phase_times` of that work vector, rank and
         ``iterations[i]``: the noise-free times are taken once per distinct
-        profile through the same per-row ``cell_cost @ work``, and only the
-        elementwise jitter is vectorised.
+        profile, and the jitter is elementwise.
         """
-        base = np.array([self._base_times(row.copy()) for row in profiles])
-        base = base.reshape(-1, self.num_phases)[profile_of_rank]
+        base = self._base_times(profiles)[profile_of_rank]
         iterations = list(iterations)
         if not self.jitter_frac:
             return np.broadcast_to(base, (len(iterations), *base.shape))
@@ -202,10 +203,8 @@ class NodeModel:
         if not 0 <= phase < self.num_phases:
             raise ValueError(f"phase must lie in [0, {self.num_phases}), got {phase}")
         if with_jitter:
-            times = self.phase_times(work_by_material, rank, iteration)
-        else:
-            times = self._base_times(work_by_material)
-        return float(times[phase])
+            return float(self.phase_times(work_by_material, rank, iteration)[phase])
+        return float(self._base_times(work_by_material)[phase])
 
     def per_cell_cost(self, phase: int, material: int, cells: float) -> float:
         """Noise-free per-cell cost ``T/n`` for a pure-material subgrid.

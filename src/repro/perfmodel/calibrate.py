@@ -103,17 +103,21 @@ def calibrate_contrived_grid(cluster: ClusterConfig, sides=None) -> CostTable:
         raise ValueError("sample sides must be >= 1")
 
     cells = np.array([s * s for s in sides], dtype=np.float64)
-    per_cell = np.zeros((NUM_PHASES, NUM_MATERIALS, len(sides)))
-    for si, side in enumerate(sides):
-        for material in range(NUM_MATERIALS):
-            work = np.zeros(NUM_MATERIALS)
-            work[material] = side * side
-            charged = np.cumsum(
-                [cluster.node.phase_times(work, 1, it) for it in (0, 1)], axis=0
-            )
-            per_cell[:, material, si] = (charged[1] - charged[0]) / (side * side)
+    #: work[s, m]: rank 1's work vector with ``sides[s]²`` cells of material m.
+    work = cells[:, None, None] * np.eye(NUM_MATERIALS)
+    charged = np.cumsum([cluster.node.phase_times(work, 1, it) for it in (0, 1)], axis=0)
+    per_cell = (charged[1] - charged[0]) / cells[:, None, None]
+    return CostTable.from_arrays(cells, per_cell.transpose(2, 1, 0))
 
-    return CostTable.from_arrays(cells, per_cell)
+
+def _fill_absent_materials(coeffs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Give the materials absent from every rank the mean cost of the
+    others, so every curve stays evaluable (rare: tiny rank counts)."""
+    present = counts.sum(axis=0) > 0
+    if not np.any(present):
+        raise ValueError("no cells on any rank — cannot fit costs")
+    coeffs[:, ~present] = coeffs[:, present].mean(axis=1)[:, None]
+    return coeffs
 
 
 def merge_duplicate_abscissae(xs, samples) -> tuple:
@@ -179,15 +183,8 @@ def calibrate_linear_system(
             # Non-negative least squares: per-cell costs cannot be negative,
             # and homogeneous subgrids make plain lstsq ill-conditioned.
             coeffs[p], _ = nnls(counts, times[:, p])
-        # Materials absent from every rank get the column mean of the
-        # others so the curve stays evaluable (rare: tiny rank counts).
-        present = counts.sum(axis=0) > 0
-        if not np.all(present):
-            fallback = coeffs[:, present].mean(axis=1)
-            for m in np.flatnonzero(~present):
-                coeffs[:, m] = fallback
         xs.append(deck.num_cells / partition.num_ranks)
-        samples.append(coeffs)
+        samples.append(_fill_absent_materials(coeffs, counts))
 
     uniq, per_cell = merge_duplicate_abscissae(xs, samples)
     return CostTable.from_arrays(uniq, per_cell)
@@ -225,16 +222,7 @@ def fit_phase_costs(counts: np.ndarray, times: np.ndarray) -> tuple:
         solution, _ = nnls(design, times[:, p])
         coeffs[p] = solution[:num_materials]
         overhead[p] = solution[num_materials]
-    # Materials absent from every rank get the column mean of the others so
-    # the fitted curve stays evaluable (same fallback as the calibrators).
-    present = counts.sum(axis=0) > 0
-    if not np.any(present):
-        raise ValueError("no cells on any rank — cannot fit costs")
-    if not np.all(present):
-        fallback = coeffs[:, present].mean(axis=1)
-        for m in np.flatnonzero(~present):
-            coeffs[:, m] = fallback
-    return coeffs, overhead
+    return _fill_absent_materials(coeffs, counts), overhead
 
 
 def fit_cost_table(samples: list) -> CostTable:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.costcurves import CostTable
+from repro.util import row_dots
 
 
 def _validate(cells_matrix: np.ndarray, table: CostTable) -> np.ndarray:
@@ -28,39 +29,28 @@ def _validate(cells_matrix: np.ndarray, table: CostTable) -> np.ndarray:
     return cells_matrix
 
 
-def phase_computation_time(
-    table: CostTable, phase: int, cells_matrix: np.ndarray
-) -> float:
-    """Equation (2): max over processors of the phase's subgrid time.
+def computation_time_by_phase(table: CostTable, cells_matrix: np.ndarray) -> np.ndarray:
+    """Per-phase computation times (the summands of Equation 3).
 
-    Each material's curve is evaluated once, over the totals of every
-    rank that holds cells; each rank's time is then its own row of
-    per-cell costs contracted with its cell counts.
+    Equation (2) for every phase at once: every curve is evaluated once,
+    over the totals of every rank that holds cells; each (rank, phase) time
+    is that rank's row of per-cell costs contracted with its cell counts
+    (:func:`~repro.util.row_dots`), and each phase keeps its slowest rank.
     """
     cells_matrix = _validate(cells_matrix, table)
     totals = cells_matrix.sum(axis=1)
     active = np.flatnonzero(totals > 0)
-    #: per_cell[i, m]: material m's per-cell cost on rank active[i].
-    per_cell = np.stack(
-        [curve(totals[active]) for curve in table.curves[phase]], axis=1
-    )
-    best = 0.0
-    for row, j in zip(per_cell, active.tolist()):
-        t = float(row @ cells_matrix[j])
-        if t > best:
-            best = t
-    return best
+    #: per_cell[i, p, m]: phase p's per-cell cost of material m on rank active[i].
+    per_cell = table.per_cell_grid(totals[active])
+    times = row_dots(per_cell, cells_matrix[active][:, None, :])
+    return times.max(axis=0, initial=0.0)
 
 
-def computation_time_by_phase(table: CostTable, cells_matrix: np.ndarray) -> np.ndarray:
-    """Per-phase computation times (the summands of Equation 3)."""
-    cells_matrix = _validate(cells_matrix, table)
-    return np.array(
-        [
-            phase_computation_time(table, p, cells_matrix)
-            for p in range(table.num_phases)
-        ]
-    )
+def phase_computation_time(
+    table: CostTable, phase: int, cells_matrix: np.ndarray
+) -> float:
+    """Equation (2): max over processors of the phase's subgrid time."""
+    return float(computation_time_by_phase(table, cells_matrix)[phase])
 
 
 def computation_time(table: CostTable, cells_matrix: np.ndarray) -> float:

@@ -4,7 +4,9 @@
 phase and material type" — per-cell cost is tabulated at measured subgrid
 sizes and interpolated linearly *in log(cells)* between them, which is how
 one reads Figure 3's log-log axes.  Extrapolation clamps to the end values,
-matching how the paper's model behaves outside its measured range.
+matching how the paper's model behaves outside its measured range.  Every
+curve of a table shares one knot vector, so a table evaluates all of its
+curves at once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util import as_float_array
+
+
+def _knot_terms(cells: np.ndarray, costs: np.ndarray) -> tuple:
+    """``(cells, log knots, slopes, costs)`` of the curves on the last axis
+    of ``costs``, knot axis first, as :func:`_interpolate` reads them.  The
+    slopes are ``np.interp``'s; those of knots colliding in log space are
+    never read."""
+    logk = np.log(cells)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.diff(costs, axis=-1) / np.diff(logk)
+    return cells, logk, np.moveaxis(slopes, -1, 0).copy(), np.moveaxis(costs, -1, 0).copy()
+
+
+def _interpolate(cells, logk, slopes, costs, n) -> np.ndarray:
+    """Every curve of :func:`_knot_terms` at sizes ``n``: ``shape(n) +
+    costs.shape[1:]``, each value bitwise ``np.interp(np.log(n), logk,
+    curve)`` — the end samples beyond the knots, the sample on a knot, else
+    ``slope[j]·(log n − logk[j]) + cost[j]`` for the last knot ``j`` at or
+    below.  Close large knots can collide in log space, where that answers
+    with the last colliding sample, so exact sample hits are then resolved
+    in the cells domain: the curve is exact at every sample."""
+    x = np.asarray(n, dtype=np.float64)
+    if np.any(x <= 0):
+        raise ValueError("cells per processor must be positive")
+    last = cells.size - 1
+    hit = np.minimum(np.searchsorted(cells, x), last)
+    if last == 0:
+        return costs[hit]
+    tail = (...,) + (None,) * (costs.ndim - 1)
+    lx = np.log(x)
+    below = np.searchsorted(logk, lx, "right") - 1
+    j = np.clip(below, 0, last - 1)
+    with np.errstate(invalid="ignore"):
+        out = slopes[j] * (lx - logk[j])[tail] + costs[j]
+    on_knot = (lx < logk[0]) | (lx >= logk[last]) | (lx == logk[j])
+    on_sample = cells[hit] == x
+    at = np.where(on_sample, hit, np.clip(below, 0, last))
+    return np.where((on_knot | on_sample)[tail], costs[at], out)
 
 
 @dataclass(frozen=True)
@@ -57,19 +97,8 @@ class CostCurve:
 
     def __call__(self, n) -> np.ndarray | float:
         """Interpolated per-cell cost at ``n`` cells per processor."""
-        n_arr = np.asarray(n, dtype=np.float64)
-        if np.any(n_arr <= 0):
-            raise ValueError("cells per processor must be positive")
-        out = np.interp(np.log(n_arr), np.log(self.cells), self.per_cell)
-        # Strictly ascending samples can still collapse onto a duplicated
-        # knot in log space (the ULP of log(n) exceeds the log-spacing of
-        # close large abscissae), where np.interp answers every query with
-        # the *first* colliding sample.  Resolve exact sample hits in the
-        # original domain so the curve stays exact at every sample and is
-        # right-continuous at duplicated knots.
-        idx = np.minimum(np.searchsorted(self.cells, n_arr), self.cells.size - 1)
-        out = np.where(self.cells[idx] == n_arr, self.per_cell[idx], out)
-        return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
+        out = _interpolate(*_knot_terms(self.cells, self.per_cell), n)
+        return float(out) if np.isscalar(n) or out.ndim == 0 else out
 
     def subgrid_time(self, n) -> np.ndarray | float:
         """Total phase time for a pure subgrid of ``n`` cells: ``T(n) · n``."""
@@ -78,7 +107,8 @@ class CostCurve:
 
 @dataclass(frozen=True)
 class CostTable:
-    """The full piecewise-linear cost function ``T(phase, material, n)``.
+    """The full piecewise-linear cost function ``T(phase, material, n)``,
+    also held stacked: the knots ``cells`` and ``costs[phase, material, knot]``.
 
     Attributes
     ----------
@@ -91,6 +121,16 @@ class CostTable:
     def __post_init__(self) -> None:
         if not self.curves or not all(len(row) == len(self.curves[0]) for row in self.curves):
             raise ValueError("curves must be a non-empty rectangular nested sequence")
+        cells = self.curves[0][0].cells
+        for phase, row in enumerate(self.curves):
+            for material, curve in enumerate(row):
+                if not np.array_equal(curve.cells, cells):
+                    raise ValueError(f"curve (phase {phase}, material {material}) is "
+                                     "sampled at other cells than curve (0, 0)")
+        costs = np.array([[curve.per_cell for curve in row] for row in self.curves])
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "_knots", _knot_terms(cells, costs))
 
     @property
     def num_phases(self) -> int:
@@ -107,40 +147,23 @@ class CostTable:
         return self.curves[phase][material](n)
 
     def per_cell_grid(self, n) -> np.ndarray:
-        """Every curve at subgrid size(s) ``n``: ``(phases, materials) + shape(n)``.
-
-        Curves are elementwise, so evaluating one at an array of sizes
-        gives bitwise the values of the scalar calls.
-        """
-        return np.array([[curve(n) for curve in row] for row in self.curves])
+        """Every curve at subgrid size(s) ``n``: ``shape(n) + (phases, materials)``."""
+        return _interpolate(*self._knots, n)
 
     def to_payload(self) -> dict:
         """Plain-JSON form; exact round trip (doubles serialise via ``repr``)."""
-        return {
-            "curves": [
-                [
-                    {"cells": curve.cells.tolist(), "per_cell": curve.per_cell.tolist()}
-                    for curve in row
-                ]
-                for row in self.curves
-            ]
-        }
+        return {"curves": [
+            [{"cells": c.cells.tolist(), "per_cell": c.per_cell.tolist()} for c in row]
+            for row in self.curves
+        ]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CostTable":
         """Rebuild a table from :meth:`to_payload` output."""
-        return cls(
-            curves=tuple(
-                tuple(
-                    CostCurve(
-                        cells=np.array(curve["cells"], dtype=np.float64),
-                        per_cell=np.array(curve["per_cell"], dtype=np.float64),
-                    )
-                    for curve in row
-                )
-                for row in payload["curves"]
-            )
-        )
+        return cls(curves=tuple(
+            tuple(CostCurve(cells=c["cells"], per_cell=c["per_cell"]) for c in row)
+            for row in payload["curves"]
+        ))
 
     @classmethod
     def from_arrays(cls, cells: np.ndarray, per_cell: np.ndarray) -> "CostTable":
@@ -148,11 +171,7 @@ class CostTable:
         per_cell = np.asarray(per_cell, dtype=np.float64)
         if per_cell.ndim != 3:
             raise ValueError("per_cell must be (phases, materials, samples)")
-        rows = tuple(
-            tuple(
-                CostCurve(cells=cells, per_cell=per_cell[p, m])
-                for m in range(per_cell.shape[1])
-            )
-            for p in range(per_cell.shape[0])
-        )
-        return cls(curves=rows)
+        return cls(curves=tuple(
+            tuple(CostCurve(cells=cells, per_cell=curve) for curve in phase)
+            for phase in per_cell
+        ))

@@ -32,6 +32,7 @@ from repro.perfmodel.costcurves import CostTable
 from repro.perfmodel.ghostmodel import ghost_phase_total
 from repro.perfmodel.runtime import PredictedTime
 from repro.machine.network import NetworkModel
+from repro.util import row_dots
 
 #: Table 2's heterogeneous material ratios, re-exported for the benches.
 TABLE2_RATIOS = TABLE2_HETEROGENEOUS
@@ -86,14 +87,15 @@ class GeneralModel:
         n = total_cells / num_ranks
         if n < 1:
             raise ValueError("fewer than one cell per processor")
+        per_cell = self.table.per_cell_grid(n)
+        if self.mode == "heterogeneous":
+            per_phase = row_dots(per_cell, np.asarray(self.ratios) * n)
+        else:
+            # The most computationally taxing material, per phase.
+            per_phase = per_cell.max(axis=1) * n
         total = 0.0
-        for per_cell in self.table.per_cell_grid(n):
-            if self.mode == "heterogeneous":
-                counts = np.asarray(self.ratios) * n
-                total += float(per_cell @ counts)
-            else:
-                # The most computationally taxing material, per phase.
-                total += float(per_cell.max()) * n
+        for t in per_phase.tolist():  # summed in phase order
+            total += t
         return total
 
     # ---------------------------------------------------------- communication
@@ -115,16 +117,13 @@ class GeneralModel:
             faces = np.array([b / in_use if r > 0 else 0.0 for r in self.ratios])
         else:
             faces = np.array([b])
-        per_neighbor = boundary_exchange_time(self.network, faces, None)
-        return self.neighbors * per_neighbor
+        return self.neighbors * boundary_exchange_time(self.network, faces, None)
 
     def ghost_updates(self, total_cells: int, num_ranks: int) -> float:
         """Per-iteration ghost-update time (Equations 6–7, per neighbour)."""
         if num_ranks == 1:
             return 0.0
-        b = self.boundary_faces_per_side(total_cells, num_ranks)
-        ghosts = b + 1.0
-        half = ghosts / 2.0
+        half = (self.boundary_faces_per_side(total_cells, num_ranks) + 1.0) / 2.0
         return self.neighbors * ghost_phase_total(self.network, half, half)
 
     # ----------------------------------------------------------------- total

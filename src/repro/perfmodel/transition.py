@@ -43,6 +43,7 @@ from repro.perfmodel.costcurves import CostTable
 from repro.perfmodel.ghostmodel import ghost_phase_total
 from repro.perfmodel.runtime import PredictedTime
 from repro.machine.network import NetworkModel
+from repro.util import row_dots
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,12 @@ class TransitionModel:
         """Square-subgrid side in cells, capped at the deck's radial extent."""
         return min(math.sqrt(total_cells / num_ranks), float(self.profile.nx))
 
+    def _candidates(self, total_cells: int, num_ranks: int) -> tuple:
+        """The candidate subgrids' offsets and ``(offsets, materials)`` fractions."""
+        side = self._subgrid_side(total_cells, num_ranks)
+        offsets = self.profile.candidate_offsets(side)
+        return offsets, np.stack([self.profile.overlap_fractions(x, side) for x in offsets])
+
     def worst_subgrid(self, total_cells: int, num_ranks: int) -> tuple[float, np.ndarray]:
         """The radial offset and composition of the slowest subgrid.
 
@@ -148,16 +155,11 @@ class TransitionModel:
         honour that: the returned composition maximises the per-iteration
         sum, while :meth:`computation` applies the max per phase.
         """
-        n = total_cells / num_ranks
-        side = self._subgrid_side(total_cells, num_ranks)
-        grid = self.table.per_cell_grid(n)
-        best_x, best_cost = 0.0, -1.0
-        for x in self.profile.candidate_offsets(side):
-            fracs = self.profile.overlap_fractions(x, side)
-            cost = sum(float(per_cell @ fracs) for per_cell in grid)
-            if cost > best_cost:
-                best_cost, best_x = cost, float(x)
-        return best_x, self.profile.overlap_fractions(best_x, side)
+        offsets, fracs = self._candidates(total_cells, num_ranks)
+        grid = self.table.per_cell_grid(total_cells / num_ranks)
+        per_phase = row_dots(grid, fracs[:, None, :])  # (offsets, phases)
+        best = int(np.argmax([sum(row) for row in per_phase.tolist()]))
+        return float(offsets[best]), fracs[best]
 
     # ---------------------------------------------------------------- parts
 
@@ -166,14 +168,13 @@ class TransitionModel:
         n = total_cells / num_ranks
         if n < 1:
             raise ValueError("fewer than one cell per processor")
-        side = self._subgrid_side(total_cells, num_ranks)
-        offsets = self.profile.candidate_offsets(side)
-        fracs = np.stack(
-            [self.profile.overlap_fractions(x, side) for x in offsets]
-        )  # (offsets, materials)
+        _, fracs = self._candidates(total_cells, num_ranks)
+        grid = self.table.per_cell_grid(n)
+        # One ``fracs @ grid[p]`` per phase, as a batch: (phases, offsets).
+        worst = np.matmul(fracs, grid[:, :, None])[..., 0].max(axis=1) * n
         total = 0.0
-        for per_cell in self.table.per_cell_grid(n):
-            total += float((fracs @ per_cell).max()) * n
+        for t in worst.tolist():  # summed in phase order
+            total += t
         return total
 
     def boundary_exchange(self, total_cells: int, num_ranks: int) -> float:
@@ -203,7 +204,5 @@ class TransitionModel:
             computation=self.computation(total_cells, num_ranks),
             boundary_exchange=self.boundary_exchange(total_cells, num_ranks),
             ghost_updates=self.ghost_updates(total_cells, num_ranks),
-            collectives=collectives_time(self.network, num_ranks)
-            if num_ranks > 1
-            else 0.0,
+            collectives=collectives_time(self.network, num_ranks) if num_ranks > 1 else 0.0,
         )

@@ -10,6 +10,7 @@ from repro.util.arrays import (
     as_float_array,
     as_int_array,
     bincount_fixed,
+    row_dots,
     sorted_unique,
 )
 from repro.util.validation import (
@@ -24,6 +25,7 @@ __all__ = [
     "as_float_array",
     "as_int_array",
     "bincount_fixed",
+    "row_dots",
     "sorted_unique",
     "check_positive",
     "check_nonnegative",

@@ -29,6 +29,14 @@ def as_int_array(values, name: str = "values") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
+def row_dots(a, b) -> np.ndarray:
+    """``a[..., :] @ b[..., :]`` row by row, the other axes broadcast: each
+    row is the BLAS ``ddot`` of a 1-D ``a[i] @ b[i]``, bitwise, for
+    contiguous rows (a matrix product or a sum may add in another order)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of ``values`` — ``np.unique`` by sorting,
     which on large integer arrays is many times faster than its hashing."""

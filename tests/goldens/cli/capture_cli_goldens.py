@@ -2,7 +2,9 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/goldens/cli/capture_cli_goldens.py
+    PYTHONPATH=src python tests/goldens/cli/capture_cli_goldens.py [OUTPUT_DIR]
+
+``OUTPUT_DIR`` defaults to this directory.
 
 Each case in :data:`CASES` invokes ``repro.cli.main`` with a fixed argv in
 an isolated cache directory and records the exact stdout (after the case's
@@ -19,6 +21,7 @@ behaviour.  Only regenerate after an *intentional* output change.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -148,22 +151,30 @@ def run_case(case: CliCase, cache_dir: Path) -> tuple[str, int]:
 
 
 def ensure_scenario() -> None:
-    """(Re)write the committed ``verify diff`` input scenario."""
+    """Write the ``verify diff`` input scenario if it is missing.
+
+    The committed file is an input and is fingerprinted, so a capture
+    never rewrites it.
+    """
     from repro.verify.scenarios import random_scenario, save_scenario
 
-    save_scenario(random_scenario(3), SCENARIO_PATH)
+    if not SCENARIO_PATH.exists():
+        save_scenario(random_scenario(3), SCENARIO_PATH)
 
 
 def ensure_trace() -> None:
-    """(Re)write the committed ``calibrate fit``/``report`` input trace.
+    """Write the ``calibrate fit``/``report`` input trace if it is missing.
 
     Noise-free (zero jitter), so the fit recovers the generating machine
     exactly and the report shows zero error — any model/engine drift shows
-    up as a non-zero error column.
+    up as a non-zero error column.  Like the scenario, the committed file
+    is an input that a capture never rewrites.
     """
     from repro.machine.cluster import es45_like_cluster
     from repro.trace import save_trace, synthesize_trace
 
+    if TRACE_PATH.exists():
+        return
     doc = synthesize_trace(
         deck="16x8",
         ranks=(2, 4),
@@ -174,8 +185,13 @@ def ensure_trace() -> None:
     save_trace(doc, TRACE_PATH)
 
 
-def main(output_dir: Path | None = None) -> int:
-    output_dir = GOLDEN_DIR if output_dir is None else Path(output_dir)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the end-to-end CLI goldens.")
+    parser.add_argument(
+        "output_dir", nargs="?", type=Path, default=GOLDEN_DIR,
+        help="directory for the captured .txt goldens (default: %(default)s)",
+    )
+    output_dir = parser.parse_args(argv).output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
     ensure_scenario()
     ensure_trace()
@@ -191,4 +207,4 @@ def main(output_dir: Path | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(Path(sys.argv[1]) if len(sys.argv) > 1 else None))
+    sys.exit(main())

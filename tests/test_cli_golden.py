@@ -54,3 +54,33 @@ def test_every_golden_file_has_a_case():
         for p in GOLDEN_DIR.glob("*.txt")
     }
     assert committed == cases
+
+
+def test_capture_leaves_committed_inputs_unchanged(tmp_path, monkeypatch):
+    """The scenario and trace are inputs: a capture writes them only when
+    they are missing, never over the committed, fingerprinted files."""
+    committed = {}
+    for name in ("SCENARIO_PATH", "TRACE_PATH"):
+        path = getattr(CAPTURE, name)
+        committed[name] = path.read_bytes()
+        monkeypatch.setattr(CAPTURE, name, tmp_path / path.name)
+        (tmp_path / path.name).write_bytes(committed[name])
+    CAPTURE.ensure_scenario()
+    CAPTURE.ensure_trace()
+    for name, data in committed.items():
+        assert getattr(CAPTURE, name).read_bytes() == data
+
+
+def test_capture_writes_a_missing_scenario(tmp_path, monkeypatch):
+    monkeypatch.setattr(CAPTURE, "SCENARIO_PATH", tmp_path / "scenario.json")
+    CAPTURE.ensure_scenario()
+    assert (tmp_path / "scenario.json").stat().st_size > 0
+
+
+def test_capture_help_prints_usage_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        CAPTURE.main(["--help"])
+    assert exited.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

@@ -86,3 +86,28 @@ class TestCostTable:
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
             CostTable.from_arrays(np.array([1.0]), np.ones((2, 2)))
+
+    def test_rejects_curves_with_other_knots(self):
+        same = CostCurve(cells=np.array([1.0, 100.0]), per_cell=np.array([2.0, 1.0]))
+        other = CostCurve(cells=np.array([1.0, 64.0]), per_cell=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match=r"phase 1, material 0"):
+            CostTable(curves=((same, same), (other, same)))
+
+    def test_from_payload_rejects_mismatched_knots(self):
+        table = CostTable.from_arrays(np.array([1.0, 4.0, 16.0]), np.ones((3, 2, 3)))
+        payload = table.to_payload()
+        assert CostTable.from_payload(payload).costs.tobytes() == table.costs.tobytes()
+        payload["curves"][2][1]["cells"] = [1.0, 4.0, 32.0]
+        with pytest.raises(ValueError, match=r"phase 2, material 1"):
+            CostTable.from_payload(payload)
+
+    def test_stacked_view_matches_curves(self):
+        cells = np.array([1.0, 10.0, 100.0])
+        per_cell = np.arange(18, dtype=float).reshape(3, 2, 3) * 1e-6
+        table = CostTable.from_arrays(cells, per_cell)
+        assert np.array_equal(table.cells, cells)
+        assert np.array_equal(table.costs, per_cell)
+        sizes = np.array([[0.5, 3.0], [10.0, 1e4]])
+        grid = table.per_cell_grid(sizes)
+        assert grid.shape == (2, 2, 3, 2)
+        assert np.array_equal(grid[..., 2, 1], table.curves[2][1](sizes))

@@ -301,6 +301,15 @@ class TestCoreWiring:
         result = predict(request, store=store)
         assert result.predicted["heterogeneous"] > 0
 
+    def test_stored_table_with_mismatched_knots_fails_cleanly(self, quiet_calibration):
+        payload = quiet_calibration.to_payload()
+        curve = payload["table"]["curves"][3][2]
+        curve["cells"] = [2.0 * c for c in curve["cells"]]
+        store = _DictStore()
+        store.put("mismatched-knots", payload)
+        with pytest.raises(ValueError, match=r"phase 3, material 2"):
+            fitted_calibration("mismatched-knots", store)
+
     def test_missing_store_and_missing_key_fail_loudly(self):
         request = PredictionRequest(
             deck="16x8", ranks=4, calibration="nope", max_side=16
