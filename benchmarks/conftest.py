@@ -18,10 +18,12 @@ from pathlib import Path
 
 import pytest
 
-# The registry's memoised setup helpers double as the fixture layer, so one
-# pytest session never builds the same deck or calibration table twice
-# (once for a report test's fixture, once for a registry bench's setup).
-from repro.bench.workloads import shared_cluster, shared_cost_table, shared_deck
+# The fixtures and the registry's setups read the same core per-process
+# memos, so one pytest session never builds the same deck or calibration
+# table twice (once for a report test's fixture, once for a registry
+# bench's setup).
+from repro.core import ClusterSpec, calibration_table, deck_for
+from repro.perfmodel import default_sample_sides
 
 try:  # pragma: no cover - exercised via the no-plugin CI lane
     import pytest_benchmark  # noqa: F401
@@ -86,28 +88,28 @@ def registry_bench():
 @pytest.fixture(scope="session")
 def cluster():
     """The simulated ES-45/QsNet-like validation machine."""
-    return shared_cluster()
+    return ClusterSpec().build()
 
 
 @pytest.fixture(scope="session")
 def fine_cost_table(cluster):
     """Contrived-grid cost table over the full Figure 3 range."""
-    return shared_cost_table("fine")
+    return calibration_table(cluster, default_sample_sides(512))
 
 
 @pytest.fixture(scope="session")
 def small_deck():
-    return shared_deck("small")
+    return deck_for("small")
 
 
 @pytest.fixture(scope="session")
 def medium_deck():
-    return shared_deck("medium")
+    return deck_for("medium")
 
 
 @pytest.fixture(scope="session")
 def large_deck():
-    return shared_deck("large")
+    return deck_for("large")
 
 
 @pytest.fixture(scope="session")

@@ -2,74 +2,38 @@
 
 One entry per ``benchmarks/bench_*.py`` timed workload plus the hot-path
 micro-benchmarks (``micro.*``).  Each :class:`~repro.bench.registry.Benchmark`
-builds its inputs in ``setup`` (memoised across benches — decks, face
-tables, partitions, and calibrated cost tables are shared) and exposes the
-timed callable as ``run``; ``invariants`` captures the simulated/predicted
-quantities that must stay bitwise-stable between runs on the same code.
+builds its inputs in ``setup`` (decks, face tables, partitions and
+calibrated cost tables come from the core per-process memos, so benches
+share them) and exposes the timed callable as ``run``; ``invariants``
+captures the simulated/predicted quantities that must stay
+bitwise-stable between runs on the same code.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.bench.registry import Benchmark, register
+from repro.core import (
+    ClusterSpec,
+    PredictionRequest,
+    calibration_table,
+    deck_for,
+    faces_for,
+    mesh_side,
+)
+from repro.perfmodel import default_sample_sides
 
 # --------------------------------------------------------------- shared setup
 
-_MEMO: dict = {}
-
-
-def _memo(key, build):
-    if key not in _MEMO:
-        _MEMO[key] = build()
-    return _MEMO[key]
-
-
-def _cluster():
-    from repro.core import ClusterSpec
-
-    return _memo("cluster", ClusterSpec().build)
-
-
-def _smp_cluster():
-    from repro.core import ClusterSpec
-
-    return _memo("smp", ClusterSpec(smp=True).build)
-
-
-def _deck(name):
-    from repro.core import parse_deck
-
-    return _memo(("deck", name), lambda: parse_deck(name))
-
-
-def _faces(name):
-    from repro.core import faces_for
-
-    return _memo(("faces", name), lambda: faces_for(_deck(name)))
-
-
-def _partition(deck_name, num_ranks, method="multilevel", seed=1):
-    from repro.partition import cached_partition
-
-    return _memo(
-        ("part", deck_name, num_ranks, method, seed),
-        lambda: cached_partition(
-            _deck(deck_name), num_ranks, method=method, seed=seed,
-            faces=_faces(deck_name),
-        ),
-    )
-
-
-def _census(deck_name, num_ranks):
-    from repro.hydro import build_workload_census
-
-    return _memo(
-        ("census", deck_name, num_ranks),
-        lambda: build_workload_census(
-            _deck(deck_name), _partition(deck_name, num_ranks), _faces(deck_name)
-        ),
-    )
+def _mesh_side(deck, ranks):
+    """``deck`` on ``ranks`` (multilevel, seed 1) as setup-context entries
+    ``deck``, ``faces``, ``part`` and ``census``: the objects
+    :func:`~repro.core.assemble.mesh_side` holds."""
+    deck, faces, part, census = mesh_side(PredictionRequest(deck=deck, ranks=ranks))
+    return {"deck": deck, "faces": faces, "part": part, "census": census}
 
 
 #: Coarse power-of-two calibration (fast, smoke-grade).
@@ -77,11 +41,8 @@ COARSE_SIDES = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
 
 def _cost_table(kind):
-    from repro.core import calibration_table
-    from repro.perfmodel import default_sample_sides
-
     sides = COARSE_SIDES if kind == "coarse" else default_sample_sides(512)
-    return _memo(("table", kind), lambda: calibration_table(_cluster(), sides))
+    return calibration_table(ClusterSpec().build(), sides)
 
 
 # ------------------------------------------------------------------- micro.*
@@ -99,7 +60,7 @@ def _setup_tmsg_boundary(size):
         faces = rng.integers(1, 40, size=4).astype(np.float64)
         multi = rng.integers(0, 8, size=4).astype(np.float64)
         boundaries.append((faces, multi))
-    return {"network": _cluster().network, "boundaries": boundaries}
+    return {"network": ClusterSpec().build().network, "boundaries": boundaries}
 
 
 def _run_tmsg_boundary(ctx):
@@ -125,7 +86,7 @@ register(Benchmark(
 
 def _setup_engine_loop(size):
     ranks, iters = (32, 30) if size == "smoke" else (64, 80)
-    return {"cluster": _cluster(), "ranks": ranks, "iters": iters}
+    return {"cluster": ClusterSpec().build(), "ranks": ranks, "iters": iters}
 
 
 def _run_engine_loop(ctx):
@@ -169,16 +130,14 @@ register(Benchmark(
 
 
 def _setup_engine_krak(size):
-    from repro.hydro.phases import KrakProgram
-    from repro.machine.costdb import NUM_PHASES
-    from repro.simmpi import Engine
-    from repro.simmpi.compile import ProgramWriter
+    from repro.hydro.driver import krak_job
 
-    ranks = 64
-    cluster = _cluster()
-    writer = ProgramWriter()
-    KrakProgram(_census("medium", ranks), cluster.node, iterations=3).lower_into(writer)
-    return {"engine": Engine(cluster, ranks, NUM_PHASES), "table": writer.finish()}
+    mesh = _mesh_side("medium", 64)
+    program, engine = krak_job(
+        mesh["deck"], mesh["part"], ClusterSpec().build(), 3,
+        mesh["faces"], mesh["census"], None, None,
+    )
+    return {"engine": engine, "table": program.lower()}
 
 
 def _run_engine_krak(ctx):
@@ -202,9 +161,9 @@ def _setup_mesh_census(size):
 
     ranks = 64 if size == "smoke" else 128
     model = MeshSpecificModel(
-        table=_cost_table("coarse"), network=_cluster().network
+        table=_cost_table("coarse"), network=ClusterSpec().build().network
     )
-    return {"model": model, "census": _census("small", ranks)}
+    return {"model": model, "census": _mesh_side("small", ranks)["census"]}
 
 
 def _run_mesh_census(ctx):
@@ -231,9 +190,8 @@ def _setup_multilevel(size):
     from repro.mesh import build_face_table, structured_quad_mesh
 
     nx, ny, ranks = (64, 32, 8) if size == "smoke" else (128, 64, 16)
-    mesh = _memo(("mesh", nx, ny), lambda: structured_quad_mesh(nx, ny))
-    faces = _memo(("mfaces", nx, ny), lambda: build_face_table(mesh))
-    return {"mesh": mesh, "faces": faces, "ranks": ranks}
+    mesh = structured_quad_mesh(nx, ny)
+    return {"mesh": mesh, "faces": build_face_table(mesh), "ranks": ranks}
 
 
 def _run_multilevel(ctx):
@@ -268,9 +226,8 @@ register(Benchmark(
 def _setup_iteration_sim(size):
     iters = 1 if size == "smoke" else 3
     return {
-        "deck": _deck("small"), "part": _partition("small", 16),
-        "faces": _faces("small"), "census": _census("small", 16),
-        "cluster": _cluster(), "iters": iters,
+        **_mesh_side("small", 16),
+        "cluster": ClusterSpec().build(), "iters": iters,
     }
 
 
@@ -312,7 +269,7 @@ register(Benchmark(
 
 def _setup_table3(size):
     return {
-        "network": _cluster().network,
+        "network": ClusterSpec().build().network,
         "evals": 200 if size == "smoke" else 1000,
     }
 
@@ -351,7 +308,7 @@ register(Benchmark(
     description="Equations (8)-(10) collective times across processor counts",
     source="benchmarks/bench_table4_collectives.py",
     setup=lambda size: {
-        "network": _cluster().network,
+        "network": ClusterSpec().build().network,
         "ranks": (16, 64, 128, 256, 512, 1024) * (1 if size == "smoke" else 20),
     },
     run=_run_table4,
@@ -364,8 +321,10 @@ def _setup_table5(size):
     from repro.perfmodel import MeshSpecificModel
 
     ranks = 64 if size == "smoke" else 128
-    model = MeshSpecificModel(table=_cost_table("coarse"), network=_cluster().network)
-    return {"model": model, "census": _census("small", ranks)}
+    model = MeshSpecificModel(
+        table=_cost_table("coarse"), network=ClusterSpec().build().network
+    )
+    return {"model": model, "census": _mesh_side("small", ranks)["census"]}
 
 
 register(Benchmark(
@@ -384,7 +343,7 @@ def _setup_table6(size):
 
     table = _cost_table("coarse" if size == "smoke" else "fine")
     model = GeneralModel(
-        table=table, network=_cluster().network, mode="homogeneous"
+        table=table, network=ClusterSpec().build().network, mode="homogeneous"
     )
     return {"model": model}
 
@@ -409,7 +368,7 @@ register(Benchmark(
     description="multilevel partition of the small deck at 16 ranks",
     source="benchmarks/bench_figure1_partition.py",
     setup=lambda size: {
-        "mesh": _deck("small").mesh, "faces": _faces("small"),
+        "mesh": deck_for("small").mesh, "faces": faces_for(deck_for("small")),
         "ranks": 8 if size == "smoke" else 16,
     },
     run=_run_multilevel,
@@ -420,10 +379,7 @@ register(Benchmark(
 
 def _setup_boundary_census(size):
     ranks = 8 if size == "smoke" else 16
-    return {
-        "deck": _deck("small"), "faces": _faces("small"),
-        "part": _partition("small", ranks),
-    }
+    return _mesh_side("small", ranks)
 
 
 def _run_boundary_census(ctx):
@@ -449,9 +405,8 @@ register(Benchmark(
 def _setup_figure2(size):
     ranks = 64 if size == "smoke" else 256
     return {
-        "deck": _deck("small"), "part": _partition("small", ranks),
-        "faces": _faces("small"), "census": _census("small", ranks),
-        "cluster": _cluster(), "iters": 1,
+        **_mesh_side("small", ranks),
+        "cluster": ClusterSpec().build(), "iters": 1,
     }
 
 
@@ -469,7 +424,7 @@ register(Benchmark(
 
 def _setup_figure3(size):
     sides = [1, 8, 64] if size == "smoke" else COARSE_SIDES
-    return {"cluster": _cluster(), "sides": sides}
+    return {"cluster": ClusterSpec().build(), "sides": sides}
 
 
 def _run_figure3(ctx):
@@ -497,7 +452,7 @@ def _setup_figure5(size):
     from repro.perfmodel import GeneralModel
 
     table = _cost_table("coarse" if size == "smoke" else "fine")
-    net = _cluster().network
+    net = ClusterSpec().build().network
     return {
         "homo": GeneralModel(table=table, network=net, mode="homogeneous"),
         "het": GeneralModel(table=table, network=net, mode="heterogeneous"),
@@ -537,7 +492,7 @@ def _setup_extreme(size):
         "ranks": ranks,
         "census": weak_scaled_census(ranks),
         "model": MeshSpecificModel(
-            table=_cost_table("coarse"), network=_cluster().network
+            table=_cost_table("coarse"), network=ClusterSpec().build().network
         ),
     }
 
@@ -576,7 +531,8 @@ register(Benchmark(
 # ----------------------------------------------------------------- ablation.*
 
 def _setup_allreduce(size):
-    return {"cluster": _cluster(), "ranks": 256 if size == "smoke" else 1024}
+    ranks = 256 if size == "smoke" else 1024
+    return {"cluster": ClusterSpec().build(), "ranks": ranks}
 
 
 def _run_allreduce(ctx):
@@ -609,7 +565,7 @@ register(Benchmark(
     description="contrived-grid calibration cost at a representative sample density",
     source="benchmarks/bench_ablation_knee.py",
     setup=lambda size: {
-        "cluster": _cluster(),
+        "cluster": ClusterSpec().build(),
         "sides": [1, 4, 16, 64] if size == "smoke" else [1, 2, 4, 8, 16, 32, 64, 128],
     },
     run=_run_figure3,
@@ -623,10 +579,10 @@ def _setup_p2p_no_surcharge(size):
 
     ranks = 64 if size == "smoke" else 128
     model = MeshSpecificModel(
-        table=_cost_table("coarse"), network=_cluster().network,
+        table=_cost_table("coarse"), network=ClusterSpec().build().network,
         include_multi_surcharge=False,
     )
-    return {"model": model, "census": _census("small", ranks)}
+    return {"model": model, "census": _mesh_side("small", ranks)["census"]}
 
 
 register(Benchmark(
@@ -644,13 +600,13 @@ register(Benchmark(
 
 
 def _setup_partitioners(size):
-    deck = _deck("small")
+    deck = deck_for("small")
     methods = (
         ("rcb", "block", "structured-block")
         if size == "smoke"
         else ("multilevel", "rcb", "block", "structured-block")
     )
-    return {"deck": deck, "faces": _faces("small"), "methods": methods}
+    return {"deck": deck, "faces": faces_for(deck), "methods": methods}
 
 
 def _run_partitioners(ctx):
@@ -682,9 +638,8 @@ register(Benchmark(
 def _setup_smp(size):
     ranks = 16
     return {
-        "deck": _deck("small"), "part": _partition("small", ranks),
-        "faces": _faces("small"), "census": _census("small", ranks),
-        "cluster": _smp_cluster(),
+        **_mesh_side("small", ranks),
+        "cluster": ClusterSpec(smp=True).build(),
     }
 
 
@@ -712,9 +667,9 @@ register(Benchmark(
 def _setup_transition(size):
     from repro.perfmodel import TransitionModel
 
-    deck = _deck("small" if size == "smoke" else "medium")
+    deck = deck_for("small" if size == "smoke" else "medium")
     model = TransitionModel.for_deck(
-        deck, _cost_table("coarse"), _cluster().network
+        deck, _cost_table("coarse"), ClusterSpec().build().network
     )
     return {"model": model, "cells": deck.num_cells}
 
@@ -732,25 +687,17 @@ register(Benchmark(
 
 # ---------------------------------------------------------------- placement.*
 
-def _overhead_smp_cluster(speed=1.0, ranks_per_node=4):
-    """SMP cluster with the shared-memory transport's cheaper host overheads."""
-    from repro.machine import es45_like_cluster
-
-    return _memo(
-        ("smp-oh", speed, ranks_per_node),
-        lambda: es45_like_cluster(speed=speed).with_smp(
-            ranks_per_node=ranks_per_node,
-            intra_send_overhead=0.5e-6,
-            intra_recv_overhead=0.7e-6,
-        ),
-    )
+#: SMP machine whose shared-memory transport has cheaper host overheads.
+_OVERHEAD_SMP = ClusterSpec(
+    smp=True, intra_send_overhead=0.5e-6, intra_recv_overhead=0.7e-6
+)
 
 
 def _setup_place_optimize(size):
     ranks = 24 if size == "smoke" else 64
     return {
-        "census": _census("small", ranks),
-        "cluster": _overhead_smp_cluster(),
+        "census": _mesh_side("small", ranks)["census"],
+        "cluster": _OVERHEAD_SMP.build(),
         "ranks": ranks,
     }
 
@@ -801,7 +748,7 @@ def _setup_pairwise_pricing(size):
 
     ranks, count = (64, 20000) if size == "smoke" else (256, 100000)
     rng = np.random.default_rng(2006)
-    hierarchy = _smp_cluster().hierarchy.with_placement(
+    hierarchy = ClusterSpec(smp=True).build().hierarchy.with_placement(
         random_placement(ranks, 4, seed=7)
     )
     a = rng.integers(0, ranks, size=count)
@@ -831,11 +778,11 @@ def _setup_place_scenario(size):
     from repro.placement import block_placement, optimize_placement
 
     ranks = 16
-    census = _census("small", ranks)
-    cluster = _overhead_smp_cluster(speed=8.0)
+    mesh = _mesh_side("small", ranks)
+    census = mesh["census"]
+    cluster = dataclasses.replace(_OVERHEAD_SMP, speed=8.0).build()
     return {
-        "deck": _deck("small"), "part": _partition("small", ranks),
-        "faces": _faces("small"), "census": census,
+        **mesh,
         "block": cluster.with_placement(block_placement(ranks, 4)),
         "optimized": cluster.with_placement(
             optimize_placement(census, cluster)
@@ -880,8 +827,9 @@ def _setup_dynamic(size):
 
     iters = 6 if size == "smoke" else 8
     return {
-        "deck": _deck("small"), "part": _partition("small", 16),
-        "faces": _faces("small"), "cluster": _cluster(), "iters": iters,
+        **_mesh_side("small", 16),
+        "cluster": ClusterSpec().build(),
+        "iters": iters,
         "spec": DynamicSpec(policy="imbalance:1.15", burn_multiplier=8.0),
     }
 
@@ -914,8 +862,7 @@ register(Benchmark(
 
 def _setup_perturb(size):
     return {
-        "deck": _deck("small"), "part": _partition("small", 16),
-        "faces": _faces("small"), "cluster": _cluster(),
+        **_mesh_side("small", 16), "cluster": ClusterSpec().build(),
         "iters": 4 if size == "smoke" else 6,
         "amplitudes": (0.0, 0.05, 0.2) if size == "smoke"
         else (0.0, 0.02, 0.05, 0.1, 0.2),
@@ -1056,11 +1003,3 @@ register(Benchmark(
     },
     repeats=3,
 ))
-
-
-# Public faces of the memoised setup helpers, shared with the pytest
-# fixture layer (benchmarks/conftest.py) so one session never builds the
-# same deck or calibration table twice.
-shared_cluster = _cluster
-shared_cost_table = _cost_table
-shared_deck = _deck

@@ -25,7 +25,9 @@ from repro.core.assemble import (
     assemble,
     calibration_key,
     calibration_table,
+    deck_for,
     faces_for,
+    mesh_side,
 )
 from repro.core.cache import LRUResultCache
 from repro.core.parsing import (
@@ -71,9 +73,11 @@ __all__ = [
     "csv_ints",
     "csv_strings",
     "deck_label",
+    "deck_for",
     "faces_for",
     "is_weak_deck",
     "measure",
+    "mesh_side",
     "parse_deck",
     "predict",
     "predict_models",

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.parsing import as_deck_size, is_weak_deck, weak_cells_per_rank
 from repro.core.request import PredictionRequest
-from repro.hydro.driver import run_static
+from repro.hydro.driver import krak_job
 from repro.hydro.workload import WorkloadCensus, build_workload_census
 from repro.machine.cluster import ClusterConfig
 from repro.mesh.connectivity import FaceTable, build_face_table
@@ -56,6 +56,7 @@ __all__ = [
     "assemble",
     "calibration_key",
     "calibration_table",
+    "deck_for",
     "faces_for",
     "fitted_calibration",
     "mesh_side",
@@ -68,9 +69,15 @@ __all__ = [
 #: used: far above the handful of decks and machines one process serves.
 _MEMO_MAX = 16
 
+#: Byte budget of :data:`_FACES_MEMO`.  A face table takes 18.8 MiB for the
+#: medium deck and 75.1 MiB for the large one, so the budget holds the
+#: large deck's with the medium and small decks' beside it.
+_FACES_MAX_BYTES = 128 * 2**20
+
 #: Per-process face-table memo: face tables depend only on the mesh
 #: topology, and one process typically evaluates many points of one deck.
-_FACES_MEMO = LRUMemo(_MEMO_MAX)
+#: Bounded both in entries and in bytes (:data:`_FACES_MAX_BYTES`).
+_FACES_MEMO = LRUMemo(_MEMO_MAX, max_bytes=_FACES_MAX_BYTES)
 
 
 def faces_for(deck: InputDeck) -> FaceTable:
@@ -136,6 +143,18 @@ def _mesh_key(request: PredictionRequest) -> tuple:
     )
 
 
+def deck_for(spec) -> InputDeck:
+    """The deck ``spec`` names (:func:`~repro.core.parsing.parse_deck`),
+    memoised per process with :func:`mesh_side`'s decks; its arrays are
+    read-only."""
+    key = ("deck", as_deck_size(spec))
+    deck = _MESH_MEMO.get(key)
+    if deck is None:
+        deck = _read_only(build_deck(key[1]))
+        _MESH_MEMO.put(key, deck)
+    return deck
+
+
 def mesh_side(request: PredictionRequest) -> tuple:
     """``(deck, faces, partition, census)`` of a request's deck spec, rank
     count, partition method and seed, memoised per process.
@@ -148,11 +167,7 @@ def mesh_side(request: PredictionRequest) -> tuple:
     key = ("partition", *_mesh_key(request))
     entry = _MESH_MEMO.get(key)
     if entry is None:
-        spec = key[1]
-        deck = _MESH_MEMO.get(("deck", spec))
-        if deck is None:
-            deck = _read_only(build_deck(spec))
-            _MESH_MEMO.put(("deck", spec), deck)
+        deck = deck_for(key[1])
         faces = faces_for(deck)
         partition = cached_partition(
             deck,
@@ -232,15 +247,24 @@ def static_result(request: PredictionRequest, asm: "Assembled") -> SimResult:
     its key is the request's mesh-side fields and ``iterations``: requests
     that differ only in the machine (flat or SMP, ``speed``, the
     ``intra_*`` knobs, a fitted calibration) or the placement share it.
-    A miss lowers the job (:func:`~repro.hydro.driver.run_static`); a hit
-    prices it without lowering, bitwise the same.
+    A miss lowers the job and builds the structure, as
+    :meth:`~repro.simmpi.engine.Engine.run_compiled` would; a hit prices
+    the job's compute seconds without lowering, bitwise the same.
     """
+    program, engine = krak_job(
+        asm.deck, asm.partition, asm.cluster, request.iterations,
+        asm.faces, asm.census, None, None,
+    )
     key = ("job", *_mesh_key(request), request.iterations)
     structure = _MESH_MEMO.get(key)
-    result, built = run_static(asm.census, asm.cluster, request.iterations, structure)
     if structure is None:
-        _MESH_MEMO.put(key, built)
-    return result
+        table = program.lower()
+        structure = engine.structure(table)
+        _MESH_MEMO.put(key, structure)
+        seconds = table.farg[structure.compute_idx]
+    else:
+        seconds = program.compute_seconds()
+    return engine.price(structure, seconds)
 
 
 def calibration_key(cluster: ClusterConfig, sides) -> str:

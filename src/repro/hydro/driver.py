@@ -1,8 +1,9 @@
 """Top-level MiniKrak runs: "measure" iteration times on the simulated machine.
 
-``run_krak`` executes the full pipeline (deck → partition → census →
-one op table of every rank → engine run) and returns the trace, plus the
-application diagnostics of a functional run;
+``krak_job`` builds a job (deck → partition → census → the
+:class:`~repro.hydro.phases.KrakProgram` and its engine), and ``run_krak``
+lowers it to one op table of every rank, runs it, and returns the trace,
+plus the application diagnostics of a functional run;
 ``measure_iteration_time`` is the convenience most benchmarks use — it
 averages the steady-state iterations, skipping a warm-up, exactly how one
 times a production code.
@@ -25,8 +26,7 @@ from repro.mesh.connectivity import FaceTable, build_face_table
 from repro.mesh.deck import InputDeck
 from repro.partition.base import Partition
 from repro.perturb import FAILURE_PHASE, Perturbation, PerturbSpec, degrade_cluster
-from repro.simmpi.compile import ProgramWriter
-from repro.simmpi.engine import Engine, JobStructure, SimResult
+from repro.simmpi.engine import Engine, SimResult
 
 
 @dataclass(frozen=True)
@@ -112,42 +112,45 @@ def run_krak(
         raise ValueError("perturbed runs execute in census (timing) mode only")
     if functional and dynamic is not None:
         raise ValueError("dynamic workloads run in census (timing) mode only")
-    controller = None
-    if dynamic is None and perturb is None:
-        if cluster is None:
-            cluster = es45_like_cluster()
-        if census is None:
-            census = build_workload_census(deck, partition, faces)
-        result, _ = run_static(census, cluster, iterations)
-    else:
-        engine, table, cluster, census, controller = _krak_job(
-            deck, partition, cluster, iterations, faces, census, dynamic, perturb
-        )
-        result = engine.run_compiled(table)
+    program, engine = krak_job(
+        deck, partition, cluster, iterations, faces, census, dynamic, perturb
+    )
+    result = engine.run_compiled(program.lower())
     states = diagnostics = None
     if functional:
         states = build_rank_states(deck, partition)
-        diagnostics = run_functional(states, census, iterations)
+        diagnostics = run_functional(states, program.census, iterations)
 
     return KrakRun(
         deck=deck,
         partition=partition,
-        census=census,
-        cluster=cluster,
+        census=program.census,
+        cluster=engine.cluster,
         result=result,
         iterations=iterations,
         diagnostics=diagnostics,
         states=states,
-        dynamic=controller.run_info() if controller is not None else None,
+        dynamic=program.dynamic.run_info() if program.dynamic is not None else None,
     )
 
 
-def _krak_job(deck, partition, cluster, iterations, faces, census, dynamic, perturb):
-    """The engine and the one lowered table of every rank that
-    :func:`run_krak` prices for a dynamic or perturbed job (a static one
-    takes :func:`run_static`), with the (possibly degraded) machine, the
-    census and the dynamic controller they were built from.  Each call
-    builds a fresh controller, so the table is the same every time."""
+def krak_job(
+    deck: InputDeck,
+    partition: Partition,
+    cluster: ClusterConfig | None,
+    iterations: int,
+    faces: FaceTable | None,
+    census: WorkloadCensus | None,
+    dynamic: DynamicSpec | None,
+    perturb: PerturbSpec | None,
+) -> tuple[KrakProgram, Engine]:
+    """The job :func:`run_krak` runs, unlowered: ``(program, engine)``.
+
+    The arguments are :func:`run_krak`'s.  The program carries the census
+    and any dynamic controller, and the engine the (possibly degraded)
+    machine.  ``engine.run_compiled(program.lower())`` runs the job; each
+    call builds a fresh controller, so every lowering is the same.
+    """
     if cluster is None:
         cluster = es45_like_cluster()
     if perturb is not None:
@@ -187,45 +190,14 @@ def _krak_job(deck, partition, cluster, iterations, faces, census, dynamic, pert
         # so phase indices are stable across configurations.
         num_phases = FAILURE_PHASE + 1
 
-    writer = ProgramWriter()
-    KrakProgram(
+    program = KrakProgram(
         census=census,
         node_model=cluster.node,
         iterations=iterations,
         dynamic=controller,
         perturb=perturbation,
-    ).lower_into(writer)
-    engine = Engine(cluster, partition.num_ranks, num_phases)
-    return engine, writer.finish(), cluster, census, controller
-
-
-def run_static(
-    census: WorkloadCensus,
-    cluster: ClusterConfig,
-    iterations: int,
-    structure: JobStructure | None = None,
-) -> tuple[SimResult, JobStructure]:
-    """Run a static, unperturbed job on ``cluster``: ``(result, structure)``.
-
-    The one run path of such a job: :func:`run_krak` calls it without
-    ``structure``, so the job is lowered and its engine structure built,
-    as :meth:`~repro.simmpi.engine.Engine.run_compiled` would.  Given the
-    structure of an earlier call on the same census and iteration count
-    (:func:`repro.core.assemble.static_result` memoises it), nothing is
-    lowered: only the compute seconds and the machine are priced.  The
-    result is bitwise the same either way.
-    """
-    program = KrakProgram(census=census, node_model=cluster.node, iterations=iterations)
-    engine = Engine(cluster, census.num_ranks, NUM_PHASES)
-    if structure is None:
-        writer = ProgramWriter()
-        program.lower_into(writer)
-        table = writer.finish()
-        structure = engine.structure(table)
-        seconds = table.farg[structure.compute_idx]
-    else:
-        seconds = program.compute_seconds()
-    return engine.price(structure, seconds), structure
+    )
+    return program, Engine(cluster, partition.num_ranks, num_phases)
 
 
 def measure_iteration_time(

@@ -8,7 +8,8 @@ Tables 1 and 4 — is :data:`~repro.machine.costdb.KRAK_SCHEDULE`.
 two ways:
 
 * :meth:`KrakProgram.lower_into` loads every rank's op stream into one
-  :class:`~repro.simmpi.compile.ProgramWriter` table in a single pass.
+  :class:`~repro.simmpi.compile.ProgramWriter` table in a single pass
+  (:meth:`KrakProgram.lower` returns that table frozen).
   The message rows come array-at-a-time from the census link columns
   (boundary sextets, the final group, ghost pairs) and the compute rows
   from :meth:`~repro.machine.node.NodeModel.phase_times_grid`.
@@ -111,6 +112,12 @@ class KrakProgram:
         return self.census.num_ranks
 
     # ------------------------------------------------------------ lowering
+
+    def lower(self) -> simc.CompiledProgram:
+        """The job's table: :meth:`lower_into` a fresh writer, frozen."""
+        writer = simc.ProgramWriter()
+        self.lower_into(writer)
+        return writer.finish()
 
     def lower_into(self, writer) -> None:
         """Load every rank's op stream into the empty ``writer`` in one pass.

@@ -122,8 +122,12 @@ def parse_policy(spec: str) -> RepartitionPolicy:
 # differential replays the production run's exact calls, bench repeats re-run
 # the same trajectory, and cadence sweeps share prefixes — so memoized hits
 # return the identical Partition without redoing the multilevel work.
+# The memo is bounded both in entries and in bytes: a label array takes
+# 1.56 MiB on the medium deck and 6.25 MiB on the large one, so the byte
+# budget holds 40 medium or 10 large repartitions.
 _REPARTITION_MEMO_MAX = 256
-_REPARTITION_MEMO = LRUMemo(_REPARTITION_MEMO_MAX)
+_REPARTITION_MAX_BYTES = 64 * 2**20
+_REPARTITION_MEMO = LRUMemo(_REPARTITION_MEMO_MAX, max_bytes=_REPARTITION_MAX_BYTES)
 
 
 def clear_repartition_memo() -> None:

@@ -7,10 +7,10 @@ Requests describe timing only: messages carry sizes, and nothing is sent
 back into the program.
 
 Every request type derives from :class:`Op` and implements
-:meth:`Op.lower`, appending itself to a
-:class:`~repro.simmpi.compile.ProgramWriter` — the hook
-:func:`~repro.simmpi.compile.lower_programs` uses to write hand-written
-programs into the columnar event table the engine executes.
+:meth:`Op.lower`, writing its own ``(opcode, farg, a, b)`` row through
+:meth:`ProgramWriter.row <repro.simmpi.compile.ProgramWriter.row>` — the
+hook :func:`~repro.simmpi.compile.lower_programs` uses to write
+hand-written programs into the columnar event table the engine executes.
 
 Collectives take keyword arguments only, so a stray positional value can
 never be priced as a byte count.
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from repro.simmpi import compile as simc
 
 
 class MessageKey(NamedTuple):
@@ -45,12 +47,12 @@ class NotLowerable(Exception):
 class Op:
     """Base class of every engine request.
 
-    Subclasses implement :meth:`lower` to append themselves to a
+    Subclasses implement :meth:`lower` to append their row to a
     :class:`~repro.simmpi.compile.ProgramWriter`.
     """
 
     def lower(self, writer) -> None:
-        """Append this op to ``writer`` (batch compilation)."""
+        """Append this op's row to ``writer`` (batch compilation)."""
         raise NotLowerable(f"{type(self).__name__} cannot be lowered")
 
 
@@ -65,7 +67,7 @@ class Compute(Op):
             raise ValueError(f"compute time must be non-negative, got {self.seconds}")
 
     def lower(self, writer) -> None:
-        writer.compute(self.seconds)
+        writer.row(simc.OP_COMPUTE, self.seconds, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class SetPhase(Op):
     phase: int
 
     def lower(self, writer) -> None:
-        writer.set_phase(self.phase)
+        writer.row(simc.OP_SETPHASE, 0.0, self.phase, 0)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class MarkIteration(Op):
     index: int
 
     def lower(self, writer) -> None:
-        writer.mark(self.index)
+        writer.row(simc.OP_MARK, 0.0, self.index, 0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class Isend(Op):
             raise ValueError(f"nbytes must be non-negative, got {self.nbytes}")
 
     def lower(self, writer) -> None:
-        writer.isend(self.dst, self.tag, self.nbytes)
+        writer.row(simc.OP_ISEND, self.nbytes, self.dst, self.tag)
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class Recv(Op):
     tag: int
 
     def lower(self, writer) -> None:
-        writer.recv(self.src, self.tag)
+        writer.row(simc.OP_RECV, 0.0, self.src, self.tag)
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class WaitSends(Op):
     """Block until all of this rank's posted sends have left the NIC."""
 
     def lower(self, writer) -> None:
-        writer.wait_sends()
+        writer.row(simc.OP_WAITSENDS, 0.0, 0, 0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -131,7 +133,7 @@ class Allreduce(Op):
     nbytes: float = 8.0
 
     def lower(self, writer) -> None:
-        writer.allreduce(self.nbytes)
+        writer.row(simc.OP_COLL, self.nbytes, 0, simc.COLL_ALLREDUCE)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -142,7 +144,7 @@ class Bcast(Op):
     nbytes: float = 8.0
 
     def lower(self, writer) -> None:
-        writer.bcast(self.root, self.nbytes)
+        writer.row(simc.OP_COLL, self.nbytes, self.root, simc.COLL_BCAST)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -153,7 +155,7 @@ class Gather(Op):
     nbytes: float = 32.0
 
     def lower(self, writer) -> None:
-        writer.gather(self.root, self.nbytes)
+        writer.row(simc.OP_COLL, self.nbytes, self.root, simc.COLL_GATHER)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class Barrier(Op):
     """Synchronise all ranks (priced as a 4-byte allreduce)."""
 
     def lower(self, writer) -> None:
-        writer.barrier()
+        writer.row(simc.OP_COLL, 0.0, 0, simc.COLL_BARRIER)
 
 
 __all__ = [

@@ -22,8 +22,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.simmpi import api
-
 # Opcodes of the columnar event table (column ``opcode``).
 OP_COMPUTE = 0
 OP_SETPHASE = 1
@@ -43,12 +41,13 @@ COLL_BARRIER = 3
 class ProgramWriter:
     """Append-only builder of a job's columnar op table, rank-major.
 
-    Each row method appends one row to the rank being written and
+    :meth:`row` appends one row to the rank being written and
     :meth:`end_rank` closes that rank, so rank ``r``'s rows follow rank
     ``r - 1``'s.  ``opcode`` selects the handler, ``farg`` carries the
     float argument (seconds or bytes), ``a``/``b`` carry the integer
     arguments (peer rank / phase / index / root, tag / collective
-    sub-kind).  :meth:`load` instead fills an empty writer with every
+    sub-kind); each op's :meth:`~repro.simmpi.api.Op.lower` writes its
+    own row.  :meth:`load` instead fills an empty writer with every
     rank's columns at once.  :meth:`finish` freezes the table into a
     :class:`CompiledProgram`.
     """
@@ -63,7 +62,8 @@ class ProgramWriter:
         #: 0, then the row count at the end of each closed rank.
         self.offsets: list[int] = [0]
 
-    def _row(self, opcode: int, farg: float, a: int, b: int) -> None:
+    def row(self, opcode: int, farg: float, a: int, b: int) -> None:
+        """Append one row to the rank being written."""
         self.opcode.append(opcode)
         self.farg.append(farg)
         self.a.append(a)
@@ -83,46 +83,6 @@ class ProgramWriter:
             raise ValueError("load needs an empty writer")
         self.opcode, self.farg, self.a, self.b = opcode, farg, a, b
         self.offsets = offsets
-
-    def compute(self, seconds: float) -> None:
-        """Charge ``seconds`` of computation."""
-        self._row(OP_COMPUTE, seconds, 0, 0)
-
-    def set_phase(self, phase: int) -> None:
-        """Attribute subsequent time to ``phase``."""
-        self._row(OP_SETPHASE, 0.0, phase, 0)
-
-    def mark(self, index: int) -> None:
-        """Record the clock at the start of iteration ``index``."""
-        self._row(OP_MARK, 0.0, index, 0)
-
-    def isend(self, dst: int, tag: int, nbytes: float) -> None:
-        """Post an asynchronous ``nbytes`` send to ``dst``."""
-        self._row(OP_ISEND, nbytes, dst, tag)
-
-    def recv(self, src: int, tag: int) -> None:
-        """Block for the matching message from ``src``."""
-        self._row(OP_RECV, 0.0, src, tag)
-
-    def wait_sends(self) -> None:
-        """Drain this rank's NIC."""
-        self._row(OP_WAITSENDS, 0.0, 0, 0)
-
-    def allreduce(self, nbytes: float) -> None:
-        """Enter an allreduce of ``nbytes`` per tree message."""
-        self._row(OP_COLL, nbytes, 0, COLL_ALLREDUCE)
-
-    def bcast(self, root: int, nbytes: float) -> None:
-        """Enter a broadcast from ``root``."""
-        self._row(OP_COLL, nbytes, root, COLL_BCAST)
-
-    def gather(self, root: int, nbytes: float) -> None:
-        """Enter a gather to ``root``."""
-        self._row(OP_COLL, nbytes, root, COLL_GATHER)
-
-    def barrier(self) -> None:
-        """Enter a barrier (zero-payload allreduce)."""
-        self._row(OP_COLL, 0.0, 0, COLL_BARRIER)
 
     def finish(self) -> "CompiledProgram":
         """Freeze the table; every rank must be closed."""
@@ -169,17 +129,20 @@ class CompiledProgram:
         )
 
 
-def lower_programs(programs: Iterable[Iterable[api.Op]]) -> CompiledProgram:
+def lower_programs(programs: Iterable[Iterable]) -> CompiledProgram:
     """Compile one op sequence per rank, in rank order, into one table.
 
-    Raises :class:`api.NotLowerable` on anything that is not an op.
+    Raises :class:`~repro.simmpi.api.NotLowerable` on anything that is not
+    an op.
     """
+    from repro.simmpi.api import NotLowerable
+
     writer = ProgramWriter()
     for ops in programs:
         for op in ops:
             lower = getattr(op, "lower", None)
             if lower is None:
-                raise api.NotLowerable(f"unknown request {op!r}")
+                raise NotLowerable(f"unknown request {op!r}")
             lower(writer)
         writer.end_rank()
     return writer.finish()

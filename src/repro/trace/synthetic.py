@@ -16,14 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.parsing import as_deck_size
-from repro.hydro.driver import run_krak
-from repro.hydro.phases import KrakProgram
+from repro.hydro.driver import krak_job
 from repro.machine.cluster import ClusterConfig, es45_like_cluster
 from repro.machine.network import NetworkModel
 from repro.mesh.deck import NUM_MATERIALS, build_deck
 from repro.mesh.connectivity import build_face_table
 from repro.partition.cache import cached_partition
-from repro.simmpi.compile import OP_ISEND, ProgramWriter
+from repro.simmpi.compile import OP_ISEND, CompiledProgram
 from repro.trace.schema import TraceDoc, TraceMachine, TraceRun
 
 __all__ = ["default_pingpong_sizes", "synthesize_trace"]
@@ -52,20 +51,14 @@ def default_pingpong_sizes(network: NetworkModel) -> np.ndarray:
     return np.unique(np.asarray(sizes, dtype=np.float64))
 
 
-def _count_messages(census, cluster: ClusterConfig, num_ranks: int, iterations: int):
-    """Per-rank point-to-point ``{"count", "bytes"}`` totals.
+def _count_messages(table: CompiledProgram):
+    """Per-rank point-to-point ``{"count", "bytes"}`` totals of a lowered job.
 
-    The job is lowered to its columnar op table (the same lowering the
-    engine executes) and each rank's ``OP_ISEND`` rows are tallied — so
-    counts/bytes are exactly what the run sent, not a model of it.
+    Each rank's ``OP_ISEND`` rows of the table the engine ran are tallied
+    — so counts/bytes are exactly what the run sent, not a model of it.
     """
-    writer = ProgramWriter()
-    KrakProgram(census=census, node_model=cluster.node, iterations=iterations).lower_into(
-        writer
-    )
-    table = writer.finish()
     messages = []
-    for rank in range(num_ranks):
+    for rank in range(table.num_ranks):
         opcode, farg, _, _ = table.rank_columns(rank)
         sel = opcode == OP_ISEND
         messages.append({"count": int(sel.sum()), "bytes": float(farg[sel].sum())})
@@ -107,10 +100,11 @@ def synthesize_trace(
         partition = cached_partition(
             built, int(num_ranks), method=partition_method, seed=seed, faces=faces
         )
-        run = run_krak(
-            built, partition, cluster=cluster, iterations=iterations, faces=faces
+        program, engine = krak_job(
+            built, partition, cluster, iterations, faces, None, None, None
         )
-        trace = run.result.trace
+        table = program.lower()
+        trace = engine.run_compiled(table).trace
         compute = np.stack(
             [trace.window_compute(i, i + 1) for i in range(iterations)]
         )
@@ -132,9 +126,7 @@ def synthesize_trace(
                 material_cells=partition.material_census(
                     built.cell_material, NUM_MATERIALS
                 ),
-                messages=_count_messages(
-                    run.census, cluster, int(num_ranks), iterations
-                ),
+                messages=_count_messages(table),
             )
         )
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hydro.driver import _krak_job, run_krak
+from repro.hydro.driver import krak_job, run_krak
 from repro.verify.oracle import oracle_run_krak
 from repro.verify.properties import (
     PropertyViolation,
@@ -237,11 +237,11 @@ def _diff_built_with_run(built: BuiltScenario, rtol: float):
     # The executor run_compiled did not pick must agree exactly wherever it
     # can run the table: fuzz decks are small, so the dispatch alone would
     # rarely reach the superstep executor.
-    engine, table, *_ = _krak_job(
+    program, engine = krak_job(
         built.deck, built.partition, built.cluster, built.iterations,
         built.faces, built.census, built.dynamic, built.perturb,
     )
-    other = engine._run_other(table)
+    other = engine._run_other(program.lower())
     if other is not None:
         max_rel = max(max_rel, _compare_executors(run.result, other, mismatches))
 

@@ -204,7 +204,7 @@ class TestCompile:
                     Isend(3, tag=9, nbytes=128.0),
                     Recv(2, tag=4),
                     WaitSends(),
-                    MarkIteration(0),
+                    MarkIteration(5),
                     Allreduce(nbytes=8),
                     Bcast(root=1, nbytes=4),
                     Gather(root=2, nbytes=32),
@@ -216,34 +216,29 @@ class TestCompile:
         assert compiled.num_ranks == 3
         assert compiled.num_ops == 11
         assert compiled.offsets.tolist() == [0, 1, 11, 11]
-        assert compiled.opcode[0] == simc.OP_COMPUTE
-        opcode, farg, a, b = compiled.rank_columns(1)
-        assert opcode.tolist() == [
-            simc.OP_SETPHASE,
-            simc.OP_COMPUTE,
-            simc.OP_ISEND,
-            simc.OP_RECV,
-            simc.OP_WAITSENDS,
-            simc.OP_MARK,
-            simc.OP_COLL,
-            simc.OP_COLL,
-            simc.OP_COLL,
-            simc.OP_COLL,
+
+        def rows(rank):
+            return list(zip(*(col.tolist() for col in compiled.rank_columns(rank))))
+
+        # Every column of every row: (opcode, farg, a, b).
+        assert rows(0) == [(simc.OP_COMPUTE, 1e-6, 0, 0)]
+        assert rows(1) == [
+            (simc.OP_SETPHASE, 0.0, 1, 0),
+            (simc.OP_COMPUTE, 2.5e-6, 0, 0),
+            (simc.OP_ISEND, 128.0, 3, 9),
+            (simc.OP_RECV, 0.0, 2, 4),
+            (simc.OP_WAITSENDS, 0.0, 0, 0),
+            (simc.OP_MARK, 0.0, 5, 0),
+            (simc.OP_COLL, 8.0, 0, simc.COLL_ALLREDUCE),
+            (simc.OP_COLL, 4.0, 1, simc.COLL_BCAST),
+            (simc.OP_COLL, 32.0, 2, simc.COLL_GATHER),
+            (simc.OP_COLL, 0.0, 0, simc.COLL_BARRIER),
         ]
-        assert b[6:].tolist() == [
-            simc.COLL_ALLREDUCE,
-            simc.COLL_BCAST,
-            simc.COLL_GATHER,
-            simc.COLL_BARRIER,
-        ]
-        assert farg[1] == 2.5e-6
-        assert a[2] == 3 and b[2] == 9
-        assert a[3] == 2 and b[3] == 4
         assert compiled.rank_columns(2)[0].size == 0
 
     def test_writer_refuses_an_open_rank_and_a_second_load(self):
         writer = ProgramWriter()
-        writer.compute(1.0)
+        writer.row(simc.OP_COMPUTE, 1.0, 0, 0)
         with pytest.raises(ValueError, match="still open"):
             writer.finish()
         with pytest.raises(ValueError, match="empty writer"):

@@ -95,3 +95,13 @@ class TestWorkloadWiring:
         first = bench.invariants(ctx, bench.run(ctx))
         second = bench.invariants(ctx, bench.run(ctx))
         assert first == second
+
+    def test_setup_inputs_are_the_core_memos_objects(self):
+        """A registry setup's census is the object ``mesh_side`` holds: the
+        bench inputs come from the core per-process memos, not a copy."""
+        from repro.core import PredictionRequest
+        from repro.core.assemble import mesh_side
+
+        ctx = get_benchmark("table5.mesh_specific_predict").setup("smoke")
+        *_, census = mesh_side(PredictionRequest(deck="small", ranks=64))
+        assert ctx["census"] is census

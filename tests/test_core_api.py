@@ -276,6 +276,41 @@ def test_faces_memo_evicts_lru_and_recomputes_bitwise():
         memo.clear()
 
 
+def test_faces_memo_evicts_past_its_byte_budget(monkeypatch):
+    import dataclasses
+
+    from repro.mesh import build_deck, build_face_table
+    from repro.util.lru import array_bytes
+
+    assemble_mod = importlib.import_module("repro.core.assemble")
+
+    memo = assemble_mod._FACES_MEMO
+    # Room for the large deck's face table (75.1 MiB) and the medium one's.
+    assert memo.max_bytes == assemble_mod._FACES_MAX_BYTES >= 94 * 2**20
+    decks = [build_deck((16, 8 * (i + 1))) for i in range(3)]
+    sizes = [array_bytes(build_face_table(deck.mesh)) for deck in decks]
+    memo.clear()
+    # Scaled down to the two larger tables.
+    monkeypatch.setattr(memo, "max_bytes", sizes[1] + sizes[2])
+    try:
+        first = assemble_mod.faces_for(decks[0])
+        assemble_mod.faces_for(decks[1])
+        assemble_mod.faces_for(decks[2])  # past the budget: evicts decks[0]
+        assert ("structured", 16, 8) not in memo
+        assert len(memo) == 2
+        assert memo.nbytes <= memo.max_bytes
+        again = assemble_mod.faces_for(decks[0])
+        assert again is not first
+        for field in dataclasses.fields(first):
+            old, new = getattr(first, field.name), getattr(again, field.name)
+            assert (old.dtype, old.shape) == (new.dtype, new.shape)
+            assert old.tobytes() == new.tobytes()
+        assert ("structured", 16, 16) not in memo  # now the least recent
+        assert memo.nbytes <= memo.max_bytes
+    finally:
+        memo.clear()
+
+
 def test_process_memos_are_bounded():
     from repro.partition import dynamic
 

@@ -105,6 +105,34 @@ class TestWeightedRepartition:
         assert np.array_equal(a.cell_rank, b.cell_rank)
 
 
+    def test_memo_evicts_past_its_byte_budget(self, deck, monkeypatch):
+        from repro.partition import dynamic
+
+        memo = dynamic._REPARTITION_MEMO
+        # Room for ten label arrays of the large deck (6.25 MiB each).
+        assert memo.max_bytes == dynamic._REPARTITION_MAX_BYTES >= 10 * 6.25 * 2**20
+        faces = build_face_table(deck.mesh)
+        weights = [
+            1 + np.arange(deck.num_cells, dtype=np.int64) % (k + 1) for k in range(3)
+        ]
+        memo.clear()
+        try:
+            first = weighted_repartition(deck.mesh, weights[0], 4, faces=faces)
+            # Scaled down to two label arrays.
+            monkeypatch.setattr(memo, "max_bytes", 2 * first.cell_rank.nbytes)
+            weighted_repartition(deck.mesh, weights[1], 4, faces=faces)
+            weighted_repartition(deck.mesh, weights[2], 4, faces=faces)
+            key = dynamic._repartition_key(deck.mesh, weights[0], 4, faces, 0)
+            assert key not in memo  # the least recent went past the budget
+            assert len(memo) == 2
+            assert memo.nbytes <= memo.max_bytes
+            again = weighted_repartition(deck.mesh, weights[0], 4, faces=faces)
+            assert again.cell_rank.dtype == first.cell_rank.dtype
+            assert again.cell_rank.tobytes() == first.cell_rank.tobytes()
+            assert key in memo and memo.nbytes <= memo.max_bytes
+        finally:
+            memo.clear()
+
 class TestMigrationMatrix:
     def test_counts_flows_off_diagonal(self):
         old = Partition(num_ranks=2, cell_rank=np.array([0, 0, 1, 1]))
